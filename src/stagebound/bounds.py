@@ -83,7 +83,6 @@ _PARALLEL = {
 
 def is_fast(
     p: PopulationProtocol,
-    g,
     exp: frozenset[Head],
     u_states: frozenset[int],
     pi_nu: Valuation,

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bounds_mod
 from . import verify as verify_mod
@@ -151,13 +149,7 @@ def _bench_row(entry, timeout: float):
 
 
 def cmd_bench(args) -> int:
-    entries = default_corpus()
-    threads = max(1, int(os.environ.get("STAGEBOUND_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda e: _bench_row(e, args.timeout), entries))
-    else:
-        rows = [_bench_row(e, args.timeout) for e in entries]
+    rows = [_bench_row(e, args.timeout) for e in default_corpus()]
 
     header = "protocol,states,transitions,stages,bound,claim,time"
     out_lines = [header]

@@ -10,10 +10,30 @@ Atoms:
 
 Formulas are immutable tagged tuples, so they hash and compare structurally,
 which keeps stage construction deterministic.
+
+Entailment.  `is_tautology(f)` is the one entailment entry point of the
+analysis; callers ask `implies(premises, goal)`.  It searches for a
+countermodel over clauses:
+
+  1. Translation.  One walk over f with polarity emits the clauses of
+     "not f" directly.  Literals and disjunctions of literals become
+     clauses; a conjunction nested inside a clause gets a one-directional
+     (Plaisted-Greenbaum) auxiliary variable.  The coupling A! -> A is added
+     as the clause (!A! | A) for every singleton atom that occurs.
+  2. Search.  A small DPLL with unit propagation decides the clauses.  The
+     stage-tree queries are almost all 2-CNF premises (literals of pi, the
+     xi clauses of the disabled heads, the coupling) with a clause goal, so
+     unit propagation alone decides nearly all of them.
+
+There is no query cache: a process-wide cache of formulas grows the peak
+memory by more than it is worth in time.  The tests keep the earlier
+brute-force backtracking search as the reference this procedure must agree
+with.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, NamedTuple
 
 from .protocol import Configuration, Head, PopulationProtocol
@@ -177,28 +197,144 @@ def _consistent_choices(a: Atom, asg: dict[Atom, bool]) -> tuple[bool, ...]:
     return (True, False)
 
 
-def is_tautology(f: Formula) -> bool:
-    """True iff f holds under every consistent total assignment of its atoms."""
-    domain = evaluation_domain(f)
+def _countermodel_clauses(f: Formula) -> list[list[int]]:
+    """Clauses over integer literals that are satisfiable iff some
+    consistent assignment falsifies f.
 
-    def search(i: int, asg: dict[Atom, bool]) -> bool:
-        # Returns True if a consistent countermodel exists below this node.
-        v = _evaluate(f, asg)
-        if v is True:
+    One walk over f with polarity: a node required to hold (under a guard
+    literal) is split at conjunctions and otherwise becomes one clause; a
+    conjunction met inside a clause is named by a fresh variable x with
+    clauses for x -> node only (Plaisted-Greenbaum).  Atoms are numbered
+    as they are met; the coupling A! -> A is one more clause per singleton
+    atom.  Literal and negated-literal children are handled in the loops
+    rather than by a recursive call, which halves the calls on the
+    premise-heavy queries of the stage-tree build.
+    """
+    var: dict[Atom, int] = {}
+    clauses: list[list[int]] = []
+    fresh = itertools.count(1).__next__
+
+    def atom_var(a: Atom) -> int:
+        v = var[a] = fresh()
+        return v
+
+    def require(g: Formula, pol: bool, guard: int) -> None:
+        # clauses for: guard false, or g has truth value pol
+        tag = g[0]
+        while tag == "not":
+            g = g[1]
+            pol = not pol
+            tag = g[0]
+        if (tag == "and" and pol) or (tag == "or" and not pol):
+            for h in g[1]:
+                hpol = pol
+                if h[0] == "not":
+                    h = h[1]
+                    hpol = not pol
+                if h[0] == "atom":
+                    v = var.get(h[1]) or atom_var(h[1])
+                    lit = v if hpol else -v
+                    clauses.append([guard, lit] if guard else [lit])
+                else:
+                    require(h, hpol, guard)
+            return
+        if tag == "implies" and not pol:
+            require(g[1], True, guard)
+            require(g[2], False, guard)
+            return
+        lits = [guard] if guard else []
+        if not collect(g, pol, lits):
+            clauses.append(lits)
+
+    def collect(g: Formula, pol: bool, lits: list[int]) -> bool:
+        # append literals whose disjunction implies "g has truth value pol";
+        # True when that disjunction is valid, so the clause can be dropped
+        tag = g[0]
+        while tag == "not":
+            g = g[1]
+            pol = not pol
+            tag = g[0]
+        if tag == "atom":
+            v = var.get(g[1]) or atom_var(g[1])
+            lits.append(v if pol else -v)
             return False
-        if v is False:
-            return True
-        if i == len(domain):
+        if tag == "tt" or tag == "ff":
+            return (tag == "tt") == pol
+        if (tag == "or" and pol) or (tag == "and" and not pol):
+            for h in g[1]:
+                hpol = pol
+                if h[0] == "not":
+                    h = h[1]
+                    hpol = not pol
+                if h[0] == "atom":
+                    v = var.get(h[1]) or atom_var(h[1])
+                    lits.append(v if hpol else -v)
+                elif collect(h, hpol, lits):
+                    return True
             return False
-        a = domain[i]
-        for val in _consistent_choices(a, asg):
-            asg[a] = val
-            if search(i + 1, asg):
-                return True
-            del asg[a]
+        if tag == "implies" and pol:
+            return collect(g[1], False, lits) or collect(g[2], True, lits)
+        if tag not in ("and", "or", "implies"):
+            raise ValueError(f"bad formula node {g!r}")
+        x = fresh()
+        require(g, pol, -x)
+        lits.append(x)
         return False
 
-    return not search(0, {})
+    require(f, False, 0)
+    for a, v in list(var.items()):
+        if a.kind == SINGLETON:
+            comp = Atom(PRESENCE, a.index, a.name[:-1])
+            clauses.append([-v, var.get(comp) or atom_var(comp)])
+    return clauses
+
+
+def _propagate(clauses: list[list[int]], true: set[int], trail: list[int]) -> bool:
+    """Unit propagation to a fixed point; False on a falsified clause.
+    Literals it sets are added to `true` and recorded on `trail`."""
+    changed = True
+    while changed:
+        changed = False
+        for c in clauses:
+            free = 0
+            for lit in c:
+                if lit in true:
+                    break
+                if -lit not in true:
+                    if free:
+                        break
+                    free = lit
+            else:
+                if not free:
+                    return False
+                true.add(free)
+                trail.append(free)
+                changed = True
+    return True
+
+
+def _dpll(clauses: list[list[int]], true: set[int]) -> bool:
+    """True iff the clauses have a model extending the literals in `true`."""
+    trail: list[int] = []
+    if _propagate(clauses, true, trail):
+        open_ = [c for c in clauses if not any(lit in true for lit in c)]
+        if not open_:
+            return True
+        # after propagation every open clause has at least two free literals
+        branch = next(lit for lit in open_[0] if -lit not in true)
+        for lit in (branch, -branch):
+            true.add(lit)
+            if _dpll(open_, true):
+                return True
+            true.discard(lit)
+    for lit in trail:
+        true.discard(lit)
+    return False
+
+
+def is_tautology(f: Formula) -> bool:
+    """True iff f holds under every consistent total assignment of its atoms."""
+    return not _dpll(_countermodel_clauses(f), set())
 
 
 def is_satisfiable(f: Formula) -> bool:

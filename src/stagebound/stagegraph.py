@@ -143,10 +143,6 @@ class StageLimitError(RuntimeError):
         self.partial = partial
 
 
-def pi_formula(val: Valuation) -> Formula:
-    return valuation_formula(val)
-
-
 def initial_stage(p: PopulationProtocol) -> Stage:
     """Stage denoting exactly the initial configurations: the input states'
     presence disjunction plus absence of every other state."""
@@ -256,7 +252,7 @@ def is_stable(
     p: PopulationProtocol, pi_nu: Valuation, disabled: frozenset[Head]
 ) -> int | None:
     """Consensus output if (pi_nu, T) forces a lasting consensus, else None."""
-    base = conj([pi_formula(pi_nu), heads_formula(p, disabled)])
+    base = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
     for x in (0, 1):
         possibly_present = [
             s
@@ -284,10 +280,7 @@ def is_dead(
     """True when no non-idle rule can ever fire again, yet no consensus holds."""
     if is_stable(p, pi_nu, disabled) is not None:
         return False
-    base = conj([pi_formula(pi_nu), heads_formula(p, disabled)])
-    return all(
-        is_tautology(implies(base, xi(p, t.lhs))) for t in p.non_idle
-    )
+    return not build_transformation_graph(p, pi_nu, disabled).gen_edges
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +312,7 @@ def build_transformation_graph(
         for s in range(len(p.states))
         if pi_nu.get(presence(p, s)) is not False
     )
-    base = conj([pi_formula(pi_nu), heads_formula(p, disabled)])
+    base = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
     edges: dict[tuple[int, int], list[Transition]] = {}
     gen_edges: dict[Transition, tuple[tuple[int, int], ...]] = {}
     for t in p.non_idle:
@@ -407,7 +400,7 @@ def compute_j(
     """Largest subset of exp whose disabling is irreversible: once all its
     rules are disabled, no still-enabled rule can re-enable any of them."""
     m = set(exp)
-    pi_f = pi_formula(pi_nu)
+    pi_f = valuation_formula(pi_nu)
     psi_t = heads_formula(p, disabled)
 
     def head_ok(ef: Head, m: set[Head]) -> bool:
@@ -530,13 +523,14 @@ def build_child(
     ca = CaseAnalysis(nu=nu, pi_nu={}, parent_disabled=t_parent)
     pi_nu = compute_pi_nu(p, t_parent, nu)
     ca.pi_nu = pi_nu
+    pi_f = valuation_formula(pi_nu)
 
     stable = is_stable(p, pi_nu, t_parent)
     if stable is not None:
         ca.stable = stable
         return Stage(
             id=-1,
-            phi=pi_formula(pi_nu),
+            phi=pi_f,
             pi=pi_nu,
             disabled=t_parent,
             parent=parent.id,
@@ -544,11 +538,14 @@ def build_child(
             via=nu,
             analysis=ca,
         )
-    if is_dead(p, pi_nu, t_parent):
+    # every rule that is not blocked generates an entry, so an empty map
+    # means no non-idle rule can fire again: the child is dead
+    g = build_transformation_graph(p, pi_nu, t_parent)
+    if not g.gen_edges:
         ca.dead = True
         return Stage(
             id=-1,
-            phi=pi_formula(pi_nu),
+            phi=pi_f,
             pi=pi_nu,
             disabled=t_parent,
             parent=parent.id,
@@ -557,7 +554,6 @@ def build_child(
             analysis=ca,
         )
 
-    g = build_transformation_graph(p, pi_nu, t_parent)
     ca.graph = g
     ca.u_states = frozenset(v for v in g.vertices if g.scc[v] not in g.bottom)
     exp = compute_exp(g)
@@ -565,7 +561,6 @@ def build_child(
     j = compute_j(p, pi_nu, t_parent, exp)
     ca.j = j
 
-    pi_f = pi_formula(pi_nu)
     if exp:
         t_nu = frozenset(t_parent | (j if j else exp))
         ca.t_nu = t_nu
@@ -583,7 +578,7 @@ def build_child(
             )
         else:
             phi = conj([pi_f, psi_tnu])
-        ca.fast = bounds_mod.is_fast(p, g, exp, ca.u_states, pi_nu, t_parent)
+        ca.fast = bounds_mod.is_fast(p, exp, ca.u_states, pi_nu, t_parent)
         ca.very_fast = bounds_mod.is_very_fast(p, g, ca.u_states, pi_nu, t_parent)
     else:
         t_nu = t_parent

@@ -155,20 +155,6 @@ def test_bench_diff_accepts_known_deviation(capsys):
     assert "# note: threshold-m1p1-lt0" in out
 
 
-def test_bench_parallel_keeps_row_order(capsys, monkeypatch):
-    monkeypatch.setenv("STAGEBOUND_THREADS", "4")
-    code, out, _ = run(capsys, "bench", "--timeout", "300")
-    assert code == 0
-    names = [
-        l.split(",")[0]
-        for l in out.splitlines()[1:]
-        if l and not l.startswith("#")
-    ]
-    from stagebound.corpus import default_corpus
-
-    assert names == [e.name for e in default_corpus()]
-
-
 def test_module_entry_point(tmp_path):
     import subprocess
     import sys

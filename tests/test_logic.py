@@ -1,19 +1,24 @@
 """Formula engine: xi, tautology checking with the singleton coupling,
 valuation enumeration, and configuration-level evaluation."""
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagebound import Configuration, enabled, parse_protocol
-from stagebound.corpus import majority_four_state
+from stagebound import Configuration, bounds, enabled, parse_protocol, stagegraph
+from stagebound.corpus import default_corpus, majority_four_state
 from stagebound.logic import (
     FF,
     TT,
+    _consistent_choices,
+    _evaluate,
     atom,
     config_satisfies,
     conj,
     disj,
     enumerate_satisfying_valuations,
+    evaluation_domain,
     heads_formula,
     implies,
     is_tautology,
@@ -32,6 +37,31 @@ A, B, a, b = range(4)
 
 def head(x, y):
     return (x, y) if x <= y else (y, x)
+
+
+def reference_is_tautology(f):
+    """Reference oracle: backtracking search for a consistent countermodel
+    over the evaluation domain, re-evaluating f at every search node."""
+    domain = evaluation_domain(f)
+
+    def search(i, asg):
+        # True if a consistent countermodel exists below this node
+        v = _evaluate(f, asg)
+        if v is True:
+            return False
+        if v is False:
+            return True
+        if i == len(domain):
+            return False
+        a = domain[i]
+        for val in _consistent_choices(a, asg):
+            asg[a] = val
+            if search(i + 1, asg):
+                return True
+            del asg[a]
+        return False
+
+    return not search(0, {})
 
 
 def test_xi_distinct_states():
@@ -147,6 +177,53 @@ def formulas(draw, depth=3):
 @given(f=formulas())
 def test_tautology_agrees_with_enumeration(f):
     assert is_tautology(f) == (enumerate_satisfying_valuations(neg(f)) == [])
+
+
+@st.composite
+def coupled_formulas(draw, num_states, depth=3):
+    """Formulas with every connective over the presence and singleton atoms
+    of the first `num_states` states, so A! -> A matters."""
+    states = range(num_states)
+    atoms = [atom(presence(P, s)) for s in states] + [
+        atom(singleton(P, s)) for s in states
+    ]
+    if depth == 0:
+        return draw(st.sampled_from(atoms + [TT, FF]))
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return draw(st.sampled_from(atoms))
+    sub = coupled_formulas(num_states, depth - 1)
+    if kind == 1:
+        return neg(draw(sub))
+    if kind == 2:
+        return implies(draw(sub), draw(sub))
+    parts = draw(st.lists(sub, min_size=1, max_size=3))
+    return conj(parts) if kind == 3 else disj(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.integers(3, 4).flatmap(coupled_formulas))
+def test_tautology_agrees_with_reference(f):
+    assert is_tautology(f) == reference_is_tautology(f)
+    assert is_tautology(neg(f)) == reference_is_tautology(neg(f))
+
+
+@pytest.mark.parametrize("name", ["majority-ex1", "remainder-m3"])
+def test_tautology_agrees_with_reference_on_stage_queries(name, monkeypatch):
+    # the query shapes the stage-tree build actually asks
+    queries = []
+
+    def recording(f):
+        queries.append(f)
+        return is_tautology(f)
+
+    monkeypatch.setattr(stagegraph, "is_tautology", recording)
+    monkeypatch.setattr(bounds, "is_tautology", recording)
+    entry = next(e for e in default_corpus() if e.name == name)
+    stagegraph.build_stage_graph(entry.protocol())
+    assert queries
+    for f in queries:
+        assert is_tautology(f) == reference_is_tautology(f), pretty(f)
 
 
 @settings(max_examples=120, deadline=None)
