@@ -73,7 +73,10 @@ def _parse_config(p, spec: str):
         name, num = (x.strip() for x in part.split("=", 1))
         if name not in p.states:
             raise ProtocolError(f"unknown state name {name!r}")
-        counts[name] = counts.get(name, 0) + int(num)
+        k = int(num)
+        if k < 0:
+            raise ProtocolError(f"negative count for state {name!r}")
+        counts[name] = counts.get(name, 0) + k
     vec = [0] * len(p.states)
     for name, k in counts.items():
         vec[p.states.index(name)] = k

@@ -337,10 +337,6 @@ def is_tautology(f: Formula) -> bool:
     return not _dpll(_countermodel_clauses(f), set())
 
 
-def is_satisfiable(f: Formula) -> bool:
-    return not is_tautology(neg(f))
-
-
 Valuation = dict[Atom, bool]
 
 

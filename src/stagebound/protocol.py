@@ -143,34 +143,52 @@ class PopulationProtocol:
 # Parsing
 
 
+def _json_names(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ProtocolError(f"{what} must be a list of state names")
+    return value
+
+
 def _parse_json(text: str) -> PopulationProtocol:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProtocolError(f"malformed JSON: {exc}") from None
     for key in ("states", "inputs", "output1", "transitions"):
         if key not in data:
             raise ProtocolError(f"missing key {key!r} in JSON protocol")
-    states = list(data["states"])
+    name = data.get("name", "protocol")
+    if not isinstance(name, str):
+        raise ProtocolError("'name' must be a string")
+    states = _json_names(data["states"], "'states'")
     if len(set(states)) != len(states):
         raise ProtocolError("duplicate state names")
     index = {s: i for i, s in enumerate(states)}
 
-    def look(name: str) -> int:
-        if name not in index:
-            raise ProtocolError(f"undeclared state {name!r}")
-        return index[name]
+    def look(state: str) -> int:
+        if state not in index:
+            raise ProtocolError(f"undeclared state {state!r}")
+        return index[state]
 
-    input_map = {sym: look(st) for sym, st in data["inputs"].items()}
+    inputs = data["inputs"]
+    if not isinstance(inputs, dict) or not all(
+        isinstance(st, str) for st in inputs.values()
+    ):
+        raise ProtocolError("'inputs' must map input symbols to state names")
+    input_map = {sym: look(st) for sym, st in inputs.items()}
     if not input_map:
         raise ProtocolError("empty input mapping")
-    output1 = frozenset(look(s) for s in data["output1"])
+    output1 = frozenset(look(s) for s in _json_names(data["output1"], "'output1'"))
+    transitions = data["transitions"]
+    if not isinstance(transitions, list):
+        raise ProtocolError("'transitions' must be a list")
     rules = []
-    for quad in data["transitions"]:
-        if len(quad) != 4:
+    for quad in transitions:
+        if len(_json_names(quad, f"transition {quad!r}")) != 4:
             raise ProtocolError(f"transition {quad!r} must have 4 state names")
         a, b, c, d = (look(s) for s in quad)
         rules.append((make_head(a, b), make_head(c, d)))
-    return PopulationProtocol(
-        data.get("name", "protocol"), tuple(states), rules, input_map, output1
-    )
+    return PopulationProtocol(name, tuple(states), rules, input_map, output1)
 
 
 def parse_protocol(text: str) -> PopulationProtocol:
@@ -210,7 +228,7 @@ def parse_protocol(text: str) -> PopulationProtocol:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("protocol"):
+        if line.split(None, 1)[0] == "protocol":
             name = line[len("protocol"):].strip() or name
             in_transitions = False
         elif line.startswith("states:"):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from . import bounds as bounds_mod
@@ -96,10 +97,6 @@ class CaseAnalysis:
     fast: bool = False
     very_fast: bool = False
 
-    @property
-    def exp_empty(self) -> bool:
-        return self.stable is None and not self.dead and not self.exp
-
 
 @dataclass
 class Stage:
@@ -119,12 +116,6 @@ class StageGraph:
     protocol: PopulationProtocol
     stages: list[Stage]
     root: int = 0
-
-    def stage(self, i: int) -> Stage:
-        return self.stages[i]
-
-    def terminals(self) -> list[Stage]:
-        return [s for s in self.stages if s.kind != INTERNAL]
 
     def path_to_root(self, i: int) -> list[Stage]:
         out = []
@@ -322,63 +313,79 @@ def build_transformation_graph(
         gen_edges[t] = tuple(es)
         for e in es:
             edges.setdefault(e, []).append(t)
-    scc = _scc_map(vertices, set(edges.keys()))
-    bottom = set(scc.values())
-    for (x, y) in edges:
-        if scc[x] != scc[y]:
-            bottom.discard(scc[x])
+    scc, bottom = _scc_and_bottom(p, vertices, edges)
     return TransformationGraph(vertices, edges, gen_edges, scc, bottom)
 
 
-def _scc_map(vertices: tuple[int, ...], edges: set[tuple[int, int]]) -> dict[int, int]:
-    """Tarjan SCC (iterative); component ids are arbitrary but deterministic."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for (x, y) in sorted(edges):
-        adj[x].append(y)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def scc_condensation(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Iterative Tarjan over nodes 0..len(succ)-1; returns (component id per
+    node, members per id).  Ids come in reverse topological order: every
+    edge between two components goes from the higher id to the lower one."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
-    comp: dict[int, int] = {}
-    counter = [0]
-    ncomp = [0]
-
-    for root in vertices:
-        if root in index:
+    comp = [-1] * n
+    members: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        work = [(root, 0)]
         while work:
-            v, pi_ = work[-1]
-            if pi_ == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
                 stack.append(v)
-                on_stack.add(v)
-            recurse = False
-            for i in range(pi_, len(adj[v])):
-                w = adj[v][i]
-                if w not in index:
+                on_stack[v] = True
+            advanced = False
+            for i in range(pi, len(succ[v])):
+                w = succ[v][i]
+                if index[w] == -1:
                     work[-1] = (v, i + 1)
                     work.append((w, 0))
-                    recurse = True
+                    advanced = True
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if recurse:
+            if advanced:
                 continue
             work.pop()
             if low[v] == index[v]:
+                cid = len(members)
+                group = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = ncomp[0]
+                    on_stack[w] = False
+                    comp[w] = cid
+                    group.append(w)
                     if w == v:
                         break
-                ncomp[0] += 1
+                members.append(group)
             if work:
                 u = work[-1][0]
                 low[u] = min(low[u], low[v])
-    return comp
+    return comp, members
+
+
+def _scc_and_bottom(
+    p: PopulationProtocol,
+    vertices: tuple[int, ...],
+    edges: Collection[tuple[int, int]],
+) -> tuple[dict[int, int], set[int]]:
+    """SCC id per vertex, and the ids of components no edge leaves."""
+    succ: list[list[int]] = [[] for _ in p.states]
+    for x, y in edges:
+        succ[x].append(y)
+    comp, _ = scc_condensation(succ)
+    scc = {v: comp[v] for v in vertices}
+    bottom = set(scc.values())
+    for x, y in edges:
+        if comp[x] != comp[y]:
+            bottom.discard(comp[x])
+    return scc, bottom
 
 
 def compute_exp(g: TransformationGraph) -> frozenset[Head]:
@@ -496,11 +503,7 @@ def compute_i_and_l(
             if partner != x and pi_nu.get(presence(p, partner)) is True:
                 stable_edges.add((x, y))
                 break
-    scc = _scc_map(g.vertices, stable_edges)
-    bottom = set(scc.values())
-    for (x, y) in stable_edges:
-        if scc[x] != scc[y]:
-            bottom.discard(scc[x])
+    scc, bottom = _scc_and_bottom(p, g.vertices, stable_edges)
     i_states = frozenset(v for v in g.vertices if scc[v] not in bottom)
     l = set()
     for (x, y), ts in g.edges.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from .protocol import (
     initial_configuration,
     step_distribution,
 )
-from .stagegraph import Stage, StageGraph
+from .stagegraph import Stage, StageGraph, scc_condensation
 
 
 class ExplorationLimitError(RuntimeError):
@@ -52,7 +53,9 @@ class ReachGraph:
     def size(self) -> int:
         return len(self.nodes)
 
-    def predecessors(self) -> list[list[int]]:
+    @cached_property
+    def pred(self) -> list[list[int]]:
+        """Predecessor lists, built once per graph."""
         pred: list[list[int]] = [[] for _ in self.nodes]
         for v, outs in enumerate(self.succ):
             for u, _ in outs:
@@ -65,15 +68,18 @@ class ReachGraph:
             i for i, c in enumerate(self.nodes) if config_satisfies(p, c, phi)
         }
 
-    def backward_reach(self, seed: set[int]) -> set[int]:
-        """Nodes that can reach the seed set (seed included)."""
-        pred = self.predecessors()
+    def backward_reach(
+        self, seed: set[int], blocked: frozenset[int] | set[int] = frozenset()
+    ) -> set[int]:
+        """Nodes that can reach the seed set (seed included) through nodes
+        outside `blocked`; a blocked node is never added."""
+        pred = self.pred
         seen = set(seed)
         work = deque(seed)
         while work:
             v = work.popleft()
             for u in pred[v]:
-                if u not in seen:
+                if u not in seen and u not in blocked:
                     seen.add(u)
                     work.append(u)
         return seen
@@ -90,29 +96,11 @@ class ReachGraph:
         touches the target, whatever happens afterwards.  On the cut chain
         the criterion is "no reachable node misses the target"."""
         tgt = set(target)
-        cut = [([] if v in tgt else outs) for v, outs in enumerate(self.succ)]
-        pred: list[list[int]] = [[] for _ in self.nodes]
-        for v, outs in enumerate(cut):
-            for u, _ in outs:
-                pred[u].append(v)
-        can = set(tgt)
-        work = deque(can)
-        while work:
-            v = work.popleft()
-            for u in pred[v]:
-                if u not in can:
-                    can.add(u)
-                    work.append(u)
-        cannot = set(range(self.size)) - can
-        doomed = set(cannot)
-        work = deque(doomed)
-        while work:
-            v = work.popleft()
-            for u in pred[v]:
-                if u not in doomed:
-                    doomed.add(u)
-                    work.append(u)
-        return set(range(self.size)) - doomed
+        everything = set(range(self.size))
+        # on the cut chain a target node has no outgoing edge: it only ever
+        # seeds the first closure and is never passed through by the second
+        cannot = everything - self.backward_reach(tgt)
+        return everything - self.backward_reach(cannot, blocked=tgt)
 
 
 def explore(
@@ -183,59 +171,6 @@ def stable_set(g: ReachGraph) -> set[int]:
 # Exact expected hitting times
 
 
-def _scc_condensation(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Iterative Tarjan; returns (component id per node, members per id),
-    component ids in reverse topological order (id 0 has no successors
-    outside itself... ids increase towards the roots)."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
-    members: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                cid = len(members)
-                group = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = cid
-                    group.append(w)
-                    if w == v:
-                        break
-                members.append(group)
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return comp, members
-
-
 def expected_steps_exact(g: ReachGraph, target: set[int]) -> Fraction:
     """Expected number of interactions from the first root until the target.
 
@@ -255,14 +190,14 @@ def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
     floating-point pass with a residual check below 1e-9 is used.  Nodes
     from which the target is not almost surely reached make the expectation
     diverge, which is reported as an error."""
-    if not holds_diamond_as(g, target):
+    tgt = set(target)
+    good = g.almost_sure_reach(tgt)
+    if not all(r in good for r in g.roots):
         raise ValueError("target not almost surely reachable; expectation diverges")
     exact = g.size <= 5000
     zero = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
     n = g.size
-    tgt = set(target)
-    good = g.almost_sure_reach(tgt)
     expect: list = [None] * n
     for v in tgt:
         expect[v] = zero
@@ -273,7 +208,7 @@ def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
         [] if v in tgt or v not in good else [u for u, _ in outs]
         for v, outs in enumerate(g.succ)
     ]
-    _, members = _scc_condensation(plain)
+    _, members = scc_condensation(plain)
     # members[] is produced in reverse topological order already
     for group in members:
         todo = [v for v in group if expect[v] is None]

@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines and timings.
 """
 
+import hashlib
 import json
 import math
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -252,7 +254,12 @@ def test_criterion_6_scaling_sanity():
     )
 
 
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
 def test_criterion_7_determinism(corpus, tmp_path):
+    # both runs agree, and match the digests recorded from stagebound 0.1.0
+    golden = json.loads(GOLDEN.read_text())["analyze"]
     t0 = time.monotonic()
     root = tmp_path
     for entry in corpus:
@@ -267,4 +274,8 @@ def test_criterion_7_determinism(corpus, tmp_path):
             assert code in (0, 2), entry.name
             outs.append(js.read_bytes())
         assert outs[0] == outs[1], entry.name
-    _ok("7 (determinism)", f"14 protocols x 2 runs, {time.monotonic()-t0:.1f}s")
+        assert hashlib.sha256(outs[0]).hexdigest() == golden[entry.name], entry.name
+    _ok(
+        "7 (determinism)",
+        f"14 protocols x 2 runs, golden digests, {time.monotonic()-t0:.1f}s",
+    )

@@ -55,6 +55,19 @@ def test_analyze_parse_error_exit(capsys, tmp_path):
     assert "duplicate" in err
 
 
+def test_json_protocol_errors_exit_without_traceback(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"states": ["A"], "inputs": [], "output1": [], "transitions": []}')
+    for argv in (
+        ["analyze", str(bad)],
+        ["check", str(bad)],
+        ["simulate", str(bad), "--config", "A=2"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_analyze_limit_exit(capsys):
     code, _, err = run(
         capsys, "analyze", str(PP / "majority-ex2.pp"), "--max-stages", "2"
@@ -118,6 +131,21 @@ def test_simulate_unknown_state(capsys):
     )
     assert code == 1
     assert "unknown state" in err
+
+
+def test_simulate_negative_count(capsys):
+    code, _, err = run(
+        capsys,
+        "simulate",
+        str(PP / "majority-ex2.pp"),
+        "--config",
+        "A=-3,B=6",
+        "--trials",
+        "1",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "negative count" in err
+    assert err.count("\n") == 1
 
 
 def test_check_clean(capsys):

@@ -104,12 +104,32 @@ def test_parse_json_encoding():
         ),
         ("protocol t\nstates: A\ninputs:\noutput1: A\n", "input"),
         ("protocol t\nstates: A\ninputs: x -> A\n", "output"),
+        ('{"states": ["A", "B"],', "malformed json"),
+        ('["A", "B"]', "unrecognized"),
+        ('{"states": "AB", "inputs": {"x": "A"}, "output1": [], "transitions": []}', "states"),
+        ('{"states": [1, 2], "inputs": {"x": 1}, "output1": [], "transitions": []}', "states"),
+        ('{"states": ["A"], "inputs": [], "output1": [], "transitions": []}', "inputs"),
+        ('{"states": ["A"], "inputs": {"x": ["A"]}, "output1": [], "transitions": []}', "inputs"),
+        ('{"states": ["A"], "inputs": {"x": "A"}, "output1": "A", "transitions": []}', "output1"),
+        ('{"states": ["A"], "inputs": {"x": "A"}, "output1": [], "transitions": {}}', "transitions"),
+        ('{"states": ["A"], "inputs": {"x": "A"}, "output1": [], "transitions": ["AAAA"]}', "transition"),
+        ('{"states": ["A"], "inputs": {"x": "A"}, "output1": [], "transitions": [["A", "A", "A", 1]]}', "state names"),
+        ('{"name": 3, "states": ["A"], "inputs": {"x": "A"}, "output1": [], "transitions": []}', "name"),
     ],
 )
 def test_parse_errors(bad, fragment):
     with pytest.raises(ProtocolError) as exc:
         parse_protocol(bad)
     assert fragment in str(exc.value).lower()
+
+
+def test_parse_state_named_like_the_header():
+    p = parse_protocol(
+        "protocol t\nstates: protocolA b\ninputs: x -> protocolA\noutput1: b\n"
+        "transitions:\n  protocolA b -> b b\n"
+    )
+    assert p.name == "t"
+    assert p.explicit_count == 1
 
 
 def test_parse_error_carries_line_number():

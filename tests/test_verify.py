@@ -4,6 +4,8 @@ stage validation, and simulation."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagebound import (
     Configuration,
@@ -13,7 +15,7 @@ from stagebound import (
 )
 from stagebound.corpus import majority_four_state, majority_five_state
 from stagebound.logic import FF, TT, atom, conj, neg, presence
-from stagebound.stagegraph import Stage
+from stagebound.stagegraph import Stage, scc_condensation
 from stagebound import verify as V
 
 P1 = parse_protocol(majority_four_state())
@@ -86,6 +88,71 @@ def test_diamond_counts_passing_through_target():
     g = V.explore(P1, cfg(P1, A=1, B=1))
     ab_only = g.index[cfg(P1, a=1, b=1)]
     assert V.holds_diamond_as(g, {ab_only})
+
+
+# ---------------------------------------------------------------------------
+# Graph closures against brute-force references on random small digraphs
+
+
+@st.composite
+def digraphs_with_sets(draw):
+    """Successor lists over 1..8 nodes, plus two node sets."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    succ = [[] for _ in range(n)]
+    for x, y in draw(st.lists(st.tuples(node, node), max_size=3 * n)):
+        succ[x].append(y)
+    return succ, draw(st.sets(node)), draw(st.sets(node))
+
+
+def forward(succ, v):
+    seen = {v}
+    todo = [v]
+    while todo:
+        for u in succ[todo.pop()]:
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return seen
+
+
+def reach_graph(succ):
+    nodes = [Configuration((v,)) for v in range(len(succ))]
+    weighted = [[(u, Fraction(1, len(outs))) for u in outs] for outs in succ]
+    return V.ReachGraph(None, nodes, {c: i for i, c in enumerate(nodes)}, weighted, [0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs_with_sets())
+def test_scc_condensation_matches_mutual_reachability(case):
+    succ, _, _ = case
+    n = len(succ)
+    comp, members = scc_condensation(succ)
+    reach = [forward(succ, v) for v in range(n)]
+    for u in range(n):
+        for v in range(n):
+            assert (comp[u] == comp[v]) == (v in reach[u] and u in reach[v])
+    assert sorted(v for group in members for v in group) == list(range(n))
+    assert all(comp[v] == cid for cid, group in enumerate(members) for v in group)
+    # reverse topological order, which the hitting-time solve relies on
+    for u, outs in enumerate(succ):
+        for v in outs:
+            assert comp[u] >= comp[v]
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs_with_sets())
+def test_box_set_and_almost_sure_reach_match_definitions(case):
+    succ, sat, target = case
+    n = len(succ)
+    g = reach_graph(succ)
+    assert g.box_set(set(sat)) == {v for v in range(n) if forward(succ, v) <= sat}
+    # the target is absorbing: every node reachable on the cut chain must
+    # still be able to reach it
+    cut = [[] if v in target else outs for v, outs in enumerate(succ)]
+    reach = [forward(cut, v) for v in range(n)]
+    want = {v for v in range(n) if all(reach[w] & target for w in reach[v])}
+    assert g.almost_sure_reach(set(target)) == want
 
 
 def test_stable_set_example1():
