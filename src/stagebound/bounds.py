@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass
 
 from .logic import (
-    Valuation,
     atom,
     conj,
     disj,
@@ -26,7 +25,6 @@ from .logic import (
     is_tautology,
     neg,
     presence,
-    valuation_formula,
     xi,
 )
 from .protocol import Head, PopulationProtocol
@@ -83,18 +81,13 @@ _PARALLEL = {
 
 def is_fast(
     p: PopulationProtocol,
+    g,
     exp: frozenset[Head],
     u_states: frozenset[int],
-    pi_nu: Valuation,
-    disabled: frozenset[Head],
 ) -> bool:
     """Whenever a draining state is still present and not every crossing rule
     is disabled, some crossing rule on that very state must be enabled."""
-    base = [
-        valuation_formula(pi_nu),
-        heads_formula(p, disabled),
-        neg(heads_formula(p, exp)),
-    ]
+    base = [g.premise, neg(heads_formula(p, exp))]
     for a in sorted(u_states):
         exp_a = [h for h in sorted(exp) if a in h]
         ante = conj(base + [atom(presence(p, a))])
@@ -104,18 +97,11 @@ def is_fast(
     return True
 
 
-def is_very_fast(
-    p: PopulationProtocol,
-    g,
-    u_states: frozenset[int],
-    pi_nu: Valuation,
-    disabled: frozenset[Head],
-) -> bool:
-    """Every still-enabled rule touching a draining state must move both of
-    its agents strictly across SCCs of the transformation graph."""
+def is_very_fast(p: PopulationProtocol, g, u_states: frozenset[int]) -> bool:
+    """Every rule of the transformation graph touching a draining state must
+    move both of its agents strictly across SCCs of the graph."""
     vset = set(g.vertices)
-    base = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
-    for t in p.non_idle:
+    for t in g.gen_edges:
         a, b = t.lhs
         c, d = t.rhs
         quad = {a, b, c, d}
@@ -126,8 +112,7 @@ def is_very_fast(
         sc = g.scc
         if sc[c] != sc[a] != sc[d] and sc[c] != sc[b] != sc[d]:
             continue
-        if not is_tautology(implies(base, xi(p, t.lhs))):
-            return False
+        return False
     return True
 
 

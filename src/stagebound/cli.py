@@ -26,7 +26,7 @@ def _read_protocol(path: str):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(1)
-    except ProtocolError as exc:
+    except (OSError, UnicodeDecodeError, ProtocolError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -91,6 +91,9 @@ def cmd_simulate(args) -> int:
         c0 = _parse_config(p, args.config)
     except (ProtocolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.trials < 0:
+        print("error: --trials must not be negative", file=sys.stderr)
         return 1
     if args.trials > 0 and c0.size < 2:
         print("error: configuration needs at least two agents", file=sys.stderr)

@@ -8,12 +8,15 @@ each stage is split into the valuations satisfying its formula; for every
 valuation a successor stage is computed by
 
   1. extending the persistent valuation with a greatest fixed point,
-  2. detecting stable / dead successors,
-  3. otherwise analyzing the transformation graph (which states can still
-     turn into which), whose SCC-crossing transitions must eventually die
-     out, and
-  4. deriving the successor's formula from a case analysis of how those
-     transitions get disabled.
+  2. building the transformation graph (which states can still turn into
+     which).  It is the one place that decides which rules can still fire;
+     every later step reads that decision from the graph,
+  3. reading stable / dead successors off the graph: stable when every
+     state and every product of a rule that can still fire share one
+     output, dead when no rule can fire yet no consensus holds,
+  4. otherwise letting the SCC-crossing transitions eventually die out and
+     deriving the successor's formula from a case analysis of how they get
+     disabled.
 
 Successors that a root-path ancestor already covers are pruned, which
 guarantees termination.  Construction is deterministic: valuations are
@@ -59,9 +62,11 @@ TERMINAL_EXHAUSTED = "terminal-exhausted"
 class TransformationGraph:
     """States still allowed by pi, with "A can turn into B" edges.
 
-    Each edge carries the transitions generating it.  `scc` maps every
-    vertex to its strongly connected component id; `bottom` marks component
-    ids with no edge leaving the component.
+    `gen_edges` has one key per non-idle rule that can still fire under
+    `premise` (pi_nu and the disabled heads T the graph was built under),
+    mapped to the edges it generates.  Each edge carries the transitions generating it.  `scc`
+    maps every vertex to its strongly connected component id; `bottom`
+    marks component ids with no edge leaving the component.
     """
 
     vertices: tuple[int, ...]
@@ -69,6 +74,8 @@ class TransformationGraph:
     gen_edges: dict[Transition, tuple[tuple[int, int], ...]]
     scc: dict[int, int]
     bottom: set[int]
+    pi_nu: Valuation
+    premise: Formula
 
     def crossing(self, edge: tuple[int, int]) -> bool:
         return self.scc[edge[0]] != self.scc[edge[1]]
@@ -80,11 +87,8 @@ class CaseAnalysis:
     (parent, via-valuation) -> child is classified from these fields."""
 
     nu: Valuation
-    pi_nu: Valuation
-    parent_disabled: frozenset[Head]
     stable: int | None = None  # consensus output when stable
     dead: bool = False
-    graph: TransformationGraph | None = None
     exp: frozenset[Head] = frozenset()
     j: frozenset[Head] = frozenset()
     t_nu: frozenset[Head] = frozenset()
@@ -150,6 +154,19 @@ def initial_stage(p: PopulationProtocol) -> Stage:
 # The persistent-valuation fixed point
 
 
+def head_blocked(
+    lhs: Head, disabled: frozenset[Head], m: set[int], n: set[int]
+) -> bool:
+    """Syntactic check that no rule with this head can fire: it needs a
+    state of M, is disabled, or needs two agents of a singleton state."""
+    x, y = lhs
+    if x in m or y in m:
+        return True
+    if lhs in disabled:
+        return True
+    return x == y and x in n
+
+
 def mn_fixpoint(
     p: PopulationProtocol, disabled: frozenset[Head], nu: Valuation
 ) -> tuple[set[int], set[int]]:
@@ -159,18 +176,10 @@ def mn_fixpoint(
     m = {a.index for a, v in nu.items() if a.kind == PRESENCE and v is False}
     n = {a.index for a, v in nu.items() if a.kind == SINGLETON and v is True}
 
-    def head_blocked(lhs: Head, m: set[int], n: set[int]) -> bool:
-        x, y = lhs
-        if x in m or y in m:
-            return True
-        if lhs in disabled:
-            return True
-        return x == y and x in n
-
     def m_ok(a: int, m: set[int], n: set[int]) -> bool:
         # every rule putting `a` on its right-hand side must be unfireable
         return all(
-            head_blocked(t.lhs, m, n) for t in p.non_idle if a in t.rhs
+            head_blocked(t.lhs, disabled, m, n) for t in p.non_idle if a in t.rhs
         )
 
     def n_ok(a: int, m: set[int], n: set[int]) -> bool:
@@ -188,7 +197,7 @@ def mn_fixpoint(
                         return False
             elif a in (c, d):
                 # produces an extra a-agent without consuming one
-                if not head_blocked(t.lhs, m, n):
+                if not head_blocked(t.lhs, disabled, m, n):
                     return False
         return True
 
@@ -214,64 +223,16 @@ def compute_pi_nu(
         av = nu.get(presence(p, a))
         if av is not True:
             continue
-        ok = True
-        for t in p.non_idle:
-            x, y = t.lhs
-            if a not in (x, y):
-                continue
-            c, d = t.rhs
-            if c == a or d == a:
-                continue
-            other = y if x == a else x
-            if other in m or t.lhs in disabled or (x == y and a in n):
-                continue
-            ok = False
-            break
-        if ok:
+        if all(
+            head_blocked(t.lhs, disabled, m, n)
+            for t in p.non_idle
+            if a in t.lhs and a not in t.rhs
+        ):
             pi[presence(p, a)] = True
     for a in sorted(n):
         pi[presence(p, a)] = True
         pi[singleton(p, a)] = True
     return pi
-
-
-# ---------------------------------------------------------------------------
-# Stable / dead detection
-
-
-def is_stable(
-    p: PopulationProtocol, pi_nu: Valuation, disabled: frozenset[Head]
-) -> int | None:
-    """Consensus output if (pi_nu, T) forces a lasting consensus, else None."""
-    base = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
-    for x in (0, 1):
-        possibly_present = [
-            s
-            for s in range(len(p.states))
-            if pi_nu.get(presence(p, s)) is not False
-        ]
-        if any(p.output(s) != x for s in possibly_present):
-            continue
-        ok = True
-        for t in p.non_idle:
-            e, f = t.rhs
-            if p.output(e) == x and p.output(f) == x:
-                continue
-            if not is_tautology(implies(base, xi(p, t.lhs))):
-                ok = False
-                break
-        if ok:
-            return x
-    return None
-
-
-def is_dead(
-    p: PopulationProtocol, pi_nu: Valuation, disabled: frozenset[Head]
-) -> bool:
-    """True when no non-idle rule can ever fire again, yet no consensus holds."""
-    if is_stable(p, pi_nu, disabled) is not None:
-        return False
-    return not build_transformation_graph(p, pi_nu, disabled).gen_edges
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +259,45 @@ def _residue(t: Transition) -> list[tuple[int, int]]:
 def build_transformation_graph(
     p: PopulationProtocol, pi_nu: Valuation, disabled: frozenset[Head]
 ) -> TransformationGraph:
+    """The only place that decides which non-idle rules can still fire: a
+    rule can unless pi_nu and the disabled heads entail that its head is
+    disabled.  A head needing an absent state, or lying in T, is such a
+    clause of the premise itself, so it is skipped without a query."""
     vertices = tuple(
         s
         for s in range(len(p.states))
         if pi_nu.get(presence(p, s)) is not False
     )
-    base = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
+    premise = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
     edges: dict[tuple[int, int], list[Transition]] = {}
     gen_edges: dict[Transition, tuple[tuple[int, int], ...]] = {}
     for t in p.non_idle:
-        if is_tautology(implies(base, xi(p, t.lhs))):
+        x, y = t.lhs
+        if (
+            x not in vertices
+            or y not in vertices
+            or t.lhs in disabled
+            or is_tautology(implies(premise, xi(p, t.lhs)))
+        ):
             continue
         es = [e for e in _residue(t) if e[0] != e[1]]
         gen_edges[t] = tuple(es)
         for e in es:
             edges.setdefault(e, []).append(t)
     scc, bottom = _scc_and_bottom(p, vertices, edges)
-    return TransformationGraph(vertices, edges, gen_edges, scc, bottom)
+    return TransformationGraph(vertices, edges, gen_edges, scc, bottom, pi_nu, premise)
+
+
+def is_stable(p: PopulationProtocol, g: TransformationGraph) -> int | None:
+    """Consensus output if every state still allowed and both products of
+    every rule that can still fire share it (0 when no state is allowed),
+    else None."""
+    outs = {p.output(s) for s in g.vertices}
+    for t in g.gen_edges:
+        outs.update(p.output(s) for s in t.rhs)
+    if len(outs) > 1:
+        return None
+    return outs.pop() if outs else 0
 
 
 def scc_condensation(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -399,28 +382,24 @@ def compute_exp(g: TransformationGraph) -> frozenset[Head]:
 
 
 def compute_j(
-    p: PopulationProtocol,
-    pi_nu: Valuation,
-    disabled: frozenset[Head],
-    exp: frozenset[Head],
+    p: PopulationProtocol, g: TransformationGraph, exp: frozenset[Head]
 ) -> frozenset[Head]:
     """Largest subset of exp whose disabling is irreversible: once all its
-    rules are disabled, no still-enabled rule can re-enable any of them."""
-    m = set(exp)
-    pi_f = valuation_formula(pi_nu)
-    psi_t = heads_formula(p, disabled)
+    rules are disabled, no still-enabled rule can re-enable any of them.
+    A rule outside the graph is blocked under the graph's premise, hence
+    under every stronger one asked here, so only its rules are checked."""
 
-    def head_ok(ef: Head, m: set[Head]) -> bool:
+    def head_ok(ef: Head, base: Formula) -> bool:
+        # base: the graph's premise with every head of the current subset
+        # disabled
         e, f = ef
-        base = conj([pi_f, psi_t, heads_formula(p, m)])
-        for t in p.non_idle:
-            c, d = t.rhs
+        for t in g.gen_edges:
             if t.rhs == ef:
                 if not is_tautology(implies(base, xi(p, t.lhs))):
                     return False
                 continue
             for prod, partner in ((e, f), (f, e)) if e != f else ((e, f),):
-                if prod not in (c, d):
+                if prod not in t.rhs:
                     continue
                 if e != f:
                     guard = conj(
@@ -444,8 +423,10 @@ def compute_j(
                         return False
         return True
 
+    m = set(exp)
     while True:
-        keep = {ef for ef in m if head_ok(ef, m)}
+        base = conj([g.premise, heads_formula(p, m)])
+        keep = {ef for ef in m if head_ok(ef, base)}
         if keep == m:
             return frozenset(m)
         m = keep
@@ -478,7 +459,7 @@ def compute_k(
 
 
 def compute_i_and_l(
-    p: PopulationProtocol, g: TransformationGraph, pi_nu: Valuation
+    p: PopulationProtocol, g: TransformationGraph
 ) -> tuple[frozenset[int], frozenset[Head]]:
     """Stable-edge analysis for the case without SCC-crossing rules.
 
@@ -500,7 +481,7 @@ def compute_i_and_l(
         for t in ts:
             a, b = t.lhs
             partner = b if a == x else a
-            if partner != x and pi_nu.get(presence(p, partner)) is True:
+            if partner != x and g.pi_nu.get(presence(p, partner)) is True:
                 stable_edges.add((x, y))
                 break
     scc, bottom = _scc_and_bottom(p, g.vertices, stable_edges)
@@ -523,45 +504,30 @@ def build_child(
     """Construct the successor stage for one valuation of the parent's
     formula; returns None when the result is redundant."""
     t_parent = parent.disabled
-    ca = CaseAnalysis(nu=nu, pi_nu={}, parent_disabled=t_parent)
     pi_nu = compute_pi_nu(p, t_parent, nu)
-    ca.pi_nu = pi_nu
     pi_f = valuation_formula(pi_nu)
-
-    stable = is_stable(p, pi_nu, t_parent)
-    if stable is not None:
-        ca.stable = stable
-        return Stage(
-            id=-1,
-            phi=pi_f,
-            pi=pi_nu,
-            disabled=t_parent,
-            parent=parent.id,
-            kind=TERMINAL_STABLE,
-            via=nu,
-            analysis=ca,
-        )
+    g = build_transformation_graph(p, pi_nu, t_parent)
+    ca = CaseAnalysis(nu=nu)
+    ca.stable = is_stable(p, g)
     # every rule that is not blocked generates an entry, so an empty map
     # means no non-idle rule can fire again: the child is dead
-    g = build_transformation_graph(p, pi_nu, t_parent)
-    if not g.gen_edges:
-        ca.dead = True
+    ca.dead = ca.stable is None and not g.gen_edges
+    if ca.stable is not None or ca.dead:
         return Stage(
             id=-1,
             phi=pi_f,
             pi=pi_nu,
             disabled=t_parent,
             parent=parent.id,
-            kind=TERMINAL_DEAD,
+            kind=TERMINAL_DEAD if ca.dead else TERMINAL_STABLE,
             via=nu,
             analysis=ca,
         )
 
-    ca.graph = g
     ca.u_states = frozenset(v for v in g.vertices if g.scc[v] not in g.bottom)
     exp = compute_exp(g)
     ca.exp = exp
-    j = compute_j(p, pi_nu, t_parent, exp)
+    j = compute_j(p, g, exp)
     ca.j = j
 
     if exp:
@@ -581,13 +547,13 @@ def build_child(
             )
         else:
             phi = conj([pi_f, psi_tnu])
-        ca.fast = bounds_mod.is_fast(p, exp, ca.u_states, pi_nu, t_parent)
-        ca.very_fast = bounds_mod.is_very_fast(p, g, ca.u_states, pi_nu, t_parent)
+        ca.fast = bounds_mod.is_fast(p, g, exp, ca.u_states)
+        ca.very_fast = bounds_mod.is_very_fast(p, g, ca.u_states)
     else:
         t_nu = t_parent
         ca.t_nu = t_nu
         psi_tnu = heads_formula(p, t_nu)
-        i_states, l = compute_i_and_l(p, g, pi_nu)
+        i_states, l = compute_i_and_l(p, g)
         ca.i_states = i_states
         ca.l = l
         not_i = [neg(atom(presence(p, s))) for s in sorted(i_states)]

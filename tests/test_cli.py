@@ -148,6 +148,32 @@ def test_simulate_negative_count(capsys):
     assert err.count("\n") == 1
 
 
+def test_simulate_negative_trials(capsys):
+    code, out, err = run(
+        capsys,
+        "simulate",
+        str(PP / "majority-ex2.pp"),
+        "--config",
+        "A=2,B=1",
+        "--trials",
+        "-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--trials" in err
+    assert err.count("\n") == 1
+
+
+def test_unreadable_protocol_exits_without_traceback(capsys, tmp_path):
+    binary = tmp_path / "binary.pp"
+    binary.write_bytes(b"\xff\xfe\x00\x81\x00\xc3")
+    for path in (binary, tmp_path):
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 1, path
+        assert err.startswith(f"error: {path}: "), err
+        assert err.count("\n") == 1, err
+
+
 def test_check_clean(capsys):
     code, out, _ = run(
         capsys, "check", str(PP / "majority-ex2.pp"), "--max-n", "5"
@@ -184,13 +210,19 @@ def test_bench_diff_accepts_known_deviation(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
 
+    # the child interpreter finds the package of this checkout, as pytest does
+    path = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "stagebound", "analyze", str(PP / "broadcast.pp")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "stages: 5" in proc.stdout

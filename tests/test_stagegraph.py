@@ -4,22 +4,32 @@ shapes of the worked examples."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagebound import build_stage_graph, parse_protocol, to_json_dict
 from stagebound.corpus import broadcast, majority_four_state, majority_five_state
 from stagebound.logic import (
+    TT,
+    atom,
     conj,
     enumerate_satisfying_valuations,
     heads_formula,
     implies,
     is_tautology,
+    neg,
     presence,
     singleton,
     valuation_formula,
+    xi,
 )
+from stagebound.protocol import PopulationProtocol
 from stagebound.stagegraph import (
+    INTERNAL,
     TERMINAL_DEAD,
     TERMINAL_STABLE,
+    Stage,
+    StageGraph,
     build_child,
     build_transformation_graph,
     classify_nu_mode,
@@ -29,7 +39,6 @@ from stagebound.stagegraph import (
     compute_k,
     compute_pi_nu,
     initial_stage,
-    is_dead,
     is_stable,
     mn_fixpoint,
     pretty,
@@ -89,27 +98,44 @@ def test_all_true_valuation_has_empty_m():
     assert m == set()
 
 
+def graph(p, pi):
+    return build_transformation_graph(p, pi, frozenset())
+
+
+def child_for(p, nu):
+    """The successor build_child derives for nu from a bare parent stage."""
+    parent = Stage(id=0, phi=TT, pi={}, disabled=frozenset(), parent=None)
+    return build_child(p, StageGraph(p, [parent]), parent, nu)
+
+
 def test_is_stable_example1():
     pi = compute_pi_nu(P1, frozenset(), nu_of(P1, {"A"}))
-    assert is_stable(P1, pi, frozenset()) == 0
-    assert is_stable(P1, {}, frozenset()) is None
+    assert is_stable(P1, graph(P1, pi)) == 0
+    assert is_stable(P1, graph(P1, {})) is None
 
 
 def test_is_stable_single_state_protocol():
     p = parse_protocol(
         "protocol one\nstates: q\ninputs: x -> q\noutput1: q\ntransitions:\n"
     )
-    assert is_stable(p, {}, frozenset()) == 1
+    assert is_stable(p, graph(p, {})) == 1
 
 
 def test_is_dead():
-    # with every capital-letter pair disabled and both lowercase states
-    # forbidden, example 1 cannot fire anything
+    # with every state forbidden, example 1 cannot fire anything
     pi = {presence(P1, s): False for s in range(4)}
-    assert not is_dead(P1, pi, frozenset())  # it is stable (vacuously), not dead
-    pi2 = compute_pi_nu(P1, frozenset(), nu_of(P1, {"a", "b"}, domain=range(4)))
+    assert not graph(P1, pi).gen_edges
+    assert is_stable(P1, graph(P1, pi)) == 0  # stable (vacuously), not dead
+    child = child_for(P1, nu_of(P1, set()))
+    assert child.kind == TERMINAL_STABLE and not child.analysis.dead
+    nu2 = nu_of(P1, {"a", "b"}, domain=range(4))
+    pi2 = compute_pi_nu(P1, frozenset(), nu2)
     # a,b populated, capitals gone: only "b a -> b b" remains, not dead
-    assert not is_dead(P1, pi2, frozenset())
+    g2 = graph(P1, pi2)
+    assert names(P1, [t.lhs for t in g2.gen_edges]) == {("a", "b")}
+    assert is_stable(P1, g2) is None
+    child2 = child_for(P1, nu2)
+    assert child2.kind == INTERNAL and not child2.analysis.dead
 
 
 def test_dead_requires_not_stable():
@@ -119,12 +145,17 @@ def test_dead_requires_not_stable():
     )
     pi = {presence(p, 0): False}  # no A ever again
     # the only rule needs A; B (output 1) and C (output 0) may both linger
-    assert is_stable(p, pi, frozenset()) is None
-    assert is_dead(p, pi, frozenset())
+    g = graph(p, pi)
+    assert is_stable(p, g) is None and not g.gen_edges
+    child = child_for(p, nu_of(p, {"B", "C"}))
+    assert child.kind == TERMINAL_DEAD and child.analysis.dead
+    assert child.analysis.stable is None
     # but a state set with a single surviving output is stable, hence not dead
     pi_b = {presence(p, 0): False, presence(p, 2): False}
-    assert is_stable(p, pi_b, frozenset()) == 1
-    assert not is_dead(p, pi_b, frozenset())
+    assert is_stable(p, graph(p, pi_b)) == 1
+    child_b = child_for(p, nu_of(p, {"B"}))
+    assert child_b.kind == TERMINAL_STABLE and not child_b.analysis.dead
+    assert child_b.analysis.stable == 1
 
 
 def test_transformation_graph_fig_left():
@@ -158,11 +189,11 @@ def test_transformation_graph_all_disabled():
 def test_compute_j_examples():
     g1 = build_transformation_graph(P1, {}, frozenset())
     exp1 = compute_exp(g1)
-    assert compute_j(P1, {}, frozenset(), exp1) == exp1  # {AB}
+    assert compute_j(P1, g1, exp1) == exp1  # {AB}
     g2 = build_transformation_graph(P2, {}, frozenset())
     exp2 = compute_exp(g2)
-    assert compute_j(P2, {}, frozenset(), exp2) == exp2  # {AB, AC, BC}
-    assert compute_j(P1, {}, frozenset(), frozenset()) == frozenset()
+    assert compute_j(P2, g2, exp2) == exp2  # {AB, AC, BC}
+    assert compute_j(P1, g1, frozenset()) == frozenset()
 
 
 def test_classify_nu_mode():
@@ -174,17 +205,17 @@ def test_classify_nu_mode():
 
 def test_compute_k_examples():
     g1 = build_transformation_graph(P1, {}, frozenset())
-    k1 = compute_k(P1, g1, compute_j(P1, {}, frozenset(), compute_exp(g1)))
+    k1 = compute_k(P1, g1, compute_j(P1, g1, compute_exp(g1)))
     assert names(P1, k1) == {("a", "b")}
     g2 = build_transformation_graph(P2, {}, frozenset())
-    k2 = compute_k(P2, g2, compute_j(P2, {}, frozenset(), compute_exp(g2)))
+    k2 = compute_k(P2, g2, compute_j(P2, g2, compute_exp(g2)))
     assert names(P2, k2) == {("C", "b"), ("A", "a"), ("B", "b")}
 
 
 def test_compute_i_and_l_edgeless():
     pi = {presence(P1, s): False for s in (0, 1, 2)}
     g = build_transformation_graph(P1, pi, frozenset())
-    i_states, l = compute_i_and_l(P1, g, pi)
+    i_states, l = compute_i_and_l(P1, g)
     assert i_states == frozenset() and l == frozenset()
 
 
@@ -195,7 +226,7 @@ def test_compute_i_and_l_single_stable_edge():
         P1, frozenset({(0, 1)}), nu_of(P1, {"A", "a", "b"})
     )
     g = build_transformation_graph(P1, pi, frozenset({(0, 1)}))
-    i_states, l = compute_i_and_l(P1, g, pi)
+    i_states, l = compute_i_and_l(P1, g)
     assert {P1.states[s] for s in i_states} == {"b"}
     assert names(P1, l) == {("A", "a")}
 
@@ -203,7 +234,7 @@ def test_compute_i_and_l_single_stable_edge():
 def test_compute_i_and_l_cycle_is_bottom():
     # with nothing persistent there are no stable edges at all
     g = build_transformation_graph(P1, {}, frozenset())
-    i_states, l = compute_i_and_l(P1, g, {})
+    i_states, l = compute_i_and_l(P1, g)
     assert i_states == frozenset()
 
 
@@ -281,3 +312,118 @@ def test_broadcast_tree_shape(corpus_graphs):
     assert len(root.children) == 3
     kinds = sorted(sg.stages[c].kind for c in root.children)
     assert kinds.count(TERMINAL_STABLE) == 2
+
+
+# ---------------------------------------------------------------------------
+# The transformation graph decides which rules can still fire; stable, dead
+# and J read that decision.  The references below ask the plain per-rule
+# entailment instead, under the premise pi_nu & T built here.
+
+
+def reference_gen_edges(p, pi_nu, disabled):
+    base = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
+    return {t for t in p.non_idle if not is_tautology(implies(base, xi(p, t.lhs)))}
+
+
+def reference_is_stable(p, pi_nu, disabled):
+    base = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
+    present = [
+        s for s in range(len(p.states)) if pi_nu.get(presence(p, s)) is not False
+    ]
+    for x in (0, 1):
+        if any(p.output(s) != x for s in present):
+            continue
+        if all(
+            {p.output(s) for s in t.rhs} == {x}
+            or is_tautology(implies(base, xi(p, t.lhs)))
+            for t in p.non_idle
+        ):
+            return x
+    return None
+
+
+def reference_compute_j(p, pi_nu, disabled, exp):
+    """compute_j checking every non-idle rule, each by its own query."""
+
+    def blocked(guard, lhs):
+        return is_tautology(implies(guard, xi(p, lhs)))
+
+    def head_ok(ef, m):
+        e, f = ef
+        base = conj(
+            [valuation_formula(pi_nu), heads_formula(p, disabled), heads_formula(p, m)]
+        )
+        for t in p.non_idle:
+            if t.rhs == ef:
+                if not blocked(base, t.lhs):
+                    return False
+                continue
+            for prod, partner in ((e, f), (f, e)) if e != f else ((e, f),):
+                if prod not in t.rhs:
+                    continue
+                if e != f:
+                    guard = conj(
+                        [neg(atom(presence(p, prod))), atom(presence(p, partner)), base]
+                    )
+                    if not blocked(guard, t.lhs):
+                        return False
+                elif e not in t.lhs and not blocked(
+                    conj([atom(singleton(p, e)), base]), t.lhs
+                ):
+                    return False
+        return True
+
+    m = set(exp)
+    while True:
+        keep = {ef for ef in m if head_ok(ef, m)}
+        if keep == m:
+            return frozenset(m)
+        m = keep
+
+
+def test_graph_reads_match_per_rule_entailment_on_corpus(corpus_graphs):
+    for name, sg in corpus_graphs.items():
+        p = sg.protocol
+        for s in sg.stages:
+            ca = s.analysis
+            if ca is None:
+                continue
+            args = (p, s.pi, sg.stages[s.parent].disabled)
+            g = build_transformation_graph(*args)  # as build_child built it
+            assert set(g.gen_edges) == reference_gen_edges(*args), (name, s.id)
+            assert ca.stable == reference_is_stable(*args), (name, s.id)
+            if ca.stable is None and not ca.dead:
+                assert ca.j == reference_compute_j(*args, ca.exp), (name, s.id)
+
+
+@st.composite
+def small_cases(draw):
+    """A protocol of 2-4 states and at most 6 rules, with a consistent
+    persistent valuation, disabled heads T and a head set for J."""
+    n = draw(st.integers(2, 4))
+    heads = [(i, j) for i in range(n) for j in range(i, n)]
+    rule = st.tuples(st.sampled_from(heads), st.sampled_from(heads))
+    rules = draw(st.lists(rule, max_size=6))
+    output1 = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    p = PopulationProtocol("gen", tuple("ABCD"[:n]), rules, {"x": 0}, output1)
+    pi = {}
+    for s in range(n):
+        present = draw(st.sampled_from([None, False, True]))
+        # a singleton atom may be true only where presence is not false
+        one = draw(st.sampled_from([None, False] + [True] * (present is not False)))
+        if present is not None:
+            pi[presence(p, s)] = present
+        if one is not None:
+            pi[singleton(p, s)] = one
+    heads_st = st.frozensets(st.sampled_from(heads))
+    return p, pi, draw(heads_st), draw(heads_st)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=small_cases())
+def test_graph_reads_match_per_rule_entailment_generated(case):
+    p, pi, disabled, exp = case
+    g = build_transformation_graph(p, pi, disabled)
+    assert set(g.gen_edges) == reference_gen_edges(p, pi, disabled)
+    assert is_stable(p, g) == reference_is_stable(p, pi, disabled)
+    assert compute_j(p, g, exp) == reference_compute_j(p, pi, disabled, exp)
