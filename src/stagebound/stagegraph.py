@@ -300,6 +300,13 @@ def is_stable(p: PopulationProtocol, g: TransformationGraph) -> int | None:
     return outs.pop() if outs else 0
 
 
+def is_dead(g: TransformationGraph, stable: int | None) -> bool:
+    """True when the child is not stable yet no non-idle rule can fire
+    again: every rule that is not blocked generates an entry of
+    ``g.gen_edges``, so an empty map means nothing can fire."""
+    return stable is None and not g.gen_edges
+
+
 def scc_condensation(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """Iterative Tarjan over nodes 0..len(succ)-1; returns (component id per
     node, members per id).  Ids come in reverse topological order: every
@@ -509,9 +516,7 @@ def build_child(
     g = build_transformation_graph(p, pi_nu, t_parent)
     ca = CaseAnalysis(nu=nu)
     ca.stable = is_stable(p, g)
-    # every rule that is not blocked generates an entry, so an empty map
-    # means no non-idle rule can fire again: the child is dead
-    ca.dead = ca.stable is None and not g.gen_edges
+    ca.dead = is_dead(g, ca.stable)
     if ca.stable is not None or ca.dead:
         return Stage(
             id=-1,

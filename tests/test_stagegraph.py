@@ -39,6 +39,7 @@ from stagebound.stagegraph import (
     compute_k,
     compute_pi_nu,
     initial_stage,
+    is_dead,
     is_stable,
     mn_fixpoint,
     pretty,
@@ -126,6 +127,7 @@ def test_is_dead():
     pi = {presence(P1, s): False for s in range(4)}
     assert not graph(P1, pi).gen_edges
     assert is_stable(P1, graph(P1, pi)) == 0  # stable (vacuously), not dead
+    assert not is_dead(graph(P1, pi), 0)
     child = child_for(P1, nu_of(P1, set()))
     assert child.kind == TERMINAL_STABLE and not child.analysis.dead
     nu2 = nu_of(P1, {"a", "b"}, domain=range(4))
@@ -134,6 +136,7 @@ def test_is_dead():
     g2 = graph(P1, pi2)
     assert names(P1, [t.lhs for t in g2.gen_edges]) == {("a", "b")}
     assert is_stable(P1, g2) is None
+    assert not is_dead(g2, None)
     child2 = child_for(P1, nu2)
     assert child2.kind == INTERNAL and not child2.analysis.dead
 
@@ -147,12 +150,14 @@ def test_dead_requires_not_stable():
     # the only rule needs A; B (output 1) and C (output 0) may both linger
     g = graph(p, pi)
     assert is_stable(p, g) is None and not g.gen_edges
+    assert is_dead(g, None)
     child = child_for(p, nu_of(p, {"B", "C"}))
     assert child.kind == TERMINAL_DEAD and child.analysis.dead
     assert child.analysis.stable is None
     # but a state set with a single surviving output is stable, hence not dead
     pi_b = {presence(p, 0): False, presence(p, 2): False}
     assert is_stable(p, graph(p, pi_b)) == 1
+    assert not is_dead(graph(p, pi_b), 1)
     child_b = child_for(p, nu_of(p, {"B"}))
     assert child_b.kind == TERMINAL_STABLE and not child_b.analysis.dead
     assert child_b.analysis.stable == 1
