@@ -99,17 +99,15 @@ def is_fast(
 
 def is_very_fast(p: PopulationProtocol, g, u_states: frozenset[int]) -> bool:
     """Every rule of the transformation graph touching a draining state must
-    move both of its agents strictly across SCCs of the graph."""
-    vset = set(g.vertices)
+    move both of its agents strictly across SCCs of the graph.  Both sides
+    of every such rule are vertices: a product outside them would be a state
+    of M that a rule which can still fire produces."""
+    sc = g.scc
     for t in g.gen_edges:
         a, b = t.lhs
         c, d = t.rhs
-        quad = {a, b, c, d}
-        if not quad <= vset:
+        if not ({a, b, c, d} & u_states):
             continue
-        if not (quad & u_states):
-            continue
-        sc = g.scc
         if sc[c] != sc[a] != sc[d] and sc[c] != sc[b] != sc[d]:
             continue
         return False

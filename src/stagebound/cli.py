@@ -31,6 +31,16 @@ def _read_protocol(path: str):
         raise SystemExit(1)
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write an output file; an unwritable path exits 1 with one line."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def _analysis_json(sg, report) -> str:
     payload = {"report": report.json_dict(), "stage_tree": to_json_dict(sg)}
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
@@ -47,18 +57,16 @@ def cmd_analyze(args) -> int:
     report = bounds_mod.aggregate(sg, time.monotonic() - t0)
     print(report.human())
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(sg))
+        _write_output(args.dot, to_dot(sg))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(_analysis_json(sg, report))
+        _write_output(args.json, _analysis_json(sg, report))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(
-                "protocol,states,transitions,stages,bound,claim,time\n"
-                + report.csv_row()
-                + "\n"
-            )
+        _write_output(
+            args.csv,
+            "protocol,states,transitions,stages,bound,claim,time\n"
+            + report.csv_row()
+            + "\n",
+        )
     return 0 if report.certified else 2
 
 
@@ -111,10 +119,11 @@ def cmd_simulate(args) -> int:
     h1 = sum(1 for x in res.consensus if x == 1)
     print(f"{res.trials},{res.mean:.4f},{res.stderr:.4f},{h0},{h1}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("trial,interactions,consensus\n")
-            for i, (s, c) in enumerate(zip(res.steps, res.consensus)):
-                fh.write(f"{i},{s},{'' if c is None else c}\n")
+        rows = [
+            f"{i},{s},{'' if c is None else c}\n"
+            for i, (s, c) in enumerate(zip(res.steps, res.consensus))
+        ]
+        _write_output(args.csv, "trial,interactions,consensus\n" + "".join(rows))
     return 0
 
 
@@ -186,8 +195,7 @@ def cmd_bench(args) -> int:
     text = "\n".join(out_lines) + "\n"
     print(text, end="")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_output(args.csv, text)
     return 2 if diff_failures else 0
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple
 
-from .protocol import Configuration, Head, PopulationProtocol
+from .protocol import Head, PopulationProtocol
 
 PRESENCE = "st"
 SINGLETON = "one"
@@ -129,8 +129,9 @@ def atoms_of(f: Formula) -> set[Atom]:
     return out
 
 
-def _evaluate(f: Formula, asg: dict[Atom, bool]) -> bool | None:
-    """Three-valued evaluation under a partial assignment."""
+def evaluate(f: Formula, asg: dict[Atom, bool]) -> bool | None:
+    """Three-valued evaluation under a partial assignment; two-valued under
+    a total one, such as the valuation of a configuration in the oracle."""
     tag = f[0]
     if tag == "tt":
         return True
@@ -139,13 +140,13 @@ def _evaluate(f: Formula, asg: dict[Atom, bool]) -> bool | None:
     if tag == "atom":
         return asg.get(f[1])
     if tag == "not":
-        v = _evaluate(f[1], asg)
+        v = evaluate(f[1], asg)
         return None if v is None else not v
     if tag == "implies":
-        a = _evaluate(f[1], asg)
+        a = evaluate(f[1], asg)
         if a is False:
             return True
-        b = _evaluate(f[2], asg)
+        b = evaluate(f[2], asg)
         if b is True:
             return True
         if a is True and b is False:
@@ -154,7 +155,7 @@ def _evaluate(f: Formula, asg: dict[Atom, bool]) -> bool | None:
     if tag == "and":
         pending = False
         for g in f[1]:
-            v = _evaluate(g, asg)
+            v = evaluate(g, asg)
             if v is False:
                 return False
             if v is None:
@@ -163,7 +164,7 @@ def _evaluate(f: Formula, asg: dict[Atom, bool]) -> bool | None:
     if tag == "or":
         pending = False
         for g in f[1]:
-            v = _evaluate(g, asg)
+            v = evaluate(g, asg)
             if v is True:
                 return True
             if v is None:
@@ -347,10 +348,10 @@ def enumerate_satisfying_valuations(f: Formula) -> list[Valuation]:
     results: list[Valuation] = []
 
     def walk(i: int, asg: dict[Atom, bool]) -> None:
-        if _evaluate(f, asg) is False:
+        if evaluate(f, asg) is False:
             return
         if i == len(domain):
-            if _evaluate(f, asg) is True:
+            if evaluate(f, asg) is True:
                 results.append(dict(asg))
             return
         a = domain[i]
@@ -387,33 +388,6 @@ def xi(p: PopulationProtocol, head: Head) -> Formula:
 def heads_formula(p: PopulationProtocol, heads: Iterable[Head]) -> Formula:
     """Conjunction of xi over a set of heads (tt for the empty set)."""
     return conj([xi(p, h) for h in sorted(set(heads))])
-
-
-def config_satisfies(p: PopulationProtocol, c: Configuration, f: Formula) -> bool:
-    tag = f[0]
-    if tag == "tt":
-        return True
-    if tag == "ff":
-        return False
-    if tag == "atom":
-        a = f[1]
-        if a.kind == PRESENCE:
-            return c.counts[a.index] > 0
-        if a.kind == SINGLETON:
-            return c.counts[a.index] == 1
-        # Out_x: every populated state outputs x.
-        return all(
-            p.output(s) == a.index for s, k in enumerate(c.counts) if k > 0
-        )
-    if tag == "not":
-        return not config_satisfies(p, c, f[1])
-    if tag == "implies":
-        return (not config_satisfies(p, c, f[1])) or config_satisfies(p, c, f[2])
-    if tag == "and":
-        return all(config_satisfies(p, c, g) for g in f[1])
-    if tag == "or":
-        return any(config_satisfies(p, c, g) for g in f[1])
-    raise ValueError(f"bad formula node {f!r}")
 
 
 def pretty(f: Formula) -> str:

@@ -18,12 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from .logic import (
+    Atom,
     Formula,
     atom,
-    config_satisfies,
     conj,
+    evaluate,
     heads_formula,
     out_atom,
+    presence,
+    singleton,
     valuation_formula,
 )
 from .protocol import (
@@ -62,11 +65,37 @@ class ReachGraph:
                 pred[u].append(v)
         return pred
 
-    def sat(self, phi: Formula) -> set[int]:
+    @cached_property
+    def valuations(self) -> tuple[list[int], list[dict[Atom, bool]]]:
+        """The key id of every node, and the valuation of every distinct key.
+
+        A node's key is its count vector clipped at 2, which fixes every
+        presence, singleton and Out_x atom; nodes with one key share one
+        valuation, so a formula is evaluated once per key, not per node."""
         p = self.protocol
-        return {
-            i for i, c in enumerate(self.nodes) if config_satisfies(p, c, phi)
-        }
+        atoms = [(presence(p, s), singleton(p, s)) for s in range(len(p.states))]
+        out = [out_atom(0), out_atom(1)]
+        ids: dict[tuple[int, ...], int] = {}
+        key_of: list[int] = []
+        vals: list[dict[Atom, bool]] = []
+        for c in self.nodes:
+            key = tuple(min(k, 2) for k in c.counts)
+            if key not in ids:
+                ids[key] = len(vals)
+                outputs = {p.output(s) for s, k in enumerate(key) if k}
+                val = {out[x]: outputs <= {x} for x in (0, 1)}
+                for (pres, one), k in zip(atoms, key):
+                    val[pres] = k > 0
+                    val[one] = k == 1
+                vals.append(val)
+            key_of.append(ids[key])
+        return key_of, vals
+
+    def sat(self, phi: Formula) -> set[int]:
+        """Nodes whose configuration satisfies phi."""
+        key_of, vals = self.valuations
+        holds = [evaluate(phi, val) for val in vals]
+        return {i for i, k in enumerate(key_of) if holds[k]}
 
     def backward_reach(
         self, seed: set[int], blocked: frozenset[int] | set[int] = frozenset()
@@ -148,8 +177,7 @@ def explore(
 
 def holds_box(g: ReachGraph, phi: Formula) -> bool:
     """True iff every configuration of the closure satisfies phi."""
-    p = g.protocol
-    return all(config_satisfies(p, c, phi) for c in g.nodes)
+    return len(g.sat(phi)) == g.size
 
 
 def holds_diamond_as(g: ReachGraph, target: set[int]) -> bool:
@@ -325,10 +353,7 @@ def stage_denotation(g: ReachGraph, stage: Stage, p: PopulationProtocol) -> set[
 
 
 def check_stage_graph(
-    p: PopulationProtocol,
-    sg: StageGraph,
-    max_n: int,
-    cap: int = 200_000,
+    p: PopulationProtocol, sg: StageGraph, max_n: int
 ) -> list[Violation]:
     """Check the two stage-graph conditions for every initial configuration
     of size 2..max_n: (a) the root stage covers every initial configuration;
@@ -339,7 +364,7 @@ def check_stage_graph(
         inits = initial_configurations(p, n)
         if not inits:
             continue
-        g = explore(p, inits, cap=cap)
+        g = explore(p, inits)
         denote = {s.id: stage_denotation(g, s, p) for s in sg.stages}
         root_den = denote[sg.root]
         for i in g.roots:
@@ -394,11 +419,6 @@ class SimResult:
         return (self.variance / k) ** 0.5
 
 
-def all_configurations(p: PopulationProtocol, n: int) -> list[Configuration]:
-    k = len(p.states)
-    return [Configuration(c) for c in _compositions(n, k)]
-
-
 def _consensus_value(p: PopulationProtocol, c: Configuration) -> int | None:
     outs = {p.output(s) for s, k in enumerate(c.counts) if k > 0}
     if len(outs) == 1:
@@ -411,12 +431,11 @@ def simulate(
     c0: Configuration,
     trials: int,
     seed: int,
-    target: str | Formula = "stable",
     max_steps: int = 1_000_000,
 ) -> SimResult:
-    """Independent runs counting interactions (idle ones included) until the
-    target: either membership in the stable set of the size-n configuration
-    space, or a configuration satisfying a formula.
+    """Independent runs counting interactions (idle ones included) until a
+    stable configuration.  Every run stays inside the closure of c0, so the
+    stable set is computed on that closure only.
 
     Deterministic: trial t uses a counter-based generator keyed by
     (seed, t), so results are reproducible and independent of scheduling.
@@ -424,16 +443,8 @@ def simulate(
     n = c0.size
     if n < 2:
         raise ValueError("simulation needs at least two agents")
-    if isinstance(target, str):
-        if target != "stable":
-            raise ValueError(f"unknown target {target!r}")
-        space = explore(p, all_configurations(p, n), cap=10_000_000)
-        stable_ids = stable_set(space)
-        members = frozenset(space.nodes[i] for i in stable_ids)
-        in_target = lambda c: c in members
-    else:
-        phi = target
-        in_target = lambda c: config_satisfies(p, c, phi)
+    space = explore(p, c0, cap=10_000_000)
+    members = frozenset(space.nodes[i] for i in stable_set(space))
 
     steps_out = []
     consensus = []
@@ -443,7 +454,7 @@ def simulate(
         c = list(c0.counts)
         steps = 0
         cfg = Configuration(tuple(c))
-        while not in_target(cfg):
+        while cfg not in members:
             if steps >= max_steps:
                 raise RuntimeError(
                     f"trial {t} exceeded {max_steps} interactions; target "
@@ -474,10 +485,3 @@ def simulate(
         consensus.append(_consensus_value(p, cfg))
     return SimResult(trials, tuple(steps_out), seed, tuple(consensus))
 
-
-def expectation_csv(rows: list[tuple[int, float, float]]) -> str:
-    """CSV emitter for (n, expectation-or-mean, stderr) scaling sweeps."""
-    out = ["n,expected_interactions,stderr"]
-    for n, val, err in rows:
-        out.append(f"{n},{val},{err}")
-    return "\n".join(out) + "\n"

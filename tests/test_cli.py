@@ -105,6 +105,25 @@ def test_simulate_consensus_and_determinism(capsys):
     assert out1 == out2
 
 
+def test_simulate_pinned_row(capsys):
+    # the closure of A=6,B=4 (74 configurations) is smaller than the space
+    # of size 10 (1,001); the row must stay byte-identical, so a change in
+    # the stopping decisions or in the use of the random stream shows
+    code, out, _ = run(
+        capsys,
+        "simulate",
+        str(PP / "majority-ex2.pp"),
+        "--config",
+        "A=6,B=4",
+        "--trials",
+        "50",
+        "--seed",
+        "7",
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "50,92.3000,3.5948,50,0"
+
+
 def test_simulate_zero_trials(capsys):
     code, out, _ = run(
         capsys,
@@ -164,14 +183,50 @@ def test_simulate_negative_trials(capsys):
     assert err.count("\n") == 1
 
 
+def assert_one_error_line(err, path):
+    assert err.startswith(f"error: {path}: "), err
+    assert err.count("\n") == 1, err
+
+
 def test_unreadable_protocol_exits_without_traceback(capsys, tmp_path):
     binary = tmp_path / "binary.pp"
     binary.write_bytes(b"\xff\xfe\x00\x81\x00\xc3")
     for path in (binary, tmp_path):
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 1, path
-        assert err.startswith(f"error: {path}: "), err
-        assert err.count("\n") == 1, err
+        assert_one_error_line(err, path)
+
+
+def test_analyze_unwritable_output_exits_without_traceback(capsys, tmp_path):
+    for flag in ("--dot", "--json", "--csv"):
+        code, _, err = run(
+            capsys, "analyze", str(PP / "broadcast.pp"), flag, str(tmp_path)
+        )
+        assert code == 1, flag
+        assert_one_error_line(err, tmp_path)
+
+
+def test_simulate_unwritable_csv_exits_without_traceback(capsys, tmp_path):
+    path = tmp_path / "missing" / "dir" / "x.csv"
+    code, _, err = run(
+        capsys,
+        "simulate",
+        str(PP / "majority-ex2.pp"),
+        "--config",
+        "A=2,B=1",
+        "--trials",
+        "5",
+        "--csv",
+        str(path),
+    )
+    assert code == 1
+    assert_one_error_line(err, path)
+
+
+def test_bench_unwritable_csv_exits_without_traceback(capsys, tmp_path):
+    code, _, err = run(capsys, "bench", "--csv", str(tmp_path))
+    assert code == 1
+    assert_one_error_line(err, tmp_path)
 
 
 def test_check_clean(capsys):

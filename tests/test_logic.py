@@ -1,5 +1,6 @@
 """Formula engine: xi, tautology checking with the singleton coupling,
-valuation enumeration, and configuration-level evaluation."""
+valuation enumeration, and configuration-level evaluation (through the
+oracle's ReachGraph.sat)."""
 
 import pytest
 
@@ -12,12 +13,11 @@ from stagebound.logic import (
     FF,
     TT,
     _consistent_choices,
-    _evaluate,
     atom,
-    config_satisfies,
     conj,
     disj,
     enumerate_satisfying_valuations,
+    evaluate,
     evaluation_domain,
     heads_formula,
     implies,
@@ -30,6 +30,7 @@ from stagebound.logic import (
     valuation_formula,
     xi,
 )
+from stagebound.verify import ReachGraph
 
 P = parse_protocol(majority_four_state())
 A, B, a, b = range(4)
@@ -39,6 +40,11 @@ def head(x, y):
     return (x, y) if x <= y else (y, x)
 
 
+def holds_at(c, f):
+    """Whether configuration c satisfies f, by the oracle's evaluator."""
+    return ReachGraph(P, [c], {c: 0}, [[]], [0]).sat(f) == {0}
+
+
 def reference_is_tautology(f):
     """Reference oracle: backtracking search for a consistent countermodel
     over the evaluation domain, re-evaluating f at every search node."""
@@ -46,7 +52,7 @@ def reference_is_tautology(f):
 
     def search(i, asg):
         # True if a consistent countermodel exists below this node
-        v = _evaluate(f, asg)
+        v = evaluate(f, asg)
         if v is True:
             return False
         if v is False:
@@ -128,14 +134,14 @@ def test_enumerate_unsat_and_singleton():
     assert vals == [{singleton(P, A): True, presence(P, A): True}]
 
 
-def test_config_satisfies_atoms():
+def test_sat_atoms():
     c = Configuration((2, 0, 0, 0))
-    assert config_satisfies(P, c, conj([atom(presence(P, A)), neg(atom(presence(P, B)))]))
-    assert config_satisfies(P, Configuration((1, 0, 0, 0)), atom(singleton(P, A)))
-    assert not config_satisfies(P, c, atom(singleton(P, A)))
+    assert holds_at(c, conj([atom(presence(P, A)), neg(atom(presence(P, B)))]))
+    assert holds_at(Configuration((1, 0, 0, 0)), atom(singleton(P, A)))
+    assert not holds_at(c, atom(singleton(P, A)))
     # Out_1 fails when an output-0 state is populated
-    assert not config_satisfies(P, Configuration((0, 0, 1, 2)), atom(out_atom(1)))
-    assert config_satisfies(P, Configuration((0, 0, 0, 2)), atom(out_atom(1)))
+    assert not holds_at(Configuration((0, 0, 1, 2)), atom(out_atom(1)))
+    assert holds_at(Configuration((0, 0, 0, 2)), atom(out_atom(1)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,7 +159,7 @@ def test_xi_matches_enabledness(counts, x, y):
     rules = [t for t in P.non_idle if t.lhs == h]
     if not rules:
         return
-    assert config_satisfies(P, c, xi(P, h)) == (not enabled(c, rules[0]))
+    assert holds_at(c, xi(P, h)) == (not enabled(c, rules[0]))
 
 
 @st.composite
@@ -271,7 +277,7 @@ def test_config_agrees_with_pointwise_valuation(counts, data):
             nu[presence(P, s)] = c.counts[s] > 0
         if data.draw(st.booleans()):
             nu[singleton(P, s)] = c.counts[s] == 1
-    assert config_satisfies(P, c, valuation_formula(nu))
+    assert holds_at(c, valuation_formula(nu))
 
 
 def test_pretty_printer():

@@ -396,9 +396,17 @@ def test_graph_reads_match_per_rule_entailment_on_corpus(corpus_graphs):
             args = (p, s.pi, sg.stages[s.parent].disabled)
             g = build_transformation_graph(*args)  # as build_child built it
             assert set(g.gen_edges) == reference_gen_edges(*args), (name, s.id)
+            assert_products_are_vertices(g)
             assert ca.stable == reference_is_stable(*args), (name, s.id)
             if ca.stable is None and not ca.dead:
                 assert ca.j == reference_compute_j(*args, ca.exp), (name, s.id)
+
+
+def assert_products_are_vertices(g):
+    # a rule that can still fire produces no state of M (is_very_fast
+    # reads the SCC of both products without a guard)
+    for t in g.gen_edges:
+        assert set(t.rhs) <= set(g.vertices), t
 
 
 @st.composite
@@ -432,3 +440,8 @@ def test_graph_reads_match_per_rule_entailment_generated(case):
     assert set(g.gen_edges) == reference_gen_edges(p, pi, disabled)
     assert is_stable(p, g) == reference_is_stable(p, pi, disabled)
     assert compute_j(p, g, exp) == reference_compute_j(p, pi, disabled, exp)
+    # the stage-tree build only hands the graph a pi_nu that is closed
+    # under the M/N fixpoint; a random pi need not be
+    assert_products_are_vertices(
+        build_transformation_graph(p, compute_pi_nu(p, disabled, pi), disabled)
+    )

@@ -1,6 +1,7 @@
 """Finite-instance oracle: exploration, modal checks, exact expectations,
 stage validation, and simulation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from stagebound import (
     initial_configuration,
     parse_protocol,
 )
-from stagebound.corpus import majority_four_state, majority_five_state
-from stagebound.logic import FF, TT, atom, conj, neg, presence
+from stagebound.corpus import broadcast, majority_four_state, majority_five_state
+from stagebound.logic import FF, TT, atom, conj, neg, out_atom, presence, singleton
 from stagebound.stagegraph import Stage, scc_condensation
 from stagebound import verify as V
 
@@ -73,6 +74,27 @@ def test_holds_box():
     assert V.holds_box(g, TT)
     g2 = V.explore(P1, cfg(P1, A=1, B=1))
     assert not V.holds_box(g2, atom(presence(P1, 0)))
+
+
+def test_sat_clipped_key_matches_counts():
+    # counts reach 3 and more here; clipping them at 2 must not change any
+    # presence, singleton or Out_x atom
+    g = V.explore(P2, V.initial_configurations(P2, 8))
+    assert max(max(c.counts) for c in g.nodes) >= 3
+    assert len(g.valuations[1]) < g.size  # some nodes share a key
+    for s in range(len(P2.states)):
+        assert g.sat(atom(presence(P2, s))) == {
+            i for i, c in enumerate(g.nodes) if c.counts[s] > 0
+        }
+        assert g.sat(atom(singleton(P2, s))) == {
+            i for i, c in enumerate(g.nodes) if c.counts[s] == 1
+        }
+    for x in (0, 1):
+        assert g.sat(atom(out_atom(x))) == {
+            i
+            for i, c in enumerate(g.nodes)
+            if all(P2.output(s) == x for s, k in enumerate(c.counts) if k)
+        }
 
 
 def test_holds_diamond_as():
@@ -196,6 +218,19 @@ def test_expected_steps_example1_regression():
     assert val == Fraction(6)
 
 
+def test_expected_steps_floating_point_path():
+    # above 5000 nodes the solve is in floats with a residual check;
+    # broadcast from one informed agent takes (n-1) H_(n-1) interactions
+    p = parse_protocol(broadcast())
+    n = 5002
+    g = V.explore(p, cfg(p, t=1, f=n - 1))
+    assert g.size == n
+    got = V.expected_steps_exact(g, V.stable_set(g))
+    assert isinstance(got, float)
+    want = (n - 1) * math.fsum(1 / k for k in range(1, n))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
 def test_expected_steps_diverges():
     p = parse_protocol(
         "protocol t\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\n"
@@ -292,12 +327,6 @@ def test_simulate_against_exact_expectation():
     exact = float(V.expected_steps_exact(g, V.stable_set(g)))
     res = V.simulate(P2, c0, trials=4000, seed=123)
     assert abs(res.mean - exact) <= 5 * res.stderr
-
-
-def test_expectation_csv():
-    text = V.expectation_csv([(4, 10.5, 0.1), (6, 30.25, 0.2)])
-    assert text.splitlines()[0] == "n,expected_interactions,stderr"
-    assert "4,10.5,0.1" in text
 
 
 # regression protocols found by randomized soundness fuzzing: both once made
