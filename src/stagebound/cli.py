@@ -108,21 +108,21 @@ def cmd_simulate(args) -> int:
         return 1
     print(f"protocol: {p.name}; configuration: {c0.counts}; seed: {args.seed}")
     print("trials,mean_interactions,stderr,consensus0,consensus1")
-    if args.trials == 0:
-        return 0
-    try:
-        res = verify_mod.simulate(p, c0, args.trials, args.seed)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    h0 = sum(1 for x in res.consensus if x == 0)
-    h1 = sum(1 for x in res.consensus if x == 1)
-    print(f"{res.trials},{res.mean:.4f},{res.stderr:.4f},{h0},{h1}")
-    if args.csv:
+    rows = []
+    if args.trials > 0:
+        try:
+            res = verify_mod.simulate(p, c0, args.trials, args.seed)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        h0 = sum(1 for x in res.consensus if x == 0)
+        h1 = sum(1 for x in res.consensus if x == 1)
+        print(f"{res.trials},{res.mean:.4f},{res.stderr:.4f},{h0},{h1}")
         rows = [
             f"{i},{s},{'' if c is None else c}\n"
             for i, (s, c) in enumerate(zip(res.steps, res.consensus))
         ]
+    if args.csv:
         _write_output(args.csv, "trial,interactions,consensus\n" + "".join(rows))
     return 0
 
@@ -172,6 +172,9 @@ def cmd_bench(args) -> int:
     for entry, sg, report, dt in rows:
         if report is None:
             out_lines.append(f"{entry.name},,,,T/O,,{dt:.3f}")
+            if args.diff:
+                diff_failures += 1
+                out_lines.append(f"# DIFF {entry.name}: timed out")
             continue
         out_lines.append(report.csv_row())
         if args.diff:
@@ -243,6 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("max_stages", "timeout"):
+        if not getattr(args, flag, 0) >= 0:  # also rejects a NaN timeout
+            print(
+                f"error: --{flag.replace('_', '-')} must be a non-negative number",
+                file=sys.stderr,
+            )
+            return 1
     try:
         return args.func(args)
     except SystemExit as exc:

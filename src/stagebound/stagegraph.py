@@ -18,9 +18,14 @@ valuation a successor stage is computed by
      deriving the successor's formula from a case analysis of how they get
      disabled.
 
-Successors that a root-path ancestor already covers are pruned, which
-guarantees termination.  Construction is deterministic: valuations are
-enumerated in canonical order and stages are numbered breadth-first.
+Steps 1-4 depend only on the parent's disabled heads T and on nu, so
+within one build each distinct (T, nu) case analysis is computed once and
+shared, read-only, by every stage it yields; each distinct formula is
+likewise split into valuations once.  Successors that a root-path ancestor
+already covers are pruned, which guarantees termination; pruning depends on
+the root path, so it runs for every child.  Construction is deterministic:
+valuations are enumerated in canonical order and stages are numbered
+breadth-first.
 """
 
 from __future__ import annotations
@@ -505,12 +510,24 @@ def compute_i_and_l(
 # Successor construction (one valuation)
 
 
-def build_child(
-    p: PopulationProtocol, sg: StageGraph, parent: Stage, nu: Valuation
-) -> Stage | None:
-    """Construct the successor stage for one valuation of the parent's
-    formula; returns None when the result is redundant."""
-    t_parent = parent.disabled
+@dataclass(frozen=True)
+class Successor:
+    """The stage one valuation nu of a parent's formula leads to, before
+    ancestor pruning.  It depends on the parent's disabled heads T and on
+    nu alone, so children with the same (T, nu) share one, read-only."""
+
+    kind: str
+    phi: Formula
+    pi: Valuation
+    disabled: frozenset[Head]
+    analysis: CaseAnalysis
+
+
+def case_analysis(
+    p: PopulationProtocol, t_parent: frozenset[Head], nu: Valuation
+) -> Successor:
+    """Derive the successor for valuation nu of a parent with disabled
+    heads t_parent."""
     pi_nu = compute_pi_nu(p, t_parent, nu)
     pi_f = valuation_formula(pi_nu)
     g = build_transformation_graph(p, pi_nu, t_parent)
@@ -518,16 +535,8 @@ def build_child(
     ca.stable = is_stable(p, g)
     ca.dead = is_dead(g, ca.stable)
     if ca.stable is not None or ca.dead:
-        return Stage(
-            id=-1,
-            phi=pi_f,
-            pi=pi_nu,
-            disabled=t_parent,
-            parent=parent.id,
-            kind=TERMINAL_DEAD if ca.dead else TERMINAL_STABLE,
-            via=nu,
-            analysis=ca,
-        )
+        kind = TERMINAL_DEAD if ca.dead else TERMINAL_STABLE
+        return Successor(kind, pi_f, pi_nu, t_parent, ca)
 
     ca.u_states = frozenset(v for v in g.vertices if g.scc[v] not in g.bottom)
     exp = compute_exp(g)
@@ -572,22 +581,46 @@ def build_child(
             phi = conj([pi_f, psi_tnu, valuation_formula(nu)])
         else:
             phi = conj([pi_f, psi_tnu] + not_i)
+    return Successor(INTERNAL, phi, pi_nu, t_nu, ca)
 
+
+def build_child(
+    p: PopulationProtocol,
+    sg: StageGraph,
+    parent: Stage,
+    nu: Valuation,
+    analyses: dict | None = None,
+) -> Stage | None:
+    """Construct the successor stage for one valuation of the parent's
+    formula; returns None when a root-path ancestor already covers it.
+
+    `analyses` memoises `case_analysis` by (T, nu) across the children of
+    one build; without it the analysis is derived afresh.  Pruning depends
+    on the root path, so it runs for every child."""
+    if analyses is None:
+        succ = case_analysis(p, parent.disabled, nu)
+    else:
+        key = (parent.disabled, frozenset(nu.items()))
+        succ = analyses.get(key)
+        if succ is None:
+            succ = analyses[key] = case_analysis(p, parent.disabled, nu)
     child = Stage(
         id=-1,
-        phi=phi,
-        pi=pi_nu,
-        disabled=t_nu,
+        phi=succ.phi,
+        pi=succ.pi,
+        disabled=succ.disabled,
         parent=parent.id,
-        kind=INTERNAL,
+        kind=succ.kind,
         via=nu,
-        analysis=ca,
+        analysis=succ.analysis,
     )
+    if child.kind != INTERNAL:
+        return child
     for anc in sg.path_to_root(parent.id):
         if (
-            anc.pi == pi_nu
-            and anc.disabled == t_nu
-            and is_tautology(implies(anc.phi, phi))
+            anc.pi == child.pi
+            and anc.disabled == child.disabled
+            and is_tautology(implies(anc.phi, child.phi))
         ):
             return None
     return child
@@ -602,16 +635,22 @@ def build_stage_graph(
     max_stages: int = 100_000,
     timeout: float = 1000.0,
 ) -> StageGraph:
-    """Breadth-first construction of the full stage tree."""
+    """Breadth-first construction of the full stage tree.  Each distinct
+    formula is split into valuations once, and each distinct (T, nu) case
+    analysis is derived once."""
     start = time.monotonic()
     sg = StageGraph(protocol=p, stages=[initial_stage(p)])
     work: deque[int] = deque([0])
+    splits: dict[Formula, list[Valuation]] = {}
+    analyses: dict[tuple[frozenset[Head], frozenset], Successor] = {}
     while work:
         sid = work.popleft()
         stage = sg.stages[sid]
         if stage.kind != INTERNAL:
             continue
-        nus = enumerate_satisfying_valuations(stage.phi)
+        nus = splits.get(stage.phi)
+        if nus is None:
+            nus = splits[stage.phi] = enumerate_satisfying_valuations(stage.phi)
         for nu in nus:
             if len(sg.stages) >= max_stages:
                 raise StageLimitError(
@@ -619,7 +658,7 @@ def build_stage_graph(
                 )
             if time.monotonic() - start > timeout:
                 raise StageLimitError(f"timeout {timeout}s exceeded", sg)
-            child = build_child(p, sg, stage, nu)
+            child = build_child(p, sg, stage, nu, analyses)
             if child is None:
                 continue
             child.id = len(sg.stages)

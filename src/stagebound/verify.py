@@ -352,38 +352,53 @@ def stage_denotation(g: ReachGraph, stage: Stage, p: PopulationProtocol) -> set[
     return phi_sat & g.box_set(g.sat(persist))
 
 
+def stage_triple(s: Stage) -> tuple:
+    """The part of a stage its denotation depends on: (Phi, pi, T)."""
+    return (s.phi, frozenset(s.pi.items()), s.disabled)
+
+
 def check_stage_graph(
     p: PopulationProtocol, sg: StageGraph, max_n: int
 ) -> list[Violation]:
     """Check the two stage-graph conditions for every initial configuration
     of size 2..max_n: (a) the root stage covers every initial configuration;
     (b) from every reachable configuration in a non-terminal stage, the union
-    of its children's denotations is reached almost surely."""
+    of its children's denotations is reached almost surely.
+
+    Per size, each distinct stage triple is denoted once, and the progress
+    check runs once per distinct pair of a triple and its children's
+    triples; violations are still reported per stage id, in stage order."""
     violations: list[Violation] = []
+    ids: dict[tuple, int] = {}
+    tri = [ids.setdefault(stage_triple(s), len(ids)) for s in sg.stages]
     for n in range(2, max_n + 1):
         inits = initial_configurations(p, n)
         if not inits:
             continue
         g = explore(p, inits)
-        denote = {s.id: stage_denotation(g, s, p) for s in sg.stages}
-        root_den = denote[sg.root]
+        denote: dict[int, set[int]] = {}
+        for s, t in zip(sg.stages, tri):
+            if t not in denote:
+                denote[t] = stage_denotation(g, s, p)
+        root_den = denote[tri[sg.root]]
         for i in g.roots:
             if i not in root_den:
                 violations.append(
                     Violation(n, "initial-membership", sg.root, g.nodes[i])
                 )
-        for s in sg.stages:
+        stuck: dict[tuple[int, frozenset[int]], list[int]] = {}
+        for s, t in zip(sg.stages, tri):
             if not s.children:
                 continue
-            target = set()
-            for cid in s.children:
-                target |= denote[cid]
-            good = g.almost_sure_reach(target)
-            for i in sorted(denote[s.id]):
-                if i not in good:
-                    violations.append(
-                        Violation(n, "progress", s.id, g.nodes[i])
-                    )
+            key = (t, frozenset(tri[cid] for cid in s.children))
+            if key not in stuck:
+                target = set()
+                for kid in key[1]:
+                    target |= denote[kid]
+                good = g.almost_sure_reach(target)
+                stuck[key] = [i for i in sorted(denote[t]) if i not in good]
+            for i in stuck[key]:
+                violations.append(Violation(n, "progress", s.id, g.nodes[i]))
     return violations
 
 

@@ -3,6 +3,8 @@
 import json
 import pathlib
 
+import pytest
+
 from stagebound.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -138,6 +140,23 @@ def test_simulate_zero_trials(capsys):
     assert out.strip().endswith("consensus0,consensus1")
 
 
+def test_simulate_zero_trials_writes_header_csv(capsys, tmp_path):
+    csv = tmp_path / "z.csv"
+    code, _, _ = run(
+        capsys,
+        "simulate",
+        str(PP / "majority-ex2.pp"),
+        "--config",
+        "A=2,B=1",
+        "--trials",
+        "0",
+        "--csv",
+        str(csv),
+    )
+    assert code == 0
+    assert csv.read_text() == "trial,interactions,consensus\n"
+
+
 def test_simulate_unknown_state(capsys):
     code, _, err = run(
         capsys,
@@ -186,6 +205,26 @@ def test_simulate_negative_trials(capsys):
 def assert_one_error_line(err, path):
     assert err.startswith(f"error: {path}: "), err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", str(PP / "broadcast.pp"), "--max-stages", "-1"],
+        ["analyze", str(PP / "broadcast.pp"), "--timeout", "-1"],
+        ["check", str(PP / "broadcast.pp"), "--max-stages", "-1"],
+        ["check", str(PP / "broadcast.pp"), "--timeout", "-1"],
+        ["bench", "--timeout", "-1"],
+        ["bench", "--timeout", "nan"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if "/" not in a),
+)
+def test_negative_limits_exit_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    flag = argv[-2]
+    assert err == f"error: {flag} must be a non-negative number\n"
 
 
 def test_unreadable_protocol_exits_without_traceback(capsys, tmp_path):
@@ -262,6 +301,16 @@ def test_bench_diff_accepts_known_deviation(capsys):
     code, out, _ = run(capsys, "bench", "--diff", "--timeout", "300")
     assert code == 0
     assert "# note: threshold-m1p1-lt0" in out
+
+
+def test_bench_diff_reports_timed_out_rows(capsys):
+    code, out, _ = run(capsys, "bench", "--diff", "--timeout", "0")
+    assert code == 2
+    lines = out.splitlines()
+    timed_out = [l.split(",")[0] for l in lines if ",T/O," in l]
+    assert timed_out
+    for name in timed_out:
+        assert f"# DIFF {name}: timed out" in lines
 
 
 def test_module_entry_point(tmp_path):

@@ -2,6 +2,7 @@
 shapes of the worked examples."""
 
 import json
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +28,11 @@ from stagebound.protocol import PopulationProtocol
 from stagebound.stagegraph import (
     INTERNAL,
     TERMINAL_DEAD,
+    TERMINAL_EXHAUSTED,
     TERMINAL_STABLE,
     Stage,
     StageGraph,
+    StageLimitError,
     build_child,
     build_transformation_graph,
     classify_nu_mode,
@@ -387,6 +390,7 @@ def reference_compute_j(p, pi_nu, disabled, exp):
 
 
 def test_graph_reads_match_per_rule_entailment_on_corpus(corpus_graphs):
+    # every stage, not one per distinct (T, nu): stages share an analysis
     for name, sg in corpus_graphs.items():
         p = sg.protocol
         for s in sg.stages:
@@ -409,16 +413,30 @@ def assert_products_are_vertices(g):
         assert set(t.rhs) <= set(g.vertices), t
 
 
+def all_heads(n):
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+@st.composite
+def small_protocols(draw, min_rules=0):
+    """A protocol of 2-4 states and at most 6 rules, with one or two
+    input states."""
+    n = draw(st.integers(2, 4))
+    heads = all_heads(n)
+    rule = st.tuples(st.sampled_from(heads), st.sampled_from(heads))
+    rules = draw(st.lists(rule, min_size=min_rules, max_size=6))
+    output1 = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    inputs = {"x": 0, "y": 1} if draw(st.booleans()) else {"x": 0}
+    return PopulationProtocol("gen", tuple("ABCD"[:n]), rules, inputs, output1)
+
+
 @st.composite
 def small_cases(draw):
-    """A protocol of 2-4 states and at most 6 rules, with a consistent
-    persistent valuation, disabled heads T and a head set for J."""
-    n = draw(st.integers(2, 4))
-    heads = [(i, j) for i in range(n) for j in range(i, n)]
-    rule = st.tuples(st.sampled_from(heads), st.sampled_from(heads))
-    rules = draw(st.lists(rule, max_size=6))
-    output1 = frozenset(draw(st.sets(st.integers(0, n - 1))))
-    p = PopulationProtocol("gen", tuple("ABCD"[:n]), rules, {"x": 0}, output1)
+    """A small protocol with a consistent persistent valuation, disabled
+    heads T and a head set for J."""
+    p = draw(small_protocols())
+    n = len(p.states)
+    heads = all_heads(n)
     pi = {}
     for s in range(n):
         present = draw(st.sampled_from([None, False, True]))
@@ -445,3 +463,58 @@ def test_graph_reads_match_per_rule_entailment_generated(case):
     assert_products_are_vertices(
         build_transformation_graph(p, compute_pi_nu(p, disabled, pi), disabled)
     )
+
+
+# ---------------------------------------------------------------------------
+# build_stage_graph splits each distinct formula once and derives each
+# distinct (T, nu) case analysis once.  The reference build below does both
+# afresh for every stage and every child.
+
+
+def reference_build_stage_graph(p, max_stages=100_000):
+    sg = StageGraph(protocol=p, stages=[initial_stage(p)])
+    work = deque([0])
+    while work:
+        stage = sg.stages[work.popleft()]
+        if stage.kind != INTERNAL:
+            continue
+        for nu in enumerate_satisfying_valuations(stage.phi):
+            if len(sg.stages) >= max_stages:
+                raise StageLimitError(f"stage limit {max_stages} exceeded", sg)
+            child = build_child(p, sg, stage, nu)
+            if child is None:
+                continue
+            child.id = len(sg.stages)
+            sg.stages.append(child)
+            stage.children.append(child.id)
+            if child.kind == INTERNAL:
+                work.append(child.id)
+        if not stage.children:
+            stage.kind = TERMINAL_EXHAUSTED
+    return sg
+
+
+def tree_or_partial(build, p, **limit):
+    """The JSON tree of a build, and whether it stopped at the stage limit."""
+    try:
+        return to_json_dict(build(p, **limit)), False
+    except StageLimitError as exc:
+        return to_json_dict(exc.partial), True
+
+
+def test_build_matches_unmemoised_reference_on_corpus(corpus_graphs):
+    for name, sg in corpus_graphs.items():
+        ref = reference_build_stage_graph(sg.protocol)
+        assert to_json_dict(sg) == to_json_dict(ref), name
+        # stopped halfway, both builds give the same partial tree
+        half = {"max_stages": len(sg.stages) // 2}
+        got = tree_or_partial(build_stage_graph, sg.protocol, **half)
+        assert got[1], name
+        assert got == tree_or_partial(reference_build_stage_graph, sg.protocol, **half)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=small_protocols(min_rules=3))
+def test_build_matches_unmemoised_reference_generated(p):
+    got = tree_or_partial(build_stage_graph, p, max_stages=200)
+    assert got == tree_or_partial(reference_build_stage_graph, p, max_stages=200)

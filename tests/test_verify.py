@@ -2,6 +2,8 @@
 stage validation, and simulation."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from stagebound import (
 )
 from stagebound.corpus import broadcast, majority_four_state, majority_five_state
 from stagebound.logic import FF, TT, atom, conj, neg, out_atom, presence, singleton
-from stagebound.stagegraph import Stage, scc_condensation
+from stagebound.stagegraph import Stage, StageGraph, scc_condensation
 from stagebound import verify as V
 
 P1 = parse_protocol(majority_four_state())
@@ -277,6 +279,79 @@ def test_check_stage_graph_detects_corruption(corpus_graphs):
     viol = V.check_stage_graph(P2, bad, max_n=4)
     assert viol
     assert {v.condition for v in viol} == {"progress"}
+
+
+# ---------------------------------------------------------------------------
+# check_stage_graph denotes each distinct stage triple once and runs the
+# progress check once per (triple, children's triples).  The reference
+# below denotes and checks every stage on its own.
+
+
+def reference_check_stage_graph(p, sg, max_n):
+    violations = []
+    for n in range(2, max_n + 1):
+        inits = V.initial_configurations(p, n)
+        if not inits:
+            continue
+        g = V.explore(p, inits)
+        denote = {s.id: V.stage_denotation(g, s, p) for s in sg.stages}
+        root_den = denote[sg.root]
+        for i in g.roots:
+            if i not in root_den:
+                violations.append(
+                    V.Violation(n, "initial-membership", sg.root, g.nodes[i])
+                )
+        for s in sg.stages:
+            if not s.children:
+                continue
+            target = set()
+            for cid in s.children:
+                target |= denote[cid]
+            good = g.almost_sure_reach(target)
+            for i in sorted(denote[s.id]):
+                if i not in good:
+                    violations.append(V.Violation(n, "progress", s.id, g.nodes[i]))
+    return violations
+
+
+def test_check_stage_graph_matches_reference_on_corpus(corpus_graphs):
+    for name, sg in corpus_graphs.items():
+        p = sg.protocol
+        got = V.check_stage_graph(p, sg, max_n=5)
+        assert got == reference_check_stage_graph(p, sg, max_n=5), name
+
+
+def with_change(sg, sid, **change):
+    """A copy of the tree in which stage `sid` has the given fields."""
+    stages = [replace(s, children=list(s.children)) for s in sg.stages]
+    stages[sid] = replace(stages[sid], **change)
+    return StageGraph(protocol=sg.protocol, stages=stages)
+
+
+def test_check_stage_graph_matches_reference_on_faulty_trees(corpus_graphs):
+    # remainder-m5 has 225 stages but 29 distinct triples.  Each fault hits
+    # a stage whose triple other stages share, so a memo keyed too coarsely
+    # would hand the faulty stage its twins' answer, or the reverse.  Stage
+    # 16 has one child; 17 is a stable terminal.
+    sg = corpus_graphs["remainder-m5"]
+    p = sg.protocol
+    count = Counter(V.stage_triple(s) for s in sg.stages)
+    for sid in (1, 8, 16, 17, 86, 150):
+        assert count[V.stage_triple(sg.stages[sid])] > 1, sid
+    mutants = [with_change(sg, sid, phi=FF) for sid in (1, 17, 86, 150)]
+    mutants += [
+        with_change(sg, sid, children=sg.stages[sid].children[1:])
+        for sid in (1, 8, 16)
+    ]
+    # T alone changes: only a memo keyed on the whole triple tells it apart
+    every_head = frozenset(p.rules_by_head)
+    mutants += [with_change(sg, sid, disabled=every_head) for sid in (17, 86, 150)]
+    found = []
+    for bad in mutants:
+        got = V.check_stage_graph(p, bad, max_n=4)
+        assert got == reference_check_stage_graph(p, bad, max_n=4)
+        found.append(bool(got))
+    assert found == [False, False, True, True, False, True, False, False, True, True]
 
 
 def test_check_stage_graph_vacuous():
