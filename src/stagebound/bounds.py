@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .logic import (
     atom,
-    conj,
     disj,
     heads_formula,
     implies,
@@ -87,12 +86,11 @@ def is_fast(
 ) -> bool:
     """Whenever a draining state is still present and not every crossing rule
     is disabled, some crossing rule on that very state must be enabled."""
-    base = [g.premise, neg(heads_formula(p, exp))]
+    base = g.premise.conj(neg(heads_formula(p, exp)))
     for a in sorted(u_states):
         exp_a = [h for h in sorted(exp) if a in h]
-        ante = conj(base + [atom(presence(p, a))])
         cons = disj([neg(xi(p, h)) for h in exp_a])
-        if not is_tautology(implies(ante, cons)):
+        if not is_tautology(implies(atom(presence(p, a)), cons), base):
             return False
     return True
 

@@ -103,6 +103,12 @@ def cmd_simulate(args) -> int:
     if args.trials < 0:
         print("error: --trials must not be negative", file=sys.stderr)
         return 1
+    if not 0 <= args.seed < 2**64:
+        # trial t draws from a Philox generator keyed by (seed << 64) + t
+        print(
+            f"error: --seed: must lie in [0, 2**64), got {args.seed}", file=sys.stderr
+        )
+        return 1
     if args.trials > 0 and c0.size < 2:
         print("error: configuration needs at least two agents", file=sys.stderr)
         return 1
@@ -246,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for flag in ("max_stages", "timeout"):
+    for flag in ("max_stages", "timeout", "max_n"):
         if not getattr(args, flag, 0) >= 0:  # also rejects a NaN timeout
             print(
                 f"error: --{flag.replace('_', '-')} must be a non-negative number",

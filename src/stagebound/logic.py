@@ -11,24 +11,31 @@ Atoms:
 Formulas are immutable tagged tuples, so they hash and compare structurally,
 which keeps stage construction deterministic.
 
-Entailment.  `is_tautology(f)` is the one entailment entry point of the
-analysis; callers ask `implies(premises, goal)`.  It searches for a
-countermodel over clauses:
+Entailment.  `is_tautology(goal, premise)` is the one entailment entry
+point of the analysis: it decides whether `premise` entails `goal` by
+searching for a countermodel over clauses.  The stage-tree queries share
+their premises (pi, the xi of the disabled heads) across dozens of goals,
+so a premise is translated once and a goal adds only its own clauses:
 
-  1. Translation.  One walk over f with polarity emits the clauses of
-     "not f" directly.  Literals and disjunctions of literals become
-     clauses; a conjunction nested inside a clause gets a one-directional
-     (Plaisted-Greenbaum) auxiliary variable.  The coupling A! -> A is added
-     as the clause (!A! | A) for every singleton atom that occurs.
+  1. Translation.  One walk over a formula with polarity emits the clauses
+     of "premise holds" (`Premise`, once) or "goal fails" (each query)
+     directly.  Literals and disjunctions of literals become clauses; a
+     conjunction nested inside a clause gets a one-directional
+     (Plaisted-Greenbaum) auxiliary variable.  The coupling A! -> A is
+     added as the clause (!A! | A) for every singleton atom the walk meets
+     first.  A query copies the premise's clause list and atom numbering
+     and extends the copies, so no clause of one goal reaches the next;
+     `Premise.conj(extra)` extends a premise the same way.
   2. Search.  A small DPLL with unit propagation decides the clauses.  The
      stage-tree queries are almost all 2-CNF premises (literals of pi, the
      xi clauses of the disabled heads, the coupling) with a clause goal, so
      unit propagation alone decides nearly all of them.
 
 There is no query cache: a process-wide cache of formulas grows the peak
-memory by more than it is worth in time.  The tests keep the earlier
-brute-force backtracking search as the reference this procedure must agree
-with.
+memory by more than it is worth in time.  A premise lives as long as its
+caller keeps it (a transformation graph, one round of J), and the xi
+formulas live on their protocol.  The tests keep the earlier brute-force
+backtracking search as the reference this procedure must agree with.
 """
 
 from __future__ import annotations
@@ -198,22 +205,24 @@ def _consistent_choices(a: Atom, asg: dict[Atom, bool]) -> tuple[bool, ...]:
     return (True, False)
 
 
-def _countermodel_clauses(f: Formula) -> list[list[int]]:
-    """Clauses over integer literals that are satisfiable iff some
-    consistent assignment falsifies f.
+def _translate(
+    f: Formula, pol: bool, clauses: list[list[int]], var: dict[Atom, int], next_var: int
+) -> int:
+    """Append to `clauses` the clauses stating that f has truth value pol;
+    returns the next free variable.
 
     One walk over f with polarity: a node required to hold (under a guard
     literal) is split at conjunctions and otherwise becomes one clause; a
     conjunction met inside a clause is named by a fresh variable x with
-    clauses for x -> node only (Plaisted-Greenbaum).  Atoms are numbered
-    as they are met; the coupling A! -> A is one more clause per singleton
-    atom.  Literal and negated-literal children are handled in the loops
-    rather than by a recursive call, which halves the calls on the
-    premise-heavy queries of the stage-tree build.
+    clauses for x -> node only (Plaisted-Greenbaum).  Atoms missing from
+    `var` are numbered as they are met, and each new singleton atom gets
+    one more clause for the coupling A! -> A.  Literal and negated-literal
+    children are handled in the loops rather than by a recursive call,
+    which halves the calls on the premise-heavy queries of the stage-tree
+    build.
     """
-    var: dict[Atom, int] = {}
-    clauses: list[list[int]] = []
-    fresh = itertools.count(1).__next__
+    fresh = itertools.count(next_var).__next__
+    known = len(var)
 
     def atom_var(a: Atom) -> int:
         v = var[a] = fresh()
@@ -282,12 +291,35 @@ def _countermodel_clauses(f: Formula) -> list[list[int]]:
         lits.append(x)
         return False
 
-    require(f, False, 0)
-    for a, v in list(var.items()):
+    require(f, pol, 0)
+    for a, v in list(itertools.islice(var.items(), known, None)):
         if a.kind == SINGLETON:
             comp = Atom(PRESENCE, a.index, a.name[:-1])
             clauses.append([-v, var.get(comp) or atom_var(comp)])
-    return clauses
+    return fresh()
+
+
+class Premise:
+    """A formula translated once into the clauses that make it hold, so that
+    many goals can be asked of it: `formula`, its clauses, its atom
+    numbering and the next free variable.  Read-only once built."""
+
+    __slots__ = ("formula", "clauses", "var", "next_var")
+
+    def __init__(self, formula: Formula = TT):
+        self.formula = formula
+        self.clauses: list[list[int]] = []
+        self.var: dict[Atom, int] = {}
+        self.next_var = _translate(formula, True, self.clauses, self.var, 1)
+
+    def conj(self, extra: Formula) -> Premise:
+        """This premise and `extra`; only `extra` is translated."""
+        out = Premise.__new__(Premise)
+        out.formula = conj([self.formula, extra])
+        out.clauses = list(self.clauses)
+        out.var = dict(self.var)
+        out.next_var = _translate(extra, True, out.clauses, out.var, self.next_var)
+        return out
 
 
 def _propagate(clauses: list[list[int]], true: set[int], trail: list[int]) -> bool:
@@ -333,9 +365,13 @@ def _dpll(clauses: list[list[int]], true: set[int]) -> bool:
     return False
 
 
-def is_tautology(f: Formula) -> bool:
-    """True iff f holds under every consistent total assignment of its atoms."""
-    return not _dpll(_countermodel_clauses(f), set())
+def is_tautology(goal: Formula, premise: Premise = Premise()) -> bool:
+    """True iff every consistent total assignment satisfying the premise
+    satisfies goal.  Only the clauses of "not goal" are translated; the
+    premise's own clauses are copied, never extended."""
+    clauses = list(premise.clauses)
+    _translate(goal, False, clauses, dict(premise.var), premise.next_var)
+    return not _dpll(clauses, set())
 
 
 Valuation = dict[Atom, bool]
@@ -377,12 +413,15 @@ def xi(p: PopulationProtocol, head: Head) -> Formula:
 
     For a head {A,B} with A != B that is "no A or no B"; for {A,A} it is
     "no A, or exactly one A".  Singleton atoms are meaningful for every
-    state (count == 1), so the same shape is used uniformly.
+    state (count == 1), so the same shape is used uniformly.  Each head's
+    formula is built once per protocol and kept in `p.xi_table`.
     """
-    a, b = head
-    if a != b:
-        return disj([neg(atom(presence(p, a))), neg(atom(presence(p, b)))])
-    return disj([neg(atom(presence(p, a))), atom(singleton(p, a))])
+    f = p.xi_table.get(head)
+    if f is None:
+        a, b = head
+        other = neg(atom(presence(p, b))) if a != b else atom(singleton(p, a))
+        f = p.xi_table[head] = disj([neg(atom(presence(p, a))), other])
+    return f
 
 
 def heads_formula(p: PopulationProtocol, heads: Iterable[Head]) -> Formula:

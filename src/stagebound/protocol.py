@@ -114,6 +114,9 @@ class PopulationProtocol:
             t for t in all_rules if not t.is_idle
         )
         self.explicit_count = len(explicit)
+        # head -> the formula "every rule with this head is disabled",
+        # filled lazily by logic.xi
+        self.xi_table: dict = {}
 
     # -- naming helpers -------------------------------------------------
 

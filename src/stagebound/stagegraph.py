@@ -39,6 +39,7 @@ from . import bounds as bounds_mod
 from .logic import (
     Formula,
     PRESENCE,
+    Premise,
     SINGLETON,
     Valuation,
     atom,
@@ -67,11 +68,13 @@ TERMINAL_EXHAUSTED = "terminal-exhausted"
 class TransformationGraph:
     """States still allowed by pi, with "A can turn into B" edges.
 
+    `premise` is the `Premise` of pi_nu and the disabled heads T the graph
+    was built under, translated once for every query asked under it.
     `gen_edges` has one key per non-idle rule that can still fire under
-    `premise` (pi_nu and the disabled heads T the graph was built under),
-    mapped to the edges it generates.  Each edge carries the transitions generating it.  `scc`
-    maps every vertex to its strongly connected component id; `bottom`
-    marks component ids with no edge leaving the component.
+    `premise`, mapped to the edges it generates.  Each edge carries the
+    transitions generating it.  `scc` maps every vertex to its strongly
+    connected component id; `bottom` marks component ids with no edge
+    leaving the component.
     """
 
     vertices: tuple[int, ...]
@@ -80,7 +83,7 @@ class TransformationGraph:
     scc: dict[int, int]
     bottom: set[int]
     pi_nu: Valuation
-    premise: Formula
+    premise: Premise
 
     def crossing(self, edge: tuple[int, int]) -> bool:
         return self.scc[edge[0]] != self.scc[edge[1]]
@@ -273,7 +276,7 @@ def build_transformation_graph(
         for s in range(len(p.states))
         if pi_nu.get(presence(p, s)) is not False
     )
-    premise = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
+    premise = Premise(conj([valuation_formula(pi_nu), heads_formula(p, disabled)]))
     edges: dict[tuple[int, int], list[Transition]] = {}
     gen_edges: dict[Transition, tuple[tuple[int, int], ...]] = {}
     for t in p.non_idle:
@@ -282,7 +285,7 @@ def build_transformation_graph(
             x not in vertices
             or y not in vertices
             or t.lhs in disabled
-            or is_tautology(implies(premise, xi(p, t.lhs)))
+            or is_tautology(xi(p, t.lhs), premise)
         ):
             continue
         es = [e for e in _residue(t) if e[0] != e[1]]
@@ -401,13 +404,14 @@ def compute_j(
     A rule outside the graph is blocked under the graph's premise, hence
     under every stronger one asked here, so only its rules are checked."""
 
-    def head_ok(ef: Head, base: Formula) -> bool:
+    def head_ok(ef: Head, base: Premise) -> bool:
         # base: the graph's premise with every head of the current subset
-        # disabled
+        # disabled, translated once per round
         e, f = ef
         for t in g.gen_edges:
+            blocked = xi(p, t.lhs)
             if t.rhs == ef:
-                if not is_tautology(implies(base, xi(p, t.lhs))):
+                if not is_tautology(blocked, base):
                     return False
                 continue
             for prod, partner in ((e, f), (f, e)) if e != f else ((e, f),):
@@ -415,29 +419,22 @@ def compute_j(
                     continue
                 if e != f:
                     guard = conj(
-                        [
-                            neg(atom(presence(p, prod))),
-                            atom(presence(p, partner)),
-                            base,
-                        ]
+                        [neg(atom(presence(p, prod))), atom(presence(p, partner))]
                     )
-                    if not is_tautology(implies(guard, xi(p, t.lhs))):
-                        return False
                 else:
                     # head {E,E}: a rule producing one more E re-enables it
                     # unless E was consumed by the rule or two E's never
                     # coexist afterwards
-                    x, y = t.lhs
-                    if x == e or y == e:
+                    if e in t.lhs:
                         continue
-                    guard = conj([atom(singleton(p, e)), base])
-                    if not is_tautology(implies(guard, xi(p, t.lhs))):
-                        return False
+                    guard = atom(singleton(p, e))
+                if not is_tautology(implies(guard, blocked), base):
+                    return False
         return True
 
     m = set(exp)
     while True:
-        base = conj([g.premise, heads_formula(p, m)])
+        base = g.premise.conj(heads_formula(p, m))
         keep = {ef for ef in m if head_ok(ef, base)}
         if keep == m:
             return frozenset(m)
@@ -450,10 +447,10 @@ def classify_nu_mode(
     """"nu-disabled" / "nu-enabled" / "neither" per the formula of nu."""
     if not j:
         return "neither"
-    nu_f = valuation_formula(nu)
-    if all(is_tautology(implies(nu_f, xi(p, h))) for h in sorted(j)):
+    nu_p = Premise(valuation_formula(nu))
+    if all(is_tautology(xi(p, h), nu_p) for h in sorted(j)):
         return "nu-disabled"
-    if any(is_tautology(implies(nu_f, neg(xi(p, h)))) for h in sorted(j)):
+    if any(is_tautology(neg(xi(p, h)), nu_p) for h in sorted(j)):
         return "nu-enabled"
     return "neither"
 

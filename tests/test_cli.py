@@ -214,6 +214,7 @@ def assert_one_error_line(err, path):
         ["analyze", str(PP / "broadcast.pp"), "--timeout", "-1"],
         ["check", str(PP / "broadcast.pp"), "--max-stages", "-1"],
         ["check", str(PP / "broadcast.pp"), "--timeout", "-1"],
+        ["check", str(PP / "broadcast.pp"), "--max-n", "-1"],
         ["bench", "--timeout", "-1"],
         ["bench", "--timeout", "nan"],
     ],
@@ -225,6 +226,23 @@ def test_negative_limits_exit_with_one_error_line(capsys, argv):
     assert out == ""
     flag = argv[-2]
     assert err == f"error: {flag} must be a non-negative number\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_simulate_seed_out_of_range_exits_with_one_error_line(capsys, seed):
+    argv = ["simulate", str(PP / "majority-ex2.pp"), "--config", "A=2,B=1"]
+    code, out, err = run(capsys, *argv, "--trials", "3", "--seed", str(seed))
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, "--seed")
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_simulate_seed_at_range_ends_runs(capsys, seed):
+    argv = ["simulate", str(PP / "majority-ex2.pp"), "--config", "A=2,B=1"]
+    code, out, err = run(capsys, *argv, "--trials", "3", "--seed", str(seed))
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("3,")
 
 
 def test_unreadable_protocol_exits_without_traceback(capsys, tmp_path):

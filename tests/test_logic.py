@@ -12,6 +12,7 @@ from stagebound.corpus import default_corpus, majority_four_state
 from stagebound.logic import (
     FF,
     TT,
+    Premise,
     _consistent_choices,
     atom,
     conj,
@@ -216,20 +217,53 @@ def test_tautology_agrees_with_reference(f):
 
 @pytest.mark.parametrize("name", ["majority-ex1", "remainder-m3"])
 def test_tautology_agrees_with_reference_on_stage_queries(name, monkeypatch):
-    # the query shapes the stage-tree build actually asks
+    # the query shapes the stage-tree build actually asks, each checked as
+    # the entailment "premise implies goal"
     queries = []
 
-    def recording(f):
-        queries.append(f)
-        return is_tautology(f)
+    def recording(goal, premise=Premise()):
+        queries.append((goal, premise))
+        return is_tautology(goal, premise)
 
     monkeypatch.setattr(stagegraph, "is_tautology", recording)
     monkeypatch.setattr(bounds, "is_tautology", recording)
     entry = next(e for e in default_corpus() if e.name == name)
     stagegraph.build_stage_graph(entry.protocol())
     assert queries
-    for f in queries:
-        assert is_tautology(f) == reference_is_tautology(f), pretty(f)
+    for goal, premise in queries:
+        f = implies(premise.formula, goal)
+        assert is_tautology(goal, premise) == reference_is_tautology(f), pretty(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(premise=formulas(), extra=formulas(), goal=formulas())
+def test_premise_agrees_with_reference(premise, extra, goal):
+    # a premise translated once answers like the implication it stands for
+    pr = Premise(premise)
+    assert pr.formula == premise
+    alone = reference_is_tautology(implies(premise, goal))
+    assert is_tautology(goal, pr) == alone
+    both = pr.conj(extra)
+    expect = reference_is_tautology(implies(conj([premise, extra]), goal))
+    assert is_tautology(goal, both) == expect
+    # conj leaves the premise it extends as it was
+    assert is_tautology(goal, pr) == alone
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    premise=formulas(),
+    goals=st.lists(formulas(), min_size=2, max_size=5),
+    order=st.randoms(use_true_random=False),
+)
+def test_premise_answers_do_not_depend_on_query_order(premise, goals, order):
+    # no clause of one goal may leak into the next query of the same premise
+    pr = Premise(premise)
+    expect = [reference_is_tautology(implies(premise, g)) for g in goals]
+    assert [is_tautology(g, pr) for g in goals] == expect
+    idx = list(range(len(goals)))
+    order.shuffle(idx)
+    assert [is_tautology(goals[i], pr) for i in idx] == [expect[i] for i in idx]
 
 
 @settings(max_examples=120, deadline=None)
