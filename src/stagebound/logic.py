@@ -29,13 +29,17 @@ so a premise is translated once and a goal adds only its own clauses:
   2. Search.  A small DPLL with unit propagation decides the clauses.  The
      stage-tree queries are almost all 2-CNF premises (literals of pi, the
      xi clauses of the disabled heads, the coupling) with a clause goal, so
-     unit propagation alone decides nearly all of them.
+     unit propagation alone decides nearly all of them.  The same search
+     splits a stage formula into its valuations
+     (`enumerate_satisfying_valuations`), so the build evaluates no
+     formula; `evaluate` serves only the total valuations of the oracle.
 
 There is no query cache: a process-wide cache of formulas grows the peak
 memory by more than it is worth in time.  A premise lives as long as its
 caller keeps it (a transformation graph, one round of J), and the xi
-formulas live on their protocol.  The tests keep the earlier brute-force
-backtracking search as the reference this procedure must agree with.
+formulas live on their protocol.  The tests keep both earlier searches,
+which walk the formula itself with a three-valued evaluator, as the
+references the entailment check and the enumeration must agree with.
 """
 
 from __future__ import annotations
@@ -136,47 +140,30 @@ def atoms_of(f: Formula) -> set[Atom]:
     return out
 
 
-def evaluate(f: Formula, asg: dict[Atom, bool]) -> bool | None:
-    """Three-valued evaluation under a partial assignment; two-valued under
-    a total one, such as the valuation of a configuration in the oracle."""
+def evaluate(f: Formula, asg: dict[Atom, bool]) -> bool:
+    """Truth value of f under a total valuation of its atoms, such as the
+    valuation of a configuration in the oracle."""
     tag = f[0]
+    if tag == "atom":
+        return asg[f[1]]
     if tag == "tt":
         return True
     if tag == "ff":
         return False
-    if tag == "atom":
-        return asg.get(f[1])
     if tag == "not":
-        v = evaluate(f[1], asg)
-        return None if v is None else not v
+        return not evaluate(f[1], asg)
     if tag == "implies":
-        a = evaluate(f[1], asg)
-        if a is False:
-            return True
-        b = evaluate(f[2], asg)
-        if b is True:
-            return True
-        if a is True and b is False:
-            return False
-        return None
+        return not evaluate(f[1], asg) or evaluate(f[2], asg)
     if tag == "and":
-        pending = False
         for g in f[1]:
-            v = evaluate(g, asg)
-            if v is False:
+            if not evaluate(g, asg):
                 return False
-            if v is None:
-                pending = True
-        return None if pending else True
+        return True
     if tag == "or":
-        pending = False
         for g in f[1]:
-            v = evaluate(g, asg)
-            if v is True:
+            if evaluate(g, asg):
                 return True
-            if v is None:
-                pending = True
-        return None if pending else False
+        return False
     raise ValueError(f"bad formula node {f!r}")
 
 
@@ -188,21 +175,6 @@ def evaluation_domain(f: Formula) -> list[Atom]:
         if a.kind == SINGLETON:
             dom.add(Atom(PRESENCE, a.index, a.name[:-1]))
     return sorted(dom, key=Atom.sort_key)
-
-
-def _consistent_choices(a: Atom, asg: dict[Atom, bool]) -> tuple[bool, ...]:
-    """Values atom `a` may take given the singleton->presence coupling.
-
-    tt is tried before ff so enumeration is lexicographic with tt < ff.
-    """
-    if a.kind == SINGLETON:
-        comp = asg.get(Atom(PRESENCE, a.index, a.name[:-1]))
-        if comp is False:
-            return (False,)
-    elif a.kind == PRESENCE:
-        if asg.get(Atom(SINGLETON, a.index, a.name + "!")) is True:
-            return (True,)
-    return (True, False)
 
 
 def _translate(
@@ -379,24 +351,41 @@ Valuation = dict[Atom, bool]
 
 def enumerate_satisfying_valuations(f: Formula) -> list[Valuation]:
     """All consistent total assignments over the evaluation domain of f that
-    satisfy f, in canonical order (atoms by state index, tt before ff)."""
+    satisfy f, in canonical order (atoms by state index, tt before ff).
+
+    Domain atom i is variable i + 1 of f's clauses, numbered before the
+    translation because a valid disjunct keeps its atoms out of them.  The
+    walk decides the atoms in order under unit propagation, undone through
+    its trail; DPLL settles the auxiliary variables at each leaf."""
     domain = evaluation_domain(f)
+    var = {a: v for v, a in enumerate(domain, 1)}
+    clauses = [  # the coupling A! -> A
+        [-v, var[Atom(PRESENCE, a.index, a.name[:-1])]]
+        for a, v in var.items()
+        if a.kind == SINGLETON
+    ]
+    _translate(f, True, clauses, var, len(domain) + 1)
     results: list[Valuation] = []
+    true: set[int] = set()
 
-    def walk(i: int, asg: dict[Atom, bool]) -> None:
-        if evaluate(f, asg) is False:
+    def walk(v: int) -> None:
+        if v > len(domain):
+            if _dpll(clauses, set(true)):
+                results.append({a: u in true for a, u in var.items()})
             return
-        if i == len(domain):
-            if evaluate(f, asg) is True:
-                results.append(dict(asg))
+        if v in true or -v in true:  # forced by propagation
+            walk(v + 1)
             return
-        a = domain[i]
-        for val in _consistent_choices(a, asg):
-            asg[a] = val
-            walk(i + 1, asg)
-            del asg[a]
+        for lit in (v, -v):  # tt before ff
+            trail = [lit]
+            true.add(lit)
+            if _propagate(clauses, true, trail):
+                walk(v + 1)
+            for x in trail:
+                true.discard(x)
 
-    walk(0, {})
+    if _propagate(clauses, true, []):
+        walk(1)
     return results
 
 

@@ -46,9 +46,6 @@ class Configuration:
     def size(self) -> int:
         return sum(self.counts)
 
-    def count(self, state: int) -> int:
-        return self.counts[state]
-
 
 class ProtocolError(ValueError):
     """Raised on malformed protocol sources; carries a line number when known."""
@@ -152,9 +149,18 @@ def _json_names(value, what: str) -> list[str]:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ProtocolError(f"duplicate key {key!r} in JSON protocol")
+        out[key] = value
+    return out
+
+
 def _parse_json(text: str) -> PopulationProtocol:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"malformed JSON: {exc}") from None
     for key in ("states", "inputs", "output1", "transitions"):
@@ -207,8 +213,9 @@ def parse_protocol(text: str) -> PopulationProtocol:
           A B -> a b
           ...
 
-    `#` starts a comment.  Symmetric multiset semantics: `A B -> C D` and
-    `B A -> D C` denote the same rule; exact duplicates are collapsed.
+    `#` starts a comment.  `states:`, `inputs:` and `output1:` appear once,
+    as does every JSON key.  Symmetric multiset semantics: `A B -> C D`
+    and `B A -> D C` denote the same rule; exact duplicates are collapsed.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -235,6 +242,8 @@ def parse_protocol(text: str) -> PopulationProtocol:
             name = line[len("protocol"):].strip() or name
             in_transitions = False
         elif line.startswith("states:"):
+            if states is not None:
+                raise ProtocolError("repeated 'states:' section", lineno)
             names = line[len("states:"):].split()
             if len(set(names)) != len(names):
                 raise ProtocolError("duplicate state names", lineno)
@@ -244,6 +253,8 @@ def parse_protocol(text: str) -> PopulationProtocol:
             index = {s: i for i, s in enumerate(names)}
             in_transitions = False
         elif line.startswith("inputs:"):
+            if input_map is not None:
+                raise ProtocolError("repeated 'inputs:' section", lineno)
             input_map = {}
             for part in line[len("inputs:"):].split(","):
                 part = part.strip()
@@ -261,6 +272,8 @@ def parse_protocol(text: str) -> PopulationProtocol:
                 raise ProtocolError("input symbol without mapping", lineno)
             in_transitions = False
         elif line.startswith("output1:"):
+            if output1 is not None:
+                raise ProtocolError("repeated 'output1:' section", lineno)
             output1 = frozenset(look(s, lineno) for s in line[len("output1:"):].split())
             in_transitions = False
         elif line.startswith("transitions:"):

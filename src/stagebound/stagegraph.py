@@ -586,21 +586,17 @@ def build_child(
     sg: StageGraph,
     parent: Stage,
     nu: Valuation,
-    analyses: dict | None = None,
+    analyses: dict,
 ) -> Stage | None:
     """Construct the successor stage for one valuation of the parent's
     formula; returns None when a root-path ancestor already covers it.
 
-    `analyses` memoises `case_analysis` by (T, nu) across the children of
-    one build; without it the analysis is derived afresh.  Pruning depends
-    on the root path, so it runs for every child."""
-    if analyses is None:
-        succ = case_analysis(p, parent.disabled, nu)
-    else:
-        key = (parent.disabled, frozenset(nu.items()))
-        succ = analyses.get(key)
-        if succ is None:
-            succ = analyses[key] = case_analysis(p, parent.disabled, nu)
+    `analyses` memoises `case_analysis` by (T, nu) across one build;
+    pruning depends on the root path, so it runs for every child."""
+    key = (parent.disabled, frozenset(nu.items()))
+    succ = analyses.get(key)
+    if succ is None:
+        succ = analyses[key] = case_analysis(p, parent.disabled, nu)
     child = Stage(
         id=-1,
         phi=succ.phi,

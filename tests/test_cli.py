@@ -57,6 +57,25 @@ def test_analyze_parse_error_exit(capsys, tmp_path):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("split.pp", "protocol t\nstates: A B\ninputs: x -> A\ninputs: y -> B\noutput1: B\n"),
+        (
+            "twice.json",
+            '{"states": ["A", "B"], "inputs": {"x": "A"}, "inputs": {"y": "B"},'
+            ' "output1": ["B"], "transitions": []}',
+        ),
+    ],
+)
+def test_repeated_section_exits_with_one_error_line(capsys, tmp_path, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_json_protocol_errors_exit_without_traceback(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"states": ["A"], "inputs": [], "output1": [], "transitions": []}')

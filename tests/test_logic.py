@@ -1,6 +1,10 @@
 """Formula engine: xi, tautology checking with the singleton coupling,
 valuation enumeration, and configuration-level evaluation (through the
-oracle's ReachGraph.sat)."""
+oracle's ReachGraph.sat).
+
+Both clause searches are checked against the earlier searches over the
+formula itself, kept here as references with the three-valued evaluator
+they walk with."""
 
 import pytest
 
@@ -12,13 +16,14 @@ from stagebound.corpus import default_corpus, majority_four_state
 from stagebound.logic import (
     FF,
     TT,
+    PRESENCE,
+    SINGLETON,
+    Atom,
     Premise,
-    _consistent_choices,
     atom,
     conj,
     disj,
     enumerate_satisfying_valuations,
-    evaluate,
     evaluation_domain,
     heads_formula,
     implies,
@@ -44,6 +49,88 @@ def head(x, y):
 def holds_at(c, f):
     """Whether configuration c satisfies f, by the oracle's evaluator."""
     return ReachGraph(P, [c], {c: 0}, [[]], [0]).sat(f) == {0}
+
+
+def evaluate(f, asg):
+    """Three-valued evaluation under a partial assignment: None while the
+    atoms assigned so far leave the value of f open."""
+    tag = f[0]
+    if tag == "tt":
+        return True
+    if tag == "ff":
+        return False
+    if tag == "atom":
+        return asg.get(f[1])
+    if tag == "not":
+        v = evaluate(f[1], asg)
+        return None if v is None else not v
+    if tag == "implies":
+        a = evaluate(f[1], asg)
+        if a is False:
+            return True
+        b = evaluate(f[2], asg)
+        if b is True:
+            return True
+        if a is True and b is False:
+            return False
+        return None
+    if tag == "and":
+        pending = False
+        for g in f[1]:
+            v = evaluate(g, asg)
+            if v is False:
+                return False
+            if v is None:
+                pending = True
+        return None if pending else True
+    if tag == "or":
+        pending = False
+        for g in f[1]:
+            v = evaluate(g, asg)
+            if v is True:
+                return True
+            if v is None:
+                pending = True
+        return None if pending else False
+    raise ValueError(f"bad formula node {f!r}")
+
+
+def _consistent_choices(a: Atom, asg: dict[Atom, bool]) -> tuple[bool, ...]:
+    """Values atom `a` may take given the singleton->presence coupling.
+
+    tt is tried before ff so enumeration is lexicographic with tt < ff.
+    """
+    if a.kind == SINGLETON:
+        comp = asg.get(Atom(PRESENCE, a.index, a.name[:-1]))
+        if comp is False:
+            return (False,)
+    elif a.kind == PRESENCE:
+        if asg.get(Atom(SINGLETON, a.index, a.name + "!")) is True:
+            return (True,)
+    return (True, False)
+
+
+def reference_enumerate_satisfying_valuations(f):
+    """Reference enumerator: backtracking over the evaluation domain,
+    re-evaluating f at every search node."""
+    domain = evaluation_domain(f)
+    results = []
+
+    def walk(i: int, asg: dict[Atom, bool]) -> None:
+        if evaluate(f, asg) is False:
+            return
+        if i == len(domain):
+            if evaluate(f, asg) is True:
+                results.append(dict(asg))
+            return
+        a = domain[i]
+        for val in _consistent_choices(a, asg):
+            asg[a] = val
+            walk(i + 1, asg)
+            del asg[a]
+
+    walk(0, {})
+    return results
 
 
 def reference_is_tautology(f):
@@ -213,6 +300,43 @@ def coupled_formulas(draw, num_states, depth=3):
 def test_tautology_agrees_with_reference(f):
     assert is_tautology(f) == reference_is_tautology(f)
     assert is_tautology(neg(f)) == reference_is_tautology(neg(f))
+
+
+def listed(vals):
+    """Valuations with their atoms in order, so the order is compared too."""
+    return [list(nu.items()) for nu in vals]
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=formulas())
+def test_enumeration_agrees_with_reference(f):
+    got = enumerate_satisfying_valuations(f)
+    assert listed(got) == listed(reference_enumerate_satisfying_valuations(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.integers(3, 4).flatmap(coupled_formulas))
+def test_enumeration_agrees_with_reference_on_coupled_formulas(f):
+    got = enumerate_satisfying_valuations(f)
+    assert listed(got) == listed(reference_enumerate_satisfying_valuations(f))
+
+
+def test_enumeration_covers_atoms_of_a_valid_disjunct():
+    # the translation drops the disjunct B! once A => true makes the clause
+    # valid, yet B and B! stay in the domain: 2 values of A times the 3
+    # consistent ones of (B, B!)
+    f = disj([implies(atom(presence(P, A)), TT), atom(singleton(P, B))])
+    got = enumerate_satisfying_valuations(f)
+    assert len(got) == 6
+    assert listed(got) == listed(reference_enumerate_satisfying_valuations(f))
+
+
+def test_enumeration_agrees_with_reference_on_corpus_stages(corpus_graphs):
+    phis = {s.phi: None for sg in corpus_graphs.values() for s in sg.stages}
+    for phi in phis:
+        got = enumerate_satisfying_valuations(phi)
+        expect = reference_enumerate_satisfying_valuations(phi)
+        assert listed(got) == listed(expect), pretty(phi)
 
 
 @pytest.mark.parametrize("name", ["majority-ex1", "remainder-m3"])

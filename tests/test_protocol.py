@@ -115,6 +115,30 @@ def test_parse_json_encoding():
         ('{"states": ["A"], "inputs": {"x": "A"}, "output1": [], "transitions": ["AAAA"]}', "transition"),
         ('{"states": ["A"], "inputs": {"x": "A"}, "output1": [], "transitions": [["A", "A", "A", 1]]}', "state names"),
         ('{"name": 3, "states": ["A"], "inputs": {"x": "A"}, "output1": [], "transitions": []}', "name"),
+        # each section appears once: a repeat used to replace the earlier one
+        (
+            "protocol t\nstates: A B\ninputs: x -> A\ninputs: y -> B\noutput1: B\n",
+            "line 4: repeated 'inputs:'",
+        ),
+        (
+            "protocol t\nstates: A B\ninputs: x -> A\noutput1: B\noutput1: A\n",
+            "line 5: repeated 'output1:'",
+        ),
+        (
+            "protocol t\nstates: A B\ninputs: x -> A\noutput1: B\n"
+            "transitions:\n  A B -> B B\nstates: B A\n",
+            "line 7: repeated 'states:'",
+        ),
+        (
+            '{"states": ["A", "B"], "inputs": {"x": "A"}, "inputs": {"y": "B"},'
+            ' "output1": ["B"], "transitions": []}',
+            "duplicate key 'inputs'",
+        ),
+        (
+            '{"states": ["A", "B"], "inputs": {"x": "A", "x": "B"},'
+            ' "output1": ["B"], "transitions": []}',
+            "duplicate key 'x'",
+        ),
     ],
 )
 def test_parse_errors(bad, fragment):

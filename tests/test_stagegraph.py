@@ -109,7 +109,7 @@ def graph(p, pi):
 def child_for(p, nu):
     """The successor build_child derives for nu from a bare parent stage."""
     parent = Stage(id=0, phi=TT, pi={}, disabled=frozenset(), parent=None)
-    return build_child(p, StageGraph(p, [parent]), parent, nu)
+    return build_child(p, StageGraph(p, [parent]), parent, nu, {})
 
 
 def test_is_stable_example1():
@@ -249,13 +249,13 @@ def test_compute_i_and_l_cycle_is_bottom():
 def test_build_child_stable_and_redundant():
     sg_partial = build_stage_graph(P1, max_stages=1000)
     root = sg_partial.stages[0]
-    child = build_child(P1, sg_partial, root, nu_of(P1, {"A"}))
+    child = build_child(P1, sg_partial, root, nu_of(P1, {"A"}), {})
     assert child is not None and child.kind == TERMINAL_STABLE
     # redundancy: re-deriving the same successor from an identical stage is
     # suppressed (S' = S case)
     s1 = sg_partial.stages[root.children[0]]
     nus = enumerate_satisfying_valuations(s1.phi)
-    kids = [build_child(P1, sg_partial, s1, nu) for nu in nus]
+    kids = [build_child(P1, sg_partial, s1, nu, {}) for nu in nus]
     survivors = [k for k in kids if k is not None]
     assert len(survivors) == len(s1.children)
 
@@ -481,7 +481,7 @@ def reference_build_stage_graph(p, max_stages=100_000):
         for nu in enumerate_satisfying_valuations(stage.phi):
             if len(sg.stages) >= max_stages:
                 raise StageLimitError(f"stage limit {max_stages} exceeded", sg)
-            child = build_child(p, sg, stage, nu)
+            child = build_child(p, sg, stage, nu, {})  # a fresh memo each time
             if child is None:
                 continue
             child.id = len(sg.stages)
