@@ -15,7 +15,7 @@ import time
 from . import bounds as bounds_mod
 from . import verify as verify_mod
 from .corpus import default_corpus
-from .protocol import ProtocolError, parse_protocol
+from .protocol import Configuration, ProtocolError, parse_protocol
 from .stagegraph import StageLimitError, build_stage_graph, to_dot, to_json_dict
 
 
@@ -70,8 +70,9 @@ def cmd_analyze(args) -> int:
     return 0 if report.certified else 2
 
 
-def _parse_config(p, spec: str):
-    counts: dict[str, int] = {}
+def _parse_config(p, spec: str) -> Configuration:
+    counts = [0] * len(p.states)
+    named: set[str] = set()
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -81,23 +82,26 @@ def _parse_config(p, spec: str):
         name, num = (x.strip() for x in part.split("=", 1))
         if name not in p.states:
             raise ProtocolError(f"unknown state name {name!r}")
-        k = int(num)
+        if name in named:
+            raise ProtocolError(f"state {name!r} named twice in the configuration")
+        named.add(name)
+        try:
+            k = int(num)
+        except ValueError:
+            raise ProtocolError(
+                f"count in configuration entry {part!r} is not an integer"
+            ) from None
         if k < 0:
             raise ProtocolError(f"negative count for state {name!r}")
-        counts[name] = counts.get(name, 0) + k
-    vec = [0] * len(p.states)
-    for name, k in counts.items():
-        vec[p.states.index(name)] = k
-    from .protocol import Configuration
-
-    return Configuration(tuple(vec))
+        counts[p.states.index(name)] = k
+    return Configuration(tuple(counts))
 
 
 def cmd_simulate(args) -> int:
     p = _read_protocol(args.protocol)
     try:
         c0 = _parse_config(p, args.config)
-    except (ProtocolError, ValueError) as exc:
+    except ProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.trials < 0:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 # A head is an unordered pair of state indices, canonically sorted.
 Head = tuple[int, int]
@@ -45,6 +47,24 @@ class Configuration:
     @property
     def size(self) -> int:
         return sum(self.counts)
+
+
+class MoveTable:
+    """The step semantics in integers: every head (a, b) in sorted order
+    with its multiplier lcm / |rules| and the index quadruple (i, j, k, l)
+    of each of its rules, in rule order.  A rule's probability in a
+    configuration of n agents is w * multiplier / ((n^2 - n) * lcm), where
+    w is the number of ordered agent pairs on its head."""
+
+    __slots__ = ("lcm", "heads")
+
+    def __init__(
+        self,
+        lcm: int,
+        heads: tuple[tuple[int, int, int, tuple[tuple[int, int, int, int], ...]], ...],
+    ):
+        self.lcm = lcm
+        self.heads = heads
 
 
 class ProtocolError(ValueError):
@@ -135,6 +155,18 @@ class PopulationProtocol:
     def rule_count(self, head: Head) -> int:
         return len(self.rules_by_head[head])
 
+    @cached_property
+    def moves(self) -> MoveTable:
+        """The move table, built on first use and kept on the instance."""
+        big = lcm(*(len(rules) for rules in self.rules_by_head.values()))
+        return MoveTable(
+            big,
+            tuple(
+                (a, b, big // len(rules), tuple(t.lhs + t.rhs for t in rules))
+                for (a, b), rules in sorted(self.rules_by_head.items())
+            ),
+        )
+
     def __repr__(self) -> str:
         return f"PopulationProtocol({self.name!r}, |Q|={len(self.states)}, |T|={self.explicit_count})"
 
@@ -213,15 +245,17 @@ def parse_protocol(text: str) -> PopulationProtocol:
           A B -> a b
           ...
 
-    `#` starts a comment.  `states:`, `inputs:` and `output1:` appear once,
-    as does every JSON key.  Symmetric multiset semantics: `A B -> C D`
-    and `B A -> D C` denote the same rule; exact duplicates are collapsed.
+    `#` starts a comment.  The `protocol` line, `states:`, `inputs:` and
+    `output1:` appear at most once, as does every JSON key.  Symmetric
+    multiset semantics: `A B -> C D` and `B A -> D C` denote the same rule;
+    exact duplicates are collapsed.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json(text)
 
     name = "protocol"
+    named = False
     states: list[str] | None = None
     input_map: dict[str, int] | None = None
     output1: frozenset[int] | None = None
@@ -239,6 +273,9 @@ def parse_protocol(text: str) -> PopulationProtocol:
         if not line:
             continue
         if line.split(None, 1)[0] == "protocol":
+            if named:
+                raise ProtocolError("repeated 'protocol' line", lineno)
+            named = True
             name = line[len("protocol"):].strip() or name
             in_transitions = False
         elif line.startswith("states:"):
@@ -359,21 +396,40 @@ def transition_probability(
 def step_distribution(
     p: PopulationProtocol, c: Configuration
 ) -> dict[Configuration, Fraction]:
-    """One-step successor distribution, merging rules with equal successors."""
+    """One-step successor distribution, merging rules with equal successors.
+
+    The mass of each successor is summed as an integer numerator over the
+    common denominator (n^2 - n) * L of the move table, L being the lcm of
+    the rule counts, so one Fraction is made per successor."""
     n = c.size
     if n < 2:
         raise ValueError("configuration must have at least two agents")
-    dist: dict[Configuration, Fraction] = {}
-    for head, rules in p.rules_by_head.items():
-        a, b = head
-        if a == b:
-            num = c.counts[a] * (c.counts[a] - 1)
-        else:
-            num = 2 * c.counts[a] * c.counts[b]
-        if num == 0:
+    counts = c.counts
+    table = p.moves
+    nums: dict[tuple[int, ...], int] = {}
+    for a, b, mult, quads in table.heads:
+        w = counts[a] * (counts[a] - 1) if a == b else 2 * counts[a] * counts[b]
+        if w == 0:
             continue
-        base = Fraction(num, (n * n - n) * len(rules))
-        for t in rules:
-            succ = fire(c, t)
-            dist[succ] = dist.get(succ, Fraction(0)) + base
-    return dist
+        w *= mult
+        for quad in quads:
+            succ = successor(counts, quad)
+            nums[succ] = nums.get(succ, 0) + w
+    den = (n * n - n) * table.lcm
+    return {Configuration(s): Fraction(w, den) for s, w in nums.items()}
+
+
+def successor(
+    counts: tuple[int, ...], quad: tuple[int, int, int, int]
+) -> tuple[int, ...]:
+    """The count vector after the rule i j -> k l, given as a move-table
+    quadruple; an idle rule returns `counts` itself."""
+    i, j, k, l = quad
+    if i == k and j == l:
+        return counts
+    out = list(counts)
+    out[i] -= 1
+    out[j] -= 1
+    out[k] += 1
+    out[l] += 1
+    return tuple(out)

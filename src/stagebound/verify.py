@@ -10,6 +10,7 @@ used for both the eventually-operator and the stage progress condition.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +35,7 @@ from .protocol import (
     PopulationProtocol,
     initial_configuration,
     step_distribution,
+    successor,
 )
 from .stagegraph import Stage, StageGraph, scc_condensation
 
@@ -434,11 +436,95 @@ class SimResult:
         return (self.variance / k) ** 0.5
 
 
-def _consensus_value(p: PopulationProtocol, c: Configuration) -> int | None:
-    outs = {p.output(s) for s, k in enumerate(c.counts) if k > 0}
+def _consensus_value(p: PopulationProtocol, counts: tuple[int, ...]) -> int | None:
+    outs = {p.output(s) for s, k in enumerate(counts) if k > 0}
     if len(outs) == 1:
         return outs.pop()
     return None
+
+
+class PhiloxDraws:
+    """The numbers `Generator(Philox(key)).integers(0, bound)` gives, call
+    for call, read from batches of `random_raw` words.
+
+    numpy's mapping, reproduced here: a bound up to 2**32 takes 32-bit
+    values, the low half of a 64-bit word first and its high half kept for
+    the next 32-bit draw; a larger bound takes whole words and leaves a
+    kept half in place.  Either way a value x becomes (x * bound) >> bits
+    unless the low bits of the product fall below (2**bits - bound) % bound,
+    in which case it is drawn again (Lemire's rejection).  `batch` words
+    are fetched at a time, and at most 16 the first time, since many runs
+    end after a few draws; the numbers do not depend on it.
+    """
+
+    __slots__ = ("_bits", "_batch", "_words", "_half")
+
+    def __init__(self, key: int, batch: int = 256):
+        self._bits = np.random.Philox(key=key)
+        self._batch = batch
+        self._words = iter(self._bits.random_raw(min(batch, 16)).tolist())
+        self._half = None
+
+    def _word(self) -> int:
+        for w in self._words:
+            return w
+        self._words = words = iter(self._bits.random_raw(self._batch).tolist())
+        return next(words)
+
+    def _next32(self) -> int:
+        h = self._half
+        if h is None:
+            w = self._word()
+            self._half = w >> 32
+            return w & 0xFFFFFFFF
+        self._half = None
+        return h
+
+    def integers(self, bound: int) -> int:
+        """A uniform integer in [0, bound), for 2 <= bound <= 2**63."""
+        if bound > 0x100000000:
+            m = self._word() * bound
+            if m & 0xFFFFFFFFFFFFFFFF < bound:
+                threshold = (0x10000000000000000 - bound) % bound
+                while m & 0xFFFFFFFFFFFFFFFF < threshold:
+                    m = self._word() * bound
+            return m >> 64
+        # _next32, inlined: this is the draw of every interaction
+        h = self._half
+        if h is None:
+            for w in self._words:
+                break
+            else:
+                w = self._word()
+            self._half = w >> 32
+            m = (w & 0xFFFFFFFF) * bound
+        else:
+            self._half = None
+            m = h * bound
+        if m & 0xFFFFFFFF < bound:
+            threshold = (0x100000000 - bound) % bound
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * bound
+        return m >> 32
+
+
+def _step_row(
+    p: PopulationProtocol, c: tuple[int, ...], shared: dict
+) -> tuple[tuple, tuple]:
+    """The cumulative weights of the heads with a pair in c, in sorted-head
+    order, and the successor count vectors of each such head's rules; equal
+    successor tuples are taken from `shared`, so rows share them."""
+    cum = []
+    succs = []
+    acc = 0
+    for a, b, _, quads in p.moves.heads:
+        w = c[a] * (c[a] - 1) if a == b else 2 * c[a] * c[b]
+        if w:
+            acc += w
+            cum.append(acc)
+            nexts = tuple(successor(c, q) for q in quads)
+            succs.append(shared.setdefault(nexts, nexts))
+    return tuple(cum), tuple(succs)
 
 
 def simulate(
@@ -450,53 +536,47 @@ def simulate(
 ) -> SimResult:
     """Independent runs counting interactions (idle ones included) until a
     stable configuration.  Every run stays inside the closure of c0, so the
-    stable set is computed on that closure only.
+    stable set is computed on that closure only; the closure is released
+    before the runs start.
 
-    Deterministic: trial t uses a counter-based generator keyed by
-    (seed, t), so results are reproducible and independent of scheduling.
+    Deterministic: trial t draws from Philox keyed by (seed << 64) + t, so
+    results are reproducible and independent of scheduling.  An interaction
+    draws r in [0, n^2 - n), picks the first head, in sorted order, whose
+    cumulative pair count exceeds r, and, only if that head has more than
+    one rule, draws the rule's index.  `PhiloxDraws` gives the numbers
+    `Generator.integers` would, so every (seed, trial) gives the same run as
+    a scalar `integers` call per draw.  The cumulative counts and successors
+    of a configuration are built from the move table the first time a run
+    visits it, and kept for the rest of the call.
     """
     n = c0.size
     if n < 2:
         raise ValueError("simulation needs at least two agents")
     space = explore(p, c0, cap=10_000_000)
-    members = frozenset(space.nodes[i] for i in stable_set(space))
+    stop = {space.nodes[i].counts for i in stable_set(space)}
+    del space
 
+    rows: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
+    shared: dict[tuple, tuple] = {}
     steps_out = []
     consensus = []
     total_pairs = n * (n - 1)
     for t in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
-        c = list(c0.counts)
+        draw = PhiloxDraws((seed << 64) + t).integers
+        c = c0.counts
         steps = 0
-        cfg = Configuration(tuple(c))
-        while cfg not in members:
+        while c not in stop:
             if steps >= max_steps:
                 raise RuntimeError(
                     f"trial {t} exceeded {max_steps} interactions; target "
                     f"may not be almost surely reachable"
                 )
-            r = int(rng.integers(0, total_pairs))
-            acc = 0
-            head = None
-            present = [s for s in range(len(c)) if c[s] > 0]
-            for ai, a in enumerate(present):
-                for b in present[ai:]:
-                    w = c[a] * (c[a] - 1) if a == b else 2 * c[a] * c[b]
-                    acc += w
-                    if r < acc:
-                        head = (a, b)
-                        break
-                if head is not None:
-                    break
-            rules = p.rules_by_head[head]
-            rule = rules[0] if len(rules) == 1 else rules[int(rng.integers(0, len(rules)))]
-            c[rule.lhs[0]] -= 1
-            c[rule.lhs[1]] -= 1
-            c[rule.rhs[0]] += 1
-            c[rule.rhs[1]] += 1
+            row = rows.get(c)
+            if row is None:
+                row = rows[c] = _step_row(p, c, shared)
+            nexts = row[1][bisect_right(row[0], draw(total_pairs))]
+            c = nexts[0] if len(nexts) == 1 else nexts[draw(len(nexts))]
             steps += 1
-            cfg = Configuration(tuple(c))
         steps_out.append(steps)
-        consensus.append(_consensus_value(p, cfg))
+        consensus.append(_consensus_value(p, c))
     return SimResult(trials, tuple(steps_out), seed, tuple(consensus))
-

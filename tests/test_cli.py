@@ -61,6 +61,7 @@ def test_analyze_parse_error_exit(capsys, tmp_path):
     "name,text",
     [
         ("split.pp", "protocol t\nstates: A B\ninputs: x -> A\ninputs: y -> B\noutput1: B\n"),
+        ("renamed.pp", "protocol t\nprotocol u\nstates: A B\ninputs: x -> A\noutput1: B\n"),
         (
             "twice.json",
             '{"states": ["A", "B"], "inputs": {"x": "A"}, "inputs": {"y": "B"},'
@@ -202,6 +203,23 @@ def test_simulate_negative_count(capsys):
     )
     assert code == 1
     assert err.startswith("error:") and "negative count" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec,fragment",
+    [
+        ("A=1,B=5,A=3", "state 'A' named twice"),
+        ("A=x,B=2", "entry 'A=x' is not an integer"),
+    ],
+)
+def test_simulate_bad_config_exits_with_one_error_line(capsys, spec, fragment):
+    code, out, err = run(
+        capsys, "simulate", str(PP / "majority-ex2.pp"), "--config", spec
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and fragment in err
     assert err.count("\n") == 1
 
 

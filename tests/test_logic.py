@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagebound import Configuration, bounds, enabled, parse_protocol, stagegraph
+from stagebound import Configuration, bounds, enabled, logic, parse_protocol, stagegraph
 from stagebound.corpus import default_corpus, majority_four_state
 from stagebound.logic import (
     FF,
@@ -400,26 +400,7 @@ def test_enumerated_valuations_satisfy_and_are_consistent(f):
                 assert nu.get(comp) is True
         # the valuation's own formula entails f on configurations is hard to
         # test directly; instead check the assignment satisfies f
-        assert _eval_total(f, nu)
-
-
-def _eval_total(f, nu):
-    tag = f[0]
-    if tag == "tt":
-        return True
-    if tag == "ff":
-        return False
-    if tag == "atom":
-        return nu[f[1]]
-    if tag == "not":
-        return not _eval_total(f[1], nu)
-    if tag == "and":
-        return all(_eval_total(g, nu) for g in f[1])
-    if tag == "or":
-        return any(_eval_total(g, nu) for g in f[1])
-    if tag == "implies":
-        return (not _eval_total(f[1], nu)) or _eval_total(f[2], nu)
-    raise AssertionError(tag)
+        assert logic.evaluate(f, nu)
 
 
 @settings(max_examples=80, deadline=None)

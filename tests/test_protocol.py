@@ -16,7 +16,9 @@ from stagebound import (
     step_distribution,
     transition_probability,
 )
+from stagebound import verify as V
 from stagebound.corpus import majority_four_state, majority_five_state
+from stagebound.protocol import PopulationProtocol
 
 EX1 = majority_four_state()
 EX2 = majority_five_state()
@@ -116,6 +118,10 @@ def test_parse_json_encoding():
         ('{"states": ["A"], "inputs": {"x": "A"}, "output1": [], "transitions": [["A", "A", "A", 1]]}', "state names"),
         ('{"name": 3, "states": ["A"], "inputs": {"x": "A"}, "output1": [], "transitions": []}', "name"),
         # each section appears once: a repeat used to replace the earlier one
+        (
+            "protocol t\nprotocol u\nstates: A B\ninputs: x -> A\noutput1: B\n",
+            "line 2: repeated 'protocol' line",
+        ),
         (
             "protocol t\nstates: A B\ninputs: x -> A\ninputs: y -> B\noutput1: B\n",
             "line 4: repeated 'inputs:'",
@@ -338,3 +344,84 @@ def test_duplicate_input_symbol_rejected():
         parse_protocol(
             "protocol t\nstates: A\ninputs: x -> A, x -> A\noutput1: A\n"
         )
+
+
+# ---------------------------------------------------------------------------
+# The move table and step_distribution against the per-rule Fraction sum
+
+
+def reference_step_distribution(p, c):
+    """step_distribution as it was before the move table: one Fraction per
+    rule, added per successor."""
+    n = c.size
+    if n < 2:
+        raise ValueError("configuration must have at least two agents")
+    dist: dict[Configuration, Fraction] = {}
+    for head, rules in p.rules_by_head.items():
+        a, b = head
+        if a == b:
+            num = c.counts[a] * (c.counts[a] - 1)
+        else:
+            num = 2 * c.counts[a] * c.counts[b]
+        if num == 0:
+            continue
+        base = Fraction(num, (n * n - n) * len(rules))
+        for t in rules:
+            succ = fire(c, t)
+            dist[succ] = dist.get(succ, Fraction(0)) + base
+    return dist
+
+
+def test_move_table_is_built_on_first_use(shared_heads):
+    p = parse_protocol(EX1)
+    assert "moves" not in vars(p)
+    assert p.moves is p.moves
+    table = shared_heads.moves
+    # heads (A,B), (A,C) carry 3 and 2 rules: L = 6
+    assert table.lcm == 6
+    assert [h[:3] for h in table.heads] == [
+        (0, 0, 6),
+        (0, 1, 2),
+        (0, 2, 3),
+        (1, 1, 6),
+        (1, 2, 6),
+        (2, 2, 6),
+    ]
+    assert table.heads[1][3] == ((0, 1, 2, 2), (0, 1, 0, 2), (0, 1, 1, 2))
+
+
+@st.composite
+def shared_head_protocols(draw):
+    """2-4 states and up to 8 rules drawn from few heads, so heads with
+    several rules (and an lcm above 1) are common."""
+    n = draw(st.integers(2, 4))
+    heads = [(i, j) for i in range(n) for j in range(i, n)]
+    lhs = st.sampled_from(heads[: draw(st.integers(1, len(heads)))])
+    rules = draw(st.lists(st.tuples(lhs, st.sampled_from(heads)), max_size=8))
+    return PopulationProtocol("gen", tuple("ABCD"[:n]), rules, {"x": 0}, frozenset())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_step_distribution_matches_reference_generated(data):
+    p = data.draw(shared_head_protocols())
+    c = data.draw(random_config(len(p.states)))
+    got = step_distribution(p, c)
+    assert got == reference_step_distribution(p, c)
+    assert sum(got.values()) == Fraction(1)
+
+
+def test_explore_matches_reference_distribution_on_corpus(corpus, monkeypatch):
+    for entry in corpus:
+        p = entry.protocol()
+        for n in range(2, 7):
+            roots = V.initial_configurations(p, n)
+            got = V.explore(p, roots)
+            for c in got.nodes:
+                assert step_distribution(p, c) == reference_step_distribution(p, c)
+            with monkeypatch.context() as m:
+                m.setattr(V, "step_distribution", reference_step_distribution)
+                want = V.explore(p, roots)
+            assert got.nodes == want.nodes, (entry.name, n)
+            assert got.succ == want.succ, (entry.name, n)
+            assert got.roots == want.roots, (entry.name, n)

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from stagebound import (
 )
 from stagebound.corpus import broadcast, majority_four_state, majority_five_state
 from stagebound.logic import FF, TT, atom, conj, neg, out_atom, presence, singleton
+from stagebound.protocol import PopulationProtocol
 from stagebound.stagegraph import Stage, StageGraph, scc_condensation
 from stagebound import verify as V
 
@@ -402,6 +404,172 @@ def test_simulate_against_exact_expectation():
     exact = float(V.expected_steps_exact(g, V.stable_set(g)))
     res = V.simulate(P2, c0, trials=4000, seed=123)
     assert abs(res.mean - exact) <= 5 * res.stderr
+
+
+# ---------------------------------------------------------------------------
+# simulate against the per-interaction loop it replaced
+
+
+def _consensus_value(p, c):
+    """The consensus helper of reference_simulate, which reads a Configuration."""
+    outs = {p.output(s) for s, k in enumerate(c.counts) if k > 0}
+    if len(outs) == 1:
+        return outs.pop()
+    return None
+
+
+def reference_simulate(
+    p,
+    c0,
+    trials,
+    seed,
+    max_steps=1_000_000,
+):
+    """simulate as it was before the step rows and batched draws: one
+    scalar Generator.integers call per draw and a fresh walk over the
+    present heads per interaction."""
+    n = c0.size
+    if n < 2:
+        raise ValueError("simulation needs at least two agents")
+    space = V.explore(p, c0, cap=10_000_000)
+    members = frozenset(space.nodes[i] for i in V.stable_set(space))
+
+    steps_out = []
+    consensus = []
+    total_pairs = n * (n - 1)
+    for t in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
+        c = list(c0.counts)
+        steps = 0
+        cfg = Configuration(tuple(c))
+        while cfg not in members:
+            if steps >= max_steps:
+                raise RuntimeError(
+                    f"trial {t} exceeded {max_steps} interactions; target "
+                    f"may not be almost surely reachable"
+                )
+            r = int(rng.integers(0, total_pairs))
+            acc = 0
+            head = None
+            present = [s for s in range(len(c)) if c[s] > 0]
+            for ai, a in enumerate(present):
+                for b in present[ai:]:
+                    w = c[a] * (c[a] - 1) if a == b else 2 * c[a] * c[b]
+                    acc += w
+                    if r < acc:
+                        head = (a, b)
+                        break
+                if head is not None:
+                    break
+            rules = p.rules_by_head[head]
+            rule = rules[0] if len(rules) == 1 else rules[int(rng.integers(0, len(rules)))]
+            c[rule.lhs[0]] -= 1
+            c[rule.lhs[1]] -= 1
+            c[rule.rhs[0]] += 1
+            c[rule.rhs[1]] += 1
+            steps += 1
+            cfg = Configuration(tuple(c))
+        steps_out.append(steps)
+        consensus.append(_consensus_value(p, cfg))
+    return V.SimResult(trials, tuple(steps_out), seed, tuple(consensus))
+
+
+def sim_outcome(fn, *args, **kwargs):
+    """The SimResult, or the message of the step-cap error."""
+    try:
+        return fn(*args, **kwargs)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def assert_same_runs(p, c0, trials, seed, max_steps=1_000_000):
+    got = sim_outcome(V.simulate, p, c0, trials, seed, max_steps)
+    assert got == sim_outcome(reference_simulate, p, c0, trials, seed, max_steps)
+    return got
+
+
+@pytest.mark.parametrize(
+    "name,counts",
+    [("majority-ex2", {"x": 14, "y": 10}), ("broadcast", {"one": 1, "zero": 99})],
+)
+@pytest.mark.parametrize("seed", [1, 2, 2**64 - 1])
+def test_simulate_matches_reference_on_benchmark_inputs(corpus, name, counts, seed):
+    p = next(e for e in corpus if e.name == name).protocol()
+    c0 = initial_configuration(p, counts)
+    assert isinstance(assert_same_runs(p, c0, 30, seed), V.SimResult)
+
+
+def test_simulate_matches_reference_on_corpus(corpus):
+    for entry in corpus:
+        p = entry.protocol()
+        for c0 in V.initial_configurations(p, 5):
+            assert_same_runs(p, c0, 5, 17, max_steps=5000)
+
+
+def test_simulate_matches_reference_with_shared_heads(shared_heads, monkeypatch):
+    p = shared_heads
+    bounds = Counter()
+
+    class CountingDraws(V.PhiloxDraws):
+        __slots__ = ()
+
+        def integers(self, bound):
+            bounds[bound] += 1
+            return super().integers(bound)
+
+    monkeypatch.setattr(V, "PhiloxDraws", CountingDraws)
+    for seed in range(3):
+        res = assert_same_runs(p, cfg(p, A=5, B=4), 40, seed)
+        assert set(res.consensus) == {1}
+    assert bounds[3] > 0 and bounds[2] > 0
+
+
+@st.composite
+def shared_head_protocols(draw):
+    """2-3 states, up to 8 rules on few heads, and a start of 2-6 agents."""
+    n = draw(st.integers(2, 3))
+    heads = [(i, j) for i in range(n) for j in range(i, n)]
+    lhs = st.sampled_from(heads[: draw(st.integers(1, len(heads)))])
+    rules = draw(st.lists(st.tuples(lhs, st.sampled_from(heads)), max_size=8))
+    output1 = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    p = PopulationProtocol("gen", tuple("ABC"[:n]), rules, {"x": 0}, output1)
+    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    counts[0] += 2
+    return p, Configuration(tuple(counts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=shared_head_protocols(), seed=st.integers(0, 2**64 - 1))
+def test_simulate_matches_reference_generated(case, seed):
+    p, c0 = case
+    assert_same_runs(p, c0, 4, seed, max_steps=300)
+
+
+def test_simulate_step_cap_raises_at_the_same_trial(corpus):
+    p = next(e for e in corpus if e.name == "majority-ex2").protocol()
+    c0 = initial_configuration(p, {"x": 5, "y": 4})
+    free = reference_simulate(p, c0, 40, 1)
+    # a cap that the first runs stay under but a later one reaches
+    cap = max(free.steps[:3]) + 1
+    late = next(t for t, k in enumerate(free.steps) if k >= cap)
+    assert late >= 3
+    msg = assert_same_runs(p, c0, 40, 1, max_steps=cap)
+    assert msg.startswith(f"trial {late} exceeded {cap} interactions")
+
+
+DRAW_BOUNDS = (2, 3, 9900, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 5, 2**40 + 3, 2**62 + 7)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_philox_draws_match_generator_integers(seed):
+    order = np.random.default_rng(seed)
+    bounds = [DRAW_BOUNDS[i] for i in order.integers(0, len(DRAW_BOUNDS), 200)]
+    key = (seed << 64) + 5
+    rng = np.random.Generator(np.random.Philox(key=key))
+    want = [int(rng.integers(0, b)) for b in bounds]
+    # three words a batch: refills fall between and inside draws
+    draws = V.PhiloxDraws(key, batch=3)
+    assert [draws.integers(b) for b in bounds] == want
 
 
 # regression protocols found by randomized soundness fuzzing: both once made
