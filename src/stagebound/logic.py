@@ -32,7 +32,8 @@ so a premise is translated once and a goal adds only its own clauses:
      unit propagation alone decides nearly all of them.  The same search
      splits a stage formula into its valuations
      (`enumerate_satisfying_valuations`), so the build evaluates no
-     formula; `evaluate` serves only the total valuations of the oracle.
+     formula; `evaluate` serves only the oracle, which evaluates a formula
+     bit-parallel over all the total valuations of a chain at once.
 
 There is no query cache: a process-wide cache of formulas grows the peak
 memory by more than it is worth in time.  A premise lives as long as its
@@ -140,30 +141,38 @@ def atoms_of(f: Formula) -> set[Atom]:
     return out
 
 
-def evaluate(f: Formula, asg: dict[Atom, bool]) -> bool:
-    """Truth value of f under a total valuation of its atoms, such as the
-    valuation of a configuration in the oracle."""
+def evaluate(f: Formula, bits: dict[Atom, int]) -> int:
+    """Truth values of f under many total valuations at once.
+
+    Bit j of `bits[a]` is the value of atom a under valuation j; bit j of
+    the result is the value of f under it.  Connectives are bitwise: `&`
+    for and, `|` for or, `~` for not, `~a | b` for implies, -1 (all bits
+    set) for tt and 0 for ff, so the bits above the last valuation are not
+    meaningful and the caller masks them off with (1 << count) - 1.  A
+    single valuation is the one-bit case: `evaluate(f, nu) & 1` with nu a
+    dict of bools.  The oracle's `ReachGraph.sat` evaluates a formula once
+    over all the distinct valuations of a chain this way."""
     tag = f[0]
     if tag == "atom":
-        return asg[f[1]]
-    if tag == "tt":
-        return True
-    if tag == "ff":
-        return False
-    if tag == "not":
-        return not evaluate(f[1], asg)
-    if tag == "implies":
-        return not evaluate(f[1], asg) or evaluate(f[2], asg)
+        return bits[f[1]]
     if tag == "and":
+        acc = -1
         for g in f[1]:
-            if not evaluate(g, asg):
-                return False
-        return True
+            acc &= evaluate(g, bits)
+        return acc
     if tag == "or":
+        acc = 0
         for g in f[1]:
-            if evaluate(g, asg):
-                return True
-        return False
+            acc |= evaluate(g, bits)
+        return acc
+    if tag == "not":
+        return ~evaluate(f[1], bits)
+    if tag == "implies":
+        return ~evaluate(f[1], bits) | evaluate(f[2], bits)
+    if tag == "tt":
+        return -1
+    if tag == "ff":
+        return 0
     raise ValueError(f"bad formula node {f!r}")
 
 

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -46,7 +47,13 @@ class ExplorationLimitError(RuntimeError):
 
 @dataclass
 class ReachGraph:
-    """Finite chain over the configurations reachable from the roots."""
+    """Finite chain over the configurations reachable from the roots.
+
+    Formulas are evaluated on keys, not on nodes: a node's key is its count
+    vector clipped at 2, which fixes every presence, singleton and Out_x
+    atom.  The graph numbers its distinct keys and keeps, per atom, one int
+    whose bit j is the atom's value at key j, and per key the nodes that
+    have it (`key_masks`, built on first use)."""
 
     protocol: PopulationProtocol
     nodes: list[Configuration]
@@ -68,36 +75,52 @@ class ReachGraph:
         return pred
 
     @cached_property
-    def valuations(self) -> tuple[list[int], list[dict[Atom, bool]]]:
-        """The key id of every node, and the valuation of every distinct key.
-
-        A node's key is its count vector clipped at 2, which fixes every
-        presence, singleton and Out_x atom; nodes with one key share one
-        valuation, so a formula is evaluated once per key, not per node."""
+    def key_masks(self) -> tuple[dict[Atom, int], list[list[int]]]:
+        """The bit mask of every atom over the distinct keys, and the nodes
+        of every key in increasing order; keys are numbered as first met."""
         p = self.protocol
-        atoms = [(presence(p, s), singleton(p, s)) for s in range(len(p.states))]
-        out = [out_atom(0), out_atom(1)]
         ids: dict[tuple[int, ...], int] = {}
-        key_of: list[int] = []
-        vals: list[dict[Atom, bool]] = []
-        for c in self.nodes:
+        members: list[list[int]] = []
+        for i, c in enumerate(self.nodes):
             key = tuple(min(k, 2) for k in c.counts)
-            if key not in ids:
-                ids[key] = len(vals)
-                outputs = {p.output(s) for s, k in enumerate(key) if k}
-                val = {out[x]: outputs <= {x} for x in (0, 1)}
-                for (pres, one), k in zip(atoms, key):
-                    val[pres] = k > 0
-                    val[one] = k == 1
-                vals.append(val)
-            key_of.append(ids[key])
-        return key_of, vals
+            j = ids.get(key)
+            if j is None:
+                j = ids[key] = len(members)
+                members.append([])
+            members[j].append(i)
+        present = [0] * len(p.states)
+        single = [0] * len(p.states)
+        out = [0, 0]
+        for key, j in ids.items():
+            bit = 1 << j
+            outputs = set()
+            for s, k in enumerate(key):
+                if k:
+                    present[s] |= bit
+                    outputs.add(p.output(s))
+                    if k == 1:
+                        single[s] |= bit
+            for x in (0, 1):
+                if outputs <= {x}:
+                    out[x] |= bit
+        masks = {out_atom(x): out[x] for x in (0, 1)}
+        for s in range(len(p.states)):
+            masks[presence(p, s)] = present[s]
+            masks[singleton(p, s)] = single[s]
+        return masks, members
 
     def sat(self, phi: Formula) -> set[int]:
-        """Nodes whose configuration satisfies phi."""
-        key_of, vals = self.valuations
-        holds = [evaluate(phi, val) for val in vals]
-        return {i for i, k in enumerate(key_of) if holds[k]}
+        """Nodes whose configuration satisfies phi: phi is evaluated once,
+        bit-parallel over the keys, and the nodes of its true keys are
+        collected."""
+        masks, members = self.key_masks
+        hit = evaluate(phi, masks) & ((1 << len(members)) - 1)
+        nodes: set[int] = set()
+        while hit:
+            low = hit & -hit
+            nodes.update(members[low.bit_length() - 1])
+            hit ^= low
+        return nodes
 
     def backward_reach(
         self, seed: set[int], blocked: frozenset[int] | set[int] = frozenset()
@@ -216,54 +239,128 @@ def expected_steps_exact(g: ReachGraph, target: set[int]) -> Fraction:
 def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
     """First-hitting expectations for every node; the target is absorbing.
 
-    Solved exactly over the rationals up to 5000 nodes; beyond that a
-    floating-point pass with a residual check below 1e-9 is used.  Nodes
-    from which the target is not almost surely reached make the expectation
-    diverge, which is reported as an error."""
+    The system E[v] = 1 + sum_u P(v,u) E[u] is solved per strongly connected
+    component of the almost-sure region, in reverse topological order.  Up
+    to 5000 nodes each block is solved exactly in integers (`_exact_block`)
+    and every expectation is a Fraction; beyond that a floating-point pass
+    with a residual check below 1e-9 is used.  The expectation of a node
+    from which the target is not almost surely reached diverges: such a
+    node gets None, and a root among them is an error."""
     tgt = set(target)
     good = g.almost_sure_reach(tgt)
     if not all(r in good for r in g.roots):
         raise ValueError("target not almost surely reachable; expectation diverges")
     exact = g.size <= 5000
+    expect: list = [None] * g.size
     zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    n = g.size
-    expect: list = [None] * n
     for v in tgt:
         expect[v] = zero
-    for v in range(n):
-        if v not in good and v not in tgt:
-            expect[v] = zero  # outside the almost-sure region; never read
     plain = [
         [] if v in tgt or v not in good else [u for u, _ in outs]
         for v, outs in enumerate(g.succ)
     ]
     _, members = scc_condensation(plain)
-    # members[] is produced in reverse topological order already
+    # members[] is produced in reverse topological order already, so every
+    # successor outside a block is solved before the block
+    solve = _exact_block if exact else _float_block
     for group in members:
-        todo = [v for v in group if expect[v] is None]
-        if not todo:
-            continue
-        pos = {v: i for i, v in enumerate(todo)}
-        k = len(todo)
-        # rows: E[v] - sum_{u in block} P(v,u) E[u] = 1 + sum_{u solved} P(v,u) E[u]
-        mat = [[zero] * k for _ in range(k)]
-        rhs = [one] * k
-        for v in todo:
-            i = pos[v]
-            mat[i][i] = one
-            for u, prob in g.succ[v]:
-                pval = prob if exact else float(prob)
-                if u in pos:
-                    mat[i][pos[u]] -= pval
-                else:
-                    rhs[i] += pval * expect[u]
-        sol = _solve_dense(mat, rhs)
-        for v in todo:
-            expect[v] = sol[pos[v]]
+        todo = [v for v in group if v in good and v not in tgt]
+        if todo:
+            for v, e in zip(todo, solve(g.succ, todo, expect)):
+                expect[v] = e
     if not exact:
         _check_residual(g, tgt, good, expect)
-    return [e if e is not None else zero for e in expect]
+    return expect
+
+
+def _exact_block(succ: list, todo: list[int], expect: list) -> list[Fraction]:
+    """The expectations of one block, solved fraction-free.
+
+    Row v is scaled by the lcm d_v of its probability denominators, so its
+    block coefficients are integers; its right-hand side d_v + sum w E[u]
+    over the solved successors u outside the block is brought over one
+    block-wide denominator q.  The integer system is eliminated by Bareiss
+    (every division is exact) and back-substituted in integers, which gives
+    X with E = X / (det q).  No pivoting is needed: the block is I - Q for a
+    chain that leaves it almost surely, a nonsingular M-matrix whose leading
+    principal minors (the Bareiss pivots) are all positive, and row scaling
+    by d_v > 0 keeps them so."""
+    pos = {v: i for i, v in enumerate(todo)}
+    mat = []
+    rhs = []
+    for v in todo:
+        d = lcm(*[prob.denominator for _, prob in succ[v]])
+        row = [0] * len(todo)
+        row[pos[v]] = d
+        b = Fraction(d)
+        for u, prob in succ[v]:
+            w = prob.numerator * (d // prob.denominator)
+            if u in pos:
+                row[pos[u]] -= w
+            else:
+                b += w * expect[u]
+        mat.append(row)
+        rhs.append(b)
+    q = lcm(*[b.denominator for b in rhs])
+    for row, b in zip(mat, rhs):
+        row.append(b.numerator * (q // b.denominator))
+    xs, det = _bareiss(mat)
+    return [Fraction(x, det * q) for x in xs]
+
+
+def _bareiss(mat: list[list[int]]) -> tuple[list[int], int]:
+    """Solve the integer system whose rows are `mat`, the right-hand side in
+    the last column, by Bareiss's fraction-free elimination without
+    pivoting (Math. Comp. 22, 1968) and integer back-substitution.
+
+    Returns (X, det) with det the determinant and X = det * x, an integer
+    vector by Cramer's rule.  A zero pivot raises ValueError."""
+    k = len(mat)
+    prev = 1
+    for c in range(k):
+        row = mat[c]
+        piv = row[c]
+        if piv == 0:
+            raise ValueError("singular hitting-time system")
+        for r in range(c + 1, k):
+            other = mat[r]
+            f = other[c]
+            if f:
+                other[c + 1:] = [
+                    (piv * a - f * b) // prev
+                    for a, b in zip(other[c + 1:], row[c + 1:])
+                ]
+            else:
+                other[c + 1:] = [piv * a // prev for a in other[c + 1:]]
+        prev = piv
+    det = prev
+    xs = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = mat[i]
+        acc = det * row[k]
+        for j in range(i + 1, k):
+            acc -= row[j] * xs[j]
+        xs[i] = acc // row[i]
+    return xs, det
+
+
+def _float_block(succ: list, todo: list[int], expect: list) -> list[float]:
+    """The expectations of one block, by a floating-point dense solve."""
+    pos = {v: i for i, v in enumerate(todo)}
+    k = len(todo)
+    # rows: E[v] - sum_{u in block} P(v,u) E[u] = 1 + sum_{u solved} P(v,u) E[u]
+    mat = [[0.0] * k for _ in range(k)]
+    rhs = [1.0] * k
+    for v in todo:
+        i = pos[v]
+        mat[i][i] = 1.0
+        for u, prob in succ[v]:
+            pval = float(prob)
+            if u in pos:
+                mat[i][pos[u]] -= pval
+            else:
+                rhs[i] += pval * expect[u]
+    return _solve_dense(mat, rhs)
 
 
 def _check_residual(g: ReachGraph, tgt: set[int], good: set[int], expect: list) -> None:
@@ -282,8 +379,8 @@ def _check_residual(g: ReachGraph, tgt: set[int], good: set[int], expect: list) 
         )
 
 
-def _solve_dense(mat: list[list], rhs: list) -> list:
-    """Gauss-Jordan with magnitude pivoting; works over Fraction or float."""
+def _solve_dense(mat: list[list[float]], rhs: list[float]) -> list[float]:
+    """Gauss-Jordan with magnitude pivoting over floats."""
     k = len(mat)
     for col in range(k):
         piv = max(range(col, k), key=lambda r: abs(mat[r][col]))
@@ -455,12 +552,30 @@ class PhiloxDraws:
     in which case it is drawn again (Lemire's rejection).  `batch` words
     are fetched at a time, and at most 16 the first time, since many runs
     end after a few draws; the numbers do not depend on it.
+
+    The bit generator is `bits`, or a new one, re-keyed: its state is set
+    as `Philox(key=key)` sets it (counter 0, key words low then high,
+    buffer empty).  A caller that passes one generator for many keys skips
+    the entropy-seeded construction, most of the fixed cost of a short run.
     """
 
     __slots__ = ("_bits", "_batch", "_words", "_half")
 
-    def __init__(self, key: int, batch: int = 256):
-        self._bits = np.random.Philox(key=key)
+    def __init__(self, key: int, batch: int = 256, bits: np.random.Philox | None = None):
+        if bits is None:
+            bits = np.random.Philox(0)
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": (0, 0, 0, 0),
+                "key": (key & 0xFFFFFFFFFFFFFFFF, key >> 64),
+            },
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._bits = bits
         self._batch = batch
         self._words = iter(self._bits.random_raw(min(batch, 16)).tolist())
         self._half = None
@@ -540,7 +655,8 @@ def simulate(
     before the runs start.
 
     Deterministic: trial t draws from Philox keyed by (seed << 64) + t, so
-    results are reproducible and independent of scheduling.  An interaction
+    results are reproducible and independent of scheduling; one bit
+    generator is re-keyed per trial.  An interaction
     draws r in [0, n^2 - n), picks the first head, in sorted order, whose
     cumulative pair count exceeds r, and, only if that head has more than
     one rule, draws the rule's index.  `PhiloxDraws` gives the numbers
@@ -561,8 +677,9 @@ def simulate(
     steps_out = []
     consensus = []
     total_pairs = n * (n - 1)
+    bits = np.random.Philox(0)
     for t in range(trials):
-        draw = PhiloxDraws((seed << 64) + t).integers
+        draw = PhiloxDraws((seed << 64) + t, bits=bits).integers
         c = c0.counts
         steps = 0
         while c not in stop:

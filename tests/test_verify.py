@@ -18,7 +18,18 @@ from stagebound import (
     parse_protocol,
 )
 from stagebound.corpus import broadcast, majority_four_state, majority_five_state
-from stagebound.logic import FF, TT, atom, conj, neg, out_atom, presence, singleton
+from stagebound.logic import (
+    FF,
+    TT,
+    atom,
+    conj,
+    evaluate,
+    implies,
+    neg,
+    out_atom,
+    presence,
+    singleton,
+)
 from stagebound.protocol import PopulationProtocol
 from stagebound.stagegraph import Stage, StageGraph, scc_condensation
 from stagebound import verify as V
@@ -85,7 +96,7 @@ def test_sat_clipped_key_matches_counts():
     # presence, singleton or Out_x atom
     g = V.explore(P2, V.initial_configurations(P2, 8))
     assert max(max(c.counts) for c in g.nodes) >= 3
-    assert len(g.valuations[1]) < g.size  # some nodes share a key
+    assert len(g.key_masks[1]) < g.size  # some nodes share a key
     for s in range(len(P2.states)):
         assert g.sat(atom(presence(P2, s))) == {
             i for i, c in enumerate(g.nodes) if c.counts[s] > 0
@@ -99,6 +110,115 @@ def test_sat_clipped_key_matches_counts():
             for i, c in enumerate(g.nodes)
             if all(P2.output(s) == x for s, k in enumerate(c.counts) if k)
         }
+
+
+# ---------------------------------------------------------------------------
+# ReachGraph.sat evaluates a formula once, bit-parallel over the keys.  The
+# references below are the per-key evaluation it replaced: one valuation
+# dict per key, and the recursive evaluator over a dict of bools.
+
+
+def reference_evaluate(f, asg):
+    """Truth value of f under a total valuation of its atoms, such as the
+    valuation of a configuration in the oracle."""
+    tag = f[0]
+    if tag == "atom":
+        return asg[f[1]]
+    if tag == "tt":
+        return True
+    if tag == "ff":
+        return False
+    if tag == "not":
+        return not reference_evaluate(f[1], asg)
+    if tag == "implies":
+        return not reference_evaluate(f[1], asg) or reference_evaluate(f[2], asg)
+    if tag == "and":
+        for g in f[1]:
+            if not reference_evaluate(g, asg):
+                return False
+        return True
+    if tag == "or":
+        for g in f[1]:
+            if reference_evaluate(g, asg):
+                return True
+        return False
+    raise ValueError(f"bad formula node {f!r}")
+
+
+def reference_valuations(g):
+    """The key id of every node, and the valuation of every distinct key."""
+    p = g.protocol
+    atoms = [(presence(p, s), singleton(p, s)) for s in range(len(p.states))]
+    out = [out_atom(0), out_atom(1)]
+    ids = {}
+    key_of = []
+    vals = []
+    for c in g.nodes:
+        key = tuple(min(k, 2) for k in c.counts)
+        if key not in ids:
+            ids[key] = len(vals)
+            outputs = {p.output(s) for s, k in enumerate(key) if k}
+            val = {out[x]: outputs <= {x} for x in (0, 1)}
+            for (pres, one), k in zip(atoms, key):
+                val[pres] = k > 0
+                val[one] = k == 1
+            vals.append(val)
+        key_of.append(ids[key])
+    return key_of, vals
+
+
+def reference_sat(g, phi):
+    key_of, vals = reference_valuations(g)
+    holds = [reference_evaluate(phi, val) for val in vals]
+    return {i for i, k in enumerate(key_of) if holds[k]}
+
+
+# chains whose keys cover many atom combinations: A, B, a, b of example 2
+# at sizes 2..7 (counts 0-2 and above), and the four-state example
+SAT_GRAPHS = (
+    V.explore(P2, [c for n in range(2, 8) for c in V.initial_configurations(P2, n)]),
+    V.explore(P1, V.initial_configurations(P1, 5)),
+)
+
+
+@st.composite
+def oracle_formulas(draw, p, depth=3):
+    """Formulas with every connective over all the atoms the oracle knows:
+    presence and singleton of every state, Out_0 and Out_1.  Built as plain
+    tuples, not through conj/disj/neg, so tt and ff stay inside them."""
+    atoms = [atom(presence(p, s)) for s in range(len(p.states))]
+    atoms += [atom(singleton(p, s)) for s in range(len(p.states))]
+    atoms += [atom(out_atom(0)), atom(out_atom(1))]
+    if depth == 0:
+        return draw(st.sampled_from(atoms + [TT, FF]))
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return draw(st.sampled_from(atoms))
+    sub = oracle_formulas(p, depth - 1)
+    if kind == 1:
+        return ("not", draw(sub))
+    if kind == 2:
+        return implies(draw(sub), draw(sub))
+    parts = draw(st.lists(sub, min_size=1, max_size=3))
+    return ("and", tuple(parts)) if kind == 3 else ("or", tuple(parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sat_matches_per_key_reference(data):
+    g = data.draw(st.sampled_from(SAT_GRAPHS))
+    phi = data.draw(oracle_formulas(g.protocol))
+    assert g.sat(phi) == reference_sat(g, phi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_evaluate_one_valuation_matches_reference(data):
+    # a single valuation of bools is the one-bit case of logic.evaluate
+    g = data.draw(st.sampled_from(SAT_GRAPHS))
+    phi = data.draw(oracle_formulas(g.protocol))
+    for val in reference_valuations(g)[1]:
+        assert evaluate(phi, val) & 1 == reference_evaluate(phi, val)
 
 
 def test_holds_diamond_as():
@@ -244,6 +364,175 @@ def test_expected_steps_diverges():
     unreachable = g.sat(FF)
     with pytest.raises(ValueError):
         V.expected_steps_exact(g, unreachable)
+
+
+def test_expected_steps_diverging_nodes_are_none():
+    # 0 -> {0, 1} with probability 1/2 each, 1 -> 2, 2 -> 2, target {1}:
+    # node 2 never reaches the target, so its expectation diverges
+    half = Fraction(1, 2)
+    succ = [[(0, half), (1, half)], [(2, Fraction(1))], [(2, Fraction(1))]]
+    g = V.ReachGraph(None, [Configuration((v,)) for v in range(3)], {}, succ, [0])
+    assert V.expected_steps_all(g, {1}) == [Fraction(2), Fraction(0), None]
+    assert V.expected_steps_exact(g, {1}) == 2
+
+
+def test_bareiss_solves_and_rejects_a_zero_pivot():
+    # 2x + y = 5, x + 3y = 10: det 5, x = 1, y = 3
+    assert V._bareiss([[2, 1, 5], [1, 3, 10]]) == ([5, 15], 5)
+    with pytest.raises(ValueError, match="singular"):
+        V._bareiss([[0, 1, 1], [1, 0, 1]])
+
+
+# ---------------------------------------------------------------------------
+# expected_steps_all solves each block fraction-free in integers.  The
+# reference is the Gauss-Jordan over Fractions it replaced.
+
+
+def reference_expected_steps_all(g, target):
+    """First-hitting expectations for every node; the target is absorbing.
+
+    Solved exactly over the rationals up to 5000 nodes; beyond that a
+    floating-point pass with a residual check below 1e-9 is used.  Nodes
+    from which the target is not almost surely reached make the expectation
+    diverge, which is reported as an error."""
+    tgt = set(target)
+    good = g.almost_sure_reach(tgt)
+    if not all(r in good for r in g.roots):
+        raise ValueError("target not almost surely reachable; expectation diverges")
+    exact = g.size <= 5000
+    zero = Fraction(0) if exact else 0.0
+    one = Fraction(1) if exact else 1.0
+    n = g.size
+    expect = [None] * n
+    for v in tgt:
+        expect[v] = zero
+    for v in range(n):
+        if v not in good and v not in tgt:
+            expect[v] = zero  # outside the almost-sure region; never read
+    plain = [
+        [] if v in tgt or v not in good else [u for u, _ in outs]
+        for v, outs in enumerate(g.succ)
+    ]
+    _, members = scc_condensation(plain)
+    # members[] is produced in reverse topological order already
+    for group in members:
+        todo = [v for v in group if expect[v] is None]
+        if not todo:
+            continue
+        pos = {v: i for i, v in enumerate(todo)}
+        k = len(todo)
+        # rows: E[v] - sum_{u in block} P(v,u) E[u] = 1 + sum_{u solved} P(v,u) E[u]
+        mat = [[zero] * k for _ in range(k)]
+        rhs = [one] * k
+        for v in todo:
+            i = pos[v]
+            mat[i][i] = one
+            for u, prob in g.succ[v]:
+                pval = prob if exact else float(prob)
+                if u in pos:
+                    mat[i][pos[u]] -= pval
+                else:
+                    rhs[i] += pval * expect[u]
+        sol = reference_solve_dense(mat, rhs)
+        for v in todo:
+            expect[v] = sol[pos[v]]
+    if not exact:
+        V._check_residual(g, tgt, good, expect)
+    return [e if e is not None else zero for e in expect]
+
+
+def reference_solve_dense(mat, rhs):
+    """Gauss-Jordan with magnitude pivoting; works over Fraction or float."""
+    k = len(mat)
+    for col in range(k):
+        piv = max(range(col, k), key=lambda r: abs(mat[r][col]))
+        if mat[piv][col] == 0:
+            raise ValueError("singular hitting-time system")
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        inv = 1 / mat[col][col]
+        mat[col] = [x * inv for x in mat[col]]
+        rhs[col] *= inv
+        for r in range(k):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+                rhs[r] -= f * rhs[col]
+    return rhs
+
+
+def assert_same_expectations(g, target):
+    """expected_steps_all equals the reference on every node of the
+    almost-sure region and is None elsewhere (the reference wrote 0 there);
+    both raise alike when a root diverges.  Returns the expectations."""
+    try:
+        want = reference_expected_steps_all(g, target)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            V.expected_steps_all(g, target)
+        return None
+    got = V.expected_steps_all(g, target)
+    good = g.almost_sure_reach(set(target))
+    assert got == [w if v in good else None for v, w in enumerate(want)]
+    assert all(type(x) is Fraction for x in got if x is not None)
+    return got
+
+
+def test_expected_steps_match_reference_on_corpus(corpus):
+    solved = 0
+    for entry in corpus:
+        p = entry.protocol()
+        for n in range(2, 7):
+            inits = V.initial_configurations(p, n)
+            if inits:
+                g = V.explore(p, inits)
+                solved += assert_same_expectations(g, V.stable_set(g)) is not None
+    assert solved > 50
+
+
+def test_expected_steps_match_reference_on_majority_ex2(corpus):
+    p = next(e for e in corpus if e.name == "majority-ex2").protocol()
+    for n in range(2, 15):
+        g = V.explore(p, V.initial_configurations(p, n))
+        assert assert_same_expectations(g, V.stable_set(g)) is not None
+
+
+@st.composite
+def weighted_chains(draw):
+    """Chains over 1..8 nodes whose rows have 1..4 successors with integer
+    weights 1..12, so the rows' denominators differ; cycles among the
+    non-target nodes make blocks of several nodes.  Node 0 is the root."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    succ = []
+    for _ in range(n):
+        weights = draw(st.dictionaries(node, st.integers(1, 12), min_size=1, max_size=4))
+        total = sum(weights.values())
+        succ.append([(u, Fraction(w, total)) for u, w in sorted(weights.items())])
+    return succ, draw(st.sets(node, min_size=1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(weighted_chains())
+def test_expected_steps_match_reference_on_generated_chains(case):
+    succ, target = case
+    g = V.ReachGraph(None, [Configuration((v,)) for v in range(len(succ))], {}, succ, [0])
+    assert_same_expectations(g, target)
+
+
+def test_expected_steps_hand_solved_block():
+    # one block of three nodes with row denominators 3, 4 and 5
+    succ = [
+        [(1, Fraction(1, 3)), (2, Fraction(2, 3))],
+        [(0, Fraction(1, 4)), (1, Fraction(1, 2)), (3, Fraction(1, 4))],
+        [(0, Fraction(3, 5)), (3, Fraction(2, 5))],
+        [(3, Fraction(1))],
+    ]
+    g = V.ReachGraph(None, [Configuration((v,)) for v in range(4)], {}, succ, [0])
+    got = assert_same_expectations(g, {3})
+    # E0 = 1 + E1/3 + 2E2/3, E1 = 1 + E0/4 + E1/2, E2 = 1 + 3E0/5
+    assert got == [Fraction(70, 13), Fraction(61, 13), Fraction(55, 13), 0]
 
 
 def test_initial_configurations_enumeration():
@@ -570,6 +859,23 @@ def test_philox_draws_match_generator_integers(seed):
     # three words a batch: refills fall between and inside draws
     draws = V.PhiloxDraws(key, batch=3)
     assert [draws.integers(b) for b in bounds] == want
+
+
+def test_philox_draws_rekeyed_generator_matches_a_new_one():
+    # simulate re-keys one generator per trial; a generator left part-way
+    # through a buffer and a kept half must give a new one's numbers
+    bits = np.random.Philox(0)
+    bits.random_raw(3)
+    order = np.random.default_rng(99)
+    # bound 2**32 returns each 32-bit half as it is, and no value is
+    # rejected, so the first draws show the raw words
+    bounds = [2**32] * 10
+    bounds += [DRAW_BOUNDS[i] for i in order.integers(0, len(DRAW_BOUNDS), 200)]
+    for key in (0, 5, 2**64, (7 << 64) + 3, 2**128 - 1):
+        want = V.PhiloxDraws(key, batch=3)
+        draws = V.PhiloxDraws(key, batch=3, bits=bits)
+        assert [draws.integers(b) for b in bounds] == [want.integers(b) for b in bounds]
+        draws.integers(9900)  # leave a kept half behind
 
 
 # regression protocols found by randomized soundness fuzzing: both once made
