@@ -12,35 +12,52 @@ Formulas are immutable tagged tuples, so they hash and compare structurally,
 which keeps stage construction deterministic.
 
 Entailment.  `is_tautology(goal, premise)` is the one entailment entry
-point of the analysis: it decides whether `premise` entails `goal` by
-searching for a countermodel over clauses.  The stage-tree queries share
-their premises (pi, the xi of the disabled heads) across dozens of goals,
-so a premise is translated once and a goal adds only its own clauses:
+point of the analysis: it decides whether `premise` entails `goal`.  The
+stage-tree queries share their premises (pi, the xi of the disabled heads)
+across dozens of goals, so a premise is translated to clauses once
+(`Premise`), and a query takes one of two paths:
 
-  1. Translation.  One walk over a formula with polarity emits the clauses
-     of "premise holds" (`Premise`, once) or "goal fails" (each query)
+  1. Literal closures.  The queries of the transformation graph and of J
+     have a Horn premise with at most two literals per clause: the units
+     of pi, the xi clause (!A | !B) or (!A | A!) of each disabled head, and
+     the coupling (!A! | A).  Their goal is a clause, xi of a head or xi
+     under the guard of a re-enabling product (`guarded_xi`), so "not
+     goal" is a conjunction of literals.  Unit propagation decides Horn
+     satisfiability (Dowling & Gallier, J. Logic Programming 1984), and on
+     binary clauses propagation from a set of literals is the union of
+     each literal's closure in the implication graph (Aspvall, Plass &
+     Tarjan, IPL 1979).  So a premise keeps, built on first use, the
+     closure of its unit clauses and of each literal asked about, as
+     bitmasks (`Closures`); a query ORs the closures of the literals of
+     "not goal" into the base and holds when some atom comes out both true
+     and false.  A premise with an empty clause or conflicting units
+     entails every goal.  A goal atom the premise does not number is free,
+     except that a true singleton still makes its presence atom true.
+  2. DPLL, for every other query: `is_fast`'s premise says that some head
+     of Exp is enabled, which is not Horn; ancestor pruning asks whether
+     one stage formula implies another.  One walk over a formula with
+     polarity emits the clauses of "premise holds" or "goal fails"
      directly.  Literals and disjunctions of literals become clauses; a
      conjunction nested inside a clause gets a one-directional
      (Plaisted-Greenbaum) auxiliary variable.  The coupling A! -> A is
      added as the clause (!A! | A) for every singleton atom the walk meets
      first.  A query copies the premise's clause list and atom numbering
      and extends the copies, so no clause of one goal reaches the next;
-     `Premise.conj(extra)` extends a premise the same way.
-  2. Search.  A small DPLL with unit propagation decides the clauses.  The
-     stage-tree queries are almost all 2-CNF premises (literals of pi, the
-     xi clauses of the disabled heads, the coupling) with a clause goal, so
-     unit propagation alone decides nearly all of them.  The same search
-     splits a stage formula into its valuations
-     (`enumerate_satisfying_valuations`), so the build evaluates no
-     formula; `evaluate` serves only the oracle, which evaluates a formula
-     bit-parallel over all the total valuations of a chain at once.
+     `Premise.conj(extra)` extends a premise the same way.  A small DPLL
+     with unit propagation decides the clauses.  The same search splits a
+     stage formula into its valuations (`enumerate_satisfying_valuations`),
+     so the build evaluates no formula; `evaluate` serves only the oracle,
+     which evaluates a formula bit-parallel over all the total valuations
+     of a chain at once.
 
 There is no query cache: a process-wide cache of formulas grows the peak
-memory by more than it is worth in time.  A premise lives as long as its
-caller keeps it (a transformation graph, one round of J), and the xi
-formulas live on their protocol.  The tests keep both earlier searches,
-which walk the formula itself with a three-valued evaluator, as the
-references the entailment check and the enumeration must agree with.
+memory by more than it is worth in time.  A premise and its closures live
+as long as its caller keeps it (a transformation graph, one round of J),
+and the xi formulas and their guarded forms live on their protocol.  The
+tests keep both earlier searches, which walk the formula itself with a
+three-valued evaluator, as the references the entailment check and the
+enumeration must agree with, and check the closures against DPLL on every
+query of large builds.
 """
 
 from __future__ import annotations
@@ -283,15 +300,18 @@ def _translate(
 class Premise:
     """A formula translated once into the clauses that make it hold, so that
     many goals can be asked of it: `formula`, its clauses, its atom
-    numbering and the next free variable.  Read-only once built."""
+    numbering and the next free variable.  Read-only once built, apart from
+    its literal closures (`closures`), which fill in as queries ask for
+    them."""
 
-    __slots__ = ("formula", "clauses", "var", "next_var")
+    __slots__ = ("formula", "clauses", "var", "next_var", "_closures")
 
     def __init__(self, formula: Formula = TT):
         self.formula = formula
         self.clauses: list[list[int]] = []
         self.var: dict[Atom, int] = {}
         self.next_var = _translate(formula, True, self.clauses, self.var, 1)
+        self._closures: Closures | bool | None = None
 
     def conj(self, extra: Formula) -> Premise:
         """This premise and `extra`; only `extra` is translated."""
@@ -300,7 +320,127 @@ class Premise:
         out.clauses = list(self.clauses)
         out.var = dict(self.var)
         out.next_var = _translate(extra, True, out.clauses, out.var, self.next_var)
+        out._closures = None
         return out
+
+    def closures(self) -> Closures | None:
+        """The literal closures of the clauses, or None when some clause is
+        not Horn or has more than two literals.  Built on first use."""
+        c = self._closures
+        if c is None:
+            horn = all(
+                len(cl) < 2 or (len(cl) == 2 and (cl[0] < 0 or cl[1] < 0))
+                for cl in self.clauses
+            )
+            c = self._closures = Closures(self.clauses) if horn else False
+        return c or None
+
+
+class Closures:
+    """Unit propagation over Horn clauses of at most two literals, as
+    bitmasks.  A set of literals is written as a pair (true atoms, false
+    atoms) of ints with bit v for variable v.  On binary clauses,
+    propagation from a set of literals is the union of each literal's
+    closure in the implication graph, so every literal's closure is built
+    once, on first use, and a query ORs them into `base`, the closure of the
+    unit clauses; `base` is None when the clauses are unsatisfiable."""
+
+    __slots__ = ("succ", "memo", "base")
+
+    def __init__(self, clauses: list[list[int]]):
+        self.succ: dict[int, list[int]] = {}
+        self.memo: dict[int, tuple[int, int]] = {}
+        units = []
+        for cl in clauses:
+            if len(cl) == 2:
+                a, b = cl
+                self.succ.setdefault(-a, []).append(b)
+                self.succ.setdefault(-b, []).append(a)
+            else:
+                units.append(cl)
+        pos = negs = 0
+        for cl in units:
+            if not cl:  # the empty clause
+                self.base = None
+                return
+            t, f = self.closure(cl[0])
+            pos |= t
+            negs |= f
+        self.base = None if pos & negs else (pos, negs)
+
+    def closure(self, lit: int) -> tuple[int, int]:
+        """The literals that unit propagation derives from `lit` alone."""
+        got = self.memo.get(lit)
+        if got is None:
+            seen = {lit}
+            todo = [lit]
+            for x in todo:
+                for y in self.succ.get(x, ()):
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            pos = negs = 0
+            for x in seen:
+                if x > 0:
+                    pos |= 1 << x
+                else:
+                    negs |= 1 << -x
+            got = self.memo[lit] = (pos, negs)
+        return got
+
+    def refutes(self, assumed: list[tuple[Atom, bool]], var: dict[Atom, int]) -> bool:
+        """True iff the clauses and the literals `assumed` are unsatisfiable
+        under the coupling A! -> A.  An atom outside the numbering `var` is
+        free: it can conflict only with another assumption on itself, and a
+        true singleton among them still makes its presence atom true."""
+        if self.base is None:
+            return True
+        pos, negs = self.base
+        free: dict[Atom, bool] = {}
+        for a, value in assumed:
+            while True:
+                v = var.get(a)
+                if v is not None:
+                    lit = v if value else -v
+                    t, f = self.memo.get(lit) or self.closure(lit)
+                    pos |= t
+                    negs |= f
+                    break
+                if free.setdefault(a, value) != value:
+                    return True
+                if not value or a.kind != SINGLETON:
+                    break
+                a = Atom(PRESENCE, a.index, a.name[:-1])
+        return bool(pos & negs)
+
+
+def _refutation(goal: Formula) -> list[tuple[Atom, bool]] | None:
+    """Literals whose conjunction says that goal is false, or None when the
+    negation of goal is not a conjunction of literals."""
+    out: list[tuple[Atom, bool]] = []
+    todo = [(goal, False)]
+    for f, pol in todo:
+        tag = f[0]
+        while tag == "not":
+            f = f[1]
+            pol = not pol
+            tag = f[0]
+        if tag == "atom":
+            out.append((f[1], pol))
+        elif tag == ("and" if pol else "or"):
+            for g in f[1]:
+                if g[0] == "atom":
+                    out.append((g[1], pol))
+                elif g[0] == "not" and g[1][0] == "atom":
+                    out.append((g[1][1], not pol))
+                else:
+                    todo.append((g, pol))
+        elif tag == "implies" and not pol:
+            todo.append((f[1], True))
+            todo.append((f[2], False))
+        elif tag != ("tt" if pol else "ff"):
+            return None  # a disjunction, or a conjunct that cannot hold
+    return out
 
 
 def _propagate(clauses: list[list[int]], true: set[int], trail: list[int]) -> bool:
@@ -348,8 +488,20 @@ def _dpll(clauses: list[list[int]], true: set[int]) -> bool:
 
 def is_tautology(goal: Formula, premise: Premise = Premise()) -> bool:
     """True iff every consistent total assignment satisfying the premise
-    satisfies goal.  Only the clauses of "not goal" are translated; the
-    premise's own clauses are copied, never extended."""
+    satisfies goal.  When the premise is Horn with at most two literals per
+    clause and "not goal" is a conjunction of literals, its literal
+    closures decide; otherwise DPLL does (`_dpll_entails`)."""
+    assumed = _refutation(goal)
+    if assumed is not None:
+        closures = premise.closures()
+        if closures is not None:
+            return closures.refutes(assumed, premise.var)
+    return _dpll_entails(goal, premise)
+
+
+def _dpll_entails(goal: Formula, premise: Premise) -> bool:
+    """`is_tautology` by DPLL: only the clauses of "not goal" are
+    translated; the premise's own clauses are copied, never extended."""
     clauses = list(premise.clauses)
     _translate(goal, False, clauses, dict(premise.var), premise.next_var)
     return not _dpll(clauses, set())
@@ -419,6 +571,23 @@ def xi(p: PopulationProtocol, head: Head) -> Formula:
         a, b = head
         other = neg(atom(presence(p, b))) if a != b else atom(singleton(p, a))
         f = p.xi_table[head] = disj([neg(atom(presence(p, a))), other])
+    return f
+
+
+def guarded_xi(p: PopulationProtocol, head: Head, prod: int, partner: int) -> Formula:
+    """The clause "a rule with this head stays disabled when a rule
+    producing `prod` could re-enable the head {prod, partner}": xi(head) or
+    `prod` present or `partner` absent, and for prod == partner, xi(head)
+    or `prod` not holding exactly one agent.  Built once per protocol and
+    kept in `p.guarded_xi_table`."""
+    key = (head, prod, partner)
+    f = p.guarded_xi_table.get(key)
+    if f is None:
+        if prod != partner:
+            guard = [atom(presence(p, prod)), neg(atom(presence(p, partner)))]
+        else:
+            guard = [neg(atom(singleton(p, prod)))]
+        f = p.guarded_xi_table[key] = disj(guard + list(xi(p, head)[1]))
     return f
 
 

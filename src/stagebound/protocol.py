@@ -132,8 +132,10 @@ class PopulationProtocol:
         )
         self.explicit_count = len(explicit)
         # head -> the formula "every rule with this head is disabled",
-        # filled lazily by logic.xi
+        # filled lazily by logic.xi; (head, prod, partner) -> that formula
+        # under the guard of a re-enabling product, by logic.guarded_xi
         self.xi_table: dict = {}
+        self.guarded_xi_table: dict = {}
 
     # -- naming helpers -------------------------------------------------
 

@@ -46,6 +46,7 @@ from .logic import (
     conj,
     disj,
     enumerate_satisfying_valuations,
+    guarded_xi,
     heads_formula,
     implies,
     is_tautology,
@@ -402,40 +403,35 @@ def compute_j(
     """Largest subset of exp whose disabling is irreversible: once all its
     rules are disabled, no still-enabled rule can re-enable any of them.
     A rule outside the graph is blocked under the graph's premise, hence
-    under every stronger one asked here, so only its rules are checked."""
+    under every stronger one asked here, so only its rules are checked; a
+    rule whose head is in the current subset is blocked by a clause of the
+    round's premise, so it is skipped without a query."""
 
-    def head_ok(ef: Head, base: Premise) -> bool:
-        # base: the graph's premise with every head of the current subset
-        # disabled, translated once per round
+    def head_ok(ef: Head, m: set[Head], base: Premise) -> bool:
+        # base: the graph's premise with every head of m disabled,
+        # translated once per round.  A rule producing one state of {E,F}
+        # re-enables it when E was absent and F present; a rule producing
+        # one more E re-enables {E,E} unless E was consumed by the rule or
+        # two E's never coexist afterwards.
         e, f = ef
         for t in g.gen_edges:
-            blocked = xi(p, t.lhs)
+            if t.lhs in m:
+                continue
             if t.rhs == ef:
-                if not is_tautology(blocked, base):
+                if not is_tautology(xi(p, t.lhs), base):
                     return False
                 continue
             for prod, partner in ((e, f), (f, e)) if e != f else ((e, f),):
-                if prod not in t.rhs:
+                if prod not in t.rhs or (e == f and e in t.lhs):
                     continue
-                if e != f:
-                    guard = conj(
-                        [neg(atom(presence(p, prod))), atom(presence(p, partner))]
-                    )
-                else:
-                    # head {E,E}: a rule producing one more E re-enables it
-                    # unless E was consumed by the rule or two E's never
-                    # coexist afterwards
-                    if e in t.lhs:
-                        continue
-                    guard = atom(singleton(p, e))
-                if not is_tautology(implies(guard, blocked), base):
+                if not is_tautology(guarded_xi(p, t.lhs, prod, partner), base):
                     return False
         return True
 
     m = set(exp)
     while True:
         base = g.premise.conj(heads_formula(p, m))
-        keep = {ef for ef in m if head_ok(ef, base)}
+        keep = {ef for ef in m if head_ok(ef, m, base)}
         if keep == m:
             return frozenset(m)
         m = keep
@@ -444,13 +440,22 @@ def compute_j(
 def classify_nu_mode(
     p: PopulationProtocol, nu: Valuation, j: frozenset[Head]
 ) -> str:
-    """"nu-disabled" / "nu-enabled" / "neither" per the formula of nu."""
+    """"nu-disabled" / "nu-enabled" / "neither" per the formula of nu.
+
+    nu, a valuation of the split, is consistent and fixes A wherever it
+    fixes A!, so its literals with the coupling A! -> A entail xi(h) exactly
+    when nu holds a literal of xi(h), and entail not xi(h) exactly when nu
+    holds both literals of not xi(h): A and B for a head {A,B}, A and not A!
+    for {A,A}."""
     if not j:
         return "neither"
-    nu_p = Premise(valuation_formula(nu))
-    if all(is_tautology(xi(p, h), nu_p) for h in sorted(j)):
+    enabling = []  # the literals of not xi(h), per head of j
+    for a, b in sorted(j):
+        other = (presence(p, b), True) if a != b else (singleton(p, a), False)
+        enabling.append(((presence(p, a), True), other))
+    if all(any(nu.get(x) == (not v) for x, v in lits) for lits in enabling):
         return "nu-disabled"
-    if any(is_tautology(neg(xi(p, h)), nu_p) for h in sorted(j)):
+    if any(all(nu.get(x) == v for x, v in lits) for lits in enabling):
         return "nu-enabled"
     return "neither"
 

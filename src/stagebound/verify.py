@@ -441,14 +441,20 @@ def _compositions(n: int, k: int):
             yield (head,) + rest
 
 
-def stage_denotation(g: ReachGraph, stage: Stage, p: PopulationProtocol) -> set[int]:
+def persist_formula(p: PopulationProtocol, stage: Stage) -> Formula:
+    """What a stage requires from now on: pi and the disabled heads."""
+    return conj([valuation_formula(stage.pi), heads_formula(p, stage.disabled)])
+
+
+def stage_denotation(
+    g: ReachGraph, stage: Stage, p: PopulationProtocol, persist: Formula | None = None
+) -> set[int]:
     """Nodes in [[S]]: satisfy Phi now, and pi plus the disabled heads from
-    now on (evaluated over the finite closure)."""
-    phi_sat = g.sat(stage.phi)
-    persist = conj(
-        [valuation_formula(stage.pi), heads_formula(p, stage.disabled)]
-    )
-    return phi_sat & g.box_set(g.sat(persist))
+    now on (evaluated over the finite closure).  `persist` is the stage's
+    `persist_formula`, built here when not given."""
+    if persist is None:
+        persist = persist_formula(p, stage)
+    return g.sat(stage.phi) & g.box_set(g.sat(persist))
 
 
 def stage_triple(s: Stage) -> tuple:
@@ -464,12 +470,17 @@ def check_stage_graph(
     (b) from every reachable configuration in a non-terminal stage, the union
     of its children's denotations is reached almost surely.
 
-    Per size, each distinct stage triple is denoted once, and the progress
-    check runs once per distinct pair of a triple and its children's
-    triples; violations are still reported per stage id, in stage order."""
+    Each distinct stage triple's persist formula is built once.  Per size,
+    each distinct triple is denoted once, and the progress check runs once
+    per distinct pair of a triple and its children's triples; violations
+    are still reported per stage id, in stage order."""
     violations: list[Violation] = []
     ids: dict[tuple, int] = {}
     tri = [ids.setdefault(stage_triple(s), len(ids)) for s in sg.stages]
+    persist: dict[int, Formula] = {}
+    for s, t in zip(sg.stages, tri):
+        if t not in persist:
+            persist[t] = persist_formula(p, s)
     for n in range(2, max_n + 1):
         inits = initial_configurations(p, n)
         if not inits:
@@ -478,7 +489,7 @@ def check_stage_graph(
         denote: dict[int, set[int]] = {}
         for s, t in zip(sg.stages, tri):
             if t not in denote:
-                denote[t] = stage_denotation(g, s, p)
+                denote[t] = stage_denotation(g, s, p, persist[t])
         root_den = denote[tri[sg.root]]
         for i in g.roots:
             if i not in root_den:

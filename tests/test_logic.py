@@ -25,6 +25,7 @@ from stagebound.logic import (
     disj,
     enumerate_satisfying_valuations,
     evaluation_domain,
+    guarded_xi,
     heads_formula,
     implies,
     is_tautology,
@@ -374,20 +375,115 @@ def test_premise_agrees_with_reference(premise, extra, goal):
     assert is_tautology(goal, pr) == alone
 
 
+def literals(states):
+    """Literal formulas over the presence and singleton atoms of `states`."""
+    atoms = [atom(presence(P, s)) for s in states]
+    atoms += [atom(singleton(P, s)) for s in states]
+    return st.sampled_from(atoms).flatmap(lambda f: st.sampled_from([f, neg(f)]))
+
+
+@st.composite
+def horn_premises(draw):
+    """The premise shape of the stage-tree build over the first 2-4 states
+    of P: units, as pi gives them, and the xi of some heads.  Units may
+    contradict each other, directly or through A! -> A, and one premise in
+    ten is false outright."""
+    states = range(draw(st.integers(2, 4)))
+    units = draw(st.lists(literals(states), max_size=5))
+    pairs = st.tuples(st.sampled_from(states), st.sampled_from(states))
+    xis = [xi(P, head(x, y)) for x, y in draw(st.lists(pairs, max_size=4))]
+    false = [FF] if draw(st.integers(0, 9)) == 0 else []
+    return conj(units + xis + false)
+
+
+@st.composite
+def horn_goals(draw):
+    """The goal shapes the closure path answers, over all four states of P,
+    so a goal may name atoms its premise leaves unnumbered."""
+    x, y = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    h = head(x, y)
+    lit = draw(literals(range(4)))
+    kind = draw(st.integers(0, 6))
+    if kind == 0:
+        return xi(P, h)
+    if kind == 1:
+        return neg(xi(P, h))
+    if kind == 2:
+        if x != y:
+            guard = conj([neg(atom(presence(P, x))), atom(presence(P, y))])
+        else:
+            guard = atom(singleton(P, x))
+        return implies(guard, xi(P, draw(st.sampled_from(list(P.rules_by_head)))))
+    if kind == 3:
+        return lit
+    if kind == 4:  # one atom with both signs
+        return disj([lit, draw(literals(range(4))), neg(lit)])
+    if kind == 5:  # "not goal" is a conjunction of literals
+        return neg(conj(draw(st.lists(literals(range(4)), min_size=1, max_size=3))))
+    return guarded_xi(P, h, draw(st.sampled_from(h)), draw(st.sampled_from(h)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(premise=horn_premises(), goal=horn_goals())
+def test_closure_path_agrees_with_reference(premise, goal):
+    pr = Premise(premise)
+    # the closure path answers every query here but "not xi", which is a
+    # conjunction, so DPLL decides it
+    assert pr.closures() is not None
+    conjunction = goal[0] == "not" and goal[1][0] == "or"
+    assert (logic._refutation(goal) is None) == conjunction
+    expect = reference_is_tautology(implies(premise, goal))
+    assert is_tautology(goal, pr) == expect
+    assert logic._dpll_entails(goal, pr) == expect
+
+
+def test_closure_path_on_false_premises():
+    pa, pb = atom(presence(P, A)), atom(presence(P, B))
+    one = atom(singleton(P, A))
+    for premise in (FF, conj([pa, neg(pa)]), conj([one, neg(pa)])):
+        pr = Premise(premise)
+        assert pr.closures() is not None and pr.closures().base is None
+        for goal in (pb, neg(pb), xi(P, head(B, a)), FF):
+            assert is_tautology(goal, pr)
+    # binary but not Horn, and false with no unit to show it: DPLL decides
+    cases = [disj([x, y]) for x in (pa, neg(pa)) for y in (pb, neg(pb))]
+    pr = Premise(conj(cases))
+    assert pr.closures() is None
+    assert is_tautology(atom(presence(P, a)), pr)
+    assert not is_tautology(atom(presence(P, a)), Premise(conj(cases[1:])))
+
+
+def test_closure_path_on_unnumbered_atoms():
+    pr = Premise(atom(presence(P, A)))
+    assert pr.closures() is not None
+    # B and B! are free, yet B! still brings B
+    assert is_tautology(implies(atom(singleton(P, B)), atom(presence(P, B))), pr)
+    assert not is_tautology(implies(atom(presence(P, B)), atom(singleton(P, B))), pr)
+    assert is_tautology(disj([atom(presence(P, B)), neg(atom(presence(P, B)))]), pr)
+    # an unnumbered singleton whose presence atom the premise numbers
+    pr = Premise(neg(atom(presence(P, A))))
+    assert is_tautology(neg(atom(singleton(P, A))), pr)
+    assert not is_tautology(neg(atom(singleton(P, B))), pr)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    premise=formulas(),
-    goals=st.lists(formulas(), min_size=2, max_size=5),
+    premise=st.one_of(formulas(), horn_premises()),
+    goals=st.lists(st.one_of(formulas(), horn_goals()), min_size=2, max_size=5),
     order=st.randoms(use_true_random=False),
 )
 def test_premise_answers_do_not_depend_on_query_order(premise, goals, order):
-    # no clause of one goal may leak into the next query of the same premise
+    # no clause of one goal may leak into the next query of the same
+    # premise, and the literal closures a Horn premise caches for one goal
+    # answer the next ones alike
     pr = Premise(premise)
     expect = [reference_is_tautology(implies(premise, g)) for g in goals]
     assert [is_tautology(g, pr) for g in goals] == expect
     idx = list(range(len(goals)))
     order.shuffle(idx)
     assert [is_tautology(goals[i], pr) for i in idx] == [expect[i] for i in idx]
+    fresh = [Premise(premise) for _ in goals]
+    assert [is_tautology(goals[i], fresh[i]) for i in idx] == [expect[i] for i in idx]
 
 
 @settings(max_examples=120, deadline=None)

@@ -8,10 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagebound import build_stage_graph, parse_protocol, to_json_dict
-from stagebound.corpus import broadcast, majority_four_state, majority_five_state
+from stagebound import (
+    aggregate,
+    bounds,
+    build_stage_graph,
+    logic,
+    parse_protocol,
+    stagegraph,
+    to_json_dict,
+)
+from stagebound.corpus import broadcast, majority_four_state, majority_five_state, remainder
 from stagebound.logic import (
     TT,
+    Premise,
     atom,
     conj,
     enumerate_satisfying_valuations,
@@ -389,6 +398,18 @@ def reference_compute_j(p, pi_nu, disabled, exp):
         m = keep
 
 
+def reference_classify_nu_mode(p, nu, j):
+    """classify_nu_mode by the clause DPLL, under the premise of nu."""
+    if not j:
+        return "neither"
+    nu_p = Premise(valuation_formula(nu))
+    if all(logic._dpll_entails(xi(p, h), nu_p) for h in j):
+        return "nu-disabled"
+    if any(logic._dpll_entails(neg(xi(p, h)), nu_p) for h in j):
+        return "nu-enabled"
+    return "neither"
+
+
 def test_graph_reads_match_per_rule_entailment_on_corpus(corpus_graphs):
     # every stage, not one per distinct (T, nu): stages share an analysis
     for name, sg in corpus_graphs.items():
@@ -404,6 +425,8 @@ def test_graph_reads_match_per_rule_entailment_on_corpus(corpus_graphs):
             assert ca.stable == reference_is_stable(*args), (name, s.id)
             if ca.stable is None and not ca.dead:
                 assert ca.j == reference_compute_j(*args, ca.exp), (name, s.id)
+                expect = reference_classify_nu_mode(p, ca.nu, ca.j)
+                assert classify_nu_mode(p, ca.nu, ca.j) == expect, (name, s.id)
 
 
 def assert_products_are_vertices(g):
@@ -458,11 +481,20 @@ def test_graph_reads_match_per_rule_entailment_generated(case):
     assert set(g.gen_edges) == reference_gen_edges(p, pi, disabled)
     assert is_stable(p, g) == reference_is_stable(p, pi, disabled)
     assert compute_j(p, g, exp) == reference_compute_j(p, pi, disabled, exp)
+    # classify_nu_mode reads the valuations of a split, which are
+    # consistent and fix A wherever they fix A!
+    for nu in enumerate_satisfying_valuations(valuation_formula(pi))[:8]:
+        expect = reference_classify_nu_mode(p, nu, exp)
+        assert classify_nu_mode(p, nu, exp) == expect
     # the stage-tree build only hands the graph a pi_nu that is closed
     # under the M/N fixpoint; a random pi need not be
-    assert_products_are_vertices(
-        build_transformation_graph(p, compute_pi_nu(p, disabled, pi), disabled)
-    )
+    pi_nu = compute_pi_nu(p, disabled, pi)
+    g = build_transformation_graph(p, pi_nu, disabled)
+    assert_products_are_vertices(g)
+    # J from the Exp of the graph, as the build asks it: heads drop out
+    # over several rounds more often than from a random head set
+    exp = compute_exp(g)
+    assert compute_j(p, g, exp) == reference_compute_j(p, pi_nu, disabled, exp)
 
 
 # ---------------------------------------------------------------------------
@@ -518,3 +550,36 @@ def test_build_matches_unmemoised_reference_on_corpus(corpus_graphs):
 def test_build_matches_unmemoised_reference_generated(p):
     got = tree_or_partial(build_stage_graph, p, max_stages=200)
     assert got == tree_or_partial(reference_build_stage_graph, p, max_stages=200)
+
+
+def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
+    # every entailment query of a 1,351-stage build, asked again of the
+    # clause DPLL; all but is_fast's (whose premise is not Horn) take the
+    # closure path
+    queries = []
+
+    def recording(kind):
+        def ask(goal, premise=Premise()):
+            queries.append((kind, goal, premise))
+            return logic.is_tautology(goal, premise)
+
+        return ask
+
+    monkeypatch.setattr(stagegraph, "is_tautology", recording("build"))
+    monkeypatch.setattr(bounds, "is_tautology", recording("is_fast"))
+    sg = build_stage_graph(parse_protocol(remainder(7)))
+    monkeypatch.undo()
+    assert len(sg.stages) == 1351
+    assert aggregate(sg).overall.label == "n^2*log n"
+    assert len(queries) > 1000
+    for kind, goal, premise in queries:
+        closure = premise.closures() is not None and logic._refutation(goal) is not None
+        assert closure == (kind == "build"), (kind, pretty(goal))
+        assert is_tautology(goal, premise) == logic._dpll_entails(goal, premise)
+    seen = set()
+    for s in sg.stages:
+        ca = s.analysis
+        if ca is not None and ca.exp and id(ca) not in seen:
+            seen.add(id(ca))
+            mode = classify_nu_mode(sg.protocol, ca.nu, ca.j)
+            assert mode == reference_classify_nu_mode(sg.protocol, ca.nu, ca.j)
