@@ -16,16 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .logic import (
-    atom,
-    disj,
-    heads_formula,
-    implies,
-    is_tautology,
-    neg,
-    presence,
-    xi,
-)
+from .logic import is_tautology, numbering, xi
 from .protocol import Head, PopulationProtocol
 
 
@@ -85,12 +76,30 @@ def is_fast(
     u_states: frozenset[int],
 ) -> bool:
     """Whenever a draining state is still present and not every crossing rule
-    is disabled, some crossing rule on that very state must be enabled."""
-    base = g.premise.conj(neg(heads_formula(p, exp)))
+    is disabled, some crossing rule on that very state must be enabled.
+
+    Put the other way round, for each draining state A: the graph's premise,
+    A present and every head of Exp on A disabled must entail that every
+    head of Exp is disabled.  Once A holds, a head {A,B} is disabled exactly
+    when B is absent and {A,A} when A! holds, so that premise is the graph's
+    with the literals A, !B... and A! (the negation of the clause
+    !A | B... | !A!), and it is Horn.  It is asked xi(h) for each head h of
+    Exp not on A, the heads on A being disabled by its own literals, so
+    every query takes the literal-closure path of `is_tautology`."""
+    num = numbering(p)
+    heads = sorted(exp)
     for a in sorted(u_states):
-        exp_a = [h for h in sorted(exp) if a in h]
-        cons = disj([neg(xi(p, h)) for h in exp_a])
-        if not is_tautology(implies(atom(presence(p, a)), cons), base):
+        lits = [(num.presence[a], True)]
+        goals = []
+        for x, y in heads:
+            if x == y == a:
+                lits.append((num.singleton[a], True))
+            elif a in (x, y):
+                lits.append((num.presence[y if x == a else x], False))
+            else:
+                goals.append(xi(p, (x, y)))
+        premise = g.premise.with_units(lits)
+        if not all(is_tautology(goal, premise) for goal in goals):
             return False
     return True
 

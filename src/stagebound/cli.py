@@ -122,6 +122,9 @@ def cmd_simulate(args) -> int:
     if args.trials > 0:
         try:
             res = verify_mod.simulate(p, c0, args.trials, args.seed)
+        except verify_mod.ExplorationLimitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -12,33 +12,37 @@ Formulas are immutable tagged tuples, so they hash and compare structurally,
 which keeps stage construction deterministic.
 
 Entailment.  `is_tautology(goal, premise)` is the one entailment entry
-point of the analysis: it decides whether `premise` entails `goal`.  The
-stage-tree queries share their premises (pi, the xi of the disabled heads)
-across dozens of goals, so a premise is translated to clauses once
-(`Premise`), and a query takes one of two paths:
+point of the analysis: it decides whether `premise` entails `goal`.  A
+premise is built once and asked many goals (`Premise`), and a query takes
+one of two paths:
 
-  1. Literal closures.  The queries of the transformation graph and of J
-     have a Horn premise with at most two literals per clause: the units
-     of pi, the xi clause (!A | !B) or (!A | A!) of each disabled head, and
-     the coupling (!A! | A).  Their goal is a clause, xi of a head or xi
+  1. Literal closures, for every query of the stage-tree build.  Its
+     premises are Horn with at most two literals per clause: unit
+     literals (those of pi, and for `is_fast` a few more), the xi clause
+     (!A | !B) or (!A | A!) of each head of a set H, and the coupling
+     (!A! | A).  `Premise.horn` builds them straight from the literals and
+     H, over one atom numbering per protocol (`Numbering`), with no
+     formula to translate.  Their goal is a clause, xi of a head or xi
      under the guard of a re-enabling product (`guarded_xi`), so "not
      goal" is a conjunction of literals.  Unit propagation decides Horn
      satisfiability (Dowling & Gallier, J. Logic Programming 1984), and on
      binary clauses propagation from a set of literals is the union of
      each literal's closure in the implication graph (Aspvall, Plass &
-     Tarjan, IPL 1979).  So a premise keeps, built on first use, the
-     closure of its unit clauses and of each literal asked about, as
-     bitmasks (`Closures`); a query ORs the closures of the literals of
-     "not goal" into the base and holds when some atom comes out both true
-     and false.  A premise with an empty clause or conflicting units
-     entails every goal.  A goal atom the premise does not number is free,
-     except that a true singleton still makes its presence atom true.
-  2. DPLL, for every other query: `is_fast`'s premise says that some head
-     of Exp is enabled, which is not Horn; ancestor pruning asks whether
-     one stage formula implies another.  One walk over a formula with
-     polarity emits the clauses of "premise holds" or "goal fails"
-     directly.  Literals and disjunctions of literals become clauses; a
-     conjunction nested inside a clause gets a one-directional
+     Tarjan, IPL 1979).  So every premise with the same H shares one
+     implication graph whose literal closures, as bitmasks, are memoised
+     on first use (`Implications`); a premise adds only the closure of its
+     units (`Closures`), and a query ORs the closures of the literals of
+     "not goal" into it and holds when some atom comes out both true and
+     false.  A premise with an empty clause or conflicting units entails
+     every goal.  A goal atom the premise does not number is free, except
+     that a true singleton still makes its presence atom true.
+  2. DPLL, for every other query: ancestor pruning asks whether one stage
+     formula implies another, with the empty premise.  One walk over a
+     formula with polarity emits the clauses of "premise holds" or "goal
+     fails" directly (`Premise(formula)` translates a premise the same
+     way, and takes the closure path when its clauses are Horn with at
+     most two literals).  Literals and disjunctions of literals become
+     clauses; a conjunction nested inside a clause gets a one-directional
      (Plaisted-Greenbaum) auxiliary variable.  The coupling A! -> A is
      added as the clause (!A! | A) for every singleton atom the walk meets
      first.  A query copies the premise's clause list and atom numbering
@@ -51,13 +55,15 @@ across dozens of goals, so a premise is translated to clauses once
      of a chain at once.
 
 There is no query cache: a process-wide cache of formulas grows the peak
-memory by more than it is worth in time.  A premise and its closures live
-as long as its caller keeps it (a transformation graph, one round of J),
-and the xi formulas and their guarded forms live on their protocol.  The
-tests keep both earlier searches, which walk the formula itself with a
-three-valued evaluator, as the references the entailment check and the
-enumeration must agree with, and check the closures against DPLL on every
-query of large builds.
+memory by more than it is worth in time.  A premise and its unit closure
+live as long as its caller keeps it (a transformation graph, one round of
+J); the atoms, their numbering and the implication graph of each head set
+live on their protocol, as do the xi formulas and their guarded forms.
+The tests keep both earlier searches, which walk the formula itself with
+a three-valued evaluator, as the references the entailment check and the
+enumeration must agree with, and check the closures against DPLL, and the
+premises built from literals against the same premises translated from
+their formulas, on every query of large builds.
 """
 
 from __future__ import annotations
@@ -85,11 +91,11 @@ class Atom(NamedTuple):
 
 
 def presence(p: PopulationProtocol, state: int) -> Atom:
-    return Atom(PRESENCE, state, p.states[state])
+    return numbering(p).presence[state]
 
 
 def singleton(p: PopulationProtocol, state: int) -> Atom:
-    return Atom(SINGLETON, state, p.states[state] + "!")
+    return numbering(p).singleton[state]
 
 
 def out_atom(value: int) -> Atom:
@@ -298,25 +304,67 @@ def _translate(
 
 
 class Premise:
-    """A formula translated once into the clauses that make it hold, so that
+    """A premise translated once into the clauses that make it hold, so that
     many goals can be asked of it: `formula`, its clauses, its atom
-    numbering and the next free variable.  Read-only once built, apart from
-    its literal closures (`closures`), which fill in as queries ask for
+    numbering and the next free variable.  `Premise(formula)` translates a
+    formula; `Premise.horn` builds the premise of the stage-tree build
+    straight from its literals and heads.  Read-only once built, apart from
+    the literal closures (`closures`), which fill in as queries ask for
     them."""
 
-    __slots__ = ("formula", "clauses", "var", "next_var", "_closures")
+    __slots__ = ("_formula", "_horn", "clauses", "var", "next_var", "_closures")
 
     def __init__(self, formula: Formula = TT):
-        self.formula = formula
+        self._formula = formula
+        self._horn: tuple | None = None
         self.clauses: list[list[int]] = []
         self.var: dict[Atom, int] = {}
         self.next_var = _translate(formula, True, self.clauses, self.var, 1)
         self._closures: Closures | bool | None = None
 
+    @classmethod
+    def horn(
+        cls,
+        p: PopulationProtocol,
+        units: Iterable[tuple[Atom, bool]],
+        heads: frozenset[Head],
+    ) -> Premise:
+        """The premise "these literals hold and every head of `heads` is
+        disabled", as clauses over the protocol's one atom numbering: the
+        unit clauses, the xi clause of each head and the coupling of each
+        singleton.  Premises with the same heads share one implication
+        graph and its literal closures (`Numbering.graph`); only the
+        closure of the units is built here."""
+        graph = numbering(p).graph(heads)
+        return _horn_premise(p, (), heads, graph.clauses, Closures(graph, ()), units)
+
+    def with_units(self, extra: Iterable[tuple[Atom, bool]]) -> Premise:
+        """This `horn` premise and more literals: the same heads and graph,
+        and the closure of `extra` ORed into the base."""
+        p, units, heads = self._horn
+        return _horn_premise(p, units, heads, self.clauses, self._closures, extra)
+
+    def with_heads(self, extra: Iterable[Head]) -> Premise:
+        """This `horn` premise with the heads of `extra` disabled too."""
+        p, units, heads = self._horn
+        return Premise.horn(p, units, heads.union(extra))
+
+    @property
+    def formula(self) -> Formula:
+        """The formula the clauses stand for; a `horn` premise builds it
+        on first use."""
+        f = self._formula
+        if f is None:
+            p, units, heads = self._horn
+            lits = [atom(a) if v else neg(atom(a)) for a, v in units]
+            f = self._formula = conj(lits + [heads_formula(p, heads)])
+        return f
+
     def conj(self, extra: Formula) -> Premise:
         """This premise and `extra`; only `extra` is translated."""
         out = Premise.__new__(Premise)
-        out.formula = conj([self.formula, extra])
+        out._formula = conj([self.formula, extra])
+        out._horn = None
         out.clauses = list(self.clauses)
         out.var = dict(self.var)
         out.next_var = _translate(extra, True, out.clauses, out.var, self.next_var)
@@ -332,41 +380,54 @@ class Premise:
                 len(cl) < 2 or (len(cl) == 2 and (cl[0] < 0 or cl[1] < 0))
                 for cl in self.clauses
             )
-            c = self._closures = Closures(self.clauses) if horn else False
+            if not horn:
+                c = False
+            elif [] in self.clauses:
+                c = Closures(Implications([]), [], None)
+            else:
+                graph = Implications([cl for cl in self.clauses if len(cl) == 2])
+                c = Closures(graph, [cl[0] for cl in self.clauses if len(cl) == 1])
+            self._closures = c
         return c or None
 
 
-class Closures:
-    """Unit propagation over Horn clauses of at most two literals, as
-    bitmasks.  A set of literals is written as a pair (true atoms, false
-    atoms) of ints with bit v for variable v.  On binary clauses,
-    propagation from a set of literals is the union of each literal's
-    closure in the implication graph, so every literal's closure is built
-    once, on first use, and a query ORs them into `base`, the closure of the
-    unit clauses; `base` is None when the clauses are unsatisfiable."""
+def _horn_premise(
+    p: PopulationProtocol,
+    units: tuple[tuple[Atom, bool], ...],
+    heads: frozenset[Head],
+    clauses: list[list[int]],
+    closures: Closures,
+    extra: Iterable[tuple[Atom, bool]],
+) -> Premise:
+    """The `horn` premise of `units`, `extra` and `heads`, from the clauses
+    and closures of the one without `extra`."""
+    num = numbering(p)
+    extra = tuple(extra)
+    lits = [num.var[a] if v else -num.var[a] for a, v in extra]
+    out = Premise.__new__(Premise)
+    out._formula = None
+    out._horn = (p, units + extra, heads)
+    out.clauses = [[x] for x in lits] + clauses
+    out.var = num.var
+    out.next_var = num.next_var
+    out._closures = Closures(closures.graph, lits, closures.base)
+    return out
 
-    __slots__ = ("succ", "memo", "base")
+
+class Implications:
+    """The implication graph of binary clauses, with each literal's closure
+    built once, on first use.  A set of literals is written as a pair (true
+    atoms, false atoms) of ints with bit v for variable v."""
+
+    __slots__ = ("clauses", "succ", "memo")
 
     def __init__(self, clauses: list[list[int]]):
+        self.clauses = clauses
         self.succ: dict[int, list[int]] = {}
         self.memo: dict[int, tuple[int, int]] = {}
-        units = []
-        for cl in clauses:
-            if len(cl) == 2:
-                a, b = cl
-                self.succ.setdefault(-a, []).append(b)
-                self.succ.setdefault(-b, []).append(a)
-            else:
-                units.append(cl)
-        pos = negs = 0
-        for cl in units:
-            if not cl:  # the empty clause
-                self.base = None
-                return
-            t, f = self.closure(cl[0])
-            pos |= t
-            negs |= f
-        self.base = None if pos & negs else (pos, negs)
+        for a, b in clauses:
+            self.succ.setdefault(-a, []).append(b)
+            self.succ.setdefault(-b, []).append(a)
 
     def closure(self, lit: int) -> tuple[int, int]:
         """The literals that unit propagation derives from `lit` alone."""
@@ -388,6 +449,33 @@ class Closures:
             got = self.memo[lit] = (pos, negs)
         return got
 
+
+class Closures:
+    """Unit propagation over Horn clauses of at most two literals, as
+    bitmasks.  On binary clauses, propagation from a set of literals is the
+    union of each literal's closure in the implication graph `graph`, so a
+    query ORs those closures into `base`, the closure of the unit literals;
+    `base` is None when the clauses are unsatisfiable."""
+
+    __slots__ = ("graph", "base")
+
+    def __init__(
+        self,
+        graph: Implications,
+        units: Iterable[int],
+        base: tuple[int, int] | None = (0, 0),
+    ):
+        self.graph = graph
+        if base is not None:
+            pos, negs = base
+            closure = graph.closure
+            for lit in units:
+                t, f = closure(lit)
+                pos |= t
+                negs |= f
+            base = None if pos & negs else (pos, negs)
+        self.base = base
+
     def refutes(self, assumed: list[tuple[Atom, bool]], var: dict[Atom, int]) -> bool:
         """True iff the clauses and the literals `assumed` are unsatisfiable
         under the coupling A! -> A.  An atom outside the numbering `var` is
@@ -396,13 +484,14 @@ class Closures:
         if self.base is None:
             return True
         pos, negs = self.base
+        graph = self.graph
         free: dict[Atom, bool] = {}
         for a, value in assumed:
             while True:
                 v = var.get(a)
                 if v is not None:
                     lit = v if value else -v
-                    t, f = self.memo.get(lit) or self.closure(lit)
+                    t, f = graph.memo.get(lit) or graph.closure(lit)
                     pos |= t
                     negs |= f
                     break
@@ -412,6 +501,45 @@ class Closures:
                     break
                 a = Atom(PRESENCE, a.index, a.name[:-1])
         return bool(pos & negs)
+
+
+class Numbering:
+    """The one atom numbering of a protocol's premises: the presence atom
+    of state s is variable 2s + 1 and its singleton atom 2s + 2.  It keeps
+    the atoms themselves, built once, and per set H of disabled heads the
+    implication graph of the xi clause of each head of H and the coupling
+    (!A! | A) of each singleton, built on first use; see `Premise.horn`."""
+
+    __slots__ = ("presence", "singleton", "var", "next_var", "graphs")
+
+    def __init__(self, p: PopulationProtocol):
+        self.presence = tuple(Atom(PRESENCE, s, q) for s, q in enumerate(p.states))
+        self.singleton = tuple(
+            Atom(SINGLETON, s, q + "!") for s, q in enumerate(p.states)
+        )
+        self.var: dict[Atom, int] = {}
+        for s, (a, one) in enumerate(zip(self.presence, self.singleton)):
+            self.var[a] = 2 * s + 1
+            self.var[one] = 2 * s + 2
+        self.next_var = 2 * len(p.states) + 1
+        self.graphs: dict[frozenset[Head], Implications] = {}
+
+    def graph(self, heads: frozenset[Head]) -> Implications:
+        g = self.graphs.get(heads)
+        if g is None:
+            clauses = [[-2 * s - 2, 2 * s + 1] for s in range(len(self.presence))]
+            for a, b in sorted(heads):
+                clauses.append([-2 * a - 1, -2 * b - 1 if a != b else 2 * a + 2])
+            g = self.graphs[heads] = Implications(clauses)
+        return g
+
+
+def numbering(p: PopulationProtocol) -> Numbering:
+    """The protocol's `Numbering`, built on first use and kept on it."""
+    num = p.numbering
+    if num is None:
+        num = p.numbering = Numbering(p)
+    return num
 
 
 def _refutation(goal: Formula) -> list[tuple[Atom, bool]] | None:

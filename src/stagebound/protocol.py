@@ -136,6 +136,9 @@ class PopulationProtocol:
         # under the guard of a re-enabling product, by logic.guarded_xi
         self.xi_table: dict = {}
         self.guarded_xi_table: dict = {}
+        # the atoms, their one numbering and the implication graph of each
+        # head set, built on first use by logic.numbering
+        self.numbering = None
 
     # -- naming helpers -------------------------------------------------
 
@@ -168,6 +171,21 @@ class PopulationProtocol:
                 for (a, b), rules in sorted(self.rules_by_head.items())
             ),
         )
+
+    @cached_property
+    def rules_by_state(
+        self,
+    ) -> tuple[tuple[tuple[Transition, ...], tuple[Transition, ...]], ...]:
+        """Per state, the non-idle rules with it on the right-hand side and
+        those with it on the left-hand side, each in rule order; built on
+        first use and kept on the instance."""
+        out = tuple(([], []) for _ in self.states)
+        for t in self.non_idle:
+            for s in set(t.rhs):
+                out[s][0].append(t)
+            for s in set(t.lhs):
+                out[s][1].append(t)
+        return tuple((tuple(made), tuple(used)) for made, used in out)
 
     def __repr__(self) -> str:
         return f"PopulationProtocol({self.name!r}, |Q|={len(self.states)}, |T|={self.explicit_count})"

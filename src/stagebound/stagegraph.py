@@ -51,6 +51,7 @@ from .logic import (
     implies,
     is_tautology,
     neg,
+    numbering,
     presence,
     pretty,
     singleton,
@@ -69,8 +70,9 @@ TERMINAL_EXHAUSTED = "terminal-exhausted"
 class TransformationGraph:
     """States still allowed by pi, with "A can turn into B" edges.
 
-    `premise` is the `Premise` of pi_nu and the disabled heads T the graph
-    was built under, translated once for every query asked under it.
+    `premise` is the `Premise.horn` of the literals of pi_nu and the
+    disabled heads T the graph was built under, built once for every query
+    asked under it; `compute_j` and `bounds.is_fast` extend it.
     `gen_edges` has one key per non-idle rule that can still fire under
     `premise`, mapped to the edges it generates.  Each edge carries the
     transitions generating it.  `scc` maps every vertex to its strongly
@@ -181,33 +183,33 @@ def mn_fixpoint(
 ) -> tuple[set[int], set[int]]:
     """Greatest fixed point (M, N): states provably never populated again /
     forever holding exactly one agent, for configurations satisfying nu with
-    the given permanently disabled heads."""
+    the given permanently disabled heads.  Each state's test reads only the
+    rules producing or consuming it (`p.rules_by_state`)."""
     m = {a.index for a, v in nu.items() if a.kind == PRESENCE and v is False}
     n = {a.index for a, v in nu.items() if a.kind == SINGLETON and v is True}
+    by_state = p.rules_by_state
 
     def m_ok(a: int, m: set[int], n: set[int]) -> bool:
         # every rule putting `a` on its right-hand side must be unfireable
-        return all(
-            head_blocked(t.lhs, disabled, m, n) for t in p.non_idle if a in t.rhs
-        )
+        return all(head_blocked(t.lhs, disabled, m, n) for t in by_state[a][0])
 
     def n_ok(a: int, m: set[int], n: set[int]) -> bool:
-        for t in p.non_idle:
+        made, used = by_state[a]
+        for t in used:
             x, y = t.lhs
+            if x == y:
+                continue  # needs two a-agents; cannot fire with one
+            # consuming the unique a-agent is fine only if exactly one a
+            # comes back out
             c, d = t.rhs
-            if a in (x, y):
-                if x == y:
-                    continue  # needs two a-agents; cannot fire with one
-                # consuming the unique a-agent is fine only if exactly one
-                # a comes back out
-                if (c == a) + (d == a) != 1:
-                    other = y if x == a else x
-                    if other not in m and t.lhs not in disabled:
-                        return False
-            elif a in (c, d):
-                # produces an extra a-agent without consuming one
-                if not head_blocked(t.lhs, disabled, m, n):
+            if (c == a) + (d == a) != 1:
+                other = y if x == a else x
+                if other not in m and t.lhs not in disabled:
                     return False
+        for t in made:
+            # produces an extra a-agent without consuming one
+            if a not in t.lhs and not head_blocked(t.lhs, disabled, m, n):
+                return False
         return True
 
     while True:
@@ -223,24 +225,21 @@ def compute_pi_nu(
 ) -> Valuation:
     """Extend the persistent valuation with the permanent part of nu."""
     m, n = mn_fixpoint(p, disabled, nu)
+    num = numbering(p)
     pi: Valuation = {}
     for a in sorted(m):
-        pi[presence(p, a)] = False
+        pi[num.presence[a]] = False
     # E: states with exactly one agent because no still-enabled rule
     # consumes their unique agent without restoring it.
-    for a in range(len(p.states)):
-        av = nu.get(presence(p, a))
-        if av is not True:
-            continue
-        if all(
-            head_blocked(t.lhs, disabled, m, n)
-            for t in p.non_idle
-            if a in t.lhs and a not in t.rhs
+    for a, (_, used) in enumerate(p.rules_by_state):
+        present = num.presence[a]
+        if nu.get(present) is True and all(
+            head_blocked(t.lhs, disabled, m, n) for t in used if a not in t.rhs
         ):
-            pi[presence(p, a)] = True
+            pi[present] = True
     for a in sorted(n):
-        pi[presence(p, a)] = True
-        pi[singleton(p, a)] = True
+        pi[num.presence[a]] = True
+        pi[num.singleton[a]] = True
     return pi
 
 
@@ -273,11 +272,9 @@ def build_transformation_graph(
     disabled.  A head needing an absent state, or lying in T, is such a
     clause of the premise itself, so it is skipped without a query."""
     vertices = tuple(
-        s
-        for s in range(len(p.states))
-        if pi_nu.get(presence(p, s)) is not False
+        s for s, a in enumerate(numbering(p).presence) if pi_nu.get(a) is not False
     )
-    premise = Premise(conj([valuation_formula(pi_nu), heads_formula(p, disabled)]))
+    premise = Premise.horn(p, pi_nu.items(), disabled)
     edges: dict[tuple[int, int], list[Transition]] = {}
     gen_edges: dict[Transition, tuple[tuple[int, int], ...]] = {}
     for t in p.non_idle:
@@ -408,11 +405,11 @@ def compute_j(
     round's premise, so it is skipped without a query."""
 
     def head_ok(ef: Head, m: set[Head], base: Premise) -> bool:
-        # base: the graph's premise with every head of m disabled,
-        # translated once per round.  A rule producing one state of {E,F}
-        # re-enables it when E was absent and F present; a rule producing
-        # one more E re-enables {E,E} unless E was consumed by the rule or
-        # two E's never coexist afterwards.
+        # base: the graph's premise with every head of m disabled, built
+        # once per round.  A rule producing one state of {E,F} re-enables
+        # it when E was absent and F present; a rule producing one more E
+        # re-enables {E,E} unless E was consumed by the rule or two E's
+        # never coexist afterwards.
         e, f = ef
         for t in g.gen_edges:
             if t.lhs in m:
@@ -430,7 +427,7 @@ def compute_j(
 
     m = set(exp)
     while True:
-        base = g.premise.conj(heads_formula(p, m))
+        base = g.premise.with_heads(m)
         keep = {ef for ef in m if head_ok(ef, m, base)}
         if keep == m:
             return frozenset(m)
@@ -685,39 +682,63 @@ def _heads_repr(p: PopulationProtocol, heads) -> list[str]:
     return [p.head_name(h) for h in sorted(heads)]
 
 
+def _once(render):
+    """`render` applied once per distinct object, by identity: stages share
+    their formulas, valuations and case analyses, and every object stays
+    alive while the caller walks the tree."""
+    done: dict[int, object] = {}
+
+    def get(obj):
+        got = done.get(id(obj))
+        if got is None:
+            got = done[id(obj)] = render(obj)
+        return got
+
+    return get
+
+
 def to_json_dict(sg: StageGraph) -> dict:
-    """Full tree with case-analysis fields, suitable for machine diffing."""
+    """Full tree with case-analysis fields, suitable for machine diffing.
+    Each distinct formula, valuation and case analysis is rendered once,
+    and the stages that share it share the rendering."""
     p = sg.protocol
+    phi_repr = _once(pretty)
+    val_repr = _once(_val_repr)
+
+    def block(ca: CaseAnalysis) -> dict:
+        return {
+            "stable": ca.stable,
+            "dead": ca.dead,
+            "exp": _heads_repr(p, ca.exp),
+            "j": _heads_repr(p, ca.j),
+            "t_nu": _heads_repr(p, ca.t_nu),
+            "k": _heads_repr(p, ca.k),
+            "l": _heads_repr(p, ca.l),
+            "i_states": [p.states[i] for i in sorted(ca.i_states)],
+            "u_states": [p.states[i] for i in sorted(ca.u_states)],
+            "nu_disabled": ca.nu_disabled,
+            "nu_enabled": ca.nu_enabled,
+            "fast": ca.fast,
+            "very_fast": ca.very_fast,
+            "bound": bounds_mod.edge_bound(ca).label,
+        }
+
+    analysis_repr = _once(block)
+    heads_repr = _once(lambda heads: _heads_repr(p, heads))
     stages = []
     for s in sg.stages:
         entry: dict = {
             "id": s.id,
             "parent": s.parent,
             "kind": s.kind,
-            "phi": pretty(s.phi),
-            "pi": _val_repr(s.pi),
-            "disabled": _heads_repr(p, s.disabled),
+            "phi": phi_repr(s.phi),
+            "pi": val_repr(s.pi),
+            "disabled": heads_repr(s.disabled),
             "children": list(s.children),
-            "via": _val_repr(s.via),
+            "via": val_repr(s.via),
         }
-        ca = s.analysis
-        if ca is not None:
-            entry["analysis"] = {
-                "stable": ca.stable,
-                "dead": ca.dead,
-                "exp": _heads_repr(p, ca.exp),
-                "j": _heads_repr(p, ca.j),
-                "t_nu": _heads_repr(p, ca.t_nu),
-                "k": _heads_repr(p, ca.k),
-                "l": _heads_repr(p, ca.l),
-                "i_states": [p.states[i] for i in sorted(ca.i_states)],
-                "u_states": [p.states[i] for i in sorted(ca.u_states)],
-                "nu_disabled": ca.nu_disabled,
-                "nu_enabled": ca.nu_enabled,
-                "fast": ca.fast,
-                "very_fast": ca.very_fast,
-                "bound": bounds_mod.edge_bound(ca).label,
-            }
+        if s.analysis is not None:
+            entry["analysis"] = analysis_repr(s.analysis)
         stages.append(entry)
     return {
         "protocol": p.name,

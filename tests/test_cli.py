@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from stagebound import verify
 from stagebound.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -315,6 +316,26 @@ def test_simulate_unwritable_csv_exits_without_traceback(capsys, tmp_path):
     )
     assert code == 1
     assert_one_error_line(err, path)
+
+
+def test_simulate_exploration_limit_exits_3(capsys, monkeypatch):
+    # a resource limit, as for check: exit 3 with one error line, no row
+    def capped(*args, **kwargs):
+        raise verify.ExplorationLimitError("exploration cap 10 exceeded")
+
+    monkeypatch.setattr(verify, "simulate", capped)
+    code, out, err = run(
+        capsys,
+        "simulate",
+        str(PP / "majority-ex2.pp"),
+        "--config",
+        "A=2,B=1",
+        "--trials",
+        "5",
+    )
+    assert code == 3
+    assert err == "error: exploration cap 10 exceeded\n"
+    assert out.splitlines()[-1] == "trials,mean_interactions,stderr,consensus0,consensus1"
 
 
 def test_bench_unwritable_csv_exits_without_traceback(capsys, tmp_path):

@@ -19,10 +19,13 @@ from stagebound import (
 )
 from stagebound.corpus import broadcast, majority_four_state, majority_five_state, remainder
 from stagebound.logic import (
+    PRESENCE,
+    SINGLETON,
     TT,
     Premise,
     atom,
     conj,
+    disj,
     enumerate_satisfying_valuations,
     heads_formula,
     implies,
@@ -50,6 +53,7 @@ from stagebound.stagegraph import (
     compute_j,
     compute_k,
     compute_pi_nu,
+    head_blocked,
     initial_stage,
     is_dead,
     is_stable,
@@ -554,8 +558,7 @@ def test_build_matches_unmemoised_reference_generated(p):
 
 def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
     # every entailment query of a 1,351-stage build, asked again of the
-    # clause DPLL; all but is_fast's (whose premise is not Horn) take the
-    # closure path
+    # clause DPLL; every one, is_fast's included, takes the closure path
     queries = []
 
     def recording(kind):
@@ -574,7 +577,7 @@ def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
     assert len(queries) > 1000
     for kind, goal, premise in queries:
         closure = premise.closures() is not None and logic._refutation(goal) is not None
-        assert closure == (kind == "build"), (kind, pretty(goal))
+        assert closure, (kind, pretty(goal))
         assert is_tautology(goal, premise) == logic._dpll_entails(goal, premise)
     seen = set()
     for s in sg.stages:
@@ -583,3 +586,202 @@ def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
             seen.add(id(ca))
             mode = classify_nu_mode(sg.protocol, ca.nu, ca.j)
             assert mode == reference_classify_nu_mode(sg.protocol, ca.nu, ca.j)
+
+
+# ---------------------------------------------------------------------------
+# The case analysis builds its premises from literals and head sets, reads
+# the M/N fixpoint off per-state rule lists and splits is_fast into Horn
+# premises.  The references below are the earlier forms: the rule-scanning
+# fixpoint and is_fast's DPLL query under "some head of Exp is enabled".
+
+
+def reference_mn_fixpoint(p, disabled, nu):
+    """Greatest fixed point (M, N): states provably never populated again /
+    forever holding exactly one agent, for configurations satisfying nu with
+    the given permanently disabled heads."""
+    m = {a.index for a, v in nu.items() if a.kind == PRESENCE and v is False}
+    n = {a.index for a, v in nu.items() if a.kind == SINGLETON and v is True}
+
+    def m_ok(a, m, n):
+        # every rule putting `a` on its right-hand side must be unfireable
+        return all(
+            head_blocked(t.lhs, disabled, m, n) for t in p.non_idle if a in t.rhs
+        )
+
+    def n_ok(a, m, n):
+        for t in p.non_idle:
+            x, y = t.lhs
+            c, d = t.rhs
+            if a in (x, y):
+                if x == y:
+                    continue  # needs two a-agents; cannot fire with one
+                # consuming the unique a-agent is fine only if exactly one
+                # a comes back out
+                if (c == a) + (d == a) != 1:
+                    other = y if x == a else x
+                    if other not in m and t.lhs not in disabled:
+                        return False
+            elif a in (c, d):
+                # produces an extra a-agent without consuming one
+                if not head_blocked(t.lhs, disabled, m, n):
+                    return False
+        return True
+
+    while True:
+        m2 = {a for a in m if m_ok(a, m, n)}
+        n2 = {a for a in n if n_ok(a, m, n)}
+        if m2 == m and n2 == n:
+            return m, n
+        m, n = m2, n2
+
+
+def reference_compute_pi_nu(p, disabled, nu):
+    """Extend the persistent valuation with the permanent part of nu."""
+    m, n = reference_mn_fixpoint(p, disabled, nu)
+    pi = {}
+    for a in sorted(m):
+        pi[presence(p, a)] = False
+    # E: states with exactly one agent because no still-enabled rule
+    # consumes their unique agent without restoring it.
+    for a in range(len(p.states)):
+        av = nu.get(presence(p, a))
+        if av is not True:
+            continue
+        if all(
+            head_blocked(t.lhs, disabled, m, n)
+            for t in p.non_idle
+            if a in t.lhs and a not in t.rhs
+        ):
+            pi[presence(p, a)] = True
+    for a in sorted(n):
+        pi[presence(p, a)] = True
+        pi[singleton(p, a)] = True
+    return pi
+
+
+def reference_is_fast(p, g, exp, u_states):
+    """Whenever a draining state is still present and not every crossing rule
+    is disabled, some crossing rule on that very state must be enabled."""
+    base = g.premise.conj(neg(heads_formula(p, exp)))
+    for a in sorted(u_states):
+        exp_a = [h for h in sorted(exp) if a in h]
+        cons = disj([neg(xi(p, h)) for h in exp_a])
+        if not is_tautology(implies(atom(presence(p, a)), cons), base):
+            return False
+    return True
+
+
+@st.composite
+def valuations(draw, p):
+    """Any partial assignment to the presence and singleton atoms of p,
+    consistent or not."""
+    nu = {}
+    for s in range(len(p.states)):
+        for a in (presence(p, s), singleton(p, s)):
+            value = draw(st.sampled_from([None, False, True]))
+            if value is not None:
+                nu[a] = value
+    return nu
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_indexed_fixpoint_matches_reference_generated(data):
+    p = data.draw(small_protocols())
+    disabled = data.draw(st.frozensets(st.sampled_from(all_heads(len(p.states)))))
+    nu = data.draw(valuations(p))
+    assert mn_fixpoint(p, disabled, nu) == reference_mn_fixpoint(p, disabled, nu)
+    got = compute_pi_nu(p, disabled, nu)
+    expect = reference_compute_pi_nu(p, disabled, nu)
+    assert list(got.items()) == list(expect.items())
+
+
+def assert_is_fast_matches_reference(sg):
+    """is_fast against the reference on every distinct case analysis of a
+    tree, under the graph the build made for it; returns how many."""
+    p = sg.protocol
+    seen = set()
+    for s in sg.stages:
+        ca = s.analysis
+        if ca is None or not ca.exp or id(ca) in seen:
+            continue
+        seen.add(id(ca))
+        g = build_transformation_graph(p, s.pi, sg.stages[s.parent].disabled)
+        expect = reference_is_fast(p, g, ca.exp, ca.u_states)
+        assert ca.fast == expect, (p.name, s.id)
+        assert bounds.is_fast(p, g, ca.exp, ca.u_states) == expect, (p.name, s.id)
+    return len(seen)
+
+
+def test_is_fast_matches_reference_on_corpus(corpus_graphs):
+    assert sum(assert_is_fast_matches_reference(sg) for sg in corpus_graphs.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=small_cases(), data=st.data())
+def test_is_fast_matches_reference_generated(case, data):
+    p, pi, disabled, exp = case
+    pi_nu = compute_pi_nu(p, disabled, pi)
+    g = build_transformation_graph(p, pi_nu, disabled)
+    # the build's own Exp and draining states, then any head set and states
+    u = frozenset(v for v in g.vertices if g.scc[v] not in g.bottom)
+    graph_exp = compute_exp(g)
+    assert bounds.is_fast(p, g, graph_exp, u) == reference_is_fast(p, g, graph_exp, u)
+    # under a pi_nu, A! is never false; under the drawn pi it may be
+    for g in (g, build_transformation_graph(p, pi, disabled)):
+        u = data.draw(st.frozensets(st.sampled_from(range(len(p.states)))))
+        assert bounds.is_fast(p, g, exp, u) == reference_is_fast(p, g, exp, u)
+
+
+def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):
+    # every graph, J and is_fast query of a 1,351-stage build, asked again
+    # under Premise(conj([valuation_formula(pi), heads_formula(p, H)])),
+    # with is_fast's literals added, and of the clause DPLL there
+    formulas = {}  # id(premise) -> (premise, the formula it stands for)
+    horn, with_units = Premise.horn.__func__, Premise.with_units
+
+    def lit(a, v):
+        return atom(a) if v else neg(atom(a))
+
+    def recording_horn(cls, p, units, heads):
+        units = list(units)
+        pr = horn(cls, p, units, heads)
+        f = conj([valuation_formula(dict(units)), heads_formula(p, heads)])
+        formulas[id(pr)] = (pr, f)
+        return pr
+
+    def recording_with_units(self, extra):
+        extra = list(extra)
+        pr = with_units(self, extra)
+        formulas[id(pr)] = (pr, conj([formulas[id(self)][1]] + [lit(*x) for x in extra]))
+        return pr
+
+    queries = []
+
+    def recording(kind):
+        def ask(goal, premise=Premise()):
+            queries.append((kind, goal, premise))
+            return logic.is_tautology(goal, premise)
+
+        return ask
+
+    monkeypatch.setattr(Premise, "horn", classmethod(recording_horn))
+    monkeypatch.setattr(Premise, "with_units", recording_with_units)
+    monkeypatch.setattr(stagegraph, "is_tautology", recording("build"))
+    monkeypatch.setattr(bounds, "is_tautology", recording("is_fast"))
+    sg = build_stage_graph(parse_protocol(remainder(7)))
+    monkeypatch.undo()
+    assert len(sg.stages) == 1351
+    kinds = {kind for kind, _, _ in queries}
+    assert kinds == {"build", "is_fast"}
+    translated = {}
+    for kind, goal, premise in queries:
+        pr, f = formulas[id(premise)]
+        assert pr is premise
+        ref = translated.get(f)
+        if ref is None:
+            ref = translated[f] = Premise(f)
+        expect = logic._dpll_entails(goal, ref)
+        assert is_tautology(goal, ref) == expect, (kind, pretty(goal))
+        assert is_tautology(goal, premise) == expect, (kind, pretty(goal))
+    assert assert_is_fast_matches_reference(sg) > 0
