@@ -416,27 +416,37 @@ def transition_probability(
 def step_distribution(
     p: PopulationProtocol, c: Configuration
 ) -> dict[Configuration, Fraction]:
-    """One-step successor distribution, merging rules with equal successors.
-
-    The mass of each successor is summed as an integer numerator over the
-    common denominator (n^2 - n) * L of the move table, L being the lcm of
-    the rule counts, so one Fraction is made per successor."""
+    """One-step successor distribution, merging rules with equal successors:
+    the weights of `successor_weights` over their common denominator
+    (n^2 - n) * L, L being the lcm of the rule counts, one Fraction per
+    successor."""
     n = c.size
     if n < 2:
         raise ValueError("configuration must have at least two agents")
-    counts = c.counts
-    table = p.moves
+    den = (n * n - n) * p.moves.lcm
+    return {
+        Configuration(s): Fraction(w, den)
+        for s, w in successor_weights(p, c.counts).items()
+    }
+
+
+def successor_weights(
+    p: PopulationProtocol, counts: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    """The successor count vectors of `counts` with their integer weights:
+    a successor's probability is its weight over (n^2 - n) * L, the move
+    table's common denominator.  A rule's weight is the number of ordered
+    agent pairs on its head times the head's multiplier; rules with equal
+    successors add up.  Successors come in head order, then rule order."""
     nums: dict[tuple[int, ...], int] = {}
-    for a, b, mult, quads in table.heads:
+    for a, b, mult, quads in p.moves.heads:
         w = counts[a] * (counts[a] - 1) if a == b else 2 * counts[a] * counts[b]
-        if w == 0:
-            continue
-        w *= mult
-        for quad in quads:
-            succ = successor(counts, quad)
-            nums[succ] = nums.get(succ, 0) + w
-    den = (n * n - n) * table.lcm
-    return {Configuration(s): Fraction(w, den) for s, w in nums.items()}
+        if w:
+            w *= mult
+            for quad in quads:
+                s = successor(counts, quad)
+                nums[s] = nums.get(s, 0) + w
+    return nums
 
 
 def successor(

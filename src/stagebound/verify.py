@@ -35,8 +35,9 @@ from .protocol import (
     Configuration,
     PopulationProtocol,
     initial_configuration,
-    step_distribution,
+    step_distribution,  # noqa: F401  (perfbench/tracing.py wraps it here)
     successor,
+    successor_weights,
 )
 from .stagegraph import Stage, StageGraph, scc_condensation
 
@@ -162,41 +163,60 @@ def explore(
     roots: Configuration | list[Configuration],
     cap: int = 200_000,
 ) -> ReachGraph:
-    """BFS closure of the root configuration(s) under the step relation."""
+    """BFS closure of the root configuration(s) under the step relation.
+
+    The roots may have different sizes.  No step changes the size, so the
+    chain is the disjoint union of one closure per size, and each size's
+    nodes keep the relative order that a BFS from its roots alone gives.
+    The cap counts per size: reaching more than `cap` configurations of
+    one size raises ExplorationLimitError, however many other sizes hold.
+
+    The BFS runs on count tuples.  A node's successors are those of
+    `successor_weights` in sorted order, the order of their Configurations,
+    each with its probability weight / ((n^2 - n) * L); equal (weight,
+    denominator) pairs share one Fraction.  The Configurations are made
+    once per node, at the end."""
     if isinstance(roots, Configuration):
         roots = [roots]
     for c in roots:
         if c.size < 2:
             raise ValueError("configurations need at least two agents")
-    nodes: list[Configuration] = []
-    index: dict[Configuration, int] = {}
-    succ: list[list[tuple[int, Fraction]]] = []
-    work: deque[int] = deque()
+    ids: dict[tuple[int, ...], int] = {}
+    order: list[tuple[int, ...]] = []
+    per_size: dict[int, int] = {}
     root_ids = []
     for c in roots:
-        if c not in index:
-            index[c] = len(nodes)
-            nodes.append(c)
-            work.append(index[c])
-        root_ids.append(index[c])
-    while work:
-        v = work.popleft()
-        while len(succ) <= v:
-            succ.append([])
+        i = ids.get(c.counts)
+        if i is None:
+            i = ids[c.counts] = len(order)
+            order.append(c.counts)
+            per_size[c.size] = per_size.get(c.size, 0) + 1
+        root_ids.append(i)
+    big = p.moves.lcm
+    probs: dict[tuple[int, int], Fraction] = {}
+    succ: list[list[tuple[int, Fraction]]] = []
+    # nodes are numbered in the order they are queued, so the BFS visits
+    # them by number
+    for c in order:
+        n = sum(c)
+        den = (n * n - n) * big
         outs = []
-        for succ_cfg, prob in sorted(step_distribution(p, nodes[v]).items()):
-            if succ_cfg not in index:
-                if len(nodes) >= cap:
-                    raise ExplorationLimitError(
-                        f"exploration cap {cap} exceeded"
-                    )
-                index[succ_cfg] = len(nodes)
-                nodes.append(succ_cfg)
-                work.append(index[succ_cfg])
-            outs.append((index[succ_cfg], prob))
-        succ[v] = outs
-    while len(succ) < len(nodes):
-        succ.append([])
+        for s, w in sorted(successor_weights(p, c).items()):
+            u = ids.get(s)
+            if u is None:
+                if per_size[n] >= cap:
+                    raise ExplorationLimitError(f"exploration cap {cap} exceeded")
+                per_size[n] += 1
+                u = ids[s] = len(order)
+                order.append(s)
+            prob = probs.get((w, den))
+            if prob is None:
+                prob = probs[w, den] = Fraction(w, den)
+            outs.append((u, prob))
+        succ.append(outs)
+    del ids  # one node index at a time
+    nodes = [Configuration(c) for c in order]
+    index = {c: i for i, c in enumerate(nodes)}
     return ReachGraph(p, nodes, index, succ, root_ids)
 
 
@@ -446,15 +466,10 @@ def persist_formula(p: PopulationProtocol, stage: Stage) -> Formula:
     return conj([valuation_formula(stage.pi), heads_formula(p, stage.disabled)])
 
 
-def stage_denotation(
-    g: ReachGraph, stage: Stage, p: PopulationProtocol, persist: Formula | None = None
-) -> set[int]:
+def stage_denotation(g: ReachGraph, stage: Stage, p: PopulationProtocol) -> set[int]:
     """Nodes in [[S]]: satisfy Phi now, and pi plus the disabled heads from
-    now on (evaluated over the finite closure).  `persist` is the stage's
-    `persist_formula`, built here when not given."""
-    if persist is None:
-        persist = persist_formula(p, stage)
-    return g.sat(stage.phi) & g.box_set(g.sat(persist))
+    now on (evaluated over the finite closure)."""
+    return g.sat(stage.phi) & g.box_set(g.sat(persist_formula(p, stage)))
 
 
 def stage_triple(s: Stage) -> tuple:
@@ -470,46 +485,41 @@ def check_stage_graph(
     (b) from every reachable configuration in a non-terminal stage, the union
     of its children's denotations is reached almost surely.
 
-    Each distinct stage triple's persist formula is built once.  Per size,
-    each distinct triple is denoted once, and the progress check runs once
-    per distinct pair of a triple and its children's triples; violations
-    are still reported per stage id, in stage order."""
-    violations: list[Violation] = []
+    The initial configurations of all sizes are the roots of one chain,
+    explored with the cap counted per size.  No step changes the size, so
+    every closure on that chain is the union of the closures of the chains
+    per size, and the answers are theirs.  The key masks are built once,
+    each distinct stage triple is denoted once, and the progress check runs
+    once per distinct pair of a triple and its children's triples.
+    Violations are reported by size, initial membership before progress,
+    then in stage order, configurations in chain order."""
+    roots = [c for n in range(2, max_n + 1) for c in initial_configurations(p, n)]
+    if not roots:
+        return []
+    g = explore(p, roots)
     ids: dict[tuple, int] = {}
     tri = [ids.setdefault(stage_triple(s), len(ids)) for s in sg.stages]
-    persist: dict[int, Formula] = {}
+    denote: dict[int, set[int]] = {}
     for s, t in zip(sg.stages, tri):
-        if t not in persist:
-            persist[t] = persist_formula(p, s)
-    for n in range(2, max_n + 1):
-        inits = initial_configurations(p, n)
-        if not inits:
+        if t not in denote:
+            denote[t] = stage_denotation(g, s, p)
+    root_den = denote[tri[sg.root]]
+    # (size, condition, stage id, node) of every violation; a stage's id is
+    # its position in sg.stages
+    found = [(g.nodes[i].size, 0, sg.root, i) for i in g.roots if i not in root_den]
+    stuck: dict[tuple[int, frozenset[int]], set[int]] = {}
+    for s, t in zip(sg.stages, tri):
+        if not s.children:
             continue
-        g = explore(p, inits)
-        denote: dict[int, set[int]] = {}
-        for s, t in zip(sg.stages, tri):
-            if t not in denote:
-                denote[t] = stage_denotation(g, s, p, persist[t])
-        root_den = denote[tri[sg.root]]
-        for i in g.roots:
-            if i not in root_den:
-                violations.append(
-                    Violation(n, "initial-membership", sg.root, g.nodes[i])
-                )
-        stuck: dict[tuple[int, frozenset[int]], list[int]] = {}
-        for s, t in zip(sg.stages, tri):
-            if not s.children:
-                continue
-            key = (t, frozenset(tri[cid] for cid in s.children))
-            if key not in stuck:
-                target = set()
-                for kid in key[1]:
-                    target |= denote[kid]
-                good = g.almost_sure_reach(target)
-                stuck[key] = [i for i in sorted(denote[t]) if i not in good]
-            for i in stuck[key]:
-                violations.append(Violation(n, "progress", s.id, g.nodes[i]))
-    return violations
+        key = (t, frozenset(tri[cid] for cid in s.children))
+        if key not in stuck:
+            target = set().union(*(denote[kid] for kid in key[1]))
+            stuck[key] = denote[t] - g.almost_sure_reach(target)
+        found += [(g.nodes[i].size, 1, s.id, i) for i in stuck[key]]
+    return [
+        Violation(n, ("initial-membership", "progress")[k], sid, g.nodes[i])
+        for n, k, sid, i in sorted(found)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from stagebound import verify
+from stagebound import parse_protocol, verify
 from stagebound.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -356,6 +356,26 @@ def test_check_vacuous(capsys):
     code, out, _ = run(capsys, "check", str(PP / "broadcast.pp"), "--max-n", "1")
     assert code == 0
     assert "vacuous" in out
+
+
+def test_check_exploration_cap_is_per_size(capsys, monkeypatch):
+    # check explores every size as one chain, but the cap still counts per
+    # size: a cap that holds each size's closure passes, one below the
+    # largest exits 3 with nothing on stdout
+    p = parse_protocol((PP / "majority-ex2.pp").read_text())
+    sizes = [verify.explore(p, verify.initial_configurations(p, n)).size for n in range(2, 6)]
+    real = verify.explore
+    for cap in (max(sizes), max(sizes) - 1):
+        monkeypatch.setattr(
+            verify, "explore", lambda p, roots, cap=cap: real(p, roots, cap=cap)
+        )
+        code, out, err = run(capsys, "check", str(PP / "majority-ex2.pp"), "--max-n", "5")
+        if cap < max(sizes):
+            assert (code, out) == (3, "")
+            assert err == f"partial verification: exploration cap {cap} exceeded\n"
+        else:
+            assert cap < sum(sizes)
+            assert (code, out, err) == (0, "0 violations (sizes 2..5)\n", "")
 
 
 def test_bench_runs_ordered(capsys, tmp_path):

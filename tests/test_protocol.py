@@ -1,5 +1,6 @@
 """Protocol model, parser, and exact step semantics."""
 
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -411,17 +412,85 @@ def test_step_distribution_matches_reference_generated(data):
     assert sum(got.values()) == Fraction(1)
 
 
-def test_explore_matches_reference_distribution_on_corpus(corpus, monkeypatch):
+# ---------------------------------------------------------------------------
+# explore's integer BFS against the exploration it replaced
+
+
+def reference_explore(p, roots, cap=200_000):
+    """explore as it was before the integer BFS: Configurations, one
+    Fraction per edge and one BFS over all roots, the cap counted over the
+    whole chain; the distribution is the per-rule reference above."""
+    if isinstance(roots, Configuration):
+        roots = [roots]
+    for c in roots:
+        if c.size < 2:
+            raise ValueError("configurations need at least two agents")
+    nodes = []
+    index = {}
+    succ = []
+    work = deque()
+    root_ids = []
+    for c in roots:
+        if c not in index:
+            index[c] = len(nodes)
+            nodes.append(c)
+            work.append(index[c])
+        root_ids.append(index[c])
+    while work:
+        v = work.popleft()
+        while len(succ) <= v:
+            succ.append([])
+        outs = []
+        for succ_cfg, prob in sorted(reference_step_distribution(p, nodes[v]).items()):
+            if succ_cfg not in index:
+                if len(nodes) >= cap:
+                    raise V.ExplorationLimitError(f"exploration cap {cap} exceeded")
+                index[succ_cfg] = len(nodes)
+                nodes.append(succ_cfg)
+                work.append(index[succ_cfg])
+            outs.append((index[succ_cfg], prob))
+        succ[v] = outs
+    while len(succ) < len(nodes):
+        succ.append([])
+    return V.ReachGraph(p, nodes, index, succ, root_ids)
+
+
+def assert_same_exploration(p, roots):
+    """explore equals the reference on nodes, exact successor
+    probabilities, roots and index, index order included."""
+    got = V.explore(p, roots)
+    want = reference_explore(p, roots)
+    assert got.nodes == want.nodes
+    assert got.succ == want.succ
+    assert all(type(prob) is Fraction for outs in got.succ for _, prob in outs)
+    assert got.roots == want.roots
+    assert list(got.index.items()) == list(want.index.items())
+    return got
+
+
+def test_explore_matches_reference_distribution_on_corpus(corpus):
     for entry in corpus:
         p = entry.protocol()
-        for n in range(2, 7):
-            roots = V.initial_configurations(p, n)
-            got = V.explore(p, roots)
-            for c in got.nodes:
-                assert step_distribution(p, c) == reference_step_distribution(p, c)
-            with monkeypatch.context() as m:
-                m.setattr(V, "step_distribution", reference_step_distribution)
-                want = V.explore(p, roots)
-            assert got.nodes == want.nodes, (entry.name, n)
-            assert got.succ == want.succ, (entry.name, n)
-            assert got.roots == want.roots, (entry.name, n)
+        by_size = [V.initial_configurations(p, n) for n in range(2, 7)]
+        for roots in by_size:
+            assert_same_exploration(p, roots)
+        # one chain over every size, as check_stage_graph explores it, and
+        # the sizes interleaved in reverse with a repeated root
+        assert_same_exploration(p, [c for roots in by_size for c in roots])
+        mixed = [c for group in zip(*reversed(by_size)) for c in group]
+        assert_same_exploration(p, mixed + mixed[:1])
+
+
+def test_explore_matches_reference_on_majority_ex2_n14(corpus):
+    p = next(e for e in corpus if e.name == "majority-ex2").protocol()
+    g = assert_same_exploration(p, V.initial_configurations(p, 14))
+    assert g.size > 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_explore_matches_reference_generated(data):
+    # random roots of mixed sizes, over heads with several rules
+    p = data.draw(shared_head_protocols())
+    roots = data.draw(st.lists(random_config(len(p.states)), min_size=1, max_size=4))
+    assert_same_exploration(p, roots)

@@ -82,6 +82,19 @@ def test_explore_cap():
         V.explore(P2, cfg(P2, A=6, B=6), cap=10)
 
 
+def test_explore_cap_counts_per_size():
+    # the cap bounds each size's closure, not the chain over all sizes
+    small, large = (V.initial_configurations(P2, n) for n in (5, 6))
+    sizes = [V.explore(P2, roots).size for roots in (small, large)]
+    assert max(sizes) < sum(sizes)
+    for roots in (small + large, large + small):
+        g = V.explore(P2, roots, cap=max(sizes))
+        assert g.size == sum(sizes)
+        for cap in (min(sizes) - 1, max(sizes) - 1):
+            with pytest.raises(V.ExplorationLimitError, match=f"cap {cap} exceeded"):
+                V.explore(P2, roots, cap=cap)
+
+
 def test_holds_box():
     g = V.explore(P1, cfg(P1, a=1, b=1))
     no_caps = conj([neg(atom(presence(P1, 0))), neg(atom(presence(P1, 1)))])
@@ -637,12 +650,33 @@ def test_check_stage_graph_matches_reference_on_faulty_trees(corpus_graphs):
     # T alone changes: only a memo keyed on the whole triple tells it apart
     every_head = frozenset(p.rules_by_head)
     mutants += [with_change(sg, sid, disabled=every_head) for sid in (17, 86, 150)]
+    # faults at the root, stage 8 and stage 150 together: both conditions
+    # fail at every size and progress at two stages, so the chain over all
+    # sizes must order them by size, then condition, then stage
+    mixed = with_change(sg, sg.root, phi=FF)
+    mixed = with_change(mixed, 8, children=sg.stages[8].children[1:])
+    mutants.append(with_change(mixed, 150, phi=FF))
     found = []
     for bad in mutants:
         got = V.check_stage_graph(p, bad, max_n=4)
         assert got == reference_check_stage_graph(p, bad, max_n=4)
         found.append(bool(got))
-    assert found == [False, False, True, True, False, True, False, False, True, True]
+    assert found == [False, False, True, True, False, True, False, False, True, True, True]
+    assert len({(v.size, v.condition, v.stage) for v in got}) == 9
+
+
+def test_check_stage_graph_explores_one_chain(corpus_graphs, monkeypatch):
+    sg = corpus_graphs["majority-ex2"]
+    calls = []
+    real = V.explore
+
+    def counted(p, roots, cap=200_000):
+        calls.append(sorted({c.size for c in roots}))
+        return real(p, roots, cap)
+
+    monkeypatch.setattr(V, "explore", counted)
+    assert V.check_stage_graph(P2, sg, max_n=5) == []
+    assert calls == [[2, 3, 4, 5]]
 
 
 def test_check_stage_graph_vacuous():
