@@ -142,13 +142,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     p = _read_protocol(args.protocol)
+    t0 = time.monotonic()
     try:
         sg = build_stage_graph(p, max_stages=args.max_stages, timeout=args.timeout)
     except StageLimitError as exc:
         print(f"analysis aborted: {exc}", file=sys.stderr)
         return 3
     try:
-        violations = verify_mod.check_stage_graph(p, sg, args.max_n)
+        violations = verify_mod.check_stage_graph(
+            p, sg, args.max_n, timeout=args.timeout - (time.monotonic() - t0)
+        )
     except verify_mod.ExplorationLimitError as exc:
         print(f"partial verification: {exc}", file=sys.stderr)
         return 3

@@ -6,7 +6,8 @@ states, and a 0/1 output per state.  Configurations are count vectors; the
 induced Markov chain picks an ordered pair of distinct agents uniformly at
 random and then one of the rules for that pair's head uniformly at random.
 
-All probability arithmetic is exact (fractions.Fraction).
+All probability arithmetic is exact: integer weights over a common
+denominator, and fractions.Fraction where a probability is returned.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import Iterator
 
 # A head is an unordered pair of state indices, canonically sorted.
 Head = tuple[int, int]
@@ -65,6 +67,18 @@ class MoveTable:
     ):
         self.lcm = lcm
         self.heads = heads
+
+    def coded(self, base: int, width: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+        """The heads with each rule as the change it makes to the code in
+        `base` of a count vector over `width` states (see `encode`): rule
+        i j -> k l adds place(k) + place(l) - place(i) - place(j), with
+        place(s) = base^(width - 1 - s), so an idle rule adds 0.  Made
+        afresh per call, since the base depends on the sizes explored."""
+        place = [base ** (width - 1 - s) for s in range(width)]
+        return tuple(
+            (a, b, mult, tuple(place[k] + place[l] - place[i] - place[j] for i, j, k, l in quads))
+            for a, b, mult, quads in self.heads
+        )
 
 
 class ProtocolError(ValueError):
@@ -417,35 +431,65 @@ def step_distribution(
     p: PopulationProtocol, c: Configuration
 ) -> dict[Configuration, Fraction]:
     """One-step successor distribution, merging rules with equal successors:
-    the weights of `successor_weights` over their common denominator
+    the weights of `coded_weights` over their common denominator
     (n^2 - n) * L, L being the lcm of the rule counts, one Fraction per
     successor."""
     n = c.size
     if n < 2:
         raise ValueError("configuration must have at least two agents")
+    width = len(c.counts)
     den = (n * n - n) * p.moves.lcm
+    nums = coded_weights(p.moves.coded(n + 1, width), c.counts, encode(c.counts, n + 1))
     return {
-        Configuration(s): Fraction(w, den)
-        for s, w in successor_weights(p, c.counts).items()
+        Configuration(decode(s, n + 1, width)): Fraction(w, den) for s, w in nums.items()
     }
 
 
-def successor_weights(
-    p: PopulationProtocol, counts: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    """The successor count vectors of `counts` with their integer weights:
-    a successor's probability is its weight over (n^2 - n) * L, the move
-    table's common denominator.  A rule's weight is the number of ordered
-    agent pairs on its head times the head's multiplier; rules with equal
-    successors add up.  Successors come in head order, then rule order."""
-    nums: dict[tuple[int, ...], int] = {}
-    for a, b, mult, quads in p.moves.heads:
+def encode(counts: tuple[int, ...], base: int) -> int:
+    """The count vector as a big-endian number in `base`, which must exceed
+    every count: codes of one base order as their count vectors do."""
+    code = 0
+    for k in counts:
+        code = code * base + k
+    return code
+
+
+def decode(code: int, base: int, width: int) -> tuple[int, ...]:
+    """The count vector of `width` states whose code in `base` is `code`."""
+    out = [0] * width
+    for s in range(width - 1, -1, -1):
+        code, out[s] = divmod(code, base)
+    return tuple(out)
+
+
+def head_pairs(heads: tuple, counts: tuple[int, ...]) -> Iterator[tuple[int, int, tuple]]:
+    """For each head (a, b, multiplier, rules) of a move table with an agent
+    pair in `counts`, in table order: (w, multiplier, rules), w being the
+    number of ordered agent pairs on the head.  This is the step
+    semantics' one pair-count loop."""
+    for a, b, mult, rules in heads:
         w = counts[a] * (counts[a] - 1) if a == b else 2 * counts[a] * counts[b]
         if w:
-            w *= mult
-            for quad in quads:
-                s = successor(counts, quad)
-                nums[s] = nums.get(s, 0) + w
+            yield w, mult, rules
+
+
+def coded_weights(
+    heads: tuple[tuple[int, int, int, tuple[int, ...]], ...],
+    counts: tuple[int, ...],
+    code: int,
+) -> dict[int, int]:
+    """The successor codes of a configuration with their integer weights,
+    given its counts, its code and the move table's `coded` heads in the
+    code's base: a successor's probability is its weight over (n^2 - n) * L,
+    the move table's common denominator.  A rule's weight is its head's
+    pair count times the head's multiplier; rules with equal successors add
+    up.  Successors come in head order, then rule order."""
+    nums: dict[int, int] = {}
+    for w, mult, deltas in head_pairs(heads, counts):
+        w *= mult
+        for d in deltas:
+            s = code + d
+            nums[s] = nums.get(s, 0) + w
     return nums
 
 

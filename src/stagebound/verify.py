@@ -10,12 +10,13 @@ used for both the eventually-operator and the stage progress condition.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -34,10 +35,13 @@ from .logic import (
 from .protocol import (
     Configuration,
     PopulationProtocol,
+    coded_weights,
+    decode,
+    encode,
+    head_pairs,
     initial_configuration,
     step_distribution,  # noqa: F401  (perfbench/tracing.py wraps it here)
     successor,
-    successor_weights,
 )
 from .stagegraph import Stage, StageGraph, scc_condensation
 
@@ -50,6 +54,9 @@ class ExplorationLimitError(RuntimeError):
 class ReachGraph:
     """Finite chain over the configurations reachable from the roots.
 
+    Transitions are integers: `succ[v]` lists v's successors u with weights
+    w, and P(v, u) = w / den[v]; a row's weights sum to its denominator.
+
     Formulas are evaluated on keys, not on nodes: a node's key is its count
     vector clipped at 2, which fixes every presence, singleton and Out_x
     atom.  The graph numbers its distinct keys and keeps, per atom, one int
@@ -58,13 +65,18 @@ class ReachGraph:
 
     protocol: PopulationProtocol
     nodes: list[Configuration]
-    index: dict[Configuration, int]
-    succ: list[list[tuple[int, Fraction]]]
+    succ: list[list[tuple[int, int]]]
+    den: list[int]
     roots: list[int]
 
     @property
     def size(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def index(self) -> dict[Configuration, int]:
+        """The node number of every configuration, built on first use."""
+        return {c: i for i, c in enumerate(self.nodes)}
 
     @cached_property
     def pred(self) -> list[list[int]]:
@@ -162,6 +174,7 @@ def explore(
     p: PopulationProtocol,
     roots: Configuration | list[Configuration],
     cap: int = 200_000,
+    deadline: float | None = None,
 ) -> ReachGraph:
     """BFS closure of the root configuration(s) under the step relation.
 
@@ -169,39 +182,51 @@ def explore(
     chain is the disjoint union of one closure per size, and each size's
     nodes keep the relative order that a BFS from its roots alone gives.
     The cap counts per size: reaching more than `cap` configurations of
-    one size raises ExplorationLimitError, however many other sizes hold.
+    one size raises ExplorationLimitError, however many other sizes hold,
+    and so does a `time.monotonic()` past `deadline`, tested every 256
+    nodes.
 
-    The BFS runs on count tuples.  A node's successors are those of
-    `successor_weights` in sorted order, the order of their Configurations,
-    each with its probability weight / ((n^2 - n) * L); equal (weight,
-    denominator) pairs share one Fraction.  The Configurations are made
-    once per node, at the end."""
+    The BFS runs on codes: a count vector is a big-endian number whose base
+    is the largest root size plus one, so codes order as their count
+    vectors, and a rule moves a code by a fixed delta (`MoveTable.coded`).
+    A node's successors are those of `coded_weights` in increasing code
+    order, the order of their Configurations, each with its integer weight;
+    the node's row denominator is (n^2 - n) * L.  The Configurations are
+    made once per node, at the end."""
     if isinstance(roots, Configuration):
         roots = [roots]
     for c in roots:
         if c.size < 2:
             raise ValueError("configurations need at least two agents")
-    ids: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
+    width = len(p.states)
+    base = max((c.size for c in roots), default=0) + 1
+    heads = p.moves.coded(base, width)
+    big = p.moves.lcm
+    ids: dict[int, int] = {}
+    order: list[int] = []
     per_size: dict[int, int] = {}
     root_ids = []
     for c in roots:
-        i = ids.get(c.counts)
+        code = encode(c.counts, base)
+        i = ids.get(code)
         if i is None:
-            i = ids[c.counts] = len(order)
-            order.append(c.counts)
+            i = ids[code] = len(order)
+            order.append(code)
             per_size[c.size] = per_size.get(c.size, 0) + 1
         root_ids.append(i)
-    big = p.moves.lcm
-    probs: dict[tuple[int, int], Fraction] = {}
-    succ: list[list[tuple[int, Fraction]]] = []
+    dens = {n: (n * n - n) * big for n in per_size}
+    counts: list[tuple[int, ...]] = []
+    den: list[int] = []
+    succ: list[list[tuple[int, int]]] = []
     # nodes are numbered in the order they are queued, so the BFS visits
     # them by number
-    for c in order:
+    for code in order:
+        if deadline is not None and not len(succ) & 255 and time.monotonic() >= deadline:
+            raise ExplorationLimitError("timeout exceeded")
+        c = decode(code, base, width)
         n = sum(c)
-        den = (n * n - n) * big
         outs = []
-        for s, w in sorted(successor_weights(p, c).items()):
+        for s, w in sorted(coded_weights(heads, c, code).items()):
             u = ids.get(s)
             if u is None:
                 if per_size[n] >= cap:
@@ -209,15 +234,11 @@ def explore(
                 per_size[n] += 1
                 u = ids[s] = len(order)
                 order.append(s)
-            prob = probs.get((w, den))
-            if prob is None:
-                prob = probs[w, den] = Fraction(w, den)
-            outs.append((u, prob))
+            outs.append((u, w))
+        counts.append(c)
+        den.append(dens[n])
         succ.append(outs)
-    del ids  # one node index at a time
-    nodes = [Configuration(c) for c in order]
-    index = {c: i for i, c in enumerate(nodes)}
-    return ReachGraph(p, nodes, index, succ, root_ids)
+    return ReachGraph(p, [Configuration(c) for c in counts], succ, den, root_ids)
 
 
 def holds_box(g: ReachGraph, phi: Formula) -> bool:
@@ -261,18 +282,20 @@ def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
 
     The system E[v] = 1 + sum_u P(v,u) E[u] is solved per strongly connected
     component of the almost-sure region, in reverse topological order.  Up
-    to 5000 nodes each block is solved exactly in integers (`_exact_block`)
-    and every expectation is a Fraction; beyond that a floating-point pass
-    with a residual check below 1e-9 is used.  The expectation of a node
-    from which the target is not almost surely reached diverges: such a
-    node gets None, and a root among them is an error."""
+    to 5000 nodes it is solved exactly in integers: each solved node is kept
+    as a reduced pair (numerator, denominator), a one-node block directly
+    and a larger one by `_exact_block`, and one Fraction per node is made at
+    the end.  Beyond that a floating-point pass with a residual check below
+    1e-9 is used.  The expectation of a node from which the target is not
+    almost surely reached diverges: such a node gets None, and a root among
+    them is an error."""
     tgt = set(target)
     good = g.almost_sure_reach(tgt)
     if not all(r in good for r in g.roots):
         raise ValueError("target not almost surely reachable; expectation diverges")
     exact = g.size <= 5000
     expect: list = [None] * g.size
-    zero = Fraction(0) if exact else 0.0
+    zero = (0, 1) if exact else 0.0
     for v in tgt:
         expect[v] = zero
     plain = [
@@ -282,50 +305,84 @@ def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
     _, members = scc_condensation(plain)
     # members[] is produced in reverse topological order already, so every
     # successor outside a block is solved before the block
-    solve = _exact_block if exact else _float_block
     for group in members:
         todo = [v for v in group if v in good and v not in tgt]
-        if todo:
-            for v, e in zip(todo, solve(g.succ, todo, expect)):
-                expect[v] = e
+        if not todo:
+            continue
+        if not exact:
+            solved = _float_block(g, todo, expect)
+        elif len(todo) == 1:
+            solved = [_exact_node(g, todo[0], expect)]
+        else:
+            solved = _exact_block(g, todo, expect)
+        for v, e in zip(todo, solved):
+            expect[v] = e
     if not exact:
         _check_residual(g, tgt, good, expect)
-    return expect
+        return expect
+    return [None if e is None else Fraction(*e) for e in expect]
 
 
-def _exact_block(succ: list, todo: list[int], expect: list) -> list[Fraction]:
-    """The expectations of one block, solved fraction-free.
+def _exact_node(g: ReachGraph, v: int, expect: list) -> tuple[int, int]:
+    """The expectation of a one-node block v as a reduced pair: with s the
+    weight of v's self-loop, (den[v] - s) E[v] = den[v] + sum w E[u] over
+    the other successors u, whose sum is brought over the lcm q of their
+    denominators as it goes."""
+    num, q = 0, 1
+    den = diag = g.den[v]
+    for u, w in g.succ[v]:
+        if u == v:
+            diag -= w
+            continue
+        x, y = expect[u]
+        if x:
+            if q % y:
+                m = lcm(q, y)
+                num *= m // q
+                q = m
+            num += w * x * (q // y)
+    num += den * q
+    q *= diag
+    d = gcd(num, q)
+    return num // d, q // d
 
-    Row v is scaled by the lcm d_v of its probability denominators, so its
-    block coefficients are integers; its right-hand side d_v + sum w E[u]
-    over the solved successors u outside the block is brought over one
-    block-wide denominator q.  The integer system is eliminated by Bareiss
-    (every division is exact) and back-substituted in integers, which gives
-    X with E = X / (det q).  No pivoting is needed: the block is I - Q for a
-    chain that leaves it almost surely, a nonsingular M-matrix whose leading
-    principal minors (the Bareiss pivots) are all positive, and row scaling
-    by d_v > 0 keeps them so."""
+
+def _exact_block(g: ReachGraph, todo: list[int], expect: list) -> list[tuple[int, int]]:
+    """The expectations of one block, solved fraction-free, as reduced
+    pairs.
+
+    Row v holds den[v] on the diagonal less v's weights into the block; its
+    right-hand side den[v] + sum w E[u] over the solved successors u
+    outside the block is brought over the lcm q of their denominators.  The
+    integer system is eliminated by Bareiss (every division is exact) and
+    back-substituted in integers, which gives X with E = X / (det q).  No
+    pivoting is needed: the block is den (I - Q) for a chain that leaves it
+    almost surely, a nonsingular M-matrix with its rows scaled by den[v] >
+    0, whose leading principal minors (the Bareiss pivots) are all
+    positive."""
     pos = {v: i for i, v in enumerate(todo)}
+    q = lcm(*[expect[u][1] for v in todo for u, _ in g.succ[v] if u not in pos])
     mat = []
-    rhs = []
     for v in todo:
-        d = lcm(*[prob.denominator for _, prob in succ[v]])
-        row = [0] * len(todo)
+        row = [0] * (len(todo) + 1)
+        d = g.den[v]
         row[pos[v]] = d
-        b = Fraction(d)
-        for u, prob in succ[v]:
-            w = prob.numerator * (d // prob.denominator)
-            if u in pos:
-                row[pos[u]] -= w
+        b = d * q
+        for u, w in g.succ[v]:
+            i = pos.get(u)
+            if i is not None:
+                row[i] -= w
             else:
-                b += w * expect[u]
+                x, y = expect[u]
+                b += w * x * (q // y)
+        row[-1] = b
         mat.append(row)
-        rhs.append(b)
-    q = lcm(*[b.denominator for b in rhs])
-    for row, b in zip(mat, rhs):
-        row.append(b.numerator * (q // b.denominator))
     xs, det = _bareiss(mat)
-    return [Fraction(x, det * q) for x in xs]
+    out = []
+    for x in xs:
+        d = gcd(x, det * q)
+        out.append((x // d, det * q // d))
+    return out
 
 
 def _bareiss(mat: list[list[int]]) -> tuple[list[int], int]:
@@ -364,7 +421,7 @@ def _bareiss(mat: list[list[int]]) -> tuple[list[int], int]:
     return xs, det
 
 
-def _float_block(succ: list, todo: list[int], expect: list) -> list[float]:
+def _float_block(g: ReachGraph, todo: list[int], expect: list) -> list[float]:
     """The expectations of one block, by a floating-point dense solve."""
     pos = {v: i for i, v in enumerate(todo)}
     k = len(todo)
@@ -374,8 +431,9 @@ def _float_block(succ: list, todo: list[int], expect: list) -> list[float]:
     for v in todo:
         i = pos[v]
         mat[i][i] = 1.0
-        for u, prob in succ[v]:
-            pval = float(prob)
+        den = g.den[v]
+        for u, w in g.succ[v]:
+            pval = w / den
             if u in pos:
                 mat[i][pos[u]] -= pval
             else:
@@ -389,8 +447,9 @@ def _check_residual(g: ReachGraph, tgt: set[int], good: set[int], expect: list) 
         if v in tgt:
             continue
         acc = 1.0
-        for u, prob in g.succ[v]:
-            acc += float(prob) * expect[u]
+        den = g.den[v]
+        for u, w in g.succ[v]:
+            acc += w / den * expect[u]
         scale = max(1.0, abs(float(expect[v])))
         worst = max(worst, abs(acc - float(expect[v])) / scale)
     if worst > 1e-9:
@@ -478,7 +537,7 @@ def stage_triple(s: Stage) -> tuple:
 
 
 def check_stage_graph(
-    p: PopulationProtocol, sg: StageGraph, max_n: int
+    p: PopulationProtocol, sg: StageGraph, max_n: int, *, timeout: float | None = None
 ) -> list[Violation]:
     """Check the two stage-graph conditions for every initial configuration
     of size 2..max_n: (a) the root stage covers every initial configuration;
@@ -492,16 +551,27 @@ def check_stage_graph(
     each distinct stage triple is denoted once, and the progress check runs
     once per distinct pair of a triple and its children's triples.
     Violations are reported by size, initial membership before progress,
-    then in stage order, configurations in chain order."""
+    then in stage order, configurations in chain order.
+
+    With a `timeout` in seconds, ExplorationLimitError is raised once it
+    has passed; the exploration tests it every 256 nodes, the check before
+    each denotation and each progress check."""
+    deadline = None if timeout is None else time.monotonic() + timeout
+
+    def in_time() -> None:
+        if deadline is not None and time.monotonic() >= deadline:
+            raise ExplorationLimitError("timeout exceeded")
+
     roots = [c for n in range(2, max_n + 1) for c in initial_configurations(p, n)]
     if not roots:
         return []
-    g = explore(p, roots)
+    g = explore(p, roots, deadline=deadline)
     ids: dict[tuple, int] = {}
     tri = [ids.setdefault(stage_triple(s), len(ids)) for s in sg.stages]
     denote: dict[int, set[int]] = {}
     for s, t in zip(sg.stages, tri):
         if t not in denote:
+            in_time()
             denote[t] = stage_denotation(g, s, p)
     root_den = denote[tri[sg.root]]
     # (size, condition, stage id, node) of every violation; a stage's id is
@@ -513,6 +583,7 @@ def check_stage_graph(
             continue
         key = (t, frozenset(tri[cid] for cid in s.children))
         if key not in stuck:
+            in_time()
             target = set().union(*(denote[kid] for kid in key[1]))
             stuck[key] = denote[t] - g.almost_sure_reach(target)
         found += [(g.nodes[i].size, 1, s.id, i) for i in stuck[key]]
@@ -653,13 +724,11 @@ def _step_row(
     cum = []
     succs = []
     acc = 0
-    for a, b, _, quads in p.moves.heads:
-        w = c[a] * (c[a] - 1) if a == b else 2 * c[a] * c[b]
-        if w:
-            acc += w
-            cum.append(acc)
-            nexts = tuple(successor(c, q) for q in quads)
-            succs.append(shared.setdefault(nexts, nexts))
+    for w, _, quads in head_pairs(p.moves.heads, c):
+        acc += w
+        cum.append(acc)
+        nexts = tuple(successor(c, q) for q in quads)
+        succs.append(shared.setdefault(nexts, nexts))
     return tuple(cum), tuple(succs)
 
 

@@ -367,7 +367,7 @@ def test_check_exploration_cap_is_per_size(capsys, monkeypatch):
     real = verify.explore
     for cap in (max(sizes), max(sizes) - 1):
         monkeypatch.setattr(
-            verify, "explore", lambda p, roots, cap=cap: real(p, roots, cap=cap)
+            verify, "explore", lambda p, roots, cap=cap, **limits: real(p, roots, cap=cap, **limits)
         )
         code, out, err = run(capsys, "check", str(PP / "majority-ex2.pp"), "--max-n", "5")
         if cap < max(sizes):
@@ -376,6 +376,24 @@ def test_check_exploration_cap_is_per_size(capsys, monkeypatch):
         else:
             assert cap < sum(sizes)
             assert (code, out, err) == (0, "0 violations (sizes 2..5)\n", "")
+
+
+def test_check_timeout_bounds_the_oracle(capsys, monkeypatch):
+    # check hands the oracle what is left of --timeout after the build; an
+    # oracle whose budget is spent exits 3 with nothing on stdout
+    budgets = []
+    real = verify.check_stage_graph
+
+    def spent(p, sg, max_n, timeout):
+        budgets.append(timeout)
+        return real(p, sg, max_n, timeout=0)
+
+    monkeypatch.setattr(verify, "check_stage_graph", spent)
+    code, out, err = run(
+        capsys, "check", str(PP / "majority-ex2.pp"), "--max-n", "5", "--timeout", "50"
+    )
+    assert (code, out, err) == (3, "", "partial verification: timeout exceeded\n")
+    assert 0 < budgets[0] <= 50
 
 
 def test_bench_runs_ordered(capsys, tmp_path):

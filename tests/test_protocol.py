@@ -2,6 +2,7 @@
 
 from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,13 @@ from stagebound import (
 )
 from stagebound import verify as V
 from stagebound.corpus import majority_four_state, majority_five_state
-from stagebound.protocol import PopulationProtocol
+from stagebound.protocol import (
+    PopulationProtocol,
+    coded_weights,
+    decode,
+    encode,
+    successor,
+)
 
 EX1 = majority_four_state()
 EX2 = majority_five_state()
@@ -419,7 +426,8 @@ def test_step_distribution_matches_reference_generated(data):
 def reference_explore(p, roots, cap=200_000):
     """explore as it was before the integer BFS: Configurations, one
     Fraction per edge and one BFS over all roots, the cap counted over the
-    whole chain; the distribution is the per-rule reference above."""
+    whole chain; the distribution is the per-rule reference above.  Returns
+    the nodes, index, rows of (node, probability) and roots."""
     if isinstance(roots, Configuration):
         roots = [roots]
     for c in roots:
@@ -452,17 +460,21 @@ def reference_explore(p, roots, cap=200_000):
         succ[v] = outs
     while len(succ) < len(nodes):
         succ.append([])
-    return V.ReachGraph(p, nodes, index, succ, root_ids)
+    return SimpleNamespace(nodes=nodes, index=index, succ=succ, roots=root_ids)
 
 
 def assert_same_exploration(p, roots):
     """explore equals the reference on nodes, exact successor
-    probabilities, roots and index, index order included."""
+    probabilities, roots and index, index order included; its rows are
+    integer weights over (n^2 - n) * L."""
     got = V.explore(p, roots)
     want = reference_explore(p, roots)
     assert got.nodes == want.nodes
-    assert got.succ == want.succ
-    assert all(type(prob) is Fraction for outs in got.succ for _, prob in outs)
+    assert all(type(w) is int for outs in got.succ for _, w in outs)
+    assert got.den == [(c.size**2 - c.size) * p.moves.lcm for c in got.nodes]
+    assert [
+        [(u, Fraction(w, d)) for u, w in outs] for outs, d in zip(got.succ, got.den)
+    ] == want.succ
     assert got.roots == want.roots
     assert list(got.index.items()) == list(want.index.items())
     return got
@@ -494,3 +506,57 @@ def test_explore_matches_reference_generated(data):
     p = data.draw(shared_head_protocols())
     roots = data.draw(st.lists(random_config(len(p.states)), min_size=1, max_size=4))
     assert_same_exploration(p, roots)
+
+
+def test_explore_empty_roots():
+    g = V.explore(parse_protocol(EX2), [])
+    assert (g.nodes, g.succ, g.den, g.roots, g.index) == ([], [], [], [], {})
+
+
+def test_explore_sizes_share_one_base(corpus):
+    # the base comes from the largest root; the smaller sizes' codes use
+    # the same base, and nodes and order match the reference's
+    p = next(e for e in corpus if e.name == "majority-ex2").protocol()
+    roots = V.initial_configurations(p, 3) + V.initial_configurations(p, 9)
+    roots += V.initial_configurations(p, 2)
+    g = assert_same_exploration(p, roots)
+    assert {c.size for c in g.nodes} == {2, 3, 9}
+
+
+def test_explore_multi_digit_codes():
+    # 12 states at n = 10: the base is 11, so a code has twelve digits and
+    # a count of 10 is a digit of its own; agents climb a ladder of states
+    states = tuple(f"S{i}" for i in range(12))
+    rules = [((i, i), (i, i + 1)) for i in range(11)]
+    p = PopulationProtocol("ladder", states, rules, {"x": 0, "y": 5}, frozenset({0}))
+    g = assert_same_exploration(p, V.initial_configurations(p, 10))
+    assert g.size > 1000
+    assert any(c.counts[0] == 10 for c in g.nodes)
+    assert any(c.counts[11] for c in g.nodes)
+
+
+def reference_successor_weights(p, counts):
+    """The successor count vectors of `counts` with their integer weights,
+    computed on tuples: successors in head order, then rule order."""
+    nums: dict[tuple[int, ...], int] = {}
+    for a, b, mult, quads in p.moves.heads:
+        w = counts[a] * (counts[a] - 1) if a == b else 2 * counts[a] * counts[b]
+        if w:
+            w *= mult
+            for quad in quads:
+                s = successor(counts, quad)
+                nums[s] = nums.get(s, 0) + w
+    return nums
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_coded_weights_match_tuple_reference_generated(data):
+    p = data.draw(shared_head_protocols())
+    c = data.draw(random_config(len(p.states))).counts
+    width = len(c)
+    base = data.draw(st.integers(sum(c) + 1, sum(c) + 4))
+    got = coded_weights(p.moves.coded(base, width), c, encode(c, base))
+    want = reference_successor_weights(p, c)
+    assert [(decode(s, base, width), w) for s, w in got.items()] == list(want.items())
+    assert sum(got.values()) == (sum(c) ** 2 - sum(c)) * p.moves.lcm

@@ -2,6 +2,7 @@
 stage validation, and simulation."""
 
 import math
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from stagebound import (
     Configuration,
+    StageLimitError,
+    aggregate,
     build_stage_graph,
     initial_configuration,
     parse_protocol,
@@ -33,6 +36,7 @@ from stagebound.logic import (
 from stagebound.protocol import PopulationProtocol
 from stagebound.stagegraph import Stage, StageGraph, scc_condensation
 from stagebound import verify as V
+from test_stagegraph import small_protocols
 
 P1 = parse_protocol(majority_four_state())
 P2 = parse_protocol(majority_five_state())
@@ -58,7 +62,8 @@ def test_explore_idle_only_self_loop():
     )
     g = V.explore(p, cfg(p, A=1, B=1))
     assert g.size == 1
-    assert g.succ[0] == [(0, Fraction(1))]
+    # two ordered pairs out of n^2 - n = 2, both idle
+    assert (g.succ, g.den) == ([[(0, 2)]], [2])
 
 
 def test_explore_node_count_bound():
@@ -71,10 +76,14 @@ def test_explore_node_count_bound():
     assert g.size <= 4
 
 
-def test_explore_probability_mass():
-    g = V.explore(P2, cfg(P2, A=2, B=2))
-    for outs in g.succ:
-        assert sum(pr for _, pr in outs) == Fraction(1)
+def test_explore_rows_sum_to_their_denominators(corpus):
+    for entry in corpus:
+        p = entry.protocol()
+        g = V.explore(p, [c for n in (2, 5) for c in V.initial_configurations(p, n)])
+        for c, outs, den in zip(g.nodes, g.succ, g.den):
+            assert den == (c.size**2 - c.size) * p.moves.lcm
+            assert all(w > 0 for _, w in outs)
+            assert sum(w for _, w in outs) == den
 
 
 def test_explore_cap():
@@ -275,10 +284,20 @@ def forward(succ, v):
     return seen
 
 
+def fraction_chain(succ):
+    """A ReachGraph over placeholder nodes, root 0, whose rows are given as
+    (node, probability) pairs: each row becomes integer weights over the
+    lcm of its denominators."""
+    den = [math.lcm(*(prob.denominator for _, prob in outs)) for outs in succ]
+    rows = [
+        [(u, prob.numerator * (d // prob.denominator)) for u, prob in outs]
+        for outs, d in zip(succ, den)
+    ]
+    return V.ReachGraph(None, [Configuration((v,)) for v in range(len(succ))], rows, den, [0])
+
+
 def reach_graph(succ):
-    nodes = [Configuration((v,)) for v in range(len(succ))]
-    weighted = [[(u, Fraction(1, len(outs))) for u in outs] for outs in succ]
-    return V.ReachGraph(None, nodes, {c: i for i, c in enumerate(nodes)}, weighted, [0])
+    return fraction_chain([[(u, Fraction(1, len(outs))) for u in outs] for outs in succ])
 
 
 @settings(max_examples=300, deadline=None)
@@ -368,6 +387,21 @@ def test_expected_steps_floating_point_path():
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_expected_steps_broadcast_closed_form():
+    # from k informed agents, a step informs one more with probability
+    # 2k(n-k) / (n(n-1)): the expectation is a sum of geometric waits, exact
+    # at every node of the chain
+    p = parse_protocol(broadcast())
+    n = 200
+    g = V.explore(p, cfg(p, t=1, f=n - 1))
+    assert g.size == n
+    got = V.expected_steps_all(g, V.stable_set(g))
+    for c, e in zip(g.nodes, got):
+        k = c.counts[p.state_index("t")]
+        assert type(e) is Fraction
+        assert e == sum(Fraction(n * (n - 1), 2 * j * (n - j)) for j in range(k, n))
+
+
 def test_expected_steps_diverges():
     p = parse_protocol(
         "protocol t\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\n"
@@ -384,7 +418,7 @@ def test_expected_steps_diverging_nodes_are_none():
     # node 2 never reaches the target, so its expectation diverges
     half = Fraction(1, 2)
     succ = [[(0, half), (1, half)], [(2, Fraction(1))], [(2, Fraction(1))]]
-    g = V.ReachGraph(None, [Configuration((v,)) for v in range(3)], {}, succ, [0])
+    g = fraction_chain(succ)
     assert V.expected_steps_all(g, {1}) == [Fraction(2), Fraction(0), None]
     assert V.expected_steps_exact(g, {1}) == 2
 
@@ -440,7 +474,8 @@ def reference_expected_steps_all(g, target):
         for v in todo:
             i = pos[v]
             mat[i][i] = one
-            for u, prob in g.succ[v]:
+            for u, w in g.succ[v]:
+                prob = Fraction(w, g.den[v])
                 pval = prob if exact else float(prob)
                 if u in pos:
                     mat[i][pos[u]] -= pval
@@ -530,7 +565,7 @@ def weighted_chains(draw):
 @given(weighted_chains())
 def test_expected_steps_match_reference_on_generated_chains(case):
     succ, target = case
-    g = V.ReachGraph(None, [Configuration((v,)) for v in range(len(succ))], {}, succ, [0])
+    g = fraction_chain(succ)
     assert_same_expectations(g, target)
 
 
@@ -542,7 +577,7 @@ def test_expected_steps_hand_solved_block():
         [(0, Fraction(3, 5)), (3, Fraction(2, 5))],
         [(3, Fraction(1))],
     ]
-    g = V.ReachGraph(None, [Configuration((v,)) for v in range(4)], {}, succ, [0])
+    g = fraction_chain(succ)
     got = assert_same_expectations(g, {3})
     # E0 = 1 + E1/3 + 2E2/3, E1 = 1 + E0/4 + E1/2, E2 = 1 + 3E0/5
     assert got == [Fraction(70, 13), Fraction(61, 13), Fraction(55, 13), 0]
@@ -670,13 +705,30 @@ def test_check_stage_graph_explores_one_chain(corpus_graphs, monkeypatch):
     calls = []
     real = V.explore
 
-    def counted(p, roots, cap=200_000):
+    def counted(p, roots, **limits):
         calls.append(sorted({c.size for c in roots}))
-        return real(p, roots, cap)
+        return real(p, roots, **limits)
 
     monkeypatch.setattr(V, "explore", counted)
     assert V.check_stage_graph(P2, sg, max_n=5) == []
     assert calls == [[2, 3, 4, 5]]
+
+
+def test_check_stage_graph_spent_timeout(corpus_graphs, monkeypatch):
+    # a deadline already passed stops the exploration at its first node,
+    # and, when the exploration is not bounded, the check before its first
+    # denotation; no timeout means no bound
+    sg = corpus_graphs["majority-ex2"]
+    with pytest.raises(V.ExplorationLimitError, match="timeout exceeded"):
+        V.explore(P2, V.initial_configurations(P2, 4), deadline=time.monotonic())
+    for timeout in (0, -1):
+        with pytest.raises(V.ExplorationLimitError, match="timeout exceeded"):
+            V.check_stage_graph(P2, sg, 4, timeout=timeout)
+    real = V.explore
+    monkeypatch.setattr(V, "explore", lambda p, roots, deadline: real(p, roots))
+    with pytest.raises(V.ExplorationLimitError, match="timeout exceeded"):
+        V.check_stage_graph(P2, sg, 4, timeout=0)
+    assert V.check_stage_graph(P2, sg, 4, timeout=None) == []
 
 
 def test_check_stage_graph_vacuous():
@@ -948,6 +1000,22 @@ transitions:
 # the step that removes the last draining-state agent may be any rule that
 # consumes it (here B E -> A A), not only a stable-edge witness; the
 # successor formula must cover those exits too
+
+
+@settings(max_examples=600, deadline=None)
+@given(p=small_protocols(min_rules=1))
+def test_soundness_fuzz_generated(p):
+    # the oracle finds no violation of a built stage tree, and a certified
+    # protocol reaches its stable set almost surely from every initial
+    # configuration; builds past the stage limit are skipped
+    try:
+        sg = build_stage_graph(p, max_stages=2000)
+    except StageLimitError:
+        return
+    assert V.check_stage_graph(p, sg, 4) == []
+    if aggregate(sg).certified:
+        g = V.explore(p, [c for n in (2, 3, 4) for c in V.initial_configurations(p, n)])
+        assert V.holds_diamond_as(g, V.stable_set(g))
 
 
 @pytest.mark.parametrize("src", [FUZZ_SELF_PARTNER, FUZZ_UNSTABLE_EXIT])
