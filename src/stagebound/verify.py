@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm, log, log1p
 
 import numpy as np
 
@@ -633,17 +633,20 @@ def _consensus_value(p: PopulationProtocol, counts: tuple[int, ...]) -> int | No
 
 
 class PhiloxDraws:
-    """The numbers `Generator(Philox(key)).integers(0, bound)` gives, call
-    for call, read from batches of `random_raw` words.
+    """The numbers `Generator(Philox(key)).random()` and
+    `.integers(0, bound)` give, call for call, read from batches of
+    `random_raw` words.
 
-    numpy's mapping, reproduced here: a bound up to 2**32 takes 32-bit
-    values, the low half of a 64-bit word first and its high half kept for
-    the next 32-bit draw; a larger bound takes whole words and leaves a
-    kept half in place.  Either way a value x becomes (x * bound) >> bits
-    unless the low bits of the product fall below (2**bits - bound) % bound,
-    in which case it is drawn again (Lemire's rejection).  `batch` words
-    are fetched at a time, and at most 16 the first time, since many runs
-    end after a few draws; the numbers do not depend on it.
+    numpy's mapping, reproduced here: `random()` takes a whole 64-bit word
+    w and returns (w >> 11) * 2**-53, leaving a kept 32-bit half in place.
+    For `integers`, a bound up to 2**32 takes 32-bit values, the low half
+    of a 64-bit word first and its high half kept for the next 32-bit
+    draw; a larger bound takes whole words and leaves a kept half in place.
+    Either way a value x becomes (x * bound) >> bits unless the low bits of
+    the product fall below (2**bits - bound) % bound, in which case it is
+    drawn again (Lemire's rejection).  `batch` words are fetched at a time,
+    and at most 16 the first time, since many runs end after a few draws;
+    the numbers do not depend on it.
 
     The bit generator is `bits`, or a new one, re-keyed: its state is set
     as `Philox(key=key)` sets it (counter 0, key words low then high,
@@ -687,6 +690,14 @@ class PhiloxDraws:
         self._half = None
         return h
 
+    def random(self) -> float:
+        """A uniform float in [0, 1), a multiple of 2**-53."""
+        for w in self._words:
+            break
+        else:
+            w = self._word()
+        return (w >> 11) * 2.0**-53
+
     def integers(self, bound: int) -> int:
         """A uniform integer in [0, bound), for 2 <= bound <= 2**63."""
         if bound > 0x100000000:
@@ -696,7 +707,7 @@ class PhiloxDraws:
                 while m & 0xFFFFFFFFFFFFFFFF < threshold:
                     m = self._word() * bound
             return m >> 64
-        # _next32, inlined: this is the draw of every interaction
+        # _next32, inlined: this is the draw of every productive step
         h = self._half
         if h is None:
             for w in self._words:
@@ -716,20 +727,28 @@ class PhiloxDraws:
 
 
 def _step_row(
-    p: PopulationProtocol, c: tuple[int, ...], shared: dict
-) -> tuple[tuple, tuple]:
-    """The cumulative weights of the heads with a pair in c, in sorted-head
-    order, and the successor count vectors of each such head's rules; equal
-    successor tuples are taken from `shared`, so rows share them."""
+    p: PopulationProtocol, c: tuple[int, ...], total: int, shared: dict
+) -> tuple[int, float, tuple, tuple]:
+    """The productive moves of c: its rules, in head then rule order, whose
+    successor differs from c.  Successors are compared by equality, so a
+    swap rule such as A B -> B A is idle.  A move's weight is its head's
+    pair count times the head's multiplier, out of `total` = (n^2 - n) * L
+    for all interactions.  Returns the moves' total weight W,
+    log1p(-W / total) (-inf when every interaction is productive), their
+    cumulative weights and their successor count vectors; equal successors
+    are taken from `shared`, so rows share them."""
     cum = []
     succs = []
     acc = 0
-    for w, _, quads in head_pairs(p.moves.heads, c):
-        acc += w
-        cum.append(acc)
-        nexts = tuple(successor(c, q) for q in quads)
-        succs.append(shared.setdefault(nexts, nexts))
-    return tuple(cum), tuple(succs)
+    for w, mult, quads in head_pairs(p.moves.heads, c):
+        w *= mult
+        for q in quads:
+            nxt = successor(c, q)
+            if nxt != c:
+                acc += w
+                cum.append(acc)
+                succs.append(shared.setdefault(nxt, nxt))
+    return acc, log1p(-acc / total) if acc < total else -inf, tuple(cum), tuple(succs)
 
 
 def simulate(
@@ -744,16 +763,26 @@ def simulate(
     stable set is computed on that closure only; the closure is released
     before the runs start.
 
+    Idle interactions are skipped, not drawn: each loop iteration makes one
+    productive step, a move that changes the configuration.  With W the
+    productive weight of the configuration out of (n^2 - n) L, an
+    interaction is productive with chance P = W / ((n^2 - n) L), so the
+    number of interactions up to and including the next productive one is
+    geometric: it is K = 1 + floor(log(1 - U) / log1p(-P)) for a uniform U,
+    or 1, with no draw, when P = 1.  The move is then drawn as an integer in [0, W) and
+    found by bisecting the cumulative weights, with no draw when there is
+    one productive move.  A productive step thus costs at most one float
+    draw, one log, one bounded draw, one bisect and one dict lookup; the
+    counts have the law of the per-interaction chain.  A run whose count
+    exceeds `max_steps` raises RuntimeError; so does a run, at once, that
+    reaches a configuration outside the stable set with no productive move.
+
     Deterministic: trial t draws from Philox keyed by (seed << 64) + t, so
     results are reproducible and independent of scheduling; one bit
-    generator is re-keyed per trial.  An interaction
-    draws r in [0, n^2 - n), picks the first head, in sorted order, whose
-    cumulative pair count exceeds r, and, only if that head has more than
-    one rule, draws the rule's index.  `PhiloxDraws` gives the numbers
-    `Generator.integers` would, so every (seed, trial) gives the same run as
-    a scalar `integers` call per draw.  The cumulative counts and successors
-    of a configuration are built from the move table the first time a run
-    visits it, and kept for the rest of the call.
+    generator is re-keyed per trial.  `PhiloxDraws` gives the numbers that
+    `Generator.random` and `Generator.integers` would, call for call.  The
+    step row of a configuration is built from the move table the first time
+    a run visits it, and kept for the rest of the call.
     """
     n = c0.size
     if n < 2:
@@ -762,28 +791,33 @@ def simulate(
     stop = {space.nodes[i].counts for i in stable_set(space)}
     del space
 
-    rows: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
+    rows: dict[tuple[int, ...], tuple[int, float, tuple, tuple]] = {}
     shared: dict[tuple, tuple] = {}
     steps_out = []
     consensus = []
-    total_pairs = n * (n - 1)
+    total = n * (n - 1) * p.moves.lcm
     bits = np.random.Philox(0)
     for t in range(trials):
-        draw = PhiloxDraws((seed << 64) + t, bits=bits).integers
+        draws = PhiloxDraws((seed << 64) + t, bits=bits)
+        random, draw = draws.random, draws.integers
         c = c0.counts
         steps = 0
         while c not in stop:
-            if steps >= max_steps:
+            row = rows.get(c)
+            if row is None:
+                row = rows[c] = _step_row(p, c, total, shared)
+            w, logq, cum, nexts = row
+            if w == total:
+                steps += 1
+            elif w:
+                # the quotient is >= 0, so int() is floor
+                steps += 1 + int(log(1.0 - random()) / logq)
+            if steps > max_steps or not w:
                 raise RuntimeError(
                     f"trial {t} exceeded {max_steps} interactions; target "
                     f"may not be almost surely reachable"
                 )
-            row = rows.get(c)
-            if row is None:
-                row = rows[c] = _step_row(p, c, shared)
-            nexts = row[1][bisect_right(row[0], draw(total_pairs))]
-            c = nexts[0] if len(nexts) == 1 else nexts[draw(len(nexts))]
-            steps += 1
+            c = nexts[0] if len(nexts) == 1 else nexts[bisect_right(cum, draw(w))]
         steps_out.append(steps)
         consensus.append(_consensus_value(p, c))
     return SimResult(trials, tuple(steps_out), seed, tuple(consensus))

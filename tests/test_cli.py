@@ -131,7 +131,8 @@ def test_simulate_consensus_and_determinism(capsys):
 def test_simulate_pinned_row(capsys):
     # the closure of A=6,B=4 (74 configurations) is smaller than the space
     # of size 10 (1,001); the row must stay byte-identical, so a change in
-    # the stopping decisions or in the use of the random stream shows
+    # the stopping decisions or in the use of the random stream shows.
+    # Recorded once more when idle interactions came to be skipped
     code, out, _ = run(
         capsys,
         "simulate",
@@ -144,7 +145,7 @@ def test_simulate_pinned_row(capsys):
         "7",
     )
     assert code == 0
-    assert out.splitlines()[-1] == "50,92.3000,3.5948,50,0"
+    assert out.splitlines()[-1] == "50,91.7400,4.8090,50,0"
 
 
 def test_simulate_zero_trials(capsys):
@@ -335,6 +336,23 @@ def test_simulate_exploration_limit_exits_3(capsys, monkeypatch):
     )
     assert code == 3
     assert err == "error: exploration cap 10 exceeded\n"
+    assert out.splitlines()[-1] == "trials,mean_interactions,stderr,consensus0,consensus1"
+
+
+def test_simulate_stuck_run_exits_2(capsys, tmp_path):
+    # the swap changes no count, so A=1,B=1 never reaches its stable set
+    # (empty): the step cap fails the run at once, with one error line
+    pp = tmp_path / "swap.pp"
+    pp.write_text(
+        "protocol swap\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\n"
+        "transitions:\n  A B -> B A\n"
+    )
+    code, out, err = run(capsys, "simulate", str(pp), "--config", "A=1,B=1")
+    assert code == 2
+    assert err == (
+        "error: trial 0 exceeded 1000000 interactions; "
+        "target may not be almost surely reachable\n"
+    )
     assert out.splitlines()[-1] == "trials,mean_interactions,stderr,consensus0,consensus1"
 
 

@@ -782,15 +782,23 @@ def test_simulate_against_exact_expectation():
 
 
 # ---------------------------------------------------------------------------
-# simulate against the per-interaction loop it replaced
+# simulate against plain references: the same sampler written out, and the
+# per-interaction loop whose law it must keep
 
 
 def _consensus_value(p, c):
-    """The consensus helper of reference_simulate, which reads a Configuration."""
+    """The consensus helper of the references, which read a Configuration."""
     outs = {p.output(s) for s, k in enumerate(c.counts) if k > 0}
     if len(outs) == 1:
         return outs.pop()
     return None
+
+
+def _step_cap_error(t, max_steps):
+    return RuntimeError(
+        f"trial {t} exceeded {max_steps} interactions; target "
+        f"may not be almost surely reachable"
+    )
 
 
 def reference_simulate(
@@ -800,12 +808,71 @@ def reference_simulate(
     seed,
     max_steps=1_000_000,
 ):
-    """simulate as it was before the step rows and batched draws: one
-    scalar Generator.integers call per draw and a fresh walk over the
-    present heads per interaction."""
+    """simulate written plainly: scalar Generator.random/integers calls and a
+    fresh walk over the present heads' rules at each productive step.  The
+    interactions up to the next productive one are one geometric draw, and
+    the move is drawn by its integer weight among the productive ones."""
     n = c0.size
     if n < 2:
         raise ValueError("simulation needs at least two agents")
+    space = V.explore(p, c0, cap=10_000_000)
+    members = frozenset(space.nodes[i] for i in V.stable_set(space))
+
+    steps_out = []
+    consensus = []
+    big = math.lcm(*(len(rules) for rules in p.rules_by_head.values()))
+    total = n * (n - 1) * big
+    for t in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
+        c = list(c0.counts)
+        steps = 0
+        cfg = Configuration(tuple(c))
+        while cfg not in members:
+            moves = []
+            present = [s for s in range(len(c)) if c[s] > 0]
+            for ai, a in enumerate(present):
+                for b in present[ai:]:
+                    pairs = c[a] * (c[a] - 1) if a == b else 2 * c[a] * c[b]
+                    rules = p.rules_by_head[(a, b)]
+                    for rule in rules:
+                        nxt = list(c)
+                        nxt[rule.lhs[0]] -= 1
+                        nxt[rule.lhs[1]] -= 1
+                        nxt[rule.rhs[0]] += 1
+                        nxt[rule.rhs[1]] += 1
+                        if pairs and nxt != c:
+                            moves.append((pairs * big // len(rules), nxt))
+            w = sum(weight for weight, _ in moves)
+            if w == 0:
+                raise _step_cap_error(t, max_steps)
+            if w < total:
+                gap = math.log(1 - rng.random()) / math.log1p(-w / total)
+                steps += 1 + math.floor(gap)
+            else:
+                steps += 1
+            if steps > max_steps:
+                raise _step_cap_error(t, max_steps)
+            if len(moves) == 1:
+                c = moves[0][1]
+            else:
+                r = int(rng.integers(0, w))
+                for weight, nxt in moves:
+                    if r < weight:
+                        c = nxt
+                        break
+                    r -= weight
+            cfg = Configuration(tuple(c))
+        steps_out.append(steps)
+        consensus.append(_consensus_value(p, cfg))
+    return V.SimResult(trials, tuple(steps_out), seed, tuple(consensus))
+
+
+def per_interaction_simulate(p, c0, trials, seed, max_steps=1_000_000):
+    """simulate as it was before idle interactions were skipped: one draw
+    of an ordered agent pair per interaction, productive or not, and one of
+    the rule when its head has several.  Its numbers differ from simulate's;
+    its law must not."""
+    n = c0.size
     space = V.explore(p, c0, cap=10_000_000)
     members = frozenset(space.nodes[i] for i in V.stable_set(space))
 
@@ -819,10 +886,7 @@ def reference_simulate(
         cfg = Configuration(tuple(c))
         while cfg not in members:
             if steps >= max_steps:
-                raise RuntimeError(
-                    f"trial {t} exceeded {max_steps} interactions; target "
-                    f"may not be almost surely reachable"
-                )
+                raise _step_cap_error(t, max_steps)
             r = int(rng.integers(0, total_pairs))
             acc = 0
             head = None
@@ -881,22 +945,42 @@ def test_simulate_matches_reference_on_corpus(corpus):
             assert_same_runs(p, c0, 5, 17, max_steps=5000)
 
 
-def test_simulate_matches_reference_with_shared_heads(shared_heads, monkeypatch):
-    p = shared_heads
-    bounds = Counter()
+class CountingDraws(V.PhiloxDraws):
+    """PhiloxDraws that counts its calls by kind: "random", or the bound."""
 
-    class CountingDraws(V.PhiloxDraws):
-        __slots__ = ()
+    __slots__ = ()
+    calls = Counter()
 
-        def integers(self, bound):
-            bounds[bound] += 1
-            return super().integers(bound)
+    def random(self):
+        self.calls["random"] += 1
+        return super().random()
 
+    def integers(self, bound):
+        self.calls[bound] += 1
+        return super().integers(bound)
+
+
+@pytest.fixture
+def counting_draws(monkeypatch):
+    CountingDraws.calls = Counter()
     monkeypatch.setattr(V, "PhiloxDraws", CountingDraws)
+    return CountingDraws.calls
+
+
+def test_simulate_matches_reference_with_shared_heads(shared_heads, counting_draws):
+    p = shared_heads
     for seed in range(3):
         res = assert_same_runs(p, cfg(p, A=5, B=4), 40, seed)
         assert set(res.consensus) == {1}
-    assert bounds[3] > 0 and bounds[2] > 0
+    # (A,B) has three productive rules: a step there draws among several
+    # moves of equal weight; the swap A C -> C A is idle and weighs nothing
+    assert counting_draws["random"] > 0
+    assert sum(k for bound, k in counting_draws.items() if bound != "random") > 0
+    total = 2 * p.moves.lcm
+    w, _, cum, nexts = V._step_row(p, cfg(p, A=1, B=1).counts, total, {})
+    assert (w, cum, nexts) == (12, (4, 8, 12), ((0, 0, 2), (1, 0, 1), (0, 1, 1)))
+    w, _, cum, nexts = V._step_row(p, cfg(p, A=1, C=1).counts, total, {})
+    assert (w, cum, nexts) == (6, (6,), ((0, 0, 2),))
 
 
 @st.composite
@@ -926,25 +1010,113 @@ def test_simulate_step_cap_raises_at_the_same_trial(corpus):
     free = reference_simulate(p, c0, 40, 1)
     # a cap that the first runs stay under but a later one reaches
     cap = max(free.steps[:3]) + 1
-    late = next(t for t, k in enumerate(free.steps) if k >= cap)
+    late = next(t for t, k in enumerate(free.steps) if k > cap)
     assert late >= 3
     msg = assert_same_runs(p, c0, 40, 1, max_steps=cap)
     assert msg.startswith(f"trial {late} exceeded {cap} interactions")
+    # a run fails exactly when its count exceeds the cap
+    top = max(free.steps)
+    assert V.simulate(p, c0, 40, 1, max_steps=top) == free
+    msg = sim_outcome(V.simulate, p, c0, 40, 1, max_steps=top - 1)
+    assert msg.startswith(f"trial {free.steps.index(top)} exceeded {top - 1} interactions")
+
+
+SWAP_ONLY = (
+    "protocol swap\nstates: A B C\ninputs: x -> A, y -> B\noutput1: A C\n"
+    "transitions:\n  A B -> B A\n"
+)
+
+
+def test_simulate_stuck_start_raises_without_drawing(counting_draws):
+    # the swap changes no count: A=1,B=1,C=1 has no productive move and is
+    # not stable, so the run is stuck and must fail before any draw.  The
+    # parser writes the swap as A B -> A B; the constructor keeps it as B A
+    kept = PopulationProtocol("swap", tuple("ABC"), [((0, 1), (1, 0))], {"x": 0}, {0, 2})
+    assert kept.moves.heads[1][3] == ((0, 1, 1, 0),)
+    for p in (parse_protocol(SWAP_ONLY), kept):
+        for sim in (V.simulate, reference_simulate):
+            with pytest.raises(RuntimeError, match="trial 0 exceeded 1000000 interactions"):
+                sim(p, cfg(p, A=1, B=1, C=1), trials=3, seed=0)
+    assert not counting_draws
+
+
+def test_simulate_gap_is_geometric(counting_draws):
+    # one productive pair (A,B) among n agents: the single productive step
+    # ends the run, so its count is one geometric gap of p = 2 / (n^2 - n)
+    p = parse_protocol(
+        "protocol gap\nstates: A B Z\ninputs: x -> A, y -> B, z -> Z\n"
+        "output1: A Z\ntransitions:\n  A B -> A A\n"
+    )
+    # at n = 2 every interaction is productive and there is one move:
+    # neither the gap nor the move is drawn
+    assert V.simulate(p, cfg(p, A=1, B=1), trials=5, seed=5).steps == (1,) * 5
+    assert not counting_draws
+    n = 10
+    prob = 2 / (n * n - n)
+    res = V.simulate(p, cfg(p, A=1, B=1, Z=n - 2), trials=4000, seed=5)
+    assert set(res.consensus) == {1}
+    steps = np.array(res.steps, dtype=float)
+    mean = 1 / prob
+    var = (1 - prob) / prob**2
+    assert abs(steps.mean() - mean) <= 5 * res.stderr
+    # the standard error of a sample variance: sqrt((m4 - s^4) / k)
+    m4 = ((steps - steps.mean()) ** 4).mean()
+    se_var = math.sqrt((m4 - res.variance**2) / len(steps))
+    assert abs(res.variance - var) <= 5 * se_var
+
+
+# A meets B: both become A or both become B, with equal weight, or they
+# swap, an idle rule; the run ends in an A- or a B-consensus
+SHARED_SPLIT = (
+    "protocol split\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\n"
+    "transitions:\n  A B -> A A\n  A B -> B B\n  A B -> B A\n"
+)
+
+
+def test_simulate_law_matches_per_interaction_loop(corpus):
+    # different numbers, same law: the mean count and the consensus split
+    # agree within 5 standard errors of their difference
+    majority = next(e for e in corpus if e.name == "majority-ex2").protocol()
+    split = parse_protocol(SHARED_SPLIT)
+    for p, c0 in (
+        (majority, initial_configuration(majority, {"x": 3, "y": 2})),
+        (split, cfg(split, A=3, B=3)),
+    ):
+        k = 1500
+        new = V.simulate(p, c0, k, 11)
+        old = per_interaction_simulate(p, c0, k, 12)
+        assert abs(new.mean - old.mean) <= 5 * math.hypot(new.stderr, old.stderr)
+        f_new = new.consensus.count(1) / k
+        f_old = old.consensus.count(1) / k
+        se = math.sqrt((f_new * (1 - f_new) + f_old * (1 - f_old)) / k)
+        assert abs(f_new - f_old) <= 5 * se
+    # the split's runs end either way, so its consensus split is a real test
+    assert 0.05 < f_old < 0.95
 
 
 DRAW_BOUNDS = (2, 3, 9900, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 5, 2**40 + 3, 2**62 + 7)
 
 
+def draw_calls(order, k):
+    """k draws, each a bound from DRAW_BOUNDS or None for a random() call."""
+    kinds = DRAW_BOUNDS + (None,)
+    return [kinds[i] for i in order.integers(0, len(kinds), k)]
+
+
+def make_draws(draws, calls):
+    return [draws.random() if b is None else draws.integers(b) for b in calls]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_philox_draws_match_generator_integers(seed):
-    order = np.random.default_rng(seed)
-    bounds = [DRAW_BOUNDS[i] for i in order.integers(0, len(DRAW_BOUNDS), 200)]
+    # integers and random calls interleaved; the first three leave a kept
+    # 32-bit half across a random() call, which takes a whole word
+    calls = [9900, None, 9900] + draw_calls(np.random.default_rng(seed), 200)
     key = (seed << 64) + 5
     rng = np.random.Generator(np.random.Philox(key=key))
-    want = [int(rng.integers(0, b)) for b in bounds]
+    want = [float(rng.random()) if b is None else int(rng.integers(0, b)) for b in calls]
     # three words a batch: refills fall between and inside draws
-    draws = V.PhiloxDraws(key, batch=3)
-    assert [draws.integers(b) for b in bounds] == want
+    assert make_draws(V.PhiloxDraws(key, batch=3), calls) == want
 
 
 def test_philox_draws_rekeyed_generator_matches_a_new_one():
@@ -952,15 +1124,13 @@ def test_philox_draws_rekeyed_generator_matches_a_new_one():
     # through a buffer and a kept half must give a new one's numbers
     bits = np.random.Philox(0)
     bits.random_raw(3)
-    order = np.random.default_rng(99)
     # bound 2**32 returns each 32-bit half as it is, and no value is
     # rejected, so the first draws show the raw words
-    bounds = [2**32] * 10
-    bounds += [DRAW_BOUNDS[i] for i in order.integers(0, len(DRAW_BOUNDS), 200)]
+    calls = [2**32] * 10 + draw_calls(np.random.default_rng(99), 200)
     for key in (0, 5, 2**64, (7 << 64) + 3, 2**128 - 1):
         want = V.PhiloxDraws(key, batch=3)
         draws = V.PhiloxDraws(key, batch=3, bits=bits)
-        assert [draws.integers(b) for b in bounds] == [want.integers(b) for b in bounds]
+        assert make_draws(draws, calls) == make_draws(want, calls)
         draws.integers(9900)  # leave a kept half behind
 
 
