@@ -85,7 +85,7 @@ def is_fast(
     with the literals A, !B... and A! (the negation of the clause
     !A | B... | !A!), and it is Horn.  It is asked xi(h) for each head h of
     Exp not on A, the heads on A being disabled by its own literals, so
-    every query takes the literal-closure path of `is_tautology`."""
+    every goal is a clause, as `is_tautology` requires."""
     num = numbering(p)
     heads = sorted(exp)
     for a in sorted(u_states):

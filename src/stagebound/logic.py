@@ -11,64 +11,53 @@ Atoms:
 Formulas are immutable tagged tuples, so they hash and compare structurally,
 which keeps stage construction deterministic.
 
-Entailment.  `is_tautology(goal, premise)` is the one entailment entry
-point of the analysis: it decides whether `premise` entails `goal`.  A
-premise is built once and asked many goals (`Premise`), and a query takes
-one of two paths:
+One engine: literal closures.  Every premise of the stage-tree build has
+one shape: unit literals, the xi clause (!A | !B) or (!A | A!) of each head
+of a set H, and the coupling (!A! | A).  `Premise.horn` builds it straight
+from the literals and H, over one atom numbering per protocol
+(`Numbering`), with no formula to translate.  Every clause but the units
+has two literals, at least one of them negative, so the premise is Horn:
+unit propagation decides it (Dowling & Gallier, J. Logic Programming
+1984), and on binary clauses propagation from a set of literals is the
+union of each literal's closure in the implication graph (Aspvall, Plass
+& Tarjan, IPL 1979).  So every premise with the same H shares one
+implication graph whose literal closures, as bitmasks, are memoised on
+first use (`Implications`); a premise adds only the closure of its units.
+A set of literals is consistent with the premise when ORing their
+closures into its own leaves no atom both true and false.  The build asks
+three things:
 
-  1. Literal closures, for every query of the stage-tree build.  Its
-     premises are Horn with at most two literals per clause: unit
-     literals (those of pi, and for `is_fast` a few more), the xi clause
-     (!A | !B) or (!A | A!) of each head of a set H, and the coupling
-     (!A! | A).  `Premise.horn` builds them straight from the literals and
-     H, over one atom numbering per protocol (`Numbering`), with no
-     formula to translate.  Their goal is a clause, xi of a head or xi
-     under the guard of a re-enabling product (`guarded_xi`), so "not
-     goal" is a conjunction of literals.  Unit propagation decides Horn
-     satisfiability (Dowling & Gallier, J. Logic Programming 1984), and on
-     binary clauses propagation from a set of literals is the union of
-     each literal's closure in the implication graph (Aspvall, Plass &
-     Tarjan, IPL 1979).  So every premise with the same H shares one
-     implication graph whose literal closures, as bitmasks, are memoised
-     on first use (`Implications`); a premise adds only the closure of its
-     units (`Closures`), and a query ORs the closures of the literals of
-     "not goal" into it and holds when some atom comes out both true and
-     false.  A premise with an empty clause or conflicting units entails
-     every goal.  A goal atom the premise does not number is free, except
-     that a true singleton still makes its presence atom true.
-  2. DPLL, for every other query: ancestor pruning asks whether one stage
-     formula implies another, with the empty premise.  One walk over a
-     formula with polarity emits the clauses of "premise holds" or "goal
-     fails" directly (`Premise(formula)` translates a premise the same
-     way, and takes the closure path when its clauses are Horn with at
-     most two literals).  Literals and disjunctions of literals become
-     clauses; a conjunction nested inside a clause gets a one-directional
-     (Plaisted-Greenbaum) auxiliary variable.  The coupling A! -> A is
-     added as the clause (!A! | A) for every singleton atom the walk meets
-     first.  A query copies the premise's clause list and atom numbering
-     and extends the copies, so no clause of one goal reaches the next;
-     `Premise.conj(extra)` extends a premise the same way.  A small DPLL
-     with unit propagation decides the clauses.  The same search splits a
-     stage formula into its valuations (`enumerate_satisfying_valuations`),
-     so the build evaluates no formula; `evaluate` serves only the oracle,
-     which evaluates a formula bit-parallel over all the total valuations
-     of a chain at once.
+  1. Entailment, `is_tautology(goal, premise)`.  The goal is a clause, xi
+     of a head or xi under the guard of a re-enabling product
+     (`guarded_xi`), so "not goal" is a conjunction of literals, and the
+     goal holds when those literals are inconsistent with the premise.  A
+     goal of any other shape raises ValueError.
+  2. The split of a stage formula into its valuations
+     (`enumerate_satisfying_valuations`).  A stage formula is such a
+     premise and at most one disjunction whose members are conjunctions of
+     literals (`Parts`).  Per member, a walk decides the formula's atoms in
+     canonical order under the premise with the member's literals added,
+     trying each value that stays consistent.  Whatever propagation leaves
+     open can be set false, since every binary clause has a negative
+     literal, so a walk that meets no conflict never dead-ends: each leaf
+     is a model.
+  3. Ancestor pruning: does one stage formula imply another?  The build has
+     split the first already, so `holds_throughout` evaluates the second
+     over those valuations, bit-parallel (`evaluate`, which also serves the
+     oracle over all the total valuations of a chain at once).
 
 There is no query cache: a process-wide cache of formulas grows the peak
 memory by more than it is worth in time.  A premise and its unit closure
 live as long as its caller keeps it (a transformation graph, one round of
 J); the atoms, their numbering and the implication graph of each head set
 live on their protocol, as do the xi formulas and their guarded forms.
-The tests keep both earlier searches, which walk the formula itself with
-a three-valued evaluator, as the references the entailment check and the
-enumeration must agree with, and check the closures against DPLL, and the
-premises built from literals against the same premises translated from
-their formulas, on every query of large builds.
+The tests keep a clause DPLL and the searches that walk a formula with a
+three-valued evaluator as the references that these answers must agree
+with.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, NamedTuple
 
 from .protocol import Head, PopulationProtocol
@@ -209,220 +198,68 @@ def evaluation_domain(f: Formula) -> list[Atom]:
     return sorted(dom, key=Atom.sort_key)
 
 
-def _translate(
-    f: Formula, pol: bool, clauses: list[list[int]], var: dict[Atom, int], next_var: int
-) -> int:
-    """Append to `clauses` the clauses stating that f has truth value pol;
-    returns the next free variable.
-
-    One walk over f with polarity: a node required to hold (under a guard
-    literal) is split at conjunctions and otherwise becomes one clause; a
-    conjunction met inside a clause is named by a fresh variable x with
-    clauses for x -> node only (Plaisted-Greenbaum).  Atoms missing from
-    `var` are numbered as they are met, and each new singleton atom gets
-    one more clause for the coupling A! -> A.  Literal and negated-literal
-    children are handled in the loops rather than by a recursive call,
-    which halves the calls on the premise-heavy queries of the stage-tree
-    build.
-    """
-    fresh = itertools.count(next_var).__next__
-    known = len(var)
-
-    def atom_var(a: Atom) -> int:
-        v = var[a] = fresh()
-        return v
-
-    def require(g: Formula, pol: bool, guard: int) -> None:
-        # clauses for: guard false, or g has truth value pol
-        tag = g[0]
-        while tag == "not":
-            g = g[1]
-            pol = not pol
-            tag = g[0]
-        if (tag == "and" and pol) or (tag == "or" and not pol):
-            for h in g[1]:
-                hpol = pol
-                if h[0] == "not":
-                    h = h[1]
-                    hpol = not pol
-                if h[0] == "atom":
-                    v = var.get(h[1]) or atom_var(h[1])
-                    lit = v if hpol else -v
-                    clauses.append([guard, lit] if guard else [lit])
-                else:
-                    require(h, hpol, guard)
-            return
-        if tag == "implies" and not pol:
-            require(g[1], True, guard)
-            require(g[2], False, guard)
-            return
-        lits = [guard] if guard else []
-        if not collect(g, pol, lits):
-            clauses.append(lits)
-
-    def collect(g: Formula, pol: bool, lits: list[int]) -> bool:
-        # append literals whose disjunction implies "g has truth value pol";
-        # True when that disjunction is valid, so the clause can be dropped
-        tag = g[0]
-        while tag == "not":
-            g = g[1]
-            pol = not pol
-            tag = g[0]
-        if tag == "atom":
-            v = var.get(g[1]) or atom_var(g[1])
-            lits.append(v if pol else -v)
-            return False
-        if tag == "tt" or tag == "ff":
-            return (tag == "tt") == pol
-        if (tag == "or" and pol) or (tag == "and" and not pol):
-            for h in g[1]:
-                hpol = pol
-                if h[0] == "not":
-                    h = h[1]
-                    hpol = not pol
-                if h[0] == "atom":
-                    v = var.get(h[1]) or atom_var(h[1])
-                    lits.append(v if hpol else -v)
-                elif collect(h, hpol, lits):
-                    return True
-            return False
-        if tag == "implies" and pol:
-            return collect(g[1], False, lits) or collect(g[2], True, lits)
-        if tag not in ("and", "or", "implies"):
-            raise ValueError(f"bad formula node {g!r}")
-        x = fresh()
-        require(g, pol, -x)
-        lits.append(x)
-        return False
-
-    require(f, pol, 0)
-    for a, v in list(itertools.islice(var.items(), known, None)):
-        if a.kind == SINGLETON:
-            comp = Atom(PRESENCE, a.index, a.name[:-1])
-            clauses.append([-v, var.get(comp) or atom_var(comp)])
-    return fresh()
+Literal = tuple[Atom, bool]
 
 
 class Premise:
-    """A premise translated once into the clauses that make it hold, so that
-    many goals can be asked of it: `formula`, its clauses, its atom
-    numbering and the next free variable.  `Premise(formula)` translates a
-    formula; `Premise.horn` builds the premise of the stage-tree build
-    straight from its literals and heads.  Read-only once built, apart from
-    the literal closures (`closures`), which fill in as queries ask for
-    them."""
+    """The premise "the literals `units` hold and every head of `heads` is
+    disabled", over the protocol's one atom numbering: the unit clauses,
+    the xi clause of each head and the coupling of each singleton.  `base`
+    is the closure of the units in the implication graph `graph` of the
+    binary clauses, or None when the premise is unsatisfiable.  Premises
+    with the same heads share one graph and its literal closures
+    (`Numbering.graph`).  Read-only once built."""
 
-    __slots__ = ("_formula", "_horn", "clauses", "var", "next_var", "_closures")
+    __slots__ = ("p", "units", "heads", "var", "graph", "base")
 
-    def __init__(self, formula: Formula = TT):
-        self._formula = formula
-        self._horn: tuple | None = None
-        self.clauses: list[list[int]] = []
-        self.var: dict[Atom, int] = {}
-        self.next_var = _translate(formula, True, self.clauses, self.var, 1)
-        self._closures: Closures | bool | None = None
+    def __init__(
+        self,
+        p: PopulationProtocol,
+        units: tuple[Literal, ...],
+        heads: frozenset[Head],
+        graph: Implications,
+        base: tuple[int, int] | None,
+    ):
+        self.p = p
+        self.units = units
+        self.heads = heads
+        self.var = numbering(p).var
+        self.graph = graph
+        self.base = base
 
     @classmethod
     def horn(
-        cls,
-        p: PopulationProtocol,
-        units: Iterable[tuple[Atom, bool]],
-        heads: frozenset[Head],
+        cls, p: PopulationProtocol, units: Iterable[Literal], heads: frozenset[Head]
     ) -> Premise:
-        """The premise "these literals hold and every head of `heads` is
-        disabled", as clauses over the protocol's one atom numbering: the
-        unit clauses, the xi clause of each head and the coupling of each
-        singleton.  Premises with the same heads share one implication
-        graph and its literal closures (`Numbering.graph`); only the
-        closure of the units is built here."""
-        graph = numbering(p).graph(heads)
-        return _horn_premise(p, (), heads, graph.clauses, Closures(graph, ()), units)
+        """The premise of `units` and `heads`; only the closure of the
+        units is built here."""
+        units = tuple(units)
+        num = numbering(p)
+        graph = num.graph(heads)
+        return cls(p, units, heads, graph, graph.close(num.var, units, (0, 0)))
 
-    def with_units(self, extra: Iterable[tuple[Atom, bool]]) -> Premise:
-        """This `horn` premise and more literals: the same heads and graph,
-        and the closure of `extra` ORed into the base."""
-        p, units, heads = self._horn
-        return _horn_premise(p, units, heads, self.clauses, self._closures, extra)
+    def with_units(self, extra: Iterable[Literal]) -> Premise:
+        """This premise and more literals: the same heads and graph, and the
+        closure of `extra` ORed into the base."""
+        extra = tuple(extra)
+        base = self.graph.close(self.var, extra, self.base)
+        return Premise(self.p, self.units + extra, self.heads, self.graph, base)
 
     def with_heads(self, extra: Iterable[Head]) -> Premise:
-        """This `horn` premise with the heads of `extra` disabled too."""
-        p, units, heads = self._horn
-        return Premise.horn(p, units, heads.union(extra))
-
-    @property
-    def formula(self) -> Formula:
-        """The formula the clauses stand for; a `horn` premise builds it
-        on first use."""
-        f = self._formula
-        if f is None:
-            p, units, heads = self._horn
-            lits = [atom(a) if v else neg(atom(a)) for a, v in units]
-            f = self._formula = conj(lits + [heads_formula(p, heads)])
-        return f
-
-    def conj(self, extra: Formula) -> Premise:
-        """This premise and `extra`; only `extra` is translated."""
-        out = Premise.__new__(Premise)
-        out._formula = conj([self.formula, extra])
-        out._horn = None
-        out.clauses = list(self.clauses)
-        out.var = dict(self.var)
-        out.next_var = _translate(extra, True, out.clauses, out.var, self.next_var)
-        out._closures = None
-        return out
-
-    def closures(self) -> Closures | None:
-        """The literal closures of the clauses, or None when some clause is
-        not Horn or has more than two literals.  Built on first use."""
-        c = self._closures
-        if c is None:
-            horn = all(
-                len(cl) < 2 or (len(cl) == 2 and (cl[0] < 0 or cl[1] < 0))
-                for cl in self.clauses
-            )
-            if not horn:
-                c = False
-            elif [] in self.clauses:
-                c = Closures(Implications([]), [], None)
-            else:
-                graph = Implications([cl for cl in self.clauses if len(cl) == 2])
-                c = Closures(graph, [cl[0] for cl in self.clauses if len(cl) == 1])
-            self._closures = c
-        return c or None
-
-
-def _horn_premise(
-    p: PopulationProtocol,
-    units: tuple[tuple[Atom, bool], ...],
-    heads: frozenset[Head],
-    clauses: list[list[int]],
-    closures: Closures,
-    extra: Iterable[tuple[Atom, bool]],
-) -> Premise:
-    """The `horn` premise of `units`, `extra` and `heads`, from the clauses
-    and closures of the one without `extra`."""
-    num = numbering(p)
-    extra = tuple(extra)
-    lits = [num.var[a] if v else -num.var[a] for a, v in extra]
-    out = Premise.__new__(Premise)
-    out._formula = None
-    out._horn = (p, units + extra, heads)
-    out.clauses = [[x] for x in lits] + clauses
-    out.var = num.var
-    out.next_var = num.next_var
-    out._closures = Closures(closures.graph, lits, closures.base)
-    return out
+        """This premise with the heads of `extra` disabled too."""
+        return Premise.horn(self.p, self.units, self.heads.union(extra))
 
 
 class Implications:
     """The implication graph of binary clauses, with each literal's closure
     built once, on first use.  A set of literals is written as a pair (true
-    atoms, false atoms) of ints with bit v for variable v."""
+    atoms, false atoms) of ints with bit v for variable v.  On binary
+    clauses, unit propagation from a set of literals is the union of each
+    literal's closure."""
 
-    __slots__ = ("clauses", "succ", "memo")
+    __slots__ = ("succ", "memo")
 
     def __init__(self, clauses: list[list[int]]):
-        self.clauses = clauses
         self.succ: dict[int, list[int]] = {}
         self.memo: dict[int, tuple[int, int]] = {}
         for a, b in clauses:
@@ -449,58 +286,25 @@ class Implications:
             got = self.memo[lit] = (pos, negs)
         return got
 
-
-class Closures:
-    """Unit propagation over Horn clauses of at most two literals, as
-    bitmasks.  On binary clauses, propagation from a set of literals is the
-    union of each literal's closure in the implication graph `graph`, so a
-    query ORs those closures into `base`, the closure of the unit literals;
-    `base` is None when the clauses are unsatisfiable."""
-
-    __slots__ = ("graph", "base")
-
-    def __init__(
+    def close(
         self,
-        graph: Implications,
-        units: Iterable[int],
-        base: tuple[int, int] | None = (0, 0),
-    ):
-        self.graph = graph
-        if base is not None:
-            pos, negs = base
-            closure = graph.closure
-            for lit in units:
-                t, f = closure(lit)
-                pos |= t
-                negs |= f
-            base = None if pos & negs else (pos, negs)
-        self.base = base
-
-    def refutes(self, assumed: list[tuple[Atom, bool]], var: dict[Atom, int]) -> bool:
-        """True iff the clauses and the literals `assumed` are unsatisfiable
-        under the coupling A! -> A.  An atom outside the numbering `var` is
-        free: it can conflict only with another assumption on itself, and a
-        true singleton among them still makes its presence atom true."""
-        if self.base is None:
-            return True
-        pos, negs = self.base
-        graph = self.graph
-        free: dict[Atom, bool] = {}
-        for a, value in assumed:
-            while True:
-                v = var.get(a)
-                if v is not None:
-                    lit = v if value else -v
-                    t, f = graph.memo.get(lit) or graph.closure(lit)
-                    pos |= t
-                    negs |= f
-                    break
-                if free.setdefault(a, value) != value:
-                    return True
-                if not value or a.kind != SINGLETON:
-                    break
-                a = Atom(PRESENCE, a.index, a.name[:-1])
-        return bool(pos & negs)
+        var: dict[Atom, int],
+        literals: Iterable[Literal],
+        base: tuple[int, int] | None,
+    ) -> tuple[int, int] | None:
+        """The closures of `literals`, over atoms numbered by `var`, ORed
+        into `base`; None when some atom comes out both true and false, or
+        when `base` is None."""
+        if base is None:
+            return None
+        pos, negs = base
+        memo = self.memo
+        for a, value in literals:
+            lit = var[a] if value else -var[a]
+            t, f = memo.get(lit) or self.closure(lit)
+            pos |= t
+            negs |= f
+        return None if pos & negs else (pos, negs)
 
 
 class Numbering:
@@ -510,7 +314,7 @@ class Numbering:
     implication graph of the xi clause of each head of H and the coupling
     (!A! | A) of each singleton, built on first use; see `Premise.horn`."""
 
-    __slots__ = ("presence", "singleton", "var", "next_var", "graphs")
+    __slots__ = ("presence", "singleton", "var", "graphs")
 
     def __init__(self, p: PopulationProtocol):
         self.presence = tuple(Atom(PRESENCE, s, q) for s, q in enumerate(p.states))
@@ -521,7 +325,6 @@ class Numbering:
         for s, (a, one) in enumerate(zip(self.presence, self.singleton)):
             self.var[a] = 2 * s + 1
             self.var[one] = 2 * s + 2
-        self.next_var = 2 * len(p.states) + 1
         self.graphs: dict[frozenset[Head], Implications] = {}
 
     def graph(self, heads: frozenset[Head]) -> Implications:
@@ -542,10 +345,10 @@ def numbering(p: PopulationProtocol) -> Numbering:
     return num
 
 
-def _refutation(goal: Formula) -> list[tuple[Atom, bool]] | None:
+def _refutation(goal: Formula) -> list[Literal] | None:
     """Literals whose conjunction says that goal is false, or None when the
     negation of goal is not a conjunction of literals."""
-    out: list[tuple[Atom, bool]] = []
+    out: list[Literal] = []
     todo = [(goal, False)]
     for f, pol in todo:
         tag = f[0]
@@ -571,111 +374,97 @@ def _refutation(goal: Formula) -> list[tuple[Atom, bool]] | None:
     return out
 
 
-def _propagate(clauses: list[list[int]], true: set[int], trail: list[int]) -> bool:
-    """Unit propagation to a fixed point; False on a falsified clause.
-    Literals it sets are added to `true` and recorded on `trail`."""
-    changed = True
-    while changed:
-        changed = False
-        for c in clauses:
-            free = 0
-            for lit in c:
-                if lit in true:
-                    break
-                if -lit not in true:
-                    if free:
-                        break
-                    free = lit
-            else:
-                if not free:
-                    return False
-                true.add(free)
-                trail.append(free)
-                changed = True
-    return True
-
-
-def _dpll(clauses: list[list[int]], true: set[int]) -> bool:
-    """True iff the clauses have a model extending the literals in `true`."""
-    trail: list[int] = []
-    if _propagate(clauses, true, trail):
-        open_ = [c for c in clauses if not any(lit in true for lit in c)]
-        if not open_:
-            return True
-        # after propagation every open clause has at least two free literals
-        branch = next(lit for lit in open_[0] if -lit not in true)
-        for lit in (branch, -branch):
-            true.add(lit)
-            if _dpll(open_, true):
-                return True
-            true.discard(lit)
-    for lit in trail:
-        true.discard(lit)
-    return False
-
-
-def is_tautology(goal: Formula, premise: Premise = Premise()) -> bool:
+def is_tautology(goal: Formula, premise: Premise) -> bool:
     """True iff every consistent total assignment satisfying the premise
-    satisfies goal.  When the premise is Horn with at most two literals per
-    clause and "not goal" is a conjunction of literals, its literal
-    closures decide; otherwise DPLL does (`_dpll_entails`)."""
+    satisfies goal.  "Not goal" must be a conjunction of literals, and the
+    premise's literal closures decide; any other goal raises ValueError."""
     assumed = _refutation(goal)
-    if assumed is not None:
-        closures = premise.closures()
-        if closures is not None:
-            return closures.refutes(assumed, premise.var)
-    return _dpll_entails(goal, premise)
-
-
-def _dpll_entails(goal: Formula, premise: Premise) -> bool:
-    """`is_tautology` by DPLL: only the clauses of "not goal" are
-    translated; the premise's own clauses are copied, never extended."""
-    clauses = list(premise.clauses)
-    _translate(goal, False, clauses, dict(premise.var), premise.next_var)
-    return not _dpll(clauses, set())
+    if assumed is None:
+        raise ValueError(f"not a clause: {pretty(goal)}")
+    return premise.graph.close(premise.var, assumed, premise.base) is None
 
 
 Valuation = dict[Atom, bool]
 
 
-def enumerate_satisfying_valuations(f: Formula) -> list[Valuation]:
-    """All consistent total assignments over the evaluation domain of f that
-    satisfy f, in canonical order (atoms by state index, tt before ff).
+class Parts(NamedTuple):
+    """A stage formula as the build makes it: the conjunction of the
+    literals of the valuations `units`, the xi of each head of `heads` and
+    one disjunction whose members are conjunctions of literals.  Without a
+    disjunction `members` is ((),); an empty one, () here, makes the
+    formula false.  The valuations are those the stage already keeps, such
+    as its pi, not copies."""
 
-    Domain atom i is variable i + 1 of f's clauses, numbered before the
-    translation because a valid disjunct keeps its atoms out of them.  The
-    walk decides the atoms in order under unit propagation, undone through
-    its trail; DPLL settles the auxiliary variables at each leaf."""
-    domain = evaluation_domain(f)
-    var = {a: v for v, a in enumerate(domain, 1)}
-    clauses = [  # the coupling A! -> A
-        [-v, var[Atom(PRESENCE, a.index, a.name[:-1])]]
-        for a, v in var.items()
-        if a.kind == SINGLETON
+    units: tuple[Valuation, ...]
+    heads: frozenset[Head]
+    members: tuple[tuple[Literal, ...], ...] = ((),)
+
+
+def enumerate_satisfying_valuations(
+    p: PopulationProtocol, phi: Formula, parts: Parts
+) -> list[Valuation]:
+    """All consistent total assignments over the evaluation domain of phi,
+    a stage formula with the parts `parts`, that satisfy it, in canonical
+    order (atoms by state index, tt before ff).
+
+    Per member of the disjunction, the walk decides the domain's atoms in
+    order under the closures of `Premise.horn(p, units + member, heads)`,
+    trying each value whose closure leaves no atom both true and false;
+    every leaf is a model (see the module docstring).  A leaf is kept as a
+    key with one bit per domain atom, the first atom highest and set when
+    false, so the members' valuations merge in canonical order by sorting
+    the distinct keys."""
+    domain = evaluation_domain(phi)
+    order = [numbering(p).var[a] for a in domain]
+    keys: set[int] = set()
+
+    def walk(i: int, pos: int, negs: int, key: int) -> None:
+        if i == len(order):
+            keys.add(key)
+            return
+        v = order[i]
+        for lit, bit in ((v, 0), (-v, 1)):  # tt before ff
+            t, f = closure(lit)  # in the current member's graph
+            t |= pos
+            f |= negs
+            if not t & f:
+                walk(i + 1, t, f, key << 1 | bit)
+
+    units = tuple(x for val in parts.units for x in val.items())
+    for member in parts.members:
+        premise = Premise.horn(p, units + member, parts.heads)
+        if premise.base is not None:
+            closure = premise.graph.closure
+            walk(0, *premise.base, 0)
+    last = len(domain) - 1
+    return [
+        {a: not key >> (last - i) & 1 for i, a in enumerate(domain)}
+        for key in sorted(keys)
     ]
-    _translate(f, True, clauses, var, len(domain) + 1)
-    results: list[Valuation] = []
-    true: set[int] = set()
 
-    def walk(v: int) -> None:
-        if v > len(domain):
-            if _dpll(clauses, set(true)):
-                results.append({a: u in true for a, u in var.items()})
-            return
-        if v in true or -v in true:  # forced by propagation
-            walk(v + 1)
-            return
-        for lit in (v, -v):  # tt before ff
-            trail = [lit]
-            true.add(lit)
-            if _propagate(clauses, true, trail):
-                walk(v + 1)
-            for x in trail:
-                true.discard(x)
 
-    if _propagate(clauses, true, []):
-        walk(1)
-    return results
+def holds_throughout(f: Formula, vals: list[Valuation]) -> bool:
+    """True iff f holds under every valuation of `vals`, all over one
+    domain, and under each of its consistent extensions over the atoms of f
+    outside that domain.  Bit j * len(vals) + i stands for valuation i
+    under extension j, so one `evaluate` decides them all."""
+    if not vals:
+        return True
+    n = len(vals)
+    extra = [a for a in evaluation_domain(f) if a not in vals[0]]
+    blocks = range(1 << len(extra))
+    bits: dict[Atom, int] = {}
+    repeat = sum(1 << j * n for j in blocks)
+    for a in vals[0]:
+        bits[a] = sum(1 << i for i, nu in enumerate(vals) if nu[a]) * repeat
+    block = (1 << n) - 1
+    for t, a in enumerate(extra):
+        bits[a] = sum(block << j * n for j in blocks if j >> t & 1)
+    allowed = (1 << n * len(blocks)) - 1
+    for a in extra:
+        if a.kind == SINGLETON:  # A! -> A
+            allowed &= ~bits[a] | bits[Atom(PRESENCE, a.index, a.name[:-1])]
+    return evaluate(f, bits) & allowed == allowed
 
 
 def valuation_formula(val: Valuation) -> Formula:
@@ -700,6 +489,14 @@ def xi(p: PopulationProtocol, head: Head) -> Formula:
         other = neg(atom(presence(p, b))) if a != b else atom(singleton(p, a))
         f = p.xi_table[head] = disj([neg(atom(presence(p, a))), other])
     return f
+
+
+def not_xi_literals(p: PopulationProtocol, head: Head) -> tuple[Literal, Literal]:
+    """The literals whose conjunction is not xi(head): A and B for a head
+    {A,B}, A and not A! for {A,A}."""
+    a, b = head
+    other = (presence(p, b), True) if a != b else (singleton(p, a), False)
+    return ((presence(p, a), True), other)
 
 
 def guarded_xi(p: PopulationProtocol, head: Head, prod: int, partner: int) -> Formula:

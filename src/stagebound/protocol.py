@@ -97,7 +97,9 @@ class PopulationProtocol:
     `transitions` holds every rule: the explicit ones from the source plus
     one implicit idle rule for each head that has no explicit rule.  The
     number of rules sharing a head is the uniform-choice denominator in the
-    step semantics.
+    step semantics.  Both sides of each rule are sorted into heads before
+    equal rules are merged, so a swap such as A B -> B A is idle however
+    the protocol was built.
     """
 
     def __init__(
@@ -123,6 +125,7 @@ class PopulationProtocol:
         seen: set[tuple[Head, Head]] = set()
         explicit: list[Transition] = []
         for lhs, rhs in explicit_rules:
+            lhs, rhs = make_head(*lhs), make_head(*rhs)
             if (lhs, rhs) in seen:
                 continue
             seen.add((lhs, rhs))
@@ -262,7 +265,7 @@ def _parse_json(text: str) -> PopulationProtocol:
         if len(_json_names(quad, f"transition {quad!r}")) != 4:
             raise ProtocolError(f"transition {quad!r} must have 4 state names")
         a, b, c, d = (look(s) for s in quad)
-        rules.append((make_head(a, b), make_head(c, d)))
+        rules.append(((a, b), (c, d)))
     return PopulationProtocol(name, tuple(states), rules, input_map, output1)
 
 
@@ -358,9 +361,8 @@ def parse_protocol(text: str) -> PopulationProtocol:
                 raise ProtocolError(
                     f"transition {line!r} must have two states on each side", lineno
                 )
-            lhs = make_head(look(ls[0], lineno), look(ls[1], lineno))
-            rhs = make_head(look(rs[0], lineno), look(rs[1], lineno))
-            rules.append((lhs, rhs))
+            a, b, c, d = (look(x, lineno) for x in ls + rs)
+            rules.append(((a, b), (c, d)))
         else:
             raise ProtocolError(f"unrecognized line {line!r}", lineno)
 

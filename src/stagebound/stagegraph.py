@@ -23,7 +23,11 @@ within one build each distinct (T, nu) case analysis is computed once and
 shared, read-only, by every stage it yields; each distinct formula is
 likewise split into valuations once.  Successors that a root-path ancestor
 already covers are pruned, which guarantees termination; pruning depends on
-the root path, so it runs for every child.  Construction is deterministic:
+the root path, so it runs for every child.  An ancestor covers a child with
+the same pi and T when the ancestor's formula implies the child's, which
+is decided by evaluating the child's formula over the ancestor's split.
+Each formula keeps its parts (`Parts`) beside its tree, and the split
+walks the literal closures of those parts.  Construction is deterministic:
 valuations are enumerated in canonical order and stages are numbered
 breadth-first.
 """
@@ -39,6 +43,7 @@ from . import bounds as bounds_mod
 from .logic import (
     Formula,
     PRESENCE,
+    Parts,
     Premise,
     SINGLETON,
     Valuation,
@@ -48,13 +53,13 @@ from .logic import (
     enumerate_satisfying_valuations,
     guarded_xi,
     heads_formula,
-    implies,
+    holds_throughout,
     is_tautology,
     neg,
+    not_xi_literals,
     numbering,
     presence,
     pretty,
-    singleton,
     valuation_formula,
     xi,
 )
@@ -117,6 +122,7 @@ class CaseAnalysis:
 class Stage:
     id: int
     phi: Formula
+    parts: Parts  # phi's parts, which its split reads
     pi: Valuation
     disabled: frozenset[Head]  # T: permanently disabled heads
     parent: int | None
@@ -158,7 +164,12 @@ def initial_stage(p: PopulationProtocol) -> Stage:
         [disj([atom(presence(p, i)) for i in inputs])]
         + [neg(atom(presence(p, i))) for i in others]
     )
-    return Stage(id=0, phi=phi, pi={}, disabled=frozenset(), parent=None)
+    parts = Parts(
+        ({presence(p, i): False for i in others},),
+        frozenset(),
+        tuple(((presence(p, i), True),) for i in inputs),
+    )
+    return Stage(id=0, phi=phi, parts=parts, pi={}, disabled=frozenset(), parent=None)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +457,7 @@ def classify_nu_mode(
     for {A,A}."""
     if not j:
         return "neither"
-    enabling = []  # the literals of not xi(h), per head of j
-    for a, b in sorted(j):
-        other = (presence(p, b), True) if a != b else (singleton(p, a), False)
-        enabling.append(((presence(p, a), True), other))
+    enabling = [not_xi_literals(p, h) for h in sorted(j)]
     if all(any(nu.get(x) == (not v) for x, v in lits) for lits in enabling):
         return "nu-disabled"
     if any(all(nu.get(x) == v for x, v in lits) for lits in enabling):
@@ -517,6 +525,7 @@ class Successor:
 
     kind: str
     phi: Formula
+    parts: Parts
     pi: Valuation
     disabled: frozenset[Head]
     analysis: CaseAnalysis
@@ -535,7 +544,13 @@ def case_analysis(
     ca.dead = is_dead(g, ca.stable)
     if ca.stable is not None or ca.dead:
         kind = TERMINAL_DEAD if ca.dead else TERMINAL_STABLE
-        return Successor(kind, pi_f, pi_nu, t_parent, ca)
+        return Successor(kind, pi_f, Parts((pi_nu,), frozenset()), pi_nu, t_parent, ca)
+
+    def enabled_one_of(heads: frozenset[Head]) -> tuple[Formula, tuple]:
+        # "some head of `heads` is enabled", as a tree and as members
+        ordered = sorted(heads)
+        members = tuple(not_xi_literals(p, h) for h in ordered)
+        return disj([neg(xi(p, h)) for h in ordered]), members
 
     ca.u_states = frozenset(v for v in g.vertices if g.scc[v] not in g.bottom)
     exp = compute_exp(g)
@@ -552,14 +567,16 @@ def case_analysis(
         ca.nu_enabled = mode == "nu-enabled"
         if ca.nu_disabled:
             phi = conj([pi_f, psi_tnu, valuation_formula(nu)])
+            parts = Parts((pi_nu, nu), t_nu)
         elif ca.nu_enabled:
             k = compute_k(p, g, j)
             ca.k = k
-            phi = conj(
-                [pi_f, psi_tnu, disj([neg(xi(p, h)) for h in sorted(k)])]
-            )
+            some_k, members = enabled_one_of(k)
+            phi = conj([pi_f, psi_tnu, some_k])
+            parts = Parts((pi_nu,), t_nu, members)
         else:
             phi = conj([pi_f, psi_tnu])
+            parts = Parts((pi_nu,), t_nu)
         ca.fast = bounds_mod.is_fast(p, g, exp, ca.u_states)
         ca.very_fast = bounds_mod.is_very_fast(p, g, ca.u_states)
     else:
@@ -569,18 +586,19 @@ def case_analysis(
         i_states, l = compute_i_and_l(p, g)
         ca.i_states = i_states
         ca.l = l
-        not_i = [neg(atom(presence(p, s))) for s in sorted(i_states)]
+        drained = {presence(p, s): False for s in sorted(i_states)}
+        not_i = [neg(atom(a)) for a in drained]
         if any(nu.get(presence(p, s)) is True for s in i_states):
-            phi = conj(
-                [pi_f, psi_tnu]
-                + not_i
-                + [disj([neg(xi(p, h)) for h in sorted(l)])]
-            )
+            some_l, members = enabled_one_of(l)
+            phi = conj([pi_f, psi_tnu] + not_i + [some_l])
+            parts = Parts((pi_nu, drained), t_nu, members)
         elif all(nu.get(presence(p, s)) is False for s in i_states):
             phi = conj([pi_f, psi_tnu, valuation_formula(nu)])
+            parts = Parts((pi_nu, nu), t_nu)
         else:
             phi = conj([pi_f, psi_tnu] + not_i)
-    return Successor(INTERNAL, phi, pi_nu, t_nu, ca)
+            parts = Parts((pi_nu, drained), t_nu)
+    return Successor(INTERNAL, phi, parts, pi_nu, t_nu, ca)
 
 
 def build_child(
@@ -589,9 +607,12 @@ def build_child(
     parent: Stage,
     nu: Valuation,
     analyses: dict,
+    splits: dict[Formula, list[Valuation]],
 ) -> Stage | None:
     """Construct the successor stage for one valuation of the parent's
-    formula; returns None when a root-path ancestor already covers it.
+    formula; returns None when a root-path ancestor already covers it: the
+    ancestor has the child's pi and T, and its formula implies the child's
+    on every valuation of its split (`splits`, by formula).
 
     `analyses` memoises `case_analysis` by (T, nu) across one build;
     pruning depends on the root path, so it runs for every child."""
@@ -602,6 +623,7 @@ def build_child(
     child = Stage(
         id=-1,
         phi=succ.phi,
+        parts=succ.parts,
         pi=succ.pi,
         disabled=succ.disabled,
         parent=parent.id,
@@ -615,7 +637,7 @@ def build_child(
         if (
             anc.pi == child.pi
             and anc.disabled == child.disabled
-            and is_tautology(implies(anc.phi, child.phi))
+            and holds_throughout(child.phi, splits[anc.phi])
         ):
             return None
     return child
@@ -645,7 +667,9 @@ def build_stage_graph(
             continue
         nus = splits.get(stage.phi)
         if nus is None:
-            nus = splits[stage.phi] = enumerate_satisfying_valuations(stage.phi)
+            nus = splits[stage.phi] = enumerate_satisfying_valuations(
+                p, stage.phi, stage.parts
+            )
         for nu in nus:
             if len(sg.stages) >= max_stages:
                 raise StageLimitError(
@@ -653,7 +677,7 @@ def build_stage_graph(
                 )
             if time.monotonic() - start > timeout:
                 raise StageLimitError(f"timeout {timeout}s exceeded", sg)
-            child = build_child(p, sg, stage, nu, analyses)
+            child = build_child(p, sg, stage, nu, analyses, splits)
             if child is None:
                 continue
             child.id = len(sg.stages)

@@ -5,8 +5,9 @@ import pathlib
 
 import pytest
 
-from stagebound import parse_protocol, verify
+from stagebound import cli, parse_protocol, verify
 from stagebound.cli import main
+from stagebound.protocol import PopulationProtocol
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PP = ROOT / "protocols"
@@ -105,6 +106,27 @@ def test_analyze_json_deterministic(capsys, tmp_path):
     run(capsys, "analyze", str(PP / "broadcast.pp"), "--json", str(j1))
     run(capsys, "analyze", str(PP / "broadcast.pp"), "--json", str(j2))
     assert j1.read_bytes() == j2.read_bytes()
+
+
+def test_constructed_protocol_analyzes_like_the_parsed_one(capsys, tmp_path, monkeypatch):
+    # the parser sorts rule sides and the constructor takes them as written:
+    # the swap A B -> B A must be idle either way
+    src = tmp_path / "swap.pp"
+    src.write_text(
+        "protocol swap\nstates: A B C\ninputs: x -> A, y -> B\noutput1: A C\n"
+        "transitions:\n  A B -> B A\n  A C -> C C\n"
+    )
+    parsed, built = tmp_path / "parsed.json", tmp_path / "built.json"
+    code, _, _ = run(capsys, "analyze", str(src), "--json", str(parsed))
+    p = PopulationProtocol(
+        "swap", ("A", "B", "C"), [((0, 1), (1, 0)), ((0, 2), (2, 2))],
+        {"x": 0, "y": 1}, frozenset({0, 2}),
+    )
+    monkeypatch.setattr(cli, "_read_protocol", lambda path: p)
+    assert run(capsys, "analyze", str(src), "--json", str(built))[0] == code == 2
+    assert built.read_bytes() == parsed.read_bytes()
+    report = json.loads(parsed.read_text())["report"]
+    assert (report["bound"], report["claim"]) == ("0", "dead-terminal-present")
 
 
 def test_simulate_consensus_and_determinism(capsys):

@@ -2,12 +2,15 @@
 shapes of the worked examples."""
 
 import json
+import random
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpll_reference as dpll
+from dpll_reference import premise_formula
 from stagebound import (
     aggregate,
     bounds,
@@ -22,11 +25,13 @@ from stagebound.logic import (
     PRESENCE,
     SINGLETON,
     TT,
+    Parts,
     Premise,
     atom,
     conj,
     disj,
     enumerate_satisfying_valuations,
+    evaluation_domain,
     heads_formula,
     implies,
     is_tautology,
@@ -47,6 +52,7 @@ from stagebound.stagegraph import (
     StageLimitError,
     build_child,
     build_transformation_graph,
+    case_analysis,
     classify_nu_mode,
     compute_exp,
     compute_i_and_l,
@@ -121,8 +127,10 @@ def graph(p, pi):
 
 def child_for(p, nu):
     """The successor build_child derives for nu from a bare parent stage."""
-    parent = Stage(id=0, phi=TT, pi={}, disabled=frozenset(), parent=None)
-    return build_child(p, StageGraph(p, [parent]), parent, nu, {})
+    parent = Stage(
+        id=0, phi=TT, parts=Parts((), frozenset()), pi={}, disabled=frozenset(), parent=None
+    )
+    return build_child(p, StageGraph(p, [parent]), parent, nu, {}, {TT: [{}]})
 
 
 def test_is_stable_example1():
@@ -259,16 +267,24 @@ def test_compute_i_and_l_cycle_is_bottom():
     assert i_states == frozenset()
 
 
+def splits_of(sg):
+    """The split of every stage formula of a tree, by formula."""
+    return {
+        s.phi: enumerate_satisfying_valuations(sg.protocol, s.phi, s.parts)
+        for s in sg.stages
+    }
+
+
 def test_build_child_stable_and_redundant():
     sg_partial = build_stage_graph(P1, max_stages=1000)
+    splits = splits_of(sg_partial)
     root = sg_partial.stages[0]
-    child = build_child(P1, sg_partial, root, nu_of(P1, {"A"}), {})
+    child = build_child(P1, sg_partial, root, nu_of(P1, {"A"}), {}, splits)
     assert child is not None and child.kind == TERMINAL_STABLE
     # redundancy: re-deriving the same successor from an identical stage is
     # suppressed (S' = S case)
     s1 = sg_partial.stages[root.children[0]]
-    nus = enumerate_satisfying_valuations(s1.phi)
-    kids = [build_child(P1, sg_partial, s1, nu, {}) for nu in nus]
+    kids = [build_child(P1, sg_partial, s1, nu, {}, splits) for nu in splits[s1.phi]]
     survivors = [k for k in kids if k is not None]
     assert len(survivors) == len(s1.children)
 
@@ -291,7 +307,7 @@ def test_stage_invariants(corpus_graphs):
         p = sg.protocol
         for s in sg.stages:
             base = conj([valuation_formula(s.pi), heads_formula(p, s.disabled)])
-            assert is_tautology(implies(s.phi, base)), (name, s.id)
+            assert dpll.tautology(implies(s.phi, base)), (name, s.id)
             if s.parent is not None:
                 parent = sg.stages[s.parent]
                 assert s.disabled >= parent.disabled
@@ -309,7 +325,7 @@ def test_no_root_path_repeats(corpus_graphs):
                 continue
             for anc in sg.path_to_root(s.id)[1:]:
                 if anc.pi == s.pi and anc.disabled == s.disabled:
-                    assert not is_tautology(implies(anc.phi, s.phi))
+                    assert not dpll.tautology(implies(anc.phi, s.phi))
 
 
 def test_determinism_identical_json():
@@ -343,7 +359,7 @@ def test_broadcast_tree_shape(corpus_graphs):
 
 def reference_gen_edges(p, pi_nu, disabled):
     base = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
-    return {t for t in p.non_idle if not is_tautology(implies(base, xi(p, t.lhs)))}
+    return {t for t in p.non_idle if not dpll.tautology(implies(base, xi(p, t.lhs)))}
 
 
 def reference_is_stable(p, pi_nu, disabled):
@@ -356,7 +372,7 @@ def reference_is_stable(p, pi_nu, disabled):
             continue
         if all(
             {p.output(s) for s in t.rhs} == {x}
-            or is_tautology(implies(base, xi(p, t.lhs)))
+            or dpll.tautology(implies(base, xi(p, t.lhs)))
             for t in p.non_idle
         ):
             return x
@@ -367,7 +383,7 @@ def reference_compute_j(p, pi_nu, disabled, exp):
     """compute_j checking every non-idle rule, each by its own query."""
 
     def blocked(guard, lhs):
-        return is_tautology(implies(guard, xi(p, lhs)))
+        return dpll.tautology(implies(guard, xi(p, lhs)))
 
     def head_ok(ef, m):
         e, f = ef
@@ -406,10 +422,10 @@ def reference_classify_nu_mode(p, nu, j):
     """classify_nu_mode by the clause DPLL, under the premise of nu."""
     if not j:
         return "neither"
-    nu_p = Premise(valuation_formula(nu))
-    if all(logic._dpll_entails(xi(p, h), nu_p) for h in j):
+    nu_p = dpll.ClausePremise(valuation_formula(nu))
+    if all(dpll.entails(xi(p, h), nu_p) for h in j):
         return "nu-disabled"
-    if any(logic._dpll_entails(neg(xi(p, h)), nu_p) for h in j):
+    if any(dpll.entails(neg(xi(p, h)), nu_p) for h in j):
         return "nu-enabled"
     return "neither"
 
@@ -447,10 +463,11 @@ def all_heads(n):
 @st.composite
 def small_protocols(draw, min_rules=0):
     """A protocol of 2-4 states and at most 6 rules, with one or two
-    input states."""
+    input states.  Rule sides come unsorted, as the constructor takes
+    them."""
     n = draw(st.integers(2, 4))
-    heads = all_heads(n)
-    rule = st.tuples(st.sampled_from(heads), st.sampled_from(heads))
+    side = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    rule = st.tuples(side, side)
     rules = draw(st.lists(rule, min_size=min_rules, max_size=6))
     output1 = frozenset(draw(st.sets(st.integers(0, n - 1))))
     inputs = {"x": 0, "y": 1} if draw(st.booleans()) else {"x": 0}
@@ -487,7 +504,10 @@ def test_graph_reads_match_per_rule_entailment_generated(case):
     assert compute_j(p, g, exp) == reference_compute_j(p, pi, disabled, exp)
     # classify_nu_mode reads the valuations of a split, which are
     # consistent and fix A wherever they fix A!
-    for nu in enumerate_satisfying_valuations(valuation_formula(pi))[:8]:
+    split = enumerate_satisfying_valuations(
+        p, valuation_formula(pi), Parts((pi,), frozenset())
+    )
+    for nu in split[:8]:
         expect = reference_classify_nu_mode(p, nu, exp)
         assert classify_nu_mode(p, nu, exp) == expect
     # the stage-tree build only hands the graph a pi_nu that is closed
@@ -502,9 +522,12 @@ def test_graph_reads_match_per_rule_entailment_generated(case):
 
 
 # ---------------------------------------------------------------------------
-# build_stage_graph splits each distinct formula once and derives each
-# distinct (T, nu) case analysis once.  The reference build below does both
-# afresh for every stage and every child.
+# build_stage_graph splits each distinct formula once on literal closures,
+# derives each distinct (T, nu) case analysis once, and prunes a child by
+# evaluating its formula over an ancestor's split.  The reference build
+# below splits every stage by the clause DPLL, derives every child afresh,
+# and prunes by asking the DPLL whether the ancestor's formula implies the
+# child's.
 
 
 def reference_build_stage_graph(p, max_stages=100_000):
@@ -514,13 +537,28 @@ def reference_build_stage_graph(p, max_stages=100_000):
         stage = sg.stages[work.popleft()]
         if stage.kind != INTERNAL:
             continue
-        for nu in enumerate_satisfying_valuations(stage.phi):
+        for nu in dpll.enumerate_satisfying_valuations(stage.phi):
             if len(sg.stages) >= max_stages:
                 raise StageLimitError(f"stage limit {max_stages} exceeded", sg)
-            child = build_child(p, sg, stage, nu, {})  # a fresh memo each time
-            if child is None:
+            succ = case_analysis(p, stage.disabled, nu)
+            child = Stage(
+                id=len(sg.stages),
+                phi=succ.phi,
+                parts=succ.parts,
+                pi=succ.pi,
+                disabled=succ.disabled,
+                parent=stage.id,
+                kind=succ.kind,
+                via=nu,
+                analysis=succ.analysis,
+            )
+            if child.kind == INTERNAL and any(
+                anc.pi == child.pi
+                and anc.disabled == child.disabled
+                and dpll.tautology(implies(anc.phi, child.phi))
+                for anc in sg.path_to_root(stage.id)
+            ):
                 continue
-            child.id = len(sg.stages)
             sg.stages.append(child)
             stage.children.append(child.id)
             if child.kind == INTERNAL:
@@ -556,13 +594,60 @@ def test_build_matches_unmemoised_reference_generated(p):
     assert got == tree_or_partial(reference_build_stage_graph, p, max_stages=200)
 
 
+def fuzzed_protocols(seed, count):
+    """`count` protocols of 2-5 states and 1-10 rules with unsorted sides,
+    one or two input states and any outputs, from one seeded stream."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, 5)
+        sides = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * rng.randint(1, 10))]
+        rules = list(zip(sides[::2], sides[1::2]))
+        inputs = {"x": 0, "y": 1} if rng.random() < 0.5 else {"x": 0}
+        output1 = frozenset(s for s in range(n) if rng.random() < 0.5)
+        yield PopulationProtocol(f"fuzz{i}", tuple("ABCDE"[:n]), rules, inputs, output1)
+
+
+def test_pruning_agrees_with_dpll_on_fuzzed_protocols(monkeypatch):
+    # every pruning decision of 2,000 builds, asked again of the clause DPLL
+    # as "the ancestor's formula implies the child's"; the corpus asks none
+    formula_of = {}  # id(split) -> the formula it splits
+    decisions = []
+    split, holds = stagegraph.enumerate_satisfying_valuations, stagegraph.holds_throughout
+
+    def recording_split(p, phi, parts):
+        vals = split(p, phi, parts)
+        formula_of[id(vals)] = phi
+        return vals
+
+    def recording_holds(f, vals):
+        got = holds(f, vals)
+        decisions.append((formula_of[id(vals)], f, got))
+        return got
+
+    monkeypatch.setattr(stagegraph, "enumerate_satisfying_valuations", recording_split)
+    monkeypatch.setattr(stagegraph, "holds_throughout", recording_holds)
+    for p in fuzzed_protocols(1, 2000):
+        try:
+            build_stage_graph(p, max_stages=200)
+        except StageLimitError:
+            pass
+    monkeypatch.undo()
+    assert {got for *_, got in decisions} == {True, False}
+    extra = 0
+    for anc, f, got in decisions:
+        assert got == dpll.tautology(implies(anc, f)), (pretty(anc), pretty(f))
+        extra += not set(evaluation_domain(f)) <= set(evaluation_domain(anc))
+    # some children name atoms outside their ancestor's split
+    assert extra
+
+
 def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
-    # every entailment query of a 1,351-stage build, asked again of the
-    # clause DPLL; every one, is_fast's included, takes the closure path
+    # every entailment query of a 1,351-stage build, is_fast's included,
+    # asked again of the clause DPLL under the formula of its premise
     queries = []
 
     def recording(kind):
-        def ask(goal, premise=Premise()):
+        def ask(goal, premise):
             queries.append((kind, goal, premise))
             return logic.is_tautology(goal, premise)
 
@@ -575,10 +660,13 @@ def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
     assert len(sg.stages) == 1351
     assert aggregate(sg).overall.label == "n^2*log n"
     assert len(queries) > 1000
+    translated = {}
     for kind, goal, premise in queries:
-        closure = premise.closures() is not None and logic._refutation(goal) is not None
-        assert closure, (kind, pretty(goal))
-        assert is_tautology(goal, premise) == logic._dpll_entails(goal, premise)
+        f = premise_formula(premise)
+        ref = translated.get(f)
+        if ref is None:
+            ref = translated[f] = dpll.ClausePremise(f)
+        assert is_tautology(goal, premise) == dpll.entails(goal, ref), (kind, pretty(goal))
     seen = set()
     for s in sg.stages:
         ca = s.analysis
@@ -662,11 +750,11 @@ def reference_compute_pi_nu(p, disabled, nu):
 def reference_is_fast(p, g, exp, u_states):
     """Whenever a draining state is still present and not every crossing rule
     is disabled, some crossing rule on that very state must be enabled."""
-    base = g.premise.conj(neg(heads_formula(p, exp)))
+    base = dpll.ClausePremise(premise_formula(g.premise)).conj(neg(heads_formula(p, exp)))
     for a in sorted(u_states):
         exp_a = [h for h in sorted(exp) if a in h]
         cons = disj([neg(xi(p, h)) for h in exp_a])
-        if not is_tautology(implies(atom(presence(p, a)), cons), base):
+        if not dpll.entails(implies(atom(presence(p, a)), cons), base):
             return False
     return True
 
@@ -735,8 +823,9 @@ def test_is_fast_matches_reference_generated(case, data):
 
 def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):
     # every graph, J and is_fast query of a 1,351-stage build, asked again
-    # under Premise(conj([valuation_formula(pi), heads_formula(p, H)])),
-    # with is_fast's literals added, and of the clause DPLL there
+    # of the clause DPLL under conj([valuation_formula(pi), heads_formula(p,
+    # H)]), with is_fast's literals added, as the build passed them to
+    # Premise.horn and Premise.with_units
     formulas = {}  # id(premise) -> (premise, the formula it stands for)
     horn, with_units = Premise.horn.__func__, Premise.with_units
 
@@ -759,7 +848,7 @@ def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):
     queries = []
 
     def recording(kind):
-        def ask(goal, premise=Premise()):
+        def ask(goal, premise):
             queries.append((kind, goal, premise))
             return logic.is_tautology(goal, premise)
 
@@ -780,8 +869,6 @@ def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):
         assert pr is premise
         ref = translated.get(f)
         if ref is None:
-            ref = translated[f] = Premise(f)
-        expect = logic._dpll_entails(goal, ref)
-        assert is_tautology(goal, ref) == expect, (kind, pretty(goal))
-        assert is_tautology(goal, premise) == expect, (kind, pretty(goal))
+            ref = translated[f] = dpll.ClausePremise(f)
+        assert is_tautology(goal, premise) == dpll.entails(goal, ref), (kind, pretty(goal))
     assert assert_is_fast_matches_reference(sg) > 0

@@ -601,6 +601,7 @@ def test_check_stage_graph_detects_corruption(corpus_graphs):
         Stage(
             id=s.id,
             phi=(FF if s.id == sg.stages[0].children[0] else s.phi),
+            parts=s.parts,
             pi=s.pi,
             disabled=s.disabled,
             parent=s.parent,
@@ -1030,9 +1031,10 @@ SWAP_ONLY = (
 def test_simulate_stuck_start_raises_without_drawing(counting_draws):
     # the swap changes no count: A=1,B=1,C=1 has no productive move and is
     # not stable, so the run is stuck and must fail before any draw.  The
-    # parser writes the swap as A B -> A B; the constructor keeps it as B A
+    # constructor sorts the sides it is given, as the parser does, so both
+    # write the swap as A B -> A B
     kept = PopulationProtocol("swap", tuple("ABC"), [((0, 1), (1, 0))], {"x": 0}, {0, 2})
-    assert kept.moves.heads[1][3] == ((0, 1, 1, 0),)
+    assert kept.moves.heads[1][3] == ((0, 1, 0, 1),)
     for p in (parse_protocol(SWAP_ONLY), kept):
         for sim in (V.simulate, reference_simulate):
             with pytest.raises(RuntimeError, match="trial 0 exceeded 1000000 interactions"):
