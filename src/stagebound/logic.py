@@ -27,11 +27,12 @@ A set of literals is consistent with the premise when ORing their
 closures into its own leaves no atom both true and false.  The build asks
 three things:
 
-  1. Entailment, `is_tautology(goal, premise)`.  The goal is a clause, xi
-     of a head or xi under the guard of a re-enabling product
-     (`guarded_xi`), so "not goal" is a conjunction of literals, and the
+  1. Entailment, `is_tautology(goal, premise)`.  Every goal of the build
+     is xi of one head, so "not goal" is a conjunction of literals, and the
      goal holds when those literals are inconsistent with the premise.  A
-     goal of any other shape raises ValueError.
+     re-enabling guard is premise units: its closures join the same set.
+     A goal whose negation is not a conjunction of literals raises
+     ValueError.
   2. The split of a stage formula into its valuations
      (`enumerate_satisfying_valuations`).  A stage formula is such a
      premise and at most one disjunction whose members are conjunctions of
@@ -50,7 +51,7 @@ There is no query cache: a process-wide cache of formulas grows the peak
 memory by more than it is worth in time.  A premise and its unit closure
 live as long as its caller keeps it (a transformation graph, one round of
 J); the atoms, their numbering and the implication graph of each head set
-live on their protocol, as do the xi formulas and their guarded forms.
+live on their protocol, as do the xi formulas.
 The tests keep a clause DPLL and the searches that walk a formula with a
 three-valued evaluator as the references that these answers must agree
 with.
@@ -388,7 +389,7 @@ Valuation = dict[Atom, bool]
 
 
 class Parts(NamedTuple):
-    """A stage formula as the build makes it: the conjunction of the
+    """A stage formula as `stage_formula` makes it: the conjunction of the
     literals of the valuations `units`, the xi of each head of `heads` and
     one disjunction whose members are conjunctions of literals.  Without a
     disjunction `members` is ((),); an empty one, () here, makes the
@@ -499,26 +500,29 @@ def not_xi_literals(p: PopulationProtocol, head: Head) -> tuple[Literal, Literal
     return ((presence(p, a), True), other)
 
 
-def guarded_xi(p: PopulationProtocol, head: Head, prod: int, partner: int) -> Formula:
-    """The clause "a rule with this head stays disabled when a rule
-    producing `prod` could re-enable the head {prod, partner}": xi(head) or
-    `prod` present or `partner` absent, and for prod == partner, xi(head)
-    or `prod` not holding exactly one agent.  Built once per protocol and
-    kept in `p.guarded_xi_table`."""
-    key = (head, prod, partner)
-    f = p.guarded_xi_table.get(key)
-    if f is None:
-        if prod != partner:
-            guard = [atom(presence(p, prod)), neg(atom(presence(p, partner)))]
-        else:
-            guard = [neg(atom(singleton(p, prod)))]
-        f = p.guarded_xi_table[key] = disj(guard + list(xi(p, head)[1]))
-    return f
-
-
 def heads_formula(p: PopulationProtocol, heads: Iterable[Head]) -> Formula:
     """Conjunction of xi over a set of heads (tt for the empty set)."""
     return conj([xi(p, h) for h in sorted(set(heads))])
+
+
+def stage_formula(
+    p: PopulationProtocol,
+    units: tuple[Valuation, ...],
+    heads: frozenset[Head],
+    some: frozenset[Head] | None = None,
+) -> tuple[Formula, Parts]:
+    """A successor's formula and its parts, from the same inputs: the
+    conjunction of the literals of units[0], the xi of each head of
+    `heads`, the literals of units[1:] and, when `some` is given, "some head
+    of `some` is enabled", the disjunction of not xi over its heads (false
+    when `some` is empty)."""
+    trees = [valuation_formula(units[0]), heads_formula(p, heads)]
+    trees += [valuation_formula(u) for u in units[1:]]
+    if some is None:
+        return conj(trees), Parts(units, heads)
+    ordered = sorted(some)
+    trees.append(disj([neg(xi(p, h)) for h in ordered]))
+    return conj(trees), Parts(units, heads, tuple(not_xi_literals(p, h) for h in ordered))
 
 
 def pretty(f: Formula) -> str:

@@ -149,10 +149,8 @@ class PopulationProtocol:
         )
         self.explicit_count = len(explicit)
         # head -> the formula "every rule with this head is disabled",
-        # filled lazily by logic.xi; (head, prod, partner) -> that formula
-        # under the guard of a re-enabling product, by logic.guarded_xi
+        # filled lazily by logic.xi, the one goal of the build's queries
         self.xi_table: dict = {}
-        self.guarded_xi_table: dict = {}
         # the atoms, their one numbering and the implication graph of each
         # head set, built on first use by logic.numbering
         self.numbering = None
@@ -494,18 +492,3 @@ def coded_weights(
             nums[s] = nums.get(s, 0) + w
     return nums
 
-
-def successor(
-    counts: tuple[int, ...], quad: tuple[int, int, int, int]
-) -> tuple[int, ...]:
-    """The count vector after the rule i j -> k l, given as a move-table
-    quadruple; an idle rule returns `counts` itself."""
-    i, j, k, l = quad
-    if i == k and j == l:
-        return counts
-    out = list(counts)
-    out[i] -= 1
-    out[j] -= 1
-    out[k] += 1
-    out[l] += 1
-    return tuple(out)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from . import bounds as bounds_mod
 from .logic import (
     Formula,
+    Literal,
     PRESENCE,
     Parts,
     Premise,
@@ -51,8 +52,6 @@ from .logic import (
     conj,
     disj,
     enumerate_satisfying_valuations,
-    guarded_xi,
-    heads_formula,
     holds_throughout,
     is_tautology,
     neg,
@@ -60,7 +59,8 @@ from .logic import (
     numbering,
     presence,
     pretty,
-    valuation_formula,
+    singleton,
+    stage_formula,
     xi,
 )
 from .protocol import Head, PopulationProtocol, Transition
@@ -415,13 +415,19 @@ def compute_j(
     rule whose head is in the current subset is blocked by a clause of the
     round's premise, so it is skipped without a query."""
 
+    def guard(prod: int, partner: int) -> list[Literal]:
+        # A rule producing E re-enables {E,F} when E was absent and F
+        # present, and {E,E} when E held exactly one agent
+        if prod == partner:
+            return [(singleton(p, prod), True)]
+        return [(presence(p, prod), False), (presence(p, partner), True)]
+
     def head_ok(ef: Head, m: set[Head], base: Premise) -> bool:
         # base: the graph's premise with every head of m disabled, built
-        # once per round.  A rule producing one state of {E,F} re-enables
-        # it when E was absent and F present; a rule producing one more E
-        # re-enables {E,E} unless E was consumed by the rule or two E's
-        # never coexist afterwards.
+        # once per round.  Each guard joins it as units, on first use, so
+        # every goal is xi.  A rule that consumes E cannot re-enable {E,E}.
         e, f = ef
+        guarded: dict[int, Premise] = {}
         for t in g.gen_edges:
             if t.lhs in m:
                 continue
@@ -432,7 +438,9 @@ def compute_j(
             for prod, partner in ((e, f), (f, e)) if e != f else ((e, f),):
                 if prod not in t.rhs or (e == f and e in t.lhs):
                     continue
-                if not is_tautology(guarded_xi(p, t.lhs, prod, partner), base):
+                if prod not in guarded:
+                    guarded[prod] = base.with_units(guard(prod, partner))
+                if not is_tautology(xi(p, t.lhs), guarded[prod]):
                     return False
         return True
 
@@ -537,20 +545,13 @@ def case_analysis(
     """Derive the successor for valuation nu of a parent with disabled
     heads t_parent."""
     pi_nu = compute_pi_nu(p, t_parent, nu)
-    pi_f = valuation_formula(pi_nu)
     g = build_transformation_graph(p, pi_nu, t_parent)
     ca = CaseAnalysis(nu=nu)
     ca.stable = is_stable(p, g)
     ca.dead = is_dead(g, ca.stable)
     if ca.stable is not None or ca.dead:
         kind = TERMINAL_DEAD if ca.dead else TERMINAL_STABLE
-        return Successor(kind, pi_f, Parts((pi_nu,), frozenset()), pi_nu, t_parent, ca)
-
-    def enabled_one_of(heads: frozenset[Head]) -> tuple[Formula, tuple]:
-        # "some head of `heads` is enabled", as a tree and as members
-        ordered = sorted(heads)
-        members = tuple(not_xi_literals(p, h) for h in ordered)
-        return disj([neg(xi(p, h)) for h in ordered]), members
+        return Successor(kind, *stage_formula(p, (pi_nu,), frozenset()), pi_nu, t_parent, ca)
 
     ca.u_states = frozenset(v for v in g.vertices if g.scc[v] not in g.bottom)
     exp = compute_exp(g)
@@ -558,47 +559,33 @@ def case_analysis(
     j = compute_j(p, g, exp)
     ca.j = j
 
+    units, some = (pi_nu,), None
     if exp:
         t_nu = frozenset(t_parent | (j if j else exp))
         ca.t_nu = t_nu
-        psi_tnu = heads_formula(p, t_nu)
         mode = classify_nu_mode(p, nu, j)
         ca.nu_disabled = mode == "nu-disabled"
         ca.nu_enabled = mode == "nu-enabled"
         if ca.nu_disabled:
-            phi = conj([pi_f, psi_tnu, valuation_formula(nu)])
-            parts = Parts((pi_nu, nu), t_nu)
+            units = (pi_nu, nu)
         elif ca.nu_enabled:
-            k = compute_k(p, g, j)
-            ca.k = k
-            some_k, members = enabled_one_of(k)
-            phi = conj([pi_f, psi_tnu, some_k])
-            parts = Parts((pi_nu,), t_nu, members)
-        else:
-            phi = conj([pi_f, psi_tnu])
-            parts = Parts((pi_nu,), t_nu)
+            ca.k = some = compute_k(p, g, j)
         ca.fast = bounds_mod.is_fast(p, g, exp, ca.u_states)
         ca.very_fast = bounds_mod.is_very_fast(p, g, ca.u_states)
     else:
         t_nu = t_parent
         ca.t_nu = t_nu
-        psi_tnu = heads_formula(p, t_nu)
         i_states, l = compute_i_and_l(p, g)
         ca.i_states = i_states
         ca.l = l
         drained = {presence(p, s): False for s in sorted(i_states)}
-        not_i = [neg(atom(a)) for a in drained]
         if any(nu.get(presence(p, s)) is True for s in i_states):
-            some_l, members = enabled_one_of(l)
-            phi = conj([pi_f, psi_tnu] + not_i + [some_l])
-            parts = Parts((pi_nu, drained), t_nu, members)
+            units, some = (pi_nu, drained), l
         elif all(nu.get(presence(p, s)) is False for s in i_states):
-            phi = conj([pi_f, psi_tnu, valuation_formula(nu)])
-            parts = Parts((pi_nu, nu), t_nu)
+            units = (pi_nu, nu)
         else:
-            phi = conj([pi_f, psi_tnu] + not_i)
-            parts = Parts((pi_nu, drained), t_nu)
-    return Successor(INTERNAL, phi, parts, pi_nu, t_nu, ca)
+            units = (pi_nu, drained)
+    return Successor(INTERNAL, *stage_formula(p, units, t_nu, some), pi_nu, t_nu, ca)
 
 
 def build_child(

@@ -41,7 +41,6 @@ from .protocol import (
     head_pairs,
     initial_configuration,
     step_distribution,  # noqa: F401  (perfbench/tracing.py wraps it here)
-    successor,
 )
 from .stagegraph import Stage, StageGraph, scc_condensation
 
@@ -727,27 +726,26 @@ class PhiloxDraws:
 
 
 def _step_row(
-    p: PopulationProtocol, c: tuple[int, ...], total: int, shared: dict
+    heads: tuple, counts: tuple[int, ...], code: int, total: int
 ) -> tuple[int, float, tuple, tuple]:
-    """The productive moves of c: its rules, in head then rule order, whose
-    successor differs from c.  Successors are compared by equality, so a
-    swap rule such as A B -> B A is idle.  A move's weight is its head's
+    """The productive moves of a configuration, given its counts, its code
+    and the move table's `coded` heads: its rules, in head then rule order,
+    whose code delta is not zero.  Rule sides are sorted heads, so a swap
+    such as A B -> B A adds 0 and is idle.  A move's weight is its head's
     pair count times the head's multiplier, out of `total` = (n^2 - n) * L
     for all interactions.  Returns the moves' total weight W,
     log1p(-W / total) (-inf when every interaction is productive), their
-    cumulative weights and their successor count vectors; equal successors
-    are taken from `shared`, so rows share them."""
+    cumulative weights and their successor codes."""
     cum = []
     succs = []
     acc = 0
-    for w, mult, quads in head_pairs(p.moves.heads, c):
+    for w, mult, deltas in head_pairs(heads, counts):
         w *= mult
-        for q in quads:
-            nxt = successor(c, q)
-            if nxt != c:
+        for d in deltas:
+            if d:
                 acc += w
                 cum.append(acc)
-                succs.append(shared.setdefault(nxt, nxt))
+                succs.append(code + d)
     return acc, log1p(-acc / total) if acc < total else -inf, tuple(cum), tuple(succs)
 
 
@@ -780,32 +778,36 @@ def simulate(
     Deterministic: trial t draws from Philox keyed by (seed << 64) + t, so
     results are reproducible and independent of scheduling; one bit
     generator is re-keyed per trial.  `PhiloxDraws` gives the numbers that
-    `Generator.random` and `Generator.integers` would, call for call.  The
-    step row of a configuration is built from the move table the first time
-    a run visits it, and kept for the rest of the call.
+    `Generator.random` and `Generator.integers` would, call for call.  Runs
+    and the stop set hold configurations as codes in base n + 1 (`encode`).
+    A code's step row is built from the `coded` move table the first time a
+    run visits it, and kept for the rest of the call; a code is decoded once
+    per new row, and once per trial for its consensus value.
     """
     n = c0.size
     if n < 2:
         raise ValueError("simulation needs at least two agents")
+    base, width = n + 1, len(c0.counts)
     space = explore(p, c0, cap=10_000_000)
-    stop = {space.nodes[i].counts for i in stable_set(space)}
+    stop = {encode(space.nodes[i].counts, base) for i in stable_set(space)}
     del space
 
-    rows: dict[tuple[int, ...], tuple[int, float, tuple, tuple]] = {}
-    shared: dict[tuple, tuple] = {}
+    heads = p.moves.coded(base, width)
+    rows: dict[int, tuple[int, float, tuple, tuple]] = {}
     steps_out = []
     consensus = []
     total = n * (n - 1) * p.moves.lcm
+    start = encode(c0.counts, base)
     bits = np.random.Philox(0)
     for t in range(trials):
         draws = PhiloxDraws((seed << 64) + t, bits=bits)
         random, draw = draws.random, draws.integers
-        c = c0.counts
+        c = start
         steps = 0
         while c not in stop:
             row = rows.get(c)
             if row is None:
-                row = rows[c] = _step_row(p, c, total, shared)
+                row = rows[c] = _step_row(heads, decode(c, base, width), c, total)
             w, logq, cum, nexts = row
             if w == total:
                 steps += 1
@@ -819,5 +821,5 @@ def simulate(
                 )
             c = nexts[0] if len(nexts) == 1 else nexts[bisect_right(cum, draw(w))]
         steps_out.append(steps)
-        consensus.append(_consensus_value(p, c))
+        consensus.append(_consensus_value(p, decode(c, base, width)))
     return SimResult(trials, tuple(steps_out), seed, tuple(consensus))

@@ -31,7 +31,6 @@ from stagebound.logic import (
     disj,
     enumerate_satisfying_valuations,
     evaluation_domain,
-    guarded_xi,
     heads_formula,
     holds_throughout,
     implies,
@@ -42,6 +41,7 @@ from stagebound.logic import (
     presence,
     pretty,
     singleton,
+    stage_formula,
     valuation_formula,
     xi,
 )
@@ -195,6 +195,38 @@ def test_valuation_formula():
     assert valuation_formula(nu) == conj([atom(presence(P, A)), neg(atom(presence(P, B)))])
     assert valuation_formula({}) == TT
     assert valuation_formula({singleton(P, A): True}) == atom(singleton(P, A))
+
+
+def test_stage_formula_empty_disjunction_is_false():
+    units = ({presence(P, A): True},)
+    phi, parts = stage_formula(P, units, frozenset({head(A, B)}), frozenset())
+    assert phi == FF
+    assert parts == Parts(units, frozenset({head(A, B)}), ())
+    # no disjunction at all: one empty member
+    phi, parts = stage_formula(P, units, frozenset())
+    assert phi == atom(presence(P, A)) and parts.members == ((),)
+
+
+def test_stage_formula_renders_drained_states_flat():
+    # the build once wrote drained states as loose conjuncts: pi, the xi
+    # of T, one literal per drained state, then "some head of L is enabled"
+    pi = {presence(P, A): True, singleton(P, A): True}
+    heads = frozenset({head(a, b), head(A, b)})
+    l = frozenset({head(B, b), head(a, a)})
+    some_l = disj([neg(xi(P, h)) for h in sorted(l)])
+    for states in ([B], [B, a, b]):
+        drained = {presence(P, s): False for s in states}
+        flat = [neg(atom(x)) for x in drained]
+        for some, tail in ((None, []), (l, [some_l])):
+            phi, parts = stage_formula(P, (pi, drained), heads, some)
+            old = conj([valuation_formula(pi), heads_formula(P, heads)] + flat + tail)
+            assert pretty(phi) == pretty(old)
+            if len(states) == 1:
+                assert phi == old
+            assert parts.units[0] is pi and parts.units[1] is drained
+            assert parts.heads == heads
+            members = ((),) if some is None else tuple(not_xi_literals(P, h) for h in sorted(l))
+            assert parts.members == members
 
 
 def test_is_tautology_consistency_rule():
@@ -443,7 +475,7 @@ def horn_goals(draw):
     x, y = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     h = head(x, y)
     lit = draw(literals(range(4)))
-    kind = draw(st.integers(0, 6))
+    kind = draw(st.integers(0, 5))
     if kind == 0:
         return xi(P, h)
     if kind == 1:
@@ -458,9 +490,8 @@ def horn_goals(draw):
         return lit
     if kind == 4:  # one atom with both signs
         return disj([lit, draw(literals(range(4))), neg(lit)])
-    if kind == 5:  # "not goal" is a conjunction of literals
-        return neg(conj(draw(st.lists(literals(range(4)), min_size=1, max_size=3))))
-    return guarded_xi(P, h, draw(st.sampled_from(h)), draw(st.sampled_from(h)))
+    # kind 5: "not goal" is a conjunction of literals
+    return neg(conj(draw(st.lists(literals(range(4)), min_size=1, max_size=3))))
 
 
 def is_clause(goal):

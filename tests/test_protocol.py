@@ -25,7 +25,6 @@ from stagebound.protocol import (
     coded_weights,
     decode,
     encode,
-    successor,
 )
 
 EX1 = majority_four_state()
@@ -533,6 +532,20 @@ def test_explore_multi_digit_codes():
     assert g.size > 1000
     assert any(c.counts[0] == 10 for c in g.nodes)
     assert any(c.counts[11] for c in g.nodes)
+
+
+def successor(counts, quad):
+    """The count vector after the rule i j -> k l, given as a move-table
+    quadruple; an idle rule returns `counts` itself."""
+    i, j, k, l = quad
+    if i == k and j == l:
+        return counts
+    out = list(counts)
+    out[i] -= 1
+    out[j] -= 1
+    out[k] += 1
+    out[l] += 1
+    return tuple(out)
 
 
 def reference_successor_weights(p, counts):

@@ -33,7 +33,7 @@ from stagebound.logic import (
     presence,
     singleton,
 )
-from stagebound.protocol import PopulationProtocol
+from stagebound.protocol import PopulationProtocol, decode, encode
 from stagebound.stagegraph import Stage, StageGraph, scc_condensation
 from stagebound import verify as V
 from test_stagegraph import small_protocols
@@ -978,10 +978,14 @@ def test_simulate_matches_reference_with_shared_heads(shared_heads, counting_dra
     assert counting_draws["random"] > 0
     assert sum(k for bound, k in counting_draws.items() if bound != "random") > 0
     total = 2 * p.moves.lcm
-    w, _, cum, nexts = V._step_row(p, cfg(p, A=1, B=1).counts, total, {})
-    assert (w, cum, nexts) == (12, (4, 8, 12), ((0, 0, 2), (1, 0, 1), (0, 1, 1)))
-    w, _, cum, nexts = V._step_row(p, cfg(p, A=1, C=1).counts, total, {})
-    assert (w, cum, nexts) == (6, (6,), ((0, 0, 2),))
+    heads = p.moves.coded(3, 3)
+
+    def row(c):
+        w, _, cum, nexts = V._step_row(heads, c.counts, encode(c.counts, 3), total)
+        return w, cum, tuple(decode(s, 3, 3) for s in nexts)
+
+    assert row(cfg(p, A=1, B=1)) == (12, (4, 8, 12), ((0, 0, 2), (1, 0, 1), (0, 1, 1)))
+    assert row(cfg(p, A=1, C=1)) == (6, (6,), ((0, 0, 2),))
 
 
 @st.composite
