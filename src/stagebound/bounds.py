@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .logic import is_tautology, numbering, xi
+from .logic import is_tautology, not_xi, present
 from .protocol import Head, PopulationProtocol
 
 
@@ -80,24 +80,24 @@ def is_fast(
 
     Put the other way round, for each draining state A: the graph's premise,
     A present and every head of Exp on A disabled must entail that every
-    head of Exp is disabled.  Once A holds, a head {A,B} is disabled exactly
-    when B is absent and {A,A} when A! holds, so that premise is the graph's
-    with the literals A, !B... and A! (the negation of the clause
-    !A | B... | !A!), and it is Horn.  It is asked xi(h) for each head h of
-    Exp not on A, the heads on A being disabled by its own literals, so
-    every goal is a clause, as `is_tautology` requires."""
-    num = numbering(p)
+    head of Exp is disabled.  Once A holds, a head on A is disabled exactly
+    when the other literal of its `not_xi` is false: B for {A,B}, not A!
+    for {A,A}.  So that premise is the graph's with A and the negations of
+    those literals, and it is Horn.  It is asked the xi clause of each head
+    of Exp not on A, the heads on A being disabled by its own literals."""
     heads = sorted(exp)
     for a in sorted(u_states):
-        lits = [(num.presence[a], True)]
+        on_a = present(a)
+        lits = [on_a]
         goals = []
-        for x, y in heads:
-            if x == y == a:
-                lits.append((num.singleton[a], True))
-            elif a in (x, y):
-                lits.append((num.presence[y if x == a else x], False))
+        for h in heads:
+            l1, l2 = not_xi(h)
+            if l1 == on_a:
+                lits.append(-l2)
+            elif l2 == on_a:
+                lits.append(-l1)
             else:
-                goals.append(xi(p, (x, y)))
+                goals.append((-l1, -l2))
         premise = g.premise.with_units(lits)
         if not all(is_tautology(goal, premise) for goal in goals):
             return False

@@ -11,28 +11,33 @@ Atoms:
 Formulas are immutable tagged tuples, so they hash and compare structurally,
 which keeps stage construction deterministic.
 
-One engine: literal closures.  Every premise of the stage-tree build has
-one shape: unit literals, the xi clause (!A | !B) or (!A | A!) of each head
-of a set H, and the coupling (!A! | A).  `Premise.horn` builds it straight
-from the literals and H, over one atom numbering per protocol
-(`Numbering`), with no formula to translate.  Every clause but the units
-has two literals, at least one of them negative, so the premise is Horn:
-unit propagation decides it (Dowling & Gallier, J. Logic Programming
-1984), and on binary clauses propagation from a set of literals is the
-union of each literal's closure in the implication graph (Aspvall, Plass
-& Tarjan, IPL 1979).  So every premise with the same H shares one
-implication graph whose literal closures, as bitmasks, are memoised on
-first use (`Implications`); a premise adds only the closure of its units.
-A set of literals is consistent with the premise when ORing their
-closures into its own leaves no atom both true and false.  The build asks
-three things:
+One engine: literal closures.  A literal is an int: the presence of
+state s is variable 2s + 1 (`present`), its singleton 2s + 2 (`single`),
+and a negative int is the negation; `literal` numbers an atom.  Every
+premise of the stage-tree build has one shape: unit literals, the xi clause
+(!A | !B) or (!A | A!) of each head of a set H, and the coupling
+(!A! | A).  `Premise.horn` builds it straight from the literals and H, with
+no formula to translate.  Every clause but the units has two literals, at
+least one of them negative, so the premise is Horn: unit propagation
+decides it (Dowling & Gallier, J. Logic Programming 1984), and on binary
+clauses propagation from a set of literals is the union of each literal's
+closure in the implication graph (Aspvall, Plass & Tarjan, IPL 1979).  So
+every premise with the same H shares one implication graph whose literal
+closures, as bitmasks, are memoised on first use (`Implications`); a
+premise adds only the closure of its units.  A set of literals is
+consistent with the premise when ORing their closures into its own leaves
+no atom both true and false.
 
-  1. Entailment, `is_tautology(goal, premise)`.  Every goal of the build
-     is xi of one head, so "not goal" is a conjunction of literals, and the
-     goal holds when those literals are inconsistent with the premise.  A
-     re-enabling guard is premise units: its closures join the same set.
-     A goal whose negation is not a conjunction of literals raises
-     ValueError.
+The head semantics "a rule of h can fire" is written once, as the pair of
+literals `not_xi(h)`; the xi formula, the xi clause of the premises, the
+"some head is enabled" members of a stage formula and every reading of a
+valuation against a head derive from it.  The build asks three things:
+
+  1. Entailment, `is_tautology(goal, premise)`.  The goal is a clause, a
+     tuple of literals, and it holds when the negations of its literals
+     are inconsistent with the premise.  Every goal of the build is the xi
+     clause of one head, and in J the negation of a re-enabling guard as
+     well.
   2. The split of a stage formula into its valuations
      (`enumerate_satisfying_valuations`).  A stage formula is such a
      premise and at most one disjunction whose members are conjunctions of
@@ -50,8 +55,8 @@ three things:
 There is no query cache: a process-wide cache of formulas grows the peak
 memory by more than it is worth in time.  A premise and its unit closure
 live as long as its caller keeps it (a transformation graph, one round of
-J); the atoms, their numbering and the implication graph of each head set
-live on their protocol, as do the xi formulas.
+J); the atoms and the implication graph of each head set live on their
+protocol, as do the xi formulas.
 The tests keep a clause DPLL and the searches that walk a formula with a
 three-valued evaluator as the references that these answers must agree
 with.
@@ -199,24 +204,71 @@ def evaluation_domain(f: Formula) -> list[Atom]:
     return sorted(dom, key=Atom.sort_key)
 
 
-Literal = tuple[Atom, bool]
+Valuation = dict[Atom, bool]
+
+
+def present(s: int) -> int:
+    """The literal "state s is populated"."""
+    return 2 * s + 1
+
+
+def single(s: int) -> int:
+    """The literal "state s holds exactly one agent"."""
+    return 2 * s + 2
+
+
+_VARIABLE = {PRESENCE: present, SINGLETON: single}
+
+
+def literal(a: Atom, value: bool = True) -> int:
+    """The literal "atom a has truth value `value`".  Out atoms are not
+    numbered: KeyError."""
+    v = _VARIABLE[a.kind](a.index)
+    return v if value else -v
+
+
+def literals(val: Valuation) -> tuple[int, ...]:
+    """The literals a valuation fixes."""
+    return tuple(literal(a, v) for a, v in val.items())
+
+
+def literal_formula(p: PopulationProtocol, lit: int) -> Formula:
+    """The formula of a literal: its atom, negated when lit < 0."""
+    s, one = divmod(abs(lit) - 1, 2)
+    num = numbering(p)
+    f = atom((num.singleton if one else num.presence)[s])
+    return f if lit > 0 else neg(f)
+
+
+def not_xi(head: Head) -> tuple[int, int]:
+    """The two literals whose conjunction says that a rule with this head
+    can fire: A and B for a head {A,B}, A and not A! for {A,A}."""
+    a, b = head
+    return present(a), present(b) if a != b else -single(a)
+
+
+def xi_clause(head: Head) -> tuple[int, int]:
+    """The clause "every rule with this head is disabled", the negation of
+    `not_xi`."""
+    l1, l2 = not_xi(head)
+    return -l1, -l2
 
 
 class Premise:
     """The premise "the literals `units` hold and every head of `heads` is
-    disabled", over the protocol's one atom numbering: the unit clauses,
-    the xi clause of each head and the coupling of each singleton.  `base`
-    is the closure of the units in the implication graph `graph` of the
-    binary clauses, or None when the premise is unsatisfiable.  Premises
-    with the same heads share one graph and its literal closures
-    (`Numbering.graph`).  Read-only once built."""
+    disabled", over the protocol's atoms: the unit clauses, the xi clause
+    of each head and the coupling of each singleton.  `base` is the closure
+    of the units in the implication graph `graph` of the binary clauses, or
+    None when the premise is unsatisfiable.  Premises with the same heads
+    share one graph and its literal closures (`Numbering.graph`).
+    Read-only once built."""
 
-    __slots__ = ("p", "units", "heads", "var", "graph", "base")
+    __slots__ = ("p", "units", "heads", "graph", "base")
 
     def __init__(
         self,
         p: PopulationProtocol,
-        units: tuple[Literal, ...],
+        units: tuple[int, ...],
         heads: frozenset[Head],
         graph: Implications,
         base: tuple[int, int] | None,
@@ -224,26 +276,24 @@ class Premise:
         self.p = p
         self.units = units
         self.heads = heads
-        self.var = numbering(p).var
         self.graph = graph
         self.base = base
 
     @classmethod
     def horn(
-        cls, p: PopulationProtocol, units: Iterable[Literal], heads: frozenset[Head]
+        cls, p: PopulationProtocol, units: Iterable[int], heads: frozenset[Head]
     ) -> Premise:
         """The premise of `units` and `heads`; only the closure of the
         units is built here."""
         units = tuple(units)
-        num = numbering(p)
-        graph = num.graph(heads)
-        return cls(p, units, heads, graph, graph.close(num.var, units, (0, 0)))
+        graph = numbering(p).graph(heads)
+        return cls(p, units, heads, graph, graph.close(units, (0, 0)))
 
-    def with_units(self, extra: Iterable[Literal]) -> Premise:
+    def with_units(self, extra: Iterable[int]) -> Premise:
         """This premise and more literals: the same heads and graph, and the
         closure of `extra` ORed into the base."""
         extra = tuple(extra)
-        base = self.graph.close(self.var, extra, self.base)
+        base = self.graph.close(extra, self.base)
         return Premise(self.p, self.units + extra, self.heads, self.graph, base)
 
     def with_heads(self, extra: Iterable[Head]) -> Premise:
@@ -260,7 +310,7 @@ class Implications:
 
     __slots__ = ("succ", "memo")
 
-    def __init__(self, clauses: list[list[int]]):
+    def __init__(self, clauses: Iterable[tuple[int, int]]):
         self.succ: dict[int, list[int]] = {}
         self.memo: dict[int, tuple[int, int]] = {}
         for a, b in clauses:
@@ -288,20 +338,15 @@ class Implications:
         return got
 
     def close(
-        self,
-        var: dict[Atom, int],
-        literals: Iterable[Literal],
-        base: tuple[int, int] | None,
+        self, literals: Iterable[int], base: tuple[int, int] | None
     ) -> tuple[int, int] | None:
-        """The closures of `literals`, over atoms numbered by `var`, ORed
-        into `base`; None when some atom comes out both true and false, or
-        when `base` is None."""
+        """The closures of `literals` ORed into `base`; None when some atom
+        comes out both true and false, or when `base` is None."""
         if base is None:
             return None
         pos, negs = base
         memo = self.memo
-        for a, value in literals:
-            lit = var[a] if value else -var[a]
+        for lit in literals:
             t, f = memo.get(lit) or self.closure(lit)
             pos |= t
             negs |= f
@@ -309,31 +354,24 @@ class Implications:
 
 
 class Numbering:
-    """The one atom numbering of a protocol's premises: the presence atom
-    of state s is variable 2s + 1 and its singleton atom 2s + 2.  It keeps
-    the atoms themselves, built once, and per set H of disabled heads the
+    """A protocol's atoms, built once, and per set H of disabled heads the
     implication graph of the xi clause of each head of H and the coupling
     (!A! | A) of each singleton, built on first use; see `Premise.horn`."""
 
-    __slots__ = ("presence", "singleton", "var", "graphs")
+    __slots__ = ("presence", "singleton", "graphs")
 
     def __init__(self, p: PopulationProtocol):
         self.presence = tuple(Atom(PRESENCE, s, q) for s, q in enumerate(p.states))
         self.singleton = tuple(
             Atom(SINGLETON, s, q + "!") for s, q in enumerate(p.states)
         )
-        self.var: dict[Atom, int] = {}
-        for s, (a, one) in enumerate(zip(self.presence, self.singleton)):
-            self.var[a] = 2 * s + 1
-            self.var[one] = 2 * s + 2
         self.graphs: dict[frozenset[Head], Implications] = {}
 
     def graph(self, heads: frozenset[Head]) -> Implications:
         g = self.graphs.get(heads)
         if g is None:
-            clauses = [[-2 * s - 2, 2 * s + 1] for s in range(len(self.presence))]
-            for a, b in sorted(heads):
-                clauses.append([-2 * a - 1, -2 * b - 1 if a != b else 2 * a + 2])
+            clauses = [(-single(s), present(s)) for s in range(len(self.presence))]
+            clauses += [xi_clause(h) for h in sorted(heads)]
             g = self.graphs[heads] = Implications(clauses)
         return g
 
@@ -346,46 +384,12 @@ def numbering(p: PopulationProtocol) -> Numbering:
     return num
 
 
-def _refutation(goal: Formula) -> list[Literal] | None:
-    """Literals whose conjunction says that goal is false, or None when the
-    negation of goal is not a conjunction of literals."""
-    out: list[Literal] = []
-    todo = [(goal, False)]
-    for f, pol in todo:
-        tag = f[0]
-        while tag == "not":
-            f = f[1]
-            pol = not pol
-            tag = f[0]
-        if tag == "atom":
-            out.append((f[1], pol))
-        elif tag == ("and" if pol else "or"):
-            for g in f[1]:
-                if g[0] == "atom":
-                    out.append((g[1], pol))
-                elif g[0] == "not" and g[1][0] == "atom":
-                    out.append((g[1][1], not pol))
-                else:
-                    todo.append((g, pol))
-        elif tag == "implies" and not pol:
-            todo.append((f[1], True))
-            todo.append((f[2], False))
-        elif tag != ("tt" if pol else "ff"):
-            return None  # a disjunction, or a conjunct that cannot hold
-    return out
-
-
-def is_tautology(goal: Formula, premise: Premise) -> bool:
+def is_tautology(goal: tuple[int, ...], premise: Premise) -> bool:
     """True iff every consistent total assignment satisfying the premise
-    satisfies goal.  "Not goal" must be a conjunction of literals, and the
-    premise's literal closures decide; any other goal raises ValueError."""
-    assumed = _refutation(goal)
-    if assumed is None:
-        raise ValueError(f"not a clause: {pretty(goal)}")
-    return premise.graph.close(premise.var, assumed, premise.base) is None
-
-
-Valuation = dict[Atom, bool]
+    satisfies the clause `goal`, a tuple of literals: ORing the closures of
+    their negations into the premise's base leaves some atom both true and
+    false."""
+    return premise.graph.close([-lit for lit in goal], premise.base) is None
 
 
 class Parts(NamedTuple):
@@ -398,7 +402,7 @@ class Parts(NamedTuple):
 
     units: tuple[Valuation, ...]
     heads: frozenset[Head]
-    members: tuple[tuple[Literal, ...], ...] = ((),)
+    members: tuple[tuple[int, ...], ...] = ((),)
 
 
 def enumerate_satisfying_valuations(
@@ -416,7 +420,7 @@ def enumerate_satisfying_valuations(
     false, so the members' valuations merge in canonical order by sorting
     the distinct keys."""
     domain = evaluation_domain(phi)
-    order = [numbering(p).var[a] for a in domain]
+    order = [literal(a) for a in domain]
     keys: set[int] = set()
 
     def walk(i: int, pos: int, negs: int, key: int) -> None:
@@ -431,7 +435,7 @@ def enumerate_satisfying_valuations(
             if not t & f:
                 walk(i + 1, t, f, key << 1 | bit)
 
-    units = tuple(x for val in parts.units for x in val.items())
+    units = tuple(lit for val in parts.units for lit in literals(val))
     for member in parts.members:
         premise = Premise.horn(p, units + member, parts.heads)
         if premise.base is not None:
@@ -477,7 +481,8 @@ def valuation_formula(val: Valuation) -> Formula:
 
 
 def xi(p: PopulationProtocol, head: Head) -> Formula:
-    """Formula stating that every rule with this head is disabled.
+    """Formula stating that every rule with this head is disabled, the
+    disjunction of the literals of `xi_clause`.
 
     For a head {A,B} with A != B that is "no A or no B"; for {A,A} it is
     "no A, or exactly one A".  Singleton atoms are meaningful for every
@@ -486,18 +491,8 @@ def xi(p: PopulationProtocol, head: Head) -> Formula:
     """
     f = p.xi_table.get(head)
     if f is None:
-        a, b = head
-        other = neg(atom(presence(p, b))) if a != b else atom(singleton(p, a))
-        f = p.xi_table[head] = disj([neg(atom(presence(p, a))), other])
+        f = p.xi_table[head] = disj([literal_formula(p, lit) for lit in xi_clause(head)])
     return f
-
-
-def not_xi_literals(p: PopulationProtocol, head: Head) -> tuple[Literal, Literal]:
-    """The literals whose conjunction is not xi(head): A and B for a head
-    {A,B}, A and not A! for {A,A}."""
-    a, b = head
-    other = (presence(p, b), True) if a != b else (singleton(p, a), False)
-    return ((presence(p, a), True), other)
 
 
 def heads_formula(p: PopulationProtocol, heads: Iterable[Head]) -> Formula:
@@ -522,7 +517,7 @@ def stage_formula(
         return conj(trees), Parts(units, heads)
     ordered = sorted(some)
     trees.append(disj([neg(xi(p, h)) for h in ordered]))
-    return conj(trees), Parts(units, heads, tuple(not_xi_literals(p, h) for h in ordered))
+    return conj(trees), Parts(units, heads, tuple(not_xi(h) for h in ordered))
 
 
 def pretty(f: Formula) -> str:

@@ -149,10 +149,10 @@ class PopulationProtocol:
         )
         self.explicit_count = len(explicit)
         # head -> the formula "every rule with this head is disabled",
-        # filled lazily by logic.xi, the one goal of the build's queries
+        # filled lazily by logic.xi for the stage formulas
         self.xi_table: dict = {}
-        # the atoms, their one numbering and the implication graph of each
-        # head set, built on first use by logic.numbering
+        # the atoms and the implication graph of each head set, built on
+        # first use by logic.numbering
         self.numbering = None
 
     # -- naming helpers -------------------------------------------------

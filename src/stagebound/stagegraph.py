@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from . import bounds as bounds_mod
 from .logic import (
     Formula,
-    Literal,
     PRESENCE,
     Parts,
     Premise,
@@ -54,14 +53,16 @@ from .logic import (
     enumerate_satisfying_valuations,
     holds_throughout,
     is_tautology,
+    literals,
     neg,
-    not_xi_literals,
+    not_xi,
     numbering,
+    present,
     presence,
     pretty,
-    singleton,
+    single,
     stage_formula,
-    xi,
+    xi_clause,
 )
 from .protocol import Head, PopulationProtocol, Transition
 
@@ -167,7 +168,7 @@ def initial_stage(p: PopulationProtocol) -> Stage:
     parts = Parts(
         ({presence(p, i): False for i in others},),
         frozenset(),
-        tuple(((presence(p, i), True),) for i in inputs),
+        tuple((present(i),) for i in inputs),
     )
     return Stage(id=0, phi=phi, parts=parts, pi={}, disabled=frozenset(), parent=None)
 
@@ -285,7 +286,7 @@ def build_transformation_graph(
     vertices = tuple(
         s for s, a in enumerate(numbering(p).presence) if pi_nu.get(a) is not False
     )
-    premise = Premise.horn(p, pi_nu.items(), disabled)
+    premise = Premise.horn(p, literals(pi_nu), disabled)
     edges: dict[tuple[int, int], list[Transition]] = {}
     gen_edges: dict[Transition, tuple[tuple[int, int], ...]] = {}
     for t in p.non_idle:
@@ -294,7 +295,7 @@ def build_transformation_graph(
             x not in vertices
             or y not in vertices
             or t.lhs in disabled
-            or is_tautology(xi(p, t.lhs), premise)
+            or is_tautology(xi_clause(t.lhs), premise)
         ):
             continue
         es = [e for e in _residue(t) if e[0] != e[1]]
@@ -415,32 +416,29 @@ def compute_j(
     rule whose head is in the current subset is blocked by a clause of the
     round's premise, so it is skipped without a query."""
 
-    def guard(prod: int, partner: int) -> list[Literal]:
-        # A rule producing E re-enables {E,F} when E was absent and F
-        # present, and {E,E} when E held exactly one agent
-        if prod == partner:
-            return [(singleton(p, prod), True)]
-        return [(presence(p, prod), False), (presence(p, partner), True)]
-
     def head_ok(ef: Head, m: set[Head], base: Premise) -> bool:
         # base: the graph's premise with every head of m disabled, built
-        # once per round.  Each guard joins it as units, on first use, so
-        # every goal is xi.  A rule that consumes E cannot re-enable {E,E}.
+        # once per round.  A rule producing E re-enables {E,F} when E was
+        # absent and F present, and {E,E} when E held exactly one agent, so
+        # each goal is the negation of that guard or xi of the rule's head.
+        # A rule that consumes E cannot re-enable {E,E}.
         e, f = ef
-        guarded: dict[int, Premise] = {}
+        if e == f:
+            not_guards = [(e, (-single(e),))]
+        else:
+            not_guards = [(e, (present(e), -present(f))), (f, (present(f), -present(e)))]
         for t in g.gen_edges:
             if t.lhs in m:
                 continue
+            goal = xi_clause(t.lhs)
             if t.rhs == ef:
-                if not is_tautology(xi(p, t.lhs), base):
+                if not is_tautology(goal, base):
                     return False
                 continue
-            for prod, partner in ((e, f), (f, e)) if e != f else ((e, f),):
+            for prod, not_guard in not_guards:
                 if prod not in t.rhs or (e == f and e in t.lhs):
                     continue
-                if prod not in guarded:
-                    guarded[prod] = base.with_units(guard(prod, partner))
-                if not is_tautology(xi(p, t.lhs), guarded[prod]):
+                if not is_tautology(not_guard + goal, base):
                     return False
         return True
 
@@ -460,15 +458,15 @@ def classify_nu_mode(
 
     nu, a valuation of the split, is consistent and fixes A wherever it
     fixes A!, so its literals with the coupling A! -> A entail xi(h) exactly
-    when nu holds a literal of xi(h), and entail not xi(h) exactly when nu
-    holds both literals of not xi(h): A and B for a head {A,B}, A and not A!
-    for {A,A}."""
+    when nu holds the negation of a literal of `not_xi(h)`, and entail not
+    xi(h) exactly when nu holds both literals of `not_xi(h)`."""
     if not j:
         return "neither"
-    enabling = [not_xi_literals(p, h) for h in sorted(j)]
-    if all(any(nu.get(x) == (not v) for x, v in lits) for lits in enabling):
+    held = set(literals(nu))
+    enabling = [not_xi(h) for h in j]
+    if all(-l1 in held or -l2 in held for l1, l2 in enabling):
         return "nu-disabled"
-    if any(all(nu.get(x) == v for x, v in lits) for lits in enabling):
+    if any(l1 in held and l2 in held for l1, l2 in enabling):
         return "nu-enabled"
     return "neither"
 

@@ -267,11 +267,9 @@ def stable_set(g: ReachGraph) -> set[int]:
 def expected_steps_exact(g: ReachGraph, target: set[int]) -> Fraction:
     """Expected number of interactions from the first root until the target.
 
-    Exact rational arithmetic on chains up to 5000 nodes (larger chains fall
-    back to a checked floating-point solve).  Requires almost-sure
-    reachability of the target.  The system is solved per strongly connected
-    component in topological order, so only small dense blocks are
-    eliminated.
+    Exact rational arithmetic.  Requires almost-sure reachability of the
+    target.  The system is solved per strongly connected component in
+    topological order, so only small dense blocks are eliminated.
     """
     return expected_steps_all(g, target)[g.roots[0]]
 
@@ -280,23 +278,20 @@ def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
     """First-hitting expectations for every node; the target is absorbing.
 
     The system E[v] = 1 + sum_u P(v,u) E[u] is solved per strongly connected
-    component of the almost-sure region, in reverse topological order.  Up
-    to 5000 nodes it is solved exactly in integers: each solved node is kept
-    as a reduced pair (numerator, denominator), a one-node block directly
-    and a larger one by `_exact_block`, and one Fraction per node is made at
-    the end.  Beyond that a floating-point pass with a residual check below
-    1e-9 is used.  The expectation of a node from which the target is not
-    almost surely reached diverges: such a node gets None, and a root among
-    them is an error."""
+    component of the almost-sure region, in reverse topological order,
+    exactly in integers: each solved node is kept as a reduced pair
+    (numerator, denominator), a one-node block directly and a larger one by
+    `_exact_block`, and one Fraction per node is made at the end.  The
+    expectation of a node from which the target is not almost surely
+    reached diverges: such a node gets None, and a root among them is an
+    error."""
     tgt = set(target)
     good = g.almost_sure_reach(tgt)
     if not all(r in good for r in g.roots):
         raise ValueError("target not almost surely reachable; expectation diverges")
-    exact = g.size <= 5000
     expect: list = [None] * g.size
-    zero = (0, 1) if exact else 0.0
     for v in tgt:
-        expect[v] = zero
+        expect[v] = (0, 1)
     plain = [
         [] if v in tgt or v not in good else [u for u, _ in outs]
         for v, outs in enumerate(g.succ)
@@ -308,17 +303,12 @@ def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
         todo = [v for v in group if v in good and v not in tgt]
         if not todo:
             continue
-        if not exact:
-            solved = _float_block(g, todo, expect)
-        elif len(todo) == 1:
+        if len(todo) == 1:
             solved = [_exact_node(g, todo[0], expect)]
         else:
             solved = _exact_block(g, todo, expect)
         for v, e in zip(todo, solved):
             expect[v] = e
-    if not exact:
-        _check_residual(g, tgt, good, expect)
-        return expect
     return [None if e is None else Fraction(*e) for e in expect]
 
 
@@ -418,64 +408,6 @@ def _bareiss(mat: list[list[int]]) -> tuple[list[int], int]:
             acc -= row[j] * xs[j]
         xs[i] = acc // row[i]
     return xs, det
-
-
-def _float_block(g: ReachGraph, todo: list[int], expect: list) -> list[float]:
-    """The expectations of one block, by a floating-point dense solve."""
-    pos = {v: i for i, v in enumerate(todo)}
-    k = len(todo)
-    # rows: E[v] - sum_{u in block} P(v,u) E[u] = 1 + sum_{u solved} P(v,u) E[u]
-    mat = [[0.0] * k for _ in range(k)]
-    rhs = [1.0] * k
-    for v in todo:
-        i = pos[v]
-        mat[i][i] = 1.0
-        den = g.den[v]
-        for u, w in g.succ[v]:
-            pval = w / den
-            if u in pos:
-                mat[i][pos[u]] -= pval
-            else:
-                rhs[i] += pval * expect[u]
-    return _solve_dense(mat, rhs)
-
-
-def _check_residual(g: ReachGraph, tgt: set[int], good: set[int], expect: list) -> None:
-    worst = 0.0
-    for v in good:
-        if v in tgt:
-            continue
-        acc = 1.0
-        den = g.den[v]
-        for u, w in g.succ[v]:
-            acc += w / den * expect[u]
-        scale = max(1.0, abs(float(expect[v])))
-        worst = max(worst, abs(acc - float(expect[v])) / scale)
-    if worst > 1e-9:
-        raise ArithmeticError(
-            f"floating-point hitting-time solve residual {worst:.2e} exceeds 1e-9"
-        )
-
-
-def _solve_dense(mat: list[list[float]], rhs: list[float]) -> list[float]:
-    """Gauss-Jordan with magnitude pivoting over floats."""
-    k = len(mat)
-    for col in range(k):
-        piv = max(range(col, k), key=lambda r: abs(mat[r][col]))
-        if mat[piv][col] == 0:
-            raise ValueError("singular hitting-time system")
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        rhs[col] *= inv
-        for r in range(k):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-                rhs[r] -= f * rhs[col]
-    return rhs
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,11 @@ from stagebound.logic import (
     TT,
     Atom,
     Formula,
-    atom,
     conj,
+    disj,
     evaluation_domain,
     heads_formula,
-    neg,
+    literal_formula,
 )
 
 
@@ -204,8 +204,14 @@ def tautology(f: Formula) -> bool:
 
 def premise_formula(premise) -> Formula:
     """The formula a `Premise.horn` premise stands for."""
-    units = [atom(a) if v else neg(atom(a)) for a, v in premise.units]
+    units = [literal_formula(premise.p, lit) for lit in premise.units]
     return conj(units + [heads_formula(premise.p, premise.heads)])
+
+
+def clause_formula(p, clause: tuple[int, ...]) -> Formula:
+    """The formula of an `is_tautology` goal, a clause of int literals
+    (false when empty)."""
+    return disj([literal_formula(p, lit) for lit in clause])
 
 
 def enumerate_satisfying_valuations(f: Formula) -> list[dict[Atom, bool]]:

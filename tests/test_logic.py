@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpll_reference as dpll
-from dpll_reference import premise_formula
+from dpll_reference import clause_formula, premise_formula
 from stagebound import Configuration, bounds, enabled, logic, parse_protocol, stagegraph
 from stagebound.corpus import default_corpus, majority_four_state
 from stagebound.logic import (
@@ -35,15 +35,20 @@ from stagebound.logic import (
     holds_throughout,
     implies,
     is_tautology,
+    literal,
+    literal_formula,
     neg,
-    not_xi_literals,
+    not_xi,
     out_atom,
+    present,
     presence,
     pretty,
+    single,
     singleton,
     stage_formula,
     valuation_formula,
     xi,
+    xi_clause,
 )
 from stagebound.stagegraph import initial_stage
 from stagebound.verify import ReachGraph
@@ -225,26 +230,40 @@ def test_stage_formula_renders_drained_states_flat():
                 assert phi == old
             assert parts.units[0] is pi and parts.units[1] is drained
             assert parts.heads == heads
-            members = ((),) if some is None else tuple(not_xi_literals(P, h) for h in sorted(l))
+            members = ((),) if some is None else tuple(not_xi(h) for h in sorted(l))
             assert parts.members == members
 
 
 def test_is_tautology_consistency_rule():
     # one agent in A implies A populated: the only countermodel is excluded
     f = neg(conj([atom(singleton(P, A)), neg(atom(presence(P, A)))]))
-    assert is_tautology(f, EMPTY)
+    assert is_tautology((-single(A), present(A)), EMPTY)
     assert dpll.tautology(f)
 
 
 def test_is_tautology_basic():
-    pa, pb = atom(presence(P, A)), atom(presence(P, B))
-    assert is_tautology(implies(neg(pa), disj([neg(pa), neg(pb)])), EMPTY)
-    assert not is_tautology(implies(pa, disj([neg(pa), neg(pb)])), EMPTY)
-    assert not is_tautology(FF, EMPTY)
-    # "not goal" is a disjunction: outside the closure shape
-    with pytest.raises(ValueError):
-        is_tautology(conj([pa, pb]), EMPTY)
+    pa, pb = present(A), present(B)
+    # !A => (!A | !B), and A => (!A | !B), as clauses
+    assert is_tautology((pa, -pa, -pb), EMPTY)
+    assert not is_tautology((-pa, -pa, -pb), EMPTY)
+    assert not is_tautology((), EMPTY)  # the empty clause is false
     assert dpll.tautology(TT) and not dpll.tautology(FF)
+
+
+def test_literals_number_the_atoms():
+    # the presence of state s is 2s + 1 and its singleton 2s + 2, negated by
+    # sign, and each literal names back its own atom
+    assert [literal(presence(P, s)) for s in range(4)] == [1, 3, 5, 7]
+    assert [literal(singleton(P, s), False) for s in range(4)] == [-2, -4, -6, -8]
+    for s in range(4):
+        for v, at in ((present(s), presence(P, s)), (single(s), singleton(P, s))):
+            assert literal_formula(P, v) == atom(at)
+            assert literal_formula(P, -v) == neg(atom(at))
+    # not_xi and xi_clause: A and B for {A,B}, A and not A! for {A,A}
+    assert not_xi(head(A, B)) == (present(A), present(B))
+    assert not_xi(head(a, a)) == (present(a), -single(a))
+    assert xi_clause(head(a, a)) == (-present(a), single(a))
+    assert clause_formula(P, xi_clause(head(A, b))) == xi(P, head(A, b))
 
 
 def test_enumerate_example1_initial_stage():
@@ -416,7 +435,7 @@ def test_tautology_agrees_with_reference_on_stage_queries(name, monkeypatch):
     stagegraph.build_stage_graph(entry.protocol())
     assert queries
     for goal, premise in queries:
-        f = implies(premise_formula(premise), goal)
+        f = implies(premise_formula(premise), clause_formula(premise.p, goal))
         assert is_tautology(goal, premise) == reference_is_tautology(f), pretty(f)
 
 
@@ -443,9 +462,9 @@ def literal_pairs(states):
     return st.tuples(st.sampled_from(atoms), st.booleans())
 
 
-def literals(states):
-    """Literal formulas over the presence and singleton atoms of `states`."""
-    return literal_pairs(states).map(lambda x: lit(*x))
+def int_literals(states):
+    """Int literals over the presence and singleton atoms of `states`."""
+    return literal_pairs(states).map(lambda x: literal(*x))
 
 
 def head_sets(states, max_size):
@@ -460,96 +479,83 @@ def horn_premises(draw):
     contradict each other, directly or through A! -> A, and one premise in
     ten holds a unit and its negation outright."""
     states = range(draw(st.integers(2, 4)))
-    units = draw(st.lists(literal_pairs(states), max_size=5))
+    units = draw(st.lists(int_literals(states), max_size=5))
     if draw(st.integers(0, 9)) == 0:
-        x = draw(literal_pairs(states))
-        units += [x, (x[0], not x[1])]
+        x = draw(int_literals(states))
+        units += [x, -x]
     return Premise.horn(P, units, draw(head_sets(states, 4)))
 
 
 @st.composite
 def horn_goals(draw):
-    """The goal shapes the closure path answers, over all four states of P,
-    so a goal may name atoms its premise leaves free, and "not xi", which
-    it rejects."""
+    """The goal shapes the closure path answers, as clauses of int
+    literals over all four states of P, so a goal may name atoms its
+    premise leaves free."""
     x, y = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     h = head(x, y)
-    lit = draw(literals(range(4)))
-    kind = draw(st.integers(0, 5))
+    lit = draw(int_literals(range(4)))
+    kind = draw(st.integers(0, 4))
     if kind == 0:
-        return xi(P, h)
-    if kind == 1:
-        return neg(xi(P, h))
+        return xi_clause(h)
+    if kind == 1:  # J's re-enabling guard, negated, and xi
+        not_guard = (present(x), -present(y)) if x != y else (-single(x),)
+        return not_guard + xi_clause(draw(st.sampled_from(list(P.rules_by_head))))
     if kind == 2:
-        if x != y:
-            guard = conj([neg(atom(presence(P, x))), atom(presence(P, y))])
-        else:
-            guard = atom(singleton(P, x))
-        return implies(guard, xi(P, draw(st.sampled_from(list(P.rules_by_head)))))
-    if kind == 3:
-        return lit
-    if kind == 4:  # one atom with both signs
-        return disj([lit, draw(literals(range(4))), neg(lit)])
-    # kind 5: "not goal" is a conjunction of literals
-    return neg(conj(draw(st.lists(literals(range(4)), min_size=1, max_size=3))))
-
-
-def is_clause(goal):
-    return not (goal[0] == "not" and goal[1][0] == "or")
+        return (lit,)
+    if kind == 3:  # one atom with both signs
+        return (lit, draw(int_literals(range(4))), -lit)
+    # kind 4: any clause of one to three literals
+    return tuple(draw(st.lists(int_literals(range(4)), min_size=1, max_size=3)))
 
 
 @settings(max_examples=400, deadline=None)
 @given(premise=horn_premises(), goal=horn_goals())
 def test_closure_path_agrees_with_reference(premise, goal):
-    assert (logic._refutation(goal) is None) == (not is_clause(goal))
-    expect = reference_is_tautology(implies(premise_formula(premise), goal))
-    assert dpll.entails(goal, dpll.ClausePremise(premise_formula(premise))) == expect
-    if is_clause(goal):
-        assert is_tautology(goal, premise) == expect
-    else:  # "not xi" is a conjunction
-        with pytest.raises(ValueError):
-            is_tautology(goal, premise)
+    f = clause_formula(P, goal)
+    expect = reference_is_tautology(implies(premise_formula(premise), f))
+    assert dpll.entails(f, dpll.ClausePremise(premise_formula(premise))) == expect
+    assert is_tautology(goal, premise) == expect
 
 
 def test_closure_path_on_false_premises():
-    pa, one = presence(P, A), singleton(P, A)
-    for units in ([(pa, True), (pa, False)], [(one, True), (pa, False)]):
+    pa, one = present(A), single(A)
+    for units in ([pa, -pa], [one, -pa]):
         for heads in (frozenset(), frozenset({head(A, B)})):
             pr = Premise.horn(P, units, heads)
             assert pr.base is None
-            for goal in (atom(presence(P, B)), neg(atom(presence(P, B))), xi(P, head(B, a)), FF):
+            for goal in ((present(B),), (-present(B),), xi_clause(head(B, a)), ()):
                 assert is_tautology(goal, pr)
     # false only through a head: A and B present, yet {A,B} disabled
-    pr = Premise.horn(P, [(pa, True), (presence(P, B), True)], frozenset({head(A, B)}))
-    assert pr.base is None and is_tautology(FF, pr)
-    assert not is_tautology(FF, Premise.horn(P, [(pa, True)], frozenset({head(A, B)})))
+    pr = Premise.horn(P, [pa, present(B)], frozenset({head(A, B)}))
+    assert pr.base is None and is_tautology((), pr)
+    assert not is_tautology((), Premise.horn(P, [pa], frozenset({head(A, B)})))
 
 
 def test_closure_path_on_unnumbered_atoms():
     # every presence and singleton atom of the protocol is numbered; the
     # atoms that no unit or head names are free
-    pr = Premise.horn(P, [(presence(P, A), True)], frozenset())
+    pr = Premise.horn(P, [present(A)], frozenset())
     # B and B! are free, yet B! still brings B
-    assert is_tautology(implies(atom(singleton(P, B)), atom(presence(P, B))), pr)
-    assert not is_tautology(implies(atom(presence(P, B)), atom(singleton(P, B))), pr)
-    assert is_tautology(disj([atom(presence(P, B)), neg(atom(presence(P, B)))]), pr)
+    assert is_tautology((-single(B), present(B)), pr)  # B! => B
+    assert not is_tautology((-present(B), single(B)), pr)  # B => B!
+    assert is_tautology((present(B), -present(B)), pr)
     # a free singleton whose presence atom the premise makes false
-    pr = Premise.horn(P, [(presence(P, A), False)], frozenset())
-    assert is_tautology(neg(atom(singleton(P, A))), pr)
-    assert not is_tautology(neg(atom(singleton(P, B))), pr)
+    pr = Premise.horn(P, [-present(A)], frozenset())
+    assert is_tautology((-single(A),), pr)
+    assert not is_tautology((-single(B),), pr)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     premise=horn_premises(),
-    goals=st.lists(horn_goals().filter(is_clause), min_size=2, max_size=5),
+    goals=st.lists(horn_goals(), min_size=2, max_size=5),
     order=st.randoms(use_true_random=False),
 )
 def test_premise_answers_do_not_depend_on_query_order(premise, goals, order):
     # the literal closures a premise and its graph memoise for one goal
     # answer the next ones alike, in any order
     f = premise_formula(premise)
-    expect = [reference_is_tautology(implies(f, g)) for g in goals]
+    expect = [reference_is_tautology(implies(f, clause_formula(P, g))) for g in goals]
     assert [is_tautology(g, premise) for g in goals] == expect
     idx = list(range(len(goals)))
     order.shuffle(idx)
@@ -576,10 +582,10 @@ def stage_parts(draw):
         members, some = (), FF
     elif kind == 2:
         singles = draw(st.lists(literal_pairs(states), min_size=1, max_size=3))
-        members, some = tuple((x,) for x in singles), disj([lit(*x) for x in singles])
+        members, some = tuple((literal(*x),) for x in singles), disj([lit(*x) for x in singles])
     else:
         enabled = sorted(draw(head_sets(states, 3).filter(bool)))
-        members = tuple(not_xi_literals(P, h) for h in enabled)
+        members = tuple(not_xi(h) for h in enabled)
         some = disj([neg(xi(P, h)) for h in enabled])
     phi = conj([lit(*x) for val in units for x in val.items()] + [heads_formula(P, heads), some])
     return phi, Parts(units, heads, members)
@@ -643,11 +649,13 @@ def test_pretty_printer():
 
 
 def test_out_atoms_rejected_in_enumeration_context():
-    # Out atoms are verifier-only: the protocol's atom numbering has none,
-    # so the closures reject them, while the oracle's evaluator and the
-    # clause DPLL treat them as plain atoms.
+    # Out atoms are verifier-only: they are not numbered as literals, so
+    # the closures reject them, while the oracle's evaluator and the clause
+    # DPLL treat them as plain atoms.
     f = disj([atom(out_atom(0)), neg(atom(out_atom(0)))])
     with pytest.raises(KeyError):
-        is_tautology(f, EMPTY)
+        literal(out_atom(0))
+    with pytest.raises(KeyError):
+        enumerate_satisfying_valuations(P, f, Parts((), frozenset()))
     assert dpll.tautology(f)
     assert logic.evaluate(f, {out_atom(0): 0}) & 1

@@ -1,6 +1,7 @@
 """Stage-tree construction: the fixed points, case analysis, and the tree
 shapes of the worked examples."""
 
+import itertools
 import json
 import random
 from collections import deque
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpll_reference as dpll
-from dpll_reference import premise_formula
+from dpll_reference import clause_formula, premise_formula
 from stagebound import (
+    Configuration,
     aggregate,
     bounds,
     build_stage_graph,
@@ -35,13 +37,17 @@ from stagebound.logic import (
     heads_formula,
     implies,
     is_tautology,
+    literal_formula,
+    literals,
     neg,
+    not_xi,
     presence,
     singleton,
     valuation_formula,
     xi,
+    xi_clause,
 )
-from stagebound.protocol import PopulationProtocol
+from stagebound.protocol import PopulationProtocol, enabled
 from stagebound.stagegraph import (
     INTERNAL,
     TERMINAL_DEAD,
@@ -223,6 +229,35 @@ def test_compute_j_examples():
     exp2 = compute_exp(g2)
     assert compute_j(P2, g2, exp2) == exp2  # {AB, AC, BC}
     assert compute_j(P1, g1, frozenset()) == frozenset()
+
+
+def test_graph_query_decided_by_a_head_clause():
+    # s is present and {x,s} is disabled, so x is absent and "x y" cannot
+    # fire; only the xi clause of {x,s} in the graph's premise says so
+    p = parse_protocol(
+        "protocol h\nstates: x y s z\ninputs: i -> x, j -> y\noutput1: z\n"
+        "transitions:\n  x y -> z z\n  x s -> z z\n"
+    )
+    x, s = p.state_index("x"), p.state_index("s")
+    g = build_transformation_graph(p, {presence(p, s): True}, frozenset({(x, s)}))
+    assert g.gen_edges == {}
+
+
+def test_j_query_decided_by_a_head_clause():
+    # s is present, and the only rule "u z -> x z" produces x, which
+    # re-enables {x,y} when y is present.  Disabling {u,s}, a head of the
+    # round, keeps u absent, so the rule cannot fire and both heads stay in
+    # J; only the xi clause of {u,s} in the round's premise says so
+    p = parse_protocol(
+        "protocol j\nstates: x y u s z\ninputs: i -> u, j -> z\noutput1: x\n"
+        "transitions:\n  u z -> x z\n"
+    )
+    x, y, u, s = (p.state_index(q) for q in "xyus")
+    pi = {presence(p, s): True}
+    g = build_transformation_graph(p, pi, frozenset())
+    exp = frozenset({(x, y), (u, s)})
+    assert compute_j(p, g, exp) == exp
+    assert reference_compute_j(p, pi, frozenset(), exp) == exp
 
 
 def test_classify_nu_mode():
@@ -474,6 +509,36 @@ def small_protocols(draw, min_rules=0):
     return PopulationProtocol("gen", tuple("ABCD"[:n]), rules, inputs, output1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=small_protocols())
+def test_head_semantics_has_one_owner(p):
+    # xi, the xi clause of the premises, classify_nu_mode's reading and
+    # not_xi agree with "a rule of the head can fire" on every consistent
+    # total valuation: each state absent, with exactly one agent, or more
+    n = len(p.states)
+    heads = all_heads(n)
+    for counts in itertools.product(range(3), repeat=n):
+        c = Configuration(counts)
+        nu = {}
+        for s, k in enumerate(counts):
+            nu[presence(p, s)] = k > 0
+            nu[singleton(p, s)] = k == 1
+        held = set(literals(nu))
+        fires = {}
+        for h in heads:
+            x, y = h
+            fires[h] = counts[x] >= 2 if x == y else counts[x] > 0 and counts[y] > 0
+            assert all(enabled(c, t) == fires[h] for t in p.rules_by_head.get(h, ()))
+            assert (logic.evaluate(xi(p, h), nu) & 1) == (not fires[h])
+            assert any(lit in held for lit in xi_clause(h)) == (not fires[h])
+            assert (set(not_xi(h)) <= held) == fires[h]
+            assert (Premise.horn(p, held, frozenset({h})).base is None) == fires[h]
+            mode = classify_nu_mode(p, nu, frozenset({h}))
+            assert mode == ("nu-enabled" if fires[h] else "nu-disabled")
+        mode = classify_nu_mode(p, nu, frozenset(heads))
+        assert mode == ("nu-enabled" if any(fires.values()) else "nu-disabled")
+
+
 @st.composite
 def small_cases(draw):
     """A small protocol with a consistent persistent valuation, disabled
@@ -666,7 +731,8 @@ def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
         ref = translated.get(f)
         if ref is None:
             ref = translated[f] = dpll.ClausePremise(f)
-        assert is_tautology(goal, premise) == dpll.entails(goal, ref), (kind, pretty(goal))
+        goal_f = clause_formula(sg.protocol, goal)
+        assert is_tautology(goal, premise) == dpll.entails(goal_f, ref), (kind, pretty(goal_f))
     seen = set()
     for s in sg.stages:
         ca = s.analysis
@@ -823,26 +889,24 @@ def test_is_fast_matches_reference_generated(case, data):
 
 def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):
     # every graph, J and is_fast query of a 1,351-stage build, asked again
-    # of the clause DPLL under conj([valuation_formula(pi), heads_formula(p,
-    # H)]), with is_fast's literals added, as the build passed them to
-    # Premise.horn and Premise.with_units
+    # of the clause DPLL under the conjunction of the unit literals and
+    # heads_formula(p, H), with is_fast's literals added, as the build
+    # passed them to Premise.horn and Premise.with_units
     formulas = {}  # id(premise) -> (premise, the formula it stands for)
     horn, with_units = Premise.horn.__func__, Premise.with_units
-
-    def lit(a, v):
-        return atom(a) if v else neg(atom(a))
 
     def recording_horn(cls, p, units, heads):
         units = list(units)
         pr = horn(cls, p, units, heads)
-        f = conj([valuation_formula(dict(units)), heads_formula(p, heads)])
+        f = conj([literal_formula(p, x) for x in units] + [heads_formula(p, heads)])
         formulas[id(pr)] = (pr, f)
         return pr
 
     def recording_with_units(self, extra):
         extra = list(extra)
         pr = with_units(self, extra)
-        formulas[id(pr)] = (pr, conj([formulas[id(self)][1]] + [lit(*x) for x in extra]))
+        lits = [literal_formula(self.p, x) for x in extra]
+        formulas[id(pr)] = (pr, conj([formulas[id(self)][1]] + lits))
         return pr
 
     queries = []
@@ -870,5 +934,6 @@ def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):
         ref = translated.get(f)
         if ref is None:
             ref = translated[f] = dpll.ClausePremise(f)
-        assert is_tautology(goal, premise) == dpll.entails(goal, ref), (kind, pretty(goal))
+        goal_f = clause_formula(sg.protocol, goal)
+        assert is_tautology(goal, premise) == dpll.entails(goal_f, ref), (kind, pretty(goal_f))
     assert assert_is_fast_matches_reference(sg) > 0

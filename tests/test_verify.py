@@ -375,16 +375,16 @@ def test_expected_steps_example1_regression():
 
 
 def test_expected_steps_floating_point_path():
-    # above 5000 nodes the solve is in floats with a residual check;
-    # broadcast from one informed agent takes (n-1) H_(n-1) interactions
+    # a chain of more than 5000 nodes, where the solve once switched to
+    # floats, is solved exactly too: broadcast from one informed agent
+    # takes (n-1) H_(n-1) interactions
     p = parse_protocol(broadcast())
     n = 5002
     g = V.explore(p, cfg(p, t=1, f=n - 1))
     assert g.size == n
     got = V.expected_steps_exact(g, V.stable_set(g))
-    assert isinstance(got, float)
-    want = (n - 1) * math.fsum(1 / k for k in range(1, n))
-    assert got == pytest.approx(want, rel=1e-9)
+    assert type(got) is Fraction
+    assert got == (n - 1) * sum(Fraction(1, k) for k in range(1, n))
 
 
 def test_expected_steps_broadcast_closed_form():
@@ -438,17 +438,14 @@ def test_bareiss_solves_and_rejects_a_zero_pivot():
 def reference_expected_steps_all(g, target):
     """First-hitting expectations for every node; the target is absorbing.
 
-    Solved exactly over the rationals up to 5000 nodes; beyond that a
-    floating-point pass with a residual check below 1e-9 is used.  Nodes
-    from which the target is not almost surely reached make the expectation
-    diverge, which is reported as an error."""
+    Solved exactly over the rationals.  Nodes from which the target is not
+    almost surely reached make the expectation diverge, which is reported
+    as an error."""
     tgt = set(target)
     good = g.almost_sure_reach(tgt)
     if not all(r in good for r in g.roots):
         raise ValueError("target not almost surely reachable; expectation diverges")
-    exact = g.size <= 5000
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    zero, one = Fraction(0), Fraction(1)
     n = g.size
     expect = [None] * n
     for v in tgt:
@@ -476,21 +473,18 @@ def reference_expected_steps_all(g, target):
             mat[i][i] = one
             for u, w in g.succ[v]:
                 prob = Fraction(w, g.den[v])
-                pval = prob if exact else float(prob)
                 if u in pos:
-                    mat[i][pos[u]] -= pval
+                    mat[i][pos[u]] -= prob
                 else:
-                    rhs[i] += pval * expect[u]
+                    rhs[i] += prob * expect[u]
         sol = reference_solve_dense(mat, rhs)
         for v in todo:
             expect[v] = sol[pos[v]]
-    if not exact:
-        V._check_residual(g, tgt, good, expect)
     return [e if e is not None else zero for e in expect]
 
 
 def reference_solve_dense(mat, rhs):
-    """Gauss-Jordan with magnitude pivoting; works over Fraction or float."""
+    """Gauss-Jordan with magnitude pivoting over Fractions."""
     k = len(mat)
     for col in range(k):
         piv = max(range(col, k), key=lambda r: abs(mat[r][col]))
