@@ -6,13 +6,20 @@ Almost-sure reachability on a finite chain reduces to a graph criterion:
 with the target made absorbing, the target must stay reachable from every
 configuration reachable along target-avoiding runs.  That is the bridge
 used for both the eventually-operator and the stage progress condition.
+
+Every question the oracle asks is thus a backward closure, and the closures
+of one chain run in batches: each query owns a bit, each node carries one
+int of query bits, and one pass visits the chain's strongly connected
+components once, in reverse topological order (`ReachGraph.backward_reach`).
+A node set that depends only on a node's key, such as a formula's models,
+is an int over the chain's distinct keys and becomes per-node query bits by
+one transposition (`ReachGraph.node_bits`).
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -21,16 +28,15 @@ from math import gcd, inf, lcm, log, log1p
 import numpy as np
 
 from .logic import (
+    OUT,
     Atom,
     Formula,
-    atom,
-    conj,
     evaluate,
-    heads_formula,
+    literal,
+    not_xi,
     out_atom,
     presence,
     singleton,
-    valuation_formula,
 )
 from .protocol import (
     Configuration,
@@ -49,6 +55,26 @@ class ExplorationLimitError(RuntimeError):
     pass
 
 
+def _in_time(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() >= deadline:
+        raise ExplorationLimitError("timeout exceeded")
+
+
+def _by_key(rows: list[int], width: int) -> list[int]:
+    """The transpose of a bit matrix: bit q of the j-th result is bit j of
+    rows[q], for j < width.  A row's set bits are found by searching its
+    binary digits, least significant first."""
+    out = [0] * width
+    for q, row in enumerate(rows):
+        bit = 1 << q
+        digits = bin(row)[:1:-1]
+        j = digits.find("1")
+        while j >= 0:
+            out[j] |= bit
+            j = digits.find("1", j + 1)
+    return out
+
+
 @dataclass
 class ReachGraph:
     """Finite chain over the configurations reachable from the roots.
@@ -58,15 +84,27 @@ class ReachGraph:
 
     Formulas are evaluated on keys, not on nodes: a node's key is its count
     vector clipped at 2, which fixes every presence, singleton and Out_x
-    atom.  The graph numbers its distinct keys and keeps, per atom, one int
-    whose bit j is the atom's value at key j, and per key the nodes that
-    have it (`key_masks`, built on first use)."""
+    atom.  `keys[v]` is the number of node v's key and `key_counts[j]` the
+    key numbered j, keys being numbered as first met in node order;
+    `explore` fills both as it clips each node once, and a graph built
+    without them clips its nodes here.  The graph keeps, per atom, one int
+    whose bit j is the atom's value at key j (`key_masks`)."""
 
     protocol: PopulationProtocol
     nodes: list[Configuration]
     succ: list[list[tuple[int, int]]]
     den: list[int]
     roots: list[int]
+    keys: list[int] | None = None
+    key_counts: list[tuple[int, ...]] | None = None
+
+    def __post_init__(self) -> None:
+        if self.keys is None:
+            ids: dict[tuple[int, ...], int] = {}
+            self.keys = [
+                ids.setdefault(tuple(min(k, 2) for k in c.counts), len(ids)) for c in self.nodes
+            ]
+            self.key_counts = list(ids)
 
     @property
     def size(self) -> int:
@@ -78,32 +116,25 @@ class ReachGraph:
         return {c: i for i, c in enumerate(self.nodes)}
 
     @cached_property
-    def pred(self) -> list[list[int]]:
-        """Predecessor lists, built once per graph."""
-        pred: list[list[int]] = [[] for _ in self.nodes]
-        for v, outs in enumerate(self.succ):
-            for u, _ in outs:
-                pred[u].append(v)
-        return pred
+    def links(self) -> list[list[int]]:
+        """The successors of every node, without weights."""
+        return [[u for u, _ in outs] for outs in self.succ]
 
     @cached_property
-    def key_masks(self) -> tuple[dict[Atom, int], list[list[int]]]:
-        """The bit mask of every atom over the distinct keys, and the nodes
-        of every key in increasing order; keys are numbered as first met."""
+    def condensation(self) -> tuple[list[int], list[list[int]]]:
+        """The chain's strongly connected components, built once per graph:
+        the component of every node and the members of every component,
+        numbered in reverse topological order (`scc_condensation`)."""
+        return scc_condensation(self.links)
+
+    @cached_property
+    def key_masks(self) -> dict[Atom, int]:
+        """The bit mask of every atom over the distinct keys."""
         p = self.protocol
-        ids: dict[tuple[int, ...], int] = {}
-        members: list[list[int]] = []
-        for i, c in enumerate(self.nodes):
-            key = tuple(min(k, 2) for k in c.counts)
-            j = ids.get(key)
-            if j is None:
-                j = ids[key] = len(members)
-                members.append([])
-            members[j].append(i)
         present = [0] * len(p.states)
         single = [0] * len(p.states)
         out = [0, 0]
-        for key, j in ids.items():
+        for j, key in enumerate(self.key_counts):
             bit = 1 << j
             outputs = set()
             for s, k in enumerate(key):
@@ -119,14 +150,26 @@ class ReachGraph:
         for s in range(len(p.states)):
             masks[presence(p, s)] = present[s]
             masks[singleton(p, s)] = single[s]
-        return masks, members
+        return masks
+
+    @cached_property
+    def key_members(self) -> list[list[int]]:
+        """The nodes of every key, in increasing order."""
+        members: list[list[int]] = [[] for _ in self.key_counts]
+        for v, j in enumerate(self.keys):
+            members[j].append(v)
+        return members
+
+    def key_set(self, phi: Formula) -> int:
+        """The keys that satisfy phi, as an int over the keys: phi is
+        evaluated once, bit-parallel."""
+        return evaluate(phi, self.key_masks) & ((1 << len(self.key_counts)) - 1)
 
     def sat(self, phi: Formula) -> set[int]:
-        """Nodes whose configuration satisfies phi: phi is evaluated once,
-        bit-parallel over the keys, and the nodes of its true keys are
-        collected."""
-        masks, members = self.key_masks
-        hit = evaluate(phi, masks) & ((1 << len(members)) - 1)
+        """Nodes whose configuration satisfies phi: the nodes of the keys
+        of `key_set`."""
+        hit = self.key_set(phi)
+        members = self.key_members
         nodes: set[int] = set()
         while hit:
             low = hit & -hit
@@ -134,39 +177,102 @@ class ReachGraph:
             hit ^= low
         return nodes
 
+    def node_bits(self, rows: list[int]) -> list[int]:
+        """Per node, the query bits of a batch of key sets: bit q is set at
+        node v iff v's key is in rows[q], an int over the keys."""
+        per_key = _by_key(rows, len(self.key_counts))
+        return [per_key[j] for j in self.keys]
+
     def backward_reach(
-        self, seed: set[int], blocked: frozenset[int] | set[int] = frozenset()
-    ) -> set[int]:
-        """Nodes that can reach the seed set (seed included) through nodes
-        outside `blocked`; a blocked node is never added."""
-        pred = self.pred
-        seen = set(seed)
-        work = deque(seed)
-        while work:
-            v = work.popleft()
-            for u in pred[v]:
-                if u not in seen and u not in blocked:
-                    seen.add(u)
-                    work.append(u)
-        return seen
+        self, seed: list[int], blocked: list[int] | None = None, deadline: float | None = None
+    ) -> list[int]:
+        """A batch of backward closures, one per bit.  Bit q of the result
+        at v is set iff some path from v, v included, reaches a node with
+        bit q of `seed` through nodes without bit q of `blocked` (per-node
+        ints; no bit is blocked when it is None): a seed node is always in,
+        and a blocked one only as a seed.
 
-    def box_set(self, sat: set[int]) -> set[int]:
-        """Nodes from which every reachable node lies in `sat`."""
-        bad = set(range(self.size)) - sat
-        return set(range(self.size)) - self.backward_reach(bad)
+        The components are visited once, sinks first, so every successor
+        outside a component is final when it is reached.  A component in
+        which no node blocks a bit is strongly connected for every bit, so
+        all its nodes share one answer: the OR of its seeds and of its
+        successors' results.  Only inside a component that some node
+        blocks is the closure run node by node.  With a `deadline`,
+        ExplorationLimitError is raised once it has passed, tested at the
+        first component and every 256 after it."""
+        comp, members = self.condensation
+        links = self.links
+        res = [0] * len(links)
+        for cid, group in enumerate(members):
+            if deadline is not None and not cid & 255:
+                _in_time(deadline)
+            # the nodes of this component still read 0, so successors inside
+            # it add nothing
+            if len(group) == 1:
+                v = group[0]
+                acc = 0
+                for u in links[v]:
+                    acc |= res[u]
+                if blocked is not None:
+                    acc &= ~blocked[v]
+                res[v] = seed[v] | acc
+            elif blocked is not None and any(blocked[v] for v in group):
+                preds: dict[int, list[int]] = {v: [] for v in group}
+                for v in group:
+                    acc = 0
+                    for u in links[v]:
+                        if comp[u] == cid:
+                            preds[u].append(v)
+                        else:
+                            acc |= res[u]
+                    res[v] = seed[v] | acc & ~blocked[v]
+                work = [v for v in group if res[v]]
+                while work:
+                    v = work.pop()
+                    for u in preds[v]:
+                        grown = res[u] | res[v] & ~blocked[u]
+                        if grown != res[u]:
+                            res[u] = grown
+                            work.append(u)
+            else:
+                acc = 0
+                for v in group:
+                    acc |= seed[v]
+                    for u in links[v]:
+                        acc |= res[u]
+                for v in group:
+                    res[v] = acc
+        return res
 
-    def almost_sure_reach(self, target: set[int]) -> set[int]:
-        """Nodes whose runs hit the target with probability one.
+    def box_set(
+        self, sat: list[int], queries: int, deadline: float | None = None
+    ) -> list[int]:
+        """Per node, bit q set iff every node reachable from it has bit q of
+        `sat`, for `queries` bits."""
+        full = (1 << queries) - 1
+        return _flip(self.backward_reach([full & ~s for s in sat], None, deadline), full)
+
+    def almost_sure_reach(
+        self, target: list[int], queries: int, deadline: float | None = None
+    ) -> list[int]:
+        """Per node, bit q set iff its runs hit the nodes with bit q of
+        `target` with probability one, for `queries` bits.
 
         The target is made absorbing first: a run counts as soon as it
         touches the target, whatever happens afterwards.  On the cut chain
         the criterion is "no reachable node misses the target"."""
-        tgt = set(target)
-        everything = set(range(self.size))
+        full = (1 << queries) - 1
+        cannot = _flip(self.backward_reach(target, None, deadline), full)
         # on the cut chain a target node has no outgoing edge: it only ever
         # seeds the first closure and is never passed through by the second
-        cannot = everything - self.backward_reach(tgt)
-        return everything - self.backward_reach(cannot, blocked=tgt)
+        return _flip(self.backward_reach(cannot, target, deadline), full)
+
+
+def _flip(bits: list[int], full: int) -> list[int]:
+    """Complement every node's bits within `full`, in place."""
+    for v, b in enumerate(bits):
+        bits[v] = full ^ b
+    return bits
 
 
 def explore(
@@ -188,10 +294,13 @@ def explore(
     The BFS runs on codes: a count vector is a big-endian number whose base
     is the largest root size plus one, so codes order as their count
     vectors, and a rule moves a code by a fixed delta (`MoveTable.coded`).
-    A node's successors are those of `coded_weights` in increasing code
-    order, the order of their Configurations, each with its integer weight;
-    the node's row denominator is (n^2 - n) * L.  The Configurations are
-    made once per node, at the end."""
+    Each node's counts are clipped at 2 once, into its key; the heads with
+    an agent pair under that key are found once per key, and a node's
+    successors are those of `coded_weights` over those heads, in
+    increasing code order, the order of their Configurations, each with its
+    integer weight; the node's row denominator is (n^2 - n) * L.  The
+    Configurations are made once per node, at the end, and the graph keeps
+    the keys."""
     if isinstance(roots, Configuration):
         roots = [roots]
     for c in roots:
@@ -200,6 +309,9 @@ def explore(
     width = len(p.states)
     base = max((c.size for c in roots), default=0) + 1
     heads = p.moves.coded(base, width)
+    clip = (0, 1) + (2,) * (base - 2)
+    # a head (a, b) has an agent pair under a key iff key[a] * key[b] >= m
+    pairing = [(h, h[0], h[1], 4 if h[0] == h[1] else 1) for h in heads]
     big = p.moves.lcm
     ids: dict[int, int] = {}
     order: list[int] = []
@@ -214,18 +326,26 @@ def explore(
             per_size[c.size] = per_size.get(c.size, 0) + 1
         root_ids.append(i)
     dens = {n: (n * n - n) * big for n in per_size}
+    key_ids: dict[tuple[int, ...], int] = {}
+    key_heads: list[tuple] = []
+    keys: list[int] = []
     counts: list[tuple[int, ...]] = []
     den: list[int] = []
     succ: list[list[tuple[int, int]]] = []
     # nodes are numbered in the order they are queued, so the BFS visits
     # them by number
     for code in order:
-        if deadline is not None and not len(succ) & 255 and time.monotonic() >= deadline:
-            raise ExplorationLimitError("timeout exceeded")
+        if deadline is not None and not len(succ) & 255:
+            _in_time(deadline)
         c = decode(code, base, width)
+        key = tuple(map(clip.__getitem__, c))
+        j = key_ids.get(key)
+        if j is None:
+            j = key_ids[key] = len(key_heads)
+            key_heads.append(tuple(h for h, a, b, m in pairing if key[a] * key[b] >= m))
         n = sum(c)
         outs = []
-        for s, w in sorted(coded_weights(heads, c, code).items()):
+        for s, w in sorted(coded_weights(key_heads[j], c, code).items()):
             u = ids.get(s)
             if u is None:
                 if per_size[n] >= cap:
@@ -234,10 +354,21 @@ def explore(
                 u = ids[s] = len(order)
                 order.append(s)
             outs.append((u, w))
+        keys.append(j)
         counts.append(c)
         den.append(dens[n])
         succ.append(outs)
-    return ReachGraph(p, [Configuration(c) for c in counts], succ, den, root_ids)
+    key_counts = list(key_ids)
+    del ids, order, key_ids, key_heads
+    return ReachGraph(p, [Configuration(c) for c in counts], succ, den, root_ids, keys, key_counts)
+
+
+def _marks(g: ReachGraph, nodes: set[int]) -> list[int]:
+    """One query over the graph: bit 0 set at the given nodes."""
+    bits = [0] * g.size
+    for v in nodes:
+        bits[v] = 1
+    return bits
 
 
 def holds_box(g: ReachGraph, phi: Formula) -> bool:
@@ -249,15 +380,16 @@ def holds_diamond_as(g: ReachGraph, target: set[int]) -> bool:
     """True iff runs from the exploration roots hit the target almost surely
     (on the finite chain: no target-avoiding path may escape to a region
     from which the target is unreachable)."""
-    good = g.almost_sure_reach(target)
-    return all(r in good for r in g.roots)
+    good = g.almost_sure_reach(_marks(g, target), 1)
+    return all(good[r] for r in g.roots)
 
 
 def stable_set(g: ReachGraph) -> set[int]:
-    """Nodes from which all reachable configurations agree on one output."""
-    sat0 = g.sat(atom(out_atom(0)))
-    sat1 = g.sat(atom(out_atom(1)))
-    return g.box_set(sat0) | g.box_set(sat1)
+    """Nodes from which all reachable configurations agree on one output:
+    one pass, whose two queries are "always Out_0" and "always Out_1"."""
+    masks = g.key_masks
+    sat = g.node_bits([masks[out_atom(0)], masks[out_atom(1)]])
+    return {v for v, bits in enumerate(g.box_set(sat, 2)) if bits}
 
 
 # ---------------------------------------------------------------------------
@@ -284,31 +416,40 @@ def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
     `_exact_block`, and one Fraction per node is made at the end.  The
     expectation of a node from which the target is not almost surely
     reached diverges: such a node gets None, and a root among them is an
-    error."""
-    tgt = set(target)
-    good = g.almost_sure_reach(tgt)
-    if not all(r in good for r in g.roots):
+    error.
+
+    The region and the blocks come from the chain's condensation.  A
+    component without target nodes lies wholly inside or outside the
+    region and is a block of its own; only a component that the target
+    splits, which a forward-closed target such as the stable set never
+    does, is condensed again, without its target nodes."""
+    mark = _marks(g, target)
+    good = g.almost_sure_reach(mark, 1)
+    if not all(good[r] for r in g.roots):
         raise ValueError("target not almost surely reachable; expectation diverges")
     expect: list = [None] * g.size
-    for v in tgt:
+    for v in target:
         expect[v] = (0, 1)
-    plain = [
-        [] if v in tgt or v not in good else [u for u, _ in outs]
-        for v, outs in enumerate(g.succ)
-    ]
-    _, members = scc_condensation(plain)
+    links = g.links
     # members[] is produced in reverse topological order already, so every
     # successor outside a block is solved before the block
-    for group in members:
-        todo = [v for v in group if v in good and v not in tgt]
-        if not todo:
-            continue
-        if len(todo) == 1:
-            solved = [_exact_node(g, todo[0], expect)]
+    for group in g.condensation[1]:
+        todo = [v for v in group if good[v] and not mark[v]]
+        if len(todo) == len(group):
+            blocks = [todo]
+        elif todo:
+            pos = {v: i for i, v in enumerate(todo)}
+            inner = [[pos[u] for u in links[v] if u in pos] for v in todo]
+            blocks = [[todo[i] for i in block] for block in scc_condensation(inner)[1]]
         else:
-            solved = _exact_block(g, todo, expect)
-        for v, e in zip(todo, solved):
-            expect[v] = e
+            continue
+        for block in blocks:
+            if len(block) == 1:
+                solved = [_exact_node(g, block[0], expect)]
+            else:
+                solved = _exact_block(g, block, expect)
+            for v, e in zip(block, solved):
+                expect[v] = e
     return [None if e is None else Fraction(*e) for e in expect]
 
 
@@ -451,15 +592,36 @@ def _compositions(n: int, k: int):
             yield (head,) + rest
 
 
-def persist_formula(p: PopulationProtocol, stage: Stage) -> Formula:
-    """What a stage requires from now on: pi and the disabled heads."""
-    return conj([valuation_formula(stage.pi), heads_formula(p, stage.disabled)])
+def stage_denotation(
+    g: ReachGraph, stages: list[Stage], deadline: float | None = None
+) -> list[int]:
+    """Per node, bit i set iff the node is in [[stages[i]]]: it satisfies
+    Phi now, and pi plus the disabled heads from now on (evaluated over the
+    finite closure).
 
+    Every set here is an int over the keys.  Phi is evaluated on its
+    formula.  The persist set of (pi, T) is the AND of pi's literal masks
+    and, for each head of T, the negation of the AND of its `not_xi` pair.
+    One `box_set` pass answers the persist sets of all the stages."""
+    masks = g.key_masks
+    full = (1 << len(g.key_counts)) - 1
+    var = {literal(a): m for a, m in masks.items() if a.kind != OUT}
 
-def stage_denotation(g: ReachGraph, stage: Stage, p: PopulationProtocol) -> set[int]:
-    """Nodes in [[S]]: satisfy Phi now, and pi plus the disabled heads from
-    now on (evaluated over the finite closure)."""
-    return g.sat(stage.phi) & g.box_set(g.sat(persist_formula(p, stage)))
+    def lit(x: int) -> int:
+        return var[x] if x > 0 else ~var[-x]
+
+    persist = []
+    for s in stages:
+        m = full
+        for a, value in s.pi.items():
+            m &= masks[a] if value else ~masks[a]
+        for h in s.disabled:
+            x, y = not_xi(h)
+            m &= ~(lit(x) & lit(y))
+        persist.append(m & full)
+    box = g.box_set(g.node_bits(persist), len(stages), deadline)
+    now = g.node_bits([g.key_set(s.phi) for s in stages])
+    return [a & b for a, b in zip(now, box)]
 
 
 def stage_triple(s: Stage) -> tuple:
@@ -478,46 +640,70 @@ def check_stage_graph(
     The initial configurations of all sizes are the roots of one chain,
     explored with the cap counted per size.  No step changes the size, so
     every closure on that chain is the union of the closures of the chains
-    per size, and the answers are theirs.  The key masks are built once,
-    each distinct stage triple is denoted once, and the progress check runs
-    once per distinct pair of a triple and its children's triples.
-    Violations are reported by size, initial membership before progress,
-    then in stage order, configurations in chain order.
+    per size, and the answers are theirs.  Each distinct stage triple is
+    one query of one denotation pass, and each distinct pair of a triple
+    and its children's triples is one query of one almost-sure pass; both
+    run over the chain's condensation.  Violations are reported by size,
+    initial membership before progress, then in stage order, configurations
+    in chain order.
 
     With a `timeout` in seconds, ExplorationLimitError is raised once it
-    has passed; the exploration tests it every 256 nodes, the check before
-    each denotation and each progress check."""
+    has passed; the exploration tests it every 256 nodes, and each pass
+    every 256 components from its first."""
     deadline = None if timeout is None else time.monotonic() + timeout
-
-    def in_time() -> None:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise ExplorationLimitError("timeout exceeded")
-
     roots = [c for n in range(2, max_n + 1) for c in initial_configurations(p, n)]
     if not roots:
         return []
     g = explore(p, roots, deadline=deadline)
     ids: dict[tuple, int] = {}
-    tri = [ids.setdefault(stage_triple(s), len(ids)) for s in sg.stages]
-    denote: dict[int, set[int]] = {}
-    for s, t in zip(sg.stages, tri):
-        if t not in denote:
-            in_time()
-            denote[t] = stage_denotation(g, s, p)
-    root_den = denote[tri[sg.root]]
+    first: dict[int, Stage] = {}
+    tri = []
+    for s in sg.stages:
+        t = ids.setdefault(stage_triple(s), len(ids))
+        first.setdefault(t, s)
+        tri.append(t)
+    denote = stage_denotation(g, list(first.values()), deadline)
+    r = tri[sg.root]
     # (size, condition, stage id, node) of every violation; a stage's id is
     # its position in sg.stages
-    found = [(g.nodes[i].size, 0, sg.root, i) for i in g.roots if i not in root_den]
-    stuck: dict[tuple[int, frozenset[int]], set[int]] = {}
+    found = [(g.nodes[i].size, 0, sg.root, i) for i in g.roots if not denote[i] >> r & 1]
+    # progress: query k asks whether the nodes of triple t reach the union
+    # of the triples in the bit mask `kids` almost surely
+    pairs: dict[tuple[int, int], int] = {}
+    asked = []
     for s, t in zip(sg.stages, tri):
-        if not s.children:
-            continue
-        key = (t, frozenset(tri[cid] for cid in s.children))
-        if key not in stuck:
-            in_time()
-            target = set().union(*(denote[kid] for kid in key[1]))
-            stuck[key] = denote[t] - g.almost_sure_reach(target)
-        found += [(g.nodes[i].size, 1, s.id, i) for i in stuck[key]]
+        if s.children:
+            kids = 0
+            for cid in s.children:
+                kids |= 1 << tri[cid]
+            asked.append((s.id, pairs.setdefault((t, kids), len(pairs))))
+    if pairs:
+        # a node's target and member bits depend only on its denotation
+        # bits, which few distinct ints make up
+        bits_of: dict[int, tuple[int, int]] = {}
+        target = []
+        member = []
+        for d in denote:
+            tm = bits_of.get(d)
+            if tm is None:
+                tb = mb = 0
+                for k, (t, kids) in enumerate(pairs):
+                    if d & kids:
+                        tb |= 1 << k
+                    if d >> t & 1:
+                        mb |= 1 << k
+                tm = bits_of[d] = (tb, mb)
+            target.append(tm[0])
+            member.append(tm[1])
+        good = g.almost_sure_reach(target, len(pairs), deadline)
+        stuck: list[list[int]] = [[] for _ in pairs]
+        for v, (mb, ok) in enumerate(zip(member, good)):
+            bad = mb & ~ok
+            while bad:
+                low = bad & -bad
+                stuck[low.bit_length() - 1].append(v)
+                bad ^= low
+        found += [(g.nodes[i].size, 1, sid, i) for sid, k in asked for i in stuck[k]]
     return [
         Violation(n, ("initial-membership", "progress")[k], sid, g.nodes[i])
         for n, k, sid, i in sorted(found)

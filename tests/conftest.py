@@ -11,8 +11,10 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def corpus_graphs(corpus):
-    """Stage trees for the whole bundled corpus, built once per session."""
-    return {e.name: build_stage_graph(e.protocol()) for e in corpus}
+    """Stage trees for the whole bundled corpus, built once per session.
+    The largest has 225 stages and each takes well under a second, so a
+    build that breaks either limit fails the tests instead of hanging them."""
+    return {e.name: build_stage_graph(e.protocol(), max_stages=1000, timeout=60) for e in corpus}
 
 
 @pytest.fixture(scope="session")

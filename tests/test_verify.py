@@ -33,9 +33,16 @@ from stagebound.logic import (
     presence,
     singleton,
 )
-from stagebound.protocol import PopulationProtocol, decode, encode
+from stagebound.protocol import PopulationProtocol, coded_weights, decode, encode
 from stagebound.stagegraph import Stage, StageGraph, scc_condensation
 from stagebound import verify as V
+from oracle_reference import (
+    reference_almost_sure_reach,
+    reference_backward_reach,
+    reference_box_set,
+    reference_expected_steps_plain,
+    reference_stage_denotation,
+)
 from test_stagegraph import small_protocols
 
 P1 = parse_protocol(majority_four_state())
@@ -118,7 +125,7 @@ def test_sat_clipped_key_matches_counts():
     # presence, singleton or Out_x atom
     g = V.explore(P2, V.initial_configurations(P2, 8))
     assert max(max(c.counts) for c in g.nodes) >= 3
-    assert len(g.key_masks[1]) < g.size  # some nodes share a key
+    assert len(g.key_counts) < g.size  # some nodes share a key
     for s in range(len(P2.states)):
         assert g.sat(atom(presence(P2, s))) == {
             i for i, c in enumerate(g.nodes) if c.counts[s] > 0
@@ -132,6 +139,38 @@ def test_sat_clipped_key_matches_counts():
             for i, c in enumerate(g.nodes)
             if all(P2.output(s) == x for s, k in enumerate(c.counts) if k)
         }
+
+
+def assert_keys_and_rows(p, g):
+    """explore's key of every node is its count vector clipped at 2, keys
+    are numbered as first met, and every row is `coded_weights` over the
+    whole move table in increasing code order."""
+    width = len(p.states)
+    base = max(c.size for c in g.nodes) + 1
+    heads = p.moves.coded(base, width)
+    assert list(dict.fromkeys(g.keys)) == list(range(len(g.key_counts)))
+    codes = [encode(c.counts, base) for c in g.nodes]
+    for v, c in enumerate(g.nodes):
+        assert g.key_counts[g.keys[v]] == tuple(min(k, 2) for k in c.counts)
+        want = sorted(coded_weights(heads, c.counts, codes[v]).items())
+        assert [(codes[u], w) for u, w in g.succ[v]] == want
+
+
+def test_explore_keys_and_rows_on_corpus(corpus):
+    for entry in corpus:
+        p = entry.protocol()
+        g = V.explore(p, [c for n in (2, 3, 7) for c in V.initial_configurations(p, n)])
+        assert_keys_and_rows(p, g)
+
+
+def test_explore_keys_and_rows_at_large_counts():
+    # the 5,002-node broadcast chain of the hitting-time test: counts reach
+    # 5,001, far past a byte
+    p = parse_protocol(broadcast())
+    g = V.explore(p, cfg(p, t=1, f=5001))
+    assert max(max(c.counts) for c in g.nodes) >= 256
+    assert_keys_and_rows(p, g)
+    assert g.key_counts == [(1, 2), (2, 2), (2, 1), (2, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +357,72 @@ def test_scc_condensation_matches_mutual_reachability(case):
             assert comp[u] >= comp[v]
 
 
+def reaches(succ, v, seed, blocked):
+    """Whether a path from v reaches the seed set through nodes outside
+    `blocked`, the seed node itself excepted."""
+    seen = {v}
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        if x in seed:
+            return True
+        if x in blocked:
+            continue
+        for u in succ[x]:
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return False
+
+
+def as_bits(n, sets):
+    """Per node, bit q set iff the node is in sets[q]."""
+    return [sum(1 << q for q, s in enumerate(sets) if v in s) for v in range(n)]
+
+
+def of_bit(bits, q):
+    return {v for v, b in enumerate(bits) if b >> q & 1}
+
+
+@st.composite
+def digraphs_with_queries(draw):
+    """A digraph and 0..5 batched queries, each a pair of node sets.  The
+    draws give empty and overlapping sets; one more query, when the graph
+    has a component of several nodes, takes one node of it as its set and
+    the rest of it as its second set, so it splits that component."""
+    succ, _, _ = draw(digraphs_with_sets())
+    node = st.integers(0, len(succ) - 1)
+    queries = draw(st.lists(st.tuples(st.sets(node), st.sets(node)), max_size=5))
+    big = max(scc_condensation(succ)[1], key=len)
+    if len(big) > 1:
+        queries.append(({big[0]}, set(big[1:])))
+    return succ, queries
+
+
 @settings(max_examples=300, deadline=None)
-@given(digraphs_with_sets())
-def test_box_set_and_almost_sure_reach_match_definitions(case):
-    succ, sat, target = case
+@given(digraphs_with_queries())
+def test_batched_closures_match_definitions(case):
+    succ, queries = case
     n = len(succ)
+    k = len(queries)
     g = reach_graph(succ)
-    assert g.box_set(set(sat)) == {v for v in range(n) if forward(succ, v) <= sat}
-    # the target is absorbing: every node reachable on the cut chain must
-    # still be able to reach it
-    cut = [[] if v in target else outs for v, outs in enumerate(succ)]
-    reach = [forward(cut, v) for v in range(n)]
-    want = {v for v in range(n) if all(reach[w] & target for w in reach[v])}
-    assert g.almost_sure_reach(set(target)) == want
+    firsts = [a for a, _ in queries]
+    seconds = [b for _, b in queries]
+    reach = g.backward_reach(as_bits(n, firsts), as_bits(n, seconds))
+    box = g.box_set(as_bits(n, firsts), k)
+    good = g.almost_sure_reach(as_bits(n, firsts), k)
+    for q, (a, b) in enumerate(queries):
+        want = {v for v in range(n) if reaches(succ, v, a, b)}
+        assert of_bit(reach, q) == want == reference_backward_reach(g, a, b)
+        want = {v for v in range(n) if forward(succ, v) <= a}
+        assert of_bit(box, q) == want == reference_box_set(g, a)
+        # the target is absorbing: every node reachable on the cut chain
+        # must still be able to reach it
+        cut = [[] if v in a else outs for v, outs in enumerate(succ)]
+        fwd = [forward(cut, v) for v in range(n)]
+        want = {v for v in range(n) if all(fwd[w] & a for w in fwd[v])}
+        assert of_bit(good, q) == want == reference_almost_sure_reach(g, a)
+    assert all(b < 1 << k for b in reach + box + good)
 
 
 def test_stable_set_example1():
@@ -442,7 +534,7 @@ def reference_expected_steps_all(g, target):
     almost surely reached make the expectation diverge, which is reported
     as an error."""
     tgt = set(target)
-    good = g.almost_sure_reach(tgt)
+    good = reference_almost_sure_reach(g, tgt)
     if not all(r in good for r in g.roots):
         raise ValueError("target not almost surely reachable; expectation diverges")
     zero, one = Fraction(0), Fraction(1)
@@ -515,8 +607,9 @@ def assert_same_expectations(g, target):
             V.expected_steps_all(g, target)
         return None
     got = V.expected_steps_all(g, target)
-    good = g.almost_sure_reach(set(target))
+    good = reference_almost_sure_reach(g, target)
     assert got == [w if v in good else None for v, w in enumerate(want)]
+    assert got == reference_expected_steps_plain(g, target)
     assert all(type(x) is Fraction for x in got if x is not None)
     return got
 
@@ -561,6 +654,28 @@ def test_expected_steps_match_reference_on_generated_chains(case):
     succ, target = case
     g = fraction_chain(succ)
     assert_same_expectations(g, target)
+
+
+def test_expected_steps_match_plain_reference_on_split_components(corpus):
+    # the models of one atom are not forward closed, so with the stable set
+    # added, which every root reaches, they make targets that split
+    # components of the chain; the solve condenses those again
+    split = 0
+    for entry in corpus:
+        p = entry.protocol()
+        g = V.explore(p, [c for n in (4, 5) for c in V.initial_configurations(p, n)])
+        comp = g.condensation[0]
+        stable = V.stable_set(g)
+        for s in range(len(p.states)):
+            for a in (presence(p, s), singleton(p, s)):
+                target = g.sat(atom(a)) | stable
+                split += any(
+                    comp[u] == comp[v] and (u in target) != (v in target)
+                    for v, outs in enumerate(g.succ)
+                    for u, _ in outs
+                )
+                assert V.expected_steps_all(g, target) == reference_expected_steps_plain(g, target)
+    assert split > 20
 
 
 def test_expected_steps_hand_solved_block():
@@ -628,7 +743,7 @@ def reference_check_stage_graph(p, sg, max_n):
         if not inits:
             continue
         g = V.explore(p, inits)
-        denote = {s.id: V.stage_denotation(g, s, p) for s in sg.stages}
+        denote = {s.id: reference_stage_denotation(g, s, p) for s in sg.stages}
         root_den = denote[sg.root]
         for i in g.roots:
             if i not in root_den:
@@ -641,11 +756,22 @@ def reference_check_stage_graph(p, sg, max_n):
             target = set()
             for cid in s.children:
                 target |= denote[cid]
-            good = g.almost_sure_reach(target)
+            good = reference_almost_sure_reach(g, target)
             for i in sorted(denote[s.id]):
                 if i not in good:
                     violations.append(V.Violation(n, "progress", s.id, g.nodes[i]))
     return violations
+
+
+def test_stage_denotation_matches_reference_on_corpus(corpus_graphs):
+    # one batched pass over every stage of a tree, against one closure per
+    # stage
+    for sg in corpus_graphs.values():
+        p = sg.protocol
+        g = V.explore(p, [c for n in range(2, 6) for c in V.initial_configurations(p, n)])
+        got = V.stage_denotation(g, sg.stages)
+        for i, s in enumerate(sg.stages):
+            assert of_bit(got, i) == reference_stage_denotation(g, s, p)
 
 
 def test_check_stage_graph_matches_reference_on_corpus(corpus_graphs):
@@ -711,8 +837,8 @@ def test_check_stage_graph_explores_one_chain(corpus_graphs, monkeypatch):
 
 def test_check_stage_graph_spent_timeout(corpus_graphs, monkeypatch):
     # a deadline already passed stops the exploration at its first node,
-    # and, when the exploration is not bounded, the check before its first
-    # denotation; no timeout means no bound
+    # and, when the exploration is not bounded, the denotation pass at its
+    # first component; no timeout means no bound
     sg = corpus_graphs["majority-ex2"]
     with pytest.raises(V.ExplorationLimitError, match="timeout exceeded"):
         V.explore(P2, V.initial_configurations(P2, 4), deadline=time.monotonic())
@@ -724,6 +850,22 @@ def test_check_stage_graph_spent_timeout(corpus_graphs, monkeypatch):
     with pytest.raises(V.ExplorationLimitError, match="timeout exceeded"):
         V.check_stage_graph(P2, sg, 4, timeout=0)
     assert V.check_stage_graph(P2, sg, 4, timeout=None) == []
+
+
+def test_closure_passes_honour_a_spent_deadline():
+    # every batched pass tests its deadline at its first component
+    g = V.explore(P2, V.initial_configurations(P2, 5))
+    spent = time.monotonic()
+    ones = [1] * g.size
+    for run in (
+        lambda: g.backward_reach(ones, None, spent),
+        lambda: g.box_set(ones, 1, spent),
+        lambda: g.almost_sure_reach(ones, 1, spent),
+        lambda: V.stage_denotation(g, build_stage_graph(P2).stages, spent),
+    ):
+        with pytest.raises(V.ExplorationLimitError, match="timeout exceeded"):
+            run()
+    assert g.box_set(ones, 1, spent + 3600) == ones
 
 
 def test_check_stage_graph_vacuous():
