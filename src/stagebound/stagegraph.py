@@ -325,14 +325,32 @@ def is_dead(g: TransformationGraph, stable: int | None) -> bool:
     return stable is None and not g.gen_edges
 
 
-def scc_condensation(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+class ExplorationLimitError(RuntimeError):
+    """The oracle's exploration cap or deadline was exceeded."""
+
+
+def in_time(deadline: float | None) -> None:
+    """Raise ExplorationLimitError once `time.monotonic()` has passed the
+    deadline; no deadline never expires."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise ExplorationLimitError("timeout exceeded")
+
+
+def scc_condensation(
+    succ: list[list[int]], deadline: float | None = None
+) -> tuple[list[int], list[list[int]]]:
     """Iterative Tarjan over nodes 0..len(succ)-1; returns (component id per
     node, members per id).  Ids come in reverse topological order: every
-    edge between two components goes from the higher id to the lower one."""
+    edge between two components goes from the higher id to the lower one.
+
+    Each frame of the search keeps an iterator over its node's successors,
+    so a frame resumed after a child scans on from that child.  A numbered
+    node without a component is on the stack.  With a `deadline`,
+    ExplorationLimitError is raised once it has passed, tested at the first
+    node numbered and every 256 after it."""
     n = len(succ)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     comp = [-1] * n
     members: list[list[int]] = []
@@ -340,41 +358,42 @@ def scc_condensation(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        if deadline is not None and not counter & 255:
+            in_time(deadline)
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
+            v, it = work[-1]
+            for w in it:
                 if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    if deadline is not None and not counter & 255:
+                        in_time(deadline)
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                cid = len(members)
-                group = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = cid
-                    group.append(w)
-                    if w == v:
-                        break
-                members.append(group)
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                lv = low[v]
+                if lv == index[v]:
+                    cid = len(members)
+                    group = []
+                    while True:
+                        w = stack.pop()
+                        comp[w] = cid
+                        group.append(w)
+                        if w == v:
+                            break
+                    members.append(group)
+                elif lv < low[work[-1][0]]:
+                    # a node that does not close a component is not a root,
+                    # so its parent frame is there
+                    low[work[-1][0]] = lv
     return comp, members
 
 
@@ -421,24 +440,31 @@ def compute_j(
         # once per round.  A rule producing E re-enables {E,F} when E was
         # absent and F present, and {E,E} when E held exactly one agent, so
         # each goal is the negation of that guard or xi of the rule's head.
-        # A rule that consumes E cannot re-enable {E,E}.
+        # A rule that consumes E cannot re-enable {E,E}.  A produced
+        # state's guard is closed into the base once, when a rule first
+        # needs it, as a guarded base pair; a goal holds under it iff
+        # closing in the goal's negation, `not_xi` of the rule's head,
+        # leaves some atom both true and false (as in `is_tautology`).
         e, f = ef
         if e == f:
-            not_guards = [(e, (-single(e),))]
+            guards = {e: (single(e),)}
         else:
-            not_guards = [(e, (present(e), -present(f))), (f, (present(f), -present(e)))]
+            guards = {e: (-present(e), present(f)), f: (-present(f), present(e))}
+        close = base.graph.close
+        guarded: dict[int, tuple[int, int] | None] = {}
         for t in g.gen_edges:
             if t.lhs in m:
                 continue
-            goal = xi_clause(t.lhs)
             if t.rhs == ef:
-                if not is_tautology(goal, base):
+                if not is_tautology(xi_clause(t.lhs), base):
                     return False
                 continue
-            for prod, not_guard in not_guards:
+            for prod, guard in guards.items():
                 if prod not in t.rhs or (e == f and e in t.lhs):
                     continue
-                if not is_tautology(not_guard + goal, base):
+                if prod not in guarded:
+                    guarded[prod] = close(guard, base.base)
+                if close(not_xi(t.lhs), guarded[prod]) is not None:
                     return False
         return True
 

@@ -41,23 +41,13 @@ from .logic import (
 from .protocol import (
     Configuration,
     PopulationProtocol,
-    coded_weights,
     decode,
     encode,
     head_pairs,
     initial_configuration,
     step_distribution,  # noqa: F401  (perfbench/tracing.py wraps it here)
 )
-from .stagegraph import Stage, StageGraph, scc_condensation
-
-
-class ExplorationLimitError(RuntimeError):
-    pass
-
-
-def _in_time(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() >= deadline:
-        raise ExplorationLimitError("timeout exceeded")
+from .stagegraph import ExplorationLimitError, Stage, StageGraph, in_time, scc_condensation
 
 
 def _by_key(rows: list[int], width: int) -> list[int]:
@@ -79,53 +69,60 @@ def _by_key(rows: list[int], width: int) -> list[int]:
 class ReachGraph:
     """Finite chain over the configurations reachable from the roots.
 
+    Node v is the configuration whose count vector is `counts[v]`; the
+    Configurations themselves (`nodes`) are made on first use.
     Transitions are integers: `succ[v]` lists v's successors u with weights
     w, and P(v, u) = w / den[v]; a row's weights sum to its denominator.
+    `links[v]` is the same row without its weights.
 
     Formulas are evaluated on keys, not on nodes: a node's key is its count
     vector clipped at 2, which fixes every presence, singleton and Out_x
     atom.  `keys[v]` is the number of node v's key and `key_counts[j]` the
-    key numbered j, keys being numbered as first met in node order;
-    `explore` fills both as it clips each node once, and a graph built
-    without them clips its nodes here.  The graph keeps, per atom, one int
-    whose bit j is the atom's value at key j (`key_masks`)."""
+    key numbered j, keys being numbered as first met in node order.
+    `explore` fills `links`, `keys` and `key_counts` as it goes; a graph
+    built without them derives them here.  The graph keeps, per atom, one
+    int whose bit j is the atom's value at key j (`key_masks`)."""
 
     protocol: PopulationProtocol
-    nodes: list[Configuration]
+    counts: list[tuple[int, ...]]
     succ: list[list[tuple[int, int]]]
     den: list[int]
     roots: list[int]
     keys: list[int] | None = None
     key_counts: list[tuple[int, ...]] | None = None
+    links: list[list[int]] | None = None
 
     def __post_init__(self) -> None:
         if self.keys is None:
             ids: dict[tuple[int, ...], int] = {}
-            self.keys = [
-                ids.setdefault(tuple(min(k, 2) for k in c.counts), len(ids)) for c in self.nodes
-            ]
+            self.keys = [ids.setdefault(tuple(min(k, 2) for k in c), len(ids)) for c in self.counts]
             self.key_counts = list(ids)
+        if self.links is None:
+            self.links = [[u for u, _ in outs] for outs in self.succ]
+        self._components: tuple[list[int], list[list[int]]] | None = None
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        return len(self.succ)
+
+    @cached_property
+    def nodes(self) -> list[Configuration]:
+        """The configuration of every node, made on first use."""
+        return [Configuration(c) for c in self.counts]
 
     @cached_property
     def index(self) -> dict[Configuration, int]:
         """The node number of every configuration, built on first use."""
         return {c: i for i, c in enumerate(self.nodes)}
 
-    @cached_property
-    def links(self) -> list[list[int]]:
-        """The successors of every node, without weights."""
-        return [[u for u, _ in outs] for outs in self.succ]
-
-    @cached_property
-    def condensation(self) -> tuple[list[int], list[list[int]]]:
+    def condensation(self, deadline: float | None = None) -> tuple[list[int], list[list[int]]]:
         """The chain's strongly connected components, built once per graph:
         the component of every node and the members of every component,
-        numbered in reverse topological order (`scc_condensation`)."""
-        return scc_condensation(self.links)
+        numbered in reverse topological order (`scc_condensation`).  The
+        `deadline` bounds the build, on the call that makes it."""
+        if self._components is None:
+            self._components = scc_condensation(self.links, deadline)
+        return self._components
 
     @cached_property
     def key_masks(self) -> dict[Atom, int]:
@@ -198,14 +195,15 @@ class ReachGraph:
         all its nodes share one answer: the OR of its seeds and of its
         successors' results.  Only inside a component that some node
         blocks is the closure run node by node.  With a `deadline`,
-        ExplorationLimitError is raised once it has passed, tested at the
-        first component and every 256 after it."""
-        comp, members = self.condensation
+        ExplorationLimitError is raised once it has passed, tested while the
+        condensation is built and at the first component and every 256
+        after it."""
+        comp, members = self.condensation(deadline)
         links = self.links
         res = [0] * len(links)
         for cid, group in enumerate(members):
             if deadline is not None and not cid & 255:
-                _in_time(deadline)
+                in_time(deadline)
             # the nodes of this component still read 0, so successors inside
             # it add nothing
             if len(group) == 1:
@@ -294,13 +292,18 @@ def explore(
     The BFS runs on codes: a count vector is a big-endian number whose base
     is the largest root size plus one, so codes order as their count
     vectors, and a rule moves a code by a fixed delta (`MoveTable.coded`).
-    Each node's counts are clipped at 2 once, into its key; the heads with
-    an agent pair under that key are found once per key, and a node's
-    successors are those of `coded_weights` over those heads, in
-    increasing code order, the order of their Configurations, each with its
-    integer weight; the node's row denominator is (n^2 - n) * L.  The
-    Configurations are made once per node, at the end, and the graph keeps
-    the keys."""
+    A node's counts are clipped at 2 into its key.  The first time a key is
+    met its rows are built: one (delta, a, b, e, k) per rule of each head
+    (a, b) with an agent pair under the key, found from the heads of the
+    key's present states, sorted by delta.  At counts c the rule's weight
+    is c[a] * (c[b] - e) * k, with e = 1 and k the head's multiplier when
+    a = b, else e = 0 and k twice it: the number of ordered agent pairs on
+    the head times its multiplier.  So a node's successors come in
+    increasing code order, the order of their Configurations, and rules
+    with one successor sit next to each other, where their weights add up;
+    the node's row denominator is (n^2 - n) * L.  The graph keeps the
+    counts, the keys and the successor lists without weights, all filled
+    as the BFS goes."""
     if isinstance(roots, Configuration):
         roots = [roots]
     for c in roots:
@@ -308,10 +311,13 @@ def explore(
             raise ValueError("configurations need at least two agents")
     width = len(p.states)
     base = max((c.size for c in roots), default=0) + 1
-    heads = p.moves.coded(base, width)
     clip = (0, 1) + (2,) * (base - 2)
-    # a head (a, b) has an agent pair under a key iff key[a] * key[b] >= m
-    pairing = [(h, h[0], h[1], 4 if h[0] == h[1] else 1) for h in heads]
+    # per state a, its heads (a, b): b, e and the head's rows, made once
+    # and shared by the rows of every key
+    own: list[list[tuple]] = [[] for _ in range(width)]
+    for a, b, mult, deltas in p.moves.coded(base, width):
+        e, k = (1, mult) if a == b else (0, 2 * mult)
+        own[a].append((b, e, tuple((d, a, b, e, k) for d in deltas)))
     big = p.moves.lcm
     ids: dict[int, int] = {}
     order: list[int] = []
@@ -327,25 +333,47 @@ def explore(
         root_ids.append(i)
     dens = {n: (n * n - n) * big for n in per_size}
     key_ids: dict[tuple[int, ...], int] = {}
-    key_heads: list[tuple] = []
+    key_rows: list[list[tuple[int, int, int, int, int]]] = []
     keys: list[int] = []
     counts: list[tuple[int, ...]] = []
     den: list[int] = []
     succ: list[list[tuple[int, int]]] = []
+    links: list[list[int]] = []
+    places = range(width - 1, -1, -1)
     # nodes are numbered in the order they are queued, so the BFS visits
     # them by number
-    for code in order:
-        if deadline is not None and not len(succ) & 255:
-            _in_time(deadline)
-        c = decode(code, base, width)
+    for v, code in enumerate(order):
+        if deadline is not None and not v & 255:
+            in_time(deadline)
+        c = [0] * width
+        x = code
+        for s in places:
+            x, c[s] = divmod(x, base)
         key = tuple(map(clip.__getitem__, c))
         j = key_ids.get(key)
         if j is None:
-            j = key_ids[key] = len(key_heads)
-            key_heads.append(tuple(h for h, a, b, m in pairing if key[a] * key[b] >= m))
+            j = key_ids[key] = len(key_rows)
+            # a head (a, b) has an agent pair under the key iff key[a] > 0
+            # and key[b] > e
+            key_rows.append(sorted(
+                row
+                for a in range(width)
+                if key[a]
+                for b, e, rows in own[a]
+                if key[b] > e
+                for row in rows
+            ))
         n = sum(c)
         outs = []
-        for s, w in sorted(coded_weights(key_heads[j], c, code).items()):
+        weights = []
+        last = None
+        for d, a, b, e, k in key_rows[j]:
+            w = c[a] * (c[b] - e) * k
+            if d == last:
+                weights[-1] += w
+                continue
+            last = d
+            s = code + d
             u = ids.get(s)
             if u is None:
                 if per_size[n] >= cap:
@@ -353,14 +381,16 @@ def explore(
                 per_size[n] += 1
                 u = ids[s] = len(order)
                 order.append(s)
-            outs.append((u, w))
+            outs.append(u)
+            weights.append(w)
         keys.append(j)
-        counts.append(c)
+        counts.append(tuple(c))
         den.append(dens[n])
-        succ.append(outs)
+        succ.append(list(zip(outs, weights)))
+        links.append(outs)
     key_counts = list(key_ids)
-    del ids, order, key_ids, key_heads
-    return ReachGraph(p, [Configuration(c) for c in counts], succ, den, root_ids, keys, key_counts)
+    del ids, order, key_ids, key_rows
+    return ReachGraph(p, counts, succ, den, root_ids, keys, key_counts, links)
 
 
 def _marks(g: ReachGraph, nodes: set[int]) -> list[int]:
@@ -433,7 +463,7 @@ def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
     links = g.links
     # members[] is produced in reverse topological order already, so every
     # successor outside a block is solved before the block
-    for group in g.condensation[1]:
+    for group in g.condensation()[1]:
         todo = [v for v in group if good[v] and not mark[v]]
         if len(todo) == len(group):
             blocks = [todo]
@@ -601,8 +631,9 @@ def stage_denotation(
 
     Every set here is an int over the keys.  Phi is evaluated on its
     formula.  The persist set of (pi, T) is the AND of pi's literal masks
-    and, for each head of T, the negation of the AND of its `not_xi` pair.
-    One `box_set` pass answers the persist sets of all the stages."""
+    and, for each head of T, the negation of the AND of its `not_xi` pair,
+    made once per distinct head.  One `box_set` pass answers the persist
+    sets of all the stages."""
     masks = g.key_masks
     full = (1 << len(g.key_counts)) - 1
     var = {literal(a): m for a, m in masks.items() if a.kind != OUT}
@@ -610,14 +641,18 @@ def stage_denotation(
     def lit(x: int) -> int:
         return var[x] if x > 0 else ~var[-x]
 
+    disabled: dict = {}
     persist = []
     for s in stages:
         m = full
         for a, value in s.pi.items():
             m &= masks[a] if value else ~masks[a]
         for h in s.disabled:
-            x, y = not_xi(h)
-            m &= ~(lit(x) & lit(y))
+            hm = disabled.get(h)
+            if hm is None:
+                x, y = not_xi(h)
+                hm = disabled[h] = ~(lit(x) & lit(y))
+            m &= hm
         persist.append(m & full)
     box = g.box_set(g.node_bits(persist), len(stages), deadline)
     now = g.node_bits([g.key_set(s.phi) for s in stages])
@@ -666,7 +701,7 @@ def check_stage_graph(
     r = tri[sg.root]
     # (size, condition, stage id, node) of every violation; a stage's id is
     # its position in sg.stages
-    found = [(g.nodes[i].size, 0, sg.root, i) for i in g.roots if not denote[i] >> r & 1]
+    found = [(sum(g.counts[i]), 0, sg.root, i) for i in g.roots if not denote[i] >> r & 1]
     # progress: query k asks whether the nodes of triple t reach the union
     # of the triples in the bit mask `kids` almost surely
     pairs: dict[tuple[int, int], int] = {}
@@ -703,9 +738,9 @@ def check_stage_graph(
                 low = bad & -bad
                 stuck[low.bit_length() - 1].append(v)
                 bad ^= low
-        found += [(g.nodes[i].size, 1, sid, i) for sid, k in asked for i in stuck[k]]
+        found += [(sum(g.counts[i]), 1, sid, i) for sid, k in asked for i in stuck[k]]
     return [
-        Violation(n, ("initial-membership", "progress")[k], sid, g.nodes[i])
+        Violation(n, ("initial-membership", "progress")[k], sid, Configuration(g.counts[i]))
         for n, k, sid, i in sorted(found)
     ]
 

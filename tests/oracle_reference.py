@@ -3,7 +3,10 @@ chain's condensation, kept as references for the batched passes: one
 node-by-node BFS per query over node sets, the stage denotation through
 its persist formula, and the hitting-time solve over the condensation of
 the chain with the target cut off and the nodes outside the almost-sure
-region dropped.
+region dropped.  Also the graph kernels as they were before their per-key
+rows and per-frame iterators: the exploration with one `coded_weights`
+dict per node, and Tarjan's algorithm re-scanning each frame's successors
+from a saved position.
 """
 
 from __future__ import annotations
@@ -13,7 +16,121 @@ from fractions import Fraction
 
 from stagebound import verify as V
 from stagebound.logic import conj, heads_formula, valuation_formula
+from stagebound.protocol import Configuration, coded_weights, decode, encode
 from stagebound.stagegraph import scc_condensation
+
+
+def reference_explore(p, roots, cap=200_000):
+    """The BFS closure of the roots as `V.explore` defines it, with every
+    node's successors taken from `coded_weights` over the heads that have
+    an agent pair under its key, sorted by code."""
+    if isinstance(roots, Configuration):
+        roots = [roots]
+    for c in roots:
+        if c.size < 2:
+            raise ValueError("configurations need at least two agents")
+    width = len(p.states)
+    base = max((c.size for c in roots), default=0) + 1
+    heads = p.moves.coded(base, width)
+    clip = (0, 1) + (2,) * (base - 2)
+    # a head (a, b) has an agent pair under a key iff key[a] * key[b] >= m
+    pairing = [(h, h[0], h[1], 4 if h[0] == h[1] else 1) for h in heads]
+    big = p.moves.lcm
+    ids = {}
+    order = []
+    per_size = {}
+    root_ids = []
+    for c in roots:
+        code = encode(c.counts, base)
+        i = ids.get(code)
+        if i is None:
+            i = ids[code] = len(order)
+            order.append(code)
+            per_size[c.size] = per_size.get(c.size, 0) + 1
+        root_ids.append(i)
+    dens = {n: (n * n - n) * big for n in per_size}
+    key_ids = {}
+    key_heads = []
+    keys = []
+    counts = []
+    den = []
+    succ = []
+    for code in order:
+        c = decode(code, base, width)
+        key = tuple(map(clip.__getitem__, c))
+        j = key_ids.get(key)
+        if j is None:
+            j = key_ids[key] = len(key_heads)
+            key_heads.append(tuple(h for h, a, b, m in pairing if key[a] * key[b] >= m))
+        n = sum(c)
+        outs = []
+        for s, w in sorted(coded_weights(key_heads[j], c, code).items()):
+            u = ids.get(s)
+            if u is None:
+                if per_size[n] >= cap:
+                    raise V.ExplorationLimitError(f"exploration cap {cap} exceeded")
+                per_size[n] += 1
+                u = ids[s] = len(order)
+                order.append(s)
+            outs.append((u, w))
+        keys.append(j)
+        counts.append(c)
+        den.append(dens[n])
+        succ.append(outs)
+    return V.ReachGraph(p, counts, succ, den, root_ids, keys, list(key_ids))
+
+
+def reference_scc_condensation(succ):
+    """Iterative Tarjan whose frames are (node, position) pairs: a resumed
+    frame scans its successors again from the saved position.  Returns
+    what `scc_condensation` returns."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comp = [-1] * n
+    members = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for i in range(pi, len(succ[v])):
+                w = succ[v][i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                cid = len(members)
+                group = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = cid
+                    group.append(w)
+                    if w == v:
+                        break
+                members.append(group)
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+    return comp, members
 
 
 def reference_backward_reach(g, seed, blocked=frozenset()):

@@ -64,7 +64,7 @@ def head(x, y):
 
 def holds_at(c, f):
     """Whether configuration c satisfies f, by the oracle's evaluator."""
-    return ReachGraph(P, [c], [[]], [1], [0]).sat(f) == {0}
+    return ReachGraph(P, [c.counts], [[]], [1], [0]).sat(f) == {0}
 
 
 def evaluate(f, asg):

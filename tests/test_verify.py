@@ -41,8 +41,12 @@ from oracle_reference import (
     reference_backward_reach,
     reference_box_set,
     reference_expected_steps_plain,
+    reference_explore,
+    reference_scc_condensation,
     reference_stage_denotation,
 )
+from test_protocol import random_config
+from test_protocol import shared_head_protocols as few_head_protocols
 from test_stagegraph import small_protocols
 
 P1 = parse_protocol(majority_four_state())
@@ -141,6 +145,16 @@ def test_sat_clipped_key_matches_counts():
         }
 
 
+def assert_explore_matches_reference(p, roots):
+    """explore builds the graph of `reference_explore`, field by field."""
+    got = V.explore(p, roots)
+    want = reference_explore(p, roots)
+    for name in ("counts", "succ", "den", "links", "keys", "key_counts", "roots"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.nodes == want.nodes
+    return got
+
+
 def assert_keys_and_rows(p, g):
     """explore's key of every node is its count vector clipped at 2, keys
     are numbered as first met, and every row is `coded_weights` over the
@@ -159,8 +173,10 @@ def assert_keys_and_rows(p, g):
 def test_explore_keys_and_rows_on_corpus(corpus):
     for entry in corpus:
         p = entry.protocol()
-        g = V.explore(p, [c for n in (2, 3, 7) for c in V.initial_configurations(p, n)])
+        roots = [c for n in (2, 3, 7) for c in V.initial_configurations(p, n)]
+        g = assert_explore_matches_reference(p, roots)
         assert_keys_and_rows(p, g)
+        assert g.condensation() == reference_scc_condensation(g.links)
 
 
 def test_explore_keys_and_rows_at_large_counts():
@@ -171,6 +187,34 @@ def test_explore_keys_and_rows_at_large_counts():
     assert max(max(c.counts) for c in g.nodes) >= 256
     assert_keys_and_rows(p, g)
     assert g.key_counts == [(1, 2), (2, 2), (2, 1), (2, 0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_explore_matches_reference_generated(data):
+    # roots of mixed sizes, over heads with several rules
+    p = data.draw(few_head_protocols())
+    roots = data.draw(st.lists(random_config(len(p.states)), min_size=1, max_size=4))
+    assert_explore_matches_reference(p, roots)
+
+
+def test_explore_merges_rules_with_one_successor():
+    # A B -> A C and D B -> D C move the code by the same delta, and the
+    # idle heads by 0: rows with one delta are merged into one successor
+    p = parse_protocol(
+        "protocol t\nstates: A B C D\ninputs: x -> A, y -> B, z -> D\noutput1: C\n"
+        "transitions:\n  A B -> A C\n  D B -> D C\n"
+    )
+    g = assert_explore_matches_reference(p, [cfg(p, A=1, B=1, D=1), cfg(p, A=2, B=2, D=1)])
+    # of the 6 ordered pairs of A=1 B=1 D=1, 2 + 2 turn B into C and the
+    # 2 on A D are idle
+    i = g.index[cfg(p, A=1, C=1, D=1)]
+    assert g.succ[0] == [(i, 4), (0, 2)]
+    assert g.succ[i] == [(i, 6)]
+    # of the 20 of A=2 B=2 D=1, 8 + 4 turn B into C, and the 2 on A A,
+    # the 2 on B B and the 4 on A D are idle
+    j = g.index[cfg(p, A=2, B=1, C=1, D=1)]
+    assert g.succ[1] == [(j, 12), (1, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +376,7 @@ def fraction_chain(succ):
         [(u, prob.numerator * (d // prob.denominator)) for u, prob in outs]
         for outs, d in zip(succ, den)
     ]
-    return V.ReachGraph(None, [Configuration((v,)) for v in range(len(succ))], rows, den, [0])
+    return V.ReachGraph(None, [(v,) for v in range(len(succ))], rows, den, [0])
 
 
 def reach_graph(succ):
@@ -345,6 +389,7 @@ def test_scc_condensation_matches_mutual_reachability(case):
     succ, _, _ = case
     n = len(succ)
     comp, members = scc_condensation(succ)
+    assert (comp, members) == reference_scc_condensation(succ)
     reach = [forward(succ, v) for v in range(n)]
     for u in range(n):
         for v in range(n):
@@ -355,6 +400,19 @@ def test_scc_condensation_matches_mutual_reachability(case):
     for u, outs in enumerate(succ):
         for v in outs:
             assert comp[u] >= comp[v]
+
+
+@pytest.mark.parametrize("cycle", [False, True])
+def test_scc_condensation_on_a_long_path(cycle):
+    # 50,000 nodes in one search, far deeper than the recursion limit
+    n = 50_000
+    succ = [[v + 1] for v in range(n - 1)] + [[0] if cycle else []]
+    comp, members = scc_condensation(succ)
+    assert (comp, members) == reference_scc_condensation(succ)
+    if cycle:
+        assert members == [list(range(n - 1, -1, -1))]
+    else:
+        assert members == [[v] for v in range(n - 1, -1, -1)]
 
 
 def reaches(succ, v, seed, blocked):
@@ -664,7 +722,7 @@ def test_expected_steps_match_plain_reference_on_split_components(corpus):
     for entry in corpus:
         p = entry.protocol()
         g = V.explore(p, [c for n in (4, 5) for c in V.initial_configurations(p, n)])
-        comp = g.condensation[0]
+        comp = g.condensation()[0]
         stable = V.stable_set(g)
         for s in range(len(p.states)):
             for a in (presence(p, s), singleton(p, s)):
@@ -852,9 +910,26 @@ def test_check_stage_graph_spent_timeout(corpus_graphs, monkeypatch):
     assert V.check_stage_graph(P2, sg, 4, timeout=None) == []
 
 
+def test_condensation_honours_a_spent_deadline():
+    # the condensation tests its deadline at its first node, and the first
+    # pass on a graph builds it under the pass's deadline; a build that
+    # fails leaves nothing behind
+    g = V.explore(P2, V.initial_configurations(P2, 5))
+    spent = time.monotonic()
+    for run in (
+        lambda: scc_condensation(g.links, spent),
+        lambda: g.condensation(spent),
+        lambda: g.backward_reach([1] * g.size, None, spent),
+    ):
+        with pytest.raises(V.ExplorationLimitError, match="timeout exceeded"):
+            run()
+    assert g.condensation() == reference_scc_condensation(g.links)
+
+
 def test_closure_passes_honour_a_spent_deadline():
     # every batched pass tests its deadline at its first component
     g = V.explore(P2, V.initial_configurations(P2, 5))
+    g.condensation()
     spent = time.monotonic()
     ones = [1] * g.size
     for run in (
