@@ -13,12 +13,9 @@ from .protocol import (
     PopulationProtocol,
     ProtocolError,
     Transition,
-    enabled,
-    fire,
     initial_configuration,
     parse_protocol,
     step_distribution,
-    transition_probability,
 )
 from .stagegraph import (
     Stage,
@@ -45,13 +42,10 @@ __all__ = [
     "aggregate",
     "build_stage_graph",
     "edge_bound",
-    "enabled",
-    "fire",
     "initial_configuration",
     "initial_stage",
     "parse_protocol",
     "step_distribution",
     "to_dot",
     "to_json_dict",
-    "transition_probability",
 ]

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterator
 
 # A head is an unordered pair of state indices, canonically sorted.
 Head = tuple[int, int]
+# A step-kernel row (delta, a, b, e, k); see StepKernel.
+Row = tuple[int, int, int, int, int]
 
 
 def make_head(i: int, j: int) -> Head:
@@ -67,18 +68,6 @@ class MoveTable:
     ):
         self.lcm = lcm
         self.heads = heads
-
-    def coded(self, base: int, width: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
-        """The heads with each rule as the change it makes to the code in
-        `base` of a count vector over `width` states (see `encode`): rule
-        i j -> k l adds place(k) + place(l) - place(i) - place(j), with
-        place(s) = base^(width - 1 - s), so an idle rule adds 0.  Made
-        afresh per call, since the base depends on the sizes explored."""
-        place = [base ** (width - 1 - s) for s in range(width)]
-        return tuple(
-            (a, b, mult, tuple(place[k] + place[l] - place[i] - place[j] for i, j, k, l in quads))
-            for a, b, mult, quads in self.heads
-        )
 
 
 class ProtocolError(ValueError):
@@ -171,9 +160,6 @@ class PopulationProtocol:
 
     def input_states(self) -> frozenset[int]:
         return frozenset(self.input_map.values())
-
-    def rule_count(self, head: Head) -> int:
-        return len(self.rules_by_head[head])
 
     @cached_property
     def moves(self) -> MoveTable:
@@ -391,55 +377,25 @@ def initial_configuration(
     return Configuration(tuple(counts))
 
 
-def enabled(c: Configuration, t: Transition) -> bool:
-    a, b = t.lhs
-    if a == b:
-        return c.counts[a] >= 2
-    return c.counts[a] >= 1 and c.counts[b] >= 1
-
-
-def fire(c: Configuration, t: Transition) -> Configuration:
-    if not enabled(c, t):
-        raise ValueError(f"transition {t} not enabled in {c}")
-    counts = list(c.counts)
-    counts[t.lhs[0]] -= 1
-    counts[t.lhs[1]] -= 1
-    counts[t.rhs[0]] += 1
-    counts[t.rhs[1]] += 1
-    return Configuration(tuple(counts))
-
-
-def transition_probability(
-    p: PopulationProtocol, c: Configuration, t: Transition
-) -> Fraction:
-    """Probability that the next interaction executes `t` (exact)."""
-    n = c.size
-    if n < 2:
-        raise ValueError("configuration must have at least two agents")
-    if not enabled(c, t):
-        raise ValueError(f"transition {t} not enabled in {c}")
-    a, b = t.lhs
-    k = p.rule_count(t.lhs)
-    if a == b:
-        num = c.counts[a] * (c.counts[a] - 1)
-    else:
-        num = 2 * c.counts[a] * c.counts[b]
-    return Fraction(num, (n * n - n) * k)
-
-
 def step_distribution(
     p: PopulationProtocol, c: Configuration
 ) -> dict[Configuration, Fraction]:
     """One-step successor distribution, merging rules with equal successors:
-    the weights of `coded_weights` over their common denominator
+    the weights of the `StepKernel` rows over their common denominator
     (n^2 - n) * L, L being the lcm of the rule counts, one Fraction per
-    successor."""
+    successor, in head then rule order of first appearance."""
     n = c.size
     if n < 2:
         raise ValueError("configuration must have at least two agents")
     width = len(c.counts)
     den = (n * n - n) * p.moves.lcm
-    nums = coded_weights(p.moves.coded(n + 1, width), c.counts, encode(c.counts, n + 1))
+    kernel = StepKernel(p, n + 1)
+    rows = kernel.rows(c.counts)
+    code = encode(c.counts, n + 1)
+    nums: dict[int, int] = {}
+    for row, w in zip(rows, kernel.weights(rows, c.counts)):
+        s = code + row[0]
+        nums[s] = nums.get(s, 0) + w
     return {
         Configuration(decode(s, n + 1, width)): Fraction(w, den) for s, w in nums.items()
     }
@@ -462,33 +418,46 @@ def decode(code: int, base: int, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def head_pairs(heads: tuple, counts: tuple[int, ...]) -> Iterator[tuple[int, int, tuple]]:
-    """For each head (a, b, multiplier, rules) of a move table with an agent
-    pair in `counts`, in table order: (w, multiplier, rules), w being the
-    number of ordered agent pairs on the head.  This is the step
-    semantics' one pair-count loop."""
-    for a, b, mult, rules in heads:
-        w = counts[a] * (counts[a] - 1) if a == b else 2 * counts[a] * counts[b]
-        if w:
-            yield w, mult, rules
+class StepKernel:
+    """The step semantics over the codes in `base` of the count vectors of
+    a protocol's states (see `encode`): the one owner of a rule's successor
+    and weight, read by `explore`, `simulate` and `step_distribution`.
 
+    `heads[a]` lists the heads (a, b) of state a in move-table order, each
+    as (b, e, rows), with one row (delta, a, b, e, k) per rule in rule
+    order.  Rule i j -> k l moves a code by delta = place(k) + place(l) -
+    place(i) - place(j), with place(s) = base^(width - 1 - s), so an idle
+    rule moves it by 0.  e = 1 and k is the head's multiplier when a = b,
+    else e = 0 and k is twice it, so a row's weight at counts c,
+    c[a] * (c[b] - e) * k, is the number of ordered agent pairs on its
+    head times the multiplier: over (n^2 - n) * L, the move table's common
+    denominator, it is the rule's probability."""
 
-def coded_weights(
-    heads: tuple[tuple[int, int, int, tuple[int, ...]], ...],
-    counts: tuple[int, ...],
-    code: int,
-) -> dict[int, int]:
-    """The successor codes of a configuration with their integer weights,
-    given its counts, its code and the move table's `coded` heads in the
-    code's base: a successor's probability is its weight over (n^2 - n) * L,
-    the move table's common denominator.  A rule's weight is its head's
-    pair count times the head's multiplier; rules with equal successors add
-    up.  Successors come in head order, then rule order."""
-    nums: dict[int, int] = {}
-    for w, mult, deltas in head_pairs(heads, counts):
-        w *= mult
-        for d in deltas:
-            s = code + d
-            nums[s] = nums.get(s, 0) + w
-    return nums
+    __slots__ = ("heads",)
 
+    def __init__(self, p: PopulationProtocol, base: int):
+        width = len(p.states)
+        place = [base ** (width - 1 - s) for s in range(width)]
+        self.heads: list[list[tuple[int, int, tuple[Row, ...]]]] = [[] for _ in range(width)]
+        for a, b, mult, quads in p.moves.heads:
+            e, k = (1, mult) if a == b else (0, 2 * mult)
+            deltas = (place[r] + place[s] - place[i] - place[j] for i, j, r, s in quads)
+            self.heads[a].append((b, e, tuple((d, a, b, e, k) for d in deltas)))
+
+    def rows(self, counts: tuple[int, ...]) -> list[Row]:
+        """The rows of the heads (a, b) with an agent pair at `counts`, that
+        is c[a] > 0 and c[b] > e, in head then rule order.  Counts clipped
+        at 2 give the same rows."""
+        return [
+            row
+            for a, heads in enumerate(self.heads)
+            if counts[a]
+            for b, e, rows in heads
+            if counts[b] > e
+            for row in rows
+        ]
+
+    @staticmethod
+    def weights(rows: list[Row], counts: tuple[int, ...]) -> list[int]:
+        """The weight of each row at `counts`, in row order."""
+        return [counts[a] * (counts[b] - e) * k for _, a, b, e, k in rows]

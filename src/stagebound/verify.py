@@ -41,9 +41,10 @@ from .logic import (
 from .protocol import (
     Configuration,
     PopulationProtocol,
+    Row,
+    StepKernel,
     decode,
     encode,
-    head_pairs,
     initial_configuration,
     step_distribution,  # noqa: F401  (perfbench/tracing.py wraps it here)
 )
@@ -78,27 +79,20 @@ class ReachGraph:
     Formulas are evaluated on keys, not on nodes: a node's key is its count
     vector clipped at 2, which fixes every presence, singleton and Out_x
     atom.  `keys[v]` is the number of node v's key and `key_counts[j]` the
-    key numbered j, keys being numbered as first met in node order.
-    `explore` fills `links`, `keys` and `key_counts` as it goes; a graph
-    built without them derives them here.  The graph keeps, per atom, one
-    int whose bit j is the atom's value at key j (`key_masks`)."""
+    key numbered j, keys being numbered as first met in node order; all
+    three are filled by `explore` as it goes.  The graph keeps, per atom,
+    one int whose bit j is the atom's value at key j (`key_masks`)."""
 
     protocol: PopulationProtocol
     counts: list[tuple[int, ...]]
     succ: list[list[tuple[int, int]]]
     den: list[int]
     roots: list[int]
-    keys: list[int] | None = None
-    key_counts: list[tuple[int, ...]] | None = None
-    links: list[list[int]] | None = None
+    keys: list[int]
+    key_counts: list[tuple[int, ...]]
+    links: list[list[int]]
 
     def __post_init__(self) -> None:
-        if self.keys is None:
-            ids: dict[tuple[int, ...], int] = {}
-            self.keys = [ids.setdefault(tuple(min(k, 2) for k in c), len(ids)) for c in self.counts]
-            self.key_counts = list(ids)
-        if self.links is None:
-            self.links = [[u for u, _ in outs] for outs in self.succ]
         self._components: tuple[list[int], list[list[int]]] | None = None
 
     @property
@@ -109,11 +103,6 @@ class ReachGraph:
     def nodes(self) -> list[Configuration]:
         """The configuration of every node, made on first use."""
         return [Configuration(c) for c in self.counts]
-
-    @cached_property
-    def index(self) -> dict[Configuration, int]:
-        """The node number of every configuration, built on first use."""
-        return {c: i for i, c in enumerate(self.nodes)}
 
     def condensation(self, deadline: float | None = None) -> tuple[list[int], list[list[int]]]:
         """The chain's strongly connected components, built once per graph:
@@ -291,19 +280,15 @@ def explore(
 
     The BFS runs on codes: a count vector is a big-endian number whose base
     is the largest root size plus one, so codes order as their count
-    vectors, and a rule moves a code by a fixed delta (`MoveTable.coded`).
-    A node's counts are clipped at 2 into its key.  The first time a key is
-    met its rows are built: one (delta, a, b, e, k) per rule of each head
-    (a, b) with an agent pair under the key, found from the heads of the
-    key's present states, sorted by delta.  At counts c the rule's weight
-    is c[a] * (c[b] - e) * k, with e = 1 and k the head's multiplier when
-    a = b, else e = 0 and k twice it: the number of ordered agent pairs on
-    the head times its multiplier.  So a node's successors come in
-    increasing code order, the order of their Configurations, and rules
-    with one successor sit next to each other, where their weights add up;
-    the node's row denominator is (n^2 - n) * L.  The graph keeps the
-    counts, the keys and the successor lists without weights, all filled
-    as the BFS goes."""
+    vectors, and a rule moves a code by a fixed delta.  A node's counts
+    are clipped at 2 into its key.  The first time a key is met, its
+    `StepKernel` rows are kept, sorted by delta; every node of the key
+    reads its successors and weights off them.  So a node's successors
+    come in increasing code order, the order of their Configurations, and
+    rules with one successor sit next to each other, where their weights
+    add up; the node's row denominator is (n^2 - n) * L.  The graph keeps
+    the counts, the keys and the successor lists without weights, all
+    filled as the BFS goes."""
     if isinstance(roots, Configuration):
         roots = [roots]
     for c in roots:
@@ -312,12 +297,7 @@ def explore(
     width = len(p.states)
     base = max((c.size for c in roots), default=0) + 1
     clip = (0, 1) + (2,) * (base - 2)
-    # per state a, its heads (a, b): b, e and the head's rows, made once
-    # and shared by the rows of every key
-    own: list[list[tuple]] = [[] for _ in range(width)]
-    for a, b, mult, deltas in p.moves.coded(base, width):
-        e, k = (1, mult) if a == b else (0, 2 * mult)
-        own[a].append((b, e, tuple((d, a, b, e, k) for d in deltas)))
+    kernel = StepKernel(p, base)
     big = p.moves.lcm
     ids: dict[int, int] = {}
     order: list[int] = []
@@ -333,7 +313,7 @@ def explore(
         root_ids.append(i)
     dens = {n: (n * n - n) * big for n in per_size}
     key_ids: dict[tuple[int, ...], int] = {}
-    key_rows: list[list[tuple[int, int, int, int, int]]] = []
+    key_rows: list[list[Row]] = []
     keys: list[int] = []
     counts: list[tuple[int, ...]] = []
     den: list[int] = []
@@ -353,20 +333,13 @@ def explore(
         j = key_ids.get(key)
         if j is None:
             j = key_ids[key] = len(key_rows)
-            # a head (a, b) has an agent pair under the key iff key[a] > 0
-            # and key[b] > e
-            key_rows.append(sorted(
-                row
-                for a in range(width)
-                if key[a]
-                for b, e, rows in own[a]
-                if key[b] > e
-                for row in rows
-            ))
+            key_rows.append(sorted(kernel.rows(key)))
         n = sum(c)
         outs = []
         weights = []
         last = None
+        # StepKernel.weights, inlined: a call per node made explore 10-20%
+        # slower on a 2-vCPU host
         for d, a, b, e, k in key_rows[j]:
             w = c[a] * (c[b] - e) * k
             if d == last:
@@ -393,27 +366,6 @@ def explore(
     return ReachGraph(p, counts, succ, den, root_ids, keys, key_counts, links)
 
 
-def _marks(g: ReachGraph, nodes: set[int]) -> list[int]:
-    """One query over the graph: bit 0 set at the given nodes."""
-    bits = [0] * g.size
-    for v in nodes:
-        bits[v] = 1
-    return bits
-
-
-def holds_box(g: ReachGraph, phi: Formula) -> bool:
-    """True iff every configuration of the closure satisfies phi."""
-    return len(g.sat(phi)) == g.size
-
-
-def holds_diamond_as(g: ReachGraph, target: set[int]) -> bool:
-    """True iff runs from the exploration roots hit the target almost surely
-    (on the finite chain: no target-avoiding path may escape to a region
-    from which the target is unreachable)."""
-    good = g.almost_sure_reach(_marks(g, target), 1)
-    return all(good[r] for r in g.roots)
-
-
 def stable_set(g: ReachGraph) -> set[int]:
     """Nodes from which all reachable configurations agree on one output:
     one pass, whose two queries are "always Out_0" and "always Out_1"."""
@@ -424,16 +376,6 @@ def stable_set(g: ReachGraph) -> set[int]:
 
 # ---------------------------------------------------------------------------
 # Exact expected hitting times
-
-
-def expected_steps_exact(g: ReachGraph, target: set[int]) -> Fraction:
-    """Expected number of interactions from the first root until the target.
-
-    Exact rational arithmetic.  Requires almost-sure reachability of the
-    target.  The system is solved per strongly connected component in
-    topological order, so only small dense blocks are eliminated.
-    """
-    return expected_steps_all(g, target)[g.roots[0]]
 
 
 def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
@@ -453,7 +395,9 @@ def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
     region and is a block of its own; only a component that the target
     splits, which a forward-closed target such as the stable set never
     does, is condensed again, without its target nodes."""
-    mark = _marks(g, target)
+    mark = [0] * g.size
+    for v in target:
+        mark[v] = 1
     good = g.almost_sure_reach(mark, 1)
     if not all(good[r] for r in g.roots):
         raise ValueError("target not almost surely reachable; expectation diverges")
@@ -879,26 +823,24 @@ class PhiloxDraws:
 
 
 def _step_row(
-    heads: tuple, counts: tuple[int, ...], code: int, total: int
+    kernel: StepKernel, counts: tuple[int, ...], code: int, total: int
 ) -> tuple[int, float, tuple, tuple]:
-    """The productive moves of a configuration, given its counts, its code
-    and the move table's `coded` heads: its rules, in head then rule order,
-    whose code delta is not zero.  Rule sides are sorted heads, so a swap
-    such as A B -> B A adds 0 and is idle.  A move's weight is its head's
-    pair count times the head's multiplier, out of `total` = (n^2 - n) * L
-    for all interactions.  Returns the moves' total weight W,
+    """The productive moves of a configuration, given its counts and its
+    code: its `StepKernel` rows, in head then rule order, whose code delta
+    is not zero.  Rule sides are sorted heads, so a swap such as
+    A B -> B A adds 0 and is idle.  A move's weight is out of `total` =
+    (n^2 - n) * L for all interactions.  Returns the moves' total weight W,
     log1p(-W / total) (-inf when every interaction is productive), their
     cumulative weights and their successor codes."""
+    rows = kernel.rows(counts)
     cum = []
     succs = []
     acc = 0
-    for w, mult, deltas in head_pairs(heads, counts):
-        w *= mult
-        for d in deltas:
-            if d:
-                acc += w
-                cum.append(acc)
-                succs.append(code + d)
+    for row, w in zip(rows, kernel.weights(rows, counts)):
+        if row[0]:
+            acc += w
+            cum.append(acc)
+            succs.append(code + row[0])
     return acc, log1p(-acc / total) if acc < total else -inf, tuple(cum), tuple(succs)
 
 
@@ -925,15 +867,16 @@ def simulate(
     one productive move.  A productive step thus costs at most one float
     draw, one log, one bounded draw, one bisect and one dict lookup; the
     counts have the law of the per-interaction chain.  A run whose count
-    exceeds `max_steps` raises RuntimeError; so does a run, at once, that
-    reaches a configuration outside the stable set with no productive move.
+    exceeds `max_steps` raises RuntimeError; so does a run, at once and
+    with its own message, that reaches a configuration outside the stable
+    set with no productive move.
 
     Deterministic: trial t draws from Philox keyed by (seed << 64) + t, so
     results are reproducible and independent of scheduling; one bit
     generator is re-keyed per trial.  `PhiloxDraws` gives the numbers that
     `Generator.random` and `Generator.integers` would, call for call.  Runs
     and the stop set hold configurations as codes in base n + 1 (`encode`).
-    A code's step row is built from the `coded` move table the first time a
+    A code's step row is built from the `StepKernel` rows the first time a
     run visits it, and kept for the rest of the call; a code is decoded once
     per new row, and once per trial for its consensus value.
     """
@@ -942,10 +885,10 @@ def simulate(
         raise ValueError("simulation needs at least two agents")
     base, width = n + 1, len(c0.counts)
     space = explore(p, c0, cap=10_000_000)
-    stop = {encode(space.nodes[i].counts, base) for i in stable_set(space)}
+    stop = {encode(space.counts[i], base) for i in stable_set(space)}
     del space
 
-    heads = p.moves.coded(base, width)
+    kernel = StepKernel(p, base)
     rows: dict[int, tuple[int, float, tuple, tuple]] = {}
     steps_out = []
     consensus = []
@@ -960,14 +903,19 @@ def simulate(
         while c not in stop:
             row = rows.get(c)
             if row is None:
-                row = rows[c] = _step_row(heads, decode(c, base, width), c, total)
+                row = rows[c] = _step_row(kernel, decode(c, base, width), c, total)
             w, logq, cum, nexts = row
             if w == total:
                 steps += 1
             elif w:
                 # the quotient is >= 0, so int() is floor
                 steps += 1 + int(log(1.0 - random()) / logq)
-            if steps > max_steps or not w:
+            else:
+                raise RuntimeError(
+                    f"trial {t} stuck at {decode(c, base, width)} after {steps} "
+                    f"interactions: it is not stable, and no interaction changes it"
+                )
+            if steps > max_steps:
                 raise RuntimeError(
                     f"trial {t} exceeded {max_steps} interactions; target "
                     f"may not be almost surely reachable"

@@ -6,7 +6,9 @@ the chain with the target cut off and the nodes outside the almost-sure
 region dropped.  Also the graph kernels as they were before their per-key
 rows and per-frame iterators: the exploration with one `coded_weights`
 dict per node, and Tarjan's algorithm re-scanning each frame's successors
-from a saved position.
+from a saved position.  Two helpers of the tests: `make_reach_graph`
+builds a graph over given rows, and `roots_reach_almost_surely` asks one
+almost-sure question of its roots.
 """
 
 from __future__ import annotations
@@ -16,8 +18,26 @@ from fractions import Fraction
 
 from stagebound import verify as V
 from stagebound.logic import conj, heads_formula, valuation_formula
-from stagebound.protocol import Configuration, coded_weights, decode, encode
+from stagebound.protocol import Configuration, decode, encode
 from stagebound.stagegraph import scc_condensation
+from step_reference import coded, coded_weights
+
+
+def make_reach_graph(p, counts, succ, den, roots):
+    """The ReachGraph over the given nodes and rows, with its keys (count
+    vectors clipped at 2, numbered as first met), key counts and links
+    derived as `V.explore` fills them."""
+    ids = {}
+    keys = [ids.setdefault(tuple(min(k, 2) for k in c), len(ids)) for c in counts]
+    links = [[u for u, _ in outs] for outs in succ]
+    return V.ReachGraph(p, counts, succ, den, roots, keys, list(ids), links)
+
+
+def roots_reach_almost_surely(g, target):
+    """Whether runs from every root of g hit the node set `target` with
+    probability one, by one `almost_sure_reach` pass."""
+    good = g.almost_sure_reach([int(v in target) for v in range(g.size)], 1)
+    return all(good[r] for r in g.roots)
 
 
 def reference_explore(p, roots, cap=200_000):
@@ -31,7 +51,7 @@ def reference_explore(p, roots, cap=200_000):
             raise ValueError("configurations need at least two agents")
     width = len(p.states)
     base = max((c.size for c in roots), default=0) + 1
-    heads = p.moves.coded(base, width)
+    heads = coded(p, base)
     clip = (0, 1) + (2,) * (base - 2)
     # a head (a, b) has an agent pair under a key iff key[a] * key[b] >= m
     pairing = [(h, h[0], h[1], 4 if h[0] == h[1] else 1) for h in heads]
@@ -51,7 +71,6 @@ def reference_explore(p, roots, cap=200_000):
     dens = {n: (n * n - n) * big for n in per_size}
     key_ids = {}
     key_heads = []
-    keys = []
     counts = []
     den = []
     succ = []
@@ -73,11 +92,10 @@ def reference_explore(p, roots, cap=200_000):
                 u = ids[s] = len(order)
                 order.append(s)
             outs.append((u, w))
-        keys.append(j)
         counts.append(c)
         den.append(dens[n])
         succ.append(outs)
-    return V.ReachGraph(p, counts, succ, den, root_ids, keys, list(key_ids))
+    return make_reach_graph(p, counts, succ, den, root_ids)
 
 
 def reference_scc_condensation(succ):

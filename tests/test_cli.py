@@ -363,7 +363,8 @@ def test_simulate_exploration_limit_exits_3(capsys, monkeypatch):
 
 def test_simulate_stuck_run_exits_2(capsys, tmp_path):
     # the swap changes no count, so A=1,B=1 never reaches its stable set
-    # (empty): the step cap fails the run at once, with one error line
+    # (empty): the run fails at once, after 0 interactions, with one error
+    # line that says it is stuck
     pp = tmp_path / "swap.pp"
     pp.write_text(
         "protocol swap\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\n"
@@ -372,8 +373,8 @@ def test_simulate_stuck_run_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", str(pp), "--config", "A=1,B=1")
     assert code == 2
     assert err == (
-        "error: trial 0 exceeded 1000000 interactions; "
-        "target may not be almost surely reachable\n"
+        "error: trial 0 stuck at (1, 1) after 0 interactions: "
+        "it is not stable, and no interaction changes it\n"
     )
     assert out.splitlines()[-1] == "trials,mean_interactions,stderr,consensus0,consensus1"
 

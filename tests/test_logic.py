@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import dpll_reference as dpll
 from dpll_reference import clause_formula, premise_formula
-from stagebound import Configuration, bounds, enabled, logic, parse_protocol, stagegraph
+from stagebound import Configuration, bounds, logic, parse_protocol, stagegraph
 from stagebound.corpus import default_corpus, majority_four_state
 from stagebound.logic import (
     FF,
@@ -51,7 +51,8 @@ from stagebound.logic import (
     xi_clause,
 )
 from stagebound.stagegraph import initial_stage
-from stagebound.verify import ReachGraph
+from oracle_reference import make_reach_graph
+from step_reference import enabled
 
 P = parse_protocol(majority_four_state())
 A, B, a, b = range(4)
@@ -64,7 +65,7 @@ def head(x, y):
 
 def holds_at(c, f):
     """Whether configuration c satisfies f, by the oracle's evaluator."""
-    return ReachGraph(P, [c.counts], [[]], [1], [0]).sat(f) == {0}
+    return make_reach_graph(P, [c.counts], [[]], [1], [0]).sat(f) == {0}
 
 
 def evaluate(f, asg):

@@ -11,21 +11,14 @@ from hypothesis import strategies as st
 from stagebound import (
     Configuration,
     ProtocolError,
-    enabled,
-    fire,
     initial_configuration,
     parse_protocol,
     step_distribution,
-    transition_probability,
 )
 from stagebound import verify as V
 from stagebound.corpus import majority_four_state, majority_five_state
-from stagebound.protocol import (
-    PopulationProtocol,
-    coded_weights,
-    decode,
-    encode,
-)
+from stagebound.protocol import PopulationProtocol, StepKernel, decode, encode
+from step_reference import coded, coded_weights, enabled, fire, transition_probability
 
 EX1 = majority_four_state()
 EX2 = majority_five_state()
@@ -463,9 +456,9 @@ def reference_explore(p, roots, cap=200_000):
 
 
 def assert_same_exploration(p, roots):
-    """explore equals the reference on nodes, exact successor
-    probabilities, roots and index, index order included; its rows are
-    integer weights over (n^2 - n) * L."""
+    """explore equals the reference on nodes, node order included, exact
+    successor probabilities and roots; its rows are integer weights over
+    (n^2 - n) * L."""
     got = V.explore(p, roots)
     want = reference_explore(p, roots)
     assert got.nodes == want.nodes
@@ -475,7 +468,6 @@ def assert_same_exploration(p, roots):
         [(u, Fraction(w, d)) for u, w in outs] for outs, d in zip(got.succ, got.den)
     ] == want.succ
     assert got.roots == want.roots
-    assert list(got.index.items()) == list(want.index.items())
     return got
 
 
@@ -509,7 +501,7 @@ def test_explore_matches_reference_generated(data):
 
 def test_explore_empty_roots():
     g = V.explore(parse_protocol(EX2), [])
-    assert (g.nodes, g.succ, g.den, g.roots, g.index) == ([], [], [], [], {})
+    assert (g.nodes, g.succ, g.den, g.roots) == ([], [], [], [])
 
 
 def test_explore_sizes_share_one_base(corpus):
@@ -548,17 +540,23 @@ def successor(counts, quad):
     return tuple(out)
 
 
-def reference_successor_weights(p, counts):
+def reference_successor_rows(p, counts):
     """The successor count vectors of `counts` with their integer weights,
-    computed on tuples: successors in head order, then rule order."""
-    nums: dict[tuple[int, ...], int] = {}
+    one per rule, computed on tuples: in head order, then rule order."""
+    out = []
     for a, b, mult, quads in p.moves.heads:
         w = counts[a] * (counts[a] - 1) if a == b else 2 * counts[a] * counts[b]
         if w:
-            w *= mult
-            for quad in quads:
-                s = successor(counts, quad)
-                nums[s] = nums.get(s, 0) + w
+            out += [(successor(counts, quad), w * mult) for quad in quads]
+    return out
+
+
+def reference_successor_weights(p, counts):
+    """The rows of `reference_successor_rows`, the weights of equal
+    successors added up, in order of first appearance."""
+    nums: dict[tuple[int, ...], int] = {}
+    for s, w in reference_successor_rows(p, counts):
+        nums[s] = nums.get(s, 0) + w
     return nums
 
 
@@ -569,7 +567,15 @@ def test_coded_weights_match_tuple_reference_generated(data):
     c = data.draw(random_config(len(p.states))).counts
     width = len(c)
     base = data.draw(st.integers(sum(c) + 1, sum(c) + 4))
-    got = coded_weights(p.moves.coded(base, width), c, encode(c, base))
+    code = encode(c, base)
+    got = coded_weights(coded(p, base), c, code)
     want = reference_successor_weights(p, c)
     assert [(decode(s, base, width), w) for s, w in got.items()] == list(want.items())
     assert sum(got.values()) == (sum(c) ** 2 - sum(c)) * p.moves.lcm
+    # the kernel's rows, unmerged and in order: simulate's cumulative
+    # weights, and so its random stream, follow this order
+    kernel = StepKernel(p, base)
+    rows = kernel.rows(c)
+    assert [
+        (decode(code + row[0], base, width), w) for row, w in zip(rows, kernel.weights(rows, c))
+    ] == reference_successor_rows(p, c)

@@ -47,7 +47,7 @@ from stagebound.logic import (
     xi,
     xi_clause,
 )
-from stagebound.protocol import PopulationProtocol, enabled
+from stagebound.protocol import PopulationProtocol
 from stagebound.stagegraph import (
     INTERNAL,
     TERMINAL_DEAD,
@@ -72,6 +72,7 @@ from stagebound.stagegraph import (
     mn_fixpoint,
     pretty,
 )
+from step_reference import enabled
 
 P1 = parse_protocol(majority_four_state())
 P2 = parse_protocol(majority_five_state())

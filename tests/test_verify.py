@@ -33,10 +33,11 @@ from stagebound.logic import (
     presence,
     singleton,
 )
-from stagebound.protocol import PopulationProtocol, coded_weights, decode, encode
+from stagebound.protocol import PopulationProtocol, StepKernel, decode, encode
 from stagebound.stagegraph import Stage, StageGraph, scc_condensation
 from stagebound import verify as V
 from oracle_reference import (
+    make_reach_graph,
     reference_almost_sure_reach,
     reference_backward_reach,
     reference_box_set,
@@ -44,7 +45,9 @@ from oracle_reference import (
     reference_explore,
     reference_scc_condensation,
     reference_stage_denotation,
+    roots_reach_almost_surely,
 )
+from step_reference import coded, coded_weights
 from test_protocol import random_config
 from test_protocol import shared_head_protocols as few_head_protocols
 from test_stagegraph import small_protocols
@@ -116,12 +119,13 @@ def test_explore_cap_counts_per_size():
 
 
 def test_holds_box():
+    # "box phi" over the closure: every node satisfies phi
     g = V.explore(P1, cfg(P1, a=1, b=1))
     no_caps = conj([neg(atom(presence(P1, 0))), neg(atom(presence(P1, 1)))])
-    assert V.holds_box(g, no_caps)
-    assert V.holds_box(g, TT)
+    assert len(g.sat(no_caps)) == g.size
+    assert len(g.sat(TT)) == g.size
     g2 = V.explore(P1, cfg(P1, A=1, B=1))
-    assert not V.holds_box(g2, atom(presence(P1, 0)))
+    assert len(g2.sat(atom(presence(P1, 0)))) < g2.size
 
 
 def test_sat_clipped_key_matches_counts():
@@ -161,7 +165,7 @@ def assert_keys_and_rows(p, g):
     whole move table in increasing code order."""
     width = len(p.states)
     base = max(c.size for c in g.nodes) + 1
-    heads = p.moves.coded(base, width)
+    heads = coded(p, base)
     assert list(dict.fromkeys(g.keys)) == list(range(len(g.key_counts)))
     codes = [encode(c.counts, base) for c in g.nodes]
     for v, c in enumerate(g.nodes):
@@ -208,12 +212,12 @@ def test_explore_merges_rules_with_one_successor():
     g = assert_explore_matches_reference(p, [cfg(p, A=1, B=1, D=1), cfg(p, A=2, B=2, D=1)])
     # of the 6 ordered pairs of A=1 B=1 D=1, 2 + 2 turn B into C and the
     # 2 on A D are idle
-    i = g.index[cfg(p, A=1, C=1, D=1)]
+    i = g.counts.index(cfg(p, A=1, C=1, D=1).counts)
     assert g.succ[0] == [(i, 4), (0, 2)]
     assert g.succ[i] == [(i, 6)]
     # of the 20 of A=2 B=2 D=1, 8 + 4 turn B into C, and the 2 on A A,
     # the 2 on B B and the 4 on A D are idle
-    j = g.index[cfg(p, A=2, B=1, C=1, D=1)]
+    j = g.counts.index(cfg(p, A=2, B=1, C=1, D=1).counts)
     assert g.succ[1] == [(j, 12), (1, 8)]
 
 
@@ -329,16 +333,16 @@ def test_evaluate_one_valuation_matches_reference(data):
 def test_holds_diamond_as():
     g = V.explore(P1, cfg(P1, A=1, B=1))
     target = g.sat(neg(conj([atom(presence(P1, 0)), atom(presence(P1, 1))])))
-    assert V.holds_diamond_as(g, target)
-    assert V.holds_diamond_as(g, set(g.roots))  # root already inside
-    assert not V.holds_diamond_as(g, set())
+    assert roots_reach_almost_surely(g, target)
+    assert roots_reach_almost_surely(g, set(g.roots))  # root already inside
+    assert not roots_reach_almost_surely(g, set())
 
 
 def test_diamond_counts_passing_through_target():
     # the run may leave the target again; hitting it once is enough
     g = V.explore(P1, cfg(P1, A=1, B=1))
-    ab_only = g.index[cfg(P1, a=1, b=1)]
-    assert V.holds_diamond_as(g, {ab_only})
+    ab_only = g.counts.index(cfg(P1, a=1, b=1).counts)
+    assert roots_reach_almost_surely(g, {ab_only})
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +380,7 @@ def fraction_chain(succ):
         [(u, prob.numerator * (d // prob.denominator)) for u, prob in outs]
         for outs, d in zip(succ, den)
     ]
-    return V.ReachGraph(None, [(v,) for v in range(len(succ))], rows, den, [0])
+    return make_reach_graph(None, [(v,) for v in range(len(succ))], rows, den, [0])
 
 
 def reach_graph(succ):
@@ -497,7 +501,7 @@ def test_stable_set_example1():
 
 def test_expected_steps_root_in_target():
     g = V.explore(P1, cfg(P1, A=1, B=1))
-    assert V.expected_steps_exact(g, set(range(g.size))) == 0
+    assert V.expected_steps_all(g, set(range(g.size)))[g.roots[0]] == 0
 
 
 def test_expected_steps_geometric():
@@ -509,18 +513,18 @@ def test_expected_steps_geometric():
     )
     g = V.explore(p, cfg(p, A=1, B=1))
     target = g.sat(atom(presence(p, 2)))
-    assert V.expected_steps_exact(g, target) == Fraction(2)
+    assert V.expected_steps_all(g, target)[g.roots[0]] == Fraction(2)
 
 
 def test_expected_steps_example1_regression():
     # frozen from the exact linear solve: (A:1,B:1) cancels in one step and
     # the a,b pair converts in one more
     g = V.explore(P1, cfg(P1, A=1, B=1))
-    assert V.expected_steps_exact(g, V.stable_set(g)) == Fraction(2)
+    assert V.expected_steps_all(g, V.stable_set(g))[g.roots[0]] == Fraction(2)
     # larger instance: frozen from the first oracle run and confirmed by a
     # hand solve of the five-node system
     g2 = V.explore(P1, cfg(P1, A=2, B=1))
-    val = V.expected_steps_exact(g2, V.stable_set(g2))
+    val = V.expected_steps_all(g2, V.stable_set(g2))[g2.roots[0]]
     assert val == Fraction(6)
 
 
@@ -532,7 +536,7 @@ def test_expected_steps_floating_point_path():
     n = 5002
     g = V.explore(p, cfg(p, t=1, f=n - 1))
     assert g.size == n
-    got = V.expected_steps_exact(g, V.stable_set(g))
+    got = V.expected_steps_all(g, V.stable_set(g))[g.roots[0]]
     assert type(got) is Fraction
     assert got == (n - 1) * sum(Fraction(1, k) for k in range(1, n))
 
@@ -560,7 +564,7 @@ def test_expected_steps_diverges():
     g = V.explore(p, cfg(p, A=1, B=1))
     unreachable = g.sat(FF)
     with pytest.raises(ValueError):
-        V.expected_steps_exact(g, unreachable)
+        V.expected_steps_all(g, unreachable)
 
 
 def test_expected_steps_diverging_nodes_are_none():
@@ -570,7 +574,7 @@ def test_expected_steps_diverging_nodes_are_none():
     succ = [[(0, half), (1, half)], [(2, Fraction(1))], [(2, Fraction(1))]]
     g = fraction_chain(succ)
     assert V.expected_steps_all(g, {1}) == [Fraction(2), Fraction(0), None]
-    assert V.expected_steps_exact(g, {1}) == 2
+    assert V.expected_steps_all(g, {1})[g.roots[0]] == 2
 
 
 def test_bareiss_solves_and_rejects_a_zero_pivot():
@@ -977,18 +981,21 @@ def test_simulate_counts_idle_interactions():
 
 
 def test_simulate_step_cap():
+    # A A -> B B and B B -> A A flip the pair for ever: every interaction
+    # is productive, neither configuration is stable, and the cap ends the
+    # run.  (A B -> A B from A=1,B=1 is stuck instead, with its own error.)
     p = parse_protocol(
         "protocol t\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\n"
-        "transitions:\n  A B -> A B\n"
+        "transitions:\n  A A -> B B\n  B B -> A A\n"
     )
-    with pytest.raises(RuntimeError, match="500"):
-        V.simulate(p, cfg(p, A=1, B=1), trials=1, seed=0, max_steps=500)
+    with pytest.raises(RuntimeError, match="trial 0 exceeded 500 interactions"):
+        V.simulate(p, cfg(p, A=2), trials=1, seed=0, max_steps=500)
 
 
 def test_simulate_against_exact_expectation():
     c0 = cfg(P2, A=2, B=2)
     g = V.explore(P2, c0)
-    exact = float(V.expected_steps_exact(g, V.stable_set(g)))
+    exact = float(V.expected_steps_all(g, V.stable_set(g))[g.roots[0]])
     res = V.simulate(P2, c0, trials=4000, seed=123)
     assert abs(res.mean - exact) <= 5 * res.stderr
 
@@ -1010,6 +1017,13 @@ def _step_cap_error(t, max_steps):
     return RuntimeError(
         f"trial {t} exceeded {max_steps} interactions; target "
         f"may not be almost surely reachable"
+    )
+
+
+def _stuck_error(t, counts, steps):
+    return RuntimeError(
+        f"trial {t} stuck at {tuple(counts)} after {steps} interactions: "
+        f"it is not stable, and no interaction changes it"
     )
 
 
@@ -1056,7 +1070,7 @@ def reference_simulate(
                             moves.append((pairs * big // len(rules), nxt))
             w = sum(weight for weight, _ in moves)
             if w == 0:
-                raise _step_cap_error(t, max_steps)
+                raise _stuck_error(t, c, steps)
             if w < total:
                 gap = math.log(1 - rng.random()) / math.log1p(-w / total)
                 steps += 1 + math.floor(gap)
@@ -1189,10 +1203,10 @@ def test_simulate_matches_reference_with_shared_heads(shared_heads, counting_dra
     assert counting_draws["random"] > 0
     assert sum(k for bound, k in counting_draws.items() if bound != "random") > 0
     total = 2 * p.moves.lcm
-    heads = p.moves.coded(3, 3)
+    kernel = StepKernel(p, 3)
 
     def row(c):
-        w, _, cum, nexts = V._step_row(heads, c.counts, encode(c.counts, 3), total)
+        w, _, cum, nexts = V._step_row(kernel, c.counts, encode(c.counts, 3), total)
         return w, cum, tuple(decode(s, 3, 3) for s in nexts)
 
     assert row(cfg(p, A=1, B=1)) == (12, (4, 8, 12), ((0, 0, 2), (1, 0, 1), (0, 1, 1)))
@@ -1252,8 +1266,12 @@ def test_simulate_stuck_start_raises_without_drawing(counting_draws):
     assert kept.moves.heads[1][3] == ((0, 1, 0, 1),)
     for p in (parse_protocol(SWAP_ONLY), kept):
         for sim in (V.simulate, reference_simulate):
-            with pytest.raises(RuntimeError, match="trial 0 exceeded 1000000 interactions"):
+            with pytest.raises(RuntimeError) as err:
                 sim(p, cfg(p, A=1, B=1, C=1), trials=3, seed=0)
+            assert str(err.value) == (
+                "trial 0 stuck at (1, 1, 1) after 0 interactions: "
+                "it is not stable, and no interaction changes it"
+            )
     assert not counting_draws
 
 
@@ -1402,7 +1420,7 @@ def test_soundness_fuzz_generated(p):
     assert V.check_stage_graph(p, sg, 4) == []
     if aggregate(sg).certified:
         g = V.explore(p, [c for n in (2, 3, 4) for c in V.initial_configurations(p, n)])
-        assert V.holds_diamond_as(g, V.stable_set(g))
+        assert roots_reach_almost_surely(g, V.stable_set(g))
 
 
 @pytest.mark.parametrize("src", [FUZZ_SELF_PARTNER, FUZZ_UNSTABLE_EXIT])
