@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterable, Iterator
 
 from . import bounds as bounds_mod
 from . import verify as verify_mod
@@ -31,19 +32,23 @@ def _read_protocol(path: str):
         raise SystemExit(1)
 
 
-def _write_output(path: str, text: str) -> None:
-    """Write an output file; an unwritable path exits 1 with one line."""
+def _write_output(path: str, chunks: Iterable[str]) -> None:
+    """Write an output file from its chunks of text, each as it comes; an
+    unwritable path exits 1 with one line."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(1)
 
 
-def _analysis_json(sg, report) -> str:
+def _analysis_json(sg, report) -> Iterator[str]:
+    """The `analyze --json` text in the chunks that `json.dump` writes, so
+    the whole text of a large tree is never held in memory."""
     payload = {"report": report.json_dict(), "stage_tree": to_json_dict(sg)}
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    yield from json.JSONEncoder(indent=2).iterencode(payload)
+    yield "\n"
 
 
 def cmd_analyze(args) -> int:
@@ -57,15 +62,13 @@ def cmd_analyze(args) -> int:
     report = bounds_mod.aggregate(sg, time.monotonic() - t0)
     print(report.human())
     if args.dot:
-        _write_output(args.dot, to_dot(sg))
+        _write_output(args.dot, [to_dot(sg)])
     if args.json:
         _write_output(args.json, _analysis_json(sg, report))
     if args.csv:
         _write_output(
             args.csv,
-            "protocol,states,transitions,stages,bound,claim,time\n"
-            + report.csv_row()
-            + "\n",
+            ["protocol,states,transitions,stages,bound,claim,time\n", report.csv_row(), "\n"],
         )
     return 0 if report.certified else 2
 
@@ -136,7 +139,7 @@ def cmd_simulate(args) -> int:
             for i, (s, c) in enumerate(zip(res.steps, res.consensus))
         ]
     if args.csv:
-        _write_output(args.csv, "trial,interactions,consensus\n" + "".join(rows))
+        _write_output(args.csv, ["trial,interactions,consensus\n", *rows])
     return 0
 
 
@@ -214,7 +217,7 @@ def cmd_bench(args) -> int:
     text = "\n".join(out_lines) + "\n"
     print(text, end="")
     if args.csv:
-        _write_output(args.csv, text)
+        _write_output(args.csv, [text])
     return 2 if diff_failures else 0
 
 

@@ -304,10 +304,3 @@ def default_corpus() -> list[CorpusEntry]:
             known_stage_deviation=25,
         ),
     ]
-
-
-def corpus_by_name(name: str) -> CorpusEntry:
-    for entry in default_corpus():
-        if entry.name == name:
-            return entry
-    raise KeyError(name)

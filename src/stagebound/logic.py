@@ -1,32 +1,33 @@
 """Propositional formulas over presence/singleton atoms, with the coupling
 "exactly-one(A) implies present(A)" built into satisfiability.
 
-Atoms:
-  * presence   A   -- state A is populated (count > 0)
-  * singleton  A!  -- state A holds exactly one agent (count == 1)
-  * Out_0/Out_1    -- all populated states output 0 (resp. 1); only used by
-                      the finite-instance verifier, never inside the static
-                      analysis.
+There are two atoms per state s, each an int variable:
+  * presence   A   -- state A is populated (count > 0): variable 2s + 1
+                      (`present`)
+  * singleton  A!  -- state A holds exactly one agent (count == 1):
+                      variable 2s + 2 (`single`), whose presence companion
+                      is the variable before it
 
-Formulas are immutable tagged tuples, so they hash and compare structurally,
-which keeps stage construction deterministic.
+Formulas are immutable tagged tuples whose leaves are ("atom", v), so they
+hash and compare structurally, which keeps stage construction
+deterministic.
 
-One engine: literal closures.  A literal is an int: the presence of
-state s is variable 2s + 1 (`present`), its singleton 2s + 2 (`single`),
-and a negative int is the negation; `literal` numbers an atom.  Every
-premise of the stage-tree build has one shape: unit literals, the xi clause
-(!A | !B) or (!A | A!) of each head of a set H, and the coupling
-(!A! | A).  `Premise.horn` builds it straight from the literals and H, with
-no formula to translate.  Every clause but the units has two literals, at
-least one of them negative, so the premise is Horn: unit propagation
-decides it (Dowling & Gallier, J. Logic Programming 1984), and on binary
-clauses propagation from a set of literals is the union of each literal's
-closure in the implication graph (Aspvall, Plass & Tarjan, IPL 1979).  So
-every premise with the same H shares one implication graph whose literal
-closures, as bitmasks, are memoised on first use (`Implications`); a
-premise adds only the closure of its units.  A set of literals is
-consistent with the premise when ORing their closures into its own leaves
-no atom both true and false.
+One engine: literal closures.  A literal is a variable, or its negation as
+a negative int.  A valuation is the tuple of the literals it fixes, sorted
+by variable, each variable at most once, so equal valuations are equal
+tuples.  Every premise of the stage-tree build has one shape: unit
+literals, the xi clause (!A | !B) or (!A | A!) of each head of a set H, and
+the coupling (!A! | A).  `Premise.horn` builds it straight from the
+literals and H, with no formula to translate.  Every clause but the units
+has two literals, at least one of them negative, so the premise is Horn:
+unit propagation decides it (Dowling & Gallier, J. Logic Programming
+1984), and on binary clauses propagation from a set of literals is the
+union of each literal's closure in the implication graph (Aspvall, Plass &
+Tarjan, IPL 1979).  So every premise with the same H shares one
+implication graph whose literal closures, as bitmasks, are memoised on
+first use (`Implications`); a premise adds only the closure of its units.
+A set of literals is consistent with the premise when ORing their
+closures into its own leaves no variable both true and false.
 
 The head semantics "a rule of h can fire" is written once, as the pair of
 literals `not_xi(h)`; the xi formula, the xi clause of the premises, the
@@ -55,8 +56,8 @@ valuation against a head derive from it.  The build asks three things:
 There is no query cache: a process-wide cache of formulas grows the peak
 memory by more than it is worth in time.  A premise and its unit closure
 live as long as its caller keeps it (a transformation graph, one round of
-J); the atoms and the implication graph of each head set live on their
-protocol, as do the xi formulas.
+J); the implication graph of each head set lives on its protocol
+(`implications`), as do the xi formulas.
 The tests keep a clause DPLL and the searches that walk a formula with a
 three-valued evaluator as the references that these answers must agree
 with.
@@ -64,49 +65,20 @@ with.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .protocol import Head, PopulationProtocol
 
-PRESENCE = "st"
-SINGLETON = "one"
-OUT = "out"
-
-
-class Atom(NamedTuple):
-    kind: str  # PRESENCE | SINGLETON | OUT
-    index: int  # state index (or output value for OUT)
-    name: str
-
-    def sort_key(self) -> tuple[int, int, int]:
-        # Out atoms last; presence before singleton for the same state.
-        if self.kind == OUT:
-            return (1, self.index, 0)
-        return (0, self.index, 0 if self.kind == PRESENCE else 1)
-
-
-def presence(p: PopulationProtocol, state: int) -> Atom:
-    return numbering(p).presence[state]
-
-
-def singleton(p: PopulationProtocol, state: int) -> Atom:
-    return numbering(p).singleton[state]
-
-
-def out_atom(value: int) -> Atom:
-    return Atom(OUT, value, f"Out_{value}")
-
-
-# Formula = ("tt",) | ("ff",) | ("atom", Atom) | ("not", f)
-#         | ("and", (f, ...)) | ("or", (f, ...)) | ("implies", f, f)
+# Formula = ("tt",) | ("ff",) | ("atom", v) | ("not", f)
+#         | ("and", (f, ...)) | ("or", (f, ...))
 Formula = tuple
 
 TT: Formula = ("tt",)
 FF: Formula = ("ff",)
 
 
-def atom(a: Atom) -> Formula:
-    return ("atom", a)
+def atom(v: int) -> Formula:
+    return ("atom", v)
 
 
 def neg(f: Formula) -> Formula:
@@ -139,11 +111,7 @@ def disj(fs: Iterable[Formula]) -> Formula:
     return ("or", tuple(parts))
 
 
-def implies(f: Formula, g: Formula) -> Formula:
-    return ("implies", f, g)
-
-
-def atoms_of(f: Formula) -> set[Atom]:
+def atoms_of(f: Formula) -> set[int]:
     tag = f[0]
     if tag == "atom":
         return {f[1]}
@@ -151,25 +119,22 @@ def atoms_of(f: Formula) -> set[Atom]:
         return set()
     if tag == "not":
         return atoms_of(f[1])
-    if tag == "implies":
-        return atoms_of(f[1]) | atoms_of(f[2])
-    out: set[Atom] = set()
+    out: set[int] = set()
     for g in f[1]:
         out |= atoms_of(g)
     return out
 
 
-def evaluate(f: Formula, bits: dict[Atom, int]) -> int:
+def evaluate(f: Formula, bits: dict[int, int]) -> int:
     """Truth values of f under many total valuations at once.
 
-    Bit j of `bits[a]` is the value of atom a under valuation j; bit j of
-    the result is the value of f under it.  Connectives are bitwise: `&`
-    for and, `|` for or, `~` for not, `~a | b` for implies, -1 (all bits
-    set) for tt and 0 for ff, so the bits above the last valuation are not
-    meaningful and the caller masks them off with (1 << count) - 1.  A
-    single valuation is the one-bit case: `evaluate(f, nu) & 1` with nu a
-    dict of bools.  The oracle's `ReachGraph.sat` evaluates a formula once
-    over all the distinct valuations of a chain this way."""
+    Bit j of `bits[v]` is the value of variable v under valuation j; bit j
+    of the result is the value of f under it.  Connectives are bitwise:
+    `&` for and, `|` for or, `~` for not, -1 (all bits set) for tt and 0
+    for ff, so the bits above the last valuation are not meaningful and
+    the caller masks them off with (1 << count) - 1.  A single valuation is
+    the one-bit case.  The oracle's `ReachGraph.key_set` evaluates a
+    formula once over all the distinct valuations of a chain this way."""
     tag = f[0]
     if tag == "atom":
         return bits[f[1]]
@@ -185,8 +150,6 @@ def evaluate(f: Formula, bits: dict[Atom, int]) -> int:
         return acc
     if tag == "not":
         return ~evaluate(f[1], bits)
-    if tag == "implies":
-        return ~evaluate(f[1], bits) | evaluate(f[2], bits)
     if tag == "tt":
         return -1
     if tag == "ff":
@@ -194,49 +157,30 @@ def evaluate(f: Formula, bits: dict[Atom, int]) -> int:
     raise ValueError(f"bad formula node {f!r}")
 
 
-def evaluation_domain(f: Formula) -> list[Atom]:
-    """Atoms of f, closed under adding the presence companion of every
-    singleton atom, in canonical order."""
-    dom = set(atoms_of(f))
-    for a in list(dom):
-        if a.kind == SINGLETON:
-            dom.add(Atom(PRESENCE, a.index, a.name[:-1]))
-    return sorted(dom, key=Atom.sort_key)
+def evaluation_domain(f: Formula) -> list[int]:
+    """Variables of f, closed under adding the presence companion v - 1 of
+    every singleton v, in increasing order: by state, presence first."""
+    dom = atoms_of(f)
+    dom |= {v - 1 for v in dom if not v & 1}
+    return sorted(dom)
 
 
-Valuation = dict[Atom, bool]
+Valuation = tuple[int, ...]
 
 
 def present(s: int) -> int:
-    """The literal "state s is populated"."""
+    """The variable "state s is populated"."""
     return 2 * s + 1
 
 
 def single(s: int) -> int:
-    """The literal "state s holds exactly one agent"."""
+    """The variable "state s holds exactly one agent"."""
     return 2 * s + 2
 
 
-_VARIABLE = {PRESENCE: present, SINGLETON: single}
-
-
-def literal(a: Atom, value: bool = True) -> int:
-    """The literal "atom a has truth value `value`".  Out atoms are not
-    numbered: KeyError."""
-    v = _VARIABLE[a.kind](a.index)
-    return v if value else -v
-
-
-def literals(val: Valuation) -> tuple[int, ...]:
-    """The literals a valuation fixes."""
-    return tuple(literal(a, v) for a, v in val.items())
-
-
-def literal_formula(p: PopulationProtocol, lit: int) -> Formula:
+def literal_formula(lit: int) -> Formula:
     """The formula of a literal: its atom, negated when lit < 0."""
-    s, one = divmod(abs(lit) - 1, 2)
-    num = numbering(p)
-    f = atom((num.singleton if one else num.presence)[s])
+    f = atom(abs(lit))
     return f if lit > 0 else neg(f)
 
 
@@ -256,11 +200,11 @@ def xi_clause(head: Head) -> tuple[int, int]:
 
 class Premise:
     """The premise "the literals `units` hold and every head of `heads` is
-    disabled", over the protocol's atoms: the unit clauses, the xi clause
-    of each head and the coupling of each singleton.  `base` is the closure
-    of the units in the implication graph `graph` of the binary clauses, or
-    None when the premise is unsatisfiable.  Premises with the same heads
-    share one graph and its literal closures (`Numbering.graph`).
+    disabled", over the protocol's variables: the unit clauses, the xi
+    clause of each head and the coupling of each singleton.  `base` is the
+    closure of the units in the implication graph `graph` of the binary
+    clauses, or None when the premise is unsatisfiable.  Premises with the
+    same heads share one graph and its literal closures (`implications`).
     Read-only once built."""
 
     __slots__ = ("p", "units", "heads", "graph", "base")
@@ -286,7 +230,7 @@ class Premise:
         """The premise of `units` and `heads`; only the closure of the
         units is built here."""
         units = tuple(units)
-        graph = numbering(p).graph(heads)
+        graph = implications(p, heads)
         return cls(p, units, heads, graph, graph.close(units, (0, 0)))
 
     def with_units(self, extra: Iterable[int]) -> Premise:
@@ -304,9 +248,9 @@ class Premise:
 class Implications:
     """The implication graph of binary clauses, with each literal's closure
     built once, on first use.  A set of literals is written as a pair (true
-    atoms, false atoms) of ints with bit v for variable v.  On binary
-    clauses, unit propagation from a set of literals is the union of each
-    literal's closure."""
+    variables, false variables) of ints with bit v for variable v.  On
+    binary clauses, unit propagation from a set of literals is the union of
+    each literal's closure."""
 
     __slots__ = ("succ", "memo")
 
@@ -340,8 +284,8 @@ class Implications:
     def close(
         self, literals: Iterable[int], base: tuple[int, int] | None
     ) -> tuple[int, int] | None:
-        """The closures of `literals` ORed into `base`; None when some atom
-        comes out both true and false, or when `base` is None."""
+        """The closures of `literals` ORed into `base`; None when some
+        variable comes out both true and false, or when `base` is None."""
         if base is None:
             return None
         pos, negs = base
@@ -353,42 +297,23 @@ class Implications:
         return None if pos & negs else (pos, negs)
 
 
-class Numbering:
-    """A protocol's atoms, built once, and per set H of disabled heads the
-    implication graph of the xi clause of each head of H and the coupling
-    (!A! | A) of each singleton, built on first use; see `Premise.horn`."""
-
-    __slots__ = ("presence", "singleton", "graphs")
-
-    def __init__(self, p: PopulationProtocol):
-        self.presence = tuple(Atom(PRESENCE, s, q) for s, q in enumerate(p.states))
-        self.singleton = tuple(
-            Atom(SINGLETON, s, q + "!") for s, q in enumerate(p.states)
-        )
-        self.graphs: dict[frozenset[Head], Implications] = {}
-
-    def graph(self, heads: frozenset[Head]) -> Implications:
-        g = self.graphs.get(heads)
-        if g is None:
-            clauses = [(-single(s), present(s)) for s in range(len(self.presence))]
-            clauses += [xi_clause(h) for h in sorted(heads)]
-            g = self.graphs[heads] = Implications(clauses)
-        return g
-
-
-def numbering(p: PopulationProtocol) -> Numbering:
-    """The protocol's `Numbering`, built on first use and kept on it."""
-    num = p.numbering
-    if num is None:
-        num = p.numbering = Numbering(p)
-    return num
+def implications(p: PopulationProtocol, heads: frozenset[Head]) -> Implications:
+    """The implication graph of the xi clause of each head of `heads` and
+    the coupling (!A! | A) of each state, built on first use and kept on
+    the protocol (`p.graphs`); see `Premise.horn`."""
+    g = p.graphs.get(heads)
+    if g is None:
+        clauses = [(-single(s), present(s)) for s in range(len(p.states))]
+        clauses += [xi_clause(h) for h in sorted(heads)]
+        g = p.graphs[heads] = Implications(clauses)
+    return g
 
 
 def is_tautology(goal: tuple[int, ...], premise: Premise) -> bool:
     """True iff every consistent total assignment satisfying the premise
     satisfies the clause `goal`, a tuple of literals: ORing the closures of
-    their negations into the premise's base leaves some atom both true and
-    false."""
+    their negations into the premise's base leaves some variable both true
+    and false."""
     return premise.graph.close([-lit for lit in goal], premise.base) is None
 
 
@@ -410,17 +335,16 @@ def enumerate_satisfying_valuations(
 ) -> list[Valuation]:
     """All consistent total assignments over the evaluation domain of phi,
     a stage formula with the parts `parts`, that satisfy it, in canonical
-    order (atoms by state index, tt before ff).
+    order (variables in increasing order, tt before ff).
 
-    Per member of the disjunction, the walk decides the domain's atoms in
-    order under the closures of `Premise.horn(p, units + member, heads)`,
-    trying each value whose closure leaves no atom both true and false;
-    every leaf is a model (see the module docstring).  A leaf is kept as a
-    key with one bit per domain atom, the first atom highest and set when
-    false, so the members' valuations merge in canonical order by sorting
-    the distinct keys."""
-    domain = evaluation_domain(phi)
-    order = [literal(a) for a in domain]
+    Per member of the disjunction, the walk decides the domain's variables
+    in order under the closures of `Premise.horn(p, units + member,
+    heads)`, trying each value whose closure leaves no variable both true
+    and false; every leaf is a model (see the module docstring).  A leaf is
+    kept as a key with one bit per domain variable, the first highest and
+    set when false, so the members' valuations merge in canonical order by
+    sorting the distinct keys."""
+    order = evaluation_domain(phi)
     keys: set[int] = set()
 
     def walk(i: int, pos: int, negs: int, key: int) -> None:
@@ -435,49 +359,47 @@ def enumerate_satisfying_valuations(
             if not t & f:
                 walk(i + 1, t, f, key << 1 | bit)
 
-    units = tuple(lit for val in parts.units for lit in literals(val))
+    units = tuple(lit for val in parts.units for lit in val)
     for member in parts.members:
         premise = Premise.horn(p, units + member, parts.heads)
         if premise.base is not None:
             closure = premise.graph.closure
             walk(0, *premise.base, 0)
-    last = len(domain) - 1
+    last = len(order) - 1
     return [
-        {a: not key >> (last - i) & 1 for i, a in enumerate(domain)}
+        tuple(-v if key >> (last - i) & 1 else v for i, v in enumerate(order))
         for key in sorted(keys)
     ]
 
 
-def holds_throughout(f: Formula, vals: list[Valuation]) -> bool:
+def holds_throughout(f: Formula, vals: Sequence[Valuation]) -> bool:
     """True iff f holds under every valuation of `vals`, all over one
-    domain, and under each of its consistent extensions over the atoms of f
-    outside that domain.  Bit j * len(vals) + i stands for valuation i
+    domain, and under each of its consistent extensions over the variables
+    of f outside that domain.  Bit j * len(vals) + i stands for valuation i
     under extension j, so one `evaluate` decides them all."""
     if not vals:
         return True
     n = len(vals)
-    extra = [a for a in evaluation_domain(f) if a not in vals[0]]
+    dom = [abs(lit) for lit in vals[0]]
+    extra = [v for v in evaluation_domain(f) if v not in dom]
     blocks = range(1 << len(extra))
-    bits: dict[Atom, int] = {}
+    bits: dict[int, int] = {}
     repeat = sum(1 << j * n for j in blocks)
-    for a in vals[0]:
-        bits[a] = sum(1 << i for i, nu in enumerate(vals) if nu[a]) * repeat
+    for k, v in enumerate(dom):
+        bits[v] = sum(1 << i for i, nu in enumerate(vals) if nu[k] > 0) * repeat
     block = (1 << n) - 1
-    for t, a in enumerate(extra):
-        bits[a] = sum(block << j * n for j in blocks if j >> t & 1)
+    for t, v in enumerate(extra):
+        bits[v] = sum(block << j * n for j in blocks if j >> t & 1)
     allowed = (1 << n * len(blocks)) - 1
-    for a in extra:
-        if a.kind == SINGLETON:  # A! -> A
-            allowed &= ~bits[a] | bits[Atom(PRESENCE, a.index, a.name[:-1])]
+    for v in extra:
+        if not v & 1:  # A! -> A
+            allowed &= ~bits[v] | bits[v - 1]
     return evaluate(f, bits) & allowed == allowed
 
 
 def valuation_formula(val: Valuation) -> Formula:
-    """The conjunction of literals a valuation fixes, in canonical atom order."""
-    parts = []
-    for a in sorted(val.keys(), key=Atom.sort_key):
-        parts.append(atom(a) if val[a] else neg(atom(a)))
-    return conj(parts)
+    """The conjunction of the literals a valuation fixes, in its order."""
+    return conj([literal_formula(lit) for lit in val])
 
 
 def xi(p: PopulationProtocol, head: Head) -> Formula:
@@ -491,7 +413,7 @@ def xi(p: PopulationProtocol, head: Head) -> Formula:
     """
     f = p.xi_table.get(head)
     if f is None:
-        f = p.xi_table[head] = disj([literal_formula(p, lit) for lit in xi_clause(head)])
+        f = p.xi_table[head] = disj([literal_formula(lit) for lit in xi_clause(head)])
     return f
 
 
@@ -520,8 +442,15 @@ def stage_formula(
     return conj(trees), Parts(units, heads, tuple(not_xi(h) for h in ordered))
 
 
-def pretty(f: Formula) -> str:
-    """Infix rendering: atoms `A`/`A!`, operators `!`, `&`, `|`, `=>`."""
+def variable_name(v: int, states: Sequence[str]) -> str:
+    """The name of a variable: `A` for the presence of state A, `A!` for
+    its singleton."""
+    return states[(v - 1) >> 1] + ("" if v & 1 else "!")
+
+
+def pretty(f: Formula, states: Sequence[str]) -> str:
+    """Infix rendering, with variables named after `states`: atoms `A`/`A!`,
+    operators `!`, `&`, `|`."""
 
     def go(g: Formula, parent: str) -> str:
         tag = g[0]
@@ -530,19 +459,16 @@ def pretty(f: Formula) -> str:
         if tag == "ff":
             return "false"
         if tag == "atom":
-            return g[1].name
+            return variable_name(g[1], states)
         if tag == "not":
             inner = go(g[1], "not")
             return f"!{inner}"
         if tag == "and":
             s = " & ".join(go(x, "and") for x in g[1])
-            return f"({s})" if parent in ("not", "or", "implies") else s
+            return f"({s})" if parent in ("not", "or") else s
         if tag == "or":
             s = " | ".join(go(x, "or") for x in g[1])
-            return f"({s})" if parent in ("not", "and", "implies") else s
-        if tag == "implies":
-            s = f"{go(g[1], 'implies')} => {go(g[2], 'implies')}"
-            return f"({s})" if parent != "top" else s
+            return f"({s})" if parent in ("not", "and") else s
         raise ValueError(f"bad formula node {g!r}")
 
     return go(f, "top")

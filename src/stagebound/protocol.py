@@ -140,9 +140,9 @@ class PopulationProtocol:
         # head -> the formula "every rule with this head is disabled",
         # filled lazily by logic.xi for the stage formulas
         self.xi_table: dict = {}
-        # the atoms and the implication graph of each head set, built on
-        # first use by logic.numbering
-        self.numbering = None
+        # head set -> its implication graph, built on first use by
+        # logic.implications
+        self.graphs: dict = {}
 
     # -- naming helpers -------------------------------------------------
 

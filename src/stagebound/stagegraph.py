@@ -42,10 +42,8 @@ from dataclasses import dataclass, field
 from . import bounds as bounds_mod
 from .logic import (
     Formula,
-    PRESENCE,
     Parts,
     Premise,
-    SINGLETON,
     Valuation,
     atom,
     conj,
@@ -53,15 +51,13 @@ from .logic import (
     enumerate_satisfying_valuations,
     holds_throughout,
     is_tautology,
-    literals,
     neg,
     not_xi,
-    numbering,
     present,
-    presence,
     pretty,
     single,
     stage_formula,
+    variable_name,
     xi_clause,
 )
 from .protocol import Head, PopulationProtocol, Transition
@@ -76,7 +72,7 @@ TERMINAL_EXHAUSTED = "terminal-exhausted"
 class TransformationGraph:
     """States still allowed by pi, with "A can turn into B" edges.
 
-    `premise` is the `Premise.horn` of the literals of pi_nu and the
+    `premise` is the `Premise.horn` of the valuation pi_nu and the
     disabled heads T the graph was built under, built once for every query
     asked under it; `compute_j` and `bounds.is_fast` extend it.
     `gen_edges` has one key per non-idle rule that can still fire under
@@ -149,11 +145,7 @@ class StageGraph:
 
 
 class StageLimitError(RuntimeError):
-    """Stage or time budget exceeded; carries the partial tree."""
-
-    def __init__(self, message: str, partial: StageGraph):
-        super().__init__(message)
-        self.partial = partial
+    """Stage or time budget exceeded."""
 
 
 def initial_stage(p: PopulationProtocol) -> Stage:
@@ -162,15 +154,15 @@ def initial_stage(p: PopulationProtocol) -> Stage:
     inputs = sorted(p.input_states())
     others = [i for i in range(len(p.states)) if i not in p.input_states()]
     phi = conj(
-        [disj([atom(presence(p, i)) for i in inputs])]
-        + [neg(atom(presence(p, i))) for i in others]
+        [disj([atom(present(i)) for i in inputs])]
+        + [neg(atom(present(i))) for i in others]
     )
     parts = Parts(
-        ({presence(p, i): False for i in others},),
+        (tuple(-present(i) for i in others),),
         frozenset(),
         tuple((present(i),) for i in inputs),
     )
-    return Stage(id=0, phi=phi, parts=parts, pi={}, disabled=frozenset(), parent=None)
+    return Stage(id=0, phi=phi, parts=parts, pi=(), disabled=frozenset(), parent=None)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +188,10 @@ def mn_fixpoint(
     """Greatest fixed point (M, N): states provably never populated again /
     forever holding exactly one agent, for configurations satisfying nu with
     the given permanently disabled heads.  Each state's test reads only the
-    rules producing or consuming it (`p.rules_by_state`)."""
-    m = {a.index for a, v in nu.items() if a.kind == PRESENCE and v is False}
-    n = {a.index for a, v in nu.items() if a.kind == SINGLETON and v is True}
+    rules producing or consuming it (`p.rules_by_state`).  A negative odd
+    literal -(2s + 1) of nu puts s in M, a positive even one 2s + 2 in N."""
+    m = {-lit >> 1 for lit in nu if lit < 0 and lit & 1}
+    n = {(lit >> 1) - 1 for lit in nu if lit > 0 and not lit & 1}
     by_state = p.rules_by_state
 
     def m_ok(a: int, m: set[int], n: set[int]) -> bool:
@@ -235,24 +228,23 @@ def mn_fixpoint(
 def compute_pi_nu(
     p: PopulationProtocol, disabled: frozenset[Head], nu: Valuation
 ) -> Valuation:
-    """Extend the persistent valuation with the permanent part of nu."""
+    """Extend the persistent valuation with the permanent part of nu; the
+    literals come sorted by variable, as every valuation does."""
     m, n = mn_fixpoint(p, disabled, nu)
-    num = numbering(p)
-    pi: Valuation = {}
-    for a in sorted(m):
-        pi[num.presence[a]] = False
+    # a state of both M and N, which only an inconsistent nu gives, is present
+    pi = {-present(a) for a in m - n}
     # E: states with exactly one agent because no still-enabled rule
     # consumes their unique agent without restoring it.
+    held = set(nu)
     for a, (_, used) in enumerate(p.rules_by_state):
-        present = num.presence[a]
-        if nu.get(present) is True and all(
+        if present(a) in held and all(
             head_blocked(t.lhs, disabled, m, n) for t in used if a not in t.rhs
         ):
-            pi[present] = True
-    for a in sorted(n):
-        pi[num.presence[a]] = True
-        pi[num.singleton[a]] = True
-    return pi
+            pi.add(present(a))
+    for a in n:
+        pi.add(present(a))
+        pi.add(single(a))
+    return tuple(sorted(pi, key=abs))
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +275,8 @@ def build_transformation_graph(
     rule can unless pi_nu and the disabled heads entail that its head is
     disabled.  A head needing an absent state, or lying in T, is such a
     clause of the premise itself, so it is skipped without a query."""
-    vertices = tuple(
-        s for s, a in enumerate(numbering(p).presence) if pi_nu.get(a) is not False
-    )
-    premise = Premise.horn(p, literals(pi_nu), disabled)
+    vertices = tuple(s for s in range(len(p.states)) if -present(s) not in pi_nu)
+    premise = Premise.horn(p, pi_nu, disabled)
     edges: dict[tuple[int, int], list[Transition]] = {}
     gen_edges: dict[Transition, tuple[tuple[int, int], ...]] = {}
     for t in p.non_idle:
@@ -488,7 +478,7 @@ def classify_nu_mode(
     xi(h) exactly when nu holds both literals of `not_xi(h)`."""
     if not j:
         return "neither"
-    held = set(literals(nu))
+    held = set(nu)
     enabling = [not_xi(h) for h in j]
     if all(-l1 in held or -l2 in held for l1, l2 in enabling):
         return "nu-disabled"
@@ -532,7 +522,7 @@ def compute_i_and_l(
         for t in ts:
             a, b = t.lhs
             partner = b if a == x else a
-            if partner != x and g.pi_nu.get(presence(p, partner)) is True:
+            if partner != x and present(partner) in g.pi_nu:
                 stable_edges.add((x, y))
                 break
     scc, bottom = _scc_and_bottom(p, g.vertices, stable_edges)
@@ -602,10 +592,10 @@ def case_analysis(
         i_states, l = compute_i_and_l(p, g)
         ca.i_states = i_states
         ca.l = l
-        drained = {presence(p, s): False for s in sorted(i_states)}
-        if any(nu.get(presence(p, s)) is True for s in i_states):
+        drained = tuple(-present(s) for s in sorted(i_states))
+        if any(present(s) in nu for s in i_states):
             units, some = (pi_nu, drained), l
-        elif all(nu.get(presence(p, s)) is False for s in i_states):
+        elif all(-present(s) in nu for s in i_states):
             units = (pi_nu, nu)
         else:
             units = (pi_nu, drained)
@@ -627,7 +617,7 @@ def build_child(
 
     `analyses` memoises `case_analysis` by (T, nu) across one build;
     pruning depends on the root path, so it runs for every child."""
-    key = (parent.disabled, frozenset(nu.items()))
+    key = (parent.disabled, nu)
     succ = analyses.get(key)
     if succ is None:
         succ = analyses[key] = case_analysis(p, parent.disabled, nu)
@@ -670,7 +660,7 @@ def build_stage_graph(
     sg = StageGraph(protocol=p, stages=[initial_stage(p)])
     work: deque[int] = deque([0])
     splits: dict[Formula, list[Valuation]] = {}
-    analyses: dict[tuple[frozenset[Head], frozenset], Successor] = {}
+    analyses: dict[tuple[frozenset[Head], Valuation], Successor] = {}
     while work:
         sid = work.popleft()
         stage = sg.stages[sid]
@@ -683,11 +673,9 @@ def build_stage_graph(
             )
         for nu in nus:
             if len(sg.stages) >= max_stages:
-                raise StageLimitError(
-                    f"stage limit {max_stages} exceeded", sg
-                )
+                raise StageLimitError(f"stage limit {max_stages} exceeded")
             if time.monotonic() - start > timeout:
-                raise StageLimitError(f"timeout {timeout}s exceeded", sg)
+                raise StageLimitError(f"timeout {timeout}s exceeded")
             child = build_child(p, sg, stage, nu, analyses, splits)
             if child is None:
                 continue
@@ -705,12 +693,10 @@ def build_stage_graph(
 # Export
 
 
-def _val_repr(val: Valuation | None) -> list[list]:
+def _val_repr(val: Valuation | None, states: tuple[str, ...]) -> list[list]:
     if val is None:
         return []
-    return [
-        [a.name, bool(v)] for a, v in sorted(val.items(), key=lambda kv: kv[0].sort_key())
-    ]
+    return [[variable_name(abs(lit), states), lit > 0] for lit in val]
 
 
 def _heads_repr(p: PopulationProtocol, heads) -> list[str]:
@@ -737,8 +723,8 @@ def to_json_dict(sg: StageGraph) -> dict:
     Each distinct formula, valuation and case analysis is rendered once,
     and the stages that share it share the rendering."""
     p = sg.protocol
-    phi_repr = _once(pretty)
-    val_repr = _once(_val_repr)
+    phi_repr = _once(lambda phi: pretty(phi, p.states))
+    val_repr = _once(lambda val: _val_repr(val, p.states))
 
     def block(ca: CaseAnalysis) -> dict:
         return {
@@ -788,11 +774,10 @@ def to_dot(sg: StageGraph) -> str:
     lines = ["digraph stages {", '  node [shape=box, fontname="monospace"];']
     for s in sg.stages:
         pi_s = " ".join(
-            ("" if v else "!") + a.name
-            for a, v in sorted(s.pi.items(), key=lambda kv: kv[0].sort_key())
+            ("" if lit > 0 else "!") + variable_name(abs(lit), p.states) for lit in s.pi
         )
         t_s = " ".join(_heads_repr(p, s.disabled))
-        label = f"S{s.id} [{s.kind}]\\nPhi: {pretty(s.phi)}\\npi: {pi_s or '-'}\\nT: {t_s or '-'}"
+        label = f"S{s.id} [{s.kind}]\\nPhi: {pretty(s.phi, p.states)}\\npi: {pi_s or '-'}\\nT: {t_s or '-'}"
         if s.analysis is not None:
             label += f"\\nbound: {bounds_mod.edge_bound(s.analysis).label}"
         label = label.replace('"', '\\"')

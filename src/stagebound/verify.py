@@ -27,17 +27,7 @@ from math import gcd, inf, lcm, log, log1p
 
 import numpy as np
 
-from .logic import (
-    OUT,
-    Atom,
-    Formula,
-    evaluate,
-    literal,
-    not_xi,
-    out_atom,
-    presence,
-    singleton,
-)
+from .logic import Formula, evaluate, not_xi, present, single
 from .protocol import (
     Configuration,
     PopulationProtocol,
@@ -77,11 +67,11 @@ class ReachGraph:
     `links[v]` is the same row without its weights.
 
     Formulas are evaluated on keys, not on nodes: a node's key is its count
-    vector clipped at 2, which fixes every presence, singleton and Out_x
-    atom.  `keys[v]` is the number of node v's key and `key_counts[j]` the
-    key numbered j, keys being numbered as first met in node order; all
-    three are filled by `explore` as it goes.  The graph keeps, per atom,
-    one int whose bit j is the atom's value at key j (`key_masks`)."""
+    vector clipped at 2, which fixes every presence and singleton variable.
+    `keys[v]` is the number of node v's key and `key_counts[j]` the key
+    numbered j, keys being numbered as first met in node order; all three
+    are filled by `explore` as it goes.  The graph keeps, per variable, one
+    int whose bit j is the variable's value at key j (`key_masks`)."""
 
     protocol: PopulationProtocol
     counts: list[tuple[int, ...]]
@@ -114,28 +104,16 @@ class ReachGraph:
         return self._components
 
     @cached_property
-    def key_masks(self) -> dict[Atom, int]:
-        """The bit mask of every atom over the distinct keys."""
-        p = self.protocol
-        present = [0] * len(p.states)
-        single = [0] * len(p.states)
-        out = [0, 0]
+    def key_masks(self) -> dict[int, int]:
+        """The bit mask of every variable over the distinct keys."""
+        masks = dict.fromkeys(range(1, 2 * len(self.protocol.states) + 1), 0)
         for j, key in enumerate(self.key_counts):
             bit = 1 << j
-            outputs = set()
             for s, k in enumerate(key):
                 if k:
-                    present[s] |= bit
-                    outputs.add(p.output(s))
+                    masks[present(s)] |= bit
                     if k == 1:
-                        single[s] |= bit
-            for x in (0, 1):
-                if outputs <= {x}:
-                    out[x] |= bit
-        masks = {out_atom(x): out[x] for x in (0, 1)}
-        for s in range(len(p.states)):
-            masks[presence(p, s)] = present[s]
-            masks[singleton(p, s)] = single[s]
+                        masks[single(s)] |= bit
         return masks
 
     @cached_property
@@ -368,9 +346,16 @@ def explore(
 
 def stable_set(g: ReachGraph) -> set[int]:
     """Nodes from which all reachable configurations agree on one output:
-    one pass, whose two queries are "always Out_0" and "always Out_1"."""
+    one pass, whose two queries are "always, every populated state outputs
+    0" and the same for 1.  The keys where every populated state outputs x
+    are those where no state with the other output is present."""
+    p = g.protocol
     masks = g.key_masks
-    sat = g.node_bits([masks[out_atom(0)], masks[out_atom(1)]])
+    other = [0, 0]
+    for s in range(len(p.states)):
+        other[1 - p.output(s)] |= masks[present(s)]
+    full = (1 << len(g.key_counts)) - 1
+    sat = g.node_bits([full & ~other[0], full & ~other[1]])
     return {v for v, bits in enumerate(g.box_set(sat, 2)) if bits}
 
 
@@ -580,17 +565,16 @@ def stage_denotation(
     sets of all the stages."""
     masks = g.key_masks
     full = (1 << len(g.key_counts)) - 1
-    var = {literal(a): m for a, m in masks.items() if a.kind != OUT}
 
     def lit(x: int) -> int:
-        return var[x] if x > 0 else ~var[-x]
+        return masks[x] if x > 0 else ~masks[-x]
 
     disabled: dict = {}
     persist = []
     for s in stages:
         m = full
-        for a, value in s.pi.items():
-            m &= masks[a] if value else ~masks[a]
+        for x in s.pi:
+            m &= lit(x)
         for h in s.disabled:
             hm = disabled.get(h)
             if hm is None:
@@ -605,7 +589,7 @@ def stage_denotation(
 
 def stage_triple(s: Stage) -> tuple:
     """The part of a stage its denotation depends on: (Phi, pi, T)."""
-    return (s.phi, frozenset(s.pi.items()), s.disabled)
+    return (s.phi, s.pi, s.disabled)
 
 
 def check_stage_graph(

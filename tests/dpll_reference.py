@@ -5,7 +5,9 @@ was answered by literal closures, kept as a reference for them.
 f with polarity: literals and disjunctions of literals become clauses, and
 a conjunction nested inside a clause gets a one-directional
 (Plaisted-Greenbaum) auxiliary variable; the coupling A! -> A is added as
-the clause (!A! | A) for every singleton atom the walk meets first.
+the clause (!A! | A) for every singleton atom the walk meets first.  An
+atom is the variable of its leaf, so no atom is renumbered; the auxiliary
+variables are numbered from `AUX` up, past every atom.
 `ClausePremise` translates a premise once, `entails` decides a goal under
 it by DPLL with unit propagation, and `enumerate_satisfying_valuations`
 splits any formula into its valuations with the same search.  Unlike the
@@ -17,40 +19,47 @@ from __future__ import annotations
 import itertools
 
 from stagebound.logic import (
-    PRESENCE,
-    SINGLETON,
     TT,
-    Atom,
     Formula,
     conj,
     disj,
     evaluation_domain,
     heads_formula,
     literal_formula,
+    neg,
 )
+
+AUX = 1 << 30
+
+
+def implies(f: Formula, g: Formula) -> Formula:
+    """f => g, written !f | g."""
+    return disj([neg(f), g])
 
 
 def translate(
-    f: Formula, pol: bool, clauses: list[list[int]], var: dict[Atom, int], next_var: int
+    f: Formula, pol: bool, clauses: list[list[int]], known: set[int], next_var: int
 ) -> int:
     """Append to `clauses` the clauses stating that f has truth value pol;
-    returns the next free variable.
+    returns the next free auxiliary variable.
 
     One walk over f with polarity: a node required to hold (under a guard
     literal) is split at conjunctions and otherwise becomes one clause; a
     conjunction met inside a clause is named by a fresh variable x with
     clauses for x -> node only (Plaisted-Greenbaum).  Atoms missing from
-    `var` are numbered as they are met, and each new singleton atom gets
-    one more clause for the coupling A! -> A.  Literal and negated-literal
-    children are handled in the loops rather than by a recursive call,
-    which halves the calls on the premise-heavy queries of the stage-tree
-    build.
+    `known` are added to it as they are met, and each new singleton atom
+    gets one more clause for the coupling A! -> A.  Literal and
+    negated-literal children are handled in the loops rather than by a
+    recursive call, which halves the calls on the premise-heavy queries of
+    the stage-tree build.
     """
     fresh = itertools.count(next_var).__next__
-    known = len(var)
+    met: list[int] = []
 
-    def atom_var(a: Atom) -> int:
-        v = var[a] = fresh()
+    def atom_var(v: int) -> int:
+        if v not in known:
+            known.add(v)
+            met.append(v)
         return v
 
     def require(g: Formula, pol: bool, guard: int) -> None:
@@ -67,15 +76,11 @@ def translate(
                     h = h[1]
                     hpol = not pol
                 if h[0] == "atom":
-                    v = var.get(h[1]) or atom_var(h[1])
+                    v = atom_var(h[1])
                     lit = v if hpol else -v
                     clauses.append([guard, lit] if guard else [lit])
                 else:
                     require(h, hpol, guard)
-            return
-        if tag == "implies" and not pol:
-            require(g[1], True, guard)
-            require(g[2], False, guard)
             return
         lits = [guard] if guard else []
         if not collect(g, pol, lits):
@@ -90,7 +95,7 @@ def translate(
             pol = not pol
             tag = g[0]
         if tag == "atom":
-            v = var.get(g[1]) or atom_var(g[1])
+            v = atom_var(g[1])
             lits.append(v if pol else -v)
             return False
         if tag == "tt" or tag == "ff":
@@ -102,14 +107,12 @@ def translate(
                     h = h[1]
                     hpol = not pol
                 if h[0] == "atom":
-                    v = var.get(h[1]) or atom_var(h[1])
+                    v = atom_var(h[1])
                     lits.append(v if hpol else -v)
                 elif collect(h, hpol, lits):
                     return True
             return False
-        if tag == "implies" and pol:
-            return collect(g[1], False, lits) or collect(g[2], True, lits)
-        if tag not in ("and", "or", "implies"):
+        if tag not in ("and", "or"):
             raise ValueError(f"bad formula node {g!r}")
         x = fresh()
         require(g, pol, -x)
@@ -117,31 +120,31 @@ def translate(
         return False
 
     require(f, pol, 0)
-    for a, v in list(itertools.islice(var.items(), known, None)):
-        if a.kind == SINGLETON:
-            comp = Atom(PRESENCE, a.index, a.name[:-1])
-            clauses.append([-v, var.get(comp) or atom_var(comp)])
+    for v in met:
+        if not v & 1:
+            clauses.append([-v, v - 1])
+            known.add(v - 1)
     return fresh()
 
 
 class ClausePremise:
     """A premise translated once into the clauses that make it hold, so that
-    many goals can be asked of it: `formula`, its clauses, its atom
-    numbering and the next free variable."""
+    many goals can be asked of it: `formula`, its clauses, the atoms they
+    name and the next free auxiliary variable."""
 
     def __init__(self, formula: Formula = TT):
         self.formula = formula
         self.clauses: list[list[int]] = []
-        self.var: dict[Atom, int] = {}
-        self.next_var = translate(formula, True, self.clauses, self.var, 1)
+        self.known: set[int] = set()
+        self.next_var = translate(formula, True, self.clauses, self.known, AUX)
 
     def conj(self, extra: Formula) -> ClausePremise:
         """This premise and `extra`; only `extra` is translated."""
         out = ClausePremise.__new__(ClausePremise)
         out.formula = conj([self.formula, extra])
         out.clauses = list(self.clauses)
-        out.var = dict(self.var)
-        out.next_var = translate(extra, True, out.clauses, out.var, self.next_var)
+        out.known = set(self.known)
+        out.next_var = translate(extra, True, out.clauses, out.known, self.next_var)
         return out
 
 
@@ -193,7 +196,7 @@ def entails(goal: Formula, premise: ClausePremise) -> bool:
     satisfies goal; only the clauses of "not goal" are translated, and the
     premise's own clauses are copied, never extended."""
     clauses = list(premise.clauses)
-    translate(goal, False, clauses, dict(premise.var), premise.next_var)
+    translate(goal, False, clauses, set(premise.known), premise.next_var)
     return not dpll(clauses, set())
 
 
@@ -204,52 +207,50 @@ def tautology(f: Formula) -> bool:
 
 def premise_formula(premise) -> Formula:
     """The formula a `Premise.horn` premise stands for."""
-    units = [literal_formula(premise.p, lit) for lit in premise.units]
+    units = [literal_formula(lit) for lit in premise.units]
     return conj(units + [heads_formula(premise.p, premise.heads)])
 
 
-def clause_formula(p, clause: tuple[int, ...]) -> Formula:
+def clause_formula(clause: tuple[int, ...]) -> Formula:
     """The formula of an `is_tautology` goal, a clause of int literals
     (false when empty)."""
-    return disj([literal_formula(p, lit) for lit in clause])
+    return disj([literal_formula(lit) for lit in clause])
 
 
-def enumerate_satisfying_valuations(f: Formula) -> list[dict[Atom, bool]]:
+def enumerate_satisfying_valuations(f: Formula) -> list[tuple[int, ...]]:
     """All consistent total assignments over the evaluation domain of f that
-    satisfy f, in canonical order (atoms by state index, tt before ff).
+    satisfy f, in canonical order (variables in increasing order, tt before
+    ff), each as its tuple of literals.
 
-    Domain atom i is variable i + 1 of f's clauses, numbered before the
-    translation because a valid disjunct keeps its atoms out of them.  The
-    walk decides the atoms in order under unit propagation, undone through
-    its trail; DPLL settles the auxiliary variables at each leaf."""
+    The coupling of every singleton of the domain is added before the
+    translation, because a valid disjunct keeps its atoms out of the
+    clauses.  The walk decides the domain's variables in order under unit
+    propagation, undone through its trail; DPLL settles the auxiliary
+    variables at each leaf."""
     domain = evaluation_domain(f)
-    var = {a: v for v, a in enumerate(domain, 1)}
-    clauses = [  # the coupling A! -> A
-        [-v, var[Atom(PRESENCE, a.index, a.name[:-1])]]
-        for a, v in var.items()
-        if a.kind == SINGLETON
-    ]
-    translate(f, True, clauses, var, len(domain) + 1)
-    results: list[dict[Atom, bool]] = []
+    clauses = [[-v, v - 1] for v in domain if not v & 1]  # the coupling A! -> A
+    translate(f, True, clauses, set(domain), AUX)
+    results: list[tuple[int, ...]] = []
     true: set[int] = set()
 
-    def walk(v: int) -> None:
-        if v > len(domain):
+    def walk(i: int) -> None:
+        if i == len(domain):
             if dpll(clauses, set(true)):
-                results.append({a: u in true for a, u in var.items()})
+                results.append(tuple(v if v in true else -v for v in domain))
             return
+        v = domain[i]
         if v in true or -v in true:  # forced by propagation
-            walk(v + 1)
+            walk(i + 1)
             return
         for lit in (v, -v):  # tt before ff
             trail = [lit]
             true.add(lit)
             if propagate(clauses, true, trail):
-                walk(v + 1)
+                walk(i + 1)
             for x in trail:
                 true.discard(x)
 
     if propagate(clauses, true, []):
-        walk(1)
+        walk(0)
     return results
 

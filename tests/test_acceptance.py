@@ -23,8 +23,8 @@ from stagebound import (
 )
 from stagebound import verify as V
 from stagebound.cli import main as cli_main
-from stagebound.corpus import corpus_by_name, majority_four_state, majority_five_state
-from stagebound.logic import presence
+from stagebound.corpus import majority_four_state, majority_five_state
+from stagebound.logic import present
 from stagebound.protocol import Configuration
 from stagebound.stagegraph import (
     build_transformation_graph,
@@ -33,6 +33,7 @@ from stagebound.stagegraph import (
     mn_fixpoint,
 )
 from oracle_reference import roots_reach_almost_surely
+from test_corpus import corpus_by_name
 from step_reference import enabled, fire, transition_probability
 
 
@@ -172,22 +173,22 @@ def test_criterion_5_worked_example_regressions():
     p2 = parse_protocol(majority_five_state())
 
     def nu(p, true_states):
-        return {
-            presence(p, s): (p.states[s] in true_states)
+        return tuple(
+            present(s) if p.states[s] in true_states else -present(s)
             for s in range(len(p.states))
-        }
+        )
 
     # persistent-valuation fixed point of the worked example
     m, n = mn_fixpoint(p1, frozenset(), nu(p1, {"A"}))
     assert {p1.states[s] for s in m} == {"B", "a", "b"}
     assert n == set()
-    assert compute_pi_nu(p1, frozenset(), nu(p1, {"A", "B"})) == {}
+    assert compute_pi_nu(p1, frozenset(), nu(p1, {"A", "B"})) == ()
 
     # transformation graphs of the two majority protocols
-    g1 = build_transformation_graph(p1, {}, frozenset())
+    g1 = build_transformation_graph(p1, (), frozenset())
     exp1 = {tuple(p1.states[i] for i in h) for h in compute_exp(g1)}
     assert exp1 == {("A", "B")}
-    g2 = build_transformation_graph(p2, {}, frozenset())
+    g2 = build_transformation_graph(p2, (), frozenset())
     exp2 = {tuple(p2.states[i] for i in h) for h in compute_exp(g2)}
     assert exp2 == {("A", "B"), ("A", "C"), ("B", "C")}
     _ok("5 (worked-example regressions)", f"{time.monotonic()-t0:.1f}s")

@@ -12,7 +12,6 @@ from stagebound import verify as V
 from stagebound.corpus import (
     avg_and_conquer,
     broadcast,
-    corpus_by_name,
     default_corpus,
     flock_sum,
     flock_tower,
@@ -24,6 +23,11 @@ from stagebound.corpus import (
 )
 from stagebound.protocol import initial_configuration, parse_protocol
 from oracle_reference import roots_reach_almost_surely
+
+
+def corpus_by_name(name):
+    """The corpus entry of this name."""
+    return next(e for e in default_corpus() if e.name == name)
 
 
 def test_corpus_order_and_shapes(corpus):

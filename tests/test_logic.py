@@ -15,15 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpll_reference as dpll
-from dpll_reference import clause_formula, premise_formula
+from dpll_reference import clause_formula, implies, premise_formula
 from stagebound import Configuration, bounds, logic, parse_protocol, stagegraph
 from stagebound.corpus import default_corpus, majority_four_state
 from stagebound.logic import (
     FF,
     TT,
-    PRESENCE,
-    SINGLETON,
-    Atom,
     Parts,
     Premise,
     atom,
@@ -33,20 +30,16 @@ from stagebound.logic import (
     evaluation_domain,
     heads_formula,
     holds_throughout,
-    implies,
     is_tautology,
-    literal,
     literal_formula,
     neg,
     not_xi,
-    out_atom,
     present,
-    presence,
     pretty,
     single,
-    singleton,
     stage_formula,
     valuation_formula,
+    variable_name,
     xi,
     xi_clause,
 )
@@ -61,6 +54,12 @@ EMPTY = Premise.horn(P, (), frozenset())  # no unit and no head
 
 def head(x, y):
     return (x, y) if x <= y else (y, x)
+
+
+def valuation(lits):
+    """The valuation of some literals, a later literal of a variable winning
+    over an earlier one: sorted by variable, each variable once."""
+    return tuple(sorted({abs(x): x for x in lits}.values(), key=abs))
 
 
 def holds_at(c, f):
@@ -81,16 +80,6 @@ def evaluate(f, asg):
     if tag == "not":
         v = evaluate(f[1], asg)
         return None if v is None else not v
-    if tag == "implies":
-        a = evaluate(f[1], asg)
-        if a is False:
-            return True
-        b = evaluate(f[2], asg)
-        if b is True:
-            return True
-        if a is True and b is False:
-            return False
-        return None
     if tag == "and":
         pending = False
         for g in f[1]:
@@ -112,18 +101,16 @@ def evaluate(f, asg):
     raise ValueError(f"bad formula node {f!r}")
 
 
-def _consistent_choices(a: Atom, asg: dict[Atom, bool]) -> tuple[bool, ...]:
-    """Values atom `a` may take given the singleton->presence coupling.
+def _consistent_choices(v: int, asg: dict[int, bool]) -> tuple[bool, ...]:
+    """Values variable v may take given the singleton->presence coupling.
 
     tt is tried before ff so enumeration is lexicographic with tt < ff.
     """
-    if a.kind == SINGLETON:
-        comp = asg.get(Atom(PRESENCE, a.index, a.name[:-1]))
-        if comp is False:
+    if not v & 1:  # a singleton, whose presence is v - 1
+        if asg.get(v - 1) is False:
             return (False,)
-    elif a.kind == PRESENCE:
-        if asg.get(Atom(SINGLETON, a.index, a.name + "!")) is True:
-            return (True,)
+    elif asg.get(v + 1) is True:
+        return (True,)
     return (True, False)
 
 
@@ -133,12 +120,12 @@ def reference_enumerate_satisfying_valuations(f):
     domain = evaluation_domain(f)
     results = []
 
-    def walk(i: int, asg: dict[Atom, bool]) -> None:
+    def walk(i: int, asg: dict[int, bool]) -> None:
         if evaluate(f, asg) is False:
             return
         if i == len(domain):
             if evaluate(f, asg) is True:
-                results.append(dict(asg))
+                results.append(tuple(v if x else -v for v, x in asg.items()))
             return
         a = domain[i]
         for val in _consistent_choices(a, asg):
@@ -176,16 +163,16 @@ def reference_is_tautology(f):
 
 
 def test_xi_distinct_states():
-    assert xi(P, head(A, B)) == disj([neg(atom(presence(P, A))), neg(atom(presence(P, B)))])
+    assert xi(P, head(A, B)) == disj([neg(atom(present(A))), neg(atom(present(B)))])
 
 
 def test_xi_same_state_uses_singleton():
     got = xi(P, head(A, A))
-    assert got == disj([neg(atom(presence(P, A))), atom(singleton(P, A))])
+    assert got == disj([neg(atom(present(A))), atom(single(A))])
     # heads with only idle rules get the same shape: "at most one b" is the
     # exact disabling condition for a pair rule on a single state, and the
     # formula stays meaningful wherever it is reused
-    assert xi(P, head(b, b)) == disj([neg(atom(presence(P, b))), atom(singleton(P, b))])
+    assert xi(P, head(b, b)) == disj([neg(atom(present(b))), atom(single(b))])
 
 
 def test_heads_formula():
@@ -197,36 +184,36 @@ def test_heads_formula():
 
 
 def test_valuation_formula():
-    nu = {presence(P, A): True, presence(P, B): False}
-    assert valuation_formula(nu) == conj([atom(presence(P, A)), neg(atom(presence(P, B)))])
-    assert valuation_formula({}) == TT
-    assert valuation_formula({singleton(P, A): True}) == atom(singleton(P, A))
+    nu = (present(A), -present(B))
+    assert valuation_formula(nu) == conj([atom(present(A)), neg(atom(present(B)))])
+    assert valuation_formula(()) == TT
+    assert valuation_formula((single(A),)) == atom(single(A))
 
 
 def test_stage_formula_empty_disjunction_is_false():
-    units = ({presence(P, A): True},)
+    units = ((present(A),),)
     phi, parts = stage_formula(P, units, frozenset({head(A, B)}), frozenset())
     assert phi == FF
     assert parts == Parts(units, frozenset({head(A, B)}), ())
     # no disjunction at all: one empty member
     phi, parts = stage_formula(P, units, frozenset())
-    assert phi == atom(presence(P, A)) and parts.members == ((),)
+    assert phi == atom(present(A)) and parts.members == ((),)
 
 
 def test_stage_formula_renders_drained_states_flat():
     # the build once wrote drained states as loose conjuncts: pi, the xi
     # of T, one literal per drained state, then "some head of L is enabled"
-    pi = {presence(P, A): True, singleton(P, A): True}
+    pi = (present(A), single(A))
     heads = frozenset({head(a, b), head(A, b)})
     l = frozenset({head(B, b), head(a, a)})
     some_l = disj([neg(xi(P, h)) for h in sorted(l)])
     for states in ([B], [B, a, b]):
-        drained = {presence(P, s): False for s in states}
-        flat = [neg(atom(x)) for x in drained]
+        drained = tuple(-present(s) for s in states)
+        flat = [literal_formula(x) for x in drained]
         for some, tail in ((None, []), (l, [some_l])):
             phi, parts = stage_formula(P, (pi, drained), heads, some)
             old = conj([valuation_formula(pi), heads_formula(P, heads)] + flat + tail)
-            assert pretty(phi) == pretty(old)
+            assert pretty(phi, P.states) == pretty(old, P.states)
             if len(states) == 1:
                 assert phi == old
             assert parts.units[0] is pi and parts.units[1] is drained
@@ -237,7 +224,7 @@ def test_stage_formula_renders_drained_states_flat():
 
 def test_is_tautology_consistency_rule():
     # one agent in A implies A populated: the only countermodel is excluded
-    f = neg(conj([atom(singleton(P, A)), neg(atom(presence(P, A)))]))
+    f = neg(conj([atom(single(A)), neg(atom(present(A)))]))
     assert is_tautology((-single(A), present(A)), EMPTY)
     assert dpll.tautology(f)
 
@@ -253,53 +240,45 @@ def test_is_tautology_basic():
 
 def test_literals_number_the_atoms():
     # the presence of state s is 2s + 1 and its singleton 2s + 2, negated by
-    # sign, and each literal names back its own atom
-    assert [literal(presence(P, s)) for s in range(4)] == [1, 3, 5, 7]
-    assert [literal(singleton(P, s), False) for s in range(4)] == [-2, -4, -6, -8]
+    # sign; each literal's formula is its variable's atom, and each variable
+    # is named after its state
+    assert [present(s) for s in range(4)] == [1, 3, 5, 7]
+    assert [-single(s) for s in range(4)] == [-2, -4, -6, -8]
     for s in range(4):
-        for v, at in ((present(s), presence(P, s)), (single(s), singleton(P, s))):
-            assert literal_formula(P, v) == atom(at)
-            assert literal_formula(P, -v) == neg(atom(at))
+        for v, name in ((present(s), P.states[s]), (single(s), P.states[s] + "!")):
+            assert literal_formula(v) == atom(v)
+            assert literal_formula(-v) == neg(atom(v))
+            assert variable_name(v, P.states) == name
     # not_xi and xi_clause: A and B for {A,B}, A and not A! for {A,A}
     assert not_xi(head(A, B)) == (present(A), present(B))
     assert not_xi(head(a, a)) == (present(a), -single(a))
     assert xi_clause(head(a, a)) == (-present(a), single(a))
-    assert clause_formula(P, xi_clause(head(A, b))) == xi(P, head(A, b))
+    assert clause_formula(xi_clause(head(A, b))) == xi(P, head(A, b))
 
 
 def test_enumerate_example1_initial_stage():
-    pa, pb, paa, pbb = (atom(presence(P, s)) for s in (A, B, a, b))
+    pa, pb, paa, pbb = (atom(present(s)) for s in (A, B, a, b))
     phi = conj([disj([pa, pb]), neg(paa), neg(pbb)])
     s = initial_stage(P)
     assert s.phi == phi
     vals = enumerate_satisfying_valuations(P, phi, s.parts)
     assert len(vals) == 3
-    # canonical order: tt before ff, atoms by state index
-    as_tuples = [
-        tuple(v[presence(P, s)] for s in (A, B, a, b)) for v in vals
-    ]
-    assert as_tuples == [
-        (True, True, False, False),
-        (True, False, False, False),
-        (False, True, False, False),
-    ]
+    # canonical order: tt before ff, variables by state index
+    assert vals == [(1, 3, -5, -7), (1, -3, -5, -7), (-1, 3, -5, -7)]
 
 
 def test_enumerate_unsat_and_singleton():
     assert enumerate_satisfying_valuations(P, FF, Parts((), frozenset(), ())) == []
-    one = singleton(P, A)
-    vals = enumerate_satisfying_valuations(P, atom(one), Parts(({one: True},), frozenset()))
-    assert vals == [{presence(P, A): True, one: True}]
+    one = single(A)
+    vals = enumerate_satisfying_valuations(P, atom(one), Parts(((one,),), frozenset()))
+    assert vals == [(present(A), one)]
 
 
 def test_sat_atoms():
     c = Configuration((2, 0, 0, 0))
-    assert holds_at(c, conj([atom(presence(P, A)), neg(atom(presence(P, B)))]))
-    assert holds_at(Configuration((1, 0, 0, 0)), atom(singleton(P, A)))
-    assert not holds_at(c, atom(singleton(P, A)))
-    # Out_1 fails when an output-0 state is populated
-    assert not holds_at(Configuration((0, 0, 1, 2)), atom(out_atom(1)))
-    assert holds_at(Configuration((0, 0, 0, 2)), atom(out_atom(1)))
+    assert holds_at(c, conj([atom(present(A)), neg(atom(present(B)))]))
+    assert holds_at(Configuration((1, 0, 0, 0)), atom(single(A)))
+    assert not holds_at(c, atom(single(A)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -322,10 +301,7 @@ def test_xi_matches_enabledness(counts, x, y):
 
 @st.composite
 def formulas(draw, depth=3):
-    atoms = [atom(presence(P, s)) for s in range(4)] + [
-        atom(singleton(P, A)),
-        atom(singleton(P, b)),
-    ]
+    atoms = [atom(present(s)) for s in range(4)] + [atom(single(A)), atom(single(b))]
     if depth == 0:
         return draw(st.sampled_from(atoms + [TT, FF]))
     kind = draw(st.integers(0, 3))
@@ -353,9 +329,7 @@ def coupled_formulas(draw, num_states, depth=3):
     """Formulas with every connective over the presence and singleton atoms
     of the first `num_states` states, so A! -> A matters."""
     states = range(num_states)
-    atoms = [atom(presence(P, s)) for s in states] + [
-        atom(singleton(P, s)) for s in states
-    ]
+    atoms = [atom(present(s)) for s in states] + [atom(single(s)) for s in states]
     if depth == 0:
         return draw(st.sampled_from(atoms + [TT, FF]))
     kind = draw(st.integers(0, 4))
@@ -377,33 +351,28 @@ def test_tautology_agrees_with_reference(f):
     assert dpll.tautology(neg(f)) == reference_is_tautology(neg(f))
 
 
-def listed(vals):
-    """Valuations with their atoms in order, so the order is compared too."""
-    return [list(nu.items()) for nu in vals]
-
-
 @settings(max_examples=200, deadline=None)
 @given(f=formulas())
 def test_enumeration_agrees_with_reference(f):
     got = dpll.enumerate_satisfying_valuations(f)
-    assert listed(got) == listed(reference_enumerate_satisfying_valuations(f))
+    assert got == reference_enumerate_satisfying_valuations(f)
 
 
 @settings(max_examples=300, deadline=None)
 @given(f=st.integers(3, 4).flatmap(coupled_formulas))
 def test_enumeration_agrees_with_reference_on_coupled_formulas(f):
     got = dpll.enumerate_satisfying_valuations(f)
-    assert listed(got) == listed(reference_enumerate_satisfying_valuations(f))
+    assert got == reference_enumerate_satisfying_valuations(f)
 
 
 def test_enumeration_covers_atoms_of_a_valid_disjunct():
-    # the translation drops the disjunct B! once A => true makes the clause
+    # the translation drops the disjunct B! once !A | true makes the clause
     # valid, yet B and B! stay in the domain: 2 values of A times the 3
-    # consistent ones of (B, B!)
-    f = disj([implies(atom(presence(P, A)), TT), atom(singleton(P, B))])
+    # consistent ones of (B, B!).  Plain tuples keep the true disjunct in.
+    f = ("or", (("or", (neg(atom(present(A))), TT)), atom(single(B))))
     got = dpll.enumerate_satisfying_valuations(f)
     assert len(got) == 6
-    assert listed(got) == listed(reference_enumerate_satisfying_valuations(f))
+    assert got == reference_enumerate_satisfying_valuations(f)
 
 
 def test_enumeration_agrees_with_reference_on_corpus_stages(corpus_graphs):
@@ -412,12 +381,8 @@ def test_enumeration_agrees_with_reference_on_corpus_stages(corpus_graphs):
         for phi, parts in phis.items():
             got = enumerate_satisfying_valuations(sg.protocol, phi, parts)
             expect = reference_enumerate_satisfying_valuations(phi)
-            assert listed(got) == listed(expect), pretty(phi)
-            assert listed(got) == listed(dpll.enumerate_satisfying_valuations(phi))
-
-
-def lit(a, value):
-    return atom(a) if value else neg(atom(a))
+            assert got == expect, pretty(phi, sg.protocol.states)
+            assert got == dpll.enumerate_satisfying_valuations(phi)
 
 
 @pytest.mark.parametrize("name", ["majority-ex1", "remainder-m3"])
@@ -436,8 +401,9 @@ def test_tautology_agrees_with_reference_on_stage_queries(name, monkeypatch):
     stagegraph.build_stage_graph(entry.protocol())
     assert queries
     for goal, premise in queries:
-        f = implies(premise_formula(premise), clause_formula(premise.p, goal))
-        assert is_tautology(goal, premise) == reference_is_tautology(f), pretty(f)
+        f = implies(premise_formula(premise), clause_formula(goal))
+        expect = reference_is_tautology(f)
+        assert is_tautology(goal, premise) == expect, pretty(f, premise.p.states)
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,16 +422,12 @@ def test_premise_agrees_with_reference(premise, extra, goal):
     assert dpll.entails(goal, pr) == alone
 
 
-def literal_pairs(states):
-    """Literals (atom, value) over the presence and singleton atoms of
-    `states`."""
-    atoms = [presence(P, s) for s in states] + [singleton(P, s) for s in states]
-    return st.tuples(st.sampled_from(atoms), st.booleans())
-
-
 def int_literals(states):
-    """Int literals over the presence and singleton atoms of `states`."""
-    return literal_pairs(states).map(lambda x: literal(*x))
+    """Int literals over the presence and singleton variables of `states`."""
+    variables = [present(s) for s in states] + [single(s) for s in states]
+    return st.tuples(st.sampled_from(variables), st.booleans()).map(
+        lambda x: x[0] if x[1] else -x[0]
+    )
 
 
 def head_sets(states, max_size):
@@ -512,7 +474,7 @@ def horn_goals(draw):
 @settings(max_examples=400, deadline=None)
 @given(premise=horn_premises(), goal=horn_goals())
 def test_closure_path_agrees_with_reference(premise, goal):
-    f = clause_formula(P, goal)
+    f = clause_formula(goal)
     expect = reference_is_tautology(implies(premise_formula(premise), f))
     assert dpll.entails(f, dpll.ClausePremise(premise_formula(premise))) == expect
     assert is_tautology(goal, premise) == expect
@@ -556,7 +518,7 @@ def test_premise_answers_do_not_depend_on_query_order(premise, goals, order):
     # the literal closures a premise and its graph memoise for one goal
     # answer the next ones alike, in any order
     f = premise_formula(premise)
-    expect = [reference_is_tautology(implies(f, clause_formula(P, g))) for g in goals]
+    expect = [reference_is_tautology(implies(f, clause_formula(g))) for g in goals]
     assert [is_tautology(g, premise) for g in goals] == expect
     idx = list(range(len(goals)))
     order.shuffle(idx)
@@ -574,7 +536,7 @@ def stage_parts(draw):
     (as of K or L), or none, or an empty one (FF).  With no unit, no head
     and no disjunction phi is TT."""
     states = range(draw(st.integers(2, 4)))
-    units = tuple(dict(draw(st.lists(literal_pairs(states), max_size=3))) for _ in range(2))
+    units = tuple(valuation(draw(st.lists(int_literals(states), max_size=3))) for _ in range(2))
     heads = draw(head_sets(states, 3))
     kind = draw(st.integers(0, 3))
     if kind == 0:
@@ -582,13 +544,14 @@ def stage_parts(draw):
     elif kind == 1:
         members, some = (), FF
     elif kind == 2:
-        singles = draw(st.lists(literal_pairs(states), min_size=1, max_size=3))
-        members, some = tuple((literal(*x),) for x in singles), disj([lit(*x) for x in singles])
+        singles = draw(st.lists(int_literals(states), min_size=1, max_size=3))
+        members, some = tuple((x,) for x in singles), disj([literal_formula(x) for x in singles])
     else:
         enabled = sorted(draw(head_sets(states, 3).filter(bool)))
         members = tuple(not_xi(h) for h in enabled)
         some = disj([neg(xi(P, h)) for h in enabled])
-    phi = conj([lit(*x) for val in units for x in val.items()] + [heads_formula(P, heads), some])
+    lits = [literal_formula(x) for val in units for x in val]
+    phi = conj(lits + [heads_formula(P, heads), some])
     return phi, Parts(units, heads, members)
 
 
@@ -597,8 +560,8 @@ def stage_parts(draw):
 def test_split_agrees_with_references_on_stage_shapes(case):
     phi, parts = case
     got = enumerate_satisfying_valuations(P, phi, parts)
-    assert listed(got) == listed(reference_enumerate_satisfying_valuations(phi))
-    assert listed(got) == listed(dpll.enumerate_satisfying_valuations(phi))
+    assert got == reference_enumerate_satisfying_valuations(phi)
+    assert got == dpll.enumerate_satisfying_valuations(phi)
 
 
 @settings(max_examples=200, deadline=None)
@@ -616,13 +579,12 @@ def test_holds_throughout_agrees_with_dpll(anc, child):
 def test_enumerated_valuations_satisfy_and_are_consistent(case):
     phi, parts = case
     for nu in enumerate_satisfying_valuations(P, phi, parts):
-        for at, val in nu.items():
-            if at.kind == "one" and val:
-                comp = presence(P, at.index)
-                assert nu.get(comp) is True
+        for x in nu:
+            if x > 0 and not x & 1:  # a true singleton
+                assert x - 1 in nu
         # the valuation's own formula entails f on configurations is hard to
         # test directly; instead check the assignment satisfies f
-        assert logic.evaluate(phi, nu) & 1
+        assert logic.evaluate(phi, {abs(x): int(x > 0) for x in nu}) & 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -632,31 +594,18 @@ def test_enumerated_valuations_satisfy_and_are_consistent(case):
 )
 def test_config_agrees_with_pointwise_valuation(counts, data):
     c = Configuration(tuple(counts))
-    nu = {}
+    nu = []
     for s in range(4):
         if data.draw(st.booleans()):
-            nu[presence(P, s)] = c.counts[s] > 0
+            nu.append(present(s) if c.counts[s] > 0 else -present(s))
         if data.draw(st.booleans()):
-            nu[singleton(P, s)] = c.counts[s] == 1
-    assert holds_at(c, valuation_formula(nu))
+            nu.append(single(s) if c.counts[s] == 1 else -single(s))
+    assert holds_at(c, valuation_formula(tuple(nu)))
 
 
 def test_pretty_printer():
-    pa, pb = atom(presence(P, A)), atom(presence(P, B))
-    f = conj([disj([neg(pa), neg(pb)]), atom(singleton(P, A))])
-    assert pretty(f) == "(!A | !B) & A!"
-    assert pretty(TT) == "true"
-    assert pretty(implies(pa, pb)) == "A => B"
-
-
-def test_out_atoms_rejected_in_enumeration_context():
-    # Out atoms are verifier-only: they are not numbered as literals, so
-    # the closures reject them, while the oracle's evaluator and the clause
-    # DPLL treat them as plain atoms.
-    f = disj([atom(out_atom(0)), neg(atom(out_atom(0)))])
-    with pytest.raises(KeyError):
-        literal(out_atom(0))
-    with pytest.raises(KeyError):
-        enumerate_satisfying_valuations(P, f, Parts((), frozenset()))
-    assert dpll.tautology(f)
-    assert logic.evaluate(f, {out_atom(0): 0}) & 1
+    pa, pb = atom(present(A)), atom(present(B))
+    f = conj([disj([neg(pa), neg(pb)]), atom(single(A))])
+    assert pretty(f, P.states) == "(!A | !B) & A!"
+    assert pretty(TT, P.states) == "true"
+    assert pretty(neg(disj([pa, conj([pb, atom(single(b))])])), P.states) == "!(A | (B & b!))"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpll_reference as dpll
-from dpll_reference import clause_formula, premise_formula
+from dpll_reference import clause_formula, implies, premise_formula
 from stagebound import (
     Configuration,
     aggregate,
@@ -24,8 +24,6 @@ from stagebound import (
 )
 from stagebound.corpus import broadcast, majority_four_state, majority_five_state, remainder
 from stagebound.logic import (
-    PRESENCE,
-    SINGLETON,
     TT,
     Parts,
     Premise,
@@ -35,14 +33,12 @@ from stagebound.logic import (
     enumerate_satisfying_valuations,
     evaluation_domain,
     heads_formula,
-    implies,
     is_tautology,
     literal_formula,
-    literals,
     neg,
     not_xi,
-    presence,
-    singleton,
+    present,
+    single,
     valuation_formula,
     xi,
     xi_clause,
@@ -80,9 +76,7 @@ P2 = parse_protocol(majority_five_state())
 
 def nu_of(p, true_states, domain=None):
     dom = domain if domain is not None else range(len(p.states))
-    return {
-        presence(p, s): (p.states[s] in true_states) for s in dom
-    }
+    return tuple(present(s) if p.states[s] in true_states else -present(s) for s in dom)
 
 
 def names(p, heads):
@@ -91,15 +85,15 @@ def names(p, heads):
 
 def test_initial_stage_formulas():
     s1 = initial_stage(P1)
-    assert pretty(s1.phi) == "(A | B) & !a & !b"
+    assert pretty(s1.phi, P1.states) == "(A | B) & !a & !b"
     s2 = initial_stage(P2)
-    assert pretty(s2.phi) == "(A | B) & !C & !a & !b"
+    assert pretty(s2.phi, P2.states) == "(A | B) & !C & !a & !b"
     # protocol whose inputs cover all states has no negative conjuncts
     p = parse_protocol(
         "protocol t\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\n"
         "transitions:\n  A B -> A A\n"
     )
-    assert pretty(initial_stage(p).phi) == "A | B"
+    assert pretty(initial_stage(p).phi, p.states) == "A | B"
 
 
 def test_mn_fixpoint_appendix_example():
@@ -113,10 +107,9 @@ def test_mn_fixpoint_appendix_example():
 
 def test_compute_pi_nu_domains():
     pi_a = compute_pi_nu(P1, frozenset(), nu_of(P1, {"A"}))
-    got = {at.name: v for at, v in pi_a.items()}
-    assert got == {"A": True, "B": False, "a": False, "b": False}
+    assert pi_a == (present(0), -present(1), -present(2), -present(3))
     pi_ab = compute_pi_nu(P1, frozenset(), nu_of(P1, {"A", "B"}))
-    assert pi_ab == {}
+    assert pi_ab == ()
 
 
 def test_all_true_valuation_has_empty_m():
@@ -135,27 +128,27 @@ def graph(p, pi):
 def child_for(p, nu):
     """The successor build_child derives for nu from a bare parent stage."""
     parent = Stage(
-        id=0, phi=TT, parts=Parts((), frozenset()), pi={}, disabled=frozenset(), parent=None
+        id=0, phi=TT, parts=Parts((), frozenset()), pi=(), disabled=frozenset(), parent=None
     )
-    return build_child(p, StageGraph(p, [parent]), parent, nu, {}, {TT: [{}]})
+    return build_child(p, StageGraph(p, [parent]), parent, nu, {}, {TT: [()]})
 
 
 def test_is_stable_example1():
     pi = compute_pi_nu(P1, frozenset(), nu_of(P1, {"A"}))
     assert is_stable(P1, graph(P1, pi)) == 0
-    assert is_stable(P1, graph(P1, {})) is None
+    assert is_stable(P1, graph(P1, ())) is None
 
 
 def test_is_stable_single_state_protocol():
     p = parse_protocol(
         "protocol one\nstates: q\ninputs: x -> q\noutput1: q\ntransitions:\n"
     )
-    assert is_stable(p, graph(p, {})) == 1
+    assert is_stable(p, graph(p, ())) == 1
 
 
 def test_is_dead():
     # with every state forbidden, example 1 cannot fire anything
-    pi = {presence(P1, s): False for s in range(4)}
+    pi = tuple(-present(s) for s in range(4))
     assert not graph(P1, pi).gen_edges
     assert is_stable(P1, graph(P1, pi)) == 0  # stable (vacuously), not dead
     assert not is_dead(graph(P1, pi), 0)
@@ -177,7 +170,7 @@ def test_dead_requires_not_stable():
         "protocol t\nstates: A B C\ninputs: x -> A, y -> B\noutput1: B\n"
         "transitions:\n  A B -> C C\n"
     )
-    pi = {presence(p, 0): False}  # no A ever again
+    pi = (-present(0),)  # no A ever again
     # the only rule needs A; B (output 1) and C (output 0) may both linger
     g = graph(p, pi)
     assert is_stable(p, g) is None and not g.gen_edges
@@ -186,7 +179,7 @@ def test_dead_requires_not_stable():
     assert child.kind == TERMINAL_DEAD and child.analysis.dead
     assert child.analysis.stable is None
     # but a state set with a single surviving output is stable, hence not dead
-    pi_b = {presence(p, 0): False, presence(p, 2): False}
+    pi_b = (-present(0), -present(2))
     assert is_stable(p, graph(p, pi_b)) == 1
     assert not is_dead(graph(p, pi_b), 1)
     child_b = child_for(p, nu_of(p, {"B"}))
@@ -195,7 +188,7 @@ def test_dead_requires_not_stable():
 
 
 def test_transformation_graph_fig_left():
-    g = build_transformation_graph(P1, {}, frozenset())
+    g = build_transformation_graph(P1, (), frozenset())
     edges = names(P1, g.edges.keys())
     assert edges == {
         ("A", "a"), ("A", "b"), ("B", "a"), ("B", "b"), ("a", "b"), ("b", "a"),
@@ -204,7 +197,7 @@ def test_transformation_graph_fig_left():
 
 
 def test_transformation_graph_fig_right():
-    g = build_transformation_graph(P2, {}, frozenset())
+    g = build_transformation_graph(P2, (), frozenset())
     edges = names(P2, g.edges.keys())
     assert edges == {
         ("A", "C"), ("A", "b"), ("B", "C"), ("B", "b"),
@@ -215,18 +208,17 @@ def test_transformation_graph_fig_right():
 
 
 def test_transformation_graph_all_disabled():
-    pi = {presence(P1, s): False for s in (0, 1)}  # no capitals
-    pi[presence(P1, 2)] = False  # no a either
+    pi = (-present(0), -present(1), -present(2))  # no capitals, no a either
     g = build_transformation_graph(P1, pi, frozenset())
     assert g.edges == {}
     assert len(set(g.scc.values())) == len(g.vertices)
 
 
 def test_compute_j_examples():
-    g1 = build_transformation_graph(P1, {}, frozenset())
+    g1 = build_transformation_graph(P1, (), frozenset())
     exp1 = compute_exp(g1)
     assert compute_j(P1, g1, exp1) == exp1  # {AB}
-    g2 = build_transformation_graph(P2, {}, frozenset())
+    g2 = build_transformation_graph(P2, (), frozenset())
     exp2 = compute_exp(g2)
     assert compute_j(P2, g2, exp2) == exp2  # {AB, AC, BC}
     assert compute_j(P1, g1, frozenset()) == frozenset()
@@ -240,7 +232,7 @@ def test_graph_query_decided_by_a_head_clause():
         "transitions:\n  x y -> z z\n  x s -> z z\n"
     )
     x, s = p.state_index("x"), p.state_index("s")
-    g = build_transformation_graph(p, {presence(p, s): True}, frozenset({(x, s)}))
+    g = build_transformation_graph(p, (present(s),), frozenset({(x, s)}))
     assert g.gen_edges == {}
 
 
@@ -254,7 +246,7 @@ def test_j_query_decided_by_a_head_clause():
         "transitions:\n  u z -> x z\n"
     )
     x, y, u, s = (p.state_index(q) for q in "xyus")
-    pi = {presence(p, s): True}
+    pi = (present(s),)
     g = build_transformation_graph(p, pi, frozenset())
     exp = frozenset({(x, y), (u, s)})
     assert compute_j(p, g, exp) == exp
@@ -269,16 +261,16 @@ def test_classify_nu_mode():
 
 
 def test_compute_k_examples():
-    g1 = build_transformation_graph(P1, {}, frozenset())
+    g1 = build_transformation_graph(P1, (), frozenset())
     k1 = compute_k(P1, g1, compute_j(P1, g1, compute_exp(g1)))
     assert names(P1, k1) == {("a", "b")}
-    g2 = build_transformation_graph(P2, {}, frozenset())
+    g2 = build_transformation_graph(P2, (), frozenset())
     k2 = compute_k(P2, g2, compute_j(P2, g2, compute_exp(g2)))
     assert names(P2, k2) == {("C", "b"), ("A", "a"), ("B", "b")}
 
 
 def test_compute_i_and_l_edgeless():
-    pi = {presence(P1, s): False for s in (0, 1, 2)}
+    pi = tuple(-present(s) for s in (0, 1, 2))
     g = build_transformation_graph(P1, pi, frozenset())
     i_states, l = compute_i_and_l(P1, g)
     assert i_states == frozenset() and l == frozenset()
@@ -298,7 +290,7 @@ def test_compute_i_and_l_single_stable_edge():
 
 def test_compute_i_and_l_cycle_is_bottom():
     # with nothing persistent there are no stable edges at all
-    g = build_transformation_graph(P1, {}, frozenset())
+    g = build_transformation_graph(P1, (), frozenset())
     i_states, l = compute_i_and_l(P1, g)
     assert i_states == frozenset()
 
@@ -371,12 +363,19 @@ def test_determinism_identical_json():
     assert j1 == j2
 
 
-def test_stage_limit_error():
-    from stagebound import StageLimitError
+def partial_tree(exc):
+    """The tree a build had made when it raised `exc`, a StageLimitError:
+    the `sg` of the frame that raised it."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals["sg"]
 
-    with pytest.raises(StageLimitError) as exc:
+
+def test_stage_limit_error():
+    with pytest.raises(StageLimitError, match="stage limit 3 exceeded") as exc:
         build_stage_graph(parse_protocol(majority_five_state()), max_stages=3)
-    assert len(exc.value.partial.stages) >= 3
+    assert len(partial_tree(exc.value).stages) == 3
 
 
 def test_broadcast_tree_shape(corpus_graphs):
@@ -400,11 +399,9 @@ def reference_gen_edges(p, pi_nu, disabled):
 
 def reference_is_stable(p, pi_nu, disabled):
     base = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
-    present = [
-        s for s in range(len(p.states)) if pi_nu.get(presence(p, s)) is not False
-    ]
+    allowed = [s for s in range(len(p.states)) if -present(s) not in pi_nu]
     for x in (0, 1):
-        if any(p.output(s) != x for s in present):
+        if any(p.output(s) != x for s in allowed):
             continue
         if all(
             {p.output(s) for s in t.rhs} == {x}
@@ -436,12 +433,12 @@ def reference_compute_j(p, pi_nu, disabled, exp):
                     continue
                 if e != f:
                     guard = conj(
-                        [neg(atom(presence(p, prod))), atom(presence(p, partner)), base]
+                        [neg(atom(present(prod))), atom(present(partner)), base]
                     )
                     if not blocked(guard, t.lhs):
                         return False
                 elif e not in t.lhs and not blocked(
-                    conj([atom(singleton(p, e)), base]), t.lhs
+                    conj([atom(single(e)), base]), t.lhs
                 ):
                     return False
         return True
@@ -520,17 +517,19 @@ def test_head_semantics_has_one_owner(p):
     heads = all_heads(n)
     for counts in itertools.product(range(3), repeat=n):
         c = Configuration(counts)
-        nu = {}
+        nu = []
         for s, k in enumerate(counts):
-            nu[presence(p, s)] = k > 0
-            nu[singleton(p, s)] = k == 1
-        held = set(literals(nu))
+            nu.append(present(s) if k > 0 else -present(s))
+            nu.append(single(s) if k == 1 else -single(s))
+        nu = tuple(nu)
+        held = set(nu)
         fires = {}
         for h in heads:
             x, y = h
             fires[h] = counts[x] >= 2 if x == y else counts[x] > 0 and counts[y] > 0
             assert all(enabled(c, t) == fires[h] for t in p.rules_by_head.get(h, ()))
-            assert (logic.evaluate(xi(p, h), nu) & 1) == (not fires[h])
+            bits = {abs(x): int(x > 0) for x in nu}
+            assert (logic.evaluate(xi(p, h), bits) & 1) == (not fires[h])
             assert any(lit in held for lit in xi_clause(h)) == (not fires[h])
             assert (set(not_xi(h)) <= held) == fires[h]
             assert (Premise.horn(p, held, frozenset({h})).base is None) == fires[h]
@@ -547,17 +546,17 @@ def small_cases(draw):
     p = draw(small_protocols())
     n = len(p.states)
     heads = all_heads(n)
-    pi = {}
+    pi = []
     for s in range(n):
-        present = draw(st.sampled_from([None, False, True]))
+        here = draw(st.sampled_from([None, False, True]))
         # a singleton atom may be true only where presence is not false
-        one = draw(st.sampled_from([None, False] + [True] * (present is not False)))
-        if present is not None:
-            pi[presence(p, s)] = present
+        one = draw(st.sampled_from([None, False] + [True] * (here is not False)))
+        if here is not None:
+            pi.append(present(s) if here else -present(s))
         if one is not None:
-            pi[singleton(p, s)] = one
+            pi.append(single(s) if one else -single(s))
     heads_st = st.frozensets(st.sampled_from(heads))
-    return p, pi, draw(heads_st), draw(heads_st)
+    return p, tuple(pi), draw(heads_st), draw(heads_st)
 
 
 @settings(max_examples=300, deadline=None)
@@ -639,7 +638,7 @@ def tree_or_partial(build, p, **limit):
     try:
         return to_json_dict(build(p, **limit)), False
     except StageLimitError as exc:
-        return to_json_dict(exc.partial), True
+        return to_json_dict(partial_tree(exc)), True
 
 
 def test_build_matches_unmemoised_reference_on_corpus(corpus_graphs):
@@ -673,6 +672,28 @@ def fuzzed_protocols(seed, count):
         yield PopulationProtocol(f"fuzz{i}", tuple("ABCDE"[:n]), rules, inputs, output1)
 
 
+def test_valuations_are_canonical(corpus_graphs):
+    # valuations are compared as tuples: by the (T, nu) memo of the build,
+    # by pruning's pi comparison and by the oracle's stage triples.  That is
+    # right only if every valuation lists its literals sorted by variable,
+    # each variable once
+    trees = list(corpus_graphs.values())
+    for p in fuzzed_protocols(2, 300):
+        try:
+            trees.append(build_stage_graph(p, max_stages=200))
+        except StageLimitError as exc:
+            trees.append(partial_tree(exc))
+    for sg in trees:
+        for s in sg.stages:
+            vals = [s.pi, *s.parts.units]
+            if s.via is not None:
+                vals += [s.via, s.analysis.nu]
+            for val in vals:
+                variables = [abs(x) for x in val]
+                ok = all(a < b for a, b in zip(variables, variables[1:]))
+                assert ok, (sg.protocol.name, s.id, val)
+
+
 def test_pruning_agrees_with_dpll_on_fuzzed_protocols(monkeypatch):
     # every pruning decision of 2,000 builds, asked again of the clause DPLL
     # as "the ancestor's formula implies the child's"; the corpus asks none
@@ -701,7 +722,7 @@ def test_pruning_agrees_with_dpll_on_fuzzed_protocols(monkeypatch):
     assert {got for *_, got in decisions} == {True, False}
     extra = 0
     for anc, f, got in decisions:
-        assert got == dpll.tautology(implies(anc, f)), (pretty(anc), pretty(f))
+        assert got == dpll.tautology(implies(anc, f)), (anc, f)
         extra += not set(evaluation_domain(f)) <= set(evaluation_domain(anc))
     # some children name atoms outside their ancestor's split
     assert extra
@@ -732,8 +753,11 @@ def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
         ref = translated.get(f)
         if ref is None:
             ref = translated[f] = dpll.ClausePremise(f)
-        goal_f = clause_formula(sg.protocol, goal)
-        assert is_tautology(goal, premise) == dpll.entails(goal_f, ref), (kind, pretty(goal_f))
+        goal_f = clause_formula(goal)
+        assert is_tautology(goal, premise) == dpll.entails(goal_f, ref), (
+            kind,
+            pretty(goal_f, sg.protocol.states),
+        )
     seen = set()
     for s in sg.stages:
         ca = s.analysis
@@ -754,8 +778,8 @@ def reference_mn_fixpoint(p, disabled, nu):
     """Greatest fixed point (M, N): states provably never populated again /
     forever holding exactly one agent, for configurations satisfying nu with
     the given permanently disabled heads."""
-    m = {a.index for a, v in nu.items() if a.kind == PRESENCE and v is False}
-    n = {a.index for a, v in nu.items() if a.kind == SINGLETON and v is True}
+    m = {s for s in range(len(p.states)) if -present(s) in nu}
+    n = {s for s in range(len(p.states)) if single(s) in nu}
 
     def m_ok(a, m, n):
         # every rule putting `a` on its right-hand side must be unfireable
@@ -791,27 +815,27 @@ def reference_mn_fixpoint(p, disabled, nu):
 
 
 def reference_compute_pi_nu(p, disabled, nu):
-    """Extend the persistent valuation with the permanent part of nu."""
+    """Extend the persistent valuation with the permanent part of nu: each
+    literal set here overrides the one its variable had."""
     m, n = reference_mn_fixpoint(p, disabled, nu)
     pi = {}
     for a in sorted(m):
-        pi[presence(p, a)] = False
+        pi[present(a)] = -present(a)
     # E: states with exactly one agent because no still-enabled rule
     # consumes their unique agent without restoring it.
     for a in range(len(p.states)):
-        av = nu.get(presence(p, a))
-        if av is not True:
+        if present(a) not in nu:
             continue
         if all(
             head_blocked(t.lhs, disabled, m, n)
             for t in p.non_idle
             if a in t.lhs and a not in t.rhs
         ):
-            pi[presence(p, a)] = True
+            pi[present(a)] = present(a)
     for a in sorted(n):
-        pi[presence(p, a)] = True
-        pi[singleton(p, a)] = True
-    return pi
+        pi[present(a)] = present(a)
+        pi[single(a)] = single(a)
+    return tuple(pi[v] for v in sorted(pi))
 
 
 def reference_is_fast(p, g, exp, u_states):
@@ -821,22 +845,21 @@ def reference_is_fast(p, g, exp, u_states):
     for a in sorted(u_states):
         exp_a = [h for h in sorted(exp) if a in h]
         cons = disj([neg(xi(p, h)) for h in exp_a])
-        if not dpll.entails(implies(atom(presence(p, a)), cons), base):
+        if not dpll.entails(implies(atom(present(a)), cons), base):
             return False
     return True
 
 
 @st.composite
 def valuations(draw, p):
-    """Any partial assignment to the presence and singleton atoms of p,
-    consistent or not."""
-    nu = {}
-    for s in range(len(p.states)):
-        for a in (presence(p, s), singleton(p, s)):
-            value = draw(st.sampled_from([None, False, True]))
-            if value is not None:
-                nu[a] = value
-    return nu
+    """Any partial assignment to the presence and singleton variables of
+    p, consistent or not, as its literals sorted by variable."""
+    nu = []
+    for v in range(1, 2 * len(p.states) + 1):
+        value = draw(st.sampled_from([None, False, True]))
+        if value is not None:
+            nu.append(v if value else -v)
+    return tuple(nu)
 
 
 @settings(max_examples=300, deadline=None)
@@ -848,7 +871,7 @@ def test_indexed_fixpoint_matches_reference_generated(data):
     assert mn_fixpoint(p, disabled, nu) == reference_mn_fixpoint(p, disabled, nu)
     got = compute_pi_nu(p, disabled, nu)
     expect = reference_compute_pi_nu(p, disabled, nu)
-    assert list(got.items()) == list(expect.items())
+    assert got == expect
 
 
 def assert_is_fast_matches_reference(sg):
@@ -899,14 +922,14 @@ def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):
     def recording_horn(cls, p, units, heads):
         units = list(units)
         pr = horn(cls, p, units, heads)
-        f = conj([literal_formula(p, x) for x in units] + [heads_formula(p, heads)])
+        f = conj([literal_formula(x) for x in units] + [heads_formula(p, heads)])
         formulas[id(pr)] = (pr, f)
         return pr
 
     def recording_with_units(self, extra):
         extra = list(extra)
         pr = with_units(self, extra)
-        lits = [literal_formula(self.p, x) for x in extra]
+        lits = [literal_formula(x) for x in extra]
         formulas[id(pr)] = (pr, conj([formulas[id(self)][1]] + lits))
         return pr
 
@@ -935,6 +958,9 @@ def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):
         ref = translated.get(f)
         if ref is None:
             ref = translated[f] = dpll.ClausePremise(f)
-        goal_f = clause_formula(sg.protocol, goal)
-        assert is_tautology(goal, premise) == dpll.entails(goal_f, ref), (kind, pretty(goal_f))
+        goal_f = clause_formula(goal)
+        assert is_tautology(goal, premise) == dpll.entails(goal_f, ref), (
+            kind,
+            pretty(goal_f, sg.protocol.states),
+        )
     assert assert_is_fast_matches_reference(sg) > 0

@@ -21,18 +21,7 @@ from stagebound import (
     parse_protocol,
 )
 from stagebound.corpus import broadcast, majority_four_state, majority_five_state
-from stagebound.logic import (
-    FF,
-    TT,
-    atom,
-    conj,
-    evaluate,
-    implies,
-    neg,
-    out_atom,
-    presence,
-    singleton,
-)
+from stagebound.logic import FF, TT, atom, conj, evaluate, neg, present, single
 from stagebound.protocol import PopulationProtocol, StepKernel, decode, encode
 from stagebound.stagegraph import Stage, StageGraph, scc_condensation
 from stagebound import verify as V
@@ -121,32 +110,54 @@ def test_explore_cap_counts_per_size():
 def test_holds_box():
     # "box phi" over the closure: every node satisfies phi
     g = V.explore(P1, cfg(P1, a=1, b=1))
-    no_caps = conj([neg(atom(presence(P1, 0))), neg(atom(presence(P1, 1)))])
+    no_caps = conj([neg(atom(present(0))), neg(atom(present(1)))])
     assert len(g.sat(no_caps)) == g.size
     assert len(g.sat(TT)) == g.size
     g2 = V.explore(P1, cfg(P1, A=1, B=1))
-    assert len(g2.sat(atom(presence(P1, 0)))) < g2.size
+    assert len(g2.sat(atom(present(0)))) < g2.size
 
 
 def test_sat_clipped_key_matches_counts():
     # counts reach 3 and more here; clipping them at 2 must not change any
-    # presence, singleton or Out_x atom
+    # presence or singleton variable
     g = V.explore(P2, V.initial_configurations(P2, 8))
     assert max(max(c.counts) for c in g.nodes) >= 3
     assert len(g.key_counts) < g.size  # some nodes share a key
     for s in range(len(P2.states)):
-        assert g.sat(atom(presence(P2, s))) == {
+        assert g.sat(atom(present(s))) == {
             i for i, c in enumerate(g.nodes) if c.counts[s] > 0
         }
-        assert g.sat(atom(singleton(P2, s))) == {
+        assert g.sat(atom(single(s))) == {
             i for i, c in enumerate(g.nodes) if c.counts[s] == 1
         }
-    for x in (0, 1):
-        assert g.sat(atom(out_atom(x))) == {
-            i
-            for i, c in enumerate(g.nodes)
-            if all(P2.output(s) == x for s, k in enumerate(c.counts) if k)
-        }
+
+
+def reference_stable_set(g):
+    """Nodes whose reachable configurations, found by a forward search, all
+    have their populated states output one value, the same for all."""
+    p = g.protocol
+    out = set()
+    for v in range(g.size):
+        seen = {v}
+        todo = [v]
+        for u in todo:
+            for w in g.links[u]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        outputs = {p.output(s) for u in seen for s, k in enumerate(g.counts[u]) if k}
+        if len(outputs) == 1:
+            out.add(v)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stable_set_matches_forward_reference_generated(data):
+    p = data.draw(small_protocols())
+    roots = data.draw(st.lists(random_config(len(p.states)), min_size=1, max_size=3))
+    g = V.explore(p, roots)
+    assert V.stable_set(g) == reference_stable_set(g)
 
 
 def assert_explore_matches_reference(p, roots):
@@ -228,8 +239,8 @@ def test_explore_merges_rules_with_one_successor():
 
 
 def reference_evaluate(f, asg):
-    """Truth value of f under a total valuation of its atoms, such as the
-    valuation of a configuration in the oracle."""
+    """Truth value of f under a total valuation of its variables, such as
+    the valuation of a configuration in the oracle."""
     tag = f[0]
     if tag == "atom":
         return asg[f[1]]
@@ -239,8 +250,6 @@ def reference_evaluate(f, asg):
         return False
     if tag == "not":
         return not reference_evaluate(f[1], asg)
-    if tag == "implies":
-        return not reference_evaluate(f[1], asg) or reference_evaluate(f[2], asg)
     if tag == "and":
         for g in f[1]:
             if not reference_evaluate(g, asg):
@@ -255,10 +264,8 @@ def reference_evaluate(f, asg):
 
 
 def reference_valuations(g):
-    """The key id of every node, and the valuation of every distinct key."""
-    p = g.protocol
-    atoms = [(presence(p, s), singleton(p, s)) for s in range(len(p.states))]
-    out = [out_atom(0), out_atom(1)]
+    """The key id of every node, and the valuation of every distinct key, a
+    dict of bools by variable."""
     ids = {}
     key_of = []
     vals = []
@@ -266,11 +273,10 @@ def reference_valuations(g):
         key = tuple(min(k, 2) for k in c.counts)
         if key not in ids:
             ids[key] = len(vals)
-            outputs = {p.output(s) for s, k in enumerate(key) if k}
-            val = {out[x]: outputs <= {x} for x in (0, 1)}
-            for (pres, one), k in zip(atoms, key):
-                val[pres] = k > 0
-                val[one] = k == 1
+            val = {}
+            for s, k in enumerate(key):
+                val[present(s)] = k > 0
+                val[single(s)] = k == 1
             vals.append(val)
         key_of.append(ids[key])
     return key_of, vals
@@ -292,12 +298,11 @@ SAT_GRAPHS = (
 
 @st.composite
 def oracle_formulas(draw, p, depth=3):
-    """Formulas with every connective over all the atoms the oracle knows:
-    presence and singleton of every state, Out_0 and Out_1.  Built as plain
-    tuples, not through conj/disj/neg, so tt and ff stay inside them."""
-    atoms = [atom(presence(p, s)) for s in range(len(p.states))]
-    atoms += [atom(singleton(p, s)) for s in range(len(p.states))]
-    atoms += [atom(out_atom(0)), atom(out_atom(1))]
+    """Formulas with every connective over all the variables the oracle
+    knows: presence and singleton of every state.  Built as plain tuples,
+    not through conj/disj/neg, so tt and ff stay inside them."""
+    atoms = [atom(present(s)) for s in range(len(p.states))]
+    atoms += [atom(single(s)) for s in range(len(p.states))]
     if depth == 0:
         return draw(st.sampled_from(atoms + [TT, FF]))
     kind = draw(st.integers(0, 4))
@@ -306,8 +311,8 @@ def oracle_formulas(draw, p, depth=3):
     sub = oracle_formulas(p, depth - 1)
     if kind == 1:
         return ("not", draw(sub))
-    if kind == 2:
-        return implies(draw(sub), draw(sub))
+    if kind == 2:  # an implication, !f | g
+        return ("or", (("not", draw(sub)), draw(sub)))
     parts = draw(st.lists(sub, min_size=1, max_size=3))
     return ("and", tuple(parts)) if kind == 3 else ("or", tuple(parts))
 
@@ -332,7 +337,7 @@ def test_evaluate_one_valuation_matches_reference(data):
 
 def test_holds_diamond_as():
     g = V.explore(P1, cfg(P1, A=1, B=1))
-    target = g.sat(neg(conj([atom(presence(P1, 0)), atom(presence(P1, 1))])))
+    target = g.sat(neg(conj([atom(present(0)), atom(present(1))])))
     assert roots_reach_almost_surely(g, target)
     assert roots_reach_almost_surely(g, set(g.roots))  # root already inside
     assert not roots_reach_almost_surely(g, set())
@@ -512,7 +517,7 @@ def test_expected_steps_geometric():
         "transitions:\n  A B -> A B\n  A B -> C C\n"
     )
     g = V.explore(p, cfg(p, A=1, B=1))
-    target = g.sat(atom(presence(p, 2)))
+    target = g.sat(atom(present(2)))
     assert V.expected_steps_all(g, target)[g.roots[0]] == Fraction(2)
 
 
@@ -729,8 +734,8 @@ def test_expected_steps_match_plain_reference_on_split_components(corpus):
         comp = g.condensation()[0]
         stable = V.stable_set(g)
         for s in range(len(p.states)):
-            for a in (presence(p, s), singleton(p, s)):
-                target = g.sat(atom(a)) | stable
+            for v in (present(s), single(s)):
+                target = g.sat(atom(v)) | stable
                 split += any(
                     comp[u] == comp[v] and (u in target) != (v in target)
                     for v, outs in enumerate(g.succ)
