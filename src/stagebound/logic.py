@@ -8,9 +8,11 @@ There are two atoms per state s, each an int variable:
                       variable 2s + 2 (`single`), whose presence companion
                       is the variable before it
 
-Formulas are immutable tagged tuples whose leaves are ("atom", v), so they
-hash and compare structurally, which keeps stage construction
-deterministic.
+A stage formula has one form, `Parts`: unit literals, the xi of each head
+of a set, and at most one disjunction whose members are conjunctions of
+literals.  It is a tuple, so it hashes and compares structurally, which
+keeps stage construction deterministic.  `evaluate`, `evaluation_domain`
+and `pretty` read it directly.
 
 One engine: literal closures.  A literal is a variable, or its negation as
 a negative int.  A valuation is the tuple of the literals it fixes, sorted
@@ -30,9 +32,10 @@ A set of literals is consistent with the premise when ORing their
 closures into its own leaves no variable both true and false.
 
 The head semantics "a rule of h can fire" is written once, as the pair of
-literals `not_xi(h)`; the xi formula, the xi clause of the premises, the
-"some head is enabled" members of a stage formula and every reading of a
-valuation against a head derive from it.  The build asks three things:
+literals `not_xi(h)`; the xi of a stage formula, the xi clause of the
+premises, the "some head is enabled" members of a stage formula and every
+reading of a valuation against a head derive from it.  The build asks
+three things:
 
   1. Entailment, `is_tautology(goal, premise)`.  The goal is a clause, a
      tuple of literals, and it holds when the negations of its literals
@@ -41,13 +44,12 @@ valuation against a head derive from it.  The build asks three things:
      well.
   2. The split of a stage formula into its valuations
      (`enumerate_satisfying_valuations`).  A stage formula is such a
-     premise and at most one disjunction whose members are conjunctions of
-     literals (`Parts`).  Per member, a walk decides the formula's atoms in
-     canonical order under the premise with the member's literals added,
-     trying each value that stays consistent.  Whatever propagation leaves
-     open can be set false, since every binary clause has a negative
-     literal, so a walk that meets no conflict never dead-ends: each leaf
-     is a model.
+     premise and at most one disjunction.  Per member, a walk decides the
+     formula's atoms in canonical order under the premise with the
+     member's literals added, trying each value that stays consistent.
+     Whatever propagation leaves open can be set false, since every binary
+     clause has a negative literal, so a walk that meets no conflict never
+     dead-ends: each leaf is a model.
   3. Ancestor pruning: does one stage formula imply another?  The build has
      split the first already, so `holds_throughout` evaluates the second
      over those valuations, bit-parallel (`evaluate`, which also serves the
@@ -57,10 +59,10 @@ There is no query cache: a process-wide cache of formulas grows the peak
 memory by more than it is worth in time.  A premise and its unit closure
 live as long as its caller keeps it (a transformation graph, one round of
 J); the implication graph of each head set lives on its protocol
-(`implications`), as do the xi formulas.
-The tests keep a clause DPLL and the searches that walk a formula with a
-three-valued evaluator as the references that these answers must agree
-with.
+(`implications`).
+The tests keep the formula trees that a stage formula stands for, a
+clause DPLL over them and the searches that walk them with a three-valued
+evaluator as the references that these answers must agree with.
 """
 
 from __future__ import annotations
@@ -68,102 +70,6 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .protocol import Head, PopulationProtocol
-
-# Formula = ("tt",) | ("ff",) | ("atom", v) | ("not", f)
-#         | ("and", (f, ...)) | ("or", (f, ...))
-Formula = tuple
-
-TT: Formula = ("tt",)
-FF: Formula = ("ff",)
-
-
-def atom(v: int) -> Formula:
-    return ("atom", v)
-
-
-def neg(f: Formula) -> Formula:
-    if f == TT:
-        return FF
-    if f == FF:
-        return TT
-    return ("not", f)
-
-
-def conj(fs: Iterable[Formula]) -> Formula:
-    parts = [f for f in fs if f != TT]
-    if any(f == FF for f in parts):
-        return FF
-    if not parts:
-        return TT
-    if len(parts) == 1:
-        return parts[0]
-    return ("and", tuple(parts))
-
-
-def disj(fs: Iterable[Formula]) -> Formula:
-    parts = [f for f in fs if f != FF]
-    if any(f == TT for f in parts):
-        return TT
-    if not parts:
-        return FF
-    if len(parts) == 1:
-        return parts[0]
-    return ("or", tuple(parts))
-
-
-def atoms_of(f: Formula) -> set[int]:
-    tag = f[0]
-    if tag == "atom":
-        return {f[1]}
-    if tag in ("tt", "ff"):
-        return set()
-    if tag == "not":
-        return atoms_of(f[1])
-    out: set[int] = set()
-    for g in f[1]:
-        out |= atoms_of(g)
-    return out
-
-
-def evaluate(f: Formula, bits: dict[int, int]) -> int:
-    """Truth values of f under many total valuations at once.
-
-    Bit j of `bits[v]` is the value of variable v under valuation j; bit j
-    of the result is the value of f under it.  Connectives are bitwise:
-    `&` for and, `|` for or, `~` for not, -1 (all bits set) for tt and 0
-    for ff, so the bits above the last valuation are not meaningful and
-    the caller masks them off with (1 << count) - 1.  A single valuation is
-    the one-bit case.  The oracle's `ReachGraph.key_set` evaluates a
-    formula once over all the distinct valuations of a chain this way."""
-    tag = f[0]
-    if tag == "atom":
-        return bits[f[1]]
-    if tag == "and":
-        acc = -1
-        for g in f[1]:
-            acc &= evaluate(g, bits)
-        return acc
-    if tag == "or":
-        acc = 0
-        for g in f[1]:
-            acc |= evaluate(g, bits)
-        return acc
-    if tag == "not":
-        return ~evaluate(f[1], bits)
-    if tag == "tt":
-        return -1
-    if tag == "ff":
-        return 0
-    raise ValueError(f"bad formula node {f!r}")
-
-
-def evaluation_domain(f: Formula) -> list[int]:
-    """Variables of f, closed under adding the presence companion v - 1 of
-    every singleton v, in increasing order: by state, presence first."""
-    dom = atoms_of(f)
-    dom |= {v - 1 for v in dom if not v & 1}
-    return sorted(dom)
-
 
 Valuation = tuple[int, ...]
 
@@ -176,12 +82,6 @@ def present(s: int) -> int:
 def single(s: int) -> int:
     """The variable "state s holds exactly one agent"."""
     return 2 * s + 2
-
-
-def literal_formula(lit: int) -> Formula:
-    """The formula of a literal: its atom, negated when lit < 0."""
-    f = atom(abs(lit))
-    return f if lit > 0 else neg(f)
 
 
 def not_xi(head: Head) -> tuple[int, int]:
@@ -318,24 +218,71 @@ def is_tautology(goal: tuple[int, ...], premise: Premise) -> bool:
 
 
 class Parts(NamedTuple):
-    """A stage formula as `stage_formula` makes it: the conjunction of the
-    literals of the valuations `units`, the xi of each head of `heads` and
-    one disjunction whose members are conjunctions of literals.  Without a
-    disjunction `members` is ((),); an empty one, () here, makes the
-    formula false.  The valuations are those the stage already keeps, such
-    as its pi, not copies."""
+    """A stage formula Phi: the conjunction of the literals of the
+    valuations `units`, the xi of each head of `heads` and one disjunction
+    whose members are conjunctions of literals.  Without a disjunction
+    `members` is ((),); an empty one, () here, makes the formula false.
+    The valuations are those the stage already keeps, such as its pi, not
+    copies.  Equal formulas of the build are equal tuples."""
 
     units: tuple[Valuation, ...]
     heads: frozenset[Head]
     members: tuple[tuple[int, ...], ...] = ((),)
 
 
+def evaluate(phi: Parts, bits: dict[int, int]) -> int:
+    """Truth values of phi under many total valuations at once.
+
+    Bit j of `bits[v]` is the value of variable v under valuation j; bit j
+    of the result is the value of phi under it: the AND of the units'
+    literal masks, of ~(l1 & l2) over `not_xi` of each head, and of the OR
+    over the members of each member's AND.  A negative literal is ~, so the bits
+    above the last valuation are not meaningful and the caller masks them
+    off with (1 << count) - 1.  A single valuation is the one-bit case.  The
+    oracle's `ReachGraph.key_set` evaluates a formula once over all the
+    distinct valuations of a chain this way.  A false phi (no member) reads
+    no variable."""
+    if not phi.members:
+        return 0
+
+    def lit(x: int) -> int:
+        return bits[x] if x > 0 else ~bits[-x]
+
+    acc = -1
+    for val in phi.units:
+        for x in val:
+            acc &= lit(x)
+    for h in phi.heads:
+        l1, l2 = not_xi(h)
+        acc &= ~(lit(l1) & lit(l2))
+    some = 0
+    for member in phi.members:
+        m = -1
+        for x in member:
+            m &= lit(x)
+        some |= m
+    return acc & some
+
+
+def evaluation_domain(phi: Parts) -> list[int]:
+    """Variables of phi, closed under adding the presence companion v - 1 of
+    every singleton v, in increasing order: by state, presence first.  A
+    false phi (no member) has none."""
+    if not phi.members:
+        return []
+    dom = {abs(x) for val in phi.units for x in val}
+    dom.update(abs(x) for h in phi.heads for x in not_xi(h))
+    dom.update(abs(x) for member in phi.members for x in member)
+    dom |= {v - 1 for v in dom if not v & 1}
+    return sorted(dom)
+
+
 def enumerate_satisfying_valuations(
-    p: PopulationProtocol, phi: Formula, parts: Parts
+    p: PopulationProtocol, phi: Parts
 ) -> list[Valuation]:
-    """All consistent total assignments over the evaluation domain of phi,
-    a stage formula with the parts `parts`, that satisfy it, in canonical
-    order (variables in increasing order, tt before ff).
+    """All consistent total assignments over the evaluation domain of phi
+    that satisfy it, in canonical order (variables in increasing order, tt
+    before ff).
 
     Per member of the disjunction, the walk decides the domain's variables
     in order under the closures of `Premise.horn(p, units + member,
@@ -359,9 +306,9 @@ def enumerate_satisfying_valuations(
             if not t & f:
                 walk(i + 1, t, f, key << 1 | bit)
 
-    units = tuple(lit for val in parts.units for lit in val)
-    for member in parts.members:
-        premise = Premise.horn(p, units + member, parts.heads)
+    units = tuple(lit for val in phi.units for lit in val)
+    for member in phi.members:
+        premise = Premise.horn(p, units + member, phi.heads)
         if premise.base is not None:
             closure = premise.graph.closure
             walk(0, *premise.base, 0)
@@ -372,16 +319,16 @@ def enumerate_satisfying_valuations(
     ]
 
 
-def holds_throughout(f: Formula, vals: Sequence[Valuation]) -> bool:
-    """True iff f holds under every valuation of `vals`, all over one
+def holds_throughout(phi: Parts, vals: Sequence[Valuation]) -> bool:
+    """True iff phi holds under every valuation of `vals`, all over one
     domain, and under each of its consistent extensions over the variables
-    of f outside that domain.  Bit j * len(vals) + i stands for valuation i
-    under extension j, so one `evaluate` decides them all."""
+    of phi outside that domain.  Bit j * len(vals) + i stands for valuation
+    i under extension j, so one `evaluate` decides them all."""
     if not vals:
         return True
     n = len(vals)
     dom = [abs(lit) for lit in vals[0]]
-    extra = [v for v in evaluation_domain(f) if v not in dom]
+    extra = [v for v in evaluation_domain(phi) if v not in dom]
     blocks = range(1 << len(extra))
     bits: dict[int, int] = {}
     repeat = sum(1 << j * n for j in blocks)
@@ -394,52 +341,21 @@ def holds_throughout(f: Formula, vals: Sequence[Valuation]) -> bool:
     for v in extra:
         if not v & 1:  # A! -> A
             allowed &= ~bits[v] | bits[v - 1]
-    return evaluate(f, bits) & allowed == allowed
-
-
-def valuation_formula(val: Valuation) -> Formula:
-    """The conjunction of the literals a valuation fixes, in its order."""
-    return conj([literal_formula(lit) for lit in val])
-
-
-def xi(p: PopulationProtocol, head: Head) -> Formula:
-    """Formula stating that every rule with this head is disabled, the
-    disjunction of the literals of `xi_clause`.
-
-    For a head {A,B} with A != B that is "no A or no B"; for {A,A} it is
-    "no A, or exactly one A".  Singleton atoms are meaningful for every
-    state (count == 1), so the same shape is used uniformly.  Each head's
-    formula is built once per protocol and kept in `p.xi_table`.
-    """
-    f = p.xi_table.get(head)
-    if f is None:
-        f = p.xi_table[head] = disj([literal_formula(lit) for lit in xi_clause(head)])
-    return f
-
-
-def heads_formula(p: PopulationProtocol, heads: Iterable[Head]) -> Formula:
-    """Conjunction of xi over a set of heads (tt for the empty set)."""
-    return conj([xi(p, h) for h in sorted(set(heads))])
+    return evaluate(phi, bits) & allowed == allowed
 
 
 def stage_formula(
-    p: PopulationProtocol,
     units: tuple[Valuation, ...],
     heads: frozenset[Head],
     some: frozenset[Head] | None = None,
-) -> tuple[Formula, Parts]:
-    """A successor's formula and its parts, from the same inputs: the
-    conjunction of the literals of units[0], the xi of each head of
-    `heads`, the literals of units[1:] and, when `some` is given, "some head
-    of `some` is enabled", the disjunction of not xi over its heads (false
-    when `some` is empty)."""
-    trees = [valuation_formula(units[0]), heads_formula(p, heads)]
-    trees += [valuation_formula(u) for u in units[1:]]
+) -> Parts:
+    """A successor's formula: the conjunction of the literals of `units`,
+    the xi of each head of `heads` and, when `some` is given, "some head of
+    `some` is enabled", the disjunction of `not_xi` over its heads in
+    sorted order (false when `some` is empty)."""
     if some is None:
-        return conj(trees), Parts(units, heads)
-    ordered = sorted(some)
-    trees.append(disj([neg(xi(p, h)) for h in ordered]))
-    return conj(trees), Parts(units, heads, tuple(not_xi(h) for h in ordered))
+        return Parts(units, heads)
+    return Parts(units, heads, tuple(not_xi(h) for h in sorted(some)))
 
 
 def variable_name(v: int, states: Sequence[str]) -> str:
@@ -448,27 +364,36 @@ def variable_name(v: int, states: Sequence[str]) -> str:
     return states[(v - 1) >> 1] + ("" if v & 1 else "!")
 
 
-def pretty(f: Formula, states: Sequence[str]) -> str:
-    """Infix rendering, with variables named after `states`: atoms `A`/`A!`,
-    operators `!`, `&`, `|`."""
+def pretty(phi: Parts, states: Sequence[str], root: bool = False) -> str:
+    """Infix rendering, with variables named after `states` (`A`/`A!`) and
+    operators `!`, `&`, `|`.  The items, joined by " & ", are the literals
+    of units[0], the xi `!l1 | !l2` of each head in sorted order, the
+    literals of units[1:] and the disjunction; the root stage's formula
+    (`root`) writes its disjunction first.  A member is its one literal, or
+    `!(!l1 | !l2)` for the pair of a head.  A xi, and a disjunction of two
+    or more members, is parenthesised among other items.  No item at all
+    is "true", and no member "false"."""
+    if not phi.members:
+        return "false"
 
-    def go(g: Formula, parent: str) -> str:
-        tag = g[0]
-        if tag == "tt":
-            return "true"
-        if tag == "ff":
-            return "false"
-        if tag == "atom":
-            return variable_name(g[1], states)
-        if tag == "not":
-            inner = go(g[1], "not")
-            return f"!{inner}"
-        if tag == "and":
-            s = " & ".join(go(x, "and") for x in g[1])
-            return f"({s})" if parent in ("not", "or") else s
-        if tag == "or":
-            s = " | ".join(go(x, "or") for x in g[1])
-            return f"({s})" if parent in ("not", "and") else s
-        raise ValueError(f"bad formula node {g!r}")
+    def lit(x: int) -> str:
+        return ("" if x > 0 else "!") + variable_name(abs(x), states)
 
-    return go(f, "top")
+    def clause(pair: tuple[int, int]) -> str:
+        return f"{lit(-pair[0])} | {lit(-pair[1])}"
+
+    first = [lit(x) for val in phi.units[:1] for x in val]
+    xis = [clause(not_xi(h)) for h in sorted(phi.heads)]
+    rest = [lit(x) for val in phi.units[1:] for x in val]
+    some = [] if phi.members == ((),) else [
+        lit(m[0]) if len(m) == 1 else f"!({clause(m)})" for m in phi.members
+    ]
+    disj = " | ".join(some)
+    if len(first) + len(xis) + len(rest) + bool(some) > 1:
+        xis = [f"({s})" for s in xis]
+        if len(some) > 1:
+            disj = f"({disj})"
+    items = first + xis + rest
+    if some:
+        items = [disj] + items if root else items + [disj]
+    return " & ".join(items) or "true"

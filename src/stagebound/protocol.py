@@ -137,9 +137,6 @@ class PopulationProtocol:
             t for t in all_rules if not t.is_idle
         )
         self.explicit_count = len(explicit)
-        # head -> the formula "every rule with this head is disabled",
-        # filled lazily by logic.xi for the stage formulas
-        self.xi_table: dict = {}
         # head set -> its implication graph, built on first use by
         # logic.implications
         self.graphs: dict = {}
@@ -267,9 +264,10 @@ def parse_protocol(text: str) -> PopulationProtocol:
           ...
 
     `#` starts a comment.  The `protocol` line, `states:`, `inputs:` and
-    `output1:` appear at most once, as does every JSON key.  Symmetric
-    multiset semantics: `A B -> C D` and `B A -> D C` denote the same rule;
-    exact duplicates are collapsed.
+    `output1:` appear at most once, as does every JSON key.  No state of a
+    text protocol is named `protocol`.  Symmetric multiset semantics:
+    `A B -> C D` and `B A -> D C` denote the same rule; exact duplicates are
+    collapsed.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -307,6 +305,9 @@ def parse_protocol(text: str) -> PopulationProtocol:
                 raise ProtocolError("duplicate state names", lineno)
             if not names:
                 raise ProtocolError("empty state list", lineno)
+            if "protocol" in names:
+                # a rule line starting with it would read as the protocol line
+                raise ProtocolError("'protocol' cannot name a state", lineno)
             states = names
             index = {s: i for i, s in enumerate(names)}
             in_transitions = False

@@ -26,8 +26,9 @@ already covers are pruned, which guarantees termination; pruning depends on
 the root path, so it runs for every child.  An ancestor covers a child with
 the same pi and T when the ancestor's formula implies the child's, which
 is decided by evaluating the child's formula over the ancestor's split.
-Each formula keeps its parts (`Parts`) beside its tree, and the split
-walks the literal closures of those parts.  Construction is deterministic:
+A formula is held in one form, `logic.Parts`, which the split walks on
+literal closures, the oracle evaluates and the exports render.
+Construction is deterministic:
 valuations are enumerated in canonical order and stages are numbered
 breadth-first.
 """
@@ -41,17 +42,12 @@ from dataclasses import dataclass, field
 
 from . import bounds as bounds_mod
 from .logic import (
-    Formula,
     Parts,
     Premise,
     Valuation,
-    atom,
-    conj,
-    disj,
     enumerate_satisfying_valuations,
     holds_throughout,
     is_tautology,
-    neg,
     not_xi,
     present,
     pretty,
@@ -118,8 +114,7 @@ class CaseAnalysis:
 @dataclass
 class Stage:
     id: int
-    phi: Formula
-    parts: Parts  # phi's parts, which its split reads
+    phi: Parts
     pi: Valuation
     disabled: frozenset[Head]  # T: permanently disabled heads
     parent: int | None
@@ -132,8 +127,7 @@ class Stage:
 @dataclass
 class StageGraph:
     protocol: PopulationProtocol
-    stages: list[Stage]
-    root: int = 0
+    stages: list[Stage]  # the root is stage 0
 
     def path_to_root(self, i: int) -> list[Stage]:
         out = []
@@ -153,16 +147,12 @@ def initial_stage(p: PopulationProtocol) -> Stage:
     presence disjunction plus absence of every other state."""
     inputs = sorted(p.input_states())
     others = [i for i in range(len(p.states)) if i not in p.input_states()]
-    phi = conj(
-        [disj([atom(present(i)) for i in inputs])]
-        + [neg(atom(present(i))) for i in others]
-    )
-    parts = Parts(
+    phi = Parts(
         (tuple(-present(i) for i in others),),
         frozenset(),
         tuple((present(i),) for i in inputs),
     )
-    return Stage(id=0, phi=phi, parts=parts, pi=(), disabled=frozenset(), parent=None)
+    return Stage(id=0, phi=phi, pi=(), disabled=frozenset(), parent=None)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +536,7 @@ class Successor:
     nu alone, so children with the same (T, nu) share one, read-only."""
 
     kind: str
-    phi: Formula
-    parts: Parts
+    phi: Parts
     pi: Valuation
     disabled: frozenset[Head]
     analysis: CaseAnalysis
@@ -565,7 +554,7 @@ def case_analysis(
     ca.dead = is_dead(g, ca.stable)
     if ca.stable is not None or ca.dead:
         kind = TERMINAL_DEAD if ca.dead else TERMINAL_STABLE
-        return Successor(kind, *stage_formula(p, (pi_nu,), frozenset()), pi_nu, t_parent, ca)
+        return Successor(kind, stage_formula((pi_nu,), frozenset()), pi_nu, t_parent, ca)
 
     ca.u_states = frozenset(v for v in g.vertices if g.scc[v] not in g.bottom)
     exp = compute_exp(g)
@@ -599,7 +588,7 @@ def case_analysis(
             units = (pi_nu, nu)
         else:
             units = (pi_nu, drained)
-    return Successor(INTERNAL, *stage_formula(p, units, t_nu, some), pi_nu, t_nu, ca)
+    return Successor(INTERNAL, stage_formula(units, t_nu, some), pi_nu, t_nu, ca)
 
 
 def build_child(
@@ -608,7 +597,7 @@ def build_child(
     parent: Stage,
     nu: Valuation,
     analyses: dict,
-    splits: dict[Formula, list[Valuation]],
+    splits: dict[Parts, list[Valuation]],
 ) -> Stage | None:
     """Construct the successor stage for one valuation of the parent's
     formula; returns None when a root-path ancestor already covers it: the
@@ -624,7 +613,6 @@ def build_child(
     child = Stage(
         id=-1,
         phi=succ.phi,
-        parts=succ.parts,
         pi=succ.pi,
         disabled=succ.disabled,
         parent=parent.id,
@@ -659,7 +647,7 @@ def build_stage_graph(
     start = time.monotonic()
     sg = StageGraph(protocol=p, stages=[initial_stage(p)])
     work: deque[int] = deque([0])
-    splits: dict[Formula, list[Valuation]] = {}
+    splits: dict[Parts, list[Valuation]] = {}
     analyses: dict[tuple[frozenset[Head], Valuation], Successor] = {}
     while work:
         sid = work.popleft()
@@ -668,9 +656,7 @@ def build_stage_graph(
             continue
         nus = splits.get(stage.phi)
         if nus is None:
-            nus = splits[stage.phi] = enumerate_satisfying_valuations(
-                p, stage.phi, stage.parts
-            )
+            nus = splits[stage.phi] = enumerate_satisfying_valuations(p, stage.phi)
         for nu in nus:
             if len(sg.stages) >= max_stages:
                 raise StageLimitError(f"stage limit {max_stages} exceeded")
@@ -723,7 +709,8 @@ def to_json_dict(sg: StageGraph) -> dict:
     Each distinct formula, valuation and case analysis is rendered once,
     and the stages that share it share the rendering."""
     p = sg.protocol
-    phi_repr = _once(lambda phi: pretty(phi, p.states))
+    root = sg.stages[0].phi  # the root's own object: only stage 0 holds it
+    phi_repr = _once(lambda phi: pretty(phi, p.states, phi is root))
     val_repr = _once(lambda val: _val_repr(val, p.states))
 
     def block(ca: CaseAnalysis) -> dict:
@@ -777,7 +764,7 @@ def to_dot(sg: StageGraph) -> str:
             ("" if lit > 0 else "!") + variable_name(abs(lit), p.states) for lit in s.pi
         )
         t_s = " ".join(_heads_repr(p, s.disabled))
-        label = f"S{s.id} [{s.kind}]\\nPhi: {pretty(s.phi, p.states)}\\npi: {pi_s or '-'}\\nT: {t_s or '-'}"
+        label = f"S{s.id} [{s.kind}]\\nPhi: {pretty(s.phi, p.states, s.id == 0)}\\npi: {pi_s or '-'}\\nT: {t_s or '-'}"
         if s.analysis is not None:
             label += f"\\nbound: {bounds_mod.edge_bound(s.analysis).label}"
         label = label.replace('"', '\\"')

@@ -27,7 +27,7 @@ from math import gcd, inf, lcm, log, log1p
 
 import numpy as np
 
-from .logic import Formula, evaluate, not_xi, present, single
+from .logic import Parts, evaluate, not_xi, present, single
 from .protocol import (
     Configuration,
     PopulationProtocol,
@@ -124,12 +124,12 @@ class ReachGraph:
             members[j].append(v)
         return members
 
-    def key_set(self, phi: Formula) -> int:
+    def key_set(self, phi: Parts) -> int:
         """The keys that satisfy phi, as an int over the keys: phi is
         evaluated once, bit-parallel."""
         return evaluate(phi, self.key_masks) & ((1 << len(self.key_counts)) - 1)
 
-    def sat(self, phi: Formula) -> set[int]:
+    def sat(self, phi: Parts) -> set[int]:
         """Nodes whose configuration satisfies phi: the nodes of the keys
         of `key_set`."""
         hit = self.key_set(phi)
@@ -626,10 +626,9 @@ def check_stage_graph(
         first.setdefault(t, s)
         tri.append(t)
     denote = stage_denotation(g, list(first.values()), deadline)
-    r = tri[sg.root]
     # (size, condition, stage id, node) of every violation; a stage's id is
-    # its position in sg.stages
-    found = [(sum(g.counts[i]), 0, sg.root, i) for i in g.roots if not denote[i] >> r & 1]
+    # its position in sg.stages.  The root is stage 0, whose triple is 0
+    found = [(sum(g.counts[i]), 0, 0, i) for i in g.roots if not denote[i] & 1]
     # progress: query k asks whether the nodes of triple t reach the union
     # of the triples in the bit mask `kids` almost surely
     pairs: dict[tuple[int, int], int] = {}

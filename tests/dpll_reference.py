@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from stagebound.logic import (
+from formula_reference import (
     TT,
     Formula,
     conj,
@@ -208,7 +208,7 @@ def tautology(f: Formula) -> bool:
 def premise_formula(premise) -> Formula:
     """The formula a `Premise.horn` premise stands for."""
     units = [literal_formula(lit) for lit in premise.units]
-    return conj(units + [heads_formula(premise.p, premise.heads)])
+    return conj(units + [heads_formula(premise.heads)])
 
 
 def clause_formula(clause: tuple[int, ...]) -> Formula:

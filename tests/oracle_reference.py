@@ -17,7 +17,7 @@ from collections import deque
 from fractions import Fraction
 
 from stagebound import verify as V
-from stagebound.logic import conj, heads_formula, valuation_formula
+from stagebound.logic import Parts
 from stagebound.protocol import Configuration, decode, encode
 from stagebound.stagegraph import scc_condensation
 from step_reference import coded, coded_weights
@@ -184,15 +184,16 @@ def reference_almost_sure_reach(g, target):
     return everything - reference_backward_reach(g, cannot, blocked=tgt)
 
 
-def reference_persist_formula(p, stage):
-    """What a stage requires from now on: pi and the disabled heads."""
-    return conj([valuation_formula(stage.pi), heads_formula(p, stage.disabled)])
+def reference_persist_formula(stage):
+    """What a stage requires from now on, as a stage formula: pi and the xi
+    of every disabled head."""
+    return Parts((stage.pi,), stage.disabled)
 
 
-def reference_stage_denotation(g, stage, p):
+def reference_stage_denotation(g, stage):
     """Nodes in [[S]]: satisfy Phi now, and pi plus the disabled heads from
     now on."""
-    return g.sat(stage.phi) & reference_box_set(g, g.sat(reference_persist_formula(p, stage)))
+    return g.sat(stage.phi) & reference_box_set(g, g.sat(reference_persist_formula(stage)))
 
 
 def reference_expected_steps_plain(g, target):

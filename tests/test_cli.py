@@ -1,5 +1,6 @@
 """Command-line contract: outputs, artifacts, and exit codes."""
 
+import hashlib
 import json
 import pathlib
 
@@ -8,6 +9,7 @@ import pytest
 from stagebound import cli, parse_protocol, verify
 from stagebound.cli import main
 from stagebound.protocol import PopulationProtocol
+from stagebound.stagegraph import to_dot
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PP = ROOT / "protocols"
@@ -37,6 +39,34 @@ def test_analyze_certified(capsys, tmp_path):
     payload = json.loads(js.read_text())
     assert payload["report"]["stages"] == 13
     assert len(payload["stage_tree"]["stages"]) == 13
+
+
+# SHA-256 of the `--dot` text (`to_dot`) of every corpus tree, recorded
+# before the stage formula's printer read `logic.Parts`: the root writes its
+# disjunction first, and every other stage its units, the xi of its heads
+# and its disjunction, in that order
+DOT_SHA256 = {
+    "broadcast": "74173ae0f96697eba0196b3d85284b5d0b5de9ac9ec19174a39d57a1ab2b258a",
+    "majority-ex2": "3ec02ee70995bf2022d07cce96632a2bda6e7e96b3d848ad99685c1b05e4c5be",
+    "majority-ex1": "d913954777992979d794803ac5e8e49b284005d3ed0376fe501210b3d588f4b3",
+    "majority-ex1-no-tiebreak": "f8909f8e80e5d948870294ad9fccc38782f3613a452d14cf91ae913cfeef27ea",
+    "flock-sum-c5": "296b626b29734da868765cc2a58aa3d88e21a0c3c6e69f2666a56bba6756d788",
+    "flock-sum-c10": "dcaff37e2c81beed0667912a0742e3be9211a8988cf6d6957830e9d5ca1b9022",
+    "flock-tower-c5": "321e821aba24aff34c6d21776ab570df6d2afc20231216431be160519d306f02",
+    "flock-tower-c7": "1c16b66b72280cbeadb1867599d6681c042e0b49b82b09b5e7d76ff914a5e51a",
+    "flock-log-c15": "baf67756e98ceed38e094d4a16def772504a8275f2d0aea26fe1c0a57486c374",
+    "flock-log-c31": "730f827add78564b35fc8b4b2d774d93192dce6f6fb416979f90a5bb0dea5562",
+    "remainder-m3": "e4d3f1377083291e78b97ac37b7efbc4627b07d92b79f3812c8d9922e82a44a4",
+    "remainder-m5": "7d24f43b90f8d5f4bac8dc12053adb2d10ad35f29a94e60b50325a5a0ae6bc20",
+    "avc-m3-d1": "91b9768a64593fcc33a5efd668639d976021f95e581feac33afac67695d4e555",
+    "threshold-m1p1-lt0": "7619415bc9bd9ba7a3f7dbfddcfce29e1f6ae8dd0333fcf361366540cdc857ae",
+}
+
+
+def test_dot_digests_on_corpus(corpus_graphs):
+    assert list(corpus_graphs) == list(DOT_SHA256)
+    for name, sg in corpus_graphs.items():
+        assert hashlib.sha256(to_dot(sg).encode()).hexdigest() == DOT_SHA256[name], name
 
 
 def test_analyze_exponential(capsys):
@@ -77,6 +107,19 @@ def test_repeated_section_exits_with_one_error_line(capsys, tmp_path, name, text
     code, out, err = run(capsys, "analyze", str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("header", ["", "protocol t\n"])
+def test_state_named_protocol_exits_with_one_error_line(capsys, tmp_path, header):
+    bad = tmp_path / "named.pp"
+    bad.write_text(
+        header + "states: protocol A\ninputs: x -> A\noutput1: A\n"
+        "transitions:\n  protocol A -> A A\n"
+    )
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "'protocol' cannot name a state" in err
 
 
 def test_json_protocol_errors_exit_without_traceback(capsys, tmp_path):

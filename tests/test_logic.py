@@ -1,13 +1,14 @@
 """Formula engine: xi, entailment by literal closures with the singleton
 coupling, the split of stage formulas into valuations, pruning's
-implication test, and configuration-level evaluation (through the oracle's
-ReachGraph.sat).
+implication test, configuration-level evaluation (through the oracle's
+ReachGraph.sat), and the stage formula's evaluator, domain and printer.
 
 The closure answers and the split are checked against the clause DPLL of
-`dpll_reference` and against the earlier searches over the formula itself,
-kept here as references with the three-valued evaluator they walk with;
-the DPLL, which takes formulas of any shape, is checked against those
-searches too."""
+`dpll_reference` and against the earlier searches over the formula tree
+(`formula_reference.formula_of`), kept here as references with the
+three-valued evaluator they walk with; the DPLL, which takes formulas of
+any shape, is checked against those searches too.  The stage formula's own
+evaluator, domain and printer are checked against the tree's."""
 
 import pytest
 
@@ -15,32 +16,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpll_reference as dpll
+import formula_reference as tree
 from dpll_reference import clause_formula, implies, premise_formula
-from stagebound import Configuration, bounds, logic, parse_protocol, stagegraph
-from stagebound.corpus import default_corpus, majority_four_state
-from stagebound.logic import (
+from formula_reference import (
     FF,
     TT,
-    Parts,
-    Premise,
     atom,
     conj,
     disj,
-    enumerate_satisfying_valuations,
     evaluation_domain,
+    formula_of,
     heads_formula,
-    holds_throughout,
-    is_tautology,
     literal_formula,
     neg,
+    valuation_formula,
+    xi,
+)
+from stagebound import Configuration, bounds, logic, parse_protocol, stagegraph
+from stagebound.corpus import default_corpus, majority_four_state
+from stagebound.logic import (
+    Parts,
+    Premise,
+    enumerate_satisfying_valuations,
+    holds_throughout,
+    is_tautology,
     not_xi,
     present,
     pretty,
     single,
     stage_formula,
-    valuation_formula,
     variable_name,
-    xi,
     xi_clause,
 )
 from stagebound.stagegraph import initial_stage
@@ -62,9 +67,10 @@ def valuation(lits):
     return tuple(sorted({abs(x): x for x in lits}.values(), key=abs))
 
 
-def holds_at(c, f):
-    """Whether configuration c satisfies f, by the oracle's evaluator."""
-    return make_reach_graph(P, [c.counts], [[]], [1], [0]).sat(f) == {0}
+def holds_at(c, phi):
+    """Whether configuration c satisfies the stage formula phi, by the
+    oracle's evaluator."""
+    return make_reach_graph(P, [c.counts], [[]], [1], [0]).sat(phi) == {0}
 
 
 def evaluate(f, asg):
@@ -163,24 +169,29 @@ def reference_is_tautology(f):
 
 
 def test_xi_distinct_states():
-    assert xi(P, head(A, B)) == disj([neg(atom(present(A))), neg(atom(present(B)))])
+    assert xi(head(A, B)) == disj([neg(atom(present(A))), neg(atom(present(B)))])
+    assert pretty(Parts((), frozenset({head(A, B)})), P.states) == "!A | !B"
 
 
 def test_xi_same_state_uses_singleton():
-    got = xi(P, head(A, A))
+    got = xi(head(A, A))
     assert got == disj([neg(atom(present(A))), atom(single(A))])
     # heads with only idle rules get the same shape: "at most one b" is the
     # exact disabling condition for a pair rule on a single state, and the
     # formula stays meaningful wherever it is reused
-    assert xi(P, head(b, b)) == disj([neg(atom(present(b))), atom(single(b))])
+    assert xi(head(b, b)) == disj([neg(atom(present(b))), atom(single(b))])
+    assert pretty(Parts((), frozenset({head(b, b)})), P.states) == "!b | b!"
 
 
 def test_heads_formula():
-    assert heads_formula(P, []) == TT
-    assert heads_formula(P, [head(A, B)]) == xi(P, head(A, B))
+    assert heads_formula([]) == TT
+    assert heads_formula([head(A, B)]) == xi(head(A, B))
     # heads are sorted canonically before conjunction
-    got = heads_formula(P, [head(A, a), head(A, B)])
-    assert got == conj([xi(P, head(A, B)), xi(P, head(A, a))])
+    got = heads_formula([head(A, a), head(A, B)])
+    assert got == conj([xi(head(A, B)), xi(head(A, a))])
+    phi = Parts((), frozenset({head(A, a), head(A, B)}))
+    assert formula_of(phi) == got
+    assert pretty(phi, P.states) == "(!A | !B) & (!A | !a)"
 
 
 def test_valuation_formula():
@@ -192,12 +203,17 @@ def test_valuation_formula():
 
 def test_stage_formula_empty_disjunction_is_false():
     units = ((present(A),),)
-    phi, parts = stage_formula(P, units, frozenset({head(A, B)}), frozenset())
-    assert phi == FF
-    assert parts == Parts(units, frozenset({head(A, B)}), ())
+    phi = stage_formula(units, frozenset({head(A, B)}), frozenset())
+    assert phi == Parts(units, frozenset({head(A, B)}), ())
+    assert formula_of(phi) == FF and pretty(phi, P.states) == "false"
+    assert logic.evaluate(phi, {present(A): -1, present(B): -1}) == 0
+    assert logic.evaluation_domain(phi) == []
     # no disjunction at all: one empty member
-    phi, parts = stage_formula(P, units, frozenset())
-    assert phi == atom(present(A)) and parts.members == ((),)
+    phi = stage_formula(units, frozenset())
+    assert formula_of(phi) == atom(present(A)) and phi.members == ((),)
+    # no unit, no head and no disjunction: true
+    assert pretty(Parts((), frozenset()), P.states) == "true"
+    assert logic.evaluate(Parts((), frozenset()), {}) == -1
 
 
 def test_stage_formula_renders_drained_states_flat():
@@ -206,20 +222,20 @@ def test_stage_formula_renders_drained_states_flat():
     pi = (present(A), single(A))
     heads = frozenset({head(a, b), head(A, b)})
     l = frozenset({head(B, b), head(a, a)})
-    some_l = disj([neg(xi(P, h)) for h in sorted(l)])
+    some_l = disj([neg(xi(h)) for h in sorted(l)])
     for states in ([B], [B, a, b]):
         drained = tuple(-present(s) for s in states)
         flat = [literal_formula(x) for x in drained]
         for some, tail in ((None, []), (l, [some_l])):
-            phi, parts = stage_formula(P, (pi, drained), heads, some)
-            old = conj([valuation_formula(pi), heads_formula(P, heads)] + flat + tail)
-            assert pretty(phi, P.states) == pretty(old, P.states)
+            phi = stage_formula((pi, drained), heads, some)
+            old = conj([valuation_formula(pi), heads_formula(heads)] + flat + tail)
+            assert pretty(phi, P.states) == tree.pretty(old, P.states)
             if len(states) == 1:
-                assert phi == old
-            assert parts.units[0] is pi and parts.units[1] is drained
-            assert parts.heads == heads
+                assert formula_of(phi) == old
+            assert phi.units[0] is pi and phi.units[1] is drained
+            assert phi.heads == heads
             members = ((),) if some is None else tuple(not_xi(h) for h in sorted(l))
-            assert parts.members == members
+            assert phi.members == members
 
 
 def test_is_tautology_consistency_rule():
@@ -253,32 +269,32 @@ def test_literals_number_the_atoms():
     assert not_xi(head(A, B)) == (present(A), present(B))
     assert not_xi(head(a, a)) == (present(a), -single(a))
     assert xi_clause(head(a, a)) == (-present(a), single(a))
-    assert clause_formula(xi_clause(head(A, b))) == xi(P, head(A, b))
+    assert clause_formula(xi_clause(head(A, b))) == xi(head(A, b))
 
 
 def test_enumerate_example1_initial_stage():
     pa, pb, paa, pbb = (atom(present(s)) for s in (A, B, a, b))
-    phi = conj([disj([pa, pb]), neg(paa), neg(pbb)])
     s = initial_stage(P)
-    assert s.phi == phi
-    vals = enumerate_satisfying_valuations(P, phi, s.parts)
+    assert formula_of(s.phi, root=True) == conj([disj([pa, pb]), neg(paa), neg(pbb)])
+    assert pretty(s.phi, P.states, root=True) == "(A | B) & !a & !b"
+    vals = enumerate_satisfying_valuations(P, s.phi)
     assert len(vals) == 3
     # canonical order: tt before ff, variables by state index
     assert vals == [(1, 3, -5, -7), (1, -3, -5, -7), (-1, 3, -5, -7)]
 
 
 def test_enumerate_unsat_and_singleton():
-    assert enumerate_satisfying_valuations(P, FF, Parts((), frozenset(), ())) == []
+    assert enumerate_satisfying_valuations(P, Parts((), frozenset(), ())) == []
     one = single(A)
-    vals = enumerate_satisfying_valuations(P, atom(one), Parts(((one,),), frozenset()))
+    vals = enumerate_satisfying_valuations(P, Parts(((one,),), frozenset()))
     assert vals == [(present(A), one)]
 
 
 def test_sat_atoms():
     c = Configuration((2, 0, 0, 0))
-    assert holds_at(c, conj([atom(present(A)), neg(atom(present(B)))]))
-    assert holds_at(Configuration((1, 0, 0, 0)), atom(single(A)))
-    assert not holds_at(c, atom(single(A)))
+    assert holds_at(c, Parts(((present(A), -present(B)),), frozenset()))
+    assert holds_at(Configuration((1, 0, 0, 0)), Parts(((single(A),),), frozenset()))
+    assert not holds_at(c, Parts(((single(A),),), frozenset()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -296,7 +312,7 @@ def test_xi_matches_enabledness(counts, x, y):
     rules = [t for t in P.non_idle if t.lhs == h]
     if not rules:
         return
-    assert holds_at(c, xi(P, h)) == (not enabled(c, rules[0]))
+    assert holds_at(c, Parts((), frozenset({h}))) == (not enabled(c, rules[0]))
 
 
 @st.composite
@@ -377,12 +393,13 @@ def test_enumeration_covers_atoms_of_a_valid_disjunct():
 
 def test_enumeration_agrees_with_reference_on_corpus_stages(corpus_graphs):
     for sg in corpus_graphs.values():
-        phis = {s.phi: s.parts for s in sg.stages}
-        for phi, parts in phis.items():
-            got = enumerate_satisfying_valuations(sg.protocol, phi, parts)
-            expect = reference_enumerate_satisfying_valuations(phi)
+        root = sg.stages[0].phi
+        for phi in {s.phi: None for s in sg.stages}:
+            f = formula_of(phi, phi == root)
+            got = enumerate_satisfying_valuations(sg.protocol, phi)
+            expect = reference_enumerate_satisfying_valuations(f)
             assert got == expect, pretty(phi, sg.protocol.states)
-            assert got == dpll.enumerate_satisfying_valuations(phi)
+            assert got == dpll.enumerate_satisfying_valuations(f)
 
 
 @pytest.mark.parametrize("name", ["majority-ex1", "remainder-m3"])
@@ -403,7 +420,7 @@ def test_tautology_agrees_with_reference_on_stage_queries(name, monkeypatch):
     for goal, premise in queries:
         f = implies(premise_formula(premise), clause_formula(goal))
         expect = reference_is_tautology(f)
-        assert is_tautology(goal, premise) == expect, pretty(f, premise.p.states)
+        assert is_tautology(goal, premise) == expect, tree.pretty(f, premise.p.states)
 
 
 @settings(max_examples=200, deadline=None)
@@ -527,41 +544,41 @@ def test_premise_answers_do_not_depend_on_query_order(premise, goals, order):
     assert [is_tautology(goals[i], fresh[i]) for i in idx] == [expect[i] for i in idx]
 
 
+def stage_parts(states_range=(2, 4)):
+    return st.integers(*states_range).flatmap(lambda k: stage_formulas(range(k)))
+
+
 @st.composite
-def stage_parts(draw):
-    """A stage formula of the shape the build makes, over the first 2-4
-    states of P, as (phi, parts): units in two valuations, which may
-    contradict each other, directly or through A! -> A; the xi of some
-    heads; and a disjunction of single literals (as of the initial stage's inputs) or of some not xi
-    (as of K or L), or none, or an empty one (FF).  With no unit, no head
-    and no disjunction phi is TT."""
-    states = range(draw(st.integers(2, 4)))
+def stage_formulas(draw, states):
+    """A stage formula of the shape the build makes, over `states` of P:
+    units in two valuations, which may contradict each other, directly or
+    through A! -> A; the xi of some heads; and a disjunction of single
+    literals (as of the initial stage's inputs) or of some not xi (as of K
+    or L), or none, or an empty one (false).  With no unit, no head and no
+    disjunction it is true."""
     units = tuple(valuation(draw(st.lists(int_literals(states), max_size=3))) for _ in range(2))
     heads = draw(head_sets(states, 3))
     kind = draw(st.integers(0, 3))
     if kind == 0:
-        members, some = ((),), TT
+        members = ((),)
     elif kind == 1:
-        members, some = (), FF
+        members = ()
     elif kind == 2:
         singles = draw(st.lists(int_literals(states), min_size=1, max_size=3))
-        members, some = tuple((x,) for x in singles), disj([literal_formula(x) for x in singles])
+        members = tuple((x,) for x in singles)
     else:
         enabled = sorted(draw(head_sets(states, 3).filter(bool)))
         members = tuple(not_xi(h) for h in enabled)
-        some = disj([neg(xi(P, h)) for h in enabled])
-    lits = [literal_formula(x) for val in units for x in val]
-    phi = conj(lits + [heads_formula(P, heads), some])
-    return phi, Parts(units, heads, members)
+    return Parts(units, heads, members)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=stage_parts())
-def test_split_agrees_with_references_on_stage_shapes(case):
-    phi, parts = case
-    got = enumerate_satisfying_valuations(P, phi, parts)
-    assert got == reference_enumerate_satisfying_valuations(phi)
-    assert got == dpll.enumerate_satisfying_valuations(phi)
+@given(phi=stage_parts())
+def test_split_agrees_with_references_on_stage_shapes(phi):
+    f = formula_of(phi)
+    got = enumerate_satisfying_valuations(P, phi)
+    assert got == reference_enumerate_satisfying_valuations(f)
+    assert got == dpll.enumerate_satisfying_valuations(f)
 
 
 @settings(max_examples=200, deadline=None)
@@ -569,16 +586,15 @@ def test_split_agrees_with_references_on_stage_shapes(case):
 def test_holds_throughout_agrees_with_dpll(anc, child):
     # "anc implies child", decided over anc's split, which need not cover
     # the atoms of child
-    vals = enumerate_satisfying_valuations(P, *anc)
-    expect = dpll.tautology(implies(anc[0], child[0]))
-    assert holds_throughout(child[0], vals) == expect
+    vals = enumerate_satisfying_valuations(P, anc)
+    expect = dpll.tautology(implies(formula_of(anc), formula_of(child)))
+    assert holds_throughout(child, vals) == expect
 
 
 @settings(max_examples=120, deadline=None)
-@given(case=stage_parts())
-def test_enumerated_valuations_satisfy_and_are_consistent(case):
-    phi, parts = case
-    for nu in enumerate_satisfying_valuations(P, phi, parts):
+@given(phi=stage_parts())
+def test_enumerated_valuations_satisfy_and_are_consistent(phi):
+    for nu in enumerate_satisfying_valuations(P, phi):
         for x in nu:
             if x > 0 and not x & 1:  # a true singleton
                 assert x - 1 in nu
@@ -600,12 +616,34 @@ def test_config_agrees_with_pointwise_valuation(counts, data):
             nu.append(present(s) if c.counts[s] > 0 else -present(s))
         if data.draw(st.booleans()):
             nu.append(single(s) if c.counts[s] == 1 else -single(s))
-    assert holds_at(c, valuation_formula(tuple(nu)))
+    assert holds_at(c, Parts((tuple(nu),), frozenset()))
 
 
 def test_pretty_printer():
+    # the tree printer, which the stage formula's is checked against, on
+    # any tree; and the stage formula's on the shapes the build makes
     pa, pb = atom(present(A)), atom(present(B))
     f = conj([disj([neg(pa), neg(pb)]), atom(single(A))])
-    assert pretty(f, P.states) == "(!A | !B) & A!"
-    assert pretty(TT, P.states) == "true"
-    assert pretty(neg(disj([pa, conj([pb, atom(single(b))])])), P.states) == "!(A | (B & b!))"
+    assert tree.pretty(f, P.states) == "(!A | !B) & A!"
+    assert tree.pretty(TT, P.states) == "true"
+    assert tree.pretty(neg(disj([pa, conj([pb, atom(single(b))])])), P.states) == "!(A | (B & b!))"
+    phi = Parts(((), (single(A),)), frozenset({head(A, B)}))
+    assert formula_of(phi) == f and pretty(phi, P.states) == "(!A | !B) & A!"
+    phi = Parts(((single(A),),), frozenset(), (not_xi(head(A, B)), not_xi(head(a, a))))
+    assert pretty(phi, P.states) == "A! & (!(!A | !B) | !(!a | a!))"
+    assert pretty(phi._replace(units=()), P.states) == "!(!A | !B) | !(!a | a!)"
+    assert pretty(phi, P.states, root=True) == "(!(!A | !B) | !(!a | a!)) & A!"
+
+
+@settings(max_examples=300, deadline=None)
+@given(phi=stage_parts((1, 4)), root=st.booleans(), data=st.data())
+def test_stage_formula_agrees_with_its_tree(phi, root, data):
+    # the printer, the evaluator and the domain of a stage formula against
+    # the tree walkers on the tree the build made for it; every variable
+    # gets its own random bits, consistent or not
+    f = formula_of(phi, root)
+    assert pretty(phi, P.states, root) == tree.pretty(f, P.states)
+    assert logic.evaluation_domain(phi) == evaluation_domain(f)
+    bits = {v: data.draw(st.integers(0, (1 << 64) - 1)) for v in range(1, 9)}
+    mask = (1 << 64) - 1
+    assert logic.evaluate(phi, bits) & mask == tree.evaluate(f, bits) & mask

@@ -162,6 +162,20 @@ def test_parse_state_named_like_the_header():
     assert p.explicit_count == 1
 
 
+@pytest.mark.parametrize("header", ["", "protocol t\n"])
+def test_parse_rejects_a_state_named_protocol(header):
+    # the rule line "protocol A -> A A" would read as the protocol line:
+    # without a protocol line of its own the protocol was renamed
+    # "A -> A A" and lost its rule, and with one the rule was a repeat
+    src = (
+        header + "states: protocol A\ninputs: x -> A\noutput1: A\n"
+        "transitions:\n  protocol A -> A A\n"
+    )
+    line = header.count("\n") + 1
+    with pytest.raises(ProtocolError, match=f"line {line}: 'protocol' cannot name a state"):
+        parse_protocol(src)
+
+
 def test_parse_error_carries_line_number():
     src = (
         "protocol t\nstates: A B\ninputs: x -> A\noutput1: A\n"

@@ -11,7 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpll_reference as dpll
+import formula_reference as tree
 from dpll_reference import clause_formula, implies, premise_formula
+from formula_reference import (
+    atom,
+    conj,
+    disj,
+    evaluation_domain,
+    formula_of,
+    heads_formula,
+    literal_formula,
+    neg,
+    valuation_formula,
+    xi,
+)
 from stagebound import (
     Configuration,
     aggregate,
@@ -22,25 +35,21 @@ from stagebound import (
     stagegraph,
     to_json_dict,
 )
-from stagebound.corpus import broadcast, majority_four_state, majority_five_state, remainder
+from stagebound.corpus import (
+    avg_and_conquer,
+    broadcast,
+    majority_four_state,
+    majority_five_state,
+    remainder,
+)
 from stagebound.logic import (
-    TT,
     Parts,
     Premise,
-    atom,
-    conj,
-    disj,
     enumerate_satisfying_valuations,
-    evaluation_domain,
-    heads_formula,
     is_tautology,
-    literal_formula,
-    neg,
     not_xi,
     present,
     single,
-    valuation_formula,
-    xi,
     xi_clause,
 )
 from stagebound.protocol import PopulationProtocol
@@ -83,17 +92,24 @@ def names(p, heads):
     return {tuple(p.states[i] for i in h) for h in heads}
 
 
+def tree_of(s):
+    """The formula tree of stage s, as the build made it: the root (stage
+    0) writes its disjunction first."""
+    return formula_of(s.phi, s.id == 0)
+
+
 def test_initial_stage_formulas():
     s1 = initial_stage(P1)
-    assert pretty(s1.phi, P1.states) == "(A | B) & !a & !b"
+    assert pretty(s1.phi, P1.states, root=True) == "(A | B) & !a & !b"
     s2 = initial_stage(P2)
-    assert pretty(s2.phi, P2.states) == "(A | B) & !C & !a & !b"
+    assert pretty(s2.phi, P2.states, root=True) == "(A | B) & !C & !a & !b"
+    assert tree.pretty(tree_of(s2), P2.states) == "(A | B) & !C & !a & !b"
     # protocol whose inputs cover all states has no negative conjuncts
     p = parse_protocol(
         "protocol t\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\n"
         "transitions:\n  A B -> A A\n"
     )
-    assert pretty(initial_stage(p).phi, p.states) == "A | B"
+    assert pretty(initial_stage(p).phi, p.states, root=True) == "A | B"
 
 
 def test_mn_fixpoint_appendix_example():
@@ -127,10 +143,9 @@ def graph(p, pi):
 
 def child_for(p, nu):
     """The successor build_child derives for nu from a bare parent stage."""
-    parent = Stage(
-        id=0, phi=TT, parts=Parts((), frozenset()), pi=(), disabled=frozenset(), parent=None
-    )
-    return build_child(p, StageGraph(p, [parent]), parent, nu, {}, {TT: [()]})
+    true = Parts((), frozenset())
+    parent = Stage(id=0, phi=true, pi=(), disabled=frozenset(), parent=None)
+    return build_child(p, StageGraph(p, [parent]), parent, nu, {}, {true: [()]})
 
 
 def test_is_stable_example1():
@@ -297,10 +312,7 @@ def test_compute_i_and_l_cycle_is_bottom():
 
 def splits_of(sg):
     """The split of every stage formula of a tree, by formula."""
-    return {
-        s.phi: enumerate_satisfying_valuations(sg.protocol, s.phi, s.parts)
-        for s in sg.stages
-    }
+    return {s.phi: enumerate_satisfying_valuations(sg.protocol, s.phi) for s in sg.stages}
 
 
 def test_build_child_stable_and_redundant():
@@ -334,8 +346,8 @@ def test_stage_invariants(corpus_graphs):
         sg = corpus_graphs[name]
         p = sg.protocol
         for s in sg.stages:
-            base = conj([valuation_formula(s.pi), heads_formula(p, s.disabled)])
-            assert dpll.tautology(implies(s.phi, base)), (name, s.id)
+            base = conj([valuation_formula(s.pi), heads_formula(s.disabled)])
+            assert dpll.tautology(implies(tree_of(s), base)), (name, s.id)
             if s.parent is not None:
                 parent = sg.stages[s.parent]
                 assert s.disabled >= parent.disabled
@@ -353,7 +365,7 @@ def test_no_root_path_repeats(corpus_graphs):
                 continue
             for anc in sg.path_to_root(s.id)[1:]:
                 if anc.pi == s.pi and anc.disabled == s.disabled:
-                    assert not dpll.tautology(implies(anc.phi, s.phi))
+                    assert not dpll.tautology(implies(tree_of(anc), tree_of(s)))
 
 
 def test_determinism_identical_json():
@@ -393,19 +405,19 @@ def test_broadcast_tree_shape(corpus_graphs):
 
 
 def reference_gen_edges(p, pi_nu, disabled):
-    base = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
-    return {t for t in p.non_idle if not dpll.tautology(implies(base, xi(p, t.lhs)))}
+    base = conj([valuation_formula(pi_nu), heads_formula(disabled)])
+    return {t for t in p.non_idle if not dpll.tautology(implies(base, xi(t.lhs)))}
 
 
 def reference_is_stable(p, pi_nu, disabled):
-    base = conj([valuation_formula(pi_nu), heads_formula(p, disabled)])
+    base = conj([valuation_formula(pi_nu), heads_formula(disabled)])
     allowed = [s for s in range(len(p.states)) if -present(s) not in pi_nu]
     for x in (0, 1):
         if any(p.output(s) != x for s in allowed):
             continue
         if all(
             {p.output(s) for s in t.rhs} == {x}
-            or dpll.tautology(implies(base, xi(p, t.lhs)))
+            or dpll.tautology(implies(base, xi(t.lhs)))
             for t in p.non_idle
         ):
             return x
@@ -416,13 +428,11 @@ def reference_compute_j(p, pi_nu, disabled, exp):
     """compute_j checking every non-idle rule, each by its own query."""
 
     def blocked(guard, lhs):
-        return dpll.tautology(implies(guard, xi(p, lhs)))
+        return dpll.tautology(implies(guard, xi(lhs)))
 
     def head_ok(ef, m):
         e, f = ef
-        base = conj(
-            [valuation_formula(pi_nu), heads_formula(p, disabled), heads_formula(p, m)]
-        )
+        base = conj([valuation_formula(pi_nu), heads_formula(disabled), heads_formula(m)])
         for t in p.non_idle:
             if t.rhs == ef:
                 if not blocked(base, t.lhs):
@@ -456,9 +466,9 @@ def reference_classify_nu_mode(p, nu, j):
     if not j:
         return "neither"
     nu_p = dpll.ClausePremise(valuation_formula(nu))
-    if all(dpll.entails(xi(p, h), nu_p) for h in j):
+    if all(dpll.entails(xi(h), nu_p) for h in j):
         return "nu-disabled"
-    if any(dpll.entails(neg(xi(p, h)), nu_p) for h in j):
+    if any(dpll.entails(neg(xi(h)), nu_p) for h in j):
         return "nu-enabled"
     return "neither"
 
@@ -529,7 +539,8 @@ def test_head_semantics_has_one_owner(p):
             fires[h] = counts[x] >= 2 if x == y else counts[x] > 0 and counts[y] > 0
             assert all(enabled(c, t) == fires[h] for t in p.rules_by_head.get(h, ()))
             bits = {abs(x): int(x > 0) for x in nu}
-            assert (logic.evaluate(xi(p, h), bits) & 1) == (not fires[h])
+            assert (logic.evaluate(Parts((), frozenset({h})), bits) & 1) == (not fires[h])
+            assert (tree.evaluate(xi(h), bits) & 1) == (not fires[h])
             assert any(lit in held for lit in xi_clause(h)) == (not fires[h])
             assert (set(not_xi(h)) <= held) == fires[h]
             assert (Premise.horn(p, held, frozenset({h})).base is None) == fires[h]
@@ -569,9 +580,7 @@ def test_graph_reads_match_per_rule_entailment_generated(case):
     assert compute_j(p, g, exp) == reference_compute_j(p, pi, disabled, exp)
     # classify_nu_mode reads the valuations of a split, which are
     # consistent and fix A wherever they fix A!
-    split = enumerate_satisfying_valuations(
-        p, valuation_formula(pi), Parts((pi,), frozenset())
-    )
+    split = enumerate_satisfying_valuations(p, Parts((pi,), frozenset()))
     for nu in split[:8]:
         expect = reference_classify_nu_mode(p, nu, exp)
         assert classify_nu_mode(p, nu, exp) == expect
@@ -602,14 +611,13 @@ def reference_build_stage_graph(p, max_stages=100_000):
         stage = sg.stages[work.popleft()]
         if stage.kind != INTERNAL:
             continue
-        for nu in dpll.enumerate_satisfying_valuations(stage.phi):
+        for nu in dpll.enumerate_satisfying_valuations(tree_of(stage)):
             if len(sg.stages) >= max_stages:
                 raise StageLimitError(f"stage limit {max_stages} exceeded", sg)
             succ = case_analysis(p, stage.disabled, nu)
             child = Stage(
                 id=len(sg.stages),
                 phi=succ.phi,
-                parts=succ.parts,
                 pi=succ.pi,
                 disabled=succ.disabled,
                 parent=stage.id,
@@ -620,7 +628,7 @@ def reference_build_stage_graph(p, max_stages=100_000):
             if child.kind == INTERNAL and any(
                 anc.pi == child.pi
                 and anc.disabled == child.disabled
-                and dpll.tautology(implies(anc.phi, child.phi))
+                and dpll.tautology(implies(tree_of(anc), tree_of(child)))
                 for anc in sg.path_to_root(stage.id)
             ):
                 continue
@@ -685,7 +693,7 @@ def test_valuations_are_canonical(corpus_graphs):
             trees.append(partial_tree(exc))
     for sg in trees:
         for s in sg.stages:
-            vals = [s.pi, *s.parts.units]
+            vals = [s.pi, *s.phi.units]
             if s.via is not None:
                 vals += [s.via, s.analysis.nu]
             for val in vals:
@@ -697,18 +705,18 @@ def test_valuations_are_canonical(corpus_graphs):
 def test_pruning_agrees_with_dpll_on_fuzzed_protocols(monkeypatch):
     # every pruning decision of 2,000 builds, asked again of the clause DPLL
     # as "the ancestor's formula implies the child's"; the corpus asks none
-    formula_of = {}  # id(split) -> the formula it splits
+    split_of = {}  # id(split) -> the formula it splits
     decisions = []
     split, holds = stagegraph.enumerate_satisfying_valuations, stagegraph.holds_throughout
 
-    def recording_split(p, phi, parts):
-        vals = split(p, phi, parts)
-        formula_of[id(vals)] = phi
+    def recording_split(p, phi):
+        vals = split(p, phi)
+        split_of[id(vals)] = phi
         return vals
 
-    def recording_holds(f, vals):
-        got = holds(f, vals)
-        decisions.append((formula_of[id(vals)], f, got))
+    def recording_holds(phi, vals):
+        got = holds(phi, vals)
+        decisions.append((split_of[id(vals)], phi, got))
         return got
 
     monkeypatch.setattr(stagegraph, "enumerate_satisfying_valuations", recording_split)
@@ -721,9 +729,12 @@ def test_pruning_agrees_with_dpll_on_fuzzed_protocols(monkeypatch):
     monkeypatch.undo()
     assert {got for *_, got in decisions} == {True, False}
     extra = 0
-    for anc, f, got in decisions:
-        assert got == dpll.tautology(implies(anc, f)), (anc, f)
-        extra += not set(evaluation_domain(f)) <= set(evaluation_domain(anc))
+    for anc, phi, got in decisions:
+        # the root's tree writes its conjuncts in another order, to the
+        # same effect
+        f, anc_f = formula_of(phi), formula_of(anc)
+        assert got == dpll.tautology(implies(anc_f, f)), (anc, phi)
+        extra += not set(evaluation_domain(f)) <= set(evaluation_domain(anc_f))
     # some children name atoms outside their ancestor's split
     assert extra
 
@@ -756,7 +767,7 @@ def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
         goal_f = clause_formula(goal)
         assert is_tautology(goal, premise) == dpll.entails(goal_f, ref), (
             kind,
-            pretty(goal_f, sg.protocol.states),
+            tree.pretty(goal_f, sg.protocol.states),
         )
     seen = set()
     for s in sg.stages:
@@ -841,10 +852,10 @@ def reference_compute_pi_nu(p, disabled, nu):
 def reference_is_fast(p, g, exp, u_states):
     """Whenever a draining state is still present and not every crossing rule
     is disabled, some crossing rule on that very state must be enabled."""
-    base = dpll.ClausePremise(premise_formula(g.premise)).conj(neg(heads_formula(p, exp)))
+    base = dpll.ClausePremise(premise_formula(g.premise)).conj(neg(heads_formula(exp)))
     for a in sorted(u_states):
         exp_a = [h for h in sorted(exp) if a in h]
-        cons = disj([neg(xi(p, h)) for h in exp_a])
+        cons = disj([neg(xi(h)) for h in exp_a])
         if not dpll.entails(implies(atom(present(a)), cons), base):
             return False
     return True
@@ -914,7 +925,7 @@ def test_is_fast_matches_reference_generated(case, data):
 def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):
     # every graph, J and is_fast query of a 1,351-stage build, asked again
     # of the clause DPLL under the conjunction of the unit literals and
-    # heads_formula(p, H), with is_fast's literals added, as the build
+    # heads_formula(H), with is_fast's literals added, as the build
     # passed them to Premise.horn and Premise.with_units
     formulas = {}  # id(premise) -> (premise, the formula it stands for)
     horn, with_units = Premise.horn.__func__, Premise.with_units
@@ -922,7 +933,7 @@ def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):
     def recording_horn(cls, p, units, heads):
         units = list(units)
         pr = horn(cls, p, units, heads)
-        f = conj([literal_formula(x) for x in units] + [heads_formula(p, heads)])
+        f = conj([literal_formula(x) for x in units] + [heads_formula(heads)])
         formulas[id(pr)] = (pr, f)
         return pr
 
@@ -961,6 +972,72 @@ def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):
         goal_f = clause_formula(goal)
         assert is_tautology(goal, premise) == dpll.entails(goal_f, ref), (
             kind,
-            pretty(goal_f, sg.protocol.states),
+            tree.pretty(goal_f, sg.protocol.states),
         )
     assert assert_is_fast_matches_reference(sg) > 0
+
+
+# ---------------------------------------------------------------------------
+# A stage formula is a `logic.Parts`; its printer, evaluator, domain and
+# pruning's implication test are checked against the walkers of the tree the
+# build made for it before (`formula_of`), on every distinct formula of a
+# tree.
+
+
+def every_valuation(domain):
+    """Every total valuation of `domain` at once: bit j of the i-th
+    variable's mask is bit i of j.  Returns the masks and the mask of all
+    2^len(domain) valuations."""
+    full = (1 << (1 << len(domain))) - 1
+    bits = {}
+    for i, v in enumerate(domain):
+        half = 1 << i
+        # the pattern half zeros, half ones, repeated over the full width
+        bits[v] = (((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1))
+    return bits, full
+
+
+def assert_formulas_match_trees(sg):
+    """Every distinct formula of sg printed, evaluated on every valuation of
+    its domain and, for every edge, each end's formula tested over the
+    other's split, as its tree does; returns the holds_throughout answers."""
+    p = sg.protocol
+    root = sg.stages[0].phi
+    splits = {}
+    for phi in dict.fromkeys(s.phi for s in sg.stages):
+        f = formula_of(phi, phi is root)
+        assert pretty(phi, p.states, phi is root) == tree.pretty(f, p.states)
+        domain = logic.evaluation_domain(phi)
+        assert domain == evaluation_domain(f), tree.pretty(f, p.states)
+        bits, full = every_valuation(domain)
+        assert logic.evaluate(phi, bits) & full == tree.evaluate(f, bits) & full
+        splits[phi] = enumerate_satisfying_valuations(p, phi)
+    answers = set()
+    edges = {(sg.stages[s.parent].phi, s.phi) for s in sg.stages[1:]}
+    for parent, child in edges:
+        for a, b in ((parent, child), (child, parent), (child, child)):
+            got = logic.holds_throughout(b, splits[a])
+            assert got == tree.holds_throughout(formula_of(b), splits[a])
+            answers.add(got)
+    return answers
+
+
+def test_formulas_match_trees_on_corpus_and_large_members(corpus_graphs):
+    answers = set()
+    for sg in corpus_graphs.values():
+        answers |= assert_formulas_match_trees(sg)
+    for src in (remainder(7), avg_and_conquer(5, 1)):
+        answers |= assert_formulas_match_trees(build_stage_graph(parse_protocol(src)))
+    assert answers == {True, False}
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=small_protocols(min_rules=1))
+def test_formulas_match_trees_generated(p):
+    # the generator of test_soundness_fuzz_generated; builds past its stage
+    # limit are checked on the tree made so far
+    try:
+        sg = build_stage_graph(p, max_stages=2000)
+    except StageLimitError as exc:
+        sg = partial_tree(exc)
+    assert_formulas_match_trees(sg)

@@ -21,7 +21,7 @@ from stagebound import (
     parse_protocol,
 )
 from stagebound.corpus import broadcast, majority_four_state, majority_five_state
-from stagebound.logic import FF, TT, atom, conj, evaluate, neg, present, single
+from stagebound.logic import Parts, evaluate, present, single
 from stagebound.protocol import PopulationProtocol, StepKernel, decode, encode
 from stagebound.stagegraph import Stage, StageGraph, scc_condensation
 from stagebound import verify as V
@@ -36,13 +36,23 @@ from oracle_reference import (
     reference_stage_denotation,
     roots_reach_almost_surely,
 )
+from formula_reference import FF, TT, atom, formula_of
+from formula_reference import evaluate as tree_evaluate
 from step_reference import coded, coded_weights
 from test_protocol import random_config
 from test_protocol import shared_head_protocols as few_head_protocols
+from test_logic import stage_formulas
 from test_stagegraph import small_protocols
 
 P1 = parse_protocol(majority_four_state())
 P2 = parse_protocol(majority_five_state())
+TRUE = Parts((), frozenset())
+FALSE = Parts((), frozenset(), ())
+
+
+def literal(x):
+    """The stage formula of one literal."""
+    return Parts(((x,),), frozenset())
 
 
 def cfg(p, **counts):
@@ -110,11 +120,11 @@ def test_explore_cap_counts_per_size():
 def test_holds_box():
     # "box phi" over the closure: every node satisfies phi
     g = V.explore(P1, cfg(P1, a=1, b=1))
-    no_caps = conj([neg(atom(present(0))), neg(atom(present(1)))])
+    no_caps = Parts(((-present(0), -present(1)),), frozenset())
     assert len(g.sat(no_caps)) == g.size
-    assert len(g.sat(TT)) == g.size
+    assert len(g.sat(TRUE)) == g.size
     g2 = V.explore(P1, cfg(P1, A=1, B=1))
-    assert len(g2.sat(atom(present(0)))) < g2.size
+    assert len(g2.sat(literal(present(0)))) < g2.size
 
 
 def test_sat_clipped_key_matches_counts():
@@ -124,10 +134,10 @@ def test_sat_clipped_key_matches_counts():
     assert max(max(c.counts) for c in g.nodes) >= 3
     assert len(g.key_counts) < g.size  # some nodes share a key
     for s in range(len(P2.states)):
-        assert g.sat(atom(present(s))) == {
+        assert g.sat(literal(present(s))) == {
             i for i, c in enumerate(g.nodes) if c.counts[s] > 0
         }
-        assert g.sat(atom(single(s))) == {
+        assert g.sat(literal(single(s))) == {
             i for i, c in enumerate(g.nodes) if c.counts[s] == 1
         }
 
@@ -282,9 +292,10 @@ def reference_valuations(g):
     return key_of, vals
 
 
-def reference_sat(g, phi):
+def reference_sat(g, f):
+    """The nodes whose key satisfies the formula tree f."""
     key_of, vals = reference_valuations(g)
-    holds = [reference_evaluate(phi, val) for val in vals]
+    holds = [reference_evaluate(f, val) for val in vals]
     return {i for i, k in enumerate(key_of) if holds[k]}
 
 
@@ -320,24 +331,29 @@ def oracle_formulas(draw, p, depth=3):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_sat_matches_per_key_reference(data):
+    # a stage formula over every variable of the chain, against its tree
     g = data.draw(st.sampled_from(SAT_GRAPHS))
-    phi = data.draw(oracle_formulas(g.protocol))
-    assert g.sat(phi) == reference_sat(g, phi)
+    phi = data.draw(stage_formulas(range(len(g.protocol.states))))
+    assert g.sat(phi) == reference_sat(g, formula_of(phi))
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_evaluate_one_valuation_matches_reference(data):
-    # a single valuation of bools is the one-bit case of logic.evaluate
+    # a single valuation of bools is the one-bit case of logic.evaluate; the
+    # tree walker that the stage formula is checked against agrees with the
+    # recursive evaluator on trees of any shape
     g = data.draw(st.sampled_from(SAT_GRAPHS))
-    phi = data.draw(oracle_formulas(g.protocol))
+    phi = data.draw(stage_formulas(range(len(g.protocol.states))))
+    f = data.draw(oracle_formulas(g.protocol))
     for val in reference_valuations(g)[1]:
-        assert evaluate(phi, val) & 1 == reference_evaluate(phi, val)
+        assert evaluate(phi, val) & 1 == reference_evaluate(formula_of(phi), val)
+        assert tree_evaluate(f, val) & 1 == reference_evaluate(f, val)
 
 
 def test_holds_diamond_as():
     g = V.explore(P1, cfg(P1, A=1, B=1))
-    target = g.sat(neg(conj([atom(present(0)), atom(present(1))])))
+    target = g.sat(Parts((), frozenset({(0, 1)})))  # not both A and B
     assert roots_reach_almost_surely(g, target)
     assert roots_reach_almost_surely(g, set(g.roots))  # root already inside
     assert not roots_reach_almost_surely(g, set())
@@ -517,7 +533,7 @@ def test_expected_steps_geometric():
         "transitions:\n  A B -> A B\n  A B -> C C\n"
     )
     g = V.explore(p, cfg(p, A=1, B=1))
-    target = g.sat(atom(present(2)))
+    target = g.sat(literal(present(2)))
     assert V.expected_steps_all(g, target)[g.roots[0]] == Fraction(2)
 
 
@@ -567,7 +583,7 @@ def test_expected_steps_diverges():
         "transitions:\n  A B -> A B\n"
     )
     g = V.explore(p, cfg(p, A=1, B=1))
-    unreachable = g.sat(FF)
+    unreachable = g.sat(FALSE)
     with pytest.raises(ValueError):
         V.expected_steps_all(g, unreachable)
 
@@ -735,7 +751,7 @@ def test_expected_steps_match_plain_reference_on_split_components(corpus):
         stable = V.stable_set(g)
         for s in range(len(p.states)):
             for v in (present(s), single(s)):
-                target = g.sat(atom(v)) | stable
+                target = g.sat(literal(v)) | stable
                 split += any(
                     comp[u] == comp[v] and (u in target) != (v in target)
                     for v, outs in enumerate(g.succ)
@@ -776,8 +792,7 @@ def test_check_stage_graph_detects_corruption(corpus_graphs):
     broken = [
         Stage(
             id=s.id,
-            phi=(FF if s.id == sg.stages[0].children[0] else s.phi),
-            parts=s.parts,
+            phi=(FALSE if s.id == sg.stages[0].children[0] else s.phi),
             pi=s.pi,
             disabled=s.disabled,
             parent=s.parent,
@@ -810,12 +825,12 @@ def reference_check_stage_graph(p, sg, max_n):
         if not inits:
             continue
         g = V.explore(p, inits)
-        denote = {s.id: reference_stage_denotation(g, s, p) for s in sg.stages}
-        root_den = denote[sg.root]
+        denote = {s.id: reference_stage_denotation(g, s) for s in sg.stages}
+        root_den = denote[0]
         for i in g.roots:
             if i not in root_den:
                 violations.append(
-                    V.Violation(n, "initial-membership", sg.root, g.nodes[i])
+                    V.Violation(n, "initial-membership", 0, g.nodes[i])
                 )
         for s in sg.stages:
             if not s.children:
@@ -838,7 +853,7 @@ def test_stage_denotation_matches_reference_on_corpus(corpus_graphs):
         g = V.explore(p, [c for n in range(2, 6) for c in V.initial_configurations(p, n)])
         got = V.stage_denotation(g, sg.stages)
         for i, s in enumerate(sg.stages):
-            assert of_bit(got, i) == reference_stage_denotation(g, s, p)
+            assert of_bit(got, i) == reference_stage_denotation(g, s)
 
 
 def test_check_stage_graph_matches_reference_on_corpus(corpus_graphs):
@@ -865,7 +880,7 @@ def test_check_stage_graph_matches_reference_on_faulty_trees(corpus_graphs):
     count = Counter(V.stage_triple(s) for s in sg.stages)
     for sid in (1, 8, 16, 17, 86, 150):
         assert count[V.stage_triple(sg.stages[sid])] > 1, sid
-    mutants = [with_change(sg, sid, phi=FF) for sid in (1, 17, 86, 150)]
+    mutants = [with_change(sg, sid, phi=FALSE) for sid in (1, 17, 86, 150)]
     mutants += [
         with_change(sg, sid, children=sg.stages[sid].children[1:])
         for sid in (1, 8, 16)
@@ -876,9 +891,9 @@ def test_check_stage_graph_matches_reference_on_faulty_trees(corpus_graphs):
     # faults at the root, stage 8 and stage 150 together: both conditions
     # fail at every size and progress at two stages, so the chain over all
     # sizes must order them by size, then condition, then stage
-    mixed = with_change(sg, sg.root, phi=FF)
+    mixed = with_change(sg, 0, phi=FALSE)
     mixed = with_change(mixed, 8, children=sg.stages[8].children[1:])
-    mutants.append(with_change(mixed, 150, phi=FF))
+    mutants.append(with_change(mixed, 150, phi=FALSE))
     found = []
     for bad in mutants:
         got = V.check_stage_graph(p, bad, max_n=4)
