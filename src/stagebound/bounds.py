@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .logic import is_tautology, not_xi, present
+from .logic import is_tautology, present, xi_clause
 from .protocol import Head, PopulationProtocol
 
 
@@ -84,23 +84,27 @@ def is_fast(
     when the other literal of its `not_xi` is false: B for {A,B}, not A!
     for {A,A}.  So that premise is the graph's with A and the negations of
     those literals, and it is Horn.  It is asked the xi clause of each head
-    of Exp not on A, the heads on A being disabled by its own literals."""
-    heads = sorted(exp)
+    of Exp not on A, the heads on A being disabled by its own literals.
+    Each head's xi clause (-l1, -l2) is the goal of its query as it is;
+    it is read off the graph's table (`g.xi`), which has every head of a
+    non-idle rule."""
+    heads = [g.xi.get(h) or xi_clause(h) for h in sorted(exp)]
     for a in sorted(u_states):
-        on_a = present(a)
-        lits = [on_a]
+        off_a = -present(a)
+        lits = [-off_a]
         goals = []
-        for h in heads:
-            l1, l2 = not_xi(h)
-            if l1 == on_a:
-                lits.append(-l2)
-            elif l2 == on_a:
-                lits.append(-l1)
+        for goal in heads:
+            x1, x2 = goal
+            if x1 == off_a:
+                lits.append(x2)
+            elif x2 == off_a:
+                lits.append(x1)
             else:
-                goals.append((-l1, -l2))
+                goals.append(goal)
         premise = g.premise.with_units(lits)
-        if not all(is_tautology(goal, premise) for goal in goals):
-            return False
+        for goal in goals:
+            if not is_tautology(goal, premise):
+                return False
     return True
 
 

@@ -40,8 +40,8 @@ three things:
   1. Entailment, `is_tautology(goal, premise)`.  The goal is a clause, a
      tuple of literals, and it holds when the negations of its literals
      are inconsistent with the premise.  Every goal of the build is the xi
-     clause of one head, and in J the negation of a re-enabling guard as
-     well.
+     clause of one head; J puts a re-enabling guard into the premise
+     (`Premise.with_units`).
   2. The split of a stage formula into its valuations
      (`enumerate_satisfying_valuations`).  A stage formula is such a
      premise and at most one disjunction.  Per member, a walk decides the
@@ -55,11 +55,18 @@ three things:
      over those valuations, bit-parallel (`evaluate`, which also serves the
      oracle over all the total valuations of a chain at once).
 
-There is no query cache: a process-wide cache of formulas grows the peak
-memory by more than it is worth in time.  A premise and its unit closure
-live as long as its caller keeps it (a transformation graph, one round of
-J); the implication graph of each head set lives on its protocol
-(`implications`).
+Each implication graph also memoises, per goal clause, the OR of the
+closures of the goal's negated literals (`Implications.negated`), so
+`is_tautology` is one lookup, two ORs and one AND.  The memo lives on the
+graph, so it is shared by every premise with the graph's head set
+(`Premise.with_units`, `Premise.with_heads`) and dies with the protocol;
+it is not process-wide, because a process-wide cache of formulas grows the
+peak memory by more than it is worth in time, while a graph holds one
+entry per goal asked of it, and the build asks only the xi clauses of the
+protocol's heads.  A premise and its unit closure live as long as its
+caller keeps it (a transformation graph, one round of J); the implication
+graph of each head set lives on its protocol (`implications`).
+
 The tests keep the formula trees that a stage formula stands for, a
 clause DPLL over them and the searches that walk them with a three-valued
 evaluator as the references that these answers must agree with.
@@ -152,11 +159,12 @@ class Implications:
     binary clauses, unit propagation from a set of literals is the union of
     each literal's closure."""
 
-    __slots__ = ("succ", "memo")
+    __slots__ = ("succ", "memo", "goals")
 
     def __init__(self, clauses: Iterable[tuple[int, int]]):
         self.succ: dict[int, list[int]] = {}
         self.memo: dict[int, tuple[int, int]] = {}
+        self.goals: dict[tuple[int, ...], tuple[int, int]] = {}
         for a, b in clauses:
             self.succ.setdefault(-a, []).append(b)
             self.succ.setdefault(-b, []).append(a)
@@ -196,6 +204,19 @@ class Implications:
             negs |= f
         return None if pos & negs else (pos, negs)
 
+    def negated(self, goal: tuple[int, ...]) -> tuple[int, int]:
+        """The OR of the closures of the negations of the literals of the
+        clause `goal`, consistent or not; built once per goal."""
+        got = self.goals.get(goal)
+        if got is None:
+            pos = negs = 0
+            for lit in goal:
+                t, f = self.closure(-lit)
+                pos |= t
+                negs |= f
+            got = self.goals[goal] = (pos, negs)
+        return got
+
 
 def implications(p: PopulationProtocol, heads: frozenset[Head]) -> Implications:
     """The implication graph of the xi clause of each head of `heads` and
@@ -212,9 +233,13 @@ def implications(p: PopulationProtocol, heads: frozenset[Head]) -> Implications:
 def is_tautology(goal: tuple[int, ...], premise: Premise) -> bool:
     """True iff every consistent total assignment satisfying the premise
     satisfies the clause `goal`, a tuple of literals: ORing the closures of
-    their negations into the premise's base leaves some variable both true
-    and false."""
-    return premise.graph.close([-lit for lit in goal], premise.base) is None
+    their negations (`Implications.negated`) into the premise's base leaves
+    some variable both true and false."""
+    base = premise.base
+    if base is None:
+        return True
+    t, f = premise.graph.negated(goal)
+    return bool((base[0] | t) & (base[1] | f))
 
 
 class Parts(NamedTuple):
@@ -364,29 +389,36 @@ def variable_name(v: int, states: Sequence[str]) -> str:
     return states[(v - 1) >> 1] + ("" if v & 1 else "!")
 
 
-def pretty(phi: Parts, states: Sequence[str], root: bool = False) -> str:
-    """Infix rendering, with variables named after `states` (`A`/`A!`) and
-    operators `!`, `&`, `|`.  The items, joined by " & ", are the literals
-    of units[0], the xi `!l1 | !l2` of each head in sorted order, the
-    literals of units[1:] and the disjunction; the root stage's formula
-    (`root`) writes its disjunction first.  A member is its one literal, or
-    `!(!l1 | !l2)` for the pair of a head.  A xi, and a disjunction of two
-    or more members, is parenthesised among other items.  No item at all
-    is "true", and no member "false"."""
+def literal_names(states: Sequence[str]) -> dict[int, str]:
+    """The printed form of every literal over `states`: `A`, `A!`, `!A` and
+    `!A!` for state A, by literal."""
+    names = {}
+    for v in range(1, 2 * len(states) + 1):
+        names[v] = name = variable_name(v, states)
+        names[-v] = "!" + name
+    return names
+
+
+def pretty(phi: Parts, names: dict[int, str], root: bool = False) -> str:
+    """Infix rendering, with literals printed as `names` has them (see
+    `literal_names`) and operators `!`, `&`, `|`.  The items, joined by
+    " & ", are the literals of units[0], the xi `!l1 | !l2` of each head in
+    sorted order, the literals of units[1:] and the disjunction; the root
+    stage's formula (`root`) writes its disjunction first.  A member is its
+    one literal, or `!(!l1 | !l2)` for the pair of a head.  A xi, and a
+    disjunction of two or more members, is parenthesised among other items.
+    No item at all is "true", and no member "false"."""
     if not phi.members:
         return "false"
 
-    def lit(x: int) -> str:
-        return ("" if x > 0 else "!") + variable_name(abs(x), states)
-
     def clause(pair: tuple[int, int]) -> str:
-        return f"{lit(-pair[0])} | {lit(-pair[1])}"
+        return f"{names[-pair[0]]} | {names[-pair[1]]}"
 
-    first = [lit(x) for val in phi.units[:1] for x in val]
+    first = [names[x] for val in phi.units[:1] for x in val]
     xis = [clause(not_xi(h)) for h in sorted(phi.heads)]
-    rest = [lit(x) for val in phi.units[1:] for x in val]
+    rest = [names[x] for val in phi.units[1:] for x in val]
     some = [] if phi.members == ((),) else [
-        lit(m[0]) if len(m) == 1 else f"!({clause(m)})" for m in phi.members
+        names[m[0]] if len(m) == 1 else f"!({clause(m)})" for m in phi.members
     ]
     disj = " | ".join(some)
     if len(first) + len(xis) + len(rest) + bool(some) > 1:

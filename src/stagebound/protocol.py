@@ -140,6 +140,9 @@ class PopulationProtocol:
         # head set -> its implication graph, built on first use by
         # logic.implications
         self.graphs: dict = {}
+        # disabled head set -> what the case analysis reads of the rules
+        # that it leaves, built on first use by stagegraph.rule_rows
+        self.rows: dict = {}
 
     # -- naming helpers -------------------------------------------------
 
@@ -169,21 +172,6 @@ class PopulationProtocol:
                 for (a, b), rules in sorted(self.rules_by_head.items())
             ),
         )
-
-    @cached_property
-    def rules_by_state(
-        self,
-    ) -> tuple[tuple[tuple[Transition, ...], tuple[Transition, ...]], ...]:
-        """Per state, the non-idle rules with it on the right-hand side and
-        those with it on the left-hand side, each in rule order; built on
-        first use and kept on the instance."""
-        out = tuple(([], []) for _ in self.states)
-        for t in self.non_idle:
-            for s in set(t.rhs):
-                out[s][0].append(t)
-            for s in set(t.lhs):
-                out[s][1].append(t)
-        return tuple((tuple(made), tuple(used)) for made, used in out)
 
     def __repr__(self) -> str:
         return f"PopulationProtocol({self.name!r}, |Q|={len(self.states)}, |T|={self.explicit_count})"

@@ -39,6 +39,8 @@ import time
 from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 
 from . import bounds as bounds_mod
 from .logic import (
@@ -48,12 +50,12 @@ from .logic import (
     enumerate_satisfying_valuations,
     holds_throughout,
     is_tautology,
+    literal_names,
     not_xi,
     present,
     pretty,
     single,
     stage_formula,
-    variable_name,
     xi_clause,
 )
 from .protocol import Head, PopulationProtocol, Transition
@@ -73,18 +75,32 @@ class TransformationGraph:
     asked under it; `compute_j` and `bounds.is_fast` extend it.
     `gen_edges` has one key per non-idle rule that can still fire under
     `premise`, mapped to the edges it generates.  Each edge carries the
-    transitions generating it.  `scc` maps every vertex to its strongly
-    connected component id; `bottom` marks component ids with no edge
-    leaving the component.
+    transitions generating it.  `xi` is the protocol's table of the xi
+    clause of each head of a non-idle rule (`RuleRows.xi`), the goals that
+    `compute_j` and `bounds.is_fast` ask.  `scc` maps every vertex to its
+    strongly connected component id; `bottom` marks component ids with no
+    edge leaving the component.  Both are computed on first use: the graph
+    of a stable or dead successor never needs them.
     """
 
     vertices: tuple[int, ...]
     edges: dict[tuple[int, int], list[Transition]]
     gen_edges: dict[Transition, tuple[tuple[int, int], ...]]
-    scc: dict[int, int]
-    bottom: set[int]
     pi_nu: Valuation
     premise: Premise
+    xi: dict[Head, tuple[int, int]]
+
+    @cached_property
+    def _components(self) -> tuple[dict[int, int], set[int]]:
+        return _scc_and_bottom(self.premise.p, self.vertices, self.edges)
+
+    @property
+    def scc(self) -> dict[int, int]:
+        return self._components[0]
+
+    @property
+    def bottom(self) -> set[int]:
+        return self._components[1]
 
     def crossing(self, edge: tuple[int, int]) -> bool:
         return self.scc[edge[0]] != self.scc[edge[1]]
@@ -159,57 +175,96 @@ def initial_stage(p: PopulationProtocol) -> Stage:
 # The persistent-valuation fixed point
 
 
-def head_blocked(
-    lhs: Head, disabled: frozenset[Head], m: set[int], n: set[int]
-) -> bool:
-    """Syntactic check that no rule with this head can fire: it needs a
-    state of M, is disabled, or needs two agents of a singleton state."""
-    x, y = lhs
-    if x in m or y in m:
-        return True
-    if lhs in disabled:
-        return True
-    return x == y and x in n
+class RuleRows:
+    """What the case analysis reads of the non-idle rules of a protocol
+    whose head is not in a set T of disabled heads, in rule order.  Built
+    once per protocol and T on first use (`rule_rows`); the rows of each
+    rule are made once per protocol and shared by every T.
+
+    A mask is a set of states, bit s for state s.  `masks` has one row
+    (lhs, pair, made, fresh, drain) per rule: the states of its head, the
+    state it needs two agents of (0 when its head has two states), the
+    states it produces, those it produces without consuming one and those
+    it consumes without producing one.  Under (M, N), the states never
+    populated again and those forever holding exactly one agent, a rule is
+    blocked when lhs & M or pair & N.  `rules` has one row (t, lhs, edges,
+    goal) per rule: the rule, the states of its head, the edges it
+    generates in a transformation graph (`_residue`, loops dropped) and the
+    xi clause of its head, `xi[t.lhs]`; `xi` has every head of a non-idle
+    rule, disabled or not.  `used[a]` is the mask of the partners b of the
+    rules on a head {a, b}, b != a, that do not give back exactly one a."""
+
+    __slots__ = ("masks", "rules", "xi", "used")
+
+    def __init__(self, width: int, masks: list, rules: list, xi: dict[Head, tuple[int, int]]):
+        self.masks = masks
+        self.rules = rules
+        self.xi = xi
+        self.used = [0] * width
+        for t, *_ in rules:
+            x, y = t.lhs
+            if x != y:
+                for a, b in ((x, y), (y, x)):
+                    if t.rhs.count(a) != 1:
+                        self.used[a] |= 1 << b
+
+
+def rule_rows(p: PopulationProtocol, disabled: frozenset[Head]) -> RuleRows:
+    """The `RuleRows` of the rules that the disabled heads leave, built on
+    first use and kept on the protocol (`p.rows`)."""
+    rows = p.rows.get(disabled)
+    if rows is None:
+        every = p.rows.get(frozenset())
+        if every is None:
+            xi = {t.lhs: xi_clause(t.lhs) for t in p.non_idle}
+            masks, rules = [], []
+            for t in p.non_idle:
+                (x, y), (c, d) = t.lhs, t.rhs
+                lhs, rhs = 1 << x | 1 << y, 1 << c | 1 << d
+                masks.append((lhs, 1 << x if x == y else 0, rhs, rhs & ~lhs, lhs & ~rhs))
+                edges = tuple(e for e in _residue(t) if e[0] != e[1])
+                rules.append((t, lhs, edges, xi[t.lhs]))
+            every = p.rows[frozenset()] = RuleRows(len(p.states), masks, rules, xi)
+        keep = [t.lhs not in disabled for t in p.non_idle]
+        rows = p.rows[disabled] = RuleRows(
+            len(p.states),
+            list(compress(every.masks, keep)),
+            list(compress(every.rules, keep)),
+            every.xi,
+        )
+    return rows
 
 
 def mn_fixpoint(
     p: PopulationProtocol, disabled: frozenset[Head], nu: Valuation
-) -> tuple[set[int], set[int]]:
-    """Greatest fixed point (M, N): states provably never populated again /
-    forever holding exactly one agent, for configurations satisfying nu with
-    the given permanently disabled heads.  Each state's test reads only the
-    rules producing or consuming it (`p.rules_by_state`).  A negative odd
-    literal -(2s + 1) of nu puts s in M, a positive even one 2s + 2 in N."""
-    m = {-lit >> 1 for lit in nu if lit < 0 and lit & 1}
-    n = {(lit >> 1) - 1 for lit in nu if lit > 0 and not lit & 1}
-    by_state = p.rules_by_state
-
-    def m_ok(a: int, m: set[int], n: set[int]) -> bool:
-        # every rule putting `a` on its right-hand side must be unfireable
-        return all(head_blocked(t.lhs, disabled, m, n) for t in by_state[a][0])
-
-    def n_ok(a: int, m: set[int], n: set[int]) -> bool:
-        made, used = by_state[a]
-        for t in used:
-            x, y = t.lhs
-            if x == y:
-                continue  # needs two a-agents; cannot fire with one
-            # consuming the unique a-agent is fine only if exactly one a
-            # comes back out
-            c, d = t.rhs
-            if (c == a) + (d == a) != 1:
-                other = y if x == a else x
-                if other not in m and t.lhs not in disabled:
-                    return False
-        for t in made:
-            # produces an extra a-agent without consuming one
-            if a not in t.lhs and not head_blocked(t.lhs, disabled, m, n):
-                return False
-        return True
-
+) -> tuple[int, int]:
+    """Greatest fixed point (M, N), as masks of states: states provably
+    never populated again / forever holding exactly one agent, for
+    configurations satisfying nu with the given permanently disabled heads.
+    A negative odd literal -(2s + 1) of nu puts s in M, a positive even one
+    2s + 2 in N.  Each round reads the rules that T leaves (`rule_rows`)
+    once: a state leaves M when a rule that is not blocked produces it, and
+    leaves N when such a rule produces it without consuming it, or when a
+    rule on it and a partner outside M does not give back exactly one."""
+    rows = rule_rows(p, disabled)
+    m = n = 0
+    for lit in nu:
+        if lit < 0:
+            if lit & 1:
+                m |= 1 << (-lit >> 1)
+        elif not lit & 1:
+            n |= 1 << (lit >> 1) - 1
+    masks, used = rows.masks, rows.used
     while True:
-        m2 = {a for a in m if m_ok(a, m, n)}
-        n2 = {a for a in n if n_ok(a, m, n)}
+        made = fresh = spent = 0
+        for lhs, pair, rhs, new, _ in masks:
+            if not (lhs & m or pair & n):
+                made |= rhs
+                fresh |= new
+        for a, partners in enumerate(used):
+            if partners & ~m:
+                spent |= 1 << a
+        m2, n2 = m & ~made, n & ~(fresh | spent)
         if m2 == m and n2 == n:
             return m, n
         m, n = m2, n2
@@ -221,20 +276,27 @@ def compute_pi_nu(
     """Extend the persistent valuation with the permanent part of nu; the
     literals come sorted by variable, as every valuation does."""
     m, n = mn_fixpoint(p, disabled, nu)
-    # a state of both M and N, which only an inconsistent nu gives, is present
-    pi = {-present(a) for a in m - n}
-    # E: states with exactly one agent because no still-enabled rule
-    # consumes their unique agent without restoring it.
-    held = set(nu)
-    for a, (_, used) in enumerate(p.rules_by_state):
-        if present(a) in held and all(
-            head_blocked(t.lhs, disabled, m, n) for t in used if a not in t.rhs
-        ):
-            pi.add(present(a))
-    for a in n:
-        pi.add(present(a))
-        pi.add(single(a))
-    return tuple(sorted(pi, key=abs))
+    # E: states nu makes present that no rule which is not blocked
+    # consumes without restoring, so they keep exactly one agent
+    drained = held = 0
+    for lhs, pair, _, _, drain in rule_rows(p, disabled).masks:
+        if not (lhs & m or pair & n):
+            drained |= drain
+    for lit in nu:
+        if lit > 0 and lit & 1:
+            held |= 1 << (lit >> 1)
+    e = held & ~drained
+    pi: list[int] = []
+    for a in range(len(p.states)):
+        if n >> a & 1:
+            # a state of both M and N, which only an inconsistent nu gives,
+            # is present
+            pi += (present(a), single(a))
+        elif m >> a & 1:
+            pi.append(-present(a))
+        elif e >> a & 1:
+            pi.append(present(a))
+    return tuple(pi)
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +325,25 @@ def build_transformation_graph(
 ) -> TransformationGraph:
     """The only place that decides which non-idle rules can still fire: a
     rule can unless pi_nu and the disabled heads entail that its head is
-    disabled.  A head needing an absent state, or lying in T, is such a
-    clause of the premise itself, so it is skipped without a query."""
-    vertices = tuple(s for s in range(len(p.states)) if -present(s) not in pi_nu)
+    disabled.  A head lying in T, or needing an absent state, is such a
+    clause of the premise itself: the first has no row (`rule_rows`) and
+    the second is skipped on its mask, both without a query."""
+    rows = rule_rows(p, disabled)
+    absent = 0
+    for lit in pi_nu:
+        if lit < 0 and lit & 1:
+            absent |= 1 << (-lit >> 1)
+    vertices = tuple(s for s in range(len(p.states)) if not absent >> s & 1)
     premise = Premise.horn(p, pi_nu, disabled)
     edges: dict[tuple[int, int], list[Transition]] = {}
     gen_edges: dict[Transition, tuple[tuple[int, int], ...]] = {}
-    for t in p.non_idle:
-        x, y = t.lhs
-        if (
-            x not in vertices
-            or y not in vertices
-            or t.lhs in disabled
-            or is_tautology(xi_clause(t.lhs), premise)
-        ):
+    for t, lhs, es, goal in rows.rules:
+        if lhs & absent or is_tautology(goal, premise):
             continue
-        es = [e for e in _residue(t) if e[0] != e[1]]
-        gen_edges[t] = tuple(es)
+        gen_edges[t] = es
         for e in es:
             edges.setdefault(e, []).append(t)
-    scc, bottom = _scc_and_bottom(p, vertices, edges)
-    return TransformationGraph(vertices, edges, gen_edges, scc, bottom, pi_nu, premise)
+    return TransformationGraph(vertices, edges, gen_edges, pi_nu, premise, rows.xi)
 
 
 def is_stable(p: PopulationProtocol, g: TransformationGraph) -> int | None:
@@ -415,43 +475,41 @@ def compute_j(
     rule whose head is in the current subset is blocked by a clause of the
     round's premise, so it is skipped without a query."""
 
-    def head_ok(ef: Head, m: set[Head], base: Premise) -> bool:
-        # base: the graph's premise with every head of m disabled, built
-        # once per round.  A rule producing E re-enables {E,F} when E was
-        # absent and F present, and {E,E} when E held exactly one agent, so
-        # each goal is the negation of that guard or xi of the rule's head.
-        # A rule that consumes E cannot re-enable {E,E}.  A produced
-        # state's guard is closed into the base once, when a rule first
-        # needs it, as a guarded base pair; a goal holds under it iff
-        # closing in the goal's negation, `not_xi` of the rule's head,
-        # leaves some atom both true and false (as in `is_tautology`).
+    def head_ok(ef: Head, rules: list, base: Premise) -> bool:
+        # base: the graph's premise with every head of the round's subset
+        # disabled, and rules the (lhs, rhs, goal) of each rule of the
+        # graph whose head is not in it, both made once per round.  A rule
+        # producing E re-enables {E,F} when E was absent and F present, and
+        # {E,E} when E held exactly one agent, so each goal is xi of the
+        # rule's head, under the base with that guard added.  A rule that
+        # consumes E cannot re-enable {E,E}.  A produced state's guarded
+        # premise is built once, when a rule first needs it.
         e, f = ef
         if e == f:
-            guards = {e: (single(e),)}
+            guards = ((e, (single(e),)),)
         else:
-            guards = {e: (-present(e), present(f)), f: (-present(f), present(e))}
-        close = base.graph.close
-        guarded: dict[int, tuple[int, int] | None] = {}
-        for t in g.gen_edges:
-            if t.lhs in m:
-                continue
-            if t.rhs == ef:
-                if not is_tautology(xi_clause(t.lhs), base):
+            guards = ((e, (-present(e), present(f))), (f, (-present(f), present(e))))
+        guarded: dict[int, Premise] = {}
+        for lhs, rhs, goal in rules:
+            if rhs == ef:
+                if not is_tautology(goal, base):
                     return False
                 continue
-            for prod, guard in guards.items():
-                if prod not in t.rhs or (e == f and e in t.lhs):
+            for prod, guard in guards:
+                if prod not in rhs or (e == f and e in lhs):
                     continue
-                if prod not in guarded:
-                    guarded[prod] = close(guard, base.base)
-                if close(not_xi(t.lhs), guarded[prod]) is not None:
+                premise = guarded.get(prod)
+                if premise is None:
+                    premise = guarded[prod] = base.with_units(guard)
+                if not is_tautology(goal, premise):
                     return False
         return True
 
     m = set(exp)
     while True:
         base = g.premise.with_heads(m)
-        keep = {ef for ef in m if head_ok(ef, m, base)}
+        rules = [(t.lhs, t.rhs, g.xi[t.lhs]) for t in g.gen_edges if t.lhs not in m]
+        keep = {ef for ef in m if head_ok(ef, rules, base)}
         if keep == m:
             return frozenset(m)
         m = keep
@@ -679,16 +737,6 @@ def build_stage_graph(
 # Export
 
 
-def _val_repr(val: Valuation | None, states: tuple[str, ...]) -> list[list]:
-    if val is None:
-        return []
-    return [[variable_name(abs(lit), states), lit > 0] for lit in val]
-
-
-def _heads_repr(p: PopulationProtocol, heads) -> list[str]:
-    return [p.head_name(h) for h in sorted(heads)]
-
-
 def _once(render):
     """`render` applied once per distinct object, by identity: stages share
     their formulas, valuations and case analyses, and every object stays
@@ -707,21 +755,30 @@ def _once(render):
 def to_json_dict(sg: StageGraph) -> dict:
     """Full tree with case-analysis fields, suitable for machine diffing.
     Each distinct formula, valuation and case analysis is rendered once,
-    and the stages that share it share the rendering."""
+    and the stages that share it share the rendering.  Literals and heads
+    are named from tables built once per call; a literal's [name, value]
+    pair is one list, shared by every valuation that holds it."""
     p = sg.protocol
     root = sg.stages[0].phi  # the root's own object: only stage 0 holds it
-    phi_repr = _once(lambda phi: pretty(phi, p.states, phi is root))
-    val_repr = _once(lambda val: _val_repr(val, p.states))
+    names = literal_names(p.states)
+    pairs = {lit: [names[abs(lit)], lit > 0] for lit in names}
+    head_names = {h: p.head_name(h) for h in p.rules_by_head}
+
+    def heads_of(heads: frozenset[Head]) -> list[str]:
+        return [head_names[h] for h in sorted(heads)]
+
+    phi_repr = _once(lambda phi: pretty(phi, names, phi is root))
+    val_repr = _once(lambda val: [] if val is None else [pairs[lit] for lit in val])
 
     def block(ca: CaseAnalysis) -> dict:
         return {
             "stable": ca.stable,
             "dead": ca.dead,
-            "exp": _heads_repr(p, ca.exp),
-            "j": _heads_repr(p, ca.j),
-            "t_nu": _heads_repr(p, ca.t_nu),
-            "k": _heads_repr(p, ca.k),
-            "l": _heads_repr(p, ca.l),
+            "exp": heads_of(ca.exp),
+            "j": heads_of(ca.j),
+            "t_nu": heads_of(ca.t_nu),
+            "k": heads_of(ca.k),
+            "l": heads_of(ca.l),
             "i_states": [p.states[i] for i in sorted(ca.i_states)],
             "u_states": [p.states[i] for i in sorted(ca.u_states)],
             "nu_disabled": ca.nu_disabled,
@@ -732,7 +789,7 @@ def to_json_dict(sg: StageGraph) -> dict:
         }
 
     analysis_repr = _once(block)
-    heads_repr = _once(lambda heads: _heads_repr(p, heads))
+    heads_repr = _once(heads_of)
     stages = []
     for s in sg.stages:
         entry: dict = {
@@ -758,13 +815,13 @@ def to_json_dict(sg: StageGraph) -> dict:
 def to_dot(sg: StageGraph) -> str:
     """Graphviz rendering: one node per stage, labeled with its triple."""
     p = sg.protocol
+    names = literal_names(p.states)
+    head_names = {h: p.head_name(h) for h in p.rules_by_head}
     lines = ["digraph stages {", '  node [shape=box, fontname="monospace"];']
     for s in sg.stages:
-        pi_s = " ".join(
-            ("" if lit > 0 else "!") + variable_name(abs(lit), p.states) for lit in s.pi
-        )
-        t_s = " ".join(_heads_repr(p, s.disabled))
-        label = f"S{s.id} [{s.kind}]\\nPhi: {pretty(s.phi, p.states, s.id == 0)}\\npi: {pi_s or '-'}\\nT: {t_s or '-'}"
+        pi_s = " ".join(names[lit] for lit in s.pi)
+        t_s = " ".join(head_names[h] for h in sorted(s.disabled))
+        label = f"S{s.id} [{s.kind}]\\nPhi: {pretty(s.phi, names, s.id == 0)}\\npi: {pi_s or '-'}\\nT: {t_s or '-'}"
         if s.analysis is not None:
             label += f"\\nbound: {bounds_mod.edge_bound(s.analysis).label}"
         label = label.replace('"', '\\"')

@@ -40,6 +40,7 @@ from stagebound.logic import (
     enumerate_satisfying_valuations,
     holds_throughout,
     is_tautology,
+    literal_names,
     not_xi,
     present,
     pretty,
@@ -54,6 +55,7 @@ from step_reference import enabled
 
 P = parse_protocol(majority_four_state())
 A, B, a, b = range(4)
+NAMES = literal_names(P.states)
 EMPTY = Premise.horn(P, (), frozenset())  # no unit and no head
 
 
@@ -170,7 +172,7 @@ def reference_is_tautology(f):
 
 def test_xi_distinct_states():
     assert xi(head(A, B)) == disj([neg(atom(present(A))), neg(atom(present(B)))])
-    assert pretty(Parts((), frozenset({head(A, B)})), P.states) == "!A | !B"
+    assert pretty(Parts((), frozenset({head(A, B)})), NAMES) == "!A | !B"
 
 
 def test_xi_same_state_uses_singleton():
@@ -180,7 +182,7 @@ def test_xi_same_state_uses_singleton():
     # exact disabling condition for a pair rule on a single state, and the
     # formula stays meaningful wherever it is reused
     assert xi(head(b, b)) == disj([neg(atom(present(b))), atom(single(b))])
-    assert pretty(Parts((), frozenset({head(b, b)})), P.states) == "!b | b!"
+    assert pretty(Parts((), frozenset({head(b, b)})), NAMES) == "!b | b!"
 
 
 def test_heads_formula():
@@ -191,7 +193,7 @@ def test_heads_formula():
     assert got == conj([xi(head(A, B)), xi(head(A, a))])
     phi = Parts((), frozenset({head(A, a), head(A, B)}))
     assert formula_of(phi) == got
-    assert pretty(phi, P.states) == "(!A | !B) & (!A | !a)"
+    assert pretty(phi, NAMES) == "(!A | !B) & (!A | !a)"
 
 
 def test_valuation_formula():
@@ -205,14 +207,14 @@ def test_stage_formula_empty_disjunction_is_false():
     units = ((present(A),),)
     phi = stage_formula(units, frozenset({head(A, B)}), frozenset())
     assert phi == Parts(units, frozenset({head(A, B)}), ())
-    assert formula_of(phi) == FF and pretty(phi, P.states) == "false"
+    assert formula_of(phi) == FF and pretty(phi, NAMES) == "false"
     assert logic.evaluate(phi, {present(A): -1, present(B): -1}) == 0
     assert logic.evaluation_domain(phi) == []
     # no disjunction at all: one empty member
     phi = stage_formula(units, frozenset())
     assert formula_of(phi) == atom(present(A)) and phi.members == ((),)
     # no unit, no head and no disjunction: true
-    assert pretty(Parts((), frozenset()), P.states) == "true"
+    assert pretty(Parts((), frozenset()), NAMES) == "true"
     assert logic.evaluate(Parts((), frozenset()), {}) == -1
 
 
@@ -229,7 +231,7 @@ def test_stage_formula_renders_drained_states_flat():
         for some, tail in ((None, []), (l, [some_l])):
             phi = stage_formula((pi, drained), heads, some)
             old = conj([valuation_formula(pi), heads_formula(heads)] + flat + tail)
-            assert pretty(phi, P.states) == tree.pretty(old, P.states)
+            assert pretty(phi, NAMES) == tree.pretty(old, P.states)
             if len(states) == 1:
                 assert formula_of(phi) == old
             assert phi.units[0] is pi and phi.units[1] is drained
@@ -276,7 +278,7 @@ def test_enumerate_example1_initial_stage():
     pa, pb, paa, pbb = (atom(present(s)) for s in (A, B, a, b))
     s = initial_stage(P)
     assert formula_of(s.phi, root=True) == conj([disj([pa, pb]), neg(paa), neg(pbb)])
-    assert pretty(s.phi, P.states, root=True) == "(A | B) & !a & !b"
+    assert pretty(s.phi, NAMES, root=True) == "(A | B) & !a & !b"
     vals = enumerate_satisfying_valuations(P, s.phi)
     assert len(vals) == 3
     # canonical order: tt before ff, variables by state index
@@ -398,7 +400,7 @@ def test_enumeration_agrees_with_reference_on_corpus_stages(corpus_graphs):
             f = formula_of(phi, phi == root)
             got = enumerate_satisfying_valuations(sg.protocol, phi)
             expect = reference_enumerate_satisfying_valuations(f)
-            assert got == expect, pretty(phi, sg.protocol.states)
+            assert got == expect, pretty(phi, literal_names(sg.protocol.states))
             assert got == dpll.enumerate_satisfying_valuations(f)
 
 
@@ -628,11 +630,11 @@ def test_pretty_printer():
     assert tree.pretty(TT, P.states) == "true"
     assert tree.pretty(neg(disj([pa, conj([pb, atom(single(b))])])), P.states) == "!(A | (B & b!))"
     phi = Parts(((), (single(A),)), frozenset({head(A, B)}))
-    assert formula_of(phi) == f and pretty(phi, P.states) == "(!A | !B) & A!"
+    assert formula_of(phi) == f and pretty(phi, NAMES) == "(!A | !B) & A!"
     phi = Parts(((single(A),),), frozenset(), (not_xi(head(A, B)), not_xi(head(a, a))))
-    assert pretty(phi, P.states) == "A! & (!(!A | !B) | !(!a | a!))"
-    assert pretty(phi._replace(units=()), P.states) == "!(!A | !B) | !(!a | a!)"
-    assert pretty(phi, P.states, root=True) == "(!(!A | !B) | !(!a | a!)) & A!"
+    assert pretty(phi, NAMES) == "A! & (!(!A | !B) | !(!a | a!))"
+    assert pretty(phi._replace(units=()), NAMES) == "!(!A | !B) | !(!a | a!)"
+    assert pretty(phi, NAMES, root=True) == "(!(!A | !B) | !(!a | a!)) & A!"
 
 
 @settings(max_examples=300, deadline=None)
@@ -642,7 +644,7 @@ def test_stage_formula_agrees_with_its_tree(phi, root, data):
     # the tree walkers on the tree the build made for it; every variable
     # gets its own random bits, consistent or not
     f = formula_of(phi, root)
-    assert pretty(phi, P.states, root) == tree.pretty(f, P.states)
+    assert pretty(phi, NAMES, root) == tree.pretty(f, P.states)
     assert logic.evaluation_domain(phi) == evaluation_domain(f)
     bits = {v: data.draw(st.integers(0, (1 << 64) - 1)) for v in range(1, 9)}
     mask = (1 << 64) - 1

@@ -4,7 +4,7 @@ shapes of the worked examples."""
 import itertools
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +47,7 @@ from stagebound.logic import (
     Premise,
     enumerate_satisfying_valuations,
     is_tautology,
+    literal_names,
     not_xi,
     present,
     single,
@@ -70,12 +71,12 @@ from stagebound.stagegraph import (
     compute_j,
     compute_k,
     compute_pi_nu,
-    head_blocked,
     initial_stage,
     is_dead,
     is_stable,
     mn_fixpoint,
     pretty,
+    rule_rows,
 )
 from step_reference import enabled
 
@@ -100,24 +101,29 @@ def tree_of(s):
 
 def test_initial_stage_formulas():
     s1 = initial_stage(P1)
-    assert pretty(s1.phi, P1.states, root=True) == "(A | B) & !a & !b"
+    assert pretty(s1.phi, literal_names(P1.states), root=True) == "(A | B) & !a & !b"
     s2 = initial_stage(P2)
-    assert pretty(s2.phi, P2.states, root=True) == "(A | B) & !C & !a & !b"
+    assert pretty(s2.phi, literal_names(P2.states), root=True) == "(A | B) & !C & !a & !b"
     assert tree.pretty(tree_of(s2), P2.states) == "(A | B) & !C & !a & !b"
     # protocol whose inputs cover all states has no negative conjuncts
     p = parse_protocol(
         "protocol t\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\n"
         "transitions:\n  A B -> A A\n"
     )
-    assert pretty(initial_stage(p).phi, p.states, root=True) == "A | B"
+    assert pretty(initial_stage(p).phi, literal_names(p.states), root=True) == "A | B"
+
+
+def states_of(mask):
+    """The states of a bitmask over states, as a set."""
+    return {s for s in range(mask.bit_length()) if mask >> s & 1}
 
 
 def test_mn_fixpoint_appendix_example():
     # nu_A keeps {B, a, b} permanently empty; nu_AB pins nothing
-    m, n = mn_fixpoint(P1, frozenset(), nu_of(P1, {"A"}))
+    m, n = map(states_of, mn_fixpoint(P1, frozenset(), nu_of(P1, {"A"})))
     assert names(P1, [(x, x) for x in m]) == {("B", "B"), ("a", "a"), ("b", "b")}
     assert n == set()
-    m, n = mn_fixpoint(P1, frozenset(), nu_of(P1, {"A", "B"}))
+    m, n = map(states_of, mn_fixpoint(P1, frozenset(), nu_of(P1, {"A", "B"})))
     assert m == set() and n == set()
 
 
@@ -133,7 +139,7 @@ def test_all_true_valuation_has_empty_m():
         "protocol t\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\n"
         "transitions:\n  A B -> A A\n"
     )
-    m, n = mn_fixpoint(p, frozenset(), nu_of(p, {"A", "B"}))
+    m, n = map(states_of, mn_fixpoint(p, frozenset(), nu_of(p, {"A", "B"})))
     assert m == set()
 
 
@@ -740,24 +746,48 @@ def test_pruning_agrees_with_dpll_on_fuzzed_protocols(monkeypatch):
 
 
 def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
-    # every entailment query of a 1,351-stage build, is_fast's included,
-    # asked again of the clause DPLL under the formula of its premise
+    # every entailment query of a 1,351-stage build, compute_j's guarded
+    # ones and is_fast's included, asked again of the clause DPLL under the
+    # formula of its premise
     queries = []
+    inside = []  # the compute_j call under way, if any
+    compute_j = stagegraph.compute_j
 
     def recording(kind):
         def ask(goal, premise):
-            queries.append((kind, goal, premise))
+            queries.append(("compute_j" if inside else kind, goal, premise))
             return logic.is_tautology(goal, premise)
 
         return ask
 
+    def recording_j(*args):
+        inside.append(True)
+        try:
+            return compute_j(*args)
+        finally:
+            inside.pop()
+
+    guarded = set()  # ids of the premises compute_j extends with units
+    with_units = Premise.with_units
+
+    def recording_with_units(self, extra):
+        pr = with_units(self, extra)
+        if inside:
+            guarded.add(id(pr))
+        return pr
+
     monkeypatch.setattr(stagegraph, "is_tautology", recording("build"))
+    monkeypatch.setattr(stagegraph, "compute_j", recording_j)
+    monkeypatch.setattr(Premise, "with_units", recording_with_units)
     monkeypatch.setattr(bounds, "is_tautology", recording("is_fast"))
     sg = build_stage_graph(parse_protocol(remainder(7)))
     monkeypatch.undo()
     assert len(sg.stages) == 1351
     assert aggregate(sg).overall.label == "n^2*log n"
     assert len(queries) > 1000
+    assert {kind for kind, *_ in queries} == {"build", "compute_j", "is_fast"}
+    # J asks some goals under its round's premise with a guard added
+    assert any(id(pr) in guarded for kind, _, pr in queries if kind == "compute_j")
     translated = {}
     for kind, goal, premise in queries:
         f = premise_formula(premise)
@@ -780,9 +810,21 @@ def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The case analysis builds its premises from literals and head sets, reads
-# the M/N fixpoint off per-state rule lists and splits is_fast into Horn
+# the M/N fixpoint off per-rule state masks and splits is_fast into Horn
 # premises.  The references below are the earlier forms: the rule-scanning
-# fixpoint and is_fast's DPLL query under "some head of Exp is enabled".
+# fixpoint over sets of states and is_fast's DPLL query under "some head of
+# Exp is enabled".
+
+
+def head_blocked(lhs, disabled, m, n):
+    """Syntactic check that no rule with this head can fire: it needs a
+    state of M, is disabled, or needs two agents of a singleton state."""
+    x, y = lhs
+    if x in m or y in m:
+        return True
+    if lhs in disabled:
+        return True
+    return x == y and x in n
 
 
 def reference_mn_fixpoint(p, disabled, nu):
@@ -879,10 +921,108 @@ def test_indexed_fixpoint_matches_reference_generated(data):
     p = data.draw(small_protocols())
     disabled = data.draw(st.frozensets(st.sampled_from(all_heads(len(p.states)))))
     nu = data.draw(valuations(p))
-    assert mn_fixpoint(p, disabled, nu) == reference_mn_fixpoint(p, disabled, nu)
+    got = tuple(map(states_of, mn_fixpoint(p, disabled, nu)))
+    assert got == reference_mn_fixpoint(p, disabled, nu)
     got = compute_pi_nu(p, disabled, nu)
     expect = reference_compute_pi_nu(p, disabled, nu)
     assert got == expect
+
+
+def mask(states):
+    """The bitmask of a collection of states."""
+    return sum(1 << s for s in set(states))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=small_protocols(), data=st.data())
+def test_rule_rows_match_per_rule_recomputation(p, data):
+    # the rows the fixpoint, the E test and the transformation graph read,
+    # against each rule's masks, edges and xi clause worked out on their own
+    disabled = data.draw(st.frozensets(st.sampled_from(all_heads(len(p.states)))))
+    rows = rule_rows(p, disabled)
+    assert rule_rows(p, disabled) is rows  # once per protocol and T
+    live = [t for t in p.non_idle if t.lhs not in disabled]
+    masks, rules = [], []
+    for t in live:
+        (x, y), lhs, rhs = t.lhs, set(t.lhs), set(t.rhs)
+        masks.append((mask(lhs), mask([x]) if x == y else 0, mask(rhs), mask(rhs - lhs), mask(lhs - rhs)))
+        # the residue: what the rule takes and gives beyond what it keeps
+        took = Counter(t.lhs) - Counter(t.rhs)
+        gave = Counter(t.rhs) - Counter(t.lhs)
+        edges = tuple(sorted({(a, b) for a in took for b in gave if a != b}))
+        rules.append((t, mask(lhs), edges, xi_clause(t.lhs)))
+    assert rows.masks == masks
+    assert rows.rules == rules
+    assert rows.xi == {t.lhs: xi_clause(t.lhs) for t in p.non_idle}
+    for a in range(len(p.states)):
+        partners = [
+            b
+            for t in live
+            for b in t.lhs
+            if t.lhs[0] != t.lhs[1] and a in t.lhs and b != a and t.rhs.count(a) != 1
+        ]
+        assert rows.used[a] == mask(partners), a
+
+
+def unmemoised_entails(p, units, heads, goal):
+    """is_tautology worked out afresh: unit propagation from the units and
+    the negated goal over the premise's binary clauses (the xi clause of
+    each head and every coupling A! -> A), keeping nothing between calls."""
+    clauses = [(-single(s), present(s)) for s in range(len(p.states))]
+    clauses += [xi_clause(h) for h in heads]
+    succ = {}
+    for a, b in clauses:
+        succ.setdefault(-a, []).append(b)
+        succ.setdefault(-b, []).append(a)
+    seen = set(units) | {-lit for lit in goal}
+    todo = list(seen)
+    for x in todo:
+        for y in succ.get(x, ()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return any(-x in seen for x in seen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=small_protocols(), data=st.data())
+def test_goal_memo_matches_unmemoised_closure_generated(p, data):
+    # is_tautology answers from the goal memo of the premise's graph; each
+    # answer is checked against propagation from scratch, asked twice,
+    # with the goal's literals in either order, and under premises derived
+    # by with_units and with_heads, which share their graph with others
+    n = len(p.states)
+    lit = st.tuples(st.integers(1, 2 * n), st.booleans()).map(lambda x: x[0] if x[1] else -x[0])
+    heads = st.frozensets(st.sampled_from(all_heads(n)), max_size=3)
+    clause = st.lists(lit, min_size=1, max_size=3).map(tuple)
+    xis = st.sampled_from(all_heads(n)).map(xi_clause)
+    goals = data.draw(st.lists(st.one_of(clause, xis), min_size=1, max_size=6))
+    units, t, extra, more = (
+        data.draw(st.lists(lit, max_size=4)),
+        data.draw(heads),
+        data.draw(st.lists(lit, max_size=2)),
+        data.draw(heads),
+    )
+    premise = Premise.horn(p, units, t)
+    grown = premise.with_units(extra)
+    assert grown.graph is premise.graph
+    wider = premise.with_heads(more)
+    sibling = Premise.horn(p, extra, t | more)
+    assert sibling.graph is wider.graph
+    cases = [
+        (premise, units, t),
+        (grown, units + extra, t),
+        (wider, units, t | more),
+        (sibling, extra, t | more),
+    ]
+    for _ in range(2):
+        for pr, u, h in cases:
+            for goal in goals:
+                expect = unmemoised_entails(p, u, h, goal)
+                assert is_tautology(goal, pr) == expect, (u, sorted(h), goal)
+                assert is_tautology(goal[::-1], pr) == expect, (u, sorted(h), goal)
+                # a false premise answers without its graph
+                assert pr.base is None or goal in pr.graph.goals
 
 
 def assert_is_fast_matches_reference(sg):
@@ -1006,7 +1146,7 @@ def assert_formulas_match_trees(sg):
     splits = {}
     for phi in dict.fromkeys(s.phi for s in sg.stages):
         f = formula_of(phi, phi is root)
-        assert pretty(phi, p.states, phi is root) == tree.pretty(f, p.states)
+        assert pretty(phi, literal_names(p.states), phi is root) == tree.pretty(f, p.states)
         domain = logic.evaluation_domain(phi)
         assert domain == evaluation_domain(f), tree.pretty(f, p.states)
         bits, full = every_valuation(domain)
