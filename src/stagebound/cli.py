@@ -221,8 +221,13 @@ def cmd_bench(args) -> int:
     return 2 if diff_failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a malformed command line is an input error
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="stagebound",
         description=(
             "Stage-graph analysis of population protocols: parametric bounds "
@@ -264,17 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    for flag in ("max_stages", "timeout", "max_n"):
-        if not getattr(args, flag, 0) >= 0:  # also rejects a NaN timeout
-            print(
-                f"error: --{flag.replace('_', '-')} must be a non-negative number",
-                file=sys.stderr,
-            )
-            return 1
+    ap = build_parser()
     try:
+        args = ap.parse_args(argv)
+        for flag in ("max_stages", "timeout", "max_n"):
+            if not getattr(args, flag, 0) >= 0:  # also rejects a NaN timeout
+                ap.error(f"--{flag.replace('_', '-')} must be a non-negative number")
         return args.func(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help, or an input error already reported
         return int(exc.code or 0)
 
 

@@ -19,11 +19,10 @@ one transposition (`ReachGraph.node_bits`).
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, inf, lcm, log, log1p
+from math import gcd, lcm, log, log1p
 
 import numpy as np
 
@@ -704,165 +703,156 @@ class SimResult:
         return (self.variance / k) ** 0.5
 
 
-def _consensus_value(p: PopulationProtocol, counts: tuple[int, ...]) -> int | None:
-    outs = {p.output(s) for s, k in enumerate(counts) if k > 0}
-    if len(outs) == 1:
-        return outs.pop()
-    return None
+_BLOCK = 256  # trials advanced together
+_WORDS = 128  # Philox words fetched at a time per trial, a multiple of 4
+_SPAN = 2**63  # bound on the offsets of `_Moves`
+_ROW = np.dtype([("count", np.int64), ("total", np.int64), ("offset", np.int64), ("logq", float)])
+_LOW, _TOP, _U32 = np.uint64(0xFFFFFFFF), np.uint64(0x100000000), np.uint64(32)
 
 
-class PhiloxDraws:
-    """The numbers `Generator(Philox(key)).random()` and
-    `.integers(0, bound)` give, call for call, read from batches of
-    `random_raw` words.
+class PhiloxStreams:
+    """`Generator(Philox(key)).random()` and `.integers(0, b)`, call for call,
+    for one stream per key: a call draws once from each of the distinct
+    streams idx.  As numpy does, `random` maps a word w to (w >> 11) *
+    2**-53; a bound up to 2**32 takes 32-bit values, a word's low half, then
+    its high half, and a larger one whole words; a value x gives (x * b) >>
+    bits unless the product's low bits are below (2**bits - b) % b, when it
+    is drawn again (Lemire).  All word arithmetic is uint64, which every
+    numpy promotes alike.  A stream out of words fetches `_WORDS` more."""
 
-    numpy's mapping, reproduced here: `random()` takes a whole 64-bit word
-    w and returns (w >> 11) * 2**-53, leaving a kept 32-bit half in place.
-    For `integers`, a bound up to 2**32 takes 32-bit values, the low half
-    of a 64-bit word first and its high half kept for the next 32-bit
-    draw; a larger bound takes whole words and leaves a kept half in place.
-    Either way a value x becomes (x * bound) >> bits unless the low bits of
-    the product fall below (2**bits - bound) % bound, in which case it is
-    drawn again (Lemire's rejection).  `batch` words are fetched at a time,
-    and at most 16 the first time, since many runs end after a few draws;
-    the numbers do not depend on it.
+    def __init__(self, keys: list[int]):
+        self._keys = [(k % 2**64, k >> 64) for k in keys]  # Philox key words
+        self._bits = np.random.Philox(0)
+        self._state = self._bits.state  # counter 0, buffer empty
+        self._buf = np.zeros((len(keys), _WORDS), np.uint64)
+        self._taken = np.zeros(len(keys), np.int64)
+        self._half = np.full(len(keys), _TOP)  # _TOP: no half kept
 
-    The bit generator is `bits`, or a new one, re-keyed: its state is set
-    as `Philox(key=key)` sets it (counter 0, key words low then high,
-    buffer empty).  A caller that passes one generator for many keys skips
-    the entropy-seeded construction, most of the fixed cost of a short run.
-    """
+    def _word(self, idx: np.ndarray) -> np.ndarray:
+        taken = self._taken[idx]
+        at = taken % _WORDS
+        for i in idx[at == 0].tolist():
+            counter = (int(self._taken[i]) // 4, 0, 0, 0)
+            self._state["state"] = {"counter": counter, "key": self._keys[i]}
+            self._bits.state = self._state
+            self._buf[i] = self._bits.random_raw(_WORDS)
+        self._taken[idx] = taken + 1
+        return self._buf[idx, at]
 
-    __slots__ = ("_bits", "_batch", "_words", "_half")
+    def _next32(self, idx: np.ndarray) -> np.ndarray:
+        out = self._half[idx]
+        fresh = out == _TOP
+        w = self._word(idx[fresh])
+        out[fresh], half = w & _LOW, np.full(len(idx), _TOP)
+        half[fresh] = w >> _U32
+        self._half[idx] = half
+        return out
 
-    def __init__(self, key: int, batch: int = 256, bits: np.random.Philox | None = None):
-        if bits is None:
-            bits = np.random.Philox(0)
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": (0, 0, 0, 0),
-                "key": (key & 0xFFFFFFFFFFFFFFFF, key >> 64),
-            },
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        self._bits = bits
-        self._batch = batch
-        self._words = iter(self._bits.random_raw(min(batch, 16)).tolist())
-        self._half = None
+    def random(self, idx: np.ndarray) -> np.ndarray:
+        return (self._word(idx) >> np.uint64(11)) * 2.0**-53
 
-    def _word(self) -> int:
-        for w in self._words:
-            return w
-        self._words = words = iter(self._bits.random_raw(self._batch).tolist())
-        return next(words)
+    def integers(self, idx: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        """For uint64 bounds in [2, 2**63]."""
+        wide = bound > _TOP
+        if not np.count_nonzero(wide):
+            return self._bounded(idx, bound, True)
+        out = np.empty(len(idx), np.uint64)
+        out[~wide] = self._bounded(idx[~wide], bound[~wide], True)
+        out[wide] = self._bounded(idx[wide], bound[wide], False)
+        return out
 
-    def _next32(self) -> int:
-        h = self._half
-        if h is None:
-            w = self._word()
-            self._half = w >> 32
-            return w & 0xFFFFFFFF
-        self._half = None
-        return h
-
-    def random(self) -> float:
-        """A uniform float in [0, 1), a multiple of 2**-53."""
-        for w in self._words:
-            break
-        else:
-            w = self._word()
-        return (w >> 11) * 2.0**-53
-
-    def integers(self, bound: int) -> int:
-        """A uniform integer in [0, bound), for 2 <= bound <= 2**63."""
-        if bound > 0x100000000:
-            m = self._word() * bound
-            if m & 0xFFFFFFFFFFFFFFFF < bound:
-                threshold = (0x10000000000000000 - bound) % bound
-                while m & 0xFFFFFFFFFFFFFFFF < threshold:
-                    m = self._word() * bound
-            return m >> 64
-        # _next32, inlined: this is the draw of every productive step
-        h = self._half
-        if h is None:
-            for w in self._words:
-                break
-            else:
-                w = self._word()
-            self._half = w >> 32
-            m = (w & 0xFFFFFFFF) * bound
-        else:
-            self._half = None
-            m = h * bound
-        if m & 0xFFFFFFFF < bound:
-            threshold = (0x100000000 - bound) % bound
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next32() * bound
-        return m >> 32
+    def _bounded(self, idx: np.ndarray, b: np.ndarray, narrow: bool) -> np.ndarray:
+        draw = self._next32 if narrow else self._word
+        hi, lo = _product(draw(idx), b, narrow)
+        bad = (lo < b).nonzero()[0]
+        if bad.size:
+            limit = ((_TOP - b[bad]) if narrow else (~b[bad] + np.uint64(1))) % b[bad]
+            while (keep := lo[bad] < limit).any():
+                bad, limit = bad[keep], limit[keep]
+                hi[bad], lo[bad] = _product(draw(idx[bad]), b[bad], narrow)
+        return hi
 
 
-def _step_row(
-    kernel: StepKernel, counts: tuple[int, ...], code: int, total: int
-) -> tuple[int, float, tuple, tuple]:
-    """The productive moves of a configuration, given its counts and its
-    code: its `StepKernel` rows, in head then rule order, whose code delta
-    is not zero.  Rule sides are sorted heads, so a swap such as
-    A B -> B A adds 0 and is idle.  A move's weight is out of `total` =
-    (n^2 - n) * L for all interactions.  Returns the moves' total weight W,
-    log1p(-W / total) (-inf when every interaction is productive), their
-    cumulative weights and their successor codes."""
-    rows = kernel.rows(counts)
-    cum = []
-    succs = []
-    acc = 0
-    for row, w in zip(rows, kernel.weights(rows, counts)):
-        if row[0]:
-            acc += w
-            cum.append(acc)
-            succs.append(code + row[0])
-    return acc, log1p(-acc / total) if acc < total else -inf, tuple(cum), tuple(succs)
+def _product(x: np.ndarray, b: np.ndarray, narrow: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 32-bit halves of x * b if `narrow`, else 64-bit ones."""
+    if narrow:
+        m = x * b
+        return m >> _U32, m & _LOW
+    x0, x1, b0, b1 = x & _LOW, x >> _U32, b & _LOW, b >> _U32
+    mid = x1 * b0 + (x0 * b0 >> _U32)
+    return x1 * b1 + (mid >> _U32) + (x0 * b1 + (mid & _LOW) >> _U32), x * b
+
+
+class _Moves:
+    """The productive moves of the configurations that runs visit: their
+    `StepKernel` rows whose code delta is not 0, in head then rule order.
+    Node v, a code (`encode`) numbered when first met, has in `table` its
+    number of moves (-1 until built, -2 if stop), their weight W out of
+    `full` = (n^2 - n) L, an offset (the weight built before) and log1p(-W
+    / full), or 0.  Per move, `succ` holds the successor and `key` the
+    cumulative weight plus the offset: `key` increases, so one search
+    finds the move of each draw r in [0, W) at r + offset."""
+
+    def __init__(self, p: PopulationProtocol, base: int, width: int, stop: set[int], start: int):
+        self.kernel, self.base, self.width, self.stop = StepKernel(p, base), base, width, stop
+        self.full = (base - 1) * (base - 2) * p.moves.lcm
+        self.ids, self.codes = {start: 0}, [start]
+        self.table = np.array([(-2 if start in stop else -1, 0, 0, 0.0)], _ROW)
+        self.key, self.succ = np.zeros(1, np.int64), np.zeros(1, np.int64)
+        self.moves = self.span = 0
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """The table rows of `nodes`, built first (all dropped first if the
+        offsets could pass `_SPAN`)."""
+        todo = nodes[self.table["count"][nodes] == -1]
+        if not todo.size:
+            return self.table[nodes]
+        if self.span + todo.size * self.full >= _SPAN:
+            self.table["count"][self.table["count"] >= 0] = -1
+            self.moves = self.span = 0
+            todo = nodes[self.table["count"][nodes] == -1]
+        ids, codes, full = self.ids, self.codes, self.full
+        old, key, succ = len(codes), [], []
+        for v in set(todo.tolist()):
+            code = codes[v]
+            c = decode(code, self.base, self.width)
+            start, acc, made = self.span, self.span, len(key)
+            for d, a, b, e, k in self.kernel.rows(c):
+                if d:
+                    acc += c[a] * (c[b] - e) * k
+                    key.append(acc)
+                    u = ids.get(code + d)
+                    if u is None:
+                        u = ids[code + d] = len(codes)
+                        codes.append(code + d)
+                    succ.append(u)
+            w, self.span = acc - start, acc
+            self.table[v] = len(key) - made, w, start, log1p(-w / full) if 0 < w < full else 0
+        if len(codes) > len(self.table):
+            self.table = np.resize(self.table, 2 * len(codes))
+        self.table["count"][old : len(codes)] = [-2 if s in self.stop else -1 for s in codes[old:]]
+        end = self.moves + len(key)
+        if end > len(self.key):
+            self.key, self.succ = np.resize(self.key, 2 * end), np.resize(self.succ, 2 * end)
+        self.key[self.moves : end], self.succ[self.moves : end] = key, succ
+        self.moves = end
+        return self.table[nodes]
 
 
 def simulate(
-    p: PopulationProtocol,
-    c0: Configuration,
-    trials: int,
-    seed: int,
-    max_steps: int = 1_000_000,
+    p: PopulationProtocol, c0: Configuration, trials: int, seed: int, max_steps: int = 1_000_000
 ) -> SimResult:
-    """Independent runs counting interactions (idle ones included) until a
-    stable configuration.  Every run stays inside the closure of c0, so the
-    stable set is computed on that closure only; the closure is released
-    before the runs start.
-
-    Idle interactions are skipped, not drawn: each loop iteration makes one
-    productive step, a move that changes the configuration.  With W the
-    productive weight of the configuration out of (n^2 - n) L, an
-    interaction is productive with chance P = W / ((n^2 - n) L), so the
-    number of interactions up to and including the next productive one is
-    geometric: it is K = 1 + floor(log(1 - U) / log1p(-P)) for a uniform U,
-    or 1, with no draw, when P = 1.  The move is then drawn as an integer in [0, W) and
-    found by bisecting the cumulative weights, with no draw when there is
-    one productive move.  A productive step thus costs at most one float
-    draw, one log, one bounded draw, one bisect and one dict lookup; the
-    counts have the law of the per-interaction chain.  A run whose count
-    exceeds `max_steps` raises RuntimeError; so does a run, at once and
-    with its own message, that reaches a configuration outside the stable
-    set with no productive move.
-
-    Deterministic: trial t draws from Philox keyed by (seed << 64) + t, so
-    results are reproducible and independent of scheduling; one bit
-    generator is re-keyed per trial.  `PhiloxDraws` gives the numbers that
-    `Generator.random` and `Generator.integers` would, call for call.  Runs
-    and the stop set hold configurations as codes in base n + 1 (`encode`).
-    A code's step row is built from the `StepKernel` rows the first time a
-    run visits it, and kept for the rest of the call; a code is decoded once
-    per new row, and once per trial for its consensus value.
-    """
+    """Independent runs counting interactions (idle ones included) until
+    the stable set of c0's closure.  A step is a productive interaction:
+    with W their weight out of (n^2 - n) L, the interactions up to it are 1
+    + floor(log(1 - U) / log1p(-W / ((n^2 - n) L))) for a uniform U, or 1,
+    undrawn, if W is all; its move is drawn in [0, W) among the cumulative
+    weights unless it is the only one.  A count over `max_steps`, or a run
+    outside the stable set with no productive move, raises RuntimeError,
+    the lowest failing trial's.  Trial t draws from Philox keyed by (seed
+    << 64) + t.  The unfinished runs of a block of `_BLOCK` trials step
+    together on numpy arrays (`PhiloxStreams`, `_Moves`); a log is one
+    `math.log`, as numpy's may differ in the last bit and move the floor."""
     n = c0.size
     if n < 2:
         raise ValueError("simulation needs at least two agents")
@@ -871,39 +861,47 @@ def simulate(
     stop = {encode(space.counts[i], base) for i in stable_set(space)}
     del space
 
-    kernel = StepKernel(p, base)
-    rows: dict[int, tuple[int, float, tuple, tuple]] = {}
-    steps_out = []
-    consensus = []
-    total = n * (n - 1) * p.moves.lcm
-    start = encode(c0.counts, base)
-    bits = np.random.Philox(0)
-    for t in range(trials):
-        draws = PhiloxDraws((seed << 64) + t, bits=bits)
-        random, draw = draws.random, draws.integers
-        c = start
-        steps = 0
-        while c not in stop:
-            row = rows.get(c)
-            if row is None:
-                row = rows[c] = _step_row(kernel, decode(c, base, width), c, total)
-            w, logq, cum, nexts = row
-            if w == total:
-                steps += 1
-            elif w:
-                # the quotient is >= 0, so int() is floor
-                steps += 1 + int(log(1.0 - random()) / logq)
-            else:
-                raise RuntimeError(
-                    f"trial {t} stuck at {decode(c, base, width)} after {steps} "
-                    f"interactions: it is not stable, and no interaction changes it"
+    moves = _Moves(p, base, width, stop, encode(c0.counts, base))
+    limit = min(max_steps, 2**62)
+    steps_out, ends = [], []  # each run's count and the node where it stopped
+    for t0 in range(0, trials, _BLOCK):
+        k = min(_BLOCK, trials - t0)
+        draws = PhiloxStreams([(seed << 64) + t for t in range(t0, t0 + k)])
+        node, steps, act = np.zeros(k, np.int64), np.zeros(k, np.int64), np.arange(k)
+        error = None
+        while act.size:
+            row = moves.rows(node[act])
+            live = (row["count"] >= 0).nonzero()[0]
+            act, row = act[live], row[live]
+            cnt, lq, q = row["count"], row["logq"], np.zeros(len(act))
+            part = (lq < 0).nonzero()[0]
+            if part.size:
+                u = 1.0 - draws.random(act[part])
+                q[part] = np.fromiter(map(log, u.tolist()), float, part.size) / lq[part]
+            now = steps[act]
+            bad = ((cnt == 0) | (q >= limit - now)).nonzero()[0]
+            if bad.size:
+                j = bad[0]
+                t, c = t0 + int(act[j]), decode(moves.codes[node[act[j]]], base, width)
+                error = (
+                    f"trial {t} exceeded {max_steps} interactions; target may not be "
+                    f"almost surely reachable" if cnt[j] else f"trial {t} stuck at {c} after "
+                    f"{now[j]} interactions: it is not stable, and no interaction changes it"
                 )
-            if steps > max_steps:
-                raise RuntimeError(
-                    f"trial {t} exceeded {max_steps} interactions; target "
-                    f"may not be almost surely reachable"
-                )
-            c = nexts[0] if len(nexts) == 1 else nexts[bisect_right(cum, draw(w))]
-        steps_out.append(steps)
-        consensus.append(_consensus_value(p, decode(c, base, width)))
-    return SimResult(trials, tuple(steps_out), seed, tuple(consensus))
+                act, row, cnt, q, now = act[:j], row[:j], cnt[:j], q[:j], now[:j]
+            steps[act] = now + q.astype(np.int64) + 1
+            r = np.zeros(len(act), np.int64)
+            many = (cnt > 1).nonzero()[0]
+            if many.size:
+                r[many] = draws.integers(act[many], row["total"][many].astype(np.uint64))
+            at = np.searchsorted(moves.key[: moves.moves], r + row["offset"], "right")
+            node[act] = moves.succ[at]
+        if error is not None:
+            raise RuntimeError(error)
+        steps_out += steps.tolist()
+        ends += node.tolist()
+    values = {}  # the output all agents agree on, or None
+    for v in set(ends):
+        outs = {p.output(s) for s, k in enumerate(decode(moves.codes[v], base, width)) if k}
+        values[v] = outs.pop() if len(outs) == 1 else None
+    return SimResult(trials, tuple(steps_out), seed, tuple(values[v] for v in ends))

@@ -1,5 +1,6 @@
 """Seeded soundness sweep: build the stage tree of many generated protocols
-and check both stage-graph conditions on each with the finite oracle.
+and check both stage-graph conditions on each with the finite oracle, and
+that every child's pi persists.
 
     PYTHONPATH=src python tests/soundness_sweep.py --seed 11 --states 5-7 \
         --count 1000 --max-n 6
@@ -8,8 +9,12 @@ Protocol i of a run is drawn from one `random.Random(seed)` stream: 5-7
 states (`--states LO-HI`), 1 to 2|Q| rules whose sides are any pairs of
 states, one or two input states and any outputs.  A build over 2,000
 stages or 10 s, and an oracle run over its 10 s, is counted and skipped.
-The last line is a summary; each violation prints the protocol's source,
-which `stagebound check` reads back.  Exit status 0 when no protocol
+The persistence check takes each edge parent -(nu)-> child of the tree:
+every reachable configuration of [[parent]] that satisfies nu must satisfy
+the child's pi from then on, as the M/N fixpoint claims.  The two oracle
+conditions need not notice a pi that claims too much.  The last line is a
+summary; each violation prints the protocol's source, which `stagebound
+check` reads back.  Exit status 0 when no protocol
 violates a condition, 1 when one does, 2 on a malformed flag.
 
 pytest does not collect this file (its name does not start with `test_`);
@@ -54,6 +59,39 @@ def protocol_source(rng: random.Random, i: int, lo: int, hi: int) -> str:
     ) + "\n"
 
 
+def pi_violations(p, sg, max_n: int, deadline: float) -> list[str]:
+    """The edges whose child's pi does not persist, each with a witness:
+    a configuration of size 2..max_n in [[parent]] that satisfies nu, from
+    which a reachable configuration falsifies pi.  One `box_set` pass over
+    the chain of all initial configurations answers every edge."""
+    roots = [c for n in range(2, max_n + 1) for c in verify.initial_configurations(p, n)]
+    kids = [s for s in sg.stages if s.parent is not None]
+    if not roots or not kids:
+        return []
+    g = verify.explore(p, roots, deadline=deadline)
+    masks, full = g.key_masks, (1 << len(g.key_counts)) - 1
+
+    def holds(valuation) -> int:
+        keys = full
+        for x in valuation:
+            keys &= masks[x] if x > 0 else ~masks[-x]
+        return keys & full
+
+    denote = verify.stage_denotation(g, sg.stages, deadline)
+    kept = g.box_set(g.node_bits([holds(s.pi) for s in kids]), len(kids), deadline)
+    at = g.node_bits([holds(s.via) for s in kids])
+    parents: dict[int, int] = {}  # denotation bits -> the edges out of those stages
+    found = []
+    for v, (d, b, m) in enumerate(zip(denote, kept, at)):
+        if d not in parents:
+            parents[d] = sum(1 << k for k, s in enumerate(kids) if d >> s.parent & 1)
+        bad = parents[d] & m & ~b
+        if bad:
+            s = kids[(bad & -bad).bit_length() - 1]
+            found.append(f"S{s.parent} -> S{s.id}: pi fails after {g.counts[v]}")
+    return found
+
+
 def state_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("-")
     try:
@@ -82,13 +120,15 @@ def main(argv: list[str] | None = None) -> int:
         try:
             sg = build_stage_graph(p, max_stages=MAX_STAGES, timeout=TIMEOUT_S)
             violations = verify.check_stage_graph(p, sg, args.max_n, timeout=TIMEOUT_S)
+            unkept = pi_violations(p, sg, args.max_n, time.monotonic() + TIMEOUT_S)
         except (StageLimitError, verify.ExplorationLimitError):
             skipped += 1
             continue
         checked += 1
-        if violations:
+        if violations or unkept:
             bad += 1
-            print(f"# protocol {i}: {len(violations)} violations, first: {violations[0]}")
+            first = violations[0] if violations else unkept[0]
+            print(f"# protocol {i}: {len(violations) + len(unkept)} violations, first: {first}")
             print(src)
     print(
         f"seed {args.seed}, states {lo}-{hi}, max_n {args.max_n}: "

@@ -332,6 +332,38 @@ def test_negative_limits_exit_with_one_error_line(capsys, argv):
     assert err == f"error: {flag} must be a non-negative number\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", str(PP / "broadcast.pp"), "--max-stages", "x"],
+        ["analyze"],
+        ["simulate", str(PP / "broadcast.pp"), "--config", "one=1,zero=3", "--trials", "1.5"],
+        ["simulate", str(PP / "broadcast.pp")],
+        ["check", str(PP / "broadcast.pp"), "--max-n", "x"],
+        ["check", str(PP / "broadcast.pp"), "--frobnicate"],
+        ["bench", "--timeout", "soon"],
+        ["bench", "extra"],
+        [],
+        ["frobnicate"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if "/" not in a) or "no command",
+)
+def test_malformed_command_line_exits_with_one_error_line(capsys, argv):
+    # a bad value, a missing or unknown argument: an input error, exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["simulate", "--help"],
+                                  ["check", "--help"], ["bench", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: stagebound") and err == ""
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_simulate_seed_out_of_range_exits_with_one_error_line(capsys, seed):
     argv = ["simulate", str(PP / "majority-ex2.pp"), "--config", "A=2,B=1"]

@@ -38,6 +38,7 @@ from oracle_reference import (
 )
 from formula_reference import FF, TT, atom, formula_of
 from formula_reference import evaluate as tree_evaluate
+from sim_reference import PhiloxDraws, scalar_simulate, step_row
 from step_reference import coded, coded_weights
 from test_protocol import random_config
 from test_protocol import shared_head_protocols as few_head_protocols
@@ -1168,8 +1169,11 @@ def sim_outcome(fn, *args, **kwargs):
 
 
 def assert_same_runs(p, c0, trials, seed, max_steps=1_000_000):
+    """simulate against both references: the plain loop and the one-run
+    scalar loop that simulate replaced, which draws through PhiloxDraws."""
     got = sim_outcome(V.simulate, p, c0, trials, seed, max_steps)
     assert got == sim_outcome(reference_simulate, p, c0, trials, seed, max_steps)
+    assert got == sim_outcome(scalar_simulate, p, c0, trials, seed, max_steps)
     return got
 
 
@@ -1191,26 +1195,31 @@ def test_simulate_matches_reference_on_corpus(corpus):
             assert_same_runs(p, c0, 5, 17, max_steps=5000)
 
 
-class CountingDraws(V.PhiloxDraws):
-    """PhiloxDraws that counts its calls by kind: "random", or the bound."""
+class CountingStreams(V.PhiloxStreams):
+    """PhiloxStreams that counts its draws by kind, one per stream drawn
+    from: "random", or the bound; and "words", the words taken."""
 
-    __slots__ = ()
     calls = Counter()
 
-    def random(self):
-        self.calls["random"] += 1
-        return super().random()
+    def _word(self, idx):
+        if len(idx):
+            self.calls["words"] += len(idx)
+        return super()._word(idx)
 
-    def integers(self, bound):
-        self.calls[bound] += 1
-        return super().integers(bound)
+    def random(self, idx):
+        self.calls["random"] += len(idx)
+        return super().random(idx)
+
+    def integers(self, idx, bound):
+        self.calls.update(bound.tolist())
+        return super().integers(idx, bound)
 
 
 @pytest.fixture
 def counting_draws(monkeypatch):
-    CountingDraws.calls = Counter()
-    monkeypatch.setattr(V, "PhiloxDraws", CountingDraws)
-    return CountingDraws.calls
+    CountingStreams.calls = Counter()
+    monkeypatch.setattr(V, "PhiloxStreams", CountingStreams)
+    return CountingStreams.calls
 
 
 def test_simulate_matches_reference_with_shared_heads(shared_heads, counting_draws):
@@ -1221,13 +1230,20 @@ def test_simulate_matches_reference_with_shared_heads(shared_heads, counting_dra
     # (A,B) has three productive rules: a step there draws among several
     # moves of equal weight; the swap A C -> C A is idle and weighs nothing
     assert counting_draws["random"] > 0
-    assert sum(k for bound, k in counting_draws.items() if bound != "random") > 0
-    total = 2 * p.moves.lcm
-    kernel = StepKernel(p, 3)
+    assert sum(k for bound, k in counting_draws.items() if isinstance(bound, int)) > 0
 
     def row(c):
-        w, _, cum, nexts = V._step_row(kernel, c.counts, encode(c.counts, 3), total)
-        return w, cum, tuple(decode(s, 3, 3) for s in nexts)
+        # the moves simulate builds for c, and the reference's step row
+        moves = V._Moves(p, 3, 3, set(), encode(c.counts, 3))
+        (count, w, offset, _), = moves.rows(np.zeros(1, np.int64)).tolist()
+        cum = tuple(x - offset for x in moves.key[: moves.moves].tolist())
+        nexts = tuple(decode(moves.codes[u], 3, 3) for u in moves.succ[: moves.moves])
+        assert count == len(cum)
+        ref_w, _, ref_cum, ref_nexts = step_row(
+            StepKernel(p, 3), c.counts, encode(c.counts, 3), 2 * p.moves.lcm
+        )
+        assert (ref_w, ref_cum, tuple(decode(s, 3, 3) for s in ref_nexts)) == (w, cum, nexts)
+        return w, cum, nexts
 
     assert row(cfg(p, A=1, B=1)) == (12, (4, 8, 12), ((0, 0, 2), (1, 0, 1), (0, 1, 1)))
     assert row(cfg(p, A=1, C=1)) == (6, (6,), ((0, 0, 2),))
@@ -1252,6 +1268,39 @@ def shared_head_protocols(draw):
 def test_simulate_matches_reference_generated(case, seed):
     p, c0 = case
     assert_same_runs(p, c0, 4, seed, max_steps=300)
+
+
+def test_simulate_spans_blocks(corpus):
+    # more trials than a block: the second block's streams carry on the
+    # trial numbers, and it is still the lowest failing trial that raises
+    p = next(e for e in corpus if e.name == "majority-ex2").protocol()
+    c0 = initial_configuration(p, {"x": 3, "y": 2})
+    assert len(assert_same_runs(p, c0, V._BLOCK + 3, 5).steps) == V._BLOCK + 3
+    trials = 2 * V._BLOCK
+    # a seed whose longest run is in the second block, so a cap that the
+    # whole first block stays under fails some run of the second
+    seed, free = next(
+        (seed, res)
+        for seed in range(100)
+        if max((res := V.simulate(p, c0, trials, seed)).steps[V._BLOCK :])
+        > max(res.steps[: V._BLOCK])
+    )
+    cap = max(free.steps[: V._BLOCK])
+    late = next(t for t, k in enumerate(free.steps) if k > cap)
+    assert late >= V._BLOCK
+    msg = sim_outcome(reference_simulate, p, c0, trials, seed, max_steps=cap)
+    assert msg.startswith(f"trial {late} exceeded {cap} interactions")
+    assert sim_outcome(V.simulate, p, c0, trials, seed, max_steps=cap) == msg
+
+
+def test_simulate_rebuilds_moves_when_offsets_run_out(shared_heads, monkeypatch):
+    # offsets bounded by three rows' weight: the moves of every node are
+    # dropped and rebuilt several times in one call, and the runs are the same
+    p = shared_heads
+    c0 = cfg(p, A=5, B=4)
+    want = reference_simulate(p, c0, 30, 3)
+    monkeypatch.setattr(V, "_SPAN", 3 * 9 * 8 * p.moves.lcm)
+    assert V.simulate(p, c0, 30, 3) == want
 
 
 def test_simulate_step_cap_raises_at_the_same_trial(corpus):
@@ -1371,11 +1420,11 @@ def test_philox_draws_match_generator_integers(seed):
     rng = np.random.Generator(np.random.Philox(key=key))
     want = [float(rng.random()) if b is None else int(rng.integers(0, b)) for b in calls]
     # three words a batch: refills fall between and inside draws
-    assert make_draws(V.PhiloxDraws(key, batch=3), calls) == want
+    assert make_draws(PhiloxDraws(key, batch=3), calls) == want
 
 
 def test_philox_draws_rekeyed_generator_matches_a_new_one():
-    # simulate re-keys one generator per trial; a generator left part-way
+    # the scalar loop re-keys one generator per trial; a generator left part-way
     # through a buffer and a kept half must give a new one's numbers
     bits = np.random.Philox(0)
     bits.random_raw(3)
@@ -1383,10 +1432,60 @@ def test_philox_draws_rekeyed_generator_matches_a_new_one():
     # rejected, so the first draws show the raw words
     calls = [2**32] * 10 + draw_calls(np.random.default_rng(99), 200)
     for key in (0, 5, 2**64, (7 << 64) + 3, 2**128 - 1):
-        want = V.PhiloxDraws(key, batch=3)
-        draws = V.PhiloxDraws(key, batch=3, bits=bits)
+        want = PhiloxDraws(key, batch=3)
+        draws = PhiloxDraws(key, batch=3, bits=bits)
         assert make_draws(draws, calls) == make_draws(want, calls)
         draws.integers(9900)  # leave a kept half behind
+
+
+# PhiloxStreams, the draws of all the runs of a block, against numpy's own
+# Generator calls
+
+STREAM_BOUNDS = (2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 3 * 2**61 + 1, 2**63)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_philox_streams_match_generator_calls(seed):
+    # streams keyed as simulate keys its trials.  On each call a random
+    # subset of the streams draws, each a random() or one of the bounds, so
+    # a kept 32-bit half is carried across random() calls and across whole
+    # words for bounds over 2**32; 2**31 + 1 and 3 * 2**61 + 1 reject about
+    # one value in two and one in four, and the sequences refill the words
+    keys = [(seed << 64) + t for t in range(10)]
+    rngs = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
+    draws = V.PhiloxStreams(keys)
+    order = np.random.default_rng(seed % 97)
+    kinds = STREAM_BOUNDS + (None,)
+    for _ in range(400):
+        streams = np.flatnonzero(order.random(len(keys)) < 0.7)
+        picks = [kinds[i] for i in order.integers(0, len(kinds), len(streams))]
+        want = [
+            float(rngs[i].random()) if b is None else int(rngs[i].integers(0, b))
+            for i, b in zip(streams.tolist(), picks)
+        ]
+        got = [None] * len(picks)
+        floats = [j for j, b in enumerate(picks) if b is None]
+        ints = [j for j, b in enumerate(picks) if b is not None]
+        for j, x in zip(floats, draws.random(streams[floats]).tolist()):
+            got[j] = x
+        bounds = np.array([picks[j] for j in ints], np.uint64)
+        for j, x in zip(ints, draws.integers(streams[ints], bounds).tolist()):
+            got[j] = x
+        assert got == want
+    assert (draws._taken > V._WORDS).all()
+
+
+def test_philox_streams_keep_a_half_per_stream():
+    # two streams draw 32-bit values on alternate calls: each keeps its own
+    # half, and a stream that draws nothing takes no word
+    keys = [7, 8, 9]
+    rngs = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
+    draws = V.PhiloxStreams(keys)
+    for step in range(300):
+        i = step % 2
+        b = np.array([9900], np.uint64)
+        assert draws.integers(np.array([i]), b).tolist() == [int(rngs[i].integers(0, 9900))]
+    assert draws._taken.tolist()[2] == 0
 
 
 # regression protocols found by randomized soundness fuzzing: both once made
