@@ -689,24 +689,19 @@ class SimResult:
     @property
     def variance(self) -> float:
         """Unbiased sample variance of the interaction counts."""
-        k = len(self.steps)
-        if k < 2:
-            return float("nan")
-        m = self.mean
-        return sum((s - m) ** 2 for s in self.steps) / (k - 1)
+        k, m = len(self.steps), self.mean
+        return sum((s - m) ** 2 for s in self.steps) / (k - 1) if k > 1 else float("nan")
 
     @property
     def stderr(self) -> float:
         k = len(self.steps)
-        if k < 2:
-            return float("nan")
-        return (self.variance / k) ** 0.5
+        return (self.variance / k) ** 0.5 if k > 1 else float("nan")
 
 
 _BLOCK = 256  # trials advanced together
 _WORDS = 128  # Philox words fetched at a time per trial, a multiple of 4
 _SPAN = 2**63  # bound on the offsets of `_Moves`
-_ROW = np.dtype([("count", np.int64), ("total", np.int64), ("offset", np.int64), ("logq", float)])
+_NEAR = 1e-9  # relative distance from an integer at which `_gaps` takes math.log
 _LOW, _TOP, _U32 = np.uint64(0xFFFFFFFF), np.uint64(0x100000000), np.uint64(32)
 
 
@@ -783,40 +778,48 @@ def _product(x: np.ndarray, b: np.ndarray, narrow: bool) -> tuple[np.ndarray, np
     return x1 * b1 + (mid >> _U32) + (x0 * b1 + (mid & _LOW) >> _U32), x * b
 
 
+def _gaps(u: np.ndarray, logq: np.ndarray) -> np.ndarray:
+    """log(u) / logq by numpy's log, but by `math.log` where the quotient
+    is within `_NEAR` of an integer: the logs differ by an ulp or so, which
+    moves a quotient across an integer only within a few ulps of one, so
+    the floors and the orders against integers are `math.log`'s."""
+    q = np.log(u) / logq
+    near = (np.abs(q - np.rint(q)) <= _NEAR * q).nonzero()[0]
+    if near.size:
+        q[near] = np.fromiter(map(log, u[near].tolist()), float, near.size) / logq[near]
+    return q
+
+
 class _Moves:
     """The productive moves of the configurations that runs visit: their
     `StepKernel` rows whose code delta is not 0, in head then rule order.
-    Node v, a code (`encode`) numbered when first met, has in `table` its
-    number of moves (-1 until built, -2 if stop), their weight W out of
-    `full` = (n^2 - n) L, an offset (the weight built before) and log1p(-W
-    / full), or 0.  Per move, `succ` holds the successor and `key` the
-    cumulative weight plus the offset: `key` increases, so one search
-    finds the move of each draw r in [0, W) at r + offset."""
+    Node v, a code (`encode`) numbered below `size` when first met, has in
+    `count` its number of moves (-1 until built, -2 if stop), in `total`
+    their weight W out of `full` = (n^2 - n) L, in `offset` the weight
+    built before and in `logq` log1p(-W / full), or 0.  Per move, `succ`
+    holds the successor and `key` the cumulative weight plus the offset: it
+    increases, so one search finds the move of each r in [0, W) at r + offset."""
 
-    def __init__(self, p: PopulationProtocol, base: int, width: int, stop: set[int], start: int):
+    def __init__(self, p: PopulationProtocol, base: int, width: int, stop: set[int], start: int,
+                 size: int):
         self.kernel, self.base, self.width, self.stop = StepKernel(p, base), base, width, stop
-        self.full = (base - 1) * (base - 2) * p.moves.lcm
+        self.full, self.moves, self.span = (base - 1) * (base - 2) * p.moves.lcm, 0, 0
         self.ids, self.codes = {start: 0}, [start]
-        self.table = np.array([(-2 if start in stop else -1, 0, 0, 0.0)], _ROW)
-        self.key, self.succ = np.zeros(1, np.int64), np.zeros(1, np.int64)
-        self.moves = self.span = 0
+        self.count, self.total, self.offset = np.zeros((3, size), np.int64)
+        self.count[0], self.logq = -2 if start in stop else -1, np.zeros(size)
+        self.key, self.succ = np.zeros((2, 1), np.int64)
 
-    def rows(self, nodes: np.ndarray) -> np.ndarray:
-        """The table rows of `nodes`, built first (all dropped first if the
-        offsets could pass `_SPAN`)."""
-        todo = nodes[self.table["count"][nodes] == -1]
-        if not todo.size:
-            return self.table[nodes]
+    def build(self, nodes: np.ndarray) -> None:
+        """Build the unbuilt `nodes`' moves, all dropped first if offsets could pass `_SPAN`."""
+        todo = nodes[self.count[nodes] == -1]
         if self.span + todo.size * self.full >= _SPAN:
-            self.table["count"][self.table["count"] >= 0] = -1
+            self.count[self.count >= 0] = -1
             self.moves = self.span = 0
-            todo = nodes[self.table["count"][nodes] == -1]
-        ids, codes, full = self.ids, self.codes, self.full
-        old, key, succ = len(codes), [], []
+            todo = nodes[self.count[nodes] == -1]
+        ids, codes, count, full, key, succ = self.ids, self.codes, self.count, self.full, [], []
         for v in set(todo.tolist()):
-            code = codes[v]
+            code, start, acc, made = codes[v], self.span, self.span, len(key)
             c = decode(code, self.base, self.width)
-            start, acc, made = self.span, self.span, len(key)
             for d, a, b, e, k in self.kernel.rows(c):
                 if d:
                     acc += c[a] * (c[b] - e) * k
@@ -825,18 +828,16 @@ class _Moves:
                     if u is None:
                         u = ids[code + d] = len(codes)
                         codes.append(code + d)
+                        count[u] = -2 if code + d in self.stop else -1
                     succ.append(u)
             w, self.span = acc - start, acc
-            self.table[v] = len(key) - made, w, start, log1p(-w / full) if 0 < w < full else 0
-        if len(codes) > len(self.table):
-            self.table = np.resize(self.table, 2 * len(codes))
-        self.table["count"][old : len(codes)] = [-2 if s in self.stop else -1 for s in codes[old:]]
+            count[v], self.total[v], self.offset[v] = len(key) - made, w, start
+            self.logq[v] = log1p(-w / full) if 0 < w < full else 0
         end = self.moves + len(key)
         if end > len(self.key):
             self.key, self.succ = np.resize(self.key, 2 * end), np.resize(self.succ, 2 * end)
         self.key[self.moves : end], self.succ[self.moves : end] = key, succ
         self.moves = end
-        return self.table[nodes]
 
 
 def simulate(
@@ -851,55 +852,54 @@ def simulate(
     outside the stable set with no productive move, raises RuntimeError,
     the lowest failing trial's.  Trial t draws from Philox keyed by (seed
     << 64) + t.  The unfinished runs of a block of `_BLOCK` trials step
-    together on numpy arrays (`PhiloxStreams`, `_Moves`); a log is one
-    `math.log`, as numpy's may differ in the last bit and move the floor."""
-    n = c0.size
-    if n < 2:
+    together on numpy arrays (`PhiloxStreams`, `_Moves`); the logs are
+    numpy's, but floors and step-cap tests are `math.log`'s (`_gaps`)."""
+    if c0.size < 2:
         raise ValueError("simulation needs at least two agents")
-    base, width = n + 1, len(c0.counts)
+    base, width = c0.size + 1, len(c0.counts)
     space = explore(p, c0, cap=10_000_000)
     stop = {encode(space.counts[i], base) for i in stable_set(space)}
+    moves = _Moves(p, base, width, stop, encode(c0.counts, base), len(space.counts))
     del space
-
-    moves = _Moves(p, base, width, stop, encode(c0.counts, base))
     limit = min(max_steps, 2**62)
-    steps_out, ends = [], []  # each run's count and the node where it stopped
+    done = np.zeros((2, trials), np.int64)  # each run's count and the node where it stopped
     for t0 in range(0, trials, _BLOCK):
         k = min(_BLOCK, trials - t0)
         draws = PhiloxStreams([(seed << 64) + t for t in range(t0, t0 + k)])
-        node, steps, act = np.zeros(k, np.int64), np.zeros(k, np.int64), np.arange(k)
+        # the unfinished runs of the block (trial t0 + act), their nodes and counts
+        act, node, steps = np.arange(k), np.zeros(k, np.int64), np.zeros(k, np.int64)
         error = None
         while act.size:
-            row = moves.rows(node[act])
-            live = (row["count"] >= 0).nonzero()[0]
-            act, row = act[live], row[live]
-            cnt, lq, q = row["count"], row["logq"], np.zeros(len(act))
-            part = (lq < 0).nonzero()[0]
+            cnt = moves.count[node]
+            if cnt.min() < 0:  # unbuilt or stopped runs
+                moves.build(node)
+                cnt = moves.count[node]
+                if (ended := cnt < 0).any():
+                    done[:, t0 + act[ended]] = steps[ended], node[ended]
+                    act, node, steps, cnt = (x[~ended] for x in (act, node, steps, cnt))
+            lq = moves.logq[node]
+            q, part = np.zeros(len(act)), (lq < 0).nonzero()[0]
             if part.size:
-                u = 1.0 - draws.random(act[part])
-                q[part] = np.fromiter(map(log, u.tolist()), float, part.size) / lq[part]
-            now = steps[act]
-            bad = ((cnt == 0) | (q >= limit - now)).nonzero()[0]
+                q[part] = _gaps(1.0 - draws.random(act[part]), lq[part])
+            bad = ((cnt == 0) | (q >= limit - steps)).nonzero()[0]
             if bad.size:
                 j = bad[0]
-                t, c = t0 + int(act[j]), decode(moves.codes[node[act[j]]], base, width)
+                t, c = t0 + int(act[j]), decode(moves.codes[node[j]], base, width)
                 error = (
                     f"trial {t} exceeded {max_steps} interactions; target may not be "
                     f"almost surely reachable" if cnt[j] else f"trial {t} stuck at {c} after "
-                    f"{now[j]} interactions: it is not stable, and no interaction changes it"
+                    f"{steps[j]} interactions: it is not stable, and no interaction changes it"
                 )
-                act, row, cnt, q, now = act[:j], row[:j], cnt[:j], q[:j], now[:j]
-            steps[act] = now + q.astype(np.int64) + 1
-            r = np.zeros(len(act), np.int64)
-            many = (cnt > 1).nonzero()[0]
+                act, node, steps, cnt, q = act[:j], node[:j], steps[:j], cnt[:j], q[:j]
+            steps += q.astype(np.int64) + 1
+            r, many = np.zeros(len(act), np.int64), (cnt > 1).nonzero()[0]
             if many.size:
-                r[many] = draws.integers(act[many], row["total"][many].astype(np.uint64))
-            at = np.searchsorted(moves.key[: moves.moves], r + row["offset"], "right")
-            node[act] = moves.succ[at]
+                r[many] = draws.integers(act[many], moves.total[node[many]].astype(np.uint64))
+            hit = np.searchsorted(moves.key[: moves.moves], r + moves.offset[node], "right")
+            node = moves.succ[hit]
         if error is not None:
             raise RuntimeError(error)
-        steps_out += steps.tolist()
-        ends += node.tolist()
+    steps_out, ends = done.tolist()
     values = {}  # the output all agents agree on, or None
     for v in set(ends):
         outs = {p.output(s) for s, k in enumerate(decode(moves.codes[v], base, width)) if k}

@@ -1234,8 +1234,9 @@ def test_simulate_matches_reference_with_shared_heads(shared_heads, counting_dra
 
     def row(c):
         # the moves simulate builds for c, and the reference's step row
-        moves = V._Moves(p, 3, 3, set(), encode(c.counts, 3))
-        (count, w, offset, _), = moves.rows(np.zeros(1, np.int64)).tolist()
+        moves = V._Moves(p, 3, 3, set(), encode(c.counts, 3), 4)
+        moves.build(np.zeros(1, np.int64))
+        count, w, offset = moves.count[0], moves.total[0], moves.offset[0]
         cum = tuple(x - offset for x in moves.key[: moves.moves].tolist())
         nexts = tuple(decode(moves.codes[u], 3, 3) for u in moves.succ[: moves.moves])
         assert count == len(cum)
@@ -1344,13 +1345,17 @@ def test_simulate_stuck_start_raises_without_drawing(counting_draws):
     assert not counting_draws
 
 
+# one productive pair (A,B) among n agents: from A=1,B=1 the single
+# productive step ends the run, so its count is one geometric gap
+GAP = (
+    "protocol gap\nstates: A B Z\ninputs: x -> A, y -> B, z -> Z\n"
+    "output1: A Z\ntransitions:\n  A B -> A A\n"
+)
+
+
 def test_simulate_gap_is_geometric(counting_draws):
-    # one productive pair (A,B) among n agents: the single productive step
-    # ends the run, so its count is one geometric gap of p = 2 / (n^2 - n)
-    p = parse_protocol(
-        "protocol gap\nstates: A B Z\ninputs: x -> A, y -> B, z -> Z\n"
-        "output1: A Z\ntransitions:\n  A B -> A A\n"
-    )
+    # the gap's success probability is p = 2 / (n^2 - n)
+    p = parse_protocol(GAP)
     # at n = 2 every interaction is productive and there is one move:
     # neither the gap nor the move is drawn
     assert V.simulate(p, cfg(p, A=1, B=1), trials=5, seed=5).steps == (1,) * 5
@@ -1367,6 +1372,136 @@ def test_simulate_gap_is_geometric(counting_draws):
     m4 = ((steps - steps.mean()) ** 4).mean()
     se_var = math.sqrt((m4 - res.variance**2) / len(steps))
     assert abs(res.variance - var) <= 5 * se_var
+
+
+# The gap's quotient log(u) / logq comes from numpy's log, which may differ
+# from math.log in the last bit; `_gaps` takes math.log where the quotient
+# is near an integer, so its floor and its order against every integer are
+# math.log's.  No benchmark input comes that near, so these tests build
+# quotients that are an integer or one ulp either side of one.
+
+
+def math_quotients(u, logq):
+    """math.log(u) / logq, divided by numpy as `_gaps` divides."""
+    return np.array([math.log(x) for x in np.asarray(u).tolist()]) / logq
+
+
+def nudged(x, k):
+    """x moved by k ulps, up if k > 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def integer_side(q):
+    """(m, side) if q is an integer m > 0 (side 0) or the float next to one,
+    below (-1) or above (1); else None."""
+    m = round(q)
+    sides = {math.nextafter(m, 0): -1, m: 0, math.nextafter(m, math.inf): 1}
+    return (m, sides[q]) if m > 0 and q in sides else None
+
+
+@pytest.fixture
+def counting_log(monkeypatch):
+    calls = Counter()
+
+    def log(x):
+        calls["log"] += 1
+        return math.log(x)
+
+    monkeypatch.setattr(V, "log", log)
+    return calls
+
+
+def test_gaps_take_math_log_at_integer_quotients(counting_log):
+    # pairs whose quotient is m, or an ulp from it: logq = log(u) / m, nudged.
+    # Half the u are ones where numpy's log differs from math.log, if this
+    # host's numpy has any, so that numpy's own quotient misses the floor
+    rng = np.random.default_rng(26)
+    u = 1.0 - rng.random(20000)
+    differs = u[np.log(u) != math_quotients(u, 1.0)]
+    us = np.concatenate([differs[:40], u[:40]])
+    pairs = [
+        (x, lq, m, hit[1])
+        for x in us.tolist()
+        for m in (1, 2, 3, 7, 40, 1000, 10**6, 2**40 + 1)
+        for lq in (nudged(math.log(x) / m, k) for k in range(-2, 3))
+        if (hit := integer_side(math.log(x) / lq)) and hit[0] == m
+    ]
+    u, lq, m, side = (np.array(col) for col in zip(*pairs))
+    assert set(side.tolist()) == {-1, 0, 1}
+    want = math_quotients(u, lq)
+    got = V._gaps(u, lq)
+    # every one of them is near an integer: all are taken again by math.log
+    assert counting_log["log"] == len(pairs)
+    assert got.tolist() == want.tolist()
+    for k in (m - 1, m, m + 1):
+        assert ((got >= k) == (want >= k)).all()
+    assert (got.astype(np.int64) == np.floor(want)).all()
+    if differs.size:
+        # without the fallback, numpy's quotient would move some floor
+        own = np.log(u) / lq
+        assert (np.floor(own) != np.floor(want)).any()
+
+
+def test_simulate_counts_and_caps_integer_quotients_as_math_log(monkeypatch, counting_log):
+    # each run's one productive step takes 1 + floor(log(u) / logq)
+    # interactions; u is fed so that the quotient is an integer or an ulp
+    # either side, and the counts and the step-cap errors are math.log's
+    p = parse_protocol(GAP)
+    c0 = cfg(p, A=1, B=1, Z=8)
+    moves = V._Moves(p, 11, 3, set(), encode(c0.counts, 11), 2)
+    moves.build(np.zeros(1, np.int64))
+    lq = float(moves.logq[0])
+    assert lq == math.log1p(-2 / 90)
+    # u = exp(m logq) >= 1/2, so the stream's 1 - u gives back u exactly
+    near = {nudged(math.exp(m * lq), k) for m in range(1, 31) for k in range(-12, 13)}
+    fed = [(x, hit) for x in sorted(near) if (hit := integer_side(math.log(x) / lq))]
+    u = np.array([x for x, _ in fed])
+    assert (u >= 0.5).all() and {side for _, (m, side) in fed} == {-1, 0, 1}
+    assert len(u) <= V._BLOCK
+
+    class FedStreams(V.PhiloxStreams):
+        def random(self, idx):
+            return 1.0 - u[idx]
+
+    monkeypatch.setattr(V, "PhiloxStreams", FedStreams)
+    want = math_quotients(u, lq)
+    steps = tuple(int(k) for k in np.floor(want) + 1)
+    res = V.simulate(p, c0, len(u), 0)
+    assert res.steps == steps and set(res.consensus) == {1}
+    assert counting_log["log"] >= len(u)
+    for cap in sorted({m for _, (m, side) in fed}):
+        late = [t for t, q in enumerate(want.tolist()) if q >= cap]
+        got = sim_outcome(V.simulate, p, c0, len(u), 0, max_steps=cap)
+        if late:
+            assert got.startswith(f"trial {late[0]} exceeded {cap} interactions")
+        else:
+            assert got == res
+
+
+def test_gaps_match_math_log_in_bulk(corpus):
+    # 10^6 draws against the logq of every row that the benchmark's inputs
+    # build: the floors and the orders against integers are math.log's
+    lqs = []
+    for name, counts in (("majority-ex2", {"x": 14, "y": 10}), ("broadcast", {"one": 1, "zero": 99})):
+        p = next(e for e in corpus if e.name == name).protocol()
+        c0 = initial_configuration(p, counts)
+        base, size = c0.size + 1, len(V.explore(p, c0).counts)
+        moves = V._Moves(p, base, len(c0.counts), set(), encode(c0.counts, base), size)
+        while (todo := (moves.count[: len(moves.codes)] == -1).nonzero()[0]).size:
+            moves.build(todo)
+        assert len(moves.codes) == size
+        lqs.append(moves.logq[:size][moves.logq[:size] < 0])
+    rng = np.random.default_rng(2026)
+    lq = rng.choice(np.concatenate(lqs), 10**6)
+    u = 1.0 - rng.random(10**6)
+    want = math_quotients(u, lq)
+    got = V._gaps(u, lq)
+    floor = np.floor(want)
+    assert (got.astype(np.int64) == floor).all()
+    for k in (floor, floor + 1):
+        assert ((got >= k) == (want >= k)).all()
 
 
 # A meets B: both become A or both become B, with equal weight, or they
