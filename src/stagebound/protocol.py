@@ -61,13 +61,8 @@ class MoveTable:
 
     __slots__ = ("lcm", "heads")
 
-    def __init__(
-        self,
-        lcm: int,
-        heads: tuple[tuple[int, int, int, tuple[tuple[int, int, int, int], ...]], ...],
-    ):
-        self.lcm = lcm
-        self.heads = heads
+    def __init__(self, lcm: int, heads: tuple):
+        self.lcm, self.heads = lcm, heads
 
 
 class ProtocolError(ValueError):
@@ -133,9 +128,7 @@ class PopulationProtocol:
         self.rules_by_head: dict[Head, tuple[Transition, ...]] = {
             h: tuple(ts) for h, ts in by_head.items()
         }
-        self.non_idle: tuple[Transition, ...] = tuple(
-            t for t in all_rules if not t.is_idle
-        )
+        self.non_idle: tuple[Transition, ...] = tuple(t for t in all_rules if not t.is_idle)
         self.explicit_count = len(explicit)
         # head set -> its implication graph, built on first use by
         # logic.implications
@@ -366,28 +359,24 @@ def initial_configuration(
     return Configuration(tuple(counts))
 
 
-def step_distribution(
-    p: PopulationProtocol, c: Configuration
-) -> dict[Configuration, Fraction]:
+def step_distribution(p: PopulationProtocol, c: Configuration) -> dict[Configuration, Fraction]:
     """One-step successor distribution, merging rules with equal successors:
     the weights of the `StepKernel` rows over their common denominator
     (n^2 - n) * L, L being the lcm of the rule counts, one Fraction per
-    successor, in head then rule order of first appearance."""
+    successor, in head then rule order of first appearance, and what the
+    rows leave of the denominator as the self-loop, if anything, last."""
     n = c.size
     if n < 2:
         raise ValueError("configuration must have at least two agents")
-    width = len(c.counts)
-    den = (n * n - n) * p.moves.lcm
-    kernel = StepKernel(p, n + 1)
-    rows = kernel.rows(c.counts)
-    code = encode(c.counts, n + 1)
+    base, den, kernel = n + 1, (n * n - n) * p.moves.lcm, StepKernel(p, n + 1)
+    rows, code = kernel.rows(c.counts), encode(c.counts, base)
     nums: dict[int, int] = {}
     for row, w in zip(rows, kernel.weights(rows, c.counts)):
         s = code + row[0]
         nums[s] = nums.get(s, 0) + w
-    return {
-        Configuration(decode(s, n + 1, width)): Fraction(w, den) for s, w in nums.items()
-    }
+    nums[code] = den - sum(nums.values())  # the self-loop: see StepKernel
+    width = len(c.counts)
+    return {Configuration(decode(s, base, width)): Fraction(w, den) for s, w in nums.items() if w}
 
 
 def encode(counts: tuple[int, ...], base: int) -> int:
@@ -412,39 +401,50 @@ class StepKernel:
     a protocol's states (see `encode`): the one owner of a rule's successor
     and weight, read by `explore`, `simulate` and `step_distribution`.
 
-    `heads[a]` lists the heads (a, b) of state a in move-table order, each
-    as (b, e, rows), with one row (delta, a, b, e, k) per rule in rule
-    order.  Rule i j -> k l moves a code by delta = place(k) + place(l) -
-    place(i) - place(j), with place(s) = base^(width - 1 - s), so an idle
-    rule moves it by 0.  e = 1 and k is the head's multiplier when a = b,
-    else e = 0 and k is twice it, so a row's weight at counts c,
-    c[a] * (c[b] - e) * k, is the number of ordered agent pairs on its
-    head times the multiplier: over (n^2 - n) * L, the move table's common
-    denominator, it is the rule's probability."""
+    Rule i j -> k l moves a code by delta = place(k) + place(l) - place(i)
+    - place(j), with place(s) = base^(width - 1 - s); it is productive if
+    delta is not 0.  `heads[a]` lists the heads (a, b) of state a with a
+    productive rule in move-table order, each as (b, e, rows), with one row
+    (delta, a, b, e, k) per productive rule in rule order.  e = 1 and k is
+    the head's multiplier when a = b, else e = 0 and k is twice it, so a
+    row's weight at counts c, c[a] * (c[b] - e) * k, is the number of
+    ordered agent pairs on its head times the multiplier: over (n^2 - n) *
+    L, the move table's common denominator, it is the rule's probability.
+    Idle rules have no row: every rule of a head with an agent pair weighs
+    more than 0 and all sum to (n^2 - n) * L, so the self-loop weighs the
+    complement.  `change[delta, a, b]` is a row's change to the counts; a
+    delta alone does not fix it (B B -> A C, C C -> B B: 4 in base 3)."""
 
-    __slots__ = ("heads",)
+    __slots__ = ("heads", "change")
 
     def __init__(self, p: PopulationProtocol, base: int):
         width = len(p.states)
         place = [base ** (width - 1 - s) for s in range(width)]
         self.heads: list[list[tuple[int, int, tuple[Row, ...]]]] = [[] for _ in range(width)]
+        self.change: dict[tuple[int, int, int], tuple[int, ...]] = {}
         for a, b, mult, quads in p.moves.heads:
             e, k = (1, mult) if a == b else (0, 2 * mult)
-            deltas = (place[r] + place[s] - place[i] - place[j] for i, j, r, s in quads)
-            self.heads[a].append((b, e, tuple((d, a, b, e, k) for d in deltas)))
+            rows = []
+            for i, j, r, s in quads:
+                if d := place[r] + place[s] - place[i] - place[j]:
+                    rows.append((d, a, b, e, k))
+                    vec = [0] * width
+                    for t, x in ((i, -1), (j, -1), (r, 1), (s, 1)):
+                        vec[t] += x
+                    self.change[d, a, b] = tuple(vec)
+            if rows:
+                self.heads[a].append((b, e, tuple(rows)))
 
     def rows(self, counts: tuple[int, ...]) -> list[Row]:
-        """The rows of the heads (a, b) with an agent pair at `counts`, that
-        is c[a] > 0 and c[b] > e, in head then rule order.  Counts clipped
-        at 2 give the same rows."""
-        return [
-            row
-            for a, heads in enumerate(self.heads)
-            if counts[a]
-            for b, e, rows in heads
-            if counts[b] > e
-            for row in rows
-        ]
+        """The rows of the heads (a, b) with an agent pair at `counts`, that is
+        c[a] > 0 and c[b] > e, in head then rule order; counts clipped at 2 give the same."""
+        out: list[Row] = []
+        for a, heads in enumerate(self.heads):
+            if counts[a]:
+                for b, e, rows in heads:
+                    if counts[b] > e:
+                        out += rows
+        return out
 
     @staticmethod
     def weights(rows: list[Row], counts: tuple[int, ...]) -> list[int]:

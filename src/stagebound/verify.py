@@ -19,10 +19,12 @@ one transposition (`ReachGraph.node_bits`).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, log, log1p
+from operator import add
 
 import numpy as np
 
@@ -259,26 +261,29 @@ def explore(
     is the largest root size plus one, so codes order as their count
     vectors, and a rule moves a code by a fixed delta.  A node's counts
     are clipped at 2 into its key.  The first time a key is met, its
-    `StepKernel` rows are kept, sorted by delta; every node of the key
-    reads its successors and weights off them.  So a node's successors
-    come in increasing code order, the order of their Configurations, and
-    rules with one successor sit next to each other, where their weights
-    add up; the node's row denominator is (n^2 - n) * L.  The graph keeps
-    the counts, the keys and the successor lists without weights, all
-    filled as the BFS goes."""
+    `StepKernel` rows, the productive rules, are kept sorted by delta;
+    every node of the key reads its successors and weights off them.  So a
+    node's successors come in increasing code order, the order of their
+    Configurations, and rules with one successor sit next to each other,
+    where their weights add up.  What they leave of the node's denominator
+    (n^2 - n) * L, if anything, weighs its self-loop, placed after the
+    negative deltas.  A node's counts are made once, when it is numbered,
+    from its parent's and the row's change.  The graph keeps the counts,
+    the keys and the successor lists without weights, all filled as the
+    BFS goes."""
     if isinstance(roots, Configuration):
         roots = [roots]
-    for c in roots:
-        if c.size < 2:
-            raise ValueError("configurations need at least two agents")
-    width = len(p.states)
+    if any(c.size < 2 for c in roots):
+        raise ValueError("configurations need at least two agents")
     base = max((c.size for c in roots), default=0) + 1
     clip = (0, 1) + (2,) * (base - 2)
     kernel = StepKernel(p, base)
-    big = p.moves.lcm
+    change, big = kernel.change, p.moves.lcm
     ids: dict[int, int] = {}
     order: list[int] = []
-    per_size: dict[int, int] = {}
+    counts: list[tuple[int, ...]] = []
+    den: list[int] = []
+    per_size: dict[int, int] = {}  # nodes per size, keyed by its denominator
     root_ids = []
     for c in roots:
         code = encode(c.counts, base)
@@ -286,61 +291,57 @@ def explore(
         if i is None:
             i = ids[code] = len(order)
             order.append(code)
-            per_size[c.size] = per_size.get(c.size, 0) + 1
+            counts.append(c.counts)
+            den.append((c.size**2 - c.size) * big)
+            per_size[den[i]] = per_size.get(den[i], 0) + 1
         root_ids.append(i)
-    dens = {n: (n * n - n) * big for n in per_size}
     key_ids: dict[tuple[int, ...], int] = {}
-    key_rows: list[list[Row]] = []
+    key_rows: list[tuple[list[Row], int]] = []
     keys: list[int] = []
-    counts: list[tuple[int, ...]] = []
-    den: list[int] = []
     succ: list[list[tuple[int, int]]] = []
     links: list[list[int]] = []
-    places = range(width - 1, -1, -1)
-    # nodes are numbered in the order they are queued, so the BFS visits
-    # them by number
+    # nodes are numbered as they are queued, so the BFS visits them by number
     for v, code in enumerate(order):
         if deadline is not None and not v & 255:
             in_time(deadline)
-        c = [0] * width
-        x = code
-        for s in places:
-            x, c[s] = divmod(x, base)
+        c = counts[v]
         key = tuple(map(clip.__getitem__, c))
         j = key_ids.get(key)
         if j is None:
             j = key_ids[key] = len(key_rows)
-            key_rows.append(sorted(kernel.rows(key)))
-        n = sum(c)
-        outs = []
-        weights = []
-        last = None
-        # StepKernel.weights, inlined: a call per node made explore 10-20%
-        # slower on a 2-vCPU host
-        for d, a, b, e, k in key_rows[j]:
+            rows = sorted(kernel.rows(key))
+            key_rows.append((rows, bisect_left(rows, (0,))))
+        dv, outs, weights, last = den[v], [], [], None
+        # `at`, the key's negative rows less those merged below, is the self-loop's place
+        rows, at = key_rows[j]
+        # StepKernel.weights inlined: a call per node cost 10-20% on 2 vCPUs
+        for d, a, b, e, k in rows:
             w = c[a] * (c[b] - e) * k
             if d == last:
                 weights[-1] += w
+                at -= d < 0
                 continue
             last = d
             s = code + d
             u = ids.get(s)
             if u is None:
-                if per_size[n] >= cap:
+                if per_size[dv] >= cap:
                     raise ExplorationLimitError(f"exploration cap {cap} exceeded")
-                per_size[n] += 1
+                per_size[dv] += 1
                 u = ids[s] = len(order)
                 order.append(s)
+                counts.append(tuple(map(add, c, change[d, a, b])))
+                den.append(dv)
             outs.append(u)
             weights.append(w)
+        if stay := dv - sum(weights):
+            outs.insert(at, ids[code])  # ids' int object, not a copy of v per node
+            weights.insert(at, stay)
         keys.append(j)
-        counts.append(tuple(c))
-        den.append(dens[n])
         succ.append(list(zip(outs, weights)))
         links.append(outs)
-    key_counts = list(key_ids)
-    del ids, order, key_ids, key_rows
-    return ReachGraph(p, counts, succ, den, root_ids, keys, key_counts, links)
+    del ids, order, key_rows
+    return ReachGraph(p, counts, succ, den, root_ids, keys, list(key_ids), links)
 
 
 def stable_set(g: ReachGraph) -> set[int]:
@@ -792,13 +793,13 @@ def _gaps(u: np.ndarray, logq: np.ndarray) -> np.ndarray:
 
 class _Moves:
     """The productive moves of the configurations that runs visit: their
-    `StepKernel` rows whose code delta is not 0, in head then rule order.
-    Node v, a code (`encode`) numbered below `size` when first met, has in
-    `count` its number of moves (-1 until built, -2 if stop), in `total`
-    their weight W out of `full` = (n^2 - n) L, in `offset` the weight
-    built before and in `logq` log1p(-W / full), or 0.  Per move, `succ`
-    holds the successor and `key` the cumulative weight plus the offset: it
-    increases, so one search finds the move of each r in [0, W) at r + offset."""
+    `StepKernel` rows, in head then rule order.  Node v, a code (`encode`)
+    numbered below `size` when first met, has in `count` its number of
+    moves (-1 until built, -2 if stop), in `total` their weight W out of
+    `full` = (n^2 - n) L, in `offset` the weight built before and in `logq`
+    log1p(-W / full), or 0.  Per move, `succ` holds the successor and `key`
+    the cumulative weight plus the offset: it increases, so one search
+    finds the move of each r in [0, W) at r + offset."""
 
     def __init__(self, p: PopulationProtocol, base: int, width: int, stop: set[int], start: int,
                  size: int):
@@ -821,15 +822,14 @@ class _Moves:
             code, start, acc, made = codes[v], self.span, self.span, len(key)
             c = decode(code, self.base, self.width)
             for d, a, b, e, k in self.kernel.rows(c):
-                if d:
-                    acc += c[a] * (c[b] - e) * k
-                    key.append(acc)
-                    u = ids.get(code + d)
-                    if u is None:
-                        u = ids[code + d] = len(codes)
-                        codes.append(code + d)
-                        count[u] = -2 if code + d in self.stop else -1
-                    succ.append(u)
+                acc += c[a] * (c[b] - e) * k
+                key.append(acc)
+                u = ids.get(code + d)
+                if u is None:
+                    u = ids[code + d] = len(codes)
+                    codes.append(code + d)
+                    count[u] = -2 if code + d in self.stop else -1
+                succ.append(u)
             w, self.span = acc - start, acc
             count[v], self.total[v], self.offset[v] = len(key) - made, w, start
             self.logq[v] = log1p(-w / full) if 0 < w < full else 0

@@ -2,6 +2,7 @@
 
 from collections import deque
 from fractions import Fraction
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -586,10 +587,19 @@ def test_coded_weights_match_tuple_reference_generated(data):
     want = reference_successor_weights(p, c)
     assert [(decode(s, base, width), w) for s, w in got.items()] == list(want.items())
     assert sum(got.values()) == (sum(c) ** 2 - sum(c)) * p.moves.lcm
-    # the kernel's rows, unmerged and in order: simulate's cumulative
-    # weights, and so its random stream, follow this order
+    # the kernel's rows are the productive rules, unmerged and in order:
+    # simulate's cumulative weights, and so its random stream, follow this
+    # order.  The idle rules weigh what the rows leave of (n^2 - n) * L
     kernel = StepKernel(p, base)
     rows = kernel.rows(c)
-    assert [
-        (decode(code + row[0], base, width), w) for row, w in zip(rows, kernel.weights(rows, c))
-    ] == reference_successor_rows(p, c)
+    weights = kernel.weights(rows, c)
+    want_rows = reference_successor_rows(p, c)
+    assert [(decode(code + row[0], base, width), w) for row, w in zip(rows, weights)] == [
+        (s, w) for s, w in want_rows if s != c
+    ]
+    idle = sum(w for s, w in want_rows if s == c)
+    assert (sum(c) ** 2 - sum(c)) * p.moves.lcm - sum(weights) == idle
+    # and each row's count change is its successor less c
+    assert [tuple(map(add, c, kernel.change[row[:3]])) for row in rows] == [
+        s for s, _ in want_rows if s != c
+    ]

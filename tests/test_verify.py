@@ -19,6 +19,7 @@ from stagebound import (
     build_stage_graph,
     initial_configuration,
     parse_protocol,
+    step_distribution,
 )
 from stagebound.corpus import broadcast, majority_four_state, majority_five_state
 from stagebound.logic import Parts, evaluate, present, single
@@ -40,7 +41,7 @@ from formula_reference import FF, TT, atom, formula_of
 from formula_reference import evaluate as tree_evaluate
 from sim_reference import PhiloxDraws, scalar_simulate, step_row
 from step_reference import coded, coded_weights
-from test_protocol import random_config
+from test_protocol import random_config, reference_step_distribution
 from test_protocol import shared_head_protocols as few_head_protocols
 from test_logic import stage_formulas
 from test_stagegraph import small_protocols
@@ -225,8 +226,9 @@ def test_explore_matches_reference_generated(data):
 
 
 def test_explore_merges_rules_with_one_successor():
-    # A B -> A C and D B -> D C move the code by the same delta, and the
-    # idle heads by 0: rows with one delta are merged into one successor
+    # A B -> A C and D B -> D C move the code by the same delta: rows with
+    # one delta are merged into one successor, and the idle heads, which
+    # have no row, leave the self-loop its weight
     p = parse_protocol(
         "protocol t\nstates: A B C D\ninputs: x -> A, y -> B, z -> D\noutput1: C\n"
         "transitions:\n  A B -> A C\n  D B -> D C\n"
@@ -241,6 +243,85 @@ def test_explore_merges_rules_with_one_successor():
     # the 2 on B B and the 4 on A D are idle
     j = g.counts.index(cfg(p, A=2, B=1, C=1, D=1).counts)
     assert g.succ[1] == [(j, 12), (1, 8)]
+
+
+# The kernel holds only productive rows, and explore and step_distribution
+# give each node's self-loop what those rows leave of its denominator.  Both
+# are checked against references that read every rule, idle ones included.
+
+
+def assert_complement_matches_references(p, roots):
+    """explore equals `reference_explore` field by field, and
+    step_distribution equals the per-rule reference at every node."""
+    g = assert_explore_matches_reference(p, roots)
+    for c in g.nodes:
+        assert step_distribution(p, c) == reference_step_distribution(p, c)
+    return g
+
+
+def test_complement_with_an_explicit_idle_rule_beside_a_productive_one():
+    # A B carries two rules, so L = 2: of the 2 * 2 weight of A=1,B=1, the
+    # rule A B -> C C takes 2 and the explicit A B -> A B leaves 2 behind
+    p = parse_protocol(
+        "protocol t\nstates: A B C\ninputs: x -> A, y -> B\noutput1: C\n"
+        "transitions:\n  A B -> A B\n  A B -> C C\n"
+    )
+    assert [t.explicit for t in p.rules_by_head[(0, 1)]] == [True, True]
+    g = assert_complement_matches_references(
+        p, [cfg(p, A=1, B=1), cfg(p, A=2, B=2), cfg(p, A=1, B=3, C=1)]
+    )
+    i = g.counts.index((0, 0, 2))
+    assert g.succ[0] == [(i, 2), (0, 2)]
+    assert g.succ[i] == [(i, 4)]
+
+
+def test_complement_of_a_swap():
+    # A B -> B A is idle, whether alone or beside a productive head
+    swap = "protocol t\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\ntransitions:\n"
+    alone = parse_protocol(swap + "  A B -> B A\n")
+    g = assert_complement_matches_references(alone, [cfg(alone, A=1, B=1), cfg(alone, A=2, B=3)])
+    assert g.succ == [[(0, 2)], [(1, 20)]]
+    assert StepKernel(alone, 6).heads == [[], []]
+    beside = parse_protocol(swap + "  A B -> B A\n  A A -> B B\n")
+    g = assert_complement_matches_references(beside, V.initial_configurations(beside, 5))
+    assert all(len(outs) <= 2 for outs in g.succ)
+
+
+def test_complement_is_absent_when_every_head_is_productive():
+    p = parse_protocol(
+        "protocol t\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\n"
+        "transitions:\n  A A -> A B\n  A B -> B B\n  B B -> A A\n"
+    )
+    roots = [c for n in range(2, 7) for c in V.initial_configurations(p, n)]
+    g = assert_complement_matches_references(p, roots)
+    assert g.size > 10
+    assert not any(u == v for v in range(g.size) for u, _ in g.succ[v])
+
+
+def test_complement_sits_between_negative_and_positive_deltas():
+    # n = 2 in base 3: from A=1,B=1 the rules on A B move the code by -6
+    # (to B=2), 0 and +6 (to A=2), each with weight 2 of 2 * L = 6
+    p = parse_protocol(
+        "protocol t\nstates: A B C\ninputs: x -> A, y -> B\noutput1: A\n"
+        "transitions:\n  A B -> A A\n  A B -> B B\n  A B -> A B\n"
+    )
+    g = assert_complement_matches_references(p, cfg(p, A=1, B=1))
+    assert g.counts == [(1, 1, 0), (0, 2, 0), (2, 0, 0)]
+    assert g.succ == [[(1, 2), (0, 2), (2, 2)], [(1, 6)], [(2, 6)]]
+    assert g.links == [[1, 0, 2], [1], [2]]
+
+
+def test_explore_counts_when_two_rules_share_a_delta():
+    # in base 3, B B -> A C and C C -> B B both move the code by
+    # 9 + 1 - 2 * 3 = 2 * 3 - 2 * 1 = 4, with different count changes
+    p = parse_protocol(
+        "protocol t\nstates: A B C\ninputs: x -> A, y -> C\noutput1: A\n"
+        "transitions:\n  B B -> A C\n  C C -> B B\n"
+    )
+    kernel = StepKernel(p, 3)
+    assert kernel.change == {(4, 1, 1): (1, -2, 1), (4, 2, 2): (0, 2, -2)}
+    g = assert_complement_matches_references(p, cfg(p, C=2))
+    assert g.counts == [(0, 0, 2), (0, 2, 0), (1, 0, 1)]
 
 
 # ---------------------------------------------------------------------------
