@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .logic import is_tautology, present, xi_clause
-from .protocol import Head, PopulationProtocol
+from .protocol import Head
 
 
 class Bound(enum.IntEnum):
@@ -69,12 +69,7 @@ _PARALLEL = {
 }
 
 
-def is_fast(
-    p: PopulationProtocol,
-    g,
-    exp: frozenset[Head],
-    u_states: frozenset[int],
-) -> bool:
+def is_fast(g, exp: frozenset[Head], u_states: frozenset[int]) -> bool:
     """Whenever a draining state is still present and not every crossing rule
     is disabled, some crossing rule on that very state must be enabled.
 
@@ -108,7 +103,7 @@ def is_fast(
     return True
 
 
-def is_very_fast(p: PopulationProtocol, g, u_states: frozenset[int]) -> bool:
+def is_very_fast(g, u_states: frozenset[int]) -> bool:
     """Every rule of the transformation graph touching a draining state must
     move both of its agents strictly across SCCs of the graph.  Both sides
     of every such rule are vertices: a product outside them would be a state

@@ -317,6 +317,8 @@ def parse_protocol(text: str) -> PopulationProtocol:
             output1 = frozenset(look(s, lineno) for s in line[len("output1:"):].split())
             in_transitions = False
         elif line.startswith("transitions:"):
+            if line[len("transitions:"):].strip():
+                raise ProtocolError("rules go on the lines after 'transitions:'", lineno)
             in_transitions = True
         elif in_transitions:
             if "->" not in line:

@@ -72,27 +72,26 @@ class TransformationGraph:
 
     `premise` is the `Premise.horn` of the valuation pi_nu and the
     disabled heads T the graph was built under, built once for every query
-    asked under it; `compute_j` and `bounds.is_fast` extend it.
-    `gen_edges` has one key per non-idle rule that can still fire under
-    `premise`, mapped to the edges it generates.  Each edge carries the
-    transitions generating it.  `xi` is the protocol's table of the xi
-    clause of each head of a non-idle rule (`RuleRows.xi`), the goals that
-    `compute_j` and `bounds.is_fast` ask.  `scc` maps every vertex to its
-    strongly connected component id; `bottom` marks component ids with no
-    edge leaving the component.  Both are computed on first use: the graph
-    of a stable or dead successor never needs them.
+    asked under it; `compute_j` and `bounds.is_fast` extend it, and its
+    `units` are pi_nu.  `gen_edges` has one key per non-idle rule that can
+    still fire under `premise`, in rule order, mapped to the edges it
+    generates; its values are the graph's edges.  `xi` is the protocol's
+    table of the xi clause of each head of a non-idle rule (`RuleRows.xi`),
+    the goals that `compute_j` and `bounds.is_fast` ask.  `scc` maps every
+    vertex to its strongly connected component id; `bottom` marks component
+    ids with no edge leaving the component.  Both are computed on first use:
+    the graph of a stable or dead successor never needs them.
     """
 
     vertices: tuple[int, ...]
-    edges: dict[tuple[int, int], list[Transition]]
     gen_edges: dict[Transition, tuple[tuple[int, int], ...]]
-    pi_nu: Valuation
     premise: Premise
     xi: dict[Head, tuple[int, int]]
 
     @cached_property
     def _components(self) -> tuple[dict[int, int], set[int]]:
-        return _scc_and_bottom(self.premise.p, self.vertices, self.edges)
+        edges = [e for es in self.gen_edges.values() for e in es]
+        return _scc_and_bottom(self.premise.p, self.vertices, edges)
 
     @property
     def scc(self) -> dict[int, int]:
@@ -135,7 +134,8 @@ class Stage:
     disabled: frozenset[Head]  # T: permanently disabled heads
     parent: int | None
     kind: str = INTERNAL
-    via: Valuation | None = None
+    # how the stage was derived; its nu is the valuation of the parent's
+    # formula that leads here.  None at the root
     analysis: CaseAnalysis | None = None
     children: list[int] = field(default_factory=list)
 
@@ -335,15 +335,12 @@ def build_transformation_graph(
             absent |= 1 << (-lit >> 1)
     vertices = tuple(s for s in range(len(p.states)) if not absent >> s & 1)
     premise = Premise.horn(p, pi_nu, disabled)
-    edges: dict[tuple[int, int], list[Transition]] = {}
     gen_edges: dict[Transition, tuple[tuple[int, int], ...]] = {}
     for t, lhs, es, goal in rows.rules:
         if lhs & absent or is_tautology(goal, premise):
             continue
         gen_edges[t] = es
-        for e in es:
-            edges.setdefault(e, []).append(t)
-    return TransformationGraph(vertices, edges, gen_edges, pi_nu, premise, rows.xi)
+    return TransformationGraph(vertices, gen_edges, premise, rows.xi)
 
 
 def is_stable(p: PopulationProtocol, g: TransformationGraph) -> int | None:
@@ -465,9 +462,7 @@ def compute_exp(g: TransformationGraph) -> frozenset[Head]:
     return frozenset(out)
 
 
-def compute_j(
-    p: PopulationProtocol, g: TransformationGraph, exp: frozenset[Head]
-) -> frozenset[Head]:
+def compute_j(g: TransformationGraph, exp: frozenset[Head]) -> frozenset[Head]:
     """Largest subset of exp whose disabling is irreversible: once all its
     rules are disabled, no still-enabled rule can re-enable any of them.
     A rule outside the graph is blocked under the graph's premise, hence
@@ -515,9 +510,7 @@ def compute_j(
         m = keep
 
 
-def classify_nu_mode(
-    p: PopulationProtocol, nu: Valuation, j: frozenset[Head]
-) -> str:
+def classify_nu_mode(nu: Valuation, j: frozenset[Head]) -> str:
     """"nu-disabled" / "nu-enabled" / "neither" per the formula of nu.
 
     nu, a valuation of the split, is consistent and fixes A wherever it
@@ -535,9 +528,7 @@ def classify_nu_mode(
     return "neither"
 
 
-def compute_k(
-    p: PopulationProtocol, g: TransformationGraph, j: frozenset[Head]
-) -> frozenset[Head]:
+def compute_k(g: TransformationGraph, j: frozenset[Head]) -> frozenset[Head]:
     """Right-hand sides of rules transforming a state that occurs in j."""
     q_nu = {s for h in j for s in h}
     out = set()
@@ -552,35 +543,35 @@ def compute_i_and_l(
 ) -> tuple[frozenset[int], frozenset[Head]]:
     """Stable-edge analysis for the case without SCC-crossing rules.
 
-    An edge is stable when some generating rule keeps a permanently present
-    partner on its left-hand side.  The partner must be a different state
-    than the edge's source: a rule consuming two agents of the source state
-    stops firing at count one and therefore never drains the source.  I is
-    the union of non-bottom SCCs of the stable subgraph: those states must
-    eventually drain for good, because a stable edge out of them stays
-    fireable for as long as they are populated.
+    An edge of a rule is stable when the rule keeps a partner present in
+    pi_nu (`g.premise.units`) on its left-hand side.  The partner must be a
+    different state than the edge's source: a rule consuming two agents of
+    the source state stops firing at count one and therefore never drains
+    the source.  I is the union of non-bottom SCCs of the stable subgraph:
+    those states must eventually drain for good, because a stable edge out
+    of them stays fireable for as long as they are populated.
 
-    L collects the right-hand sides of every still-enabled rule generating
-    any edge that leaves I.  The step that empties the last I state may be
-    any such rule, not only a stable-edge witness, so restricting L to
-    stable edges would let that step land outside the successor's formula.
+    L collects the right-hand side of every still-enabled rule with an edge
+    that leaves I.  The step that empties the last I state may be any such
+    rule, not only a stable-edge witness, so restricting L to stable edges
+    would let that step land outside the successor's formula.
     """
-    stable_edges = set()
-    for (x, y), ts in g.edges.items():
-        for t in ts:
-            a, b = t.lhs
+    pi_nu = g.premise.units
+    stable_edges = []
+    for t, es in g.gen_edges.items():
+        a, b = t.lhs
+        for x, y in es:
             partner = b if a == x else a
-            if partner != x and present(partner) in g.pi_nu:
-                stable_edges.add((x, y))
-                break
+            if partner != x and present(partner) in pi_nu:
+                stable_edges.append((x, y))
     scc, bottom = _scc_and_bottom(p, g.vertices, stable_edges)
     i_states = frozenset(v for v in g.vertices if scc[v] not in bottom)
-    l = set()
-    for (x, y), ts in g.edges.items():
-        if x in i_states and y not in i_states:
-            for t in ts:
-                l.add(t.rhs)
-    return i_states, frozenset(l)
+    l = frozenset(
+        t.rhs
+        for t, es in g.gen_edges.items()
+        if any(x in i_states and y not in i_states for x, y in es)
+    )
+    return i_states, l
 
 
 # ---------------------------------------------------------------------------
@@ -617,22 +608,22 @@ def case_analysis(
     ca.u_states = frozenset(v for v in g.vertices if g.scc[v] not in g.bottom)
     exp = compute_exp(g)
     ca.exp = exp
-    j = compute_j(p, g, exp)
+    j = compute_j(g, exp)
     ca.j = j
 
     units, some = (pi_nu,), None
     if exp:
         t_nu = frozenset(t_parent | (j if j else exp))
         ca.t_nu = t_nu
-        mode = classify_nu_mode(p, nu, j)
+        mode = classify_nu_mode(nu, j)
         ca.nu_disabled = mode == "nu-disabled"
         ca.nu_enabled = mode == "nu-enabled"
         if ca.nu_disabled:
             units = (pi_nu, nu)
         elif ca.nu_enabled:
-            ca.k = some = compute_k(p, g, j)
-        ca.fast = bounds_mod.is_fast(p, g, exp, ca.u_states)
-        ca.very_fast = bounds_mod.is_very_fast(p, g, ca.u_states)
+            ca.k = some = compute_k(g, j)
+        ca.fast = bounds_mod.is_fast(g, exp, ca.u_states)
+        ca.very_fast = bounds_mod.is_very_fast(g, ca.u_states)
     else:
         t_nu = t_parent
         ca.t_nu = t_nu
@@ -675,7 +666,6 @@ def build_child(
         disabled=succ.disabled,
         parent=parent.id,
         kind=succ.kind,
-        via=nu,
         analysis=succ.analysis,
     )
     if child.kind != INTERNAL:
@@ -800,7 +790,7 @@ def to_json_dict(sg: StageGraph) -> dict:
             "pi": val_repr(s.pi),
             "disabled": heads_repr(s.disabled),
             "children": list(s.children),
-            "via": val_repr(s.via),
+            "via": val_repr(None if s.analysis is None else s.analysis.nu),
         }
         if s.analysis is not None:
             entry["analysis"] = analysis_repr(s.analysis)

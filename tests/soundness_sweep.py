@@ -79,7 +79,7 @@ def pi_violations(p, sg, max_n: int, deadline: float) -> list[str]:
 
     denote = verify.stage_denotation(g, sg.stages, deadline)
     kept = g.box_set(g.node_bits([holds(s.pi) for s in kids]), len(kids), deadline)
-    at = g.node_bits([holds(s.via) for s in kids])
+    at = g.node_bits([holds(s.analysis.nu) for s in kids])
     parents: dict[int, int] = {}  # denotation bits -> the edges out of those stages
     found = []
     for v, (d, b, m) in enumerate(zip(denote, kept, at)):

@@ -64,7 +64,7 @@ def test_refinements_never_worsen():
 def test_fast_vacuous_when_no_draining_states():
     p = parse_protocol(majority_four_state())
     g = build_transformation_graph(p, {}, frozenset())
-    assert is_fast(p, g, compute_exp(g), frozenset())
+    assert is_fast(g, compute_exp(g), frozenset())
 
 
 def test_example1_initial_case_fast_not_very_fast():
@@ -73,10 +73,10 @@ def test_example1_initial_case_fast_not_very_fast():
     exp = compute_exp(g)
     u = frozenset(v for v in g.vertices if g.scc[v] not in g.bottom)
     assert {p.states[s] for s in u} == {"A", "B"}
-    assert is_fast(p, g, exp, u)
+    assert is_fast(g, exp, u)
     # "A b -> A a" keeps A inside its own component, so the strict
     # cross-component requirement fails
-    assert not is_very_fast(p, g, u)
+    assert not is_very_fast(g, u)
 
 
 def test_overall_bounds_and_claims(corpus_graphs):

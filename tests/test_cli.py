@@ -122,6 +122,21 @@ def test_state_named_protocol_exits_with_one_error_line(capsys, tmp_path, header
     assert "'protocol' cannot name a state" in err
 
 
+def test_rule_on_the_transitions_line_exits_with_one_error_line(capsys, tmp_path):
+    # on a line of its own the rule is certified; on the transitions line
+    # it is an input error, not a protocol without rules (exit 2)
+    src = "protocol t\nstates: A B\ninputs: x -> A, y -> B\noutput1: B\ntransitions:"
+    good, bad = tmp_path / "good.pp", tmp_path / "bad.pp"
+    good.write_text(src + "\n  A B -> B B\n")
+    bad.write_text(src + " A B -> B B\n")
+    code, out, _ = run(capsys, "analyze", str(good))
+    assert code == 0 and "certified" in out
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "line 5: rules go on the lines after 'transitions:'" in err
+
+
 def test_json_protocol_errors_exit_without_traceback(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"states": ["A"], "inputs": [], "output1": [], "transitions": []}')

@@ -136,6 +136,11 @@ def test_parse_json_encoding():
             "transitions:\n  A B -> B B\nstates: B A\n",
             "line 7: repeated 'states:'",
         ),
+        # rules go on lines of their own: one on the transitions line is not read
+        (
+            "protocol t\nstates: A B\ninputs: x -> A\noutput1: B\ntransitions: A B -> B B\n",
+            "line 5: rules go on the lines after 'transitions:'",
+        ),
         (
             '{"states": ["A", "B"], "inputs": {"x": "A"}, "inputs": {"y": "B"},'
             ' "output1": ["B"], "transitions": []}',
@@ -336,7 +341,7 @@ def test_parser_strips_comments_and_blanks():
         "states: A B   # two states\n"
         "inputs: x -> A, y -> B\n"
         "output1: B    # winners\n"
-        "transitions:\n"
+        "transitions:   # one a line\n"
         "  # the only rule\n"
         "  A B -> B B   # convert\n"
     )

@@ -208,9 +208,14 @@ def test_dead_requires_not_stable():
     assert child_b.analysis.stable == 1
 
 
+def graph_edges(g):
+    """The edges of a transformation graph: those of its rules."""
+    return {e for es in g.gen_edges.values() for e in es}
+
+
 def test_transformation_graph_fig_left():
     g = build_transformation_graph(P1, (), frozenset())
-    edges = names(P1, g.edges.keys())
+    edges = names(P1, graph_edges(g))
     assert edges == {
         ("A", "a"), ("A", "b"), ("B", "a"), ("B", "b"), ("a", "b"), ("b", "a"),
     }
@@ -219,7 +224,7 @@ def test_transformation_graph_fig_left():
 
 def test_transformation_graph_fig_right():
     g = build_transformation_graph(P2, (), frozenset())
-    edges = names(P2, g.edges.keys())
+    edges = names(P2, graph_edges(g))
     assert edges == {
         ("A", "C"), ("A", "b"), ("B", "C"), ("B", "b"),
         ("C", "a"), ("C", "b"), ("a", "b"), ("b", "a"),
@@ -231,18 +236,18 @@ def test_transformation_graph_fig_right():
 def test_transformation_graph_all_disabled():
     pi = (-present(0), -present(1), -present(2))  # no capitals, no a either
     g = build_transformation_graph(P1, pi, frozenset())
-    assert g.edges == {}
+    assert g.gen_edges == {}
     assert len(set(g.scc.values())) == len(g.vertices)
 
 
 def test_compute_j_examples():
     g1 = build_transformation_graph(P1, (), frozenset())
     exp1 = compute_exp(g1)
-    assert compute_j(P1, g1, exp1) == exp1  # {AB}
+    assert compute_j(g1, exp1) == exp1  # {AB}
     g2 = build_transformation_graph(P2, (), frozenset())
     exp2 = compute_exp(g2)
-    assert compute_j(P2, g2, exp2) == exp2  # {AB, AC, BC}
-    assert compute_j(P1, g1, frozenset()) == frozenset()
+    assert compute_j(g2, exp2) == exp2  # {AB, AC, BC}
+    assert compute_j(g1, frozenset()) == frozenset()
 
 
 def test_graph_query_decided_by_a_head_clause():
@@ -270,23 +275,23 @@ def test_j_query_decided_by_a_head_clause():
     pi = (present(s),)
     g = build_transformation_graph(p, pi, frozenset())
     exp = frozenset({(x, y), (u, s)})
-    assert compute_j(p, g, exp) == exp
+    assert compute_j(g, exp) == exp
     assert reference_compute_j(p, pi, frozenset(), exp) == exp
 
 
 def test_classify_nu_mode():
     j = frozenset({(0, 1)})  # {A,B}
-    assert classify_nu_mode(P1, nu_of(P1, {"A", "B"}), j) == "nu-enabled"
-    assert classify_nu_mode(P1, nu_of(P1, {"B"}), j) == "nu-disabled"
-    assert classify_nu_mode(P1, nu_of(P1, {"A", "B"}), frozenset()) == "neither"
+    assert classify_nu_mode(nu_of(P1, {"A", "B"}), j) == "nu-enabled"
+    assert classify_nu_mode(nu_of(P1, {"B"}), j) == "nu-disabled"
+    assert classify_nu_mode(nu_of(P1, {"A", "B"}), frozenset()) == "neither"
 
 
 def test_compute_k_examples():
     g1 = build_transformation_graph(P1, (), frozenset())
-    k1 = compute_k(P1, g1, compute_j(P1, g1, compute_exp(g1)))
+    k1 = compute_k(g1, compute_j(g1, compute_exp(g1)))
     assert names(P1, k1) == {("a", "b")}
     g2 = build_transformation_graph(P2, (), frozenset())
-    k2 = compute_k(P2, g2, compute_j(P2, g2, compute_exp(g2)))
+    k2 = compute_k(g2, compute_j(g2, compute_exp(g2)))
     assert names(P2, k2) == {("C", "b"), ("A", "a"), ("B", "b")}
 
 
@@ -495,7 +500,7 @@ def test_graph_reads_match_per_rule_entailment_on_corpus(corpus_graphs):
             if ca.stable is None and not ca.dead:
                 assert ca.j == reference_compute_j(*args, ca.exp), (name, s.id)
                 expect = reference_classify_nu_mode(p, ca.nu, ca.j)
-                assert classify_nu_mode(p, ca.nu, ca.j) == expect, (name, s.id)
+                assert classify_nu_mode(ca.nu, ca.j) == expect, (name, s.id)
 
 
 def assert_products_are_vertices(g):
@@ -550,9 +555,9 @@ def test_head_semantics_has_one_owner(p):
             assert any(lit in held for lit in xi_clause(h)) == (not fires[h])
             assert (set(not_xi(h)) <= held) == fires[h]
             assert (Premise.horn(p, held, frozenset({h})).base is None) == fires[h]
-            mode = classify_nu_mode(p, nu, frozenset({h}))
+            mode = classify_nu_mode(nu, frozenset({h}))
             assert mode == ("nu-enabled" if fires[h] else "nu-disabled")
-        mode = classify_nu_mode(p, nu, frozenset(heads))
+        mode = classify_nu_mode(nu, frozenset(heads))
         assert mode == ("nu-enabled" if any(fires.values()) else "nu-disabled")
 
 
@@ -583,13 +588,13 @@ def test_graph_reads_match_per_rule_entailment_generated(case):
     g = build_transformation_graph(p, pi, disabled)
     assert set(g.gen_edges) == reference_gen_edges(p, pi, disabled)
     assert is_stable(p, g) == reference_is_stable(p, pi, disabled)
-    assert compute_j(p, g, exp) == reference_compute_j(p, pi, disabled, exp)
+    assert compute_j(g, exp) == reference_compute_j(p, pi, disabled, exp)
     # classify_nu_mode reads the valuations of a split, which are
     # consistent and fix A wherever they fix A!
     split = enumerate_satisfying_valuations(p, Parts((pi,), frozenset()))
     for nu in split[:8]:
         expect = reference_classify_nu_mode(p, nu, exp)
-        assert classify_nu_mode(p, nu, exp) == expect
+        assert classify_nu_mode(nu, exp) == expect
     # the stage-tree build only hands the graph a pi_nu that is closed
     # under the M/N fixpoint; a random pi need not be
     pi_nu = compute_pi_nu(p, disabled, pi)
@@ -598,7 +603,93 @@ def test_graph_reads_match_per_rule_entailment_generated(case):
     # J from the Exp of the graph, as the build asks it: heads drop out
     # over several rounds more often than from a random head set
     exp = compute_exp(g)
-    assert compute_j(p, g, exp) == reference_compute_j(p, pi_nu, disabled, exp)
+    assert compute_j(g, exp) == reference_compute_j(p, pi_nu, disabled, exp)
+
+
+# ---------------------------------------------------------------------------
+# The transformation graph keeps its edges once, per rule, in `gen_edges`.
+# The references below are the earlier edge-indexed forms: each edge mapped
+# to the rules generating it, the SCCs taken over that index's keys, and
+# the stable edges and L read off it.
+
+
+def reference_edge_index(g):
+    """Each edge of the graph mapped to the rules generating it, in the
+    order the rules come."""
+    edges = {}
+    for t, es in g.gen_edges.items():
+        for e in es:
+            edges.setdefault(e, []).append(t)
+    return edges
+
+
+def reference_compute_i_and_l(p, g):
+    edges = reference_edge_index(g)
+    pi_nu = g.premise.units
+    stable_edges = set()
+    for (x, y), ts in edges.items():
+        for t in ts:
+            a, b = t.lhs
+            partner = b if a == x else a
+            if partner != x and present(partner) in pi_nu:
+                stable_edges.add((x, y))
+                break
+    scc, bottom = stagegraph._scc_and_bottom(p, g.vertices, stable_edges)
+    i_states = frozenset(v for v in g.vertices if scc[v] not in bottom)
+    l = set()
+    for (x, y), ts in edges.items():
+        if x in i_states and y not in i_states:
+            for t in ts:
+                l.add(t.rhs)
+    return i_states, frozenset(l)
+
+
+def partition(scc, bottom):
+    """The components of an SCC map as sets of vertices, and those of the
+    bottom ids: the same for any numbering of the components."""
+    members = {}
+    for v, c in scc.items():
+        members.setdefault(c, set()).add(v)
+    parts = {c: frozenset(vs) for c, vs in members.items()}
+    return set(parts.values()), {parts[c] for c in bottom}
+
+
+def assert_edge_reads_match_index(p, g):
+    scc, bottom = stagegraph._scc_and_bottom(p, g.vertices, reference_edge_index(g))
+    assert partition(g.scc, g.bottom) == partition(scc, bottom)
+    got = compute_i_and_l(p, g)
+    assert got == reference_compute_i_and_l(p, g)
+    return got
+
+
+def test_edge_reads_match_edge_index_on_corpus(corpus_graphs):
+    # every distinct case analysis, under the graph the build made for it
+    count = 0
+    for name, sg in corpus_graphs.items():
+        p = sg.protocol
+        seen = set()
+        for s in sg.stages:
+            ca = s.analysis
+            if ca is None or id(ca) in seen:
+                continue
+            seen.add(id(ca))
+            g = build_transformation_graph(p, s.pi, sg.stages[s.parent].disabled)
+            i_states, l = assert_edge_reads_match_index(p, g)
+            if ca.stable is None and not ca.dead and not ca.exp:
+                assert (ca.i_states, ca.l) == (i_states, l), (name, s.id)
+                count += 1
+    # the corpus has case analyses without SCC-crossing rules
+    assert count
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=small_cases())
+def test_edge_reads_match_edge_index_generated(case):
+    p, pi, disabled, _ = case
+    # a pi_nu closed under the M/N fixpoint, as the build passes, and the
+    # drawn pi as it is
+    for units in (compute_pi_nu(p, disabled, pi), pi):
+        assert_edge_reads_match_index(p, build_transformation_graph(p, units, disabled))
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +719,6 @@ def reference_build_stage_graph(p, max_stages=100_000):
                 disabled=succ.disabled,
                 parent=stage.id,
                 kind=succ.kind,
-                via=nu,
                 analysis=succ.analysis,
             )
             if child.kind == INTERNAL and any(
@@ -700,8 +790,8 @@ def test_valuations_are_canonical(corpus_graphs):
     for sg in trees:
         for s in sg.stages:
             vals = [s.pi, *s.phi.units]
-            if s.via is not None:
-                vals += [s.via, s.analysis.nu]
+            if s.analysis is not None:
+                vals.append(s.analysis.nu)
             for val in vals:
                 variables = [abs(x) for x in val]
                 ok = all(a < b for a, b in zip(variables, variables[1:]))
@@ -804,7 +894,7 @@ def test_closure_path_matches_dpll_on_remainder_m7(monkeypatch):
         ca = s.analysis
         if ca is not None and ca.exp and id(ca) not in seen:
             seen.add(id(ca))
-            mode = classify_nu_mode(sg.protocol, ca.nu, ca.j)
+            mode = classify_nu_mode(ca.nu, ca.j)
             assert mode == reference_classify_nu_mode(sg.protocol, ca.nu, ca.j)
 
 
@@ -1038,7 +1128,7 @@ def assert_is_fast_matches_reference(sg):
         g = build_transformation_graph(p, s.pi, sg.stages[s.parent].disabled)
         expect = reference_is_fast(p, g, ca.exp, ca.u_states)
         assert ca.fast == expect, (p.name, s.id)
-        assert bounds.is_fast(p, g, ca.exp, ca.u_states) == expect, (p.name, s.id)
+        assert bounds.is_fast(g, ca.exp, ca.u_states) == expect, (p.name, s.id)
     return len(seen)
 
 
@@ -1055,11 +1145,11 @@ def test_is_fast_matches_reference_generated(case, data):
     # the build's own Exp and draining states, then any head set and states
     u = frozenset(v for v in g.vertices if g.scc[v] not in g.bottom)
     graph_exp = compute_exp(g)
-    assert bounds.is_fast(p, g, graph_exp, u) == reference_is_fast(p, g, graph_exp, u)
+    assert bounds.is_fast(g, graph_exp, u) == reference_is_fast(p, g, graph_exp, u)
     # under a pi_nu, A! is never false; under the drawn pi it may be
     for g in (g, build_transformation_graph(p, pi, disabled)):
         u = data.draw(st.frozensets(st.sampled_from(range(len(p.states)))))
-        assert bounds.is_fast(p, g, exp, u) == reference_is_fast(p, g, exp, u)
+        assert bounds.is_fast(g, exp, u) == reference_is_fast(p, g, exp, u)
 
 
 def test_direct_premises_match_formula_premises_on_remainder_m7(monkeypatch):

@@ -879,7 +879,6 @@ def test_check_stage_graph_detects_corruption(corpus_graphs):
             disabled=s.disabled,
             parent=s.parent,
             kind=s.kind,
-            via=s.via,
             analysis=s.analysis,
         )
         for s in sg.stages
