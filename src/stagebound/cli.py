@@ -104,20 +104,15 @@ def cmd_simulate(args) -> int:
     p = _read_protocol(args.protocol)
     try:
         c0 = _parse_config(p, args.config)
-    except ProtocolError as exc:
+        if args.trials < 0:
+            raise ValueError("--trials must not be negative")
+        if not 0 <= args.seed < 2**64:
+            # trial t draws from a Philox generator keyed by (seed << 64) + t
+            raise ValueError(f"--seed: must lie in [0, 2**64), got {args.seed}")
+        if args.trials > 0 and c0.size < 2:
+            raise ValueError("configuration needs at least two agents")
+    except ValueError as exc:  # ProtocolError included
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.trials < 0:
-        print("error: --trials must not be negative", file=sys.stderr)
-        return 1
-    if not 0 <= args.seed < 2**64:
-        # trial t draws from a Philox generator keyed by (seed << 64) + t
-        print(
-            f"error: --seed: must lie in [0, 2**64), got {args.seed}", file=sys.stderr
-        )
-        return 1
-    if args.trials > 0 and c0.size < 2:
-        print("error: configuration needs at least two agents", file=sys.stderr)
         return 1
     print(f"protocol: {p.name}; configuration: {c0.counts}; seed: {args.seed}")
     print("trials,mean_interactions,stderr,consensus0,consensus1")
@@ -131,6 +126,9 @@ def cmd_simulate(args) -> int:
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except ValueError as exc:  # a size whose moves overflow int64
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         h0 = sum(1 for x in res.consensus if x == 0)
         h1 = sum(1 for x in res.consensus if x == 1)
         print(f"{res.trials},{res.mean:.4f},{res.stderr:.4f},{h0},{h1}")

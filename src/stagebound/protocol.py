@@ -30,11 +30,10 @@ def make_head(i: int, j: int) -> Head:
 
 @dataclass(frozen=True)
 class Transition:
-    """A rule lhs -> rhs over heads. `explicit` is False for materialized idles."""
+    """A rule lhs -> rhs over heads."""
 
     lhs: Head
     rhs: Head
-    explicit: bool = True
 
     @property
     def is_idle(self) -> bool:
@@ -78,12 +77,12 @@ class ProtocolError(ValueError):
 class PopulationProtocol:
     """Immutable protocol description with idle rules materialized.
 
-    `transitions` holds every rule: the explicit ones from the source plus
-    one implicit idle rule for each head that has no explicit rule.  The
-    number of rules sharing a head is the uniform-choice denominator in the
-    step semantics.  Both sides of each rule are sorted into heads before
-    equal rules are merged, so a swap such as A B -> B A is idle however
-    the protocol was built.
+    `transitions` holds every rule: the `explicit_count` explicit ones from
+    the source, in source order, then one implicit idle rule for each head
+    that has no explicit rule.  The number of rules sharing a head is the
+    uniform-choice denominator in the step semantics.  Both sides of each
+    rule are sorted into heads before equal rules are merged, so a swap
+    such as A B -> B A is idle however the protocol was built.
     """
 
     def __init__(
@@ -107,21 +106,21 @@ class PopulationProtocol:
         n = len(states)
         by_head: dict[Head, list[Transition]] = {}
         seen: set[tuple[Head, Head]] = set()
-        explicit: list[Transition] = []
+        all_rules: list[Transition] = []
         for lhs, rhs in explicit_rules:
             lhs, rhs = make_head(*lhs), make_head(*rhs)
             if (lhs, rhs) in seen:
                 continue
             seen.add((lhs, rhs))
-            t = Transition(lhs, rhs, explicit=True)
-            explicit.append(t)
+            t = Transition(lhs, rhs)
+            all_rules.append(t)
             by_head.setdefault(lhs, []).append(t)
-        all_rules = list(explicit)
+        self.explicit_count = len(all_rules)
         for i in range(n):
             for j in range(i, n):
                 head = (i, j)
                 if head not in by_head:
-                    idle = Transition(head, head, explicit=False)
+                    idle = Transition(head, head)
                     by_head[head] = [idle]
                     all_rules.append(idle)
         self.transitions: tuple[Transition, ...] = tuple(all_rules)
@@ -129,7 +128,6 @@ class PopulationProtocol:
             h: tuple(ts) for h, ts in by_head.items()
         }
         self.non_idle: tuple[Transition, ...] = tuple(t for t in all_rules if not t.is_idle)
-        self.explicit_count = len(explicit)
         # head set -> its implication graph, built on first use by
         # logic.implications
         self.graphs: dict = {}

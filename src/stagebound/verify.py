@@ -63,9 +63,9 @@ class ReachGraph:
 
     Node v is the configuration whose count vector is `counts[v]`; the
     Configurations themselves (`nodes`) are made on first use.
-    Transitions are integers: `succ[v]` lists v's successors u with weights
-    w, and P(v, u) = w / den[v]; a row's weights sum to its denominator.
-    `links[v]` is the same row without its weights.
+    Transitions are integers: `links[v]` lists v's successors u and
+    `weights[v]` their weights w, in the same order, and P(v, u) = w /
+    den[v]; a row's weights sum to its denominator.
 
     Formulas are evaluated on keys, not on nodes: a node's key is its count
     vector clipped at 2, which fixes every presence and singleton variable.
@@ -76,19 +76,19 @@ class ReachGraph:
 
     protocol: PopulationProtocol
     counts: list[tuple[int, ...]]
-    succ: list[list[tuple[int, int]]]
+    links: list[list[int]]
+    weights: list[list[int]]
     den: list[int]
     roots: list[int]
     keys: list[int]
     key_counts: list[tuple[int, ...]]
-    links: list[list[int]]
 
     def __post_init__(self) -> None:
         self._components: tuple[list[int], list[list[int]]] | None = None
 
     @property
     def size(self) -> int:
-        return len(self.succ)
+        return len(self.links)
 
     @cached_property
     def nodes(self) -> list[Configuration]:
@@ -269,14 +269,13 @@ def explore(
     (n^2 - n) * L, if anything, weighs its self-loop, placed after the
     negative deltas.  A node's counts are made once, when it is numbered,
     from its parent's and the row's change.  The graph keeps the counts,
-    the keys and the successor lists without weights, all filled as the
-    BFS goes."""
+    the keys, the successor lists and their weights, all filled as the BFS
+    goes."""
     if isinstance(roots, Configuration):
         roots = [roots]
     if any(c.size < 2 for c in roots):
         raise ValueError("configurations need at least two agents")
     base = max((c.size for c in roots), default=0) + 1
-    clip = (0, 1) + (2,) * (base - 2)
     kernel = StepKernel(p, base)
     change, big = kernel.change, p.moves.lcm
     ids: dict[int, int] = {}
@@ -298,27 +297,27 @@ def explore(
     key_ids: dict[tuple[int, ...], int] = {}
     key_rows: list[tuple[list[Row], int]] = []
     keys: list[int] = []
-    succ: list[list[tuple[int, int]]] = []
     links: list[list[int]] = []
+    weights: list[list[int]] = []
     # nodes are numbered as they are queued, so the BFS visits them by number
     for v, code in enumerate(order):
         if deadline is not None and not v & 255:
             in_time(deadline)
         c = counts[v]
-        key = tuple(map(clip.__getitem__, c))
+        key = tuple([k if k < 2 else 2 for k in c])
         j = key_ids.get(key)
         if j is None:
             j = key_ids[key] = len(key_rows)
             rows = sorted(kernel.rows(key))
             key_rows.append((rows, bisect_left(rows, (0,))))
-        dv, outs, weights, last = den[v], [], [], None
+        dv, outs, ws, last = den[v], [], [], None
         # `at`, the key's negative rows less those merged below, is the self-loop's place
         rows, at = key_rows[j]
         # StepKernel.weights inlined: a call per node cost 10-20% on 2 vCPUs
         for d, a, b, e, k in rows:
             w = c[a] * (c[b] - e) * k
             if d == last:
-                weights[-1] += w
+                ws[-1] += w
                 at -= d < 0
                 continue
             last = d
@@ -333,15 +332,14 @@ def explore(
                 counts.append(tuple(map(add, c, change[d, a, b])))
                 den.append(dv)
             outs.append(u)
-            weights.append(w)
-        if stay := dv - sum(weights):
+            ws.append(w)
+        if stay := dv - sum(ws):
             outs.insert(at, ids[code])  # ids' int object, not a copy of v per node
-            weights.insert(at, stay)
+            ws.insert(at, stay)
         keys.append(j)
-        succ.append(list(zip(outs, weights)))
         links.append(outs)
-    del ids, order, key_rows
-    return ReachGraph(p, counts, succ, den, root_ids, keys, list(key_ids), links)
+        weights.append(ws)
+    return ReachGraph(p, counts, links, weights, den, root_ids, keys, list(key_ids))
 
 
 def stable_set(g: ReachGraph) -> set[int]:
@@ -419,7 +417,7 @@ def _exact_node(g: ReachGraph, v: int, expect: list) -> tuple[int, int]:
     denominators as it goes."""
     num, q = 0, 1
     den = diag = g.den[v]
-    for u, w in g.succ[v]:
+    for u, w in zip(g.links[v], g.weights[v]):
         if u == v:
             diag -= w
             continue
@@ -450,14 +448,14 @@ def _exact_block(g: ReachGraph, todo: list[int], expect: list) -> list[tuple[int
     0, whose leading principal minors (the Bareiss pivots) are all
     positive."""
     pos = {v: i for i, v in enumerate(todo)}
-    q = lcm(*[expect[u][1] for v in todo for u, _ in g.succ[v] if u not in pos])
+    q = lcm(*[expect[u][1] for v in todo for u in g.links[v] if u not in pos])
     mat = []
     for v in todo:
         row = [0] * (len(todo) + 1)
         d = g.den[v]
         row[pos[v]] = d
         b = d * q
-        for u, w in g.succ[v]:
+        for u, w in zip(g.links[v], g.weights[v]):
             i = pos.get(u)
             if i is not None:
                 row[i] -= w
@@ -853,9 +851,13 @@ def simulate(
     the lowest failing trial's.  Trial t draws from Philox keyed by (seed
     << 64) + t.  The unfinished runs of a block of `_BLOCK` trials step
     together on numpy arrays (`PhiloxStreams`, `_Moves`); the logs are
-    numpy's, but floors and step-cap tests are `math.log`'s (`_gaps`)."""
+    numpy's, but floors and step-cap tests are `math.log`'s (`_gaps`).  A
+    size at which `_BLOCK` nodes could weigh `_SPAN` = 2**63, past int64,
+    raises ValueError before anything is explored (n ~ 1.9e8 at L = 1)."""
     if c0.size < 2:
         raise ValueError("simulation needs at least two agents")
+    if _BLOCK * (c0.size**2 - c0.size) * p.moves.lcm >= _SPAN:
+        raise ValueError(f"{c0.size} agents are too many to simulate: move weights overflow int64")
     base, width = c0.size + 1, len(c0.counts)
     space = explore(p, c0, cap=10_000_000)
     stop = {encode(space.counts[i], base) for i in stable_set(space)}

@@ -6,9 +6,9 @@ the chain with the target cut off and the nodes outside the almost-sure
 region dropped.  Also the graph kernels as they were before their per-key
 rows and per-frame iterators: the exploration with one `coded_weights`
 dict per node, and Tarjan's algorithm re-scanning each frame's successors
-from a saved position.  Two helpers of the tests: `make_reach_graph`
-builds a graph over given rows, and `roots_reach_almost_surely` asks one
-almost-sure question of its roots.
+from a saved position.  Three helpers of the tests: `make_reach_graph`
+builds a graph over given rows, `edge_rows` reads a graph's rows back, and
+`roots_reach_almost_surely` asks one almost-sure question of its roots.
 """
 
 from __future__ import annotations
@@ -23,14 +23,24 @@ from stagebound.stagegraph import scc_condensation
 from step_reference import coded, coded_weights
 
 
-def make_reach_graph(p, counts, succ, den, roots):
-    """The ReachGraph over the given nodes and rows, with its keys (count
-    vectors clipped at 2, numbered as first met), key counts and links
-    derived as `V.explore` fills them."""
+def make_reach_graph(p, counts, rows, den, roots):
+    """The ReachGraph over the given nodes and rows of (successor, weight)
+    pairs, split into links and weights, with its keys (count vectors
+    clipped at 2, numbered as first met) and key counts derived as
+    `V.explore` fills them."""
     ids = {}
     keys = [ids.setdefault(tuple(min(k, 2) for k in c), len(ids)) for c in counts]
-    links = [[u for u, _ in outs] for outs in succ]
-    return V.ReachGraph(p, counts, succ, den, roots, keys, list(ids), links)
+    links = [[u for u, _ in outs] for outs in rows]
+    weights = [[w for _, w in outs] for outs in rows]
+    return V.ReachGraph(p, counts, links, weights, den, roots, keys, list(ids))
+
+
+def edge_rows(g):
+    """Every node's row of (successor, weight) pairs, its links and weights
+    zipped; the two lists of a row must have one length."""
+    assert len(g.links) == len(g.weights)
+    assert all(len(outs) == len(ws) for outs, ws in zip(g.links, g.weights))
+    return [list(zip(outs, ws)) for outs, ws in zip(g.links, g.weights)]
 
 
 def roots_reach_almost_surely(g, target):
@@ -73,7 +83,7 @@ def reference_explore(p, roots, cap=200_000):
     key_heads = []
     counts = []
     den = []
-    succ = []
+    rows = []
     for code in order:
         c = decode(code, base, width)
         key = tuple(map(clip.__getitem__, c))
@@ -94,8 +104,8 @@ def reference_explore(p, roots, cap=200_000):
             outs.append((u, w))
         counts.append(c)
         den.append(dens[n])
-        succ.append(outs)
-    return make_reach_graph(p, counts, succ, den, root_ids)
+        rows.append(outs)
+    return make_reach_graph(p, counts, rows, den, root_ids)
 
 
 def reference_scc_condensation(succ):
@@ -155,8 +165,8 @@ def reference_backward_reach(g, seed, blocked=frozenset()):
     """Nodes that can reach the seed set (seed included) through nodes
     outside `blocked`; a blocked node is never added."""
     pred = [[] for _ in g.nodes]
-    for v, outs in enumerate(g.succ):
-        for u, _ in outs:
+    for v, outs in enumerate(g.links):
+        for u in outs:
             pred[u].append(v)
     seen = set(seed)
     work = deque(seed)
@@ -208,10 +218,7 @@ def reference_expected_steps_plain(g, target):
     expect = [None] * g.size
     for v in tgt:
         expect[v] = (0, 1)
-    plain = [
-        [] if v in tgt or v not in good else [u for u, _ in outs]
-        for v, outs in enumerate(g.succ)
-    ]
+    plain = [[] if v in tgt or v not in good else outs for v, outs in enumerate(g.links)]
     for group in scc_condensation(plain)[1]:
         todo = [v for v in group if v in good and v not in tgt]
         if not todo:

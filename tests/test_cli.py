@@ -305,6 +305,17 @@ def test_simulate_bad_config_exits_with_one_error_line(capsys, spec, fragment):
     assert err.count("\n") == 1
 
 
+def test_simulate_size_past_int64_exits_with_one_error_line(capsys):
+    # refused before exploring: the move weights of a block would overflow int64
+    code, out, err = run(
+        capsys, "simulate", str(PP / "majority-ex2.pp"), "--config", "A=99999999999999999999,B=1"
+    )
+    assert code == 1
+    assert err == "error: 100000000000000000000 agents are too many to simulate: " \
+        "move weights overflow int64\n"
+    assert out.splitlines()[-1] == "trials,mean_interactions,stderr,consensus0,consensus1"
+
+
 def test_simulate_negative_trials(capsys):
     code, out, err = run(
         capsys,

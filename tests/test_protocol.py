@@ -19,6 +19,7 @@ from stagebound import (
 from stagebound import verify as V
 from stagebound.corpus import majority_four_state, majority_five_state
 from stagebound.protocol import PopulationProtocol, StepKernel, decode, encode
+from oracle_reference import edge_rows
 from step_reference import coded, coded_weights, enabled, fire, transition_probability
 
 EX1 = majority_four_state()
@@ -47,7 +48,7 @@ def test_parse_example1_shape():
     non_idle = [t for t in p.transitions if not t.is_idle]
     assert len(non_idle) == 4
     # 10 heads in total over 4 states; 6 have no explicit rule
-    implicit = [t for t in p.transitions if not t.explicit]
+    implicit = p.transitions[p.explicit_count:]
     assert len(implicit) == 6
     assert all(t.is_idle for t in implicit)
     assert p.output(p.state_index("B")) == 1
@@ -69,8 +70,8 @@ def test_parse_symmetric_normalization():
         "protocol t\nstates: A B C D\ninputs: x -> A\noutput1: A\n"
         "transitions:\n  B A -> D C\n"
     )
-    ta = [t for t in a.transitions if t.explicit][0]
-    tb = [t for t in b.transitions if t.explicit][0]
+    ta = a.transitions[0]
+    tb = b.transitions[0]
     assert (ta.lhs, ta.rhs) == (tb.lhs, tb.rhs)
 
 
@@ -79,7 +80,7 @@ def test_parse_swap_rule_is_idle():
         "protocol t\nstates: A B\ninputs: x -> A\noutput1: A\n"
         "transitions:\n  A B -> B A\n"
     )
-    t = [t for t in p.transitions if t.explicit][0]
+    t = p.transitions[0]
     assert t.is_idle
 
 
@@ -267,7 +268,7 @@ def test_probability_uniform_among_shared_head():
     )
     p = parse_protocol(src)
     c = cfg(p, A=1, B=1)
-    rules = [t for t in p.transitions if t.explicit]
+    rules = p.transitions[: p.explicit_count]
     probs = {transition_probability(p, c, t) for t in rules}
     assert probs == {Fraction(1, 2)}
 
@@ -482,10 +483,10 @@ def assert_same_exploration(p, roots):
     got = V.explore(p, roots)
     want = reference_explore(p, roots)
     assert got.nodes == want.nodes
-    assert all(type(w) is int for outs in got.succ for _, w in outs)
+    assert all(type(w) is int for ws in got.weights for w in ws)
     assert got.den == [(c.size**2 - c.size) * p.moves.lcm for c in got.nodes]
     assert [
-        [(u, Fraction(w, d)) for u, w in outs] for outs, d in zip(got.succ, got.den)
+        [(u, Fraction(w, d)) for u, w in outs] for outs, d in zip(edge_rows(got), got.den)
     ] == want.succ
     assert got.roots == want.roots
     return got
@@ -521,7 +522,7 @@ def test_explore_matches_reference_generated(data):
 
 def test_explore_empty_roots():
     g = V.explore(parse_protocol(EX2), [])
-    assert (g.nodes, g.succ, g.den, g.roots) == ([], [], [], [])
+    assert (g.nodes, g.links, g.weights, g.den, g.roots) == ([], [], [], [], [])
 
 
 def test_explore_sizes_share_one_base(corpus):

@@ -27,6 +27,7 @@ from stagebound.protocol import PopulationProtocol, StepKernel, decode, encode
 from stagebound.stagegraph import Stage, StageGraph, scc_condensation
 from stagebound import verify as V
 from oracle_reference import (
+    edge_rows,
     make_reach_graph,
     reference_almost_sure_reach,
     reference_backward_reach,
@@ -78,7 +79,17 @@ def test_explore_idle_only_self_loop():
     g = V.explore(p, cfg(p, A=1, B=1))
     assert g.size == 1
     # two ordered pairs out of n^2 - n = 2, both idle
-    assert (g.succ, g.den) == ([[(0, 2)]], [2])
+    assert (edge_rows(g), g.den) == ([[(0, 2)]], [2])
+
+
+def test_explore_at_a_huge_size_makes_one_node():
+    # no agent is t, so no interaction changes anything: one node whose
+    # self-loop weighs all (n^2 - n) * L, with nothing allocated per agent
+    p = parse_protocol(broadcast())
+    n = 10**20
+    g = V.explore(p, cfg(p, f=n))
+    assert (g.counts, g.keys, g.key_counts) == ([(0, n)], [0], [(0, 2)])
+    assert (edge_rows(g), g.den) == ([[(0, n * n - n)]], [n * n - n])
 
 
 def test_explore_node_count_bound():
@@ -95,10 +106,18 @@ def test_explore_rows_sum_to_their_denominators(corpus):
     for entry in corpus:
         p = entry.protocol()
         g = V.explore(p, [c for n in (2, 5) for c in V.initial_configurations(p, n)])
-        for c, outs, den in zip(g.nodes, g.succ, g.den):
-            assert den == (c.size**2 - c.size) * p.moves.lcm
-            assert all(w > 0 for _, w in outs)
-            assert sum(w for _, w in outs) == den
+        assert_rows_well_formed(p, g)
+
+
+def assert_rows_well_formed(p, g):
+    """Every row of an explored graph has as many weights as links, each a
+    positive int, and they sum to its denominator (n^2 - n) * L."""
+    assert len(g.links) == len(g.weights) == len(g.den) == g.size
+    for c, outs, ws, den in zip(g.nodes, g.links, g.weights, g.den):
+        assert den == (c.size**2 - c.size) * p.moves.lcm
+        assert len(outs) == len(ws)
+        assert all(type(w) is int and w > 0 for w in ws)
+        assert sum(ws) == den
 
 
 def test_explore_cap():
@@ -176,9 +195,11 @@ def assert_explore_matches_reference(p, roots):
     """explore builds the graph of `reference_explore`, field by field."""
     got = V.explore(p, roots)
     want = reference_explore(p, roots)
-    for name in ("counts", "succ", "den", "links", "keys", "key_counts", "roots"):
+    for name in ("counts", "links", "weights", "den", "keys", "key_counts", "roots"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.nodes == want.nodes
+    assert edge_rows(got) == edge_rows(want)
+    assert_rows_well_formed(p, got)
     return got
 
 
@@ -191,10 +212,11 @@ def assert_keys_and_rows(p, g):
     heads = coded(p, base)
     assert list(dict.fromkeys(g.keys)) == list(range(len(g.key_counts)))
     codes = [encode(c.counts, base) for c in g.nodes]
+    rows = edge_rows(g)
     for v, c in enumerate(g.nodes):
         assert g.key_counts[g.keys[v]] == tuple(min(k, 2) for k in c.counts)
         want = sorted(coded_weights(heads, c.counts, codes[v]).items())
-        assert [(codes[u], w) for u, w in g.succ[v]] == want
+        assert [(codes[u], w) for u, w in rows[v]] == want
 
 
 def test_explore_keys_and_rows_on_corpus(corpus):
@@ -237,12 +259,13 @@ def test_explore_merges_rules_with_one_successor():
     # of the 6 ordered pairs of A=1 B=1 D=1, 2 + 2 turn B into C and the
     # 2 on A D are idle
     i = g.counts.index(cfg(p, A=1, C=1, D=1).counts)
-    assert g.succ[0] == [(i, 4), (0, 2)]
-    assert g.succ[i] == [(i, 6)]
+    rows = edge_rows(g)
+    assert rows[0] == [(i, 4), (0, 2)]
+    assert rows[i] == [(i, 6)]
     # of the 20 of A=2 B=2 D=1, 8 + 4 turn B into C, and the 2 on A A,
     # the 2 on B B and the 4 on A D are idle
     j = g.counts.index(cfg(p, A=2, B=1, C=1, D=1).counts)
-    assert g.succ[1] == [(j, 12), (1, 8)]
+    assert rows[1] == [(j, 12), (1, 8)]
 
 
 # The kernel holds only productive rows, and explore and step_distribution
@@ -266,13 +289,14 @@ def test_complement_with_an_explicit_idle_rule_beside_a_productive_one():
         "protocol t\nstates: A B C\ninputs: x -> A, y -> B\noutput1: C\n"
         "transitions:\n  A B -> A B\n  A B -> C C\n"
     )
-    assert [t.explicit for t in p.rules_by_head[(0, 1)]] == [True, True]
+    assert p.rules_by_head[(0, 1)] == p.transitions[: p.explicit_count]
     g = assert_complement_matches_references(
         p, [cfg(p, A=1, B=1), cfg(p, A=2, B=2), cfg(p, A=1, B=3, C=1)]
     )
     i = g.counts.index((0, 0, 2))
-    assert g.succ[0] == [(i, 2), (0, 2)]
-    assert g.succ[i] == [(i, 4)]
+    rows = edge_rows(g)
+    assert rows[0] == [(i, 2), (0, 2)]
+    assert rows[i] == [(i, 4)]
 
 
 def test_complement_of_a_swap():
@@ -280,11 +304,11 @@ def test_complement_of_a_swap():
     swap = "protocol t\nstates: A B\ninputs: x -> A, y -> B\noutput1: A\ntransitions:\n"
     alone = parse_protocol(swap + "  A B -> B A\n")
     g = assert_complement_matches_references(alone, [cfg(alone, A=1, B=1), cfg(alone, A=2, B=3)])
-    assert g.succ == [[(0, 2)], [(1, 20)]]
+    assert edge_rows(g) == [[(0, 2)], [(1, 20)]]
     assert StepKernel(alone, 6).heads == [[], []]
     beside = parse_protocol(swap + "  A B -> B A\n  A A -> B B\n")
     g = assert_complement_matches_references(beside, V.initial_configurations(beside, 5))
-    assert all(len(outs) <= 2 for outs in g.succ)
+    assert all(len(outs) <= 2 for outs in edge_rows(g))
 
 
 def test_complement_is_absent_when_every_head_is_productive():
@@ -295,7 +319,7 @@ def test_complement_is_absent_when_every_head_is_productive():
     roots = [c for n in range(2, 7) for c in V.initial_configurations(p, n)]
     g = assert_complement_matches_references(p, roots)
     assert g.size > 10
-    assert not any(u == v for v in range(g.size) for u, _ in g.succ[v])
+    assert not any(v in outs for v, outs in enumerate(g.links))
 
 
 def test_complement_sits_between_negative_and_positive_deltas():
@@ -307,7 +331,7 @@ def test_complement_sits_between_negative_and_positive_deltas():
     )
     g = assert_complement_matches_references(p, cfg(p, A=1, B=1))
     assert g.counts == [(1, 1, 0), (0, 2, 0), (2, 0, 0)]
-    assert g.succ == [[(1, 2), (0, 2), (2, 2)], [(1, 6)], [(2, 6)]]
+    assert edge_rows(g) == [[(1, 2), (0, 2), (2, 2)], [(1, 6)], [(2, 6)]]
     assert g.links == [[1, 0, 2], [1], [2]]
 
 
@@ -598,7 +622,7 @@ def test_stable_set_example1():
     assert cfg(P1, a=1, b=2).counts not in stable_cfgs
     # stability is forward closed
     for i in st:
-        for j, _ in g.succ[i]:
+        for j in g.links[i]:
             assert j in st
 
 
@@ -704,16 +728,14 @@ def reference_expected_steps_all(g, target):
         raise ValueError("target not almost surely reachable; expectation diverges")
     zero, one = Fraction(0), Fraction(1)
     n = g.size
+    rows = edge_rows(g)
     expect = [None] * n
     for v in tgt:
         expect[v] = zero
     for v in range(n):
         if v not in good and v not in tgt:
             expect[v] = zero  # outside the almost-sure region; never read
-    plain = [
-        [] if v in tgt or v not in good else [u for u, _ in outs]
-        for v, outs in enumerate(g.succ)
-    ]
+    plain = [[] if v in tgt or v not in good else outs for v, outs in enumerate(g.links)]
     _, members = scc_condensation(plain)
     # members[] is produced in reverse topological order already
     for group in members:
@@ -728,7 +750,7 @@ def reference_expected_steps_all(g, target):
         for v in todo:
             i = pos[v]
             mat[i][i] = one
-            for u, w in g.succ[v]:
+            for u, w in rows[v]:
                 prob = Fraction(w, g.den[v])
                 if u in pos:
                     mat[i][pos[u]] -= prob
@@ -836,8 +858,8 @@ def test_expected_steps_match_plain_reference_on_split_components(corpus):
                 target = g.sat(literal(v)) | stable
                 split += any(
                     comp[u] == comp[v] and (u in target) != (v in target)
-                    for v, outs in enumerate(g.succ)
-                    for u, _ in outs
+                    for v, outs in enumerate(g.links)
+                    for u in outs
                 )
                 assert V.expected_steps_all(g, target) == reference_expected_steps_plain(g, target)
     assert split > 20
@@ -1375,13 +1397,29 @@ def test_simulate_spans_blocks(corpus):
 
 
 def test_simulate_rebuilds_moves_when_offsets_run_out(shared_heads, monkeypatch):
-    # offsets bounded by three rows' weight: the moves of every node are
-    # dropped and rebuilt several times in one call, and the runs are the same
+    # blocks of 3 runs and offsets bounded by four rows' weight: the moves
+    # of every node are dropped and rebuilt several times in one call, and
+    # the runs are the same
     p = shared_heads
     c0 = cfg(p, A=5, B=4)
     want = reference_simulate(p, c0, 30, 3)
-    monkeypatch.setattr(V, "_SPAN", 3 * 9 * 8 * p.moves.lcm)
+    monkeypatch.setattr(V, "_BLOCK", 3)
+    monkeypatch.setattr(V, "_SPAN", 4 * 9 * 8 * p.moves.lcm)
     assert V.simulate(p, c0, 30, 3) == want
+
+
+def test_simulate_refuses_sizes_whose_moves_overflow(monkeypatch):
+    # a block of _BLOCK nodes, each of weight up to (n^2 - n) L, must stay
+    # below _SPAN = 2**63; the size is refused before anything is explored
+    p = parse_protocol(broadcast())
+    with pytest.raises(ValueError, match="too many to simulate"):
+        V.simulate(p, cfg(p, t=1, f=10**20), trials=1, seed=0)
+    c0 = cfg(p, t=1, f=9)
+    monkeypatch.setattr(V, "_SPAN", V._BLOCK * 90 * p.moves.lcm)
+    with pytest.raises(ValueError, match="10 agents are too many"):
+        V.simulate(p, c0, trials=1, seed=0)
+    monkeypatch.setattr(V, "_SPAN", V._SPAN + 1)
+    assert V.simulate(p, c0, trials=1, seed=0).consensus == (1,)
 
 
 def test_simulate_step_cap_raises_at_the_same_trial(corpus):
