@@ -114,9 +114,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:  # ProtocolError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"protocol: {p.name}; configuration: {c0.counts}; seed: {args.seed}")
-    print("trials,mean_interactions,stderr,consensus0,consensus1")
-    rows = []
+    res = None
     if args.trials > 0:
         try:
             res = verify_mod.simulate(p, c0, args.trials, args.seed)
@@ -129,6 +127,11 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:  # a size whose moves overflow int64
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    # printed only now, so that a failed run leaves stdout empty
+    print(f"protocol: {p.name}; configuration: {c0.counts}; seed: {args.seed}")
+    print("trials,mean_interactions,stderr,consensus0,consensus1")
+    rows = []
+    if res is not None:
         h0 = sum(1 for x in res.consensus if x == 0)
         h1 = sum(1 for x in res.consensus if x == 1)
         print(f"{res.trials},{res.mean:.4f},{res.stderr:.4f},{h0},{h1}")

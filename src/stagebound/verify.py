@@ -19,7 +19,7 @@ one transposition (`ReachGraph.node_bits`).
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -364,148 +364,148 @@ def stable_set(g: ReachGraph) -> set[int]:
 def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
     """First-hitting expectations for every node; the target is absorbing.
 
-    The system E[v] = 1 + sum_u P(v,u) E[u] is solved per strongly connected
-    component of the almost-sure region, in reverse topological order,
-    exactly in integers: each solved node is kept as a reduced pair
-    (numerator, denominator), a one-node block directly and a larger one by
-    `_exact_block`, and one Fraction per node is made at the end.  The
-    expectation of a node from which the target is not almost surely
-    reached diverges: such a node gets None, and a root among them is an
-    error.
-
-    The region and the blocks come from the chain's condensation.  A
-    component without target nodes lies wholly inside or outside the
-    region and is a block of its own; only a component that the target
-    splits, which a forward-closed target such as the stable set never
-    does, is condensed again, without its target nodes."""
-    mark = [0] * g.size
-    for v in target:
-        mark[v] = 1
-    good = g.almost_sure_reach(mark, 1)
-    if not all(good[r] for r in g.roots):
-        raise ValueError("target not almost surely reachable; expectation diverges")
+    E[v] = 1 + sum_u P(v,u) E[u] is solved exactly in one pass over the
+    chain's condensation, sinks first.  A component is a block unless the
+    target splits it (a forward-closed target such as the stable set never
+    does); then it is condensed again without its target nodes.  The pass
+    decides the almost-sure region as it goes: a block is in it iff some
+    edge leaves it and every edge that does reaches a target or a solved
+    node, so that its runs leave it almost surely.  A node outside the
+    region gets None, its expectation diverging; a root among them is an
+    error.  A one-node block is one division, a larger one is solved by
+    `_solve_block`, and each solved node becomes a Fraction at once, whose
+    reduced numerator and denominator its predecessors read."""
+    links, weights, dens = g.links, g.weights, g.den
     expect: list = [None] * g.size
+    pair: list = [None] * g.size  # expect[v] as (numerator, denominator)
+    zero = Fraction(0)
     for v in target:
-        expect[v] = (0, 1)
-    links = g.links
-    # members[] is produced in reverse topological order already, so every
-    # successor outside a block is solved before the block
-    for group in g.condensation()[1]:
-        todo = [v for v in group if good[v] and not mark[v]]
-        if len(todo) == len(group):
+        expect[v], pair[v] = zero, (0, 1)
+    slot = [-1] * g.size  # a node's place in the block being solved, else -1
+    for group in g.condensation()[1]:  # sinks first
+        if len(group) == 1:
+            blocks = () if pair[group[0]] else (group,)
+        elif len(todo := [v for v in group if pair[v] is None]) == len(group):
             blocks = [todo]
-        elif todo:
-            pos = {v: i for i, v in enumerate(todo)}
-            inner = [[pos[u] for u in links[v] if u in pos] for v in todo]
+        else:  # the target splits the group, or holds all of it
+            for i, v in enumerate(todo):
+                slot[v] = i
+            inner = [[slot[u] for u in links[v] if slot[u] >= 0] for v in todo]
+            for v in todo:
+                slot[v] = -1
             blocks = [[todo[i] for i in block] for block in scc_condensation(inner)[1]]
-        else:
-            continue
         for block in blocks:
-            if len(block) == 1:
-                solved = [_exact_node(g, block[0], expect)]
+            if len(block) > 1:
+                solved = _solve_block(g, block, pair, slot)
             else:
-                solved = _exact_block(g, block, expect)
+                # (den[v] - s) E[v] = den[v] + sum w E[u], s the self-loop's weight
+                v = block[0]
+                num, q = 0, 1
+                den = diag = dens[v]
+                for u, w in zip(links[v], weights[v]):
+                    if u == v:
+                        diag -= w
+                    elif (e := pair[u]) is None:
+                        diag = 0  # v diverges with u
+                        break
+                    elif e[1] == q:
+                        num += w * e[0]
+                    elif e[0]:
+                        num = num * e[1] + w * e[0] * q
+                        q *= e[1]
+                # a row's weights sum to den[v]: diag > 0 iff some edge leaves v
+                solved = [Fraction(num + den * q, q * diag)] if diag > 0 else ()
             for v, e in zip(block, solved):
-                expect[v] = e
-    return [None if e is None else Fraction(*e) for e in expect]
+                expect[v], pair[v] = e, e.as_integer_ratio()
+    if not all(pair[r] is not None for r in g.roots):
+        raise ValueError("target not almost surely reachable; expectation diverges")
+    return expect
 
 
-def _exact_node(g: ReachGraph, v: int, expect: list) -> tuple[int, int]:
-    """The expectation of a one-node block v as a reduced pair: with s the
-    weight of v's self-loop, (den[v] - s) E[v] = den[v] + sum w E[u] over
-    the other successors u, whose sum is brought over the lcm q of their
-    denominators as it goes."""
-    num, q = 0, 1
-    den = diag = g.den[v]
-    for u, w in zip(g.links[v], g.weights[v]):
-        if u == v:
-            diag -= w
-            continue
-        x, y = expect[u]
-        if x:
-            if q % y:
-                m = lcm(q, y)
-                num *= m // q
-                q = m
-            num += w * x * (q // y)
-    num += den * q
-    q *= diag
-    d = gcd(num, q)
-    return num // d, q // d
+def _solve_block(g: ReachGraph, block: list[int], pair: list, slot: list[int]) -> list:
+    """The expectations of a block of several nodes, or none outside the
+    almost-sure region.  Row i (node v = block[i]) holds den[v] on the
+    diagonal less v's weights into the block, and den[v] + sum w E[u] over
+    v's successors u outside it, brought over the lcm q of their denominators."""
+    links, weights, dens = g.links, g.weights, g.den
+    for i, v in enumerate(block):
+        slot[v] = i
+    rows, rhs = [], []
+    out = [pair[u] for v in block for u in links[v] if slot[u] < 0]
+    if out and None not in out:  # some edge leaves the block, and none diverges
+        scale = dict.fromkeys([y for _, y in out])  # q // y per distinct y
+        q = lcm(*scale)
+        for y in scale:
+            scale[y] = q // y
+        for i, v in enumerate(block):
+            d = dens[v]
+            row = {i: d}
+            b = d * q
+            for u, w in zip(links[v], weights[v]):
+                j = slot[u]
+                if j < 0:
+                    x, y = pair[u]
+                    b += w * x * scale[y]
+                else:
+                    row[j] = d - w if j == i else -w
+            rows.append(row)
+            rhs.append(b)
+    for v in block:
+        slot[v] = -1
+    return _solve_sparse(rows, rhs, q) if rows else []
 
 
-def _exact_block(g: ReachGraph, todo: list[int], expect: list) -> list[tuple[int, int]]:
-    """The expectations of one block, solved fraction-free, as reduced
-    pairs.
-
-    Row v holds den[v] on the diagonal less v's weights into the block; its
-    right-hand side den[v] + sum w E[u] over the solved successors u
-    outside the block is brought over the lcm q of their denominators.  The
-    integer system is eliminated by Bareiss (every division is exact) and
-    back-substituted in integers, which gives X with E = X / (det q).  No
-    pivoting is needed: the block is den (I - Q) for a chain that leaves it
-    almost surely, a nonsingular M-matrix with its rows scaled by den[v] >
-    0, whose leading principal minors (the Bareiss pivots) are all
-    positive."""
-    pos = {v: i for i, v in enumerate(todo)}
-    q = lcm(*[expect[u][1] for v in todo for u in g.links[v] if u not in pos])
-    mat = []
-    for v in todo:
-        row = [0] * (len(todo) + 1)
-        d = g.den[v]
-        row[pos[v]] = d
-        b = d * q
-        for u, w in zip(g.links[v], g.weights[v]):
-            i = pos.get(u)
-            if i is not None:
-                row[i] -= w
-            else:
-                x, y = expect[u]
-                b += w * x * (q // y)
-        row[-1] = b
-        mat.append(row)
-    xs, det = _bareiss(mat)
-    out = []
-    for x in xs:
-        d = gcd(x, det * q)
-        out.append((x // d, det * q // d))
-    return out
-
-
-def _bareiss(mat: list[list[int]]) -> tuple[list[int], int]:
-    """Solve the integer system whose rows are `mat`, the right-hand side in
-    the last column, by Bareiss's fraction-free elimination without
-    pivoting (Math. Comp. 22, 1968) and integer back-substitution.
-
-    Returns (X, det) with det the determinant and X = det * x, an integer
-    vector by Cramer's rule.  A zero pivot raises ValueError."""
-    k = len(mat)
-    prev = 1
-    for c in range(k):
-        row = mat[c]
-        piv = row[c]
-        if piv == 0:
+def _solve_sparse(rows: list[dict[int, int]], rhs: list[int], q: int) -> list[Fraction]:
+    """The solution x of sum_j rows[i][j] x_j = rhs[i] / q, each row a dict
+    {column: nonzero entry}, eliminated fraction-free in order and in
+    place: row r is multiplied by the pivot of each column j < r that it
+    holds, in increasing j, less row j times its entry, which may fill in
+    columns after j.  A row updated once is then a minor, as in Bareiss's
+    method (on a tridiagonal system the pivots are the leading principal
+    minors); one updated more often is divided by its content, which keeps
+    it no larger.  The pivots leave the rows, and q x is back-substituted
+    in reduced integer pairs.  A zero pivot raises ValueError; a block that
+    leaves almost surely has none, den (I - Q) being a nonsingular M-matrix."""
+    pivots = []
+    for r, row in enumerate(rows):
+        low = sorted([j for j in row if j < r])
+        if low:
+            b, updates = rhs[r], 0
+            for j in low:  # a fill-in column k < r is inserted after j
+                f = row.pop(j)
+                if not f:
+                    continue
+                p = pivots[j]
+                for k in row:
+                    row[k] *= p
+                b = p * b - f * rhs[j]
+                updates += 1
+                for k, a in rows[j].items():
+                    if k in row:
+                        row[k] -= f * a
+                    else:
+                        row[k] = -f * a
+                        if k < r:
+                            insort(low, k)
+            if updates > 1 and (m := gcd(b, *row.values())) > 1:
+                for k in row:
+                    row[k] //= m
+                b //= m
+            rhs[r] = b
+        pivots.append(row.pop(r, 0))
+        if not pivots[r]:
             raise ValueError("singular hitting-time system")
-        for r in range(c + 1, k):
-            other = mat[r]
-            f = other[c]
-            if f:
-                other[c + 1:] = [
-                    (piv * a - f * b) // prev
-                    for a, b in zip(other[c + 1:], row[c + 1:])
-                ]
-            else:
-                other[c + 1:] = [piv * a // prev for a in other[c + 1:]]
-        prev = piv
-    det = prev
-    xs = [0] * k
-    for i in range(k - 1, -1, -1):
-        row = mat[i]
-        acc = det * row[k]
-        for j in range(i + 1, k):
-            acc -= row[j] * xs[j]
-        xs[i] = acc // row[i]
-    return xs, det
+    zs = [(0, 1)] * len(rows)
+    for r in range(len(rows) - 1, -1, -1):
+        num, d = rhs[r], 1
+        for c, a in rows[r].items():
+            x, y = zs[c]
+            num = num * y - a * x * d
+            d *= y
+        d *= pivots[r]
+        m = gcd(num, d)
+        zs[r] = (num // m, d // m)
+    return [Fraction(x, y * q) for x, y in zs]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ chain's condensation, kept as references for the batched passes: one
 node-by-node BFS per query over node sets, the stage denotation through
 its persist formula, and the hitting-time solve over the condensation of
 the chain with the target cut off and the nodes outside the almost-sure
-region dropped.  Also the graph kernels as they were before their per-key
-rows and per-frame iterators: the exploration with one `coded_weights`
-dict per node, and Tarjan's algorithm re-scanning each frame's successors
-from a saved position.  Three helpers of the tests: `make_reach_graph`
-builds a graph over given rows, `edge_rows` reads a graph's rows back, and
+region dropped, each block by Gauss-Jordan over Fractions.  Also the graph
+kernels as they were before their per-key rows and per-frame iterators:
+the exploration with one `coded_weights` dict per node, and Tarjan's
+algorithm re-scanning each frame's successors from a saved position.
+Three helpers of the tests: `make_reach_graph` builds a graph over given
+rows, `edge_rows` reads a graph's rows back, and
 `roots_reach_almost_surely` asks one almost-sure question of its roots.
 """
 
@@ -62,7 +63,6 @@ def reference_explore(p, roots, cap=200_000):
     width = len(p.states)
     base = max((c.size for c in roots), default=0) + 1
     heads = coded(p, base)
-    clip = (0, 1) + (2,) * (base - 2)
     # a head (a, b) has an agent pair under a key iff key[a] * key[b] >= m
     pairing = [(h, h[0], h[1], 4 if h[0] == h[1] else 1) for h in heads]
     big = p.moves.lcm
@@ -86,7 +86,7 @@ def reference_explore(p, roots, cap=200_000):
     rows = []
     for code in order:
         c = decode(code, base, width)
-        key = tuple(map(clip.__getitem__, c))
+        key = tuple(k if k < 2 else 2 for k in c)
         j = key_ids.get(key)
         if j is None:
             j = key_ids[key] = len(key_heads)
@@ -209,24 +209,51 @@ def reference_stage_denotation(g, stage):
 def reference_expected_steps_plain(g, target):
     """First-hitting expectations for every node, solved per strongly
     connected component of the plain graph in which target nodes and nodes
-    outside the almost-sure region have no successor; None where the target
-    is not reached almost surely."""
+    outside the almost-sure region have no successor, each block by
+    `reference_solve_dense` over Fractions; None where the target is not
+    reached almost surely."""
     tgt = set(target)
     good = reference_almost_sure_reach(g, tgt)
     if not all(r in good for r in g.roots):
         raise ValueError("target not almost surely reachable; expectation diverges")
     expect = [None] * g.size
     for v in tgt:
-        expect[v] = (0, 1)
+        expect[v] = Fraction(0)
     plain = [[] if v in tgt or v not in good else outs for v, outs in enumerate(g.links)]
     for group in scc_condensation(plain)[1]:
         todo = [v for v in group if v in good and v not in tgt]
-        if not todo:
-            continue
-        if len(todo) == 1:
-            solved = [V._exact_node(g, todo[0], expect)]
-        else:
-            solved = V._exact_block(g, todo, expect)
-        for v, e in zip(todo, solved):
+        pos = {v: i for i, v in enumerate(todo)}
+        # E[v] - sum_{u in block} P(v,u) E[u] = 1 + sum_{u solved} P(v,u) E[u]
+        mat = [[Fraction(int(i == j)) for j in range(len(todo))] for i in range(len(todo))]
+        rhs = [Fraction(1)] * len(todo)
+        for v in todo:
+            for u, w in zip(g.links[v], g.weights[v]):
+                prob = Fraction(w, g.den[v])
+                if u in pos:
+                    mat[pos[v]][pos[u]] -= prob
+                else:
+                    rhs[pos[v]] += prob * expect[u]
+        for v, e in zip(todo, reference_solve_dense(mat, rhs)):
             expect[v] = e
-    return [None if e is None else Fraction(*e) for e in expect]
+    return expect
+
+
+def reference_solve_dense(mat, rhs):
+    """Gauss-Jordan with magnitude pivoting over Fractions."""
+    k = len(mat)
+    for col in range(k):
+        piv = max(range(col, k), key=lambda r: abs(mat[r][col]))
+        if mat[piv][col] == 0:
+            raise ValueError("singular hitting-time system")
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        inv = 1 / mat[col][col]
+        mat[col] = [x * inv for x in mat[col]]
+        rhs[col] *= inv
+        for r in range(k):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+                rhs[r] -= f * rhs[col]
+    return rhs

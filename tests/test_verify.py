@@ -35,6 +35,7 @@ from oracle_reference import (
     reference_expected_steps_plain,
     reference_explore,
     reference_scc_condensation,
+    reference_solve_dense,
     reference_stage_denotation,
     roots_reach_almost_surely,
 )
@@ -90,6 +91,14 @@ def test_explore_at_a_huge_size_makes_one_node():
     g = V.explore(p, cfg(p, f=n))
     assert (g.counts, g.keys, g.key_counts) == ([(0, n)], [0], [(0, 2)])
     assert (edge_rows(g), g.den) == ([[(0, n * n - n)]], [n * n - n])
+
+
+def test_reference_explore_at_a_huge_size_matches_explore():
+    # the reference clips counts inline, as explore does, not through a
+    # table with an entry per agent count
+    p = parse_protocol(broadcast())
+    g = assert_explore_matches_reference(p, cfg(p, t=0, f=10**20))
+    assert g.size == 1
 
 
 def test_explore_node_count_bound():
@@ -704,11 +713,16 @@ def test_expected_steps_diverging_nodes_are_none():
     assert V.expected_steps_all(g, {1})[g.roots[0]] == 2
 
 
-def test_bareiss_solves_and_rejects_a_zero_pivot():
-    # 2x + y = 5, x + 3y = 10: det 5, x = 1, y = 3
-    assert V._bareiss([[2, 1, 5], [1, 3, 10]]) == ([5, 15], 5)
+def test_sparse_solve_solves_and_rejects_a_zero_pivot():
+    # 2x + y = 5, x + 3y = 10: det 5, x = 1, y = 3; eliminated, the second
+    # row is 5y = 15, its pivot the determinant, and it leaves the row
+    rows, rhs = [{0: 2, 1: 1}, {0: 1, 1: 3}], [5, 10]
+    assert V._solve_sparse(rows, rhs, 1) == [1, 3]
+    assert (rows, rhs) == ([{1: 1}, {}], [5, 15])
+    # the same system with its right-hand side over q = 4
+    assert V._solve_sparse([{0: 2, 1: 1}, {0: 1, 1: 3}], [20, 40], 4) == [1, 3]
     with pytest.raises(ValueError, match="singular"):
-        V._bareiss([[0, 1, 1], [1, 0, 1]])
+        V._solve_sparse([{1: 1}, {0: 1}], [1, 1], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -760,27 +774,6 @@ def reference_expected_steps_all(g, target):
         for v in todo:
             expect[v] = sol[pos[v]]
     return [e if e is not None else zero for e in expect]
-
-
-def reference_solve_dense(mat, rhs):
-    """Gauss-Jordan with magnitude pivoting over Fractions."""
-    k = len(mat)
-    for col in range(k):
-        piv = max(range(col, k), key=lambda r: abs(mat[r][col]))
-        if mat[piv][col] == 0:
-            raise ValueError("singular hitting-time system")
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        rhs[col] *= inv
-        for r in range(k):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-                rhs[r] -= f * rhs[col]
-    return rhs
 
 
 def assert_same_expectations(g, target):
@@ -863,6 +856,128 @@ def test_expected_steps_match_plain_reference_on_split_components(corpus):
                 )
                 assert V.expected_steps_all(g, target) == reference_expected_steps_plain(g, target)
     assert split > 20
+
+
+@st.composite
+def dense_chains(draw):
+    """A dense block: k = 2..12 nodes, each linked to every node of the
+    block, itself included, with weights 1..12, and to an absorbing node k
+    with weight 0..3 (no link at 0).  The target is a random set of the
+    k + 1 nodes, so it may split the block or leave it without a way out,
+    when a root diverges; node 0 is the only root."""
+    k = draw(st.integers(2, 12))
+    weights = st.integers(1, 12)
+    succ = []
+    for _ in range(k):
+        row = {u: draw(weights) for u in range(k)}
+        out = draw(st.integers(0, 3))
+        if out:
+            row[k] = out
+        total = sum(row.values())
+        succ.append([(u, Fraction(w, total)) for u, w in row.items()])
+    succ.append([(k, Fraction(1))])
+    return succ, draw(st.sets(st.integers(0, k), max_size=k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_chains())
+def test_expected_steps_match_reference_on_dense_blocks(case):
+    succ, target = case
+    assert_same_expectations(fraction_chain(succ), target)
+
+
+def test_expected_steps_dense_block_cases():
+    # one example each of what dense_chains draws: the whole block solved,
+    # a block split by its target, and a root that diverges
+    k = 12
+    succ = [
+        [(u, Fraction(1, k + 1)) for u in range(k)] + [(k, Fraction(1, k + 1))]
+        for _ in range(k)
+    ] + [[(k, Fraction(1))]]
+    g = fraction_chain(succ)
+    # every node leaves for k with probability 1/13 per step
+    assert assert_same_expectations(g, {k})[:k] == [Fraction(k + 1)] * k
+    comp = g.condensation()[0]
+    assert len({comp[v] for v in range(k)}) == 1
+    # the even nodes and k split the block: the six odd nodes left are one
+    # block, which a step leaves with probability 7/13
+    got = assert_same_expectations(g, {*range(0, k, 2), k})
+    assert [got[v] for v in range(1, k, 2)] == [Fraction(k + 1, 7)] * 6
+    # without k in the target, the odd nodes reach k, whence the target is
+    # never reached: they diverge, but the root 0 is in the target
+    got = assert_same_expectations(g, set(range(0, k, 2)))
+    assert got[0] == 0 and all(got[v] is None for v in [*range(1, k, 2), k])
+    # the block, closed once k is unreachable from it, diverges at node 0
+    succ = [[(u, Fraction(1, k)) for u in range(k)] for _ in range(k)] + [[(k, Fraction(1))]]
+    with pytest.raises(ValueError, match="diverges"):
+        V.expected_steps_all(fraction_chain(succ), {k})
+
+
+def determinant(mat):
+    """The determinant of an integer matrix, by elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return int(det)
+
+
+@st.composite
+def dominant_systems(draw):
+    """Integer systems of 1..9 rows, strictly diagonally dominant, so every
+    leading principal minor is nonzero, and dense or sparse by a drawn
+    chance of each entry; the off-diagonal entries have either sign."""
+    k = draw(st.integers(1, 9))
+    fill = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    mat = []
+    for i in range(k):
+        row = [
+            draw(st.integers(-9, 9)) if j != i and draw(st.floats(0, 1)) < fill else 0
+            for j in range(k)
+        ]
+        row[i] = sum(map(abs, row)) + draw(st.integers(1, 9))
+        mat.append(row)
+    return mat, draw(st.lists(st.integers(-99, 99), min_size=k, max_size=k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dominant_systems())
+def test_sparse_solve_keeps_rows_no_larger_than_bareiss(case):
+    # by Cramer's rule x_i = det(M with column i replaced by b) / det(M);
+    # and each eliminated row, with its right-hand side, is Bareiss's row r
+    # (the minors of rows 0..r on columns 0..r-1 and one more column)
+    # divided by a whole number, so no entry outgrows Bareiss's
+    mat, b = case
+    k = len(mat)
+    rows = [{j: a for j, a in enumerate(row) if a} for row in mat]
+    rhs = list(b)
+    det = determinant(mat)
+    want = [
+        Fraction(determinant([row[:i] + [y] + row[i + 1:] for row, y in zip(mat, b)]), det)
+        for i in range(k)
+    ]
+    assert V._solve_sparse(rows, rhs, 1) == want
+    aug = [row + [y] for row, y in zip(mat, b)]
+    for r in range(k):
+        ours = {**rows[r], k: rhs[r]}
+        assert all(c > r for c in rows[r])
+        ratios = set()
+        for c in [*range(r + 1, k), k]:
+            minor = determinant([[row[j] for j in [*range(r), c]] for row in aug[:r + 1]])
+            if ours.get(c, 0):
+                ratios.add(Fraction(minor, ours[c]))
+            else:
+                assert minor == 0
+        assert len(ratios) <= 1 and all(x.denominator == 1 for x in ratios)
 
 
 def test_expected_steps_hand_solved_block():
