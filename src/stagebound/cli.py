@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -34,10 +35,13 @@ def _read_protocol(path: str):
 
 def _write_output(path: str, chunks: Iterable[str]) -> None:
     """Write an output file from its chunks of text, each as it comes; an
-    unwritable path exits 1 with one line."""
+    unwritable path exits 1 with one line.  A pipe whose reader has gone is
+    left to `main`."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(1)
@@ -127,20 +131,23 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:  # a size whose moves overflow int64
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    # printed only now, so that a failed run leaves stdout empty
-    print(f"protocol: {p.name}; configuration: {c0.counts}; seed: {args.seed}")
-    print("trials,mean_interactions,stderr,consensus0,consensus1")
+    lines = [
+        f"protocol: {p.name}; configuration: {c0.counts}; seed: {args.seed}",
+        "trials,mean_interactions,stderr,consensus0,consensus1",
+    ]
     rows = []
     if res is not None:
         h0 = sum(1 for x in res.consensus if x == 0)
         h1 = sum(1 for x in res.consensus if x == 1)
-        print(f"{res.trials},{res.mean:.4f},{res.stderr:.4f},{h0},{h1}")
+        lines.append(f"{res.trials},{res.mean:.4f},{res.stderr:.4f},{h0},{h1}")
         rows = [
             f"{i},{s},{'' if c is None else c}\n"
             for i, (s, c) in enumerate(zip(res.steps, res.consensus))
         ]
     if args.csv:
         _write_output(args.csv, ["trial,interactions,consensus\n", *rows])
+    # printed only now, so that a failed run or an unwritable CSV leaves stdout empty
+    print("\n".join(lines))
     return 0
 
 
@@ -276,9 +283,17 @@ def main(argv: list[str] | None = None) -> int:
         for flag in ("max_stages", "timeout", "max_n"):
             if not getattr(args, flag, 0) >= 0:  # also rejects a NaN timeout
                 ap.error(f"--{flag.replace('_', '-')} must be a non-negative number")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
     except SystemExit as exc:  # --help, or an input error already reported
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # the reader of stdout has gone (as with `| head -1`): as Python's
+        # signal documentation advises, point stdout at devnull so that the
+        # flush at exit does not raise again, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

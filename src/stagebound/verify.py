@@ -23,8 +23,9 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, log, log1p
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .protocol import (
     PopulationProtocol,
     Row,
     StepKernel,
-    decode,
     encode,
     initial_configuration,
     step_distribution,  # noqa: F401  (perfbench/tracing.py wraps it here)
@@ -460,12 +460,13 @@ def _solve_sparse(rows: list[dict[int, int]], rhs: list[int], q: int) -> list[Fr
     {column: nonzero entry}, eliminated fraction-free in order and in
     place: row r is multiplied by the pivot of each column j < r that it
     holds, in increasing j, less row j times its entry, which may fill in
-    columns after j.  A row updated once is then a minor, as in Bareiss's
-    method (on a tridiagonal system the pivots are the leading principal
-    minors); one updated more often is divided by its content, which keeps
-    it no larger.  The pivots leave the rows, and q x is back-substituted
-    in reduced integer pairs.  A zero pivot raises ValueError; a block that
-    leaves almost surely has none, den (I - Q) being a nonsingular M-matrix."""
+    columns after j or cancel them.  A row updated once is then a minor, as
+    in Bareiss's method (on a tridiagonal system the pivots are the leading
+    principal minors); one updated more often, a cancelled column counting
+    as an update, is divided by its content, which keeps it no larger.  The
+    pivots leave the rows, and q x is back-substituted in reduced integer
+    pairs.  A zero pivot raises ValueError; a block that leaves almost
+    surely has none, den (I - Q) being a nonsingular M-matrix."""
     pivots = []
     for r, row in enumerate(rows):
         low = sorted([j for j in row if j < r])
@@ -473,13 +474,13 @@ def _solve_sparse(rows: list[dict[int, int]], rhs: list[int], q: int) -> list[Fr
             b, updates = rhs[r], 0
             for j in low:  # a fill-in column k < r is inserted after j
                 f = row.pop(j)
+                updates += 1  # a column that an update cancelled counts as one
                 if not f:
                     continue
                 p = pivots[j]
                 for k in row:
                     row[k] *= p
                 b = p * b - f * rhs[j]
-                updates += 1
                 for k, a in rows[j].items():
                     if k in row:
                         row[k] -= f * a
@@ -699,7 +700,8 @@ class SimResult:
 
 _BLOCK = 256  # trials advanced together
 _WORDS = 128  # Philox words fetched at a time per trial, a multiple of 4
-_SPAN = 2**63  # bound on the offsets of `_Moves`
+_SPAN = 2**63  # bound on the cumulative weights of `_Moves`
+_CHUNK = 2**14  # nodes whose moves `_Moves` builds together
 _NEAR = 1e-9  # relative distance from an integer at which `_gaps` takes math.log
 _LOW, _TOP, _U32 = np.uint64(0xFFFFFFFF), np.uint64(0x100000000), np.uint64(32)
 
@@ -790,52 +792,68 @@ def _gaps(u: np.ndarray, logq: np.ndarray) -> np.ndarray:
 
 
 class _Moves:
-    """The productive moves of the configurations that runs visit: their
-    `StepKernel` rows, in head then rule order.  Node v, a code (`encode`)
-    numbered below `size` when first met, has in `count` its number of
-    moves (-1 until built, -2 if stop), in `total` their weight W out of
-    `full` = (n^2 - n) L, in `offset` the weight built before and in `logq`
-    log1p(-W / full), or 0.  Per move, `succ` holds the successor and `key`
-    the cumulative weight plus the offset: it increases, so one search
-    finds the move of each r in [0, W) at r + offset."""
+    """The productive moves of every node of a closure, built at once from
+    its graph and stop set; nodes keep the graph's numbering.  Node v has in
+    `count` its number of moves (-2 if stop), in `total` their weight W out
+    of (n^2 - n) L, in `offset` the weight of the nodes before it and in
+    `logq` log1p(-W / ((n^2 - n) L)), or 0.  Its moves are its key's
+    `StepKernel` rows, in head then rule order; per move, `succ` holds the
+    successor and `key` the cumulative weight plus the offset, so one search
+    finds the move of each r in [0, W) at r + offset.  A row's successor is
+    read off `links`, sorted by code with the self-loop, if any, after the
+    negative deltas: its column is its delta's place among the key's
+    distinct deltas, plus one if the node has a self-loop (more links than
+    distinct deltas) and the delta is positive.  Moves that weigh `_SPAN` =
+    2**63 in all, past int64, raise ValueError."""
 
-    def __init__(self, p: PopulationProtocol, base: int, width: int, stop: set[int], start: int,
-                 size: int):
-        self.kernel, self.base, self.width, self.stop = StepKernel(p, base), base, width, stop
-        self.full, self.moves, self.span = (base - 1) * (base - 2) * p.moves.lcm, 0, 0
-        self.ids, self.codes = {start: 0}, [start]
-        self.count, self.total, self.offset = np.zeros((3, size), np.int64)
-        self.count[0], self.logq = -2 if start in stop else -1, np.zeros(size)
-        self.key, self.succ = np.zeros((2, 1), np.int64)
-
-    def build(self, nodes: np.ndarray) -> None:
-        """Build the unbuilt `nodes`' moves, all dropped first if offsets could pass `_SPAN`."""
-        todo = nodes[self.count[nodes] == -1]
-        if self.span + todo.size * self.full >= _SPAN:
-            self.count[self.count >= 0] = -1
-            self.moves = self.span = 0
-            todo = nodes[self.count[nodes] == -1]
-        ids, codes, count, full, key, succ = self.ids, self.codes, self.count, self.full, [], []
-        for v in set(todo.tolist()):
-            code, start, acc, made = codes[v], self.span, self.span, len(key)
-            c = decode(code, self.base, self.width)
-            for d, a, b, e, k in self.kernel.rows(c):
-                acc += c[a] * (c[b] - e) * k
-                key.append(acc)
-                u = ids.get(code + d)
-                if u is None:
-                    u = ids[code + d] = len(codes)
-                    codes.append(code + d)
-                    count[u] = -2 if code + d in self.stop else -1
-                succ.append(u)
-            w, self.span = acc - start, acc
-            count[v], self.total[v], self.offset[v] = len(key) - made, w, start
-            self.logq[v] = log1p(-w / full) if 0 < w < full else 0
-        end = self.moves + len(key)
-        if end > len(self.key):
-            self.key, self.succ = np.resize(self.key, 2 * end), np.resize(self.succ, 2 * end)
-        self.key[self.moves : end], self.succ[self.moves : end] = key, succ
-        self.moves = end
+    def __init__(self, g: ReachGraph, stop: set[int]):
+        n, full = sum(g.counts[0]), g.den[0]
+        kernel = StepKernel(g.protocol, n + 1)
+        # each key's rows as (a, b, e, k, column in `links`), for a node
+        # without a self-loop and then for one with it; how many rows and
+        # distinct deltas it has
+        table, looped, many, distinct = [], [], [], []
+        for key in g.key_counts:
+            rows = kernel.rows(key)
+            deltas = sorted({d for d, *_ in rows})
+            many.append(len(rows))
+            distinct.append(len(deltas))
+            for d, a, b, e, k in rows:
+                table.append((a, b, e, k, bisect_left(deltas, d)))
+                looped.append((a, b, e, k, table[-1][4] + (d > 0)))
+        a, b, e, k, col = np.array(table + looped, np.int64).reshape(-1, 5).T
+        many, distinct = np.array(many, np.int64), np.array(distinct, np.int64)
+        first = np.cumsum(many) - many  # where each key's rows begin
+        size, states = g.size, len(g.counts[0])
+        count = many[np.fromiter(g.keys, np.int64, size)]
+        count[list(stop)] = 0
+        self.key, self.succ = np.empty((2, int(count.sum())), np.int64)
+        total, s = np.zeros(size, np.int64), 0
+        for lo in range(0, size, _CHUNK):  # the temporaries of `_CHUNK` nodes at a time
+            part = slice(lo, lo + _CHUNK)
+            keys = np.fromiter(g.keys[part], np.int64)
+            width = np.fromiter(map(len, g.links[part]), np.int64)
+            m = count[part]
+            t, begin = s + int(m.sum()), np.cumsum(m) - m
+            row = first[keys] + len(table) * (width > distinct[keys]) - begin
+            row = np.repeat(row, m) + np.arange(t - s)
+            c = np.fromiter(chain.from_iterable(g.counts[part]), np.int64, len(m) * states)
+            at = np.repeat(np.arange(0, len(c), states), m)  # each move's node's counts
+            w = self.key[s:t] = c[at + a[row]] * (c[at + b[row]] - e[row]) * k[row]
+            links = np.fromiter(chain.from_iterable(g.links[part]), np.int64, int(width.sum()))
+            self.succ[s:t] = links[np.repeat(np.cumsum(width) - width, m) + col[row]]
+            if (some := m.nonzero()[0]).size:
+                total[lo + some] = np.add.reduceat(w, begin[some])
+            s = t
+        weights, which, times = np.unique(total, return_inverse=True, return_counts=True)
+        if sum(map(mul, weights.tolist(), times.tolist())) >= _SPAN:
+            raise ValueError(f"{n} agents are too many to simulate: move weights overflow int64")
+        # math.log1p, as the scalar loop takes it, once per distinct weight
+        logq = [log1p(-x / full) if 0 < x < full else 0.0 for x in weights.tolist()]
+        np.cumsum(self.key, out=self.key)
+        self.total, self.offset, self.logq = total, np.cumsum(total) - total, np.array(logq)[which]
+        count[list(stop)] = -2
+        self.count = count
 
 
 def simulate(
@@ -850,18 +868,18 @@ def simulate(
     outside the stable set with no productive move, raises RuntimeError,
     the lowest failing trial's.  Trial t draws from Philox keyed by (seed
     << 64) + t.  The unfinished runs of a block of `_BLOCK` trials step
-    together on numpy arrays (`PhiloxStreams`, `_Moves`); the logs are
-    numpy's, but floors and step-cap tests are `math.log`'s (`_gaps`).  A
-    size at which `_BLOCK` nodes could weigh `_SPAN` = 2**63, past int64,
-    raises ValueError before anything is explored (n ~ 1.9e8 at L = 1)."""
+    together on numpy arrays (`PhiloxStreams`); the logs are numpy's, but
+    floors and step-cap tests are `math.log`'s (`_gaps`).  The moves of the
+    whole closure are built once, after the stable set (`_Moves`).  A size
+    at which `_BLOCK` nodes could weigh `_SPAN` = 2**63, past int64, raises
+    ValueError before anything is explored (n ~ 1.9e8 at L = 1), as does a
+    closure whose moves weigh that much in all."""
     if c0.size < 2:
         raise ValueError("simulation needs at least two agents")
     if _BLOCK * (c0.size**2 - c0.size) * p.moves.lcm >= _SPAN:
         raise ValueError(f"{c0.size} agents are too many to simulate: move weights overflow int64")
-    base, width = c0.size + 1, len(c0.counts)
     space = explore(p, c0, cap=10_000_000)
-    stop = {encode(space.counts[i], base) for i in stable_set(space)}
-    moves = _Moves(p, base, width, stop, encode(c0.counts, base), len(space.counts))
+    moves, counts = _Moves(space, stable_set(space)), space.counts
     del space
     limit = min(max_steps, 2**62)
     done = np.zeros((2, trials), np.int64)  # each run's count and the node where it stopped
@@ -873,12 +891,9 @@ def simulate(
         error = None
         while act.size:
             cnt = moves.count[node]
-            if cnt.min() < 0:  # unbuilt or stopped runs
-                moves.build(node)
-                cnt = moves.count[node]
-                if (ended := cnt < 0).any():
-                    done[:, t0 + act[ended]] = steps[ended], node[ended]
-                    act, node, steps, cnt = (x[~ended] for x in (act, node, steps, cnt))
+            if (ended := cnt < 0).any():  # runs on the stop set
+                done[:, t0 + act[ended]] = steps[ended], node[ended]
+                act, node, steps, cnt = (x[~ended] for x in (act, node, steps, cnt))
             lq = moves.logq[node]
             q, part = np.zeros(len(act)), (lq < 0).nonzero()[0]
             if part.size:
@@ -886,7 +901,7 @@ def simulate(
             bad = ((cnt == 0) | (q >= limit - steps)).nonzero()[0]
             if bad.size:
                 j = bad[0]
-                t, c = t0 + int(act[j]), decode(moves.codes[node[j]], base, width)
+                t, c = t0 + int(act[j]), counts[node[j]]
                 error = (
                     f"trial {t} exceeded {max_steps} interactions; target may not be "
                     f"almost surely reachable" if cnt[j] else f"trial {t} stuck at {c} after "
@@ -897,13 +912,13 @@ def simulate(
             r, many = np.zeros(len(act), np.int64), (cnt > 1).nonzero()[0]
             if many.size:
                 r[many] = draws.integers(act[many], moves.total[node[many]].astype(np.uint64))
-            hit = np.searchsorted(moves.key[: moves.moves], r + moves.offset[node], "right")
+            hit = np.searchsorted(moves.key, r + moves.offset[node], "right")
             node = moves.succ[hit]
         if error is not None:
             raise RuntimeError(error)
     steps_out, ends = done.tolist()
     values = {}  # the output all agents agree on, or None
     for v in set(ends):
-        outs = {p.output(s) for s, k in enumerate(decode(moves.codes[v], base, width)) if k}
+        outs = {p.output(s) for s, k in enumerate(counts[v]) if k}
         values[v] = outs.pop() if len(outs) == 1 else None
     return SimResult(trials, tuple(steps_out), seed, tuple(values[v] for v in ends))

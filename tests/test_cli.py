@@ -427,20 +427,47 @@ def test_analyze_unwritable_output_exits_without_traceback(capsys, tmp_path):
 
 
 def test_simulate_unwritable_csv_exits_without_traceback(capsys, tmp_path):
-    path = tmp_path / "missing" / "dir" / "x.csv"
-    code, _, err = run(
-        capsys,
-        "simulate",
-        str(PP / "majority-ex2.pp"),
-        "--config",
-        "A=2,B=1",
-        "--trials",
-        "5",
-        "--csv",
-        str(path),
+    # a missing directory or a directory itself: the CSV is written before
+    # anything is printed, so stdout stays empty
+    for path in (tmp_path / "missing" / "dir" / "x.csv", tmp_path):
+        code, out, err = run(
+            capsys,
+            "simulate",
+            str(PP / "majority-ex2.pp"),
+            "--config",
+            "A=2,B=1",
+            "--trials",
+            "5",
+            "--csv",
+            str(path),
+        )
+        assert code == 1 and out == "", path
+        assert_one_error_line(err, path)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_1_without_traceback(unbuffered):
+    import os
+    import subprocess
+    import sys
+
+    path = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     )
-    assert code == 1
-    assert_one_error_line(err, path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stagebound", "analyze", str(PP / "remainder-m5.pp"),
+         "--json", "/dev/stdout"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered},
+    )
+    # the reader takes a few bytes and goes, as `| head -1` does, long
+    # before the 548 KB of JSON, far more than a pipe holds, are written
+    assert os.read(proc.stdout.fileno(), 64)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
 
 
 def test_simulate_exploration_limit_exits_3(capsys, monkeypatch):

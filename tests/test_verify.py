@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stagebound import (
@@ -951,6 +951,9 @@ def dominant_systems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(dominant_systems())
+# row 3's one real update cancels its column 1, which must then count as an
+# update, so that the row is divided by its content
+@example(([[9, 7, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [9, 7, 0, 17]], [0, 0, 0, 1]))
 def test_sparse_solve_keeps_rows_no_larger_than_bareiss(case):
     # by Cramer's rule x_i = det(M with column i replaced by b) / det(M);
     # and each eliminated row, with its right-hand side, is Bareiss's row r
@@ -1450,13 +1453,13 @@ def test_simulate_matches_reference_with_shared_heads(shared_heads, counting_dra
     assert sum(k for bound, k in counting_draws.items() if isinstance(bound, int)) > 0
 
     def row(c):
-        # the moves simulate builds for c, and the reference's step row
-        moves = V._Moves(p, 3, 3, set(), encode(c.counts, 3), 4)
-        moves.build(np.zeros(1, np.int64))
-        count, w, offset = moves.count[0], moves.total[0], moves.offset[0]
-        cum = tuple(x - offset for x in moves.key[: moves.moves].tolist())
-        nexts = tuple(decode(moves.codes[u], 3, 3) for u in moves.succ[: moves.moves])
-        assert count == len(cum)
+        # the moves simulate builds for c, the closure's node 0, and the
+        # reference's step row
+        g = V.explore(p, c)
+        moves = V._Moves(g, set())
+        count, w = int(moves.count[0]), int(moves.total[0])
+        cum = tuple(moves.key[:count].tolist())
+        nexts = tuple(g.counts[u] for u in moves.succ[:count].tolist())
         ref_w, _, ref_cum, ref_nexts = step_row(
             StepKernel(p, 3), c.counts, encode(c.counts, 3), 2 * p.moves.lcm
         )
@@ -1511,16 +1514,62 @@ def test_simulate_spans_blocks(corpus):
     assert sim_outcome(V.simulate, p, c0, trials, seed, max_steps=cap) == msg
 
 
-def test_simulate_rebuilds_moves_when_offsets_run_out(shared_heads, monkeypatch):
-    # blocks of 3 runs and offsets bounded by four rows' weight: the moves
-    # of every node are dropped and rebuilt several times in one call, and
-    # the runs are the same
+def test_simulate_refuses_closures_whose_moves_overflow(shared_heads, monkeypatch):
+    # blocks of 3 runs pass the refusal before exploring; then moves that
+    # weigh _SPAN in all are refused with the same message, and with one
+    # more unit of room the runs are the reference's
     p = shared_heads
     c0 = cfg(p, A=5, B=4)
     want = reference_simulate(p, c0, 30, 3)
+    g = V.explore(p, c0)
+    span = int(V._Moves(g, V.stable_set(g)).total.sum())
     monkeypatch.setattr(V, "_BLOCK", 3)
-    monkeypatch.setattr(V, "_SPAN", 4 * 9 * 8 * p.moves.lcm)
+    assert 3 * g.den[0] < span
+    monkeypatch.setattr(V, "_SPAN", span)
+    with pytest.raises(ValueError, match="9 agents are too many to simulate"):
+        V.simulate(p, c0, 30, 3)
+    monkeypatch.setattr(V, "_SPAN", span + 1)
     assert V.simulate(p, c0, 30, 3) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=shared_head_protocols())
+def test_moves_match_step_row_on_every_node(case):
+    # every node of the closure, in the graph's numbering: its count, total
+    # and log, its cumulative weights less its offset and its successors'
+    # counts are the reference's step row; stop nodes have no moves
+    p, c0 = case
+    g = V.explore(p, c0)
+    stop = V.stable_set(g)
+    moves = V._Moves(g, stop)
+    base, full = c0.size + 1, g.den[0]
+    kernel = StepKernel(p, base)
+    key, succ, at, offset = moves.key.tolist(), moves.succ.tolist(), 0, 0
+    for v, c in enumerate(g.counts):
+        if v in stop:
+            assert moves.count[v] == -2
+            continue
+        w, logq, cum, nexts = step_row(kernel, c, encode(c, base), full)
+        count = int(moves.count[v])
+        assert (count, int(moves.total[v]), int(moves.offset[v])) == (len(cum), w, offset)
+        assert moves.logq[v] == (logq if 0 < w < full else 0)
+        assert tuple(x - offset for x in key[at : at + count]) == cum
+        assert [g.counts[u] for u in succ[at : at + count]] == [decode(s, base, len(c)) for s in nexts]
+        at, offset = at + count, offset + w
+    assert at == len(key) == len(succ)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_moves_do_not_depend_on_the_chunk(corpus, monkeypatch, chunk):
+    # the 725 nodes of majority-ex2 at n=24, built a few nodes at a time
+    p = next(e for e in corpus if e.name == "majority-ex2").protocol()
+    g = V.explore(p, initial_configuration(p, {"x": 14, "y": 10}))
+    stop = V.stable_set(g)
+    want = V._Moves(g, stop)
+    monkeypatch.setattr(V, "_CHUNK", chunk)
+    got = V._Moves(g, stop)
+    for name in ("count", "total", "offset", "logq", "key", "succ"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
 
 
 def test_simulate_refuses_sizes_whose_moves_overflow(monkeypatch):
@@ -1683,9 +1732,7 @@ def test_simulate_counts_and_caps_integer_quotients_as_math_log(monkeypatch, cou
     # either side, and the counts and the step-cap errors are math.log's
     p = parse_protocol(GAP)
     c0 = cfg(p, A=1, B=1, Z=8)
-    moves = V._Moves(p, 11, 3, set(), encode(c0.counts, 11), 2)
-    moves.build(np.zeros(1, np.int64))
-    lq = float(moves.logq[0])
+    lq = float(V._Moves(V.explore(p, c0), set()).logq[0])
     assert lq == math.log1p(-2 / 90)
     # u = exp(m logq) >= 1/2, so the stream's 1 - u gives back u exactly
     near = {nudged(math.exp(m * lq), k) for m in range(1, 31) for k in range(-12, 13)}
@@ -1720,12 +1767,8 @@ def test_gaps_match_math_log_in_bulk(corpus):
     for name, counts in (("majority-ex2", {"x": 14, "y": 10}), ("broadcast", {"one": 1, "zero": 99})):
         p = next(e for e in corpus if e.name == name).protocol()
         c0 = initial_configuration(p, counts)
-        base, size = c0.size + 1, len(V.explore(p, c0).counts)
-        moves = V._Moves(p, base, len(c0.counts), set(), encode(c0.counts, base), size)
-        while (todo := (moves.count[: len(moves.codes)] == -1).nonzero()[0]).size:
-            moves.build(todo)
-        assert len(moves.codes) == size
-        lqs.append(moves.logq[:size][moves.logq[:size] < 0])
+        logq = V._Moves(V.explore(p, c0), set()).logq
+        lqs.append(logq[logq < 0])
     rng = np.random.default_rng(2026)
     lq = rng.choice(np.concatenate(lqs), 10**6)
     u = 1.0 - rng.random(10**6)
