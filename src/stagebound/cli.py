@@ -288,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except SystemExit as exc:  # --help, or an input error already reported
         return int(exc.code or 0)
+    except MemoryError as exc:  # a resource limit, such as numpy refusing an array
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # the reader of stdout has gone (as with `| head -1`): as Python's
         # signal documentation advises, point stdout at devnull so that the

@@ -165,21 +165,20 @@ def remainder(m: int) -> str:
     return "\n".join(lines)
 
 
-def avg_and_conquer(m: int = 3, d: int = 1) -> str:
+def avg_and_conquer(m: int = 3) -> str:
     """Averaging majority: odd values average toward each other (nearest odd
     pair), opposite units cancel into signed weak states, and strong agents
-    drag weak ones to their own sign.  Only correct for untied inputs."""
+    drag weak ones to their own sign.  Only correct for untied inputs.  The
+    family's d=1 member, the only one bundled, is named avc-m{m}-d1."""
     if m < 3 or m % 2 == 0:
         raise ValueError("m must be odd and >= 3")
-    if d != 1:
-        raise ValueError("only the d=1 family member is bundled")
     vals = [v for v in range(-m, m + 1) if v % 2 != 0]
 
     def nm(v: int) -> str:
         return f"p{v}" if v > 0 else f"m{-v}"
 
     lines = [
-        f"protocol avc-m{m}-d{d}",
+        f"protocol avc-m{m}-d1",
         "states: " + " ".join([nm(v) for v in vals] + ["zp", "zm"]),
         f"inputs: x -> p{m}, y -> m{m}",
         "output1: " + " ".join([nm(v) for v in vals if v > 0] + ["zp"]),
@@ -292,7 +291,7 @@ def default_corpus() -> list[CorpusEntry]:
         CorpusEntry("flock-log-c31", flock_log(31), 130, C),
         CorpusEntry("remainder-m3", remainder(3), 27, Q),
         CorpusEntry("remainder-m5", remainder(5), 225, Q),
-        CorpusEntry("avc-m3-d1", avg_and_conquer(3, 1), 41, Q, terminates=False),
+        CorpusEntry("avc-m3-d1", avg_and_conquer(3), 41, Q, terminates=False),
         # The threshold family is documented by its mechanism, not an exact
         # rule list; this encoding reproduces the reference row's state and
         # transition counts (12/57) but yields 25 stages instead of 21.

@@ -63,9 +63,11 @@ class ReachGraph:
 
     Node v is the configuration whose count vector is `counts[v]`; the
     Configurations themselves (`nodes`) are made on first use.
-    Transitions are integers: `links[v]` lists v's successors u and
-    `weights[v]` their weights w, in the same order, and P(v, u) = w /
-    den[v]; a row's weights sum to its denominator.
+    Transitions are integers: `links[v]` lists v's productive successors
+    u, never v itself, and `weights[v]` their weights w, in the same order,
+    and P(v, u) = w / den[v].  The idle interactions, which leave v as it
+    is, weigh what the row leaves of its denominator, den[v] -
+    sum(weights[v]); that self-loop is not stored.
 
     Formulas are evaluated on keys, not on nodes: a node's key is its count
     vector clipped at 2, which fixes every presence and singleton variable.
@@ -266,11 +268,10 @@ def explore(
     node's successors come in increasing code order, the order of their
     Configurations, and rules with one successor sit next to each other,
     where their weights add up.  What they leave of the node's denominator
-    (n^2 - n) * L, if anything, weighs its self-loop, placed after the
-    negative deltas.  A node's counts are made once, when it is numbered,
-    from its parent's and the row's change.  The graph keeps the counts,
-    the keys, the successor lists and their weights, all filled as the BFS
-    goes."""
+    (n^2 - n) * L is its idle weight, which no edge carries.  A node's
+    counts are made once, when it is numbered, from its parent's and the
+    row's change.  The graph keeps the counts, the keys, the successor
+    lists and their weights, all filled as the BFS goes."""
     if isinstance(roots, Configuration):
         roots = [roots]
     if any(c.size < 2 for c in roots):
@@ -295,7 +296,7 @@ def explore(
             per_size[den[i]] = per_size.get(den[i], 0) + 1
         root_ids.append(i)
     key_ids: dict[tuple[int, ...], int] = {}
-    key_rows: list[tuple[list[Row], int]] = []
+    key_rows: list[list[Row]] = []
     keys: list[int] = []
     links: list[list[int]] = []
     weights: list[list[int]] = []
@@ -308,17 +309,13 @@ def explore(
         j = key_ids.get(key)
         if j is None:
             j = key_ids[key] = len(key_rows)
-            rows = sorted(kernel.rows(key))
-            key_rows.append((rows, bisect_left(rows, (0,))))
+            key_rows.append(sorted(kernel.rows(key)))
         dv, outs, ws, last = den[v], [], [], None
-        # `at`, the key's negative rows less those merged below, is the self-loop's place
-        rows, at = key_rows[j]
         # StepKernel.weights inlined: a call per node cost 10-20% on 2 vCPUs
-        for d, a, b, e, k in rows:
+        for d, a, b, e, k in key_rows[j]:
             w = c[a] * (c[b] - e) * k
             if d == last:
                 ws[-1] += w
-                at -= d < 0
                 continue
             last = d
             s = code + d
@@ -333,9 +330,6 @@ def explore(
                 den.append(dv)
             outs.append(u)
             ws.append(w)
-        if stay := dv - sum(ws):
-            outs.insert(at, ids[code])  # ids' int object, not a copy of v per node
-            ws.insert(at, stay)
         keys.append(j)
         links.append(outs)
         weights.append(ws)
@@ -398,23 +392,20 @@ def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
             if len(block) > 1:
                 solved = _solve_block(g, block, pair, slot)
             else:
-                # (den[v] - s) E[v] = den[v] + sum w E[u], s the self-loop's weight
+                # (sum w) E[v] = den[v] + sum w E[u], over v's productive moves
                 v = block[0]
-                num, q = 0, 1
-                den = diag = dens[v]
+                num, q, diag = 0, 1, 0
                 for u, w in zip(links[v], weights[v]):
-                    if u == v:
-                        diag -= w
-                    elif (e := pair[u]) is None:
+                    if (e := pair[u]) is None:
                         diag = 0  # v diverges with u
                         break
-                    elif e[1] == q:
+                    diag += w
+                    if e[1] == q:
                         num += w * e[0]
                     elif e[0]:
                         num = num * e[1] + w * e[0] * q
                         q *= e[1]
-                # a row's weights sum to den[v]: diag > 0 iff some edge leaves v
-                solved = [Fraction(num + den * q, q * diag)] if diag > 0 else ()
+                solved = [Fraction(num + dens[v] * q, q * diag)] if diag else ()
             for v, e in zip(block, solved):
                 expect[v], pair[v] = e, e.as_integer_ratio()
     if not all(pair[r] is not None for r in g.roots):
@@ -424,9 +415,10 @@ def expected_steps_all(g: ReachGraph, target: set[int]) -> list:
 
 def _solve_block(g: ReachGraph, block: list[int], pair: list, slot: list[int]) -> list:
     """The expectations of a block of several nodes, or none outside the
-    almost-sure region.  Row i (node v = block[i]) holds den[v] on the
-    diagonal less v's weights into the block, and den[v] + sum w E[u] over
-    v's successors u outside it, brought over the lcm q of their denominators."""
+    almost-sure region.  Row i (node v = block[i]) holds the sum of v's
+    weights on the diagonal less its weights into the block, and den[v] +
+    sum w E[u] over v's successors u outside it, brought over the lcm q of
+    their denominators."""
     links, weights, dens = g.links, g.weights, g.den
     for i, v in enumerate(block):
         slot[v] = i
@@ -438,16 +430,16 @@ def _solve_block(g: ReachGraph, block: list[int], pair: list, slot: list[int]) -
         for y in scale:
             scale[y] = q // y
         for i, v in enumerate(block):
-            d = dens[v]
-            row = {i: d}
-            b = d * q
-            for u, w in zip(links[v], weights[v]):
+            ws = weights[v]
+            row = {i: sum(ws)}
+            b = dens[v] * q
+            for u, w in zip(links[v], ws):
                 j = slot[u]
                 if j < 0:
                     x, y = pair[u]
                     b += w * x * scale[y]
                 else:
-                    row[j] = d - w if j == i else -w
+                    row[j] = -w
             rows.append(row)
             rhs.append(b)
     for v in block:
@@ -610,10 +602,14 @@ def check_stage_graph(
     in chain order.
 
     With a `timeout` in seconds, ExplorationLimitError is raised once it
-    has passed; the exploration tests it every 256 nodes, and each pass
-    every 256 components from its first."""
+    has passed; it is tested before the initial configurations of each
+    size are listed, every 256 nodes of the exploration, and every 256
+    components of each pass from its first."""
     deadline = None if timeout is None else time.monotonic() + timeout
-    roots = [c for n in range(2, max_n + 1) for c in initial_configurations(p, n)]
+    roots: list[Configuration] = []
+    for n in range(2, max_n + 1):
+        in_time(deadline)
+        roots += initial_configurations(p, n)
     if not roots:
         return []
     g = explore(p, roots, deadline=deadline)
@@ -800,29 +796,24 @@ class _Moves:
     `StepKernel` rows, in head then rule order; per move, `succ` holds the
     successor and `key` the cumulative weight plus the offset, so one search
     finds the move of each r in [0, W) at r + offset.  A row's successor is
-    read off `links`, sorted by code with the self-loop, if any, after the
-    negative deltas: its column is its delta's place among the key's
-    distinct deltas, plus one if the node has a self-loop (more links than
-    distinct deltas) and the delta is positive.  Moves that weigh `_SPAN` =
-    2**63 in all, past int64, raise ValueError."""
+    read off `links`, which holds one successor per distinct delta of the
+    node's key, sorted by code: its column is its delta's place among those
+    deltas.  Moves that weigh `_SPAN` = 2**63 in all, past int64, raise
+    ValueError."""
 
     def __init__(self, g: ReachGraph, stop: set[int]):
         n, full = sum(g.counts[0]), g.den[0]
         kernel = StepKernel(g.protocol, n + 1)
-        # each key's rows as (a, b, e, k, column in `links`), for a node
-        # without a self-loop and then for one with it; how many rows and
-        # distinct deltas it has
-        table, looped, many, distinct = [], [], [], []
+        # each key's rows as (a, b, e, k, column in `links`), and how many it has
+        table, many = [], []
         for key in g.key_counts:
             rows = kernel.rows(key)
             deltas = sorted({d for d, *_ in rows})
             many.append(len(rows))
-            distinct.append(len(deltas))
             for d, a, b, e, k in rows:
                 table.append((a, b, e, k, bisect_left(deltas, d)))
-                looped.append((a, b, e, k, table[-1][4] + (d > 0)))
-        a, b, e, k, col = np.array(table + looped, np.int64).reshape(-1, 5).T
-        many, distinct = np.array(many, np.int64), np.array(distinct, np.int64)
+        a, b, e, k, col = np.array(table, np.int64).reshape(-1, 5).T
+        many = np.array(many, np.int64)
         first = np.cumsum(many) - many  # where each key's rows begin
         size, states = g.size, len(g.counts[0])
         count = many[np.fromiter(g.keys, np.int64, size)]
@@ -835,8 +826,7 @@ class _Moves:
             width = np.fromiter(map(len, g.links[part]), np.int64)
             m = count[part]
             t, begin = s + int(m.sum()), np.cumsum(m) - m
-            row = first[keys] + len(table) * (width > distinct[keys]) - begin
-            row = np.repeat(row, m) + np.arange(t - s)
+            row = np.repeat(first[keys] - begin, m) + np.arange(t - s)
             c = np.fromiter(chain.from_iterable(g.counts[part]), np.int64, len(m) * states)
             at = np.repeat(np.arange(0, len(c), states), m)  # each move's node's counts
             w = self.key[s:t] = c[at + a[row]] * (c[at + b[row]] - e[row]) * k[row]

@@ -8,7 +8,7 @@ kernels as they were before their per-key rows and per-frame iterators:
 the exploration with one `coded_weights` dict per node, and Tarjan's
 algorithm re-scanning each frame's successors from a saved position.
 Three helpers of the tests: `make_reach_graph` builds a graph over given
-rows, `edge_rows` reads a graph's rows back, and
+rows, `edge_rows` reads a graph's full rows back, self-loops included, and
 `roots_reach_almost_surely` asks one almost-sure question of its roots.
 """
 
@@ -28,20 +28,32 @@ def make_reach_graph(p, counts, rows, den, roots):
     """The ReachGraph over the given nodes and rows of (successor, weight)
     pairs, split into links and weights, with its keys (count vectors
     clipped at 2, numbered as first met) and key counts derived as
-    `V.explore` fills them."""
+    `V.explore` fills them.  A row's self-loop is dropped, as `V.explore`
+    stores none: its weight is what the rest of the row leaves of den."""
     ids = {}
     keys = [ids.setdefault(tuple(min(k, 2) for k in c), len(ids)) for c in counts]
+    rows = [[(u, w) for u, w in outs if u != v] for v, outs in enumerate(rows)]
     links = [[u for u, _ in outs] for outs in rows]
     weights = [[w for _, w in outs] for outs in rows]
     return V.ReachGraph(p, counts, links, weights, den, roots, keys, list(ids))
 
 
 def edge_rows(g):
-    """Every node's row of (successor, weight) pairs, its links and weights
-    zipped; the two lists of a row must have one length."""
+    """Every node's full row of (successor, weight) pairs: its links and
+    weights zipped, and its self-loop (v, den[v] less the row's weights),
+    unless that is 0, put back at its code position, after the successors
+    whose count vectors are smaller than v's.  The two lists of a row must
+    have one length, and no row may link its own node."""
     assert len(g.links) == len(g.weights)
-    assert all(len(outs) == len(ws) for outs, ws in zip(g.links, g.weights))
-    return [list(zip(outs, ws)) for outs, ws in zip(g.links, g.weights)]
+    rows = []
+    for v, (outs, ws) in enumerate(zip(g.links, g.weights)):
+        assert len(outs) == len(ws) and v not in outs
+        row = list(zip(outs, ws))
+        if stay := g.den[v] - sum(ws):
+            at = sum(g.counts[u] < g.counts[v] for u in outs)
+            row.insert(at, (v, stay))
+        rows.append(row)
+    return rows
 
 
 def roots_reach_almost_surely(g, target):
@@ -220,6 +232,7 @@ def reference_expected_steps_plain(g, target):
     for v in tgt:
         expect[v] = Fraction(0)
     plain = [[] if v in tgt or v not in good else outs for v, outs in enumerate(g.links)]
+    rows = edge_rows(g)
     for group in scc_condensation(plain)[1]:
         todo = [v for v in group if v in good and v not in tgt]
         pos = {v: i for i, v in enumerate(todo)}
@@ -227,7 +240,7 @@ def reference_expected_steps_plain(g, target):
         mat = [[Fraction(int(i == j)) for j in range(len(todo))] for i in range(len(todo))]
         rhs = [Fraction(1)] * len(todo)
         for v in todo:
-            for u, w in zip(g.links[v], g.weights[v]):
+            for u, w in rows[v]:
                 prob = Fraction(w, g.den[v])
                 if u in pos:
                     mat[pos[v]][pos[u]] -= prob

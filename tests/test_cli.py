@@ -491,6 +491,23 @@ def test_simulate_exploration_limit_exits_3(capsys, monkeypatch):
     assert out == ""
 
 
+def test_simulate_out_of_memory_exits_3(capsys):
+    # numpy refuses at once the array of 10^13 trials' results: a resource
+    # limit, one error line and nothing on stdout
+    code, out, err = run(
+        capsys,
+        "simulate",
+        str(PP / "broadcast.pp"),
+        "--config",
+        "t=1,f=3",
+        "--trials",
+        "10000000000000",
+    )
+    assert code == 3
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_simulate_stuck_run_exits_2(capsys, tmp_path):
     # the swap changes no count, so A=1,B=1 never reaches its stable set
     # (empty): the run fails at once, after 0 interactions, with one error

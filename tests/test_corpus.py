@@ -65,7 +65,7 @@ def test_corpus_order_and_shapes(corpus):
         (flock_log(31), 10, 34),
         (remainder(3), 5, 12),
         (remainder(5), 7, 25),
-        (avg_and_conquer(3, 1), 6, 8),
+        (avg_and_conquer(3), 6, 8),
         (threshold((-1, 1), 0), 12, 57),
     ],
 )

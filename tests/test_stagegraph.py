@@ -1256,7 +1256,7 @@ def test_formulas_match_trees_on_corpus_and_large_members(corpus_graphs):
     answers = set()
     for sg in corpus_graphs.values():
         answers |= assert_formulas_match_trees(sg)
-    for src in (remainder(7), avg_and_conquer(5, 1)):
+    for src in (remainder(7), avg_and_conquer(5)):
         answers |= assert_formulas_match_trees(build_stage_graph(parse_protocol(src)))
     assert answers == {True, False}
 

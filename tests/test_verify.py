@@ -119,14 +119,17 @@ def test_explore_rows_sum_to_their_denominators(corpus):
 
 
 def assert_rows_well_formed(p, g):
-    """Every row of an explored graph has as many weights as links, each a
-    positive int, and they sum to its denominator (n^2 - n) * L."""
+    """Every row of an explored graph has as many weights as links and no
+    self-loop, and its full row, the idle self-loop put back, has positive
+    int weights that sum to its denominator (n^2 - n) * L."""
     assert len(g.links) == len(g.weights) == len(g.den) == g.size
-    for c, outs, ws, den in zip(g.nodes, g.links, g.weights, g.den):
+    for v, (c, outs, ws, den, row) in enumerate(
+        zip(g.nodes, g.links, g.weights, g.den, edge_rows(g))
+    ):
         assert den == (c.size**2 - c.size) * p.moves.lcm
-        assert len(outs) == len(ws)
-        assert all(type(w) is int and w > 0 for w in ws)
-        assert sum(ws) == den
+        assert len(outs) == len(ws) and v not in outs
+        assert all(type(w) is int and w > 0 for _, w in row)
+        assert sum(w for _, w in row) == den
 
 
 def test_explore_cap():
@@ -341,7 +344,8 @@ def test_complement_sits_between_negative_and_positive_deltas():
     g = assert_complement_matches_references(p, cfg(p, A=1, B=1))
     assert g.counts == [(1, 1, 0), (0, 2, 0), (2, 0, 0)]
     assert edge_rows(g) == [[(1, 2), (0, 2), (2, 2)], [(1, 6)], [(2, 6)]]
-    assert g.links == [[1, 0, 2], [1], [2]]
+    # the graph stores no self-loop: edge_rows puts each back in code order
+    assert (g.links, g.weights) == ([[1, 2], [], []], [[2, 2], [], []])
 
 
 def test_explore_counts_when_two_rules_share_a_delta():
@@ -1153,6 +1157,23 @@ def test_check_stage_graph_spent_timeout(corpus_graphs, monkeypatch):
     with pytest.raises(V.ExplorationLimitError, match="timeout exceeded"):
         V.check_stage_graph(P2, sg, 4, timeout=0)
     assert V.check_stage_graph(P2, sg, 4, timeout=None) == []
+
+
+def test_check_stage_graph_spent_timeout_while_listing_roots(corpus_graphs, monkeypatch):
+    # the deadline is tested before each size's initial configurations are
+    # listed, so a huge max_n with a spent timeout lists at most one size
+    sg = corpus_graphs["majority-ex2"]
+    listed = []
+    real = V.initial_configurations
+
+    def counted(p, n):
+        listed.append(n)
+        assert len(listed) == 1, "a second size listed past the deadline"
+        return real(p, n)
+
+    monkeypatch.setattr(V, "initial_configurations", counted)
+    with pytest.raises(V.ExplorationLimitError, match="timeout exceeded"):
+        V.check_stage_graph(P2, sg, 10**9, timeout=0)
 
 
 def test_condensation_honours_a_spent_deadline():
