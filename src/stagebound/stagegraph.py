@@ -727,73 +727,74 @@ def build_stage_graph(
 # Export
 
 
-def _once(render):
-    """`render` applied once per distinct object, by identity: stages share
-    their formulas, valuations and case analyses, and every object stays
-    alive while the caller walks the tree."""
-    done: dict[int, object] = {}
-
-    def get(obj):
-        got = done.get(id(obj))
-        if got is None:
-            got = done[id(obj)] = render(obj)
-        return got
-
-    return get
-
-
 def to_json_dict(sg: StageGraph) -> dict:
     """Full tree with case-analysis fields, suitable for machine diffing.
-    Each distinct formula, valuation and case analysis is rendered once,
-    and the stages that share it share the rendering.  Literals and heads
-    are named from tables built once per call; a literal's [name, value]
-    pair is one list, shared by every valuation that holds it."""
+    Each distinct formula, valuation and case analysis is rendered once, by
+    identity, and each distinct head or state set once, by value; the
+    stages that share one share its rendering.  Literals and heads are
+    named from tables built once per call; a literal's [name, value] pair
+    is one list, shared by every valuation that holds it."""
     p = sg.protocol
     root = sg.stages[0].phi  # the root's own object: only stage 0 holds it
     names = literal_names(p.states)
     pairs = {lit: [names[abs(lit)], lit > 0] for lit in names}
     head_names = {h: p.head_name(h) for h in p.rules_by_head}
+    head_lists: dict[frozenset[Head], list[str]] = {}
+    state_lists: dict[frozenset[int], list[str]] = {}
 
     def heads_of(heads: frozenset[Head]) -> list[str]:
-        return [head_names[h] for h in sorted(heads)]
+        if (got := head_lists.get(heads)) is None:
+            got = head_lists[heads] = [head_names[h] for h in sorted(heads)]
+        return got
 
-    phi_repr = _once(lambda phi: pretty(phi, names, phi is root))
-    val_repr = _once(lambda val: [] if val is None else [pairs[lit] for lit in val])
+    def states_of(states: frozenset[int]) -> list[str]:
+        if (got := state_lists.get(states)) is None:
+            got = state_lists[states] = [p.states[i] for i in sorted(states)]
+        return got
 
-    def block(ca: CaseAnalysis) -> dict:
-        return {
-            "stable": ca.stable,
-            "dead": ca.dead,
-            "exp": heads_of(ca.exp),
-            "j": heads_of(ca.j),
-            "t_nu": heads_of(ca.t_nu),
-            "k": heads_of(ca.k),
-            "l": heads_of(ca.l),
-            "i_states": [p.states[i] for i in sorted(ca.i_states)],
-            "u_states": [p.states[i] for i in sorted(ca.u_states)],
-            "nu_disabled": ca.nu_disabled,
-            "nu_enabled": ca.nu_enabled,
-            "fast": ca.fast,
-            "very_fast": ca.very_fast,
-            "bound": bounds_mod.edge_bound(ca).label,
-        }
-
-    analysis_repr = _once(block)
-    heads_repr = _once(heads_of)
+    # renderings by id: every object stays alive while the tree is walked
+    phis: dict[int, str] = {}
+    vals: dict[int, list] = {id(None): []}
+    blocks: dict[int, dict] = {}
     stages = []
     for s in sg.stages:
+        if (phi := phis.get(id(s.phi))) is None:
+            phi = phis[id(s.phi)] = pretty(s.phi, names, s.phi is root)
+        if (pi := vals.get(id(s.pi))) is None:
+            pi = vals[id(s.pi)] = [pairs[lit] for lit in s.pi]
+        ca = s.analysis
+        nu = None if ca is None else ca.nu
+        if (via := vals.get(id(nu))) is None:
+            via = vals[id(nu)] = [pairs[lit] for lit in nu]
         entry: dict = {
             "id": s.id,
             "parent": s.parent,
             "kind": s.kind,
-            "phi": phi_repr(s.phi),
-            "pi": val_repr(s.pi),
-            "disabled": heads_repr(s.disabled),
+            "phi": phi,
+            "pi": pi,
+            "disabled": heads_of(s.disabled),
             "children": list(s.children),
-            "via": val_repr(None if s.analysis is None else s.analysis.nu),
+            "via": via,
         }
-        if s.analysis is not None:
-            entry["analysis"] = analysis_repr(s.analysis)
+        if ca is not None:
+            if (block := blocks.get(id(ca))) is None:
+                block = blocks[id(ca)] = {
+                    "stable": ca.stable,
+                    "dead": ca.dead,
+                    "exp": heads_of(ca.exp),
+                    "j": heads_of(ca.j),
+                    "t_nu": heads_of(ca.t_nu),
+                    "k": heads_of(ca.k),
+                    "l": heads_of(ca.l),
+                    "i_states": states_of(ca.i_states),
+                    "u_states": states_of(ca.u_states),
+                    "nu_disabled": ca.nu_disabled,
+                    "nu_enabled": ca.nu_enabled,
+                    "fast": ca.fast,
+                    "very_fast": ca.very_fast,
+                    "bound": bounds_mod.edge_bound(ca).label,
+                }
+            entry["analysis"] = block
         stages.append(entry)
     return {
         "protocol": p.name,

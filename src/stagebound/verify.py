@@ -705,31 +705,57 @@ _LOW, _TOP, _U32 = np.uint64(0xFFFFFFFF), np.uint64(0x100000000), np.uint64(32)
 class PhiloxStreams:
     """`Generator(Philox(key)).random()` and `.integers(0, b)`, call for call,
     for one stream per key: a call draws once from each of the distinct
-    streams idx.  As numpy does, `random` maps a word w to (w >> 11) *
-    2**-53; a bound up to 2**32 takes 32-bit values, a word's low half, then
-    its high half, and a larger one whole words; a value x gives (x * b) >>
-    bits unless the product's low bits are below (2**bits - b) % b, when it
-    is drawn again (Lemire).  All word arithmetic is uint64, which every
-    numpy promotes alike.  A stream out of words fetches `_WORDS` more."""
+    streams idx (`random`: from every stream when idx is None).  As numpy
+    does, `random` maps a word w to (w >> 11) * 2**-53; a bound up to 2**32
+    takes 32-bit values, a word's low half, then its high half, and a larger
+    one whole words; a value x gives (x * b) >> bits unless the product's
+    low bits are below (2**bits - b) % b, when it is drawn again (Lemire).
+    All word arithmetic is uint64, which every numpy promotes alike.  A
+    stream out of words fetches `_WORDS` more (`_fill`).  The streams stand
+    for the unfinished runs of a block: `keep` drops the others, and idx
+    counts among those kept.  Each stream's word position and kept half sit
+    beside it, so a draw from every stream reads and advances them in
+    place."""
 
     def __init__(self, keys: list[int]):
         self._keys = [(k % 2**64, k >> 64) for k in keys]  # Philox key words
         self._bits = np.random.Philox(0)
         self._state = self._bits.state  # counter 0, buffer empty
         self._buf = np.zeros((len(keys), _WORDS), np.uint64)
+        # per kept stream: its row of `_buf` and `_keys`, the words it has
+        # taken and its kept half (_TOP: none)
+        self._row = np.arange(len(keys))
         self._taken = np.zeros(len(keys), np.int64)
-        self._half = np.full(len(keys), _TOP)  # _TOP: no half kept
+        self._half = np.full(len(keys), _TOP)
 
-    def _word(self, idx: np.ndarray) -> np.ndarray:
-        taken = self._taken[idx]
-        at = taken % _WORDS
-        for i in idx[at == 0].tolist():
-            counter = (int(self._taken[i]) // 4, 0, 0, 0)
-            self._state["state"] = {"counter": counter, "key": self._keys[i]}
+    def keep(self, kept) -> None:
+        """Keep only the streams `kept` (a mask, an index or a slice), in order."""
+        self._row, self._taken, self._half = self._row[kept], self._taken[kept], self._half[kept]
+
+    def _fill(self, empty: np.ndarray) -> None:
+        """Fetch the next `_WORDS` words of each stream in `empty`."""
+        for row, taken in zip(self._row[empty].tolist(), self._taken[empty].tolist()):
+            self._state["state"] = {"counter": (taken // 4, 0, 0, 0), "key": self._keys[row]}
             self._bits.state = self._state
-            self._buf[i] = self._bits.random_raw(_WORDS)
+            self._buf[row] = self._bits.random_raw(_WORDS)
+
+    def _places(self, idx: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The words taken by streams idx and their places in their buffers,
+        once the empty buffers are filled: each of the streams draws next."""
+        taken = self._taken if idx is None else self._taken[idx]
+        at = taken % _WORDS
+        if np.count_nonzero(at) < at.size:
+            empty = (at == 0).nonzero()[0]
+            self._fill(empty if idx is None else idx[empty])
+        return taken, at
+
+    def _word(self, idx: np.ndarray | None = None) -> np.ndarray:
+        taken, at = self._places(idx)
+        if idx is None:
+            self._taken += 1
+            return self._buf[self._row, at]
         self._taken[idx] = taken + 1
-        return self._buf[idx, at]
+        return self._buf[self._row[idx], at]
 
     def _next32(self, idx: np.ndarray) -> np.ndarray:
         out = self._half[idx]
@@ -740,8 +766,20 @@ class PhiloxStreams:
         self._half[idx] = half
         return out
 
-    def random(self, idx: np.ndarray) -> np.ndarray:
-        return (self._word(idx) >> np.uint64(11)) * 2.0**-53
+    def random(self, idx: np.ndarray | None = None) -> np.ndarray:
+        return _unit(self._word(idx))
+
+    def randoms(self, most: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`random` called up to most[i] >= 1 times by every kept stream i,
+        as many times as its buffer holds words: each stream's number of
+        calls, and their values, stream by stream.  An empty buffer is
+        filled first, as the stream's next word would fill it."""
+        at = self._places(None)[1]
+        take = np.minimum(most, _WORDS - at)
+        begin = np.cumsum(take) - take
+        self._taken += take
+        words = np.repeat(self._row * _WORDS + at - begin, take) + np.arange(int(take.sum()))
+        return take, _unit(self._buf.ravel()[words])
 
     def integers(self, idx: np.ndarray, bound: np.ndarray) -> np.ndarray:
         """For uint64 bounds in [2, 2**63]."""
@@ -763,6 +801,11 @@ class PhiloxStreams:
                 bad, limit = bad[keep], limit[keep]
                 hi[bad], lo[bad] = _product(draw(idx[bad]), b[bad], narrow)
         return hi
+
+
+def _unit(w: np.ndarray) -> np.ndarray:
+    """numpy's `random()` of the words w."""
+    return (w >> np.uint64(11)) * 2.0**-53
 
 
 def _product(x: np.ndarray, b: np.ndarray, narrow: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -793,13 +836,13 @@ class _Moves:
     `count` its number of moves (-2 if stop), in `total` their weight W out
     of (n^2 - n) L, in `offset` the weight of the nodes before it and in
     `logq` log1p(-W / ((n^2 - n) L)), or 0.  Its moves are its key's
-    `StepKernel` rows, in head then rule order; per move, `succ` holds the
-    successor and `key` the cumulative weight plus the offset, so one search
-    finds the move of each r in [0, W) at r + offset.  A row's successor is
-    read off `links`, which holds one successor per distinct delta of the
-    node's key, sorted by code: its column is its delta's place among those
-    deltas.  Moves that weigh `_SPAN` = 2**63 in all, past int64, raise
-    ValueError."""
+    `StepKernel` rows, in head then rule order, from `first` on; per move,
+    `succ` holds the successor and `key` the cumulative weight plus the
+    offset, so one search finds the move of each r in [0, W) at r + offset.
+    A row's successor is read off `links`, which holds one successor per
+    distinct delta of the node's key, sorted by code: its column is its
+    delta's place among those deltas.  Moves that weigh `_SPAN` = 2**63 in
+    all, past int64, raise ValueError."""
 
     def __init__(self, g: ReachGraph, stop: set[int]):
         n, full = sum(g.counts[0]), g.den[0]
@@ -842,8 +885,69 @@ class _Moves:
         logq = [log1p(-x / full) if 0 < x < full else 0.0 for x in weights.tolist()]
         np.cumsum(self.key, out=self.key)
         self.total, self.offset, self.logq = total, np.cumsum(total) - total, np.array(logq)[which]
+        self.first = np.cumsum(count) - count
         count[list(stop)] = -2
         self.count = count
+
+
+class _Forced:
+    """The forced nodes of `_Moves`: one move and some idle interaction
+    (count 1, logq < 0), so that a run there draws a uniform for its gap and
+    nothing else, and its next node is fixed.  They are ranked in node
+    order, F of them; `rank` maps each node to its rank, or -1.  Per rank,
+    `succ` holds the next node, `logq` the node's, and `depth` how many
+    forced nodes a run meets from it on, at most `_WORDS`; `jump[b]` holds
+    the rank 2**b moves on, or F once the path has left the forced nodes
+    (F maps to F)."""
+
+    def __init__(self, moves: _Moves):
+        nodes = ((moves.count == 1) & (moves.logq < 0)).nonzero()[0]
+        f = nodes.size
+        self.rank = np.full(moves.count.size, -1)
+        self.rank[nodes] = np.arange(f)
+        self.succ, self.logq = moves.succ[moves.first[nodes]], moves.logq[nodes]
+        step = np.append(self.rank[self.succ], f)
+        step[step < 0] = f
+        self.jump = [step]
+        while 2 << len(self.jump) <= _WORDS:  # paths of up to `_WORDS` nodes
+            self.jump.append(step := step[step])
+        # the rank farthest on, and the depth, by the jumps from the longest down
+        at, self.depth = np.arange(f), np.ones(f, np.int64)
+        for b in reversed(range(len(self.jump))):
+            on = (to := self.jump[b][at]) < f
+            at[on] = to[on]
+            self.depth[on] += 1 << b
+
+    def advance(
+        self, draws: PhiloxStreams, rank: np.ndarray, steps: np.ndarray, limit: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Every run, standing on the forced node of `rank` with count
+        `steps`, takes the moves of its forced path while its buffer holds
+        words, each with one `random` and its gap.  Returns the runs' nodes
+        and counts after it, and the first run whose count passes `limit`
+        on the way, tested at each move as a step tests it, or len(rank)."""
+        take, u = draws.randoms(self.depth[rank])
+        m = int(take.max())
+        path = np.empty((len(rank), m), np.int64)  # each run's ranks, in order
+        path[:, 0] = rank
+        for b, jump in enumerate(self.jump):
+            lo = 1 << b
+            if lo >= m:
+                break
+            hi = min(2 * lo, m)
+            path[:, lo:hi] = jump[path[:, : hi - lo]]
+        ranks = path[np.arange(m) < take[:, None]]
+        q = _gaps(1.0 - u, self.logq[ranks])
+        # the count before each move: sums of int64, which wrap, are exact
+        # in each run's differences up to its first move over the cap
+        gap = np.minimum(q, limit).astype(np.int64) + 1
+        before = np.cumsum(gap) - gap
+        begin = np.cumsum(take) - take
+        count = before - np.repeat(before[begin] - steps, take)
+        over = (q >= limit - count).nonzero()[0]
+        fail = len(rank) if not over.size else int(np.searchsorted(begin, over[0], "right")) - 1
+        end = begin + take - 1
+        return self.succ[ranks[end]], count[end] + gap[end], fail
 
 
 def simulate(
@@ -859,9 +963,12 @@ def simulate(
     the lowest failing trial's.  Trial t draws from Philox keyed by (seed
     << 64) + t.  The unfinished runs of a block of `_BLOCK` trials step
     together on numpy arrays (`PhiloxStreams`); the logs are numpy's, but
-    floors and step-cap tests are `math.log`'s (`_gaps`).  The moves of the
-    whole closure are built once, after the stable set (`_Moves`).  A size
-    at which `_BLOCK` nodes could weigh `_SPAN` = 2**63, past int64, raises
+    floors and step-cap tests are `math.log`'s (`_gaps`).  When every run
+    stands on a forced node (`_Forced`), each takes its whole forced
+    stretch in one pass, as far as its buffered words go; the draws and
+    counts are those of the steps one at a time.  The moves of the whole
+    closure are built once, after the stable set (`_Moves`).  A size at
+    which `_BLOCK` nodes could weigh `_SPAN` = 2**63, past int64, raises
     ValueError before anything is explored (n ~ 1.9e8 at L = 1), as does a
     closure whose moves weigh that much in all."""
     if c0.size < 2:
@@ -871,6 +978,7 @@ def simulate(
     space = explore(p, c0, cap=10_000_000)
     moves, counts = _Moves(space, stable_set(space)), space.counts
     del space
+    forced, bound = _Forced(moves), moves.total.view(np.uint64)  # the bounds of move draws
     limit = min(max_steps, 2**62)
     done = np.zeros((2, trials), np.int64)  # each run's count and the node where it stopped
     for t0 in range(0, trials, _BLOCK):
@@ -881,29 +989,50 @@ def simulate(
         error = None
         while act.size:
             cnt = moves.count[node]
-            if (ended := cnt < 0).any():  # runs on the stop set
+            if np.count_nonzero(cnt <= 0):  # runs on the stop set, or stuck
+                ended, kept = cnt < 0, cnt >= 0
                 done[:, t0 + act[ended]] = steps[ended], node[ended]
-                act, node, steps, cnt = (x[~ended] for x in (act, node, steps, cnt))
-            lq = moves.logq[node]
-            q, part = np.zeros(len(act)), (lq < 0).nonzero()[0]
-            if part.size:
-                q[part] = _gaps(1.0 - draws.random(act[part]), lq[part])
-            bad = ((cnt == 0) | (q >= limit - steps)).nonzero()[0]
-            if bad.size:
-                j = bad[0]
-                t, c = t0 + int(act[j]), counts[node[j]]
+                act, node, steps, cnt = (x[kept] for x in (act, node, steps, cnt))
+                draws.keep(kept)
+                if (stuck := (cnt == 0).nonzero()[0]).size:
+                    j = stuck[0]
+                    error = (
+                        f"trial {t0 + int(act[j])} stuck at {counts[node[j]]} after {steps[j]} "
+                        f"interactions: it is not stable, and no interaction changes it"
+                    )
+                    act, node, steps, cnt = act[:j], node[:j], steps[:j], cnt[:j]
+                    draws.keep(slice(j))
+                if not act.size:
+                    break
+            many = (cnt > 1).nonzero()[0]
+            if not many.size and (rank := forced.rank[node]).min() >= 0:
+                node, steps, j = forced.advance(draws, rank, steps, limit)
+            else:
+                lq = moves.logq[node]
+                if (part := (lq < 0).nonzero()[0]).size == lq.size:
+                    q = _gaps(1.0 - draws.random(), lq)
+                else:
+                    q = np.zeros(lq.size)
+                    if part.size:
+                        q[part] = _gaps(1.0 - draws.random(part), lq[part])
+                j = act.size
+                if (over := (q >= limit - steps).nonzero()[0]).size:
+                    j = over[0]
+                    q[j:] = 0  # the runs from j on end here
+                steps += q.astype(np.int64) + 1
+                if not many.size:
+                    node = moves.succ[moves.first[node]]
+                else:
+                    r = np.zeros(act.size, np.int64)
+                    r[many] = draws.integers(many, bound[node[many]])
+                    node = moves.succ[moves.key.searchsorted(r + moves.offset[node], "right")]
+            if j < act.size:  # the first run over the cap
                 error = (
-                    f"trial {t} exceeded {max_steps} interactions; target may not be "
-                    f"almost surely reachable" if cnt[j] else f"trial {t} stuck at {c} after "
-                    f"{steps[j]} interactions: it is not stable, and no interaction changes it"
+                    f"trial {t0 + int(act[j])} exceeded {max_steps} interactions; target may "
+                    f"not be almost surely reachable"
                 )
-                act, node, steps, cnt, q = act[:j], node[:j], steps[:j], cnt[:j], q[:j]
-            steps += q.astype(np.int64) + 1
-            r, many = np.zeros(len(act), np.int64), (cnt > 1).nonzero()[0]
-            if many.size:
-                r[many] = draws.integers(act[many], moves.total[node[many]].astype(np.uint64))
-            hit = np.searchsorted(moves.key, r + moves.offset[node], "right")
-            node = moves.succ[hit]
+                act, node, steps = act[:j], node[:j], steps[:j]
+                draws.keep(slice(j))
         if error is not None:
             raise RuntimeError(error)
     steps_out, ends = done.tolist()

@@ -1438,18 +1438,27 @@ def test_simulate_matches_reference_on_corpus(corpus):
 
 class CountingStreams(V.PhiloxStreams):
     """PhiloxStreams that counts its draws by kind, one per stream drawn
-    from: "random", or the bound; and "words", the words taken."""
+    from: "random", or the bound; "words", the words taken; and "passes",
+    the calls of `randoms`, one per pass over forced stretches, which takes
+    one word per value.  A call with idx None draws from every stream kept."""
 
     calls = Counter()
 
-    def _word(self, idx):
-        if len(idx):
-            self.calls["words"] += len(idx)
+    def _word(self, idx=None):
+        if k := len(self._taken) if idx is None else len(idx):
+            self.calls["words"] += k
         return super()._word(idx)
 
-    def random(self, idx):
-        self.calls["random"] += len(idx)
+    def random(self, idx=None):
+        self.calls["random"] += len(self._taken) if idx is None else len(idx)
         return super().random(idx)
+
+    def randoms(self, most):
+        take, u = super().randoms(most)
+        self.calls["passes"] += 1
+        self.calls["random"] += u.size
+        self.calls["words"] += u.size
+        return take, u
 
     def integers(self, idx, bound):
         self.calls.update(bound.tolist())
@@ -1533,6 +1542,164 @@ def test_simulate_spans_blocks(corpus):
     msg = sim_outcome(reference_simulate, p, c0, trials, seed, max_steps=cap)
     assert msg.startswith(f"trial {late} exceeded {cap} interactions")
     assert sim_outcome(V.simulate, p, c0, trials, seed, max_steps=cap) == msg
+
+
+# Forced stretches: a run on a node with one move and some idle interaction
+# draws one uniform per step and nothing else; when every unfinished run of
+# a block stands on one, the runs take their stretches in one pass, each as
+# far as its buffer of `_WORDS` words goes.
+
+
+@pytest.mark.parametrize("n,passes", [(151, 2), (301, 3)])
+def test_simulate_stretches_cross_buffer_refills(counting_draws, n, passes):
+    # broadcast's n - 1 steps are all forced: one pass per buffer of words
+    p = parse_protocol(broadcast())
+    res = assert_same_runs(p, cfg(p, t=1, f=n - 1), 6, 4)
+    assert set(res.consensus) == {1}
+    assert counting_draws["passes"] == passes
+    assert counting_draws["random"] == counting_draws["words"] == 6 * (n - 1)
+
+
+def test_simulate_step_cap_inside_a_stretch(counting_draws):
+    p = parse_protocol(broadcast())
+    c0 = cfg(p, t=1, f=150)
+    free = reference_simulate(p, c0, 20, 2)
+    # a cap that the first runs stay under and a later run passes in the
+    # middle of its path, where it takes its steps in a pass
+    cap = max(free.steps[:3]) + 1
+    late = next(t for t, k in enumerate(free.steps) if k > cap)
+    assert late >= 3
+    msg = assert_same_runs(p, c0, 20, 2, max_steps=cap)
+    assert msg.startswith(f"trial {late} exceeded {cap} interactions")
+    assert counting_draws["passes"] > 0 and counting_draws["random"] == counting_draws["words"]
+    # a run fails exactly when its count passes the cap, at its last step
+    top = max(free.steps)
+    assert V.simulate(p, c0, 20, 2, max_steps=top) == free
+    msg = sim_outcome(V.simulate, p, c0, 20, 2, max_steps=top - 1)
+    assert msg.startswith(f"trial {free.steps.index(top)} exceeded {top - 1} interactions")
+
+
+# A A -> B C, B B -> C A and C C -> A B turn (2,1,0) into (0,2,1), (1,0,2)
+# and back: every node has one move and idle interactions, none is stable,
+# and the runs go round a forced cycle until the cap ends them
+FORCED_CYCLE = (
+    "protocol cycle\nstates: A B C\ninputs: x -> A, y -> B\noutput1: A\n"
+    "transitions:\n  A A -> B C\n  B B -> C A\n  C C -> A B\n"
+)
+
+
+def test_simulate_forced_cycle_meets_the_cap(counting_draws):
+    p = parse_protocol(FORCED_CYCLE)
+    c0 = cfg(p, A=2, B=1)
+    moves = V._Moves(V.explore(p, c0), set())
+    assert moves.count.tolist() == [1, 1, 1] and (moves.logq < 0).all()
+    for cap in (1, 7, 300, 5000):
+        msg = assert_same_runs(p, c0, 5, 9, max_steps=cap)
+        assert msg == f"trial 0 exceeded {cap} interactions; target may not be almost surely reachable"
+    assert counting_draws["passes"] > 0
+
+
+# a single move is not forced when every interaction makes it (logq = 0): it
+# draws nothing.  A B -> C D takes the agents from the forced (A,B) through
+# (C,D), whose one rule always fires, to the forced (E,F) and the stable
+# (F,F); the idle swaps give (A,B) and (E,F) their idle interactions
+UNDRAWN_STEP = (
+    "protocol undrawn\nstates: A B C D E F\ninputs: x -> A, y -> B\noutput1: F\n"
+    "transitions:\n  A B -> C D\n  A B -> B A\n  C D -> E F\n  E F -> F F\n  E F -> F E\n"
+)
+
+
+def test_simulate_single_moves_without_idle_interactions_draw_nothing(counting_draws):
+    p = parse_protocol(UNDRAWN_STEP)
+    res = assert_same_runs(p, cfg(p, A=1, B=1), 30, 6)
+    # two passes, one word each per run; the step from (C,D) counts 1
+    assert counting_draws == {"passes": 2, "random": 60, "words": 60}
+    assert min(res.steps) >= 3 and set(res.consensus) == {1}
+    # A A -> B B from A=4: all interactions make the one move, then (A,B)
+    # = (2,2) is forced, and B=4 is stable
+    counting_draws.clear()
+    q = parse_protocol(
+        "protocol pairs\nstates: A B\ninputs: x -> A, y -> B\noutput1: B\n"
+        "transitions:\n  A A -> B B\n"
+    )
+    res = assert_same_runs(q, cfg(q, A=4), 30, 6)
+    assert counting_draws == {"passes": 1, "random": 30, "words": 30}
+    assert min(res.steps) >= 2 and set(res.consensus) == {1}
+
+
+def test_simulate_stretches_over_three_blocks(counting_draws):
+    p = parse_protocol(broadcast())
+    res = assert_same_runs(p, cfg(p, t=1, f=39), 600, 3)
+    assert len(res.steps) == 600 and set(res.consensus) == {1}
+    # one pass per block: 256, 256 and 88 runs of 39 forced steps
+    assert counting_draws["passes"] == 3 and counting_draws["words"] == 600 * 39
+
+
+# S meets U: it becomes I, whose epidemic I U -> I I is forced all the way,
+# or J, which takes one more step with two moves to a stable L-configuration
+MIXED = (
+    "protocol mixed\nstates: S I J L U\ninputs: s -> S, u -> U\noutput1: I J\n"
+    "transitions:\n  S U -> I U\n  S U -> J U\n  I U -> I I\n  J U -> L U\n  J U -> L L\n"
+)
+
+
+def test_simulate_block_with_some_runs_forced(counting_draws, monkeypatch):
+    # the second step finds the I-runs forced and the J-runs not, so the
+    # block steps together; once the J-runs stop, the I-runs take the rest
+    # in passes, now kept at other places than their trials.  Their buffers
+    # are part-used by then, so the first pass stops short of `_WORDS` steps
+    p = parse_protocol(MIXED)
+    c0 = cfg(p, S=1, U=150)
+    forced = []
+    real = V._Forced.advance
+
+    def advance(self, draws, rank, steps, limit):
+        forced.append(len(rank))
+        return real(self, draws, rank, steps, limit)
+
+    monkeypatch.setattr(V._Forced, "advance", advance)
+    res = assert_same_runs(p, c0, 40, 1)
+    i_runs = res.consensus.count(1)
+    assert 0 < i_runs < 40 and forced == [i_runs, i_runs]
+    assert counting_draws["passes"] == 2 and counting_draws["words"] > 149 * i_runs
+
+
+def assert_forced_paths(p, roots):
+    """The jumps and depths of every forced node of the closure of `roots`
+    against its path, walked move by move."""
+    g = V.explore(p, roots)
+    moves = V._Moves(g, V.stable_set(g))
+    forced = V._Forced(moves)
+    nodes = forced.rank.tolist()
+    f = forced.succ.size
+    for v, r in enumerate(nodes):
+        if r < 0:
+            assert moves.count[v] != 1 or moves.logq[v] == 0
+            continue
+        path = [v]
+        while len(path) <= V._WORDS and nodes[path[-1]] >= 0:
+            path.append(int(moves.succ[moves.first[path[-1]]]))
+        ranks = [nodes[u] if nodes[u] >= 0 else f for u in path]
+        ranks += [f] * (V._WORDS + 1 - len(ranks))
+        assert forced.succ[r] == path[1] and forced.logq[r] == moves.logq[v]
+        assert forced.depth[r] == (ranks.index(f) if f in ranks else V._WORDS)
+        for b, jump in enumerate(forced.jump):
+            assert jump[r] == ranks[1 << b]
+    return forced
+
+
+def test_forced_paths_match_a_walk(corpus):
+    for entry in corpus:
+        p = entry.protocol()
+        assert_forced_paths(p, V.initial_configurations(p, 8))
+    # broadcast's paths are longer than a buffer of words; the cycle's are
+    # endless; both stop at `_WORDS`
+    p = parse_protocol(broadcast())
+    assert assert_forced_paths(p, [cfg(p, t=1, f=199)]).depth.max() == V._WORDS
+    p = parse_protocol(FORCED_CYCLE)
+    assert assert_forced_paths(p, [cfg(p, A=2, B=1)]).depth.tolist() == [V._WORDS] * 3
+    p = parse_protocol(MIXED)
+    assert assert_forced_paths(p, [cfg(p, S=1, U=150)]).succ.size == 150
 
 
 def test_simulate_refuses_closures_whose_moves_overflow(shared_heads, monkeypatch):
@@ -1747,24 +1914,53 @@ def test_gaps_take_math_log_at_integer_quotients(counting_log):
         assert (np.floor(own) != np.floor(want)).any()
 
 
+# GAP with a second move at (A,B), A B -> A Z, of the same weight: the
+# productive weight and so the gap are GAP's, but the start is not forced
+GAP_TWO_MOVES = GAP + "  A B -> A Z\n"
+
+
 def test_simulate_counts_and_caps_integer_quotients_as_math_log(monkeypatch, counting_log):
-    # each run's one productive step takes 1 + floor(log(u) / logq)
-    # interactions; u is fed so that the quotient is an integer or an ulp
-    # either side, and the counts and the step-cap errors are math.log's
-    p = parse_protocol(GAP)
+    # the runs' one step is forced, so they take it in a pass
+    assert_integer_quotients_as_math_log(monkeypatch, counting_log, GAP, True)
+
+
+def test_simulate_counts_and_caps_integer_quotients_in_lockstep(monkeypatch, counting_log):
+    assert_integer_quotients_as_math_log(monkeypatch, counting_log, GAP_TWO_MOVES, False)
+
+
+def assert_integer_quotients_as_math_log(monkeypatch, counting_log, src, forced):
+    """Each run's one productive step takes 1 + floor(log(u) / logq)
+    interactions; u is fed so that the quotient is an integer or an ulp
+    either side, and the counts and the step-cap errors are math.log's."""
+    p = parse_protocol(src)
     c0 = cfg(p, A=1, B=1, Z=8)
     lq = float(V._Moves(V.explore(p, c0), set()).logq[0])
     assert lq == math.log1p(-2 / 90)
     # u = exp(m logq) >= 1/2, so the stream's 1 - u gives back u exactly
     near = {nudged(math.exp(m * lq), k) for m in range(1, 31) for k in range(-12, 13)}
-    fed = [(x, hit) for x in sorted(near) if (hit := integer_side(math.log(x) / lq))]
+    # in the order of their quotients, so that the first trial at or over
+    # each cap is the one an ulp from it
+    fed = [(x, hit) for x in sorted(near, reverse=True) if (hit := integer_side(math.log(x) / lq))]
     u = np.array([x for x, _ in fed])
     assert (u >= 0.5).all() and {side for _, (m, side) in fed} == {-1, 0, 1}
     assert len(u) <= V._BLOCK
+    # the word whose random() is 1 - u: a multiple of 2**-53 below 1/2
+    words = ((1.0 - u) * 2**53).astype(np.uint64) << np.uint64(11)
+    assert (1.0 - V._unit(words)).tolist() == u.tolist()
+    passes = []
 
     class FedStreams(V.PhiloxStreams):
-        def random(self, idx):
-            return 1.0 - u[idx]
+        # the first word of each trial's stream is fed; the trials fill one
+        # block, so a stream's buffer row is its trial
+        def _fill(self, empty):
+            super()._fill(empty)
+            rows = self._row[empty]
+            self._buf[rows, 0] = words[rows]
+
+        def randoms(self, most):
+            take, u = super().randoms(most)
+            passes.append(take.tolist())
+            return take, u
 
     monkeypatch.setattr(V, "PhiloxStreams", FedStreams)
     want = math_quotients(u, lq)
@@ -1772,6 +1968,8 @@ def test_simulate_counts_and_caps_integer_quotients_as_math_log(monkeypatch, cou
     res = V.simulate(p, c0, len(u), 0)
     assert res.steps == steps and set(res.consensus) == {1}
     assert counting_log["log"] >= len(u)
+    # under GAP, A=1,B=1,Z=8 is forced: every run takes its one step in one pass
+    assert passes == ([[1] * len(u)] if forced else [])
     for cap in sorted({m for _, (m, side) in fed}):
         late = [t for t, q in enumerate(want.tolist()) if q >= cap]
         got = sim_outcome(V.simulate, p, c0, len(u), 0, max_steps=cap)
@@ -1905,6 +2103,44 @@ def test_philox_streams_match_generator_calls(seed):
             got[j] = x
         assert got == want
     assert (draws._taken > V._WORDS).all()
+
+
+def test_philox_streams_draw_from_every_kept_stream():
+    # random() with idx None draws from every stream kept, in place, and
+    # `randoms` takes several values per stream, up to its buffer's end;
+    # `keep` drops streams, and the others go on with their own words and
+    # kept halves
+    keys = [(3 << 64) + t for t in range(12)]
+    rngs = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
+    draws = V.PhiloxStreams(keys)
+    order = np.random.default_rng(5)
+    alive = list(range(len(keys)))
+    short = 0
+    for step in range(400):
+        if step % 60 == 59:
+            kept = order.random(len(alive)) < 0.9
+            draws.keep(kept)
+            alive = [t for t, k in zip(alive, kept.tolist()) if k]
+        kind = order.integers(0, 3)
+        if kind == 0:
+            want = [float(rngs[t].random()) for t in alive]
+            assert draws.random().tolist() == want
+        elif kind == 1:
+            bounds = [STREAM_BOUNDS[i] for i in order.integers(0, len(STREAM_BOUNDS), len(alive))]
+            want = [int(rngs[t].integers(0, b)) for t, b in zip(alive, bounds)]
+            streams = np.arange(len(alive))
+            assert draws.integers(streams, np.array(bounds, np.uint64)).tolist() == want
+        else:
+            most = order.integers(1, 40, len(alive))
+            take, u = draws.randoms(most)
+            # a stream takes fewer than asked only when its buffer runs out
+            ended = draws._taken % V._WORDS == 0
+            assert ((1 <= take) & (take <= most) & ((take == most) | ended)).all()
+            short += int((take < most).sum())
+            want = [float(rngs[t].random()) for t, k in zip(alive, take.tolist()) for _ in range(k)]
+            assert u.tolist() == want
+    assert 0 < len(alive) < len(keys) and short > 0
+    assert (draws._taken > 2 * V._WORDS).all()
 
 
 def test_philox_streams_keep_a_half_per_stream():
