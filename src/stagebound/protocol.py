@@ -13,10 +13,10 @@ denominator, and fractions.Fraction where a probability is returned.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 # A head is an unordered pair of state indices, canonically sorted.
 Head = tuple[int, int]
@@ -49,19 +49,6 @@ class Configuration:
     @property
     def size(self) -> int:
         return sum(self.counts)
-
-
-class MoveTable:
-    """The step semantics in integers: every head (a, b) in sorted order
-    with its multiplier lcm / |rules| and the index quadruple (i, j, k, l)
-    of each of its rules, in rule order.  A rule's probability in a
-    configuration of n agents is w * multiplier / ((n^2 - n) * lcm), where
-    w is the number of ordered agent pairs on its head."""
-
-    __slots__ = ("lcm", "heads")
-
-    def __init__(self, lcm: int, heads: tuple):
-        self.lcm, self.heads = lcm, heads
 
 
 class ProtocolError(ValueError):
@@ -137,12 +124,6 @@ class PopulationProtocol:
 
     # -- naming helpers -------------------------------------------------
 
-    def state_index(self, name: str) -> int:
-        try:
-            return self.states.index(name)
-        except ValueError:
-            raise ProtocolError(f"unknown state {name!r}") from None
-
     def head_name(self, head: Head) -> str:
         return f"{self.states[head[0]]},{self.states[head[1]]}"
 
@@ -153,16 +134,10 @@ class PopulationProtocol:
         return frozenset(self.input_map.values())
 
     @cached_property
-    def moves(self) -> MoveTable:
-        """The move table, built on first use and kept on the instance."""
-        big = lcm(*(len(rules) for rules in self.rules_by_head.values()))
-        return MoveTable(
-            big,
-            tuple(
-                (a, b, big // len(rules), tuple(t.lhs + t.rhs for t in rules))
-                for (a, b), rules in sorted(self.rules_by_head.items())
-            ),
-        )
+    def lcm(self) -> int:
+        """L, the lcm of the numbers of rules sharing a head: the step
+        semantics' common denominator is (n^2 - n) * L."""
+        return math.lcm(*(len(rules) for rules in self.rules_by_head.values()))
 
     def __repr__(self) -> str:
         return f"PopulationProtocol({self.name!r}, |Q|={len(self.states)}, |T|={self.explicit_count})"
@@ -368,7 +343,7 @@ def step_distribution(p: PopulationProtocol, c: Configuration) -> dict[Configura
     n = c.size
     if n < 2:
         raise ValueError("configuration must have at least two agents")
-    base, den, kernel = n + 1, (n * n - n) * p.moves.lcm, StepKernel(p, n + 1)
+    base, den, kernel = n + 1, (n * n - n) * p.lcm, StepKernel(p, n + 1)
     rows, code = kernel.rows(c.counts), encode(c.counts, base)
     nums: dict[int, int] = {}
     for row, w in zip(rows, kernel.weights(rows, c.counts)):
@@ -404,12 +379,13 @@ class StepKernel:
     Rule i j -> k l moves a code by delta = place(k) + place(l) - place(i)
     - place(j), with place(s) = base^(width - 1 - s); it is productive if
     delta is not 0.  `heads[a]` lists the heads (a, b) of state a with a
-    productive rule in move-table order, each as (b, e, rows), with one row
-    (delta, a, b, e, k) per productive rule in rule order.  e = 1 and k is
-    the head's multiplier when a = b, else e = 0 and k is twice it, so a
-    row's weight at counts c, c[a] * (c[b] - e) * k, is the number of
-    ordered agent pairs on its head times the multiplier: over (n^2 - n) *
-    L, the move table's common denominator, it is the rule's probability.
+    productive rule in increasing b, each as (b, e, rows), with one row
+    (delta, a, b, e, k) per productive rule in the order of
+    `rules_by_head`.  A head's multiplier is `p.lcm` / |rules|; e = 1 and k
+    is the multiplier when a = b, else e = 0 and k is twice it, so a row's
+    weight at counts c, c[a] * (c[b] - e) * k, is the number of ordered
+    agent pairs on its head times the multiplier: over (n^2 - n) * L it is
+    the rule's probability.
     Idle rules have no row: every rule of a head with an agent pair weighs
     more than 0 and all sum to (n^2 - n) * L, so the self-loop weighs the
     complement.  `change[delta, a, b]` is a row's change to the counts; a
@@ -422,15 +398,19 @@ class StepKernel:
         place = [base ** (width - 1 - s) for s in range(width)]
         self.heads: list[list[tuple[int, int, tuple[Row, ...]]]] = [[] for _ in range(width)]
         self.change: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        for a, b, mult, quads in p.moves.heads:
+        by_head, big = p.rules_by_head, p.lcm
+        for a, b in sorted({t.lhs for t in p.non_idle}):
+            rules = by_head[a, b]
+            mult = big // len(rules)
             e, k = (1, mult) if a == b else (0, 2 * mult)
             rows = []
-            for i, j, r, s in quads:
-                if d := place[r] + place[s] - place[i] - place[j]:
+            for t in rules:
+                r, s = t.rhs
+                if d := place[r] + place[s] - place[a] - place[b]:
                     rows.append((d, a, b, e, k))
                     vec = [0] * width
-                    for t, x in ((i, -1), (j, -1), (r, 1), (s, 1)):
-                        vec[t] += x
+                    for q, x in ((a, -1), (b, -1), (r, 1), (s, 1)):
+                        vec[q] += x
                     self.change[d, a, b] = tuple(vec)
             if rows:
                 self.heads[a].append((b, e, tuple(rows)))

@@ -343,10 +343,11 @@ def build_transformation_graph(
     return TransformationGraph(vertices, gen_edges, premise, rows.xi)
 
 
-def is_stable(p: PopulationProtocol, g: TransformationGraph) -> int | None:
+def is_stable(g: TransformationGraph) -> int | None:
     """Consensus output if every state still allowed and both products of
     every rule that can still fire share it (0 when no state is allowed),
     else None."""
+    p = g.premise.p
     outs = {p.output(s) for s in g.vertices}
     for t in g.gen_edges:
         outs.update(p.output(s) for s in t.rhs)
@@ -538,9 +539,7 @@ def compute_k(g: TransformationGraph, j: frozenset[Head]) -> frozenset[Head]:
     return frozenset(out)
 
 
-def compute_i_and_l(
-    p: PopulationProtocol, g: TransformationGraph
-) -> tuple[frozenset[int], frozenset[Head]]:
+def compute_i_and_l(g: TransformationGraph) -> tuple[frozenset[int], frozenset[Head]]:
     """Stable-edge analysis for the case without SCC-crossing rules.
 
     An edge of a rule is stable when the rule keeps a partner present in
@@ -564,7 +563,7 @@ def compute_i_and_l(
             partner = b if a == x else a
             if partner != x and present(partner) in pi_nu:
                 stable_edges.append((x, y))
-    scc, bottom = _scc_and_bottom(p, g.vertices, stable_edges)
+    scc, bottom = _scc_and_bottom(g.premise.p, g.vertices, stable_edges)
     i_states = frozenset(v for v in g.vertices if scc[v] not in bottom)
     l = frozenset(
         t.rhs
@@ -578,32 +577,19 @@ def compute_i_and_l(
 # Successor construction (one valuation)
 
 
-@dataclass(frozen=True)
-class Successor:
-    """The stage one valuation nu of a parent's formula leads to, before
-    ancestor pruning.  It depends on the parent's disabled heads T and on
-    nu alone, so children with the same (T, nu) share one, read-only."""
-
-    kind: str
-    phi: Parts
-    pi: Valuation
-    disabled: frozenset[Head]
-    analysis: CaseAnalysis
-
-
-def case_analysis(
-    p: PopulationProtocol, t_parent: frozenset[Head], nu: Valuation
-) -> Successor:
+def case_analysis(p: PopulationProtocol, t_parent: frozenset[Head], nu: Valuation) -> Stage:
     """Derive the successor for valuation nu of a parent with disabled
-    heads t_parent."""
+    heads t_parent, before ancestor pruning: a Stage not yet placed (id
+    -1, no parent).  It depends on t_parent and nu alone, so children with
+    the same (T, nu) are built from one, read-only."""
     pi_nu = compute_pi_nu(p, t_parent, nu)
     g = build_transformation_graph(p, pi_nu, t_parent)
     ca = CaseAnalysis(nu=nu)
-    ca.stable = is_stable(p, g)
+    ca.stable = is_stable(g)
     ca.dead = is_dead(g, ca.stable)
     if ca.stable is not None or ca.dead:
         kind = TERMINAL_DEAD if ca.dead else TERMINAL_STABLE
-        return Successor(kind, stage_formula((pi_nu,), frozenset()), pi_nu, t_parent, ca)
+        return Stage(-1, stage_formula((pi_nu,), frozenset()), pi_nu, t_parent, None, kind, ca)
 
     ca.u_states = frozenset(v for v in g.vertices if g.scc[v] not in g.bottom)
     exp = compute_exp(g)
@@ -627,7 +613,7 @@ def case_analysis(
     else:
         t_nu = t_parent
         ca.t_nu = t_nu
-        i_states, l = compute_i_and_l(p, g)
+        i_states, l = compute_i_and_l(g)
         ca.i_states = i_states
         ca.l = l
         drained = tuple(-present(s) for s in sorted(i_states))
@@ -637,7 +623,7 @@ def case_analysis(
             units = (pi_nu, nu)
         else:
             units = (pi_nu, drained)
-    return Successor(INTERNAL, stage_formula(units, t_nu, some), pi_nu, t_nu, ca)
+    return Stage(-1, stage_formula(units, t_nu, some), pi_nu, t_nu, None, INTERNAL, ca)
 
 
 def build_child(
@@ -659,25 +645,15 @@ def build_child(
     succ = analyses.get(key)
     if succ is None:
         succ = analyses[key] = case_analysis(p, parent.disabled, nu)
-    child = Stage(
-        id=-1,
-        phi=succ.phi,
-        pi=succ.pi,
-        disabled=succ.disabled,
-        parent=parent.id,
-        kind=succ.kind,
-        analysis=succ.analysis,
-    )
-    if child.kind != INTERNAL:
-        return child
-    for anc in sg.path_to_root(parent.id):
-        if (
-            anc.pi == child.pi
-            and anc.disabled == child.disabled
-            and holds_throughout(child.phi, splits[anc.phi])
-        ):
-            return None
-    return child
+    if succ.kind == INTERNAL:
+        for anc in sg.path_to_root(parent.id):
+            if (
+                anc.pi == succ.pi
+                and anc.disabled == succ.disabled
+                and holds_throughout(succ.phi, splits[anc.phi])
+            ):
+                return None
+    return Stage(-1, succ.phi, succ.pi, succ.disabled, parent.id, succ.kind, succ.analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +672,7 @@ def build_stage_graph(
     sg = StageGraph(protocol=p, stages=[initial_stage(p)])
     work: deque[int] = deque([0])
     splits: dict[Parts, list[Valuation]] = {}
-    analyses: dict[tuple[frozenset[Head], Valuation], Successor] = {}
+    analyses: dict[tuple[frozenset[Head], Valuation], Stage] = {}
     while work:
         sid = work.popleft()
         stage = sg.stages[sid]

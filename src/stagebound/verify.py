@@ -119,14 +119,6 @@ class ReachGraph:
                         masks[single(s)] |= bit
         return masks
 
-    @cached_property
-    def key_members(self) -> list[list[int]]:
-        """The nodes of every key, in increasing order."""
-        members: list[list[int]] = [[] for _ in self.key_counts]
-        for v, j in enumerate(self.keys):
-            members[j].append(v)
-        return members
-
     def key_set(self, phi: Parts) -> int:
         """The keys that satisfy phi, as an int over the keys: phi is
         evaluated once, bit-parallel."""
@@ -136,13 +128,7 @@ class ReachGraph:
         """Nodes whose configuration satisfies phi: the nodes of the keys
         of `key_set`."""
         hit = self.key_set(phi)
-        members = self.key_members
-        nodes: set[int] = set()
-        while hit:
-            low = hit & -hit
-            nodes.update(members[low.bit_length() - 1])
-            hit ^= low
-        return nodes
+        return {v for v, j in enumerate(self.keys) if hit >> j & 1}
 
     def node_bits(self, rows: list[int]) -> list[int]:
         """Per node, the query bits of a batch of key sets: bit q is set at
@@ -278,7 +264,7 @@ def explore(
         raise ValueError("configurations need at least two agents")
     base = max((c.size for c in roots), default=0) + 1
     kernel = StepKernel(p, base)
-    change, big = kernel.change, p.moves.lcm
+    change, big = kernel.change, p.lcm
     ids: dict[int, int] = {}
     order: list[int] = []
     counts: list[tuple[int, ...]] = []
@@ -967,13 +953,14 @@ def simulate(
     stands on a forced node (`_Forced`), each takes its whole forced
     stretch in one pass, as far as its buffered words go; the draws and
     counts are those of the steps one at a time.  The moves of the whole
-    closure are built once, after the stable set (`_Moves`).  A size at
-    which `_BLOCK` nodes could weigh `_SPAN` = 2**63, past int64, raises
-    ValueError before anything is explored (n ~ 1.9e8 at L = 1), as does a
-    closure whose moves weigh that much in all."""
+    closure are built once, after the stable set (`_Moves`), which raises
+    ValueError on moves that weigh `_SPAN` = 2**63, past int64, in all.
+    Before anything is explored, an early test raises it only at the sizes
+    at which the moves of `_BLOCK` nodes alone, (n^2 - n) L each, would
+    weigh that much (n ~ 1.9e8 at L = 1)."""
     if c0.size < 2:
         raise ValueError("simulation needs at least two agents")
-    if _BLOCK * (c0.size**2 - c0.size) * p.moves.lcm >= _SPAN:
+    if _BLOCK * (c0.size**2 - c0.size) * p.lcm >= _SPAN:
         raise ValueError(f"{c0.size} agents are too many to simulate: move weights overflow int64")
     space = explore(p, c0, cap=10_000_000)
     moves, counts = _Moves(space, stable_set(space)), space.counts
@@ -1020,12 +1007,10 @@ def simulate(
                     j = over[0]
                     q[j:] = 0  # the runs from j on end here
                 steps += q.astype(np.int64) + 1
-                if not many.size:
-                    node = moves.succ[moves.first[node]]
-                else:
-                    r = np.zeros(act.size, np.int64)
+                r = np.zeros(act.size, np.int64)  # 0: a node's first move
+                if many.size:
                     r[many] = draws.integers(many, bound[node[many]])
-                    node = moves.succ[moves.key.searchsorted(r + moves.offset[node], "right")]
+                node = moves.succ[moves.key.searchsorted(r + moves.offset[node], "right")]
             if j < act.size:  # the first run over the cap
                 error = (
                     f"trial {t0 + int(act[j])} exceeded {max_steps} interactions; target may "

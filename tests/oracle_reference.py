@@ -21,7 +21,7 @@ from stagebound import verify as V
 from stagebound.logic import Parts
 from stagebound.protocol import Configuration, decode, encode
 from stagebound.stagegraph import scc_condensation
-from step_reference import coded, coded_weights
+from step_reference import coded, coded_weights, rule_lcm
 
 
 def make_reach_graph(p, counts, rows, den, roots):
@@ -77,7 +77,7 @@ def reference_explore(p, roots, cap=200_000):
     heads = coded(p, base)
     # a head (a, b) has an agent pair under a key iff key[a] * key[b] >= m
     pairing = [(h, h[0], h[1], 4 if h[0] == h[1] else 1) for h in heads]
-    big = p.moves.lcm
+    big = rule_lcm(p)
     ids = {}
     order = []
     per_size = {}

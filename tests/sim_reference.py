@@ -188,7 +188,7 @@ def scalar_simulate(
     rows: dict[int, tuple[int, float, tuple, tuple]] = {}
     steps_out = []
     consensus = []
-    total = n * (n - 1) * p.moves.lcm
+    total = n * (n - 1) * p.lcm
     start = encode(c0.counts, base)
     bits = np.random.Philox(0)
     for t in range(trials):

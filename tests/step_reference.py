@@ -1,13 +1,15 @@
 """The step semantics written per rule and per head, kept as references for
 `protocol.StepKernel`: whether a rule is enabled, the configuration it
-fires into and its exact probability, and the move table's heads coded in
-a base with one pair count per head, the form `explore`, `simulate` and
-`step_distribution` read before the kernel owned the step semantics.
+fires into and its exact probability, and every head's multiplier and
+rules, taken from `rules_by_head`, coded in a base with one pair count
+per head, the form `explore`, `simulate` and `step_distribution` read
+before the kernel owned the step semantics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from stagebound.protocol import Configuration, Head, PopulationProtocol, Transition
 
@@ -52,22 +54,37 @@ def transition_probability(
     return Fraction(num, (n * n - n) * k)
 
 
+def rule_lcm(p: PopulationProtocol) -> int:
+    """L, the lcm of the numbers of rules sharing a head."""
+    return lcm(*(len(rules) for rules in p.rules_by_head.values()))
+
+
+def head_rules(p: PopulationProtocol) -> list:
+    """Every head (a, b) in sorted order with its multiplier L / |rules|
+    and its rules, in rule order, each as its quadruple (i, j, k, l)."""
+    big = rule_lcm(p)
+    return [
+        (a, b, big // len(rules), [t.lhs + t.rhs for t in rules])
+        for (a, b), rules in sorted(p.rules_by_head.items())
+    ]
+
+
 def coded(p: PopulationProtocol, base: int) -> tuple:
-    """The move table's heads (a, b, multiplier, deltas), each rule as the
-    change i j -> k l makes to the code in `base` of a count vector:
-    place(k) + place(l) - place(i) - place(j), with place(s) =
-    base^(width - 1 - s), so an idle rule adds 0."""
+    """The `head_rules` as (a, b, multiplier, deltas), each rule as the change
+    i j -> k l makes to the code in `base` of a count vector: place(k) +
+    place(l) - place(i) - place(j), with place(s) = base^(width - 1 - s),
+    so an idle rule adds 0."""
     width = len(p.states)
     place = [base ** (width - 1 - s) for s in range(width)]
     return tuple(
         (a, b, mult, tuple(place[k] + place[l] - place[i] - place[j] for i, j, k, l in quads))
-        for a, b, mult, quads in p.moves.heads
+        for a, b, mult, quads in head_rules(p)
     )
 
 
 def head_pairs(heads: tuple, counts: tuple[int, ...]):
-    """For each head (a, b, multiplier, rules) of a move table with an agent
-    pair in `counts`, in table order: (w, multiplier, rules), w being the
+    """For each head (a, b, multiplier, rules) of `coded` with an agent
+    pair in `counts`, in head order: (w, multiplier, rules), w being the
     number of ordered agent pairs on the head."""
     for a, b, mult, rules in heads:
         w = counts[a] * (counts[a] - 1) if a == b else 2 * counts[a] * counts[b]

@@ -20,15 +20,15 @@ from stagebound import verify as V
 from stagebound.corpus import majority_four_state, majority_five_state
 from stagebound.protocol import PopulationProtocol, StepKernel, decode, encode
 from oracle_reference import edge_rows
-from step_reference import coded, coded_weights, enabled, fire, transition_probability
+from step_reference import coded, coded_weights, enabled, fire, head_rules, transition_probability
 
 EX1 = majority_four_state()
 EX2 = majority_five_state()
 
 
 def rule(p, lhs_names, rhs_names):
-    lhs = tuple(sorted(p.state_index(s) for s in lhs_names))
-    rhs = tuple(sorted(p.state_index(s) for s in rhs_names))
+    lhs = tuple(sorted(p.states.index(s) for s in lhs_names))
+    rhs = tuple(sorted(p.states.index(s) for s in rhs_names))
     for t in p.transitions:
         if t.lhs == lhs and t.rhs == rhs:
             return t
@@ -38,7 +38,7 @@ def rule(p, lhs_names, rhs_names):
 def cfg(p, **counts):
     vec = [0] * len(p.states)
     for name, k in counts.items():
-        vec[p.state_index(name)] = k
+        vec[p.states.index(name)] = k
     return Configuration(tuple(vec))
 
 
@@ -51,8 +51,8 @@ def test_parse_example1_shape():
     implicit = p.transitions[p.explicit_count:]
     assert len(implicit) == 6
     assert all(t.is_idle for t in implicit)
-    assert p.output(p.state_index("B")) == 1
-    assert p.output(p.state_index("A")) == 0
+    assert p.output(p.states.index("B")) == 1
+    assert p.output(p.states.index("A")) == 0
 
 
 def test_parse_example2_shape():
@@ -368,11 +368,11 @@ def test_duplicate_input_symbol_rejected():
 
 
 # ---------------------------------------------------------------------------
-# The move table and step_distribution against the per-rule Fraction sum
+# The step kernel and step_distribution against the per-rule Fraction sum
 
 
 def reference_step_distribution(p, c):
-    """step_distribution as it was before the move table: one Fraction per
+    """step_distribution as it was before integer weights: one Fraction per
     rule, added per successor."""
     n = c.size
     if n < 2:
@@ -393,22 +393,28 @@ def reference_step_distribution(p, c):
     return dist
 
 
-def test_move_table_is_built_on_first_use(shared_heads):
-    p = parse_protocol(EX1)
-    assert "moves" not in vars(p)
-    assert p.moves is p.moves
-    table = shared_heads.moves
-    # heads (A,B), (A,C) carry 3 and 2 rules: L = 6
-    assert table.lcm == 6
-    assert [h[:3] for h in table.heads] == [
-        (0, 0, 6),
-        (0, 1, 2),
-        (0, 2, 3),
-        (1, 1, 6),
-        (1, 2, 6),
-        (2, 2, 6),
-    ]
-    assert table.heads[1][3] == ((0, 1, 2, 2), (0, 1, 0, 2), (0, 1, 1, 2))
+def test_kernel_multipliers_come_from_rules_by_head(shared_heads):
+    ex1 = parse_protocol(EX1)
+    assert "lcm" not in vars(ex1)
+    assert ex1.lcm == 1 and "lcm" in vars(ex1)
+    # heads (A,B), (A,C) of shared_heads carry 3 and 2 rules: L = 6; here
+    # the diagonal head (A,A) carries 2 and (A,B) 1: L = 2
+    diagonal = parse_protocol(
+        "states: A B\ninputs: x -> A\noutput1: B\n"
+        "transitions:\n  A A -> A B\n  A A -> B B\n  A B -> B B\n"
+    )
+    cases = ((shared_heads, 6, {(0, 1), (0, 2), (1, 2)}), (diagonal, 2, {(0, 0), (0, 1)}))
+    for p, big, heads in cases:
+        assert p.lcm == big
+        kernel = StepKernel(p, 5)
+        rows = [row for by_b in kernel.heads for _, _, rows in by_b for row in rows]
+        assert {(a, b) for _, a, b, _, _ in rows} == heads
+        for _, a, b, e, k in rows:
+            rules = len(p.rules_by_head[(a, b)])
+            assert (e, k) == ((1, big // rules) if a == b else (0, 2 * big // rules))
+    # the rows of shared_heads' (A,B) are its productive rules, in rule
+    # order: A B -> C C, A B -> A C, A B -> B C with places 25, 5, 1
+    assert [row[0] for row in StepKernel(shared_heads, 5).heads[0][0][2]] == [-28, -4, -24]
 
 
 @st.composite
@@ -484,7 +490,7 @@ def assert_same_exploration(p, roots):
     want = reference_explore(p, roots)
     assert got.nodes == want.nodes
     assert all(type(w) is int for ws in got.weights for w in ws)
-    assert got.den == [(c.size**2 - c.size) * p.moves.lcm for c in got.nodes]
+    assert got.den == [(c.size**2 - c.size) * p.lcm for c in got.nodes]
     assert [
         [(u, Fraction(w, d)) for u, w in outs] for outs, d in zip(edge_rows(got), got.den)
     ] == want.succ
@@ -548,7 +554,7 @@ def test_explore_multi_digit_codes():
 
 
 def successor(counts, quad):
-    """The count vector after the rule i j -> k l, given as a move-table
+    """The count vector after the rule i j -> k l, given as a `head_rules`
     quadruple; an idle rule returns `counts` itself."""
     i, j, k, l = quad
     if i == k and j == l:
@@ -565,7 +571,7 @@ def reference_successor_rows(p, counts):
     """The successor count vectors of `counts` with their integer weights,
     one per rule, computed on tuples: in head order, then rule order."""
     out = []
-    for a, b, mult, quads in p.moves.heads:
+    for a, b, mult, quads in head_rules(p):
         w = counts[a] * (counts[a] - 1) if a == b else 2 * counts[a] * counts[b]
         if w:
             out += [(successor(counts, quad), w * mult) for quad in quads]
@@ -592,7 +598,7 @@ def test_coded_weights_match_tuple_reference_generated(data):
     got = coded_weights(coded(p, base), c, code)
     want = reference_successor_weights(p, c)
     assert [(decode(s, base, width), w) for s, w in got.items()] == list(want.items())
-    assert sum(got.values()) == (sum(c) ** 2 - sum(c)) * p.moves.lcm
+    assert sum(got.values()) == (sum(c) ** 2 - sum(c)) * p.lcm
     # the kernel's rows are the productive rules, unmerged and in order:
     # simulate's cumulative weights, and so its random stream, follow this
     # order.  The idle rules weigh what the rows leave of (n^2 - n) * L
@@ -604,7 +610,7 @@ def test_coded_weights_match_tuple_reference_generated(data):
         (s, w) for s, w in want_rows if s != c
     ]
     idle = sum(w for s, w in want_rows if s == c)
-    assert (sum(c) ** 2 - sum(c)) * p.moves.lcm - sum(weights) == idle
+    assert (sum(c) ** 2 - sum(c)) * p.lcm - sum(weights) == idle
     # and each row's count change is its successor less c
     assert [tuple(map(add, c, kernel.change[row[:3]])) for row in rows] == [
         s for s, _ in want_rows if s != c

@@ -156,22 +156,22 @@ def child_for(p, nu):
 
 def test_is_stable_example1():
     pi = compute_pi_nu(P1, frozenset(), nu_of(P1, {"A"}))
-    assert is_stable(P1, graph(P1, pi)) == 0
-    assert is_stable(P1, graph(P1, ())) is None
+    assert is_stable(graph(P1, pi)) == 0
+    assert is_stable(graph(P1, ())) is None
 
 
 def test_is_stable_single_state_protocol():
     p = parse_protocol(
         "protocol one\nstates: q\ninputs: x -> q\noutput1: q\ntransitions:\n"
     )
-    assert is_stable(p, graph(p, ())) == 1
+    assert is_stable(graph(p, ())) == 1
 
 
 def test_is_dead():
     # with every state forbidden, example 1 cannot fire anything
     pi = tuple(-present(s) for s in range(4))
     assert not graph(P1, pi).gen_edges
-    assert is_stable(P1, graph(P1, pi)) == 0  # stable (vacuously), not dead
+    assert is_stable(graph(P1, pi)) == 0  # stable (vacuously), not dead
     assert not is_dead(graph(P1, pi), 0)
     child = child_for(P1, nu_of(P1, set()))
     assert child.kind == TERMINAL_STABLE and not child.analysis.dead
@@ -180,7 +180,7 @@ def test_is_dead():
     # a,b populated, capitals gone: only "b a -> b b" remains, not dead
     g2 = graph(P1, pi2)
     assert names(P1, [t.lhs for t in g2.gen_edges]) == {("a", "b")}
-    assert is_stable(P1, g2) is None
+    assert is_stable(g2) is None
     assert not is_dead(g2, None)
     child2 = child_for(P1, nu2)
     assert child2.kind == INTERNAL and not child2.analysis.dead
@@ -194,14 +194,14 @@ def test_dead_requires_not_stable():
     pi = (-present(0),)  # no A ever again
     # the only rule needs A; B (output 1) and C (output 0) may both linger
     g = graph(p, pi)
-    assert is_stable(p, g) is None and not g.gen_edges
+    assert is_stable(g) is None and not g.gen_edges
     assert is_dead(g, None)
     child = child_for(p, nu_of(p, {"B", "C"}))
     assert child.kind == TERMINAL_DEAD and child.analysis.dead
     assert child.analysis.stable is None
     # but a state set with a single surviving output is stable, hence not dead
     pi_b = (-present(0), -present(2))
-    assert is_stable(p, graph(p, pi_b)) == 1
+    assert is_stable(graph(p, pi_b)) == 1
     assert not is_dead(graph(p, pi_b), 1)
     child_b = child_for(p, nu_of(p, {"B"}))
     assert child_b.kind == TERMINAL_STABLE and not child_b.analysis.dead
@@ -257,7 +257,7 @@ def test_graph_query_decided_by_a_head_clause():
         "protocol h\nstates: x y s z\ninputs: i -> x, j -> y\noutput1: z\n"
         "transitions:\n  x y -> z z\n  x s -> z z\n"
     )
-    x, s = p.state_index("x"), p.state_index("s")
+    x, s = p.states.index("x"), p.states.index("s")
     g = build_transformation_graph(p, (present(s),), frozenset({(x, s)}))
     assert g.gen_edges == {}
 
@@ -271,7 +271,7 @@ def test_j_query_decided_by_a_head_clause():
         "protocol j\nstates: x y u s z\ninputs: i -> u, j -> z\noutput1: x\n"
         "transitions:\n  u z -> x z\n"
     )
-    x, y, u, s = (p.state_index(q) for q in "xyus")
+    x, y, u, s = (p.states.index(q) for q in "xyus")
     pi = (present(s),)
     g = build_transformation_graph(p, pi, frozenset())
     exp = frozenset({(x, y), (u, s)})
@@ -298,7 +298,7 @@ def test_compute_k_examples():
 def test_compute_i_and_l_edgeless():
     pi = tuple(-present(s) for s in (0, 1, 2))
     g = build_transformation_graph(P1, pi, frozenset())
-    i_states, l = compute_i_and_l(P1, g)
+    i_states, l = compute_i_and_l(g)
     assert i_states == frozenset() and l == frozenset()
 
 
@@ -309,7 +309,7 @@ def test_compute_i_and_l_single_stable_edge():
         P1, frozenset({(0, 1)}), nu_of(P1, {"A", "a", "b"})
     )
     g = build_transformation_graph(P1, pi, frozenset({(0, 1)}))
-    i_states, l = compute_i_and_l(P1, g)
+    i_states, l = compute_i_and_l(g)
     assert {P1.states[s] for s in i_states} == {"b"}
     assert names(P1, l) == {("A", "a")}
 
@@ -317,7 +317,7 @@ def test_compute_i_and_l_single_stable_edge():
 def test_compute_i_and_l_cycle_is_bottom():
     # with nothing persistent there are no stable edges at all
     g = build_transformation_graph(P1, (), frozenset())
-    i_states, l = compute_i_and_l(P1, g)
+    i_states, l = compute_i_and_l(g)
     assert i_states == frozenset()
 
 
@@ -587,7 +587,7 @@ def test_graph_reads_match_per_rule_entailment_generated(case):
     p, pi, disabled, exp = case
     g = build_transformation_graph(p, pi, disabled)
     assert set(g.gen_edges) == reference_gen_edges(p, pi, disabled)
-    assert is_stable(p, g) == reference_is_stable(p, pi, disabled)
+    assert is_stable(g) == reference_is_stable(p, pi, disabled)
     assert compute_j(g, exp) == reference_compute_j(p, pi, disabled, exp)
     # classify_nu_mode reads the valuations of a split, which are
     # consistent and fix A wherever they fix A!
@@ -657,7 +657,7 @@ def partition(scc, bottom):
 def assert_edge_reads_match_index(p, g):
     scc, bottom = stagegraph._scc_and_bottom(p, g.vertices, reference_edge_index(g))
     assert partition(g.scc, g.bottom) == partition(scc, bottom)
-    got = compute_i_and_l(p, g)
+    got = compute_i_and_l(g)
     assert got == reference_compute_i_and_l(p, g)
     return got
 

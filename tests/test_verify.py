@@ -23,7 +23,7 @@ from stagebound import (
 )
 from stagebound.corpus import broadcast, majority_four_state, majority_five_state
 from stagebound.logic import Parts, evaluate, present, single
-from stagebound.protocol import PopulationProtocol, StepKernel, decode, encode
+from stagebound.protocol import PopulationProtocol, StepKernel, Transition, decode, encode
 from stagebound.stagegraph import Stage, StageGraph, scc_condensation
 from stagebound import verify as V
 from oracle_reference import (
@@ -62,7 +62,7 @@ def literal(x):
 def cfg(p, **counts):
     vec = [0] * len(p.states)
     for name, k in counts.items():
-        vec[p.state_index(name)] = k
+        vec[p.states.index(name)] = k
     return Configuration(tuple(vec))
 
 
@@ -126,7 +126,7 @@ def assert_rows_well_formed(p, g):
     for v, (c, outs, ws, den, row) in enumerate(
         zip(g.nodes, g.links, g.weights, g.den, edge_rows(g))
     ):
-        assert den == (c.size**2 - c.size) * p.moves.lcm
+        assert den == (c.size**2 - c.size) * p.lcm
         assert len(outs) == len(ws) and v not in outs
         assert all(type(w) is int and w > 0 for _, w in row)
         assert sum(w for _, w in row) == den
@@ -218,7 +218,7 @@ def assert_explore_matches_reference(p, roots):
 def assert_keys_and_rows(p, g):
     """explore's key of every node is its count vector clipped at 2, keys
     are numbered as first met, and every row is `coded_weights` over the
-    whole move table in increasing code order."""
+    heads of `coded` in increasing code order."""
     width = len(p.states)
     base = max(c.size for c in g.nodes) + 1
     heads = coded(p, base)
@@ -691,7 +691,7 @@ def test_expected_steps_broadcast_closed_form():
     assert g.size == n
     got = V.expected_steps_all(g, V.stable_set(g))
     for c, e in zip(g.nodes, got):
-        k = c.counts[p.state_index("t")]
+        k = c.counts[p.states.index("t")]
         assert type(e) is Fraction
         assert e == sum(Fraction(n * (n - 1), 2 * j * (n - j)) for j in range(k, n))
 
@@ -1491,7 +1491,7 @@ def test_simulate_matches_reference_with_shared_heads(shared_heads, counting_dra
         cum = tuple(moves.key[:count].tolist())
         nexts = tuple(g.counts[u] for u in moves.succ[:count].tolist())
         ref_w, _, ref_cum, ref_nexts = step_row(
-            StepKernel(p, 3), c.counts, encode(c.counts, 3), 2 * p.moves.lcm
+            StepKernel(p, 3), c.counts, encode(c.counts, 3), 2 * p.lcm
         )
         assert (ref_w, ref_cum, tuple(decode(s, 3, 3) for s in ref_nexts)) == (w, cum, nexts)
         return w, cum, nexts
@@ -1625,6 +1625,27 @@ def test_simulate_single_moves_without_idle_interactions_draw_nothing(counting_d
     res = assert_same_runs(q, cfg(q, A=4), 30, 6)
     assert counting_draws == {"passes": 1, "random": 30, "words": 30}
     assert min(res.steps) >= 2 and set(res.consensus) == {1}
+
+
+# A B picks C D, forced (its swap is idle), or E E, whose every
+# interaction makes its one move; both step to the stable F F
+SPLIT = (
+    "protocol split\nstates: A B C D E F\ninputs: x -> A, y -> B\noutput1: F\n"
+    "transitions:\n  A B -> C D\n  A B -> E E\n  C D -> F F\n  C D -> D C\n  E E -> F F\n"
+)
+
+
+def test_simulate_single_moves_with_some_runs_unforced_draw_no_bound(counting_draws):
+    # the second step finds no run with more than one move, yet the E-runs
+    # are not forced, so the block steps together: the C-runs draw their
+    # gaps, and no run makes a bounded draw.  The only bounded draws are
+    # the first step's, one per run among the weights 2, 2 of A B
+    p = parse_protocol(SPLIT)
+    res = assert_same_runs(p, cfg(p, A=1, B=1), 30, 4)
+    assert set(res.consensus) == {1}
+    c_runs = counting_draws["random"]
+    assert 0 < c_runs < 30
+    assert counting_draws == {4: 30, "random": c_runs, "words": 30 + c_runs}
 
 
 def test_simulate_stretches_over_three_blocks(counting_draws):
@@ -1767,7 +1788,7 @@ def test_simulate_refuses_sizes_whose_moves_overflow(monkeypatch):
     with pytest.raises(ValueError, match="too many to simulate"):
         V.simulate(p, cfg(p, t=1, f=10**20), trials=1, seed=0)
     c0 = cfg(p, t=1, f=9)
-    monkeypatch.setattr(V, "_SPAN", V._BLOCK * 90 * p.moves.lcm)
+    monkeypatch.setattr(V, "_SPAN", V._BLOCK * 90 * p.lcm)
     with pytest.raises(ValueError, match="10 agents are too many"):
         V.simulate(p, c0, trials=1, seed=0)
     monkeypatch.setattr(V, "_SPAN", V._SPAN + 1)
@@ -1803,7 +1824,7 @@ def test_simulate_stuck_start_raises_without_drawing(counting_draws):
     # constructor sorts the sides it is given, as the parser does, so both
     # write the swap as A B -> A B
     kept = PopulationProtocol("swap", tuple("ABC"), [((0, 1), (1, 0))], {"x": 0}, {0, 2})
-    assert kept.moves.heads[1][3] == ((0, 1, 0, 1),)
+    assert kept.rules_by_head[(0, 1)] == (Transition((0, 1), (0, 1)),)
     for p in (parse_protocol(SWAP_ONLY), kept):
         for sim in (V.simulate, reference_simulate):
             with pytest.raises(RuntimeError) as err:
